@@ -11,8 +11,8 @@ control and measures wall-clock routed transfers per second; writes
   hops) and still replays bit-identically from the same schedule;
 * congestion control engages (marks > 0) and backs off (rate < 1) under
   the flood;
-* routed-transfer throughput stays useful (absolute floor here; CI
-  additionally diffs against the committed baseline).
+* routed-transfer throughput stays useful (absolute floor here; host time
+  is measured by ``benchmarks/perf``, workload ``fabric_adaptive_cc``).
 
 Run standalone (``python benchmarks/bench_fabric.py``) or via pytest.
 """

@@ -146,7 +146,7 @@ class ShmemContext(RankContext):
         scalar fallback.
         """
         from repro import perf
-        from repro.perf.engine import FabricPath
+        from repro.perf.engine import issue_times, transfer_times
 
         if n < 1:
             raise CommError(f"put_signal_batch needs n >= 1, got {n}")
@@ -168,20 +168,12 @@ class ShmemContext(RankContext):
                 )
             return None
         nbytes = nelems * data_win.dtype.itemsize + signal_win.dtype.itemsize
-        c = self.counter
-        c.operations += n
-        c.messages += n
-        cost = self.costs.put_signal
-        bs = c.bytes_sent
-        t = self.sim.now
-        issue = [0.0] * n
-        for k in range(n):
-            bs += nbytes
-            t = t + cost
-            issue[k] = t
-        c.bytes_sent = bs
-        path = FabricPath(self.fabric, self.endpoint, self.job.endpoints[target])
-        deliver = path.transfer_times(nbytes, issue)
+        issue = issue_times(
+            self.counter, self.sim.now, self.costs.put_signal, nbytes, n
+        )
+        deliver = transfer_times(
+            self.fabric, self.endpoint, self.job.endpoints[target], nbytes, issue
+        )
         last = deliver[0]
         for v in deliver:
             if v > last:
@@ -200,7 +192,7 @@ class ShmemContext(RankContext):
 
         self.sim.at_time(last).add_callback(_complete)
         self._outstanding_puts.append(done)
-        yield self.sim.at_time(t)
+        yield self.sim.at_time(issue[-1])
         return deliver
 
     # ------------------------------------------------------------------

@@ -263,14 +263,14 @@ class WindowHandle:
         sender's resume and one tracked completion at the last write's
         visibility time, so a later flush/fence drains the whole batch as
         one pending event.  Falls back to the scalar loop whenever
-        :func:`repro.perf.bulk_enabled` vetoes the job (faults, tracing,
-        engine disabled).
+        :func:`repro.perf.bulk_enabled` vetoes the job (faults, congestion
+        control, non-minimal routing, tracing, engine disabled).
 
         Returns the per-message delivery times on the bulk path (consumed
         by the transport layer's batch rendezvous), None on the fallback.
         """
         from repro import perf
-        from repro.perf.engine import FabricPath, bulk_visible_last
+        from repro.perf.engine import bulk_visible_last, issue_times, transfer_times
 
         ctx, win = self.ctx, self.window
         if n < 1:
@@ -282,20 +282,10 @@ class WindowHandle:
                 yield from self.put(target, nelems=nelems, offset=offset)
             return None
         nbytes = nelems * win.dtype.itemsize
-        c = ctx.counter
-        c.operations += n
-        c.messages += n
-        put_cost = ctx.costs.put
-        bs = c.bytes_sent
-        t = ctx.sim.now
-        issue = [0.0] * n
-        for k in range(n):
-            bs += nbytes
-            t = t + put_cost
-            issue[k] = t
-        c.bytes_sent = bs
-        path = FabricPath(ctx.fabric, ctx.endpoint, ctx.job.endpoints[target])
-        deliver = path.transfer_times(nbytes, issue)
+        issue = issue_times(ctx.counter, ctx.sim.now, ctx.costs.put, nbytes, n)
+        deliver = transfer_times(
+            ctx.fabric, ctx.endpoint, ctx.job.endpoints[target], nbytes, issue
+        )
         last = bulk_visible_last(ctx.job.contexts[target], nbytes, deliver)
         done = ctx.sim.event()
 
@@ -305,7 +295,7 @@ class WindowHandle:
 
         ctx.sim.at_time(last).add_callback(_complete)
         win._track(self.rank, target, done)
-        yield ctx.sim.at_time(t)
+        yield ctx.sim.at_time(issue[-1])
         return deliver
 
     def get(

@@ -11,6 +11,14 @@ accumulate; the tail arrives one bottleneck-``G`` transmission time after the
 head.  Contention on any shared hop delays the reservation and is therefore
 visible end to end — this is what produces the Summit 42-CPU SpTRSV
 contention collapse and the cross-socket hashtable penalty in the paper.
+
+That recurrence lives here once.  :meth:`Fabric.transfer` is a single
+attempt loop over the route's ports — loss/jitter/hard-down draws and
+retransmission are per-hop steps taken only under a fault plan — and
+:class:`TransferPlan` (from :meth:`Fabric.plan`) replays the same walk for a
+homogeneous batch on a fabric that is :attr:`Fabric.replayable`.  Both, and
+UGAL scoring in :mod:`repro.net.routing`, resolve hops through one
+directed-hop table built at construction.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import TYPE_CHECKING
 from repro.faults.plan import FaultError
 from repro.net.congestion import CongestionConfig, CongestionControl
 from repro.net.link import Channel, Link
-from repro.net.routing import get_routing
+from repro.net.routing import MinimalRouting, get_routing
 from repro.net.topology import Route, TopologySpec
 from repro.sim.event import Event
 from repro.sim.trace import NullTracer, Tracer
@@ -31,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Simulator
 
-__all__ = ["Fabric", "Delivery"]
+__all__ = ["Fabric", "Delivery", "TransferPlan"]
 
 # Queueing-wait histogram edges (seconds): the zero bucket counts
 # contention-free reservations; the rest are decades up to 10 ms.
@@ -95,6 +103,14 @@ class Fabric:
             key: Link(sim, *sorted(key), params=params)
             for key, params in topology.links.items()
         }
+        # The one directed-hop table: every walker (transfer, the batch
+        # plan, UGAL scoring) resolves a route hop to its port here, so the
+        # unordered-key + direction lookup is paid once per link direction.
+        self._ports: dict[tuple[str, str], tuple[Channel, Link]] = {
+            (u, v): (link.channel(u, v), link)
+            for link in self._links.values()
+            for u, v in ((link.a, link.b), (link.b, link.a))
+        }
         self._injection: dict[str, Channel] = {
             ep: Channel(sim, params) for ep, params in topology.injection.items()
         }
@@ -102,6 +118,21 @@ class Fabric:
         self.total_messages = 0
         self.total_bytes = 0.0
         self.faults = faults
+        # Failure-aware policies (FailoverRouting) ask for a fresh routing
+        # decision per retry attempt and are told about every detected
+        # drop; static policies keep the fixed-route retry loop.
+        self._reroutes: bool = getattr(self.routing, "reroutes", False)
+        self._on_drop = getattr(self.routing, "on_drop", None)
+        #: May homogeneous batches be replayed through :meth:`plan`?  Only
+        #: when every transfer is a pure function of port state: fault draws
+        #: are per message, congestion control feeds each transfer's wait
+        #: back into the next one's injection, and a non-minimal policy may
+        #: pick a different path per decision.
+        self.replayable: bool = (
+            faults is None
+            and self.cc is None
+            and (self.routing is None or isinstance(self.routing, MinimalRouting))
+        )
         # Link key -> merged hard-outage windows (filled by
         # _install_faults when the plan carries element faults).
         self.hard_links: dict[frozenset[str], tuple] = {}
@@ -145,10 +176,10 @@ class Fabric:
                     )
 
     def link(self, a: str, b: str) -> Link:
-        key = frozenset((a, b))
-        if key not in self._links:
-            raise KeyError(f"no link {a!r}<->{b!r} in fabric")
-        return self._links[key]
+        try:
+            return self._ports[a, b][1]
+        except KeyError:
+            raise KeyError(f"no link {a!r}<->{b!r} in fabric") from None
 
     def _install_faults(self, injector: "FaultInjector") -> None:
         """Attach per-link fault parameters; links the plan leaves clean
@@ -160,34 +191,23 @@ class Fabric:
             lf = plan.for_link(link.a, link.b)
             if not lf.clean:
                 link.set_faults(lf, stall_recorder=injector.record_down_stall)
-                if self.tracer.enabled:
-                    for a, b in lf.down:
-                        # Rendered as a span on the fabric track by the
-                        # Chrome exporter.
-                        self.tracer.emit(
-                            self.sim.now,
-                            "net.link.down",
-                            -1,
-                            link=link.name,
-                            start=a,
-                            arrival=b,
-                        )
+                self._trace_windows("net.link.down", link, lf.down)
         # Hard (fail-stop) element faults: a dead router/node/NIC takes
         # every resolved link down atomically for its windows.
         self.hard_links = resolve_hard_faults(plan, self.topology)
         for key, windows in self.hard_links.items():
             link = self._links[key]
             link.set_hard(windows)
-            if self.tracer.enabled:
-                for a, b in windows:
-                    self.tracer.emit(
-                        self.sim.now,
-                        "net.link.hard_down",
-                        -1,
-                        link=link.name,
-                        start=a,
-                        arrival=b,
-                    )
+            self._trace_windows("net.link.hard_down", link, windows)
+
+    def _trace_windows(self, kind: str, link: Link, windows) -> None:
+        """One record per outage window (rendered as a span on the fabric
+        track by the Chrome exporter)."""
+        if self.tracer.enabled:
+            for a, b in windows:
+                self.tracer.emit(
+                    self.sim.now, kind, -1, link=link.name, start=a, arrival=b
+                )
 
     def transfer(
         self,
@@ -212,16 +232,38 @@ class Fabric:
         Returns:
             A :class:`Delivery` whose ``event`` fires with ``payload`` at the
             tail-arrival time.
+
+        One attempt reserves the injection port and every hop of the route.
+        Without a fault plan that first attempt is the whole transfer.  With
+        one, each retry re-pays the full LogGP cost: a hop whose link
+        samples "lost" (or is hard-down) consumes upstream capacity but
+        stops the traversal; the sender detects the loss ``timeout *
+        detect_scale * backoff**attempt`` after that attempt started
+        injecting and re-enters the fabric then.  Exhausting the budget
+        raises :class:`FaultError` (``mode="abort"``: library-internal
+        recovery, MPI-style) or fails the completion event
+        (``mode="surface"``: the error reaches the program at
+        flush/wait/quiet time).
+
+        Loss and jitter draws are keyed on ``(seed, link, transfer id,
+        attempt)``: two runs with the same plan replay identically, and a
+        higher loss rate can only turn deliveries into drops, never the
+        reverse — degradation curves are monotone by construction.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        now = self.sim.now if earliest is None else max(earliest, self.sim.now)
-        if self.routing is None:
+        sim = self.sim
+        now = sim.now if earliest is None else max(earliest, sim.now)
+        routing = self.routing
+        if routing is None:
             route = self.topology.route(src, dst)
         else:
             # One routing decision per transfer: adaptive policies may pick
             # a different (freshly costed) path for the same pair over time.
-            route = self.routing.route(self, src, dst, nbytes, now)
+            route = routing.route(self, src, dst, nbytes, now)
+        faults = self.faults
+        attempts = 1
+        error: Exception | None = None
         if route.nhops == 0:
             # Loopback: serialised on the device's local copy engine.
             # Never traverses a link, so fault plans do not apply.
@@ -230,52 +272,135 @@ class Fabric:
             occupancy = max(route.gap, nbytes * route.G)
             self._loopback_next_free[src] = start + occupancy
             arrival = start + route.latency + nbytes * route.G
-        elif self.faults is not None:
-            return self._transfer_faulty(
-                src, dst, nbytes, route, now, payload=payload, atomic=atomic
-            )
         else:
             cc = self.cc
-            t = now
+            ports = self._ports
+            inj = self._injection.get(src)
+            tid = self.total_messages  # stable per-transfer id for fault draws
+            t_ready = now
             if cc is not None:
                 # A throttled source stretches its injection: the backoff
                 # delay is paid before the message touches any port.
-                t = now + cc.injection_delay(src, nbytes * route.G)
+                t_ready = now + cc.injection_delay(src, nbytes * route.G)
             max_wait = 0.0
             start = None
-            inj = self._injection.get(src)
-            if inj is not None:
-                # The endpoint's copy/DMA engine serialises all outgoing
-                # traffic; concurrent messages to different peers stagger here.
-                inj_start, inj_head_out = inj.reserve(nbytes, t, atomic=atomic)
-                if cc is not None and inj_start - t > max_wait:
-                    max_wait = inj_start - t
-                start = inj_start
-                t = inj_head_out
-            for u, v in route.hops:
-                channel = self._links[frozenset((u, v))].channel(u, v)
-                hop_start, head_out = channel.reserve(nbytes, t, atomic=atomic)
-                if cc is not None and hop_start - t > max_wait:
-                    max_wait = hop_start - t
+            while True:
+                t = t_ready
+                sent = None  # when this attempt began injecting
+                if inj is not None:
+                    # The endpoint's copy/DMA engine serialises all outgoing
+                    # traffic; concurrent messages to different peers stagger here.
+                    sent, t = inj.reserve(nbytes, t_ready, atomic=atomic)
+                    if cc is not None and sent - t_ready > max_wait:
+                        max_wait = sent - t_ready
+                tail_G = route.G
+                lost: str | None = None
+                for hop in route.hops:
+                    channel, link = ports[hop]
+                    hop_start, head_out = channel.reserve(nbytes, t, atomic=atomic)
+                    if cc is not None and hop_start - t > max_wait:
+                        max_wait = hop_start - t
+                    if sent is None:
+                        sent = hop_start
+                    if faults is not None:
+                        if channel.hard_down_at(hop_start):
+                            # The element behind this link is dead: the head
+                            # reaches a port that no longer exists.  Upstream
+                            # capacity was spent; nothing propagates further.
+                            lost = link.name
+                            faults.record_hard_drop(lost)
+                            break
+                        lf = channel.faults
+                        if lf is not None:
+                            name = link.name
+                            head_out += faults.jitter(lf, name, tid, attempts - 1)
+                            tail_G = max(tail_G, channel.effective_G)
+                            if faults.lost(lf, name, tid, attempts - 1):
+                                # Dropped on this hop: upstream capacity was
+                                # spent, downstream hops never see the message.
+                                lost = name
+                                faults.record_drop(lost)
+                                break
+                    # The head of the message reaches the next hop's port after
+                    # this hop's latency; injection there cannot begin earlier.
+                    t = head_out
+                assert sent is not None
                 if start is None:
-                    start = hop_start
-                # The head of the message reaches the next hop's port after
-                # this hop's latency; injection there cannot begin earlier.
-                t = head_out
-            assert start is not None
-            # Tail: one bottleneck transmission time behind the head.
-            arrival = t + nbytes * route.G
-            if cc is not None:
-                # Worst per-hop queueing wait is the ECN signal: past the
-                # threshold the source's rate takes a multiplicative hit.
-                cc.observe(src, max_wait)
-        event = self.sim.event()
-        delay = arrival - self.sim.now
+                    start = sent
+                if lost is None:
+                    # Tail: one bottleneck transmission time behind the head.
+                    arrival = t + nbytes * tail_G
+                    if cc is not None:
+                        # Worst per-hop queueing wait is the ECN signal: past the
+                        # threshold the source's rate takes a multiplicative hit.
+                        cc.observe(src, max_wait)
+                    if faults is not None:
+                        faults.record_delivery(attempts)
+                    break
+                # -- a hop dropped the message (reachable only under a plan) --
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        sim.now,
+                        "net.fault.drop",
+                        -1,
+                        src=src,
+                        dst=dst,
+                        link=lost,
+                        attempt=attempts - 1,
+                        nbytes=nbytes,
+                    )
+                policy = faults.plan.retransmit
+                sem = faults.semantics
+                # Sender-side detection, measured from when this attempt began
+                # injecting; one-sided runtimes additionally re-synchronise
+                # their window state before re-issuing.
+                backoff = policy.backoff ** (attempts - 1)
+                detect = sent + policy.timeout * sem.detect_scale * backoff
+                if self._on_drop is not None:
+                    # Feed the failure detector: this is the transfer-attempt
+                    # history FailoverRouting's timeout-based detection reads.
+                    self._on_drop(self, frozenset(hop), detect)
+                if attempts > policy.max_retries:
+                    faults.record_exhausted()
+                    if self.tracer.enabled:
+                        self.tracer.emit(
+                            sim.now,
+                            "net.fault.exhausted",
+                            -1,
+                            src=src,
+                            dst=dst,
+                            link=lost,
+                            attempts=attempts,
+                            nbytes=nbytes,
+                        )
+                    error = FaultError(
+                        f"transfer {src}->{dst} ({nbytes:g} B) lost on {lost} "
+                        f"after {attempts} attempts"
+                    )
+                    arrival = detect
+                    break
+                faults.record_retransmit()
+                t_ready = detect
+                if sem.resync_penalty:
+                    t_ready += 2.0 * route.latency
+                if self._reroutes:
+                    # Ask the policy again with its updated dead-set view: the
+                    # retry may take a different (live) path.  A partitioned
+                    # pair raises FaultError here — surface it exactly like
+                    # retry-budget exhaustion.
+                    try:
+                        route = routing.route(self, src, dst, nbytes, t_ready)
+                    except FaultError as err:
+                        faults.record_exhausted()
+                        error = err
+                        arrival = t_ready
+                        break
+                attempts += 1
+        delay = arrival - sim.now
         if delay < 0:
             raise AssertionError(
-                f"fabric computed arrival in the past: {arrival} < {self.sim.now}"
+                f"fabric computed arrival in the past: {arrival} < {sim.now}"
             )
-        event.succeed(payload, delay=delay)
         self.total_messages += 1
         self.total_bytes += nbytes
         if self._m_bytes is not None:
@@ -283,253 +408,172 @@ class Fabric:
             self._m_bytes.inc(nbytes)
             self._m_timeline.observe(arrival, nbytes)
         if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now,
-                "net.transfer",
-                -1,
-                src=src,
-                dst=dst,
-                nbytes=nbytes,
-                start=start,
-                arrival=arrival,
-                nhops=route.nhops,
+            detail = dict(
+                src=src, dst=dst, nbytes=nbytes,
+                start=start, arrival=arrival, nhops=route.nhops,
             )
-        return Delivery(event, start, arrival, nbytes, route)
-
-    def _transfer_faulty(
-        self,
-        src: str,
-        dst: str,
-        nbytes: float,
-        route: Route,
-        now: float,
-        *,
-        payload: object,
-        atomic: bool,
-    ) -> Delivery:
-        """Multi-hop transfer under an active fault plan.
-
-        Each attempt reserves the injection port and every hop exactly like
-        the pristine path (re-paying the full LogGP cost of the retry).  A
-        hop whose link samples "lost" consumes upstream capacity but stops
-        the traversal; the sender detects the loss ``timeout * detect_scale
-        * backoff**attempt`` after that attempt started injecting and
-        re-enters the fabric then.  Exhausting the budget raises
-        :class:`FaultError` (``mode="abort"``: library-internal recovery,
-        MPI-style) or fails the completion event (``mode="surface"``: the
-        error reaches the program at flush/wait/quiet time).
-
-        Loss and jitter draws are keyed on ``(seed, link, transfer id,
-        attempt)``: two runs with the same plan replay identically, and a
-        higher loss rate can only turn deliveries into drops, never the
-        reverse — degradation curves are monotone by construction.
-        """
-        inj = self.faults
-        policy = inj.plan.retransmit
-        sem = inj.semantics
-        tid = self.total_messages  # stable per-transfer id for fault draws
-        max_attempts = policy.max_retries + 1
-        cc = self.cc
-        routing = self.routing
-        # Failure-aware policies (FailoverRouting) ask for a fresh routing
-        # decision per retry attempt and are told about every detected
-        # drop; static policies keep the fixed-route retry loop.
-        reroutes = routing is not None and getattr(routing, "reroutes", False)
-        notify = routing if routing is not None and hasattr(routing, "on_drop") else None
-        t_ready = now
-        if cc is not None:
-            t_ready = now + cc.injection_delay(src, nbytes * route.G)
-        max_wait = 0.0
-        first_start: float | None = None
-        attempt = 0
-        while True:
-            t = t_ready
-            start: float | None = None
-            inj_ch = self._injection.get(src)
-            if inj_ch is not None:
-                inj_start, inj_head_out = inj_ch.reserve(nbytes, t, atomic=atomic)
-                if cc is not None and inj_start - t > max_wait:
-                    max_wait = inj_start - t
-                start = inj_start
-                t = inj_head_out
-            tail_G = route.G
-            lost_link: str | None = None
-            lost_key: frozenset[str] | None = None
-            for u, v in route.hops:
-                key = frozenset((u, v))
-                link = self._links[key]
-                channel = link.channel(u, v)
-                hop_start, head_out = channel.reserve(nbytes, t, atomic=atomic)
-                if cc is not None and hop_start - t > max_wait:
-                    max_wait = hop_start - t
-                if start is None:
-                    start = hop_start
-                if channel.hard_down_at(hop_start):
-                    # The element behind this link is dead: the head
-                    # reaches a port that no longer exists.  Upstream
-                    # capacity was spent; nothing propagates further.
-                    lost_link = link.name
-                    lost_key = key
-                    inj.record_hard_drop(link.name)
-                    break
-                lf = channel.faults
-                if lf is not None:
-                    head_out += inj.jitter(lf, link.name, tid, attempt)
-                    tail_G = max(tail_G, channel.effective_G)
-                    if inj.lost(lf, link.name, tid, attempt):
-                        # Dropped on this hop: upstream capacity was spent,
-                        # downstream hops never see the message.
-                        lost_link = link.name
-                        lost_key = key
-                        inj.record_drop(link.name)
-                        break
-                t = head_out
-            assert start is not None
-            if first_start is None:
-                first_start = start
-            if lost_link is None:
-                arrival = t + nbytes * tail_G
-                attempts = attempt + 1
-                if cc is not None:
-                    cc.observe(src, max_wait)
-                inj.record_delivery(attempts)
-                return self._complete(
-                    src, dst, nbytes, route, first_start, arrival,
-                    payload=payload, attempts=attempts,
-                )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.sim.now,
-                    "net.fault.drop",
-                    -1,
-                    src=src,
-                    dst=dst,
-                    link=lost_link,
-                    attempt=attempt,
-                    nbytes=nbytes,
-                )
-            # Sender-side detection, measured from when this attempt began
-            # injecting; one-sided runtimes additionally re-synchronise
-            # their window state before re-issuing.
-            detect = start + policy.timeout * sem.detect_scale * policy.backoff**attempt
-            if notify is not None:
-                # Feed the failure detector: this is the transfer-attempt
-                # history FailoverRouting's timeout-based detection reads.
-                notify.on_drop(self, lost_key, detect)
-            if attempt + 1 >= max_attempts:
-                inj.record_exhausted()
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.sim.now,
-                        "net.fault.exhausted",
-                        -1,
-                        src=src,
-                        dst=dst,
-                        link=lost_link,
-                        attempts=attempt + 1,
-                        nbytes=nbytes,
-                    )
-                err = FaultError(
-                    f"transfer {src}->{dst} ({nbytes:g} B) lost on {lost_link} "
-                    f"after {attempt + 1} attempts"
-                )
-                if sem.mode == "abort":
-                    self._account(src, dst, nbytes, route, first_start, detect)
-                    raise err
-                delivery = self._complete(
-                    src, dst, nbytes, route, first_start, detect,
-                    payload=payload, attempts=attempt + 1, error=err,
-                )
-                return delivery
-            inj.record_retransmit()
-            t_ready = detect
-            if sem.resync_penalty:
-                t_ready += 2.0 * route.latency
-            if reroutes:
-                # Ask the policy again with its updated dead-set view: the
-                # retry may take a different (live) path.  A partitioned
-                # pair raises FaultError here — surface it exactly like
-                # retry-budget exhaustion.
-                try:
-                    route = routing.route(self, src, dst, nbytes, t_ready)
-                except FaultError as err:
-                    inj.record_exhausted()
-                    if sem.mode == "abort":
-                        self._account(
-                            src, dst, nbytes, route, first_start, t_ready
-                        )
-                        raise
-                    return self._complete(
-                        src, dst, nbytes, route, first_start, t_ready,
-                        payload=payload, attempts=attempt + 1, error=err,
-                    )
-            attempt += 1
-
-    def _complete(
-        self,
-        src: str,
-        dst: str,
-        nbytes: float,
-        route: Route,
-        start: float,
-        arrival: float,
-        *,
-        payload: object,
-        attempts: int,
-        error: Exception | None = None,
-    ) -> Delivery:
-        """Build the completion event + bookkeeping for a faulty-path
-        transfer (the pristine path keeps its original inline code)."""
-        event = self.sim.event()
-        delay = arrival - self.sim.now
-        if delay < 0:
-            raise AssertionError(
-                f"fabric computed arrival in the past: {arrival} < {self.sim.now}"
-            )
+            if faults is not None:
+                # Clean-fabric records keep their historical keys.
+                detail["attempts"] = attempts
+            self.tracer.emit(sim.now, "net.transfer", -1, **detail)
+        if error is not None and faults.semantics.mode == "abort":
+            raise error
+        event = sim.event()
         if error is None:
             event.succeed(payload, delay=delay)
         else:
             event.fail(error, delay=delay)
-        self._account(src, dst, nbytes, route, start, arrival, attempts=attempts)
         return Delivery(
-            event, start, arrival, nbytes, route,
-            attempts=attempts, dropped=error is not None,
+            event, start, arrival, nbytes, route, attempts, error is not None
         )
-
-    def _account(
-        self,
-        src: str,
-        dst: str,
-        nbytes: float,
-        route: Route,
-        start: float,
-        arrival: float,
-        *,
-        attempts: int = 1,
-    ) -> None:
-        self.total_messages += 1
-        self.total_bytes += nbytes
-        if self._m_bytes is not None:
-            self._m_messages.inc()
-            self._m_bytes.inc(nbytes)
-            self._m_timeline.observe(arrival, nbytes)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now,
-                "net.transfer",
-                -1,
-                src=src,
-                dst=dst,
-                nbytes=nbytes,
-                start=start,
-                arrival=arrival,
-                nhops=route.nhops,
-                attempts=attempts,
-            )
 
     def link_stats(self) -> dict[str, float]:
         """Traffic counters for every link direction (tests + reports)."""
         out: dict[str, float] = {}
         for link in self._links.values():
             out.update(link.stats())
+        return out
+
+    def plan(
+        self, src: str, dst: str, nbytes: float, *, atomic: bool = False
+    ) -> "TransferPlan":
+        """Freeze the ``src -> dst`` walk for one homogeneous message size.
+
+        Only meaningful on a :attr:`replayable` fabric; the caller's gate is
+        :func:`repro.perf.bulk_enabled`.
+        """
+        return TransferPlan(self, src, dst, nbytes, atomic)
+
+
+class TransferPlan:
+    """:meth:`Fabric.transfer` for one (path, size, atomic?) combination
+    with all constants hoisted, minus the event machinery.
+
+    ``time``/``times`` replicate :meth:`Fabric.transfer` on a replayable
+    fabric — reservations, counters, metrics — and return the simulated
+    time at which the delivery event would have been *processed*: the
+    scalar path schedules it via ``succeed(delay=arrival - now)``, so the
+    heap time is ``now + (arrival - now)``, which can differ from
+    ``arrival`` by one ulp.  Everything downstream of a delivery (copy
+    engines, atomic units, signal waits) keys off that heap time, so that
+    is what we return.
+
+    Per-sub-channel occupancy ``max(gap, nbytes * G)``, hop latency and
+    the tail time ``nbytes * route.G`` are pure functions of frozen
+    parameters, so computing them once per batch instead of once per
+    message yields the identical floats.  Mutable state — ``_next_free``,
+    byte counters, histograms — is updated message-by-message in issue
+    order, exactly as :meth:`Fabric.transfer` would.
+    """
+
+    __slots__ = ("fabric", "src", "nbytes", "ports", "occ", "lat", "tail")
+
+    def __init__(self, fabric: Fabric, src: str, dst: str, nbytes: float, atomic: bool):
+        route = fabric.topology.route(src, dst)
+        self.fabric = fabric
+        self.src = src
+        self.nbytes = nbytes
+        self.tail = nbytes * route.G
+        # Loopback (no ports): the device's local copy engine.
+        self.occ = max(route.gap, nbytes * route.G)
+        self.lat = route.latency
+        channels = [fabric._ports[hop][0] for hop in route.hops]
+        inj = fabric._injection.get(src)
+        if channels and inj is not None:
+            channels.insert(0, inj)
+        self.ports = []
+        for ch in channels:
+            p = ch.params
+            gap = p.effective_atomic_gap if atomic else p.gap
+            self.ports.append((ch._next_free, max(gap, nbytes * p.G), p.latency, ch))
+
+    def time(self, now: float) -> float:
+        """One message: full per-message replication (state + counters)."""
+        fabric = self.fabric
+        nbytes = self.nbytes
+        if not self.ports:
+            lnf = fabric._loopback_next_free
+            free = lnf.get(self.src, 0.0)
+            start = now if now >= free else free  # max(now, free)
+            lnf[self.src] = start + self.occ
+            arrival = start + self.lat + self.tail
+        else:
+            t = now
+            for nf, occ, lat, ch in self.ports:
+                if len(nf) == 1:
+                    f = nf[0]
+                    start = t if t >= f else f  # max(earliest, next_free)
+                    nf[0] = start + occ
+                else:
+                    idx = min(range(len(nf)), key=nf.__getitem__)
+                    f = nf[idx]
+                    start = t if t >= f else f
+                    nf[idx] = start + occ
+                ch.bytes_carried += nbytes
+                ch.messages_carried += 1
+                wh = ch.wait_hist
+                if wh is not None:
+                    wh.observe(start - t)
+                t = start + lat
+            arrival = t + self.tail
+        fabric.total_messages += 1
+        fabric.total_bytes += nbytes
+        if fabric._m_bytes is not None:
+            fabric._m_messages.inc()
+            fabric._m_bytes.inc(nbytes)
+            fabric._m_timeline.observe(arrival, nbytes)
+        return now + (arrival - now)
+
+    def times(self, issue: list[float]) -> list[float]:
+        """Delivery heap times for the whole batch, in issue order.
+
+        A loopback or single-port single-sub-channel path with no metrics or
+        wait histogram attached runs the reservation recurrence in a tight
+        loop and advances the float accumulators (``bytes_carried``,
+        ``total_bytes``) afterwards by the same per-message ``+=`` sequence
+        — each accumulator sees the identical ordered additions either way,
+        so the totals are bit-exact.  Everything else (multi-port paths,
+        parallel sub-channels, an active obs session) is :meth:`time` per
+        message.
+        """
+        fabric = self.fabric
+        ports = self.ports
+        observed = fabric._m_bytes is not None or any(
+            ch.wait_hist is not None for *_rest, ch in ports
+        )
+        if observed or len(ports) > 1 or (ports and len(ports[0][0]) > 1):
+            return [self.time(t) for t in issue]
+        nbytes = self.nbytes
+        n = len(issue)
+        out = [0.0] * n
+        tail = self.tail
+        if ports:
+            # Single hop, single sub-channel: the flood fast path.
+            nf, occ, lat, ch = ports[0]
+            free = nf[0]
+        else:
+            lnf = fabric._loopback_next_free
+            free = lnf.get(self.src, 0.0)
+            occ = self.occ
+            lat = self.lat
+        for k in range(n):
+            now = issue[k]
+            start = now if now >= free else free
+            free = start + occ
+            arrival = start + lat + tail
+            out[k] = now + (arrival - now)
+        if ports:
+            nf[0] = free
+            bc = ch.bytes_carried
+            for _ in range(n):
+                bc += nbytes
+            ch.bytes_carried = bc
+            ch.messages_carried += n
+        else:
+            lnf[self.src] = free
+        fabric.total_messages += n
+        tb = fabric.total_bytes
+        for _ in range(n):
+            tb += nbytes
+        fabric.total_bytes = tb
         return out

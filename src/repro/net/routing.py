@@ -176,8 +176,9 @@ class AdaptiveRouting:
         live candidate outranks a dead one.
         """
         t = now
-        for u, v in route.hops:
-            channel = fabric.link(u, v).channel(u, v)
+        ports = fabric._ports  # the directed-hop table transfer() walks
+        for hop in route.hops:
+            channel = ports[hop][0]
             t = max(t, channel.utilization_until)
             lf = channel.faults
             if lf is not None:

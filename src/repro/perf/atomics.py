@@ -36,7 +36,6 @@ from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
 from repro.comm.base import CommError
-from repro.perf.engine import FabricPath
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
@@ -75,10 +74,8 @@ def bulk_cas_stream(
     target_ep = ctx.job.endpoints[target]
     # Pre-built plans: the stream alternates a 16 B atomic-spaced request
     # with an 8 B response, so both transfer shapes are constant.
-    fwd_time = FabricPath(ctx.fabric, ctx.endpoint, target_ep).plan(
-        16.0, atomic=True
-    ).time
-    rev_time = FabricPath(ctx.fabric, target_ep, ctx.endpoint).plan(8.0).time
+    fwd_time = ctx.fabric.plan(ctx.endpoint, target_ep, 16.0, atomic=True).time
+    rev_time = ctx.fabric.plan(target_ep, ctx.endpoint, 8.0).time
     anf = win._atomic_next_free[target]
     buf = win.buffers[target]
     t = sim.now

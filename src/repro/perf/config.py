@@ -15,9 +15,10 @@ Two override mechanisms exist for benchmarking and debugging:
           scalar = run_flood(machine, "one_sided", 64, 1024)
 
 Independent of this switch, batches fall back to the scalar per-message
-path whenever exactness cannot be guaranteed for the whole job: an
-active fault plan (loss/jitter/outages need per-message draws) or an
-enabled tracer (per-message records must be emitted) — see
+path whenever exactness cannot be guaranteed for the whole job: a fabric
+that is not replayable (fault plan, congestion control, or a non-minimal
+routing policy — each makes a transfer depend on more than port state) or
+an enabled tracer (per-message records must be emitted) — see
 :func:`bulk_enabled`.
 """
 
@@ -59,8 +60,12 @@ def bulk_enabled(job) -> bool:
     True only when the whole job is on the pristine, untraced fast path:
 
     * the engine is globally enabled (:func:`enabled`);
-    * no fault injector is attached (fault draws, retransmissions and
-      outage stalls are inherently per-message);
+    * the job's fabric — its own or a cluster's shared one — says it may
+      be replayed in batch (:attr:`repro.net.fabric.Fabric.replayable`):
+      no fault injector (draws, retransmissions and outage stalls are
+      per-message), no congestion control (every transfer's ECN verdict
+      feeds the next injection) and routing ``None``/minimal (adaptive
+      and failover policies decide per transfer);
     * the job's tracer is disabled (per-message trace records cannot be
       batch-evaluated).
 
@@ -69,8 +74,4 @@ def bulk_enabled(job) -> bool:
     agree; flipping :func:`vectorized` from inside a running rank
     program is unsupported.
     """
-    return (
-        enabled()
-        and job.fault_injector is None
-        and not job.tracer.enabled
-    )
+    return enabled() and job.fabric.replayable and not job.tracer.enabled

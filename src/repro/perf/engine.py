@@ -30,13 +30,20 @@ is where the time went.
 Exactness contract (enforced by :func:`repro.perf.bulk_enabled` plus the
 construction of the call sites):
 
-* no fault injection on the job (loss/jitter draws are per-message);
+* the fabric is replayable (:attr:`repro.net.fabric.Fabric.replayable`):
+  no fault injection (loss/jitter draws are per-message), no congestion
+  control (each transfer's ECN verdict throttles the next injection) and
+  routing ``None``/minimal (an adaptive or failover policy decides per
+  transfer);
 * tracer disabled (per-message records cannot be batched);
 * the batch is homogeneous: one (src, dst) route, one size, one verb.
 
 Under that contract the bulk path is not an approximation — every float
-written into channel ``_next_free`` state, every counter, every metrics
-observation is the one the scalar path would have written.
+written into port state, every counter, every metrics observation is the
+one the scalar path would have written.  The per-message hop walk itself
+is not here: it is :class:`repro.net.fabric.TransferPlan`, the fabric's own
+replay of :meth:`~repro.net.fabric.Fabric.transfer`; this module holds what
+surrounds it (issue clocks, copy engines, signal waits, the rendezvous).
 """
 
 from __future__ import annotations
@@ -48,219 +55,44 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
     from repro.net.fabric import Fabric
-    from repro.net.link import Channel
 
-__all__ = ["FabricPath", "bulk_visible_last", "drain_wait_until_all", "BatchRendezvous", "rendezvous"]
-
-
-def _reserve(channel: "Channel", nbytes: float, earliest: float, atomic: bool):
-    """Replicates :meth:`repro.net.link.Channel.reserve` on the pristine
-    (fault-free) path, float-op for float-op."""
-    nf = channel._next_free
-    idx = min(range(len(nf)), key=nf.__getitem__)
-    start = max(earliest, nf[idx])
-    params = channel.params
-    gap = params.effective_atomic_gap if atomic else params.gap
-    occupancy = max(gap, nbytes * params.G)
-    nf[idx] = start + occupancy
-    channel.bytes_carried += nbytes
-    channel.messages_carried += 1
-    if channel.wait_hist is not None:
-        channel.wait_hist.observe(start - earliest)
-    return start, start + params.latency
+__all__ = [
+    "issue_times",
+    "transfer_times",
+    "bulk_visible_last",
+    "drain_wait_until_all",
+    "BatchRendezvous",
+    "rendezvous",
+]
 
 
-class FabricPath:
-    """A pre-resolved ``src -> dst`` path through a pristine fabric.
+def issue_times(counter, now: float, cost: float, nbytes: float, n: int) -> list[float]:
+    """Issue clock of ``n`` back-to-back non-blocking sends from one rank.
 
-    :meth:`plan` freezes the per-message constants for one homogeneous
-    size into a :class:`_TransferPlan`, whose ``time``/``times`` replicate
-    :meth:`repro.net.fabric.Fabric.transfer` — reservations, counters,
-    metrics — and return the simulated time at which the delivery event
-    would have been *processed*: the scalar path schedules it via
-    ``succeed(delay=arrival - now)``, so the heap time is
-    ``now + (arrival - now)``, which can differ from ``arrival`` by one
-    ulp.  Everything downstream of a delivery (copy engines, atomic
-    units, signal waits) keys off that heap time, so that is what we
-    return.
+    Replays the scalar loop's per-message ``operations`` / ``messages`` /
+    ``bytes_sent`` increments and its ``t + cost`` timeout chain — repeated
+    additions, never ``n * cost`` (see the module docstring).  The last
+    entry is the time the sender resumes.
     """
-
-    __slots__ = ("fabric", "src", "route", "inj", "hops")
-
-    def __init__(self, fabric: "Fabric", src: str, dst: str):
-        if fabric.faults is not None:
-            raise RuntimeError(
-                "bulk engine engaged on a faulty fabric — bulk_enabled() "
-                "must gate every call site"
-            )
-        self.fabric = fabric
-        self.src = src
-        self.route = fabric.topology.route(src, dst)
-        self.inj = fabric._injection.get(src)
-        self.hops = [
-            fabric._links[frozenset((u, v))].channel(u, v)
-            for u, v in self.route.hops
-        ]
-
-    def plan(self, nbytes: float, atomic: bool = False) -> "_TransferPlan":
-        """Freeze per-message constants for one homogeneous message size."""
-        return _TransferPlan(self, nbytes, atomic)
-
-    def transfer_time(self, nbytes: float, now: float, atomic: bool = False) -> float:
-        return self.plan(nbytes, atomic).time(now)
-
-    def transfer_times(self, nbytes: float, issue: list[float]) -> list[float]:
-        """Delivery heap times for one homogeneous batch, in issue order."""
-        return self.plan(nbytes).times(issue)
+    counter.operations += n
+    counter.messages += n
+    bs = counter.bytes_sent
+    t = now
+    issue = [0.0] * n
+    for k in range(n):
+        bs += nbytes
+        t = t + cost
+        issue[k] = t
+    counter.bytes_sent = bs
+    return issue
 
 
-class _TransferPlan:
-    """One (path, size, atomic?) combination with all constants hoisted.
-
-    Per-sub-channel occupancy ``max(gap, nbytes * G)``, hop latency and
-    the tail time ``nbytes * route.G`` are pure functions of frozen
-    parameters, so computing them once per batch instead of once per
-    message yields the identical floats.  Mutable state — ``_next_free``,
-    byte counters, histograms — is updated message-by-message in issue
-    order, exactly as the scalar path would.
-    """
-
-    __slots__ = ("fabric", "src", "nbytes", "loopback", "hop_data", "occ", "lat", "tail")
-
-    def __init__(self, path: FabricPath, nbytes: float, atomic: bool):
-        route = path.route
-        self.fabric = path.fabric
-        self.src = path.src
-        self.nbytes = nbytes
-        self.tail = nbytes * route.G
-        self.loopback = route.nhops == 0
-        if self.loopback:
-            self.hop_data = []
-            self.occ = max(route.gap, nbytes * route.G)
-            self.lat = route.latency
-        else:
-            chans = ([path.inj] if path.inj is not None else []) + path.hops
-            self.hop_data = []
-            for ch in chans:
-                p = ch.params
-                gap = p.effective_atomic_gap if atomic else p.gap
-                self.hop_data.append(
-                    (ch._next_free, max(gap, nbytes * p.G), p.latency, ch)
-                )
-            self.occ = 0.0
-            self.lat = 0.0
-
-    def time(self, now: float) -> float:
-        """One message: full per-message replication (state + counters)."""
-        fabric = self.fabric
-        nbytes = self.nbytes
-        if self.loopback:
-            lnf = fabric._loopback_next_free
-            free = lnf.get(self.src, 0.0)
-            start = now if now >= free else free  # max(now, free)
-            lnf[self.src] = start + self.occ
-            arrival = start + self.lat + self.tail
-        else:
-            t = now
-            for nf, occ, lat, ch in self.hop_data:
-                if len(nf) == 1:
-                    f = nf[0]
-                    start = t if t >= f else f  # max(earliest, next_free)
-                    nf[0] = start + occ
-                else:
-                    idx = min(range(len(nf)), key=nf.__getitem__)
-                    f = nf[idx]
-                    start = t if t >= f else f
-                    nf[idx] = start + occ
-                ch.bytes_carried += nbytes
-                ch.messages_carried += 1
-                wh = ch.wait_hist
-                if wh is not None:
-                    wh.observe(start - t)
-                t = start + lat
-            arrival = t + self.tail
-        fabric.total_messages += 1
-        fabric.total_bytes += nbytes
-        if fabric._m_bytes is not None:
-            fabric._m_messages.inc()
-            fabric._m_bytes.inc(nbytes)
-            fabric._m_timeline.observe(arrival, nbytes)
-        return now + (arrival - now)
-
-    def times(self, issue: list[float]) -> list[float]:
-        """Delivery heap times for the whole batch, in issue order.
-
-        When metrics or wait histograms are attached (an obs session is
-        active) every message runs the full :meth:`time` replication;
-        otherwise the reservation recurrence runs in a tight loop and the
-        float accumulators (``bytes_carried``, ``total_bytes``) are
-        advanced afterwards by the same per-message ``+=`` sequence —
-        each accumulator sees the identical ordered additions either way,
-        so the totals are bit-exact.
-        """
-        fabric = self.fabric
-        if fabric._m_bytes is not None or any(
-            ch.wait_hist is not None for *_rest, ch in self.hop_data
-        ):
-            return [self.time(t) for t in issue]
-        nbytes = self.nbytes
-        n = len(issue)
-        out = [0.0] * n
-        tail = self.tail
-        if self.loopback:
-            lnf = fabric._loopback_next_free
-            free = lnf.get(self.src, 0.0)
-            occ = self.occ
-            lat = self.lat
-            for k in range(n):
-                now = issue[k]
-                start = now if now >= free else free
-                free = start + occ
-                arrival = start + lat + tail
-                out[k] = now + (arrival - now)
-            lnf[self.src] = free
-        else:
-            hop_data = self.hop_data
-            if len(hop_data) == 1 and len(hop_data[0][0]) == 1:
-                # Single hop, single sub-channel: the flood fast path.
-                nf, occ, lat, _ch = hop_data[0]
-                f = nf[0]
-                for k in range(n):
-                    now = issue[k]
-                    start = now if now >= f else f
-                    f = start + occ
-                    arrival = start + lat + tail
-                    out[k] = now + (arrival - now)
-                nf[0] = f
-            else:
-                for k in range(n):
-                    now = issue[k]
-                    t = now
-                    for nf, occ, lat, _ch in hop_data:
-                        if len(nf) == 1:
-                            f = nf[0]
-                            start = t if t >= f else f
-                            nf[0] = start + occ
-                        else:
-                            idx = min(range(len(nf)), key=nf.__getitem__)
-                            f = nf[idx]
-                            start = t if t >= f else f
-                            nf[idx] = start + occ
-                        t = start + lat
-                    arrival = t + tail
-                    out[k] = now + (arrival - now)
-            for *_rest, ch in hop_data:
-                bc = ch.bytes_carried
-                for _ in range(n):
-                    bc += nbytes
-                ch.bytes_carried = bc
-                ch.messages_carried += n
-        fabric.total_messages += n
-        tb = fabric.total_bytes
-        for _ in range(n):
-            tb += nbytes
-        fabric.total_bytes = tb
-        return out
+def transfer_times(
+    fabric: "Fabric", src: str, dst: str, nbytes: float, issue: list[float]
+) -> list[float]:
+    """Delivery heap times of one homogeneous batch, in issue order: the
+    fabric's own replay of :meth:`~repro.net.fabric.Fabric.transfer`."""
+    return fabric.plan(src, dst, nbytes).times(issue)
 
 
 def bulk_visible_last(target_ctx: "RankContext", nbytes: float, deliver: list[float]) -> float:

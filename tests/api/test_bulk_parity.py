@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.comm import Job
 from repro.experiments.ablations import _with_hw_put_signal
+from repro.ir.lower import lower_rank
 from repro.machines import get_machine
-from repro.workloads.flood import run_cas_flood, run_flood
+from repro.net import CongestionConfig
+from repro.workloads.flood import build_flood_program, run_cas_flood, run_flood
 from repro.workloads.hashtable import HashTableConfig, run_hashtable
 from repro.workloads.stencil import ProcessGrid, StencilConfig, run_stencil
 
@@ -78,3 +81,31 @@ class TestBulkParity:
         assert scalar.time == vector.time
         assert scalar.counters == vector.counters
         assert np.array_equal(scalar.extras["field"], vector.extras["field"])
+
+
+def _flood_on(fabric_options, replayable):
+    """A 2-rank shmem flood on a job-owned fabric built with
+    ``fabric_options`` (``run_flood`` cannot pass them through)."""
+    program = build_flood_program("shmem", 65536, 256, iters=1, nranks=2)
+    job = Job(
+        get_machine("perlmutter-gpu"), 2, "shmem", placement="spread",
+        **fabric_options(),
+    )
+    assert perf.bulk_enabled(job) == (replayable and perf.enabled())
+    result = job.run(lower_rank, job.channel(program.spec), program, {})
+    return result.results, result.counters, job.fabric.link_stats()
+
+
+@pytest.mark.parametrize(
+    "fabric_options,replayable",
+    [
+        (lambda: {"routing": "minimal"}, True),
+        # Not replayable: the bulk engine must decline, not diverge.
+        (lambda: {"congestion": CongestionConfig()}, False),
+        (lambda: {"routing": "adaptive"}, False),
+    ],
+    ids=["minimal", "congestion", "adaptive"],
+)
+def test_flood_parity_across_fabric_options(fabric_options, replayable):
+    scalar, vector = _both(lambda: _flood_on(fabric_options, replayable))
+    assert scalar == vector

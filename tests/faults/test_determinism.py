@@ -16,10 +16,10 @@ def _bandwidth(pm_cpu, loss, seed):
         return run_flood(pm_cpu, "one_sided", _SIZE, _MSGS, iters=1).bandwidth
 
 
-def _schedule(pm_cpu, plan):
+def _schedule(pm_cpu, plan, **placement):
     """Every net.transfer record of one faulty flood, as comparable tuples."""
     with obs.observe(obs.Obs(trace=True)) as session, faults.inject(plan):
-        run_flood(pm_cpu, "two_sided", _SIZE, _MSGS, iters=1)
+        run_flood(pm_cpu, "two_sided", _SIZE, _MSGS, iters=1, **placement)
     out = []
     for _label, tracer in session.traces:
         for rec in tracer.records:
@@ -35,6 +35,17 @@ def _schedule(pm_cpu, plan):
 def test_same_seed_identical_schedule(pm_cpu, seed):
     plan = faults.FaultPlan.uniform(loss=0.1, jitter=2e-6, seed=seed)
     assert _schedule(pm_cpu, plan) == _schedule(pm_cpu, plan)
+
+
+def test_loopback_records_carry_attempts(pm_cpu):
+    """Ranks 0 and 1 share a socket: every transfer is a loopback, which a
+    fault plan never touches — its records still have the faulty shape."""
+    plan = faults.FaultPlan.uniform(loss=0.1, jitter=2e-6, seed=3)
+    same_socket = {"nranks": 4, "placement": "block"}
+    schedule = _schedule(pm_cpu, plan, **same_socket)
+    assert schedule and all(src == dst for src, dst, *_ in schedule)
+    assert all(attempts == 1 for *_, attempts in schedule)
+    assert schedule == _schedule(pm_cpu, plan, **same_socket)
 
 
 def test_different_seed_different_schedule(pm_cpu):

@@ -1,11 +1,15 @@
 """Fabric.transfer edge cases: zero-byte messages, self-routes, and
 single-link topologies — with and without an active fault plan."""
 
+import math
+import random
+
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RouterFaults
 from repro.faults.inject import FaultInjector
-from repro.net import Fabric, LinkParams, TopologySpec
+from repro.net import CongestionConfig, Fabric, LinkParams, TopologySpec, dragonfly
+from repro.sim import Simulator
 
 
 def _single_link(sim, plan=None):
@@ -75,3 +79,38 @@ class TestSingleLink:
             for i in range(10)
         ]
         assert payloads == list(range(10))
+
+
+class TestDormantFaultPlan:
+    """A plan whose only fault is a hard window that never opens puts every
+    transfer through the per-hop fault steps of the one hop walk; nothing
+    fires, so the schedule must equal the plan-free one bit for bit."""
+
+    @pytest.mark.parametrize("congestion", [False, True], ids=["cc-off", "cc-on"])
+    @pytest.mark.parametrize("routing", [None, "minimal", "adaptive", "failover"])
+    def test_multi_hop_schedule_identical_to_no_plan(self, routing, congestion):
+        topology = dragonfly(4, 2, 2).topology
+        rng = random.Random(7)
+        endpoints = sorted(topology.endpoints)
+        # Same-endpoint pairs included: loopback under a plan reports too.
+        traffic = [
+            (rng.choice(endpoints), rng.choice(endpoints), rng.choice((0, 64, 65536)))
+            for _ in range(400)
+        ]
+
+        def schedule(plan):
+            fabric = Fabric(
+                Simulator(),
+                topology,
+                faults=FaultInjector(plan) if plan is not None else None,
+                routing=routing,
+                congestion=CongestionConfig() if congestion else None,
+            )
+            deliveries = [fabric.transfer(*t) for t in traffic]
+            assert any(d.route.nhops > 1 for d in deliveries)
+            return [(d.start, d.arrival, d.attempts) for d in deliveries]
+
+        dormant = FaultPlan(
+            hard=(RouterFaults("g1r0", windows=((1e9, math.inf),)),)
+        )
+        assert schedule(dormant) == schedule(None)

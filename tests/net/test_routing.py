@@ -66,6 +66,18 @@ class TestAdaptive:
         f = _df_fabric(sim, routing="adaptive")
         assert f.routing.route(f, "g0r0", "g0r0", 64, 0.0).nhops == 0
 
+    @pytest.mark.parametrize("nbytes", [0, 4096, 1 << 20])
+    def test_score_equals_transfer_arrival_on_idle_fabric(self, nbytes):
+        """UGAL's estimate and the real hop walk read the same port table:
+        with nothing queued the estimate is the arrival, exactly."""
+        for src, dst in [("g0r0", "g0r1"), ("g0r0", "g1r1"), ("g3r1", "g1r0")]:
+            f = _df_fabric(Simulator(), routing="adaptive")
+            route = f.topology.route(src, dst)
+            score = f.routing._score(f, route, nbytes, 0.0)
+            delivery = f.transfer(src, dst, nbytes)
+            assert delivery.route is route
+            assert score == delivery.arrival
+
     def test_detours_around_queued_links(self, sim):
         """Queue every link of the minimal path; UGAL must pick a Valiant
         detour whose hops differ."""
