@@ -20,7 +20,7 @@ as one object::
 Everything here is re-exported from the top-level :mod:`repro` package:
 ``Session``, :func:`run_experiment`, :func:`run_sweep`,
 :func:`get_machine` and the backend name constants.  See ``docs/API.md``
-for the stability and deprecation policy.
+for the stability policy.
 """
 
 from __future__ import annotations

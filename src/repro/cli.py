@@ -252,15 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_message_args(p: argparse.ArgumentParser, *, iters: int | None) -> None:
-    """The normalised message-shape flags (``--size``/``--msgs`` remain as
-    deprecated aliases of ``--nbytes``/``--msgs-per-sync``)."""
+    """The message-shape flags shared by ``flood``/``roofline``/``fault``."""
+    p.add_argument("--nbytes", default="64KiB", help="message size (e.g. 4KiB)")
     p.add_argument(
-        "--nbytes", "--size", dest="nbytes", default="64KiB",
-        help="message size (e.g. 4KiB)",
-    )
-    p.add_argument(
-        "--msgs-per-sync", "--msgs", dest="msgs_per_sync", type=int,
-        default=64, help="messages per sync",
+        "--msgs-per-sync", type=int, default=64, help="messages per sync",
     )
     if iters is not None:
         p.add_argument("--iters", type=int, default=iters)

@@ -100,7 +100,7 @@ def run_collective(
     if (nelems is None) == (nbytes is None) and coll != "barrier":
         raise CollectiveError(f"{coll} needs exactly one of nelems=/nbytes=")
     if nelems is None:
-        nelems = 0 if nbytes is None else max(int(-(-nbytes // word_bytes)), 1)
+        nelems = 0 if nbytes is None else int(-(-nbytes // word_bytes))
     if coll == "barrier":
         nelems = 0
     if iters < 1:

@@ -16,14 +16,6 @@ from repro.comm.base import (
     Request,
     Status,
 )
-from repro.comm.collectives import (
-    allgather,
-    allreduce,
-    alltoall,
-    bcast,
-    dissemination_barrier,
-    reduce,
-)
 from repro.comm.context import RankContext
 from repro.comm.job import Job, JobResult
 from repro.comm.matching import MatchingEngine
@@ -47,10 +39,4 @@ __all__ = [
     "SIGNAL_ADD",
     "Window",
     "WindowHandle",
-    "allgather",
-    "allreduce",
-    "alltoall",
-    "bcast",
-    "dissemination_barrier",
-    "reduce",
 ]

@@ -131,7 +131,7 @@ class Window:
 
     # -- passive-target lock machinery ----------------------------------------
 
-    def _lock_compatible(self, target: int, exclusive: bool) -> bool:
+    def _lock_grantable(self, target: int, exclusive: bool) -> bool:
         holders = self._lock_holders[target]
         if not holders:
             return True
@@ -145,7 +145,7 @@ class Window:
                 f"rank {origin} already holds a lock on target {target}"
             )
         ev = self.job.sim.event()
-        if self._lock_compatible(target, exclusive) and not self._lock_queue[target]:
+        if self._lock_grantable(target, exclusive) and not self._lock_queue[target]:
             self._lock_holders[target][origin] = exclusive
             ev.succeed()
         else:
@@ -161,7 +161,7 @@ class Window:
         queue = self._lock_queue[target]
         while queue:
             o, excl, ev = queue[0]
-            if not self._lock_compatible(target, excl):
+            if not self._lock_grantable(target, excl):
                 break
             queue.pop(0)
             holders[o] = excl

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro._compat import renamed_kwargs
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["LogGPParams", "LinkParams"]
@@ -96,7 +95,6 @@ class LogGPParams:
         check_non_negative("nbytes", nbytes)
         return self.o + self.L + nbytes * self.G
 
-    @renamed_kwargs(nmsgs="msgs_per_sync")
     def time_pipelined(self, nbytes: float, msgs_per_sync: int) -> float:
         """Time for ``msgs_per_sync`` back-to-back messages of ``nbytes``
         each, followed by one synchronization (the paper's msg/sync batch).
@@ -122,7 +120,6 @@ class LogGPParams:
             + self.o_sync
         )
 
-    @renamed_kwargs(nmsgs="msgs_per_sync")
     def bandwidth_pipelined(self, nbytes: float, msgs_per_sync: int) -> float:
         """Achieved bandwidth (bytes/s) of the msg/sync batch above."""
         if nbytes <= 0:

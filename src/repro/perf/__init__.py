@@ -4,7 +4,7 @@ Evaluates homogeneous message batches (flood rounds, hashtable epochs,
 CAS streams) in one pass instead of per-message event dispatch, while
 staying byte-identical to the scalar path.  See :mod:`repro.perf.engine`
 for the exactness argument and :mod:`repro.perf.config` for the on/off
-switches.
+switch.
 
 Public surface::
 

@@ -2,17 +2,13 @@
 
 The bulk engine (:mod:`repro.perf.engine`) is on by default: it is exact
 by construction, so there is no accuracy trade-off in leaving it enabled.
-Two override mechanisms exist for benchmarking and debugging:
+The one override, for benchmarking and debugging, is the
+:func:`vectorized` context manager::
 
-* the ``REPRO_PERF`` environment variable (``0``/``off``/``false``/``no``
-  disables the engine process-wide);
-* the :func:`vectorized` context manager, which wins over the
-  environment for the duration of the block::
+    from repro import perf
 
-      from repro import perf
-
-      with perf.vectorized(False):
-          scalar = run_flood(machine, "one_sided", 64, 1024)
+    with perf.vectorized(False):
+        scalar = run_flood(machine, "one_sided", 64, 1024)
 
 Independent of this switch, batches fall back to the scalar per-message
 path whenever exactness cannot be guaranteed for the whole job: a fabric
@@ -24,14 +20,10 @@ an enabled tracer (per-message records must be emitted) — see
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 
 __all__ = ["enabled", "vectorized", "bulk_enabled"]
-
-_ENV_VAR = "REPRO_PERF"
-_FALSY = frozenset({"0", "off", "false", "no"})
 
 # Innermost-wins override stack installed by vectorized().
 _STACK: list[bool] = []
@@ -39,9 +31,7 @@ _STACK: list[bool] = []
 
 def enabled() -> bool:
     """Is the bulk engine globally enabled right now?"""
-    if _STACK:
-        return _STACK[-1]
-    return os.environ.get(_ENV_VAR, "1").strip().lower() not in _FALSY
+    return _STACK[-1] if _STACK else True
 
 
 @contextmanager

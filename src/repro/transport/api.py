@@ -293,6 +293,28 @@ class Channel:
         raise UnsupportedTransportOp(self.backend.name, "array()")
 
 
+class _AtomicChannel(Channel):
+    """One symmetric window per named space of an
+    :class:`AtomicDomainSpec`.  Every backend lays atomic domains out
+    this way; they differ only in ``endpoint_cls`` — how a rank updates a
+    remote space (owner-routed triplets, native MPI atomics, SHMEM AMOs).
+    """
+
+    def __init__(self, backend, job, spec: AtomicDomainSpec, endpoint_cls):
+        super().__init__(backend, job, spec)
+        self.endpoint_cls = endpoint_cls
+        self.wins = {
+            name: job.window(s.count, dtype=s.dtype, fill=s.fill)
+            for name, s in spec.spaces.items()
+        }
+
+    def endpoint(self, ctx):
+        return self.endpoint_cls(self, ctx)
+
+    def array(self, space, rank):
+        return self.wins[space].local(rank)
+
+
 class Endpoint:
     """One rank's verbs on a channel.  Subclasses implement the verb set
     matching their channel's spec; everything else raises

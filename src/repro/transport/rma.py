@@ -21,6 +21,7 @@ from repro.transport.api import (
     Endpoint,
     HaloSpec,
     MailboxSpec,
+    _AtomicChannel,
     part_bounds,
 )
 from repro.transport.registry import ONE_SIDED, TransportBackend, register_backend
@@ -221,21 +222,6 @@ class _BatchEndpoint(Endpoint):
         yield from self.ctx.poll_wait_signals(self.sig_win, [0], 1, value=it + 1)
 
 
-class _AtomicChannel(Channel):
-    def __init__(self, backend, job, spec: AtomicDomainSpec):
-        super().__init__(backend, job, spec)
-        self.wins = {
-            name: job.window(s.count, dtype=s.dtype, fill=s.fill)
-            for name, s in spec.spaces.items()
-        }
-
-    def endpoint(self, ctx):
-        return _AtomicEndpoint(self, ctx)
-
-    def array(self, space, rank):
-        return self.wins[space].local(rank)
-
-
 class _AtomicEndpoint(Endpoint):
     """Native remote atomics (MPI_Compare_and_swap / MPI_Fetch_and_op)."""
 
@@ -308,7 +294,7 @@ class RmaBackend(TransportBackend):
         return _BatchChannel(self, job, spec)
 
     def open_atomics(self, job, spec: AtomicDomainSpec):
-        return _AtomicChannel(self, job, spec)
+        return _AtomicChannel(self, job, spec, _AtomicEndpoint)
 
 
 register_backend(RmaBackend())

@@ -21,6 +21,7 @@ from repro.transport.api import (
     Endpoint,
     HaloSpec,
     MailboxSpec,
+    _AtomicChannel,
     part_bounds,
 )
 from repro.transport.registry import SHMEM, TransportBackend, register_backend
@@ -354,21 +355,6 @@ class _BatchEndpoint(Endpoint):
         yield ctx.sim.at_time(t_done)
 
 
-class _AtomicChannel(Channel):
-    def __init__(self, backend, job, spec: AtomicDomainSpec):
-        super().__init__(backend, job, spec)
-        self.wins = {
-            name: job.window(s.count, dtype=s.dtype, fill=s.fill)
-            for name, s in spec.spaces.items()
-        }
-
-    def endpoint(self, ctx):
-        return _AtomicEndpoint(self, ctx)
-
-    def array(self, space, rank):
-        return self.wins[space].local(rank)
-
-
 class _AtomicEndpoint(Endpoint):
     """Remote AMOs.  The CAS/FAA/swap insert sequence reuses the blocking
     window verbs (identical issue/response accounting on GPUs — the
@@ -450,7 +436,7 @@ class ShmemBackend(TransportBackend):
         return _BatchChannel(self, job, spec)
 
     def open_atomics(self, job, spec: AtomicDomainSpec):
-        return _AtomicChannel(self, job, spec)
+        return _AtomicChannel(self, job, spec, _AtomicEndpoint)
 
 
 register_backend(ShmemBackend())

@@ -21,6 +21,7 @@ from repro.transport.api import (
     Endpoint,
     HaloSpec,
     MailboxSpec,
+    _AtomicChannel,
     part_bounds,
 )
 from repro.transport.registry import TWO_SIDED, TransportBackend, register_backend
@@ -162,26 +163,11 @@ class _BatchEndpoint(Endpoint):
         yield from self.ctx.waitall(reqs)
 
 
-class _AtomicChannel(Channel):
+class _AtomicEndpoint(Endpoint):
     """Symmetric spaces without remote atomics: owners mutate their own
     arrays, writers route triplets to the owner (plus a window-backed CAS
     for the atomic flood, which any MPI runtime can issue)."""
 
-    def __init__(self, backend, job, spec: AtomicDomainSpec):
-        super().__init__(backend, job, spec)
-        self.wins = {
-            name: job.window(s.count, dtype=s.dtype, fill=s.fill)
-            for name, s in spec.spaces.items()
-        }
-
-    def endpoint(self, ctx):
-        return _AtomicEndpoint(self, ctx)
-
-    def array(self, space, rank):
-        return self.wins[space].local(rank)
-
-
-class _AtomicEndpoint(Endpoint):
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
         self._send_reqs: list = []
@@ -228,7 +214,7 @@ class TwoSidedBackend(TransportBackend):
         return _BatchChannel(self, job, spec)
 
     def open_atomics(self, job, spec: AtomicDomainSpec):
-        return _AtomicChannel(self, job, spec)
+        return _AtomicChannel(self, job, spec, _AtomicEndpoint)
 
 
 register_backend(TwoSidedBackend())

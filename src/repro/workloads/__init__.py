@@ -8,20 +8,14 @@ implements the two-sided, one-sided-MPI and GPU-SHMEM variants side by side.
 
 from repro.workloads.base import WorkloadResult
 from repro.workloads.flood import (
-    DEFAULT_MSGS_PER_SYNC,
-    DEFAULT_SIZES,
     FloodResult,
     run_cas_flood,
     run_flood,
-    sweep_flood,
 )
 
 __all__ = [
     "WorkloadResult",
     "FloodResult",
     "run_flood",
-    "sweep_flood",
     "run_cas_flood",
-    "DEFAULT_SIZES",
-    "DEFAULT_MSGS_PER_SYNC",
 ]

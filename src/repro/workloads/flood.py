@@ -28,11 +28,9 @@ being usable), which is what the paper's sustained-bandwidth plots show.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
-from repro._compat import deprecated, renamed_kwargs
 from repro.ir import ops as O
 from repro.ir.lower import run_program
 from repro.ir.program import IRProgram, region_for_all, static_program
@@ -45,17 +43,8 @@ __all__ = [
     "build_flood_program",
     "build_cas_flood_program",
     "run_flood",
-    "sweep_flood",
     "run_cas_flood",
-    "DEFAULT_SIZES",
-    "DEFAULT_MSGS_PER_SYNC",
 ]
-
-# 64 B .. 4 MiB in x8 steps: the span of the paper's bandwidth plots.
-DEFAULT_SIZES: tuple[int, ...] = tuple(64 * 8**k for k in range(6))
-# msg/sync axis; capped at 1024 in simulation (the analytic model extends
-# the curves to the paper's 1e6 — see EXPERIMENTS.md).
-DEFAULT_MSGS_PER_SYNC: tuple[int, ...] = (1, 4, 16, 64, 256, 1024)
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,6 @@ def build_flood_program(
     )
 
 
-@renamed_kwargs(size="nbytes", msg_bytes="nbytes", n_msgs="msgs_per_sync", count="msgs_per_sync")
 def run_flood(
     machine: MachineModel,
     runtime: str,
@@ -132,6 +120,10 @@ def run_flood(
         raise ValueError(f"flood nbytes must be >= 8, got {nbytes}")
     if msgs_per_sync < 1:
         raise ValueError(f"msgs_per_sync must be >= 1, got {msgs_per_sync}")
+    if iters < 1:
+        raise ValueError(f"flood iters must be >= 1, got {iters}")
+    if nranks < 2:
+        raise ValueError(f"flood nranks must be >= 2, got {nranks}")
     program = build_flood_program(
         runtime, nbytes, msgs_per_sync, iters=iters, nranks=nranks
     )
@@ -155,33 +147,6 @@ def run_flood(
         bandwidth=bw,
         latency_per_message=net / (msgs_per_sync * iters),
     )
-
-
-@deprecated("repro.sweep.run_sweep over run_flood points (docs/SWEEPS.md)")
-def sweep_flood(
-    machine_factory,
-    runtime: str,
-    *,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    msgs_per_sync: Sequence[int] = DEFAULT_MSGS_PER_SYNC,
-    iters: int = 3,
-) -> list[FloodResult]:
-    """Full (size x msg/sync) sweep; a fresh machine per point keeps the
-    fabric counters independent.
-
-    **Deprecated** (one cycle): this serial hand-rolled grid predates the
-    sweep layer and duplicates it without caching, parallelism, or the
-    ambient :func:`repro.sweep.execution` config.  Build a
-    :class:`repro.sweep.SweepSpec` whose runner calls :func:`run_flood`
-    instead — the experiments (fig03/fig04) show the pattern.
-    """
-    out = []
-    for n in msgs_per_sync:
-        for b in sizes:
-            out.append(
-                run_flood(machine_factory(), runtime, b, n, iters=iters)
-            )
-    return out
 
 
 def build_cas_flood_program(

@@ -75,7 +75,7 @@ def check(machine, runtime, coll, algorithm, P, n, *, op="sum", root=0,
     return r
 
 
-@pytest.mark.parametrize("P", [2, 3, 4, 5])
+@pytest.mark.parametrize("P", [1, 2, 3, 4, 5, 7, 8, 12])
 @pytest.mark.parametrize(("coll", "algorithm"), ALL_PAIRS)
 def test_matches_numpy(coll, algorithm, P):
     """The full schedule matrix against numpy, pow2 and non-pow2 P."""
@@ -101,7 +101,7 @@ def test_reduction_ops(coll, op):
         check(perlmutter_cpu(), TWO_SIDED, coll, algorithm, 4, 6, op=op)
 
 
-@pytest.mark.parametrize("root", [0, 1, 4])
+@pytest.mark.parametrize("root", [0, 1, 2, 4])
 @pytest.mark.parametrize("algorithm", ALGORITHMS["broadcast"])
 def test_broadcast_roots(algorithm, root):
     check(perlmutter_cpu(), TWO_SIDED, "broadcast", algorithm, 5, 4,

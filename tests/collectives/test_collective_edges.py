@@ -160,6 +160,7 @@ def test_nbytes_rounds_up_to_whole_words():
          "power-of-two"),
         (dict(coll="allreduce", nelems=4, op="xor"), "unknown reduction"),
         (dict(coll="broadcast", nelems=4, root=7), "root"),
+        (dict(coll="allreduce", nbytes=0), "nelems >= 1"),
     ],
 )
 def test_invalid_requests_raise(kwargs, match):

@@ -1,131 +1,85 @@
-"""The deprecated ring-allreduce shim: warns, validates, still performs.
-
-``run_ring_allreduce`` now delegates to
-:func:`repro.collectives.run_collective`; these tests pin that the shim
-(a) emits the deprecation exactly as the ``repro._compat`` policy says,
-(b) keeps the legacy validations and result shape, and (c) preserves
-every performance property the old hand-rolled ring was built to show.
+"""GPU-initiated ring allreduce (paper §V future work): NCCL's ring on the
+``shmem`` runtime, numerically right and shaped by the NVLink port group.
 """
 
 import numpy as np
 import pytest
 
-from repro import _compat
-from repro.comm.base import CommError
-from repro.comm.gpu_collectives import run_ring_allreduce
+from repro.collectives import CollectiveError, run_collective
 from repro.machines import perlmutter_gpu, summit_gpu
 
 
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    # The shim warns once per call site; tests below call from many
-    # lines but re-runs must start clean.
-    _compat._reset_warned()
-    yield
-    _compat._reset_warned()
-
-
-def _run(*args, **kwargs):
-    _compat._reset_warned()  # every helper call is the same call site
-    with pytest.deprecated_call(match="run_collective"):
-        return run_ring_allreduce(*args, **kwargs)
-
-
-class TestShim:
-    def test_warns_once_per_call_site(self):
-        with pytest.deprecated_call():
-            for _ in range(3):  # one site, three calls -> one warning
-                run_ring_allreduce(perlmutter_gpu(), 2, 8)
-
-    def test_matches_run_collective(self):
-        out = _run(perlmutter_gpu(), 4, 4096, stripes=4)
-        from repro.collectives import run_collective
-
-        r = run_collective(
-            perlmutter_gpu(), "shmem", "allreduce",
-            nranks=4, nelems=4096, algorithm="ring", stripes=4,
-        )
-        assert out["time"] == r.time
-        assert out["algo_bandwidth"] == r.bus_bandwidth
-
-    def test_legacy_dict_shape(self):
-        out = _run(perlmutter_gpu(), 2, 16)
-        assert set(out) == {
-            "time", "results", "algo_bandwidth", "nelems", "nranks"
-        }
-        assert out["results"] == [None, None]  # simulate mode, like the old ring
+def ring(machine, nranks, nelems, **kwargs):
+    return run_collective(
+        machine, "shmem", "allreduce", nranks=nranks, nelems=nelems,
+        algorithm="ring", **kwargs,
+    )
 
 
 class TestCorrectness:
     @pytest.mark.parametrize("P", [1, 2, 3, 4])
     def test_matches_numpy_sum(self, P):
         rng = np.random.default_rng(P)
-        n = 12 * max(P, 1)
+        n = 12 * P
         values = [rng.normal(size=n) for _ in range(P)]
-        out = _run(perlmutter_gpu(), P, n, values=values)
         expected = np.sum(values, axis=0)
-        for got in out["results"]:
+        for got in ring(perlmutter_gpu(), P, n, values=values).results:
             assert np.allclose(got, expected)
 
     def test_summit_six_gpus(self):
         rng = np.random.default_rng(7)
         n = 24
         values = [rng.normal(size=n) for _ in range(6)]
-        out = _run(summit_gpu(), 6, n, values=values)
-        for got in out["results"]:
+        for got in ring(summit_gpu(), 6, n, values=values).results:
             assert np.allclose(got, np.sum(values, axis=0))
-
-    def test_indivisible_length_rejected(self):
-        with pytest.deprecated_call(), pytest.raises(CommError, match="divisible"):
-            run_ring_allreduce(perlmutter_gpu(), 4, 10)
 
 
 class TestPerformanceShape:
     def test_large_buffers_approach_link_bandwidth(self):
         """Ring allreduce is bandwidth-optimal: for large buffers the
-        algorithmic bandwidth approaches the per-message link rate."""
-        out = _run(perlmutter_gpu(), 4, 4_000_000)
+        bus bandwidth approaches the per-message link rate."""
+        r = ring(perlmutter_gpu(), 4, 4_000_000)
         # One NVLink3 sub-channel carries 25 GB/s per hop.
-        assert out["algo_bandwidth"] > 0.5 * 25e9
+        assert r.bus_bandwidth > 0.5 * 25e9
 
     def test_small_buffers_latency_bound(self):
-        small = _run(perlmutter_gpu(), 4, 16)
-        big = _run(perlmutter_gpu(), 4, 4_000_000)
-        assert small["algo_bandwidth"] < big["algo_bandwidth"]
+        small = ring(perlmutter_gpu(), 4, 16)
+        big = ring(perlmutter_gpu(), 4, 4_000_000)
+        assert small.bus_bandwidth < big.bus_bandwidth
 
     def test_simulate_and_execute_same_time(self):
         rng = np.random.default_rng(3)
         n = 64
         values = [rng.normal(size=n) for _ in range(4)]
-        t_sim = _run(perlmutter_gpu(), 4, n)["time"]
-        t_exe = _run(perlmutter_gpu(), 4, n, values=values)["time"]
+        t_sim = ring(perlmutter_gpu(), 4, n).time
+        t_exe = ring(perlmutter_gpu(), 4, n, values=values).time
         assert t_sim == pytest.approx(t_exe, rel=1e-12)
 
     def test_single_stream_ring_misses_port_group(self):
         """An unstriped ring sees only one NVLink3 port (25 GB/s) on A100
         while V100's single 50 GB/s link serves it fully — NCCL's
         motivation for multiple rings."""
-        t_pm = _run(perlmutter_gpu(), 4, 400_000)["time"]
-        t_sm = _run(summit_gpu(), 4, 400_000)["time"]
+        t_pm = ring(perlmutter_gpu(), 4, 400_000).time
+        t_sm = ring(summit_gpu(), 4, 400_000).time
         assert t_sm < t_pm  # V100 wins the single-stream ring
 
     def test_striping_engages_the_port_group(self):
-        base = _run(perlmutter_gpu(), 4, 4_000_000)
-        striped = _run(perlmutter_gpu(), 4, 4_000_000, stripes=4)
-        assert striped["time"] < base["time"] / 2
+        base = ring(perlmutter_gpu(), 4, 4_000_000)
+        striped = ring(perlmutter_gpu(), 4, 4_000_000, stripes=4)
+        assert striped.time < base.time / 2
         # With all four ports engaged, A100 overtakes V100.
-        t_sm = _run(summit_gpu(), 4, 4_000_000)["time"]
-        assert striped["time"] < t_sm
+        t_sm = ring(summit_gpu(), 4, 4_000_000).time
+        assert striped.time < t_sm
 
     def test_striped_ring_still_correct(self):
         rng = np.random.default_rng(11)
         n = 48
         values = [rng.normal(size=n) for _ in range(4)]
-        out = _run(perlmutter_gpu(), 4, n, values=values, stripes=4)
+        r = ring(perlmutter_gpu(), 4, n, values=values, stripes=4)
         expected = np.sum(values, axis=0)
-        for got in out["results"]:
+        for got in r.results:
             assert np.allclose(got, expected)
 
     def test_invalid_stripes(self):
-        with pytest.deprecated_call(), pytest.raises(CommError, match="stripes"):
-            run_ring_allreduce(perlmutter_gpu(), 4, 8, stripes=5)
+        with pytest.raises(CollectiveError, match="stripes"):
+            ring(perlmutter_gpu(), 4, 8, stripes=0)

@@ -27,13 +27,6 @@ class TestParsing:
         args = build_parser().parse_args(["flood", "perlmutter-cpu", "two_sided"])
         assert args.nbytes == "64KiB" and args.msgs_per_sync == 64
 
-    def test_flood_legacy_flag_aliases(self):
-        args = build_parser().parse_args(
-            ["flood", "perlmutter-cpu", "two_sided",
-             "--size", "4KiB", "--msgs", "8"]
-        )
-        assert args.nbytes == "4KiB" and args.msgs_per_sync == 8
-
 
 class TestCommands:
     def test_list(self, capsys):
@@ -80,8 +73,8 @@ class TestCommands:
 
     def test_flood(self, capsys):
         rc = main(
-            ["flood", "perlmutter-cpu", "two_sided", "--size", "4KiB",
-             "--msgs", "8", "--iters", "1"]
+            ["flood", "perlmutter-cpu", "two_sided", "--nbytes", "4KiB",
+             "--msgs-per-sync", "8", "--iters", "1"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -92,14 +85,14 @@ class TestCommands:
         assert "unknown machine" in capsys.readouterr().err
 
     def test_roofline(self, capsys):
-        rc = main(["roofline", "frontier-cpu", "one_sided", "--size", "1KiB"])
+        rc = main(["roofline", "frontier-cpu", "one_sided", "--nbytes", "1KiB"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "peak=36.00 GB/s" in out
         assert "bound" in out
 
     def test_roofline_projection_machine(self, capsys):
-        rc = main(["roofline", "frontier-gpu", "shmem", "--size", "64KiB"])
+        rc = main(["roofline", "frontier-gpu", "shmem", "--nbytes", "64KiB"])
         assert rc == 0
 
 
@@ -304,7 +297,7 @@ class TestFaultCommand:
     def test_fault_reports_degradation(self, capsys):
         rc = main(
             ["fault", "perlmutter-cpu", "one_sided", "--loss", "0.08",
-             "--msgs", "16", "--iters", "1"]
+             "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -315,7 +308,7 @@ class TestFaultCommand:
     def test_fault_zero_loss_matches_clean(self, capsys):
         rc = main(
             ["fault", "perlmutter-cpu", "two_sided", "--loss", "0",
-             "--msgs", "16", "--iters", "1"]
+             "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 0
         assert "(100.0% of clean)" in capsys.readouterr().out
@@ -323,7 +316,7 @@ class TestFaultCommand:
     def test_fault_down_window(self, capsys):
         rc = main(
             ["fault", "perlmutter-cpu", "two_sided", "--loss", "0",
-             "--down", "0:100", "--msgs", "16", "--iters", "1"]
+             "--down", "0:100", "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 0
         assert "stalled" in capsys.readouterr().out
@@ -379,7 +372,7 @@ class TestFaultCommand:
         rc = main(
             ["fault", self.CLUSTER, "one_sided", "--loss", "0",
              "--fail-nic", "n0.nic0:100:160", "--placement", "block",
-             "--msgs", "16", "--iters", "1"]
+             "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -390,7 +383,7 @@ class TestFaultCommand:
         rc = main(
             ["fault", self.CLUSTER, "one_sided", "--loss", "0",
              "--fail-router", "g0r0", "--placement", "block",
-             "--msgs", "16", "--iters", "1"]
+             "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 1
         assert "aborted" in capsys.readouterr().out

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.machines import perlmutter_cpu, perlmutter_gpu
-from repro.workloads.flood import (
-    DEFAULT_MSGS_PER_SYNC,
-    DEFAULT_SIZES,
-    run_cas_flood,
-    run_flood,
-    sweep_flood,
-)
+from repro.sweep import SweepSpec, run_sweep
+from repro.workloads.flood import run_cas_flood, run_flood
 from repro.workloads.instrument import characterize_workloads
+
+
+def _flood_point(params, seed):
+    r = run_flood(
+        perlmutter_cpu(), "two_sided", params["nbytes"],
+        params["msgs_per_sync"], iters=1,
+    )
+    return {"nbytes": r.nbytes, "msgs_per_sync": r.msgs_per_sync}
 
 
 class TestFlood:
@@ -55,23 +58,22 @@ class TestFlood:
             run_flood(perlmutter_cpu(), "two_sided", 64, 0)
         with pytest.raises((ValueError, KeyError)):
             run_flood(perlmutter_cpu(), "smoke", 64, 1)
+        with pytest.raises(ValueError, match="nranks"):
+            run_flood(perlmutter_cpu(), "two_sided", 64, 4, nranks=1)
+        with pytest.raises(ValueError, match="iters"):
+            run_flood(perlmutter_cpu(), "two_sided", 64, 4, iters=0)
 
     def test_sweep_covers_grid(self):
-        # sweep_flood is deprecated (use repro.sweep.run_sweep); the shim
-        # must keep working for one cycle while warning.
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            out = sweep_flood(
-                perlmutter_cpu, "two_sided", sizes=(64, 1024),
-                msgs_per_sync=(1, 4), iters=1,
-            )
+        """A (size x msg/sync) flood grid is a sweep over run_flood points."""
+        out = run_sweep(SweepSpec(
+            name="flood-grid",
+            runner=_flood_point,
+            axes={"nbytes": (64, 1024), "msgs_per_sync": (1, 4)},
+        ))
         assert len(out) == 4
-        assert {(r.nbytes, r.msgs_per_sync) for r in out} == {
+        assert {(r.value["nbytes"], r.value["msgs_per_sync"]) for r in out} == {
             (64, 1), (64, 4), (1024, 1), (1024, 4),
         }
-
-    def test_defaults_sane(self):
-        assert len(DEFAULT_SIZES) >= 5
-        assert max(DEFAULT_MSGS_PER_SYNC) >= 256
 
 
 class TestCasFlood:
