@@ -17,12 +17,13 @@ attempt loop over the route's ports — loss/jitter/hard-down draws and
 retransmission are per-hop steps taken only under a fault plan — and
 :class:`TransferPlan` (from :meth:`Fabric.plan`) replays the same walk for a
 homogeneous batch on a fabric that is :attr:`Fabric.replayable`.  Both, and
-UGAL scoring in :mod:`repro.net.routing`, resolve hops through one
-directed-hop table built at construction.
+UGAL scoring in :mod:`repro.net.routing`, walk a route's ports as resolved
+once per distinct path by :meth:`Fabric._walk`.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING
 
 from repro.faults.plan import FaultError
@@ -30,7 +31,7 @@ from repro.net.congestion import CongestionConfig, CongestionControl
 from repro.net.link import Channel, Link
 from repro.net.routing import MinimalRouting, get_routing
 from repro.net.topology import Route, TopologySpec
-from repro.sim.event import Event
+from repro.sim.event import Event, Timeout
 from repro.sim.trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,6 +112,10 @@ class Fabric:
             for link in self._links.values()
             for u, v in ((link.a, link.b), (link.b, link.a))
         }
+        # route.hops -> that route's ports, resolved on first use.  Routes
+        # are memoised by the topology, so the key is almost always the
+        # identical tuple and a transfer pays one lookup, not one per hop.
+        self._walks: dict[tuple, tuple[tuple[Channel, Link], ...]] = {}
         self._injection: dict[str, Channel] = {
             ep: Channel(sim, params) for ep, params in topology.injection.items()
         }
@@ -158,12 +163,7 @@ class Fabric:
             link_hist = metrics.histogram("net.link_wait_seconds", _WAIT_EDGES)
             for link in self._links.values():
                 link.attach_wait_hist(link_hist)
-            # Per-link byte/message totals are already counted by the
-            # channels; export them at snapshot time (sum-merged across
-            # fabrics feeding the same registry).
-            metrics.register_collector(
-                lambda: {f"net.link.{k}": float(v) for k, v in self.link_stats().items()}
-            )
+            metrics.register_collector(self._collect)
             if self.cc is not None:
                 self.cc.m_marks = metrics.counter("net.cc.marks")
                 self.cc.m_backoffs = metrics.counter("net.cc.backoffs")
@@ -180,6 +180,14 @@ class Fabric:
             return self._ports[a, b][1]
         except KeyError:
             raise KeyError(f"no link {a!r}<->{b!r} in fabric") from None
+
+    def _walk(self, route: Route) -> tuple[tuple[Channel, Link], ...]:
+        """The compiled walk of ``route``: its ``(Channel, Link)`` ports."""
+        walk = self._walks.get(route.hops)
+        if walk is None:
+            ports = self._ports
+            walk = self._walks[route.hops] = tuple(ports[hop] for hop in route.hops)
+        return walk
 
     def _install_faults(self, injector: "FaultInjector") -> None:
         """Attach per-link fault parameters; links the plan leaves clean
@@ -250,10 +258,11 @@ class Fabric:
         higher loss rate can only turn deliveries into drops, never the
         reverse — degradation curves are monotone by construction.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not 0 <= nbytes < inf:
+            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         sim = self.sim
-        now = sim.now if earliest is None else max(earliest, sim.now)
+        clock = sim.now  # constant for the whole call: nothing steps the engine
+        now = clock if earliest is None else max(earliest, clock)
         routing = self.routing
         if routing is None:
             route = self.topology.route(src, dst)
@@ -274,7 +283,7 @@ class Fabric:
             arrival = start + route.latency + nbytes * route.G
         else:
             cc = self.cc
-            ports = self._ports
+            walk = self._walk(route)
             inj = self._injection.get(src)
             tid = self.total_messages  # stable per-transfer id for fault draws
             t_ready = now
@@ -295,8 +304,7 @@ class Fabric:
                         max_wait = sent - t_ready
                 tail_G = route.G
                 lost: str | None = None
-                for hop in route.hops:
-                    channel, link = ports[hop]
+                for channel, link in walk:
                     hop_start, head_out = channel.reserve(nbytes, t, atomic=atomic)
                     if cc is not None and hop_start - t > max_wait:
                         max_wait = hop_start - t
@@ -359,7 +367,7 @@ class Fabric:
                 if self._on_drop is not None:
                     # Feed the failure detector: this is the transfer-attempt
                     # history FailoverRouting's timeout-based detection reads.
-                    self._on_drop(self, frozenset(hop), detect)
+                    self._on_drop(self, frozenset((link.a, link.b)), detect)
                 if attempts > policy.max_retries:
                     faults.record_exhausted()
                     if self.tracer.enabled:
@@ -395,11 +403,12 @@ class Fabric:
                         error = err
                         arrival = t_ready
                         break
+                    walk = self._walk(route)
                 attempts += 1
-        delay = arrival - sim.now
+        delay = arrival - clock
         if delay < 0:
             raise AssertionError(
-                f"fabric computed arrival in the past: {arrival} < {sim.now}"
+                f"fabric computed arrival in the past: {arrival} < {clock}"
             )
         self.total_messages += 1
         self.total_bytes += nbytes
@@ -418,14 +427,24 @@ class Fabric:
             self.tracer.emit(sim.now, "net.transfer", -1, **detail)
         if error is not None and faults.semantics.mode == "abort":
             raise error
-        event = sim.event()
         if error is None:
-            event.succeed(payload, delay=delay)
+            # Born triggered: one object on the heap, no callbacks list
+            # until somebody waits on it.
+            event = Timeout(sim, delay, payload)
         else:
-            event.fail(error, delay=delay)
+            event = sim.event().fail(error, delay=delay)
         return Delivery(
             event, start, arrival, nbytes, route, attempts, error is not None
         )
+
+    def _collect(self) -> dict[str, float]:
+        """Snapshot-time export (sum-merged across fabrics feeding the same
+        registry): the per-link totals the channels already count, and the
+        sizes of the two route caches this fabric's speed is bought with."""
+        out = {f"net.link.{k}": float(v) for k, v in self.link_stats().items()}
+        out["net.fabric.compiled_routes"] = float(len(self._walks))
+        out["net.topology.route_memo"] = float(len(self.topology._via_cache))
+        return out
 
     def link_stats(self) -> dict[str, float]:
         """Traffic counters for every link direction (tests + reports)."""
@@ -442,6 +461,8 @@ class Fabric:
         Only meaningful on a :attr:`replayable` fabric; the caller's gate is
         :func:`repro.perf.bulk_enabled`.
         """
+        if not 0 <= nbytes < inf:
+            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         return TransferPlan(self, src, dst, nbytes, atomic)
 
 
@@ -477,15 +498,19 @@ class TransferPlan:
         # Loopback (no ports): the device's local copy engine.
         self.occ = max(route.gap, nbytes * route.G)
         self.lat = route.latency
-        channels = [fabric._ports[hop][0] for hop in route.hops]
+        channels = [ch for ch, _link in fabric._walk(route)]
         inj = fabric._injection.get(src)
         if channels and inj is not None:
             channels.insert(0, inj)
-        self.ports = []
-        for ch in channels:
-            p = ch.params
-            gap = p.effective_atomic_gap if atomic else p.gap
-            self.ports.append((ch._next_free, max(gap, nbytes * p.G), p.latency, ch))
+        self.ports = [
+            (
+                ch._next_free,
+                max(ch._atomic_gap if atomic else ch._gap, nbytes * ch._G),
+                ch._latency,
+                ch,
+            )
+            for ch in channels
+        ]
 
     def time(self, now: float) -> float:
         """One message: full per-message replication (state + counters)."""

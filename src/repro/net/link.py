@@ -14,6 +14,7 @@ Delivery time for a message accepted at ``start`` is
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING
 
 from repro.net.loggp import LinkParams
@@ -36,6 +37,10 @@ class Channel:
     __slots__ = (
         "sim",
         "params",
+        "_G",
+        "_gap",
+        "_atomic_gap",
+        "_latency",
         "_next_free",
         "bytes_carried",
         "messages_carried",
@@ -50,6 +55,12 @@ class Channel:
     def __init__(self, sim: "Simulator", params: LinkParams):
         self.sim = sim
         self.params = params
+        # LinkParams is frozen: its LogGP constants are read once here, not
+        # through two attribute hops and a property per reservation.
+        self._G = params.G
+        self._gap = params.gap
+        self._atomic_gap = params.effective_atomic_gap
+        self._latency = params.latency
         self._next_free: list[float] = [0.0] * params.channels
         self.bytes_carried: float = 0.0
         self.messages_carried: int = 0
@@ -95,13 +106,15 @@ class Channel:
             (sub-channel per-byte time); multi-hop routes take the max
             per-byte time across hops.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not 0 <= nbytes < inf:
+            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         # Earliest-free sub-channel; ties resolve to the lowest index so the
-        # schedule is deterministic.
-        idx = min(range(len(self._next_free)), key=self._next_free.__getitem__)
-        start = max(earliest, self._next_free[idx])
-        per_byte = self.params.G
+        # schedule is deterministic.  Only NVLink port groups have several.
+        nf = self._next_free
+        idx = 0 if len(nf) == 1 else min(range(len(nf)), key=nf.__getitem__)
+        free = nf[idx]
+        start = earliest if earliest >= free else free  # max(earliest, free)
+        per_byte = self._G
         faults = self.faults
         if faults is not None:
             # Transient outages: the head stalls at the port until the
@@ -114,16 +127,18 @@ class Channel:
                         self.stall_recorder(b - start)
                     start = b
             per_byte *= faults.degrade
-        gap = self.params.effective_atomic_gap if atomic else self.params.gap
-        occupancy = max(gap, nbytes * per_byte)
-        self._next_free[idx] = start + occupancy
+        gap = self._atomic_gap if atomic else self._gap
+        occupancy = nbytes * per_byte
+        if not occupancy > gap:  # max(gap, nbytes * per_byte)
+            occupancy = gap
+        nf[idx] = start + occupancy
         self.bytes_carried += nbytes
         self.messages_carried += 1
         if self.wait_hist is not None:
             self.wait_hist.observe(start - earliest)
         if self.util_timeline is not None:
             self.util_timeline.observe(start, occupancy)
-        return start, start + self.params.latency
+        return start, start + self._latency
 
     def hard_down_at(self, t: float) -> bool:
         """Is this channel inside a hard (element-failure) outage at ``t``?"""
@@ -140,8 +155,8 @@ class Channel:
     def effective_G(self) -> float:
         """Per-byte time including any permanent degradation factor."""
         if self.faults is not None:
-            return self.params.G * self.faults.degrade
-        return self.params.G
+            return self._G * self.faults.degrade
+        return self._G
 
     @property
     def utilization_until(self) -> float:

@@ -15,9 +15,9 @@ for the same (src, dst) pair over time:
   decision is a pure function of the simulation clock and link state, so
   same-seed runs replay bit-identically.
 
-Each non-minimal path is costed fresh with
-:meth:`TopologySpec.route_via` — bottleneck latency/``G`` come from the
-hops actually taken, never from the cached minimal pair.
+Each non-minimal path is costed by :meth:`TopologySpec.route_via`
+(memoised per path) — bottleneck latency/``G`` come from the hops actually
+taken, never from the cached minimal pair.
 """
 
 from __future__ import annotations
@@ -96,24 +96,6 @@ class AdaptiveRouting:
             raise ValueError(f"candidates must be >= 1, got {candidates}")
         self.candidates = candidates
         self._decisions = 0
-        # Per-topology cache of the endpoints eligible as intermediates
-        # (switch/router endpoints, i.e. non-leaf degree >= 2).
-        self._mids: list[str] | None = None
-
-    def _intermediates(self, fabric: "Fabric") -> list[str]:
-        if self._mids is None:
-            topo = fabric.topology
-            g = topo._graph
-            # Switch/router endpoints only: multi-degree, not a node-internal
-            # device (cluster convention prefixes those with "n{i}."), and
-            # not an injecting compute endpoint.  Detouring *through* another
-            # node's NIC or socket is not a thing real fabrics do.
-            self._mids = sorted(
-                n
-                for n in g.nodes
-                if g.degree(n) >= 2 and "." not in n and n not in topo.injection
-            )
-        return self._mids
 
     def _pick(self, src: str, dst: str, pool: list[str], n: int) -> list[str]:
         """``n`` deterministic intermediate candidates for this decision."""
@@ -140,7 +122,7 @@ class AdaptiveRouting:
         best = minimal
         best_score = self._score(fabric, minimal, nbytes, now)
         on_minimal = {src, dst} | {v for _u, v in minimal.hops}
-        pool = [m for m in self._intermediates(fabric) if m not in on_minimal]
+        pool = [m for m in topo._transit_endpoints() if m not in on_minimal]
         for mid in self._pick(src, dst, pool, self.candidates):
             path = self._valiant_path(topo, src, mid, dst)
             if path is None:
@@ -176,10 +158,8 @@ class AdaptiveRouting:
         live candidate outranks a dead one.
         """
         t = now
-        ports = fabric._ports  # the directed-hop table transfer() walks
-        for hop in route.hops:
-            channel = ports[hop][0]
-            t = max(t, channel.utilization_until)
+        for channel, _link in fabric._walk(route):  # the ports transfer() walks
+            t = max(t, min(channel._next_free))
             lf = channel.faults
             if lf is not None:
                 for a, b in lf.down:
@@ -187,7 +167,7 @@ class AdaptiveRouting:
                         t = b
             if channel.hard_down_at(t):
                 t += _HARD_DOWN_PENALTY
-            t += channel.params.latency
+            t += channel._latency
         return t + nbytes * route.G
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """A resolved path: the ordered endpoints and per-hop link parameters."""
 
@@ -46,15 +46,14 @@ class Route:
     bandwidth: float  # min per-hop aggregate bandwidth (bottleneck)
     message_bandwidth: float  # min per-hop single-sub-channel bandwidth
     gap: float  # max per-hop gap
+    # Derived once; every transfer reads both.
+    nhops: int = field(init=False, repr=False, compare=False)
+    #: Per-byte time one message observes (bottleneck sub-channel).
+    G: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def nhops(self) -> int:
-        return len(self.hops)
-
-    @property
-    def G(self) -> float:
-        """Per-byte time one message observes (bottleneck sub-channel)."""
-        return 1.0 / self.message_bandwidth
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nhops", len(self.hops))
+        object.__setattr__(self, "G", 1.0 / self.message_bandwidth)
 
 
 @dataclass
@@ -75,6 +74,9 @@ class TopologySpec:
     _graph: nx.Graph = field(default_factory=nx.Graph)
     _route_cache: dict[tuple[str, str], Route] = field(default_factory=dict)
     _path_cache: dict[tuple[str, str], list[str]] = field(default_factory=dict)
+    _via_cache: dict[tuple[str, ...], Route] = field(default_factory=dict)
+    _transit_cache: list[str] | None = None
+    _hop_cache: dict[tuple[str, str], tuple[str, str]] = field(default_factory=dict)
 
     def add_link(self, a: str, b: str, params: LinkParams) -> None:
         """Connect endpoints ``a`` and ``b`` (undirected, full duplex)."""
@@ -85,8 +87,7 @@ class TopologySpec:
             raise ValueError(f"duplicate link {a!r}<->{b!r} in topology {self.name!r}")
         self._links[key] = params
         self._graph.add_edge(a, b, weight=params.latency, params=params)
-        self._route_cache.clear()
-        self._path_cache.clear()
+        self.invalidate_routes()
 
     def set_injection(self, endpoint: str, params: LinkParams) -> None:
         """Give ``endpoint`` a serialised injection port.
@@ -97,6 +98,7 @@ class TopologySpec:
         means injection is unconstrained.
         """
         self.injection[endpoint] = params
+        self._transit_cache = None
 
     @property
     def endpoints(self) -> list[str]:
@@ -157,30 +159,36 @@ class TopologySpec:
         """Cost an explicit endpoint path into a :class:`Route`.
 
         Bottleneck fields (latency sum, min bandwidth, max gap) are computed
-        from the hops actually given — never cached — so every routing
-        *decision* reports the parameters of its own path.  Every
+        from the hops actually given, so every routing *decision* reports
+        the parameters of its own path.  The costing is a pure function of
+        the path's immutable :class:`LinkParams`, so it is memoised per
+        path until :meth:`add_link` or :meth:`invalidate_routes`.  Every
         consecutive pair must be a topology link.
         """
+        key = tuple(path)
+        cached = self._via_cache.get(key)
+        if cached is not None:
+            return cached
         if len(path) < 2:
             raise ValueError(f"path needs at least two endpoints, got {list(path)}")
-        hops = tuple(zip(path[:-1], path[1:]))
+        intern = self._hop_cache.setdefault  # one (u, v) object per directed hop
+        hops = tuple(intern(hop, hop) for hop in zip(path[:-1], path[1:]))
         latency = 0.0
         bandwidth = float("inf")
         msg_bandwidth = float("inf")
         gap = 0.0
         for u, v in hops:
-            key = frozenset((u, v))
-            if key not in self._links:
+            p = self._links.get(frozenset((u, v)))
+            if p is None:
                 raise KeyError(
                     f"no link {u!r}<->{v!r} in topology {self.name!r} "
                     f"(path {list(path)})"
                 )
-            p = self._links[key]
             latency += p.latency
             bandwidth = min(bandwidth, p.bandwidth)
             msg_bandwidth = min(msg_bandwidth, p.channel_bandwidth)
             gap = max(gap, p.gap)
-        return Route(
+        route = self._via_cache[key] = Route(
             src=path[0],
             dst=path[-1],
             hops=hops,
@@ -189,6 +197,7 @@ class TopologySpec:
             message_bandwidth=msg_bandwidth,
             gap=gap,
         )
+        return route
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Minimum-latency endpoint sequence ``src -> ... -> dst``.
@@ -225,6 +234,25 @@ class TopologySpec:
         """
         self._route_cache.clear()
         self._path_cache.clear()
+        self._via_cache.clear()
+        self._transit_cache = None
+
+    def _transit_endpoints(self) -> list[str]:
+        """Endpoints a Valiant detour may pass through (cached, sorted).
+
+        Switch/router endpoints only: multi-degree, not a node-internal
+        device (cluster convention prefixes those with "n{i}."), and not an
+        injecting compute endpoint.  Detouring *through* another node's NIC
+        or socket is not a thing real fabrics do.
+        """
+        if self._transit_cache is None:
+            g = self._graph
+            self._transit_cache = sorted(
+                n
+                for n in g.nodes
+                if g.degree(n) >= 2 and "." not in n and n not in self.injection
+            )
+        return self._transit_cache
 
     def shortest_path_avoiding(
         self, src: str, dst: str, dead: "frozenset[frozenset[str]] | set"

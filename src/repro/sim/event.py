@@ -27,6 +27,10 @@ class SimulationError(RuntimeError):
 
 
 _PENDING = object()  # sentinel: event value not yet set
+# Shared by every event nobody has registered on yet: most deliveries are
+# never waited on individually, so the list is made by the first
+# add_callback instead of one per event.  Immutable on purpose.
+_NO_CALLBACKS: tuple = ()
 
 
 class Event:
@@ -42,7 +46,7 @@ class Event:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks: list[Callable[[Event], None]] | None = []
+        self.callbacks: list[Callable[[Event], None]] | tuple | None = _NO_CALLBACKS
         self._value: Any = _PENDING
         self._ok: bool | None = None
         self._defused = False
@@ -101,9 +105,13 @@ class Event:
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Register ``fn(event)`` to run when the event is processed."""
-        if self.callbacks is None:
+        callbacks = self.callbacks
+        if callbacks is None:
             raise SimulationError("cannot add callback to a processed event")
-        self.callbacks.append(fn)
+        if callbacks is _NO_CALLBACKS:
+            self.callbacks = [fn]
+        else:
+            callbacks.append(fn)
 
     # -- engine hook ---------------------------------------------------------
 
@@ -130,15 +138,17 @@ class Event:
 class Timeout(Event):
     """An event that succeeds automatically after ``delay`` simulated seconds."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # Born triggered: Event.__init__ + succeed(value, delay=) in one call.
+        self.sim = sim
+        self.callbacks = _NO_CALLBACKS
         self._value = value
+        self._ok = True
+        self._defused = False
         sim._schedule(self, delay)
 
 

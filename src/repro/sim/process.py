@@ -52,7 +52,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
         bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.add_callback(self._resume)
         bootstrap.succeed()
         self._target = bootstrap
 
@@ -71,13 +71,13 @@ class Process(Event):
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         exc = Interrupt(cause)
         target = self._target
-        if target is not None and target.callbacks is not None:
+        if target is not None and target.callbacks:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
         trigger = Event(self.sim)
-        trigger.callbacks.append(lambda ev: self._step(exc, throw=True))
+        trigger.add_callback(lambda ev: self._step(exc, throw=True))
         trigger.succeed()
 
     # -- internal --------------------------------------------------------------
@@ -126,7 +126,7 @@ class Process(Event):
         if target.processed:
             # Already-fired event: resume on the next engine step.
             relay = Event(self.sim)
-            relay.callbacks.append(self._resume)
+            relay.add_callback(self._resume)
             if target.ok:
                 relay.succeed(target.value)
             else:

@@ -67,6 +67,19 @@ class TestSingleLink:
         with pytest.raises(KeyError):
             _single_link(sim).transfer("a", "z", 8)
 
+    @pytest.mark.parametrize("nbytes", [-1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dst", ["a", "b"])  # loopback and routed
+    def test_negative_and_non_finite_nbytes_rejected(self, sim, nbytes, dst):
+        """nan used to reach the heap as a nan-keyed entry; inf parked the
+        port's next-free time at inf for every later transfer."""
+        f = _single_link(sim)
+        with pytest.raises(ValueError):
+            f.transfer("a", dst, nbytes)
+        with pytest.raises(ValueError):
+            f.plan("a", dst, nbytes)
+        assert f.total_messages == 0 and sim.peek() == math.inf
+        assert f.transfer("a", "b", 10000).arrival == pytest.approx(2e-6)
+
     def test_payload_round_trip(self, sim):
         f = _single_link(sim)
         d = f.transfer("a", "b", 8, payload={"k": 1})

@@ -112,6 +112,15 @@ class TestDetector:
         assert f.routing.dead[key] == 2e-6
         assert f.routing.detections == 1
 
+    def test_dead_set_change_drops_memoised_costings(self):
+        f = _fabric(routing=FailoverRouting(suspect_after=1))
+        path = f.topology.shortest_path("g0r0", "g1r1")
+        before = f.topology.route_via(path)
+        assert f.topology.route_via(path) is before
+        f.routing.on_drop(f, frozenset(path[:2]), 1e-6)
+        after = f.topology.route_via(path)
+        assert after is not before and after == before
+
     def test_probe_revives_after_interval(self):
         f = _fabric(routing=FailoverRouting(suspect_after=1, probe_interval=10e-6))
         key = frozenset(("g0r0", "g1r0"))

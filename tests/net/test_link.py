@@ -56,6 +56,25 @@ class TestChannelReservation:
         with pytest.raises(ValueError):
             ch.reserve(-1, 0.0)
 
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    def test_non_finite_bytes_rejected(self, sim, nbytes):
+        ch = Channel(sim, LinkParams(latency=0.0, bandwidth=1e9))
+        with pytest.raises(ValueError):
+            ch.reserve(nbytes, 0.0)
+        # The rejected message left no trace: the port is still free at 0.
+        assert ch.reserve(8, 0.0)[0] == 0.0
+        assert ch.messages_carried == 1
+
+    def test_sub_channel_tie_breaks_to_lowest_index(self, sim):
+        ch = Channel(sim, LinkParams(latency=0.0, bandwidth=3e9, channels=3))
+        for expect_idx in (0, 1, 2):  # all free at 0: claimed in index order
+            ch.reserve(1000, 0.0)
+            busy = [k for k, t in enumerate(ch._next_free) if t > 0.0]
+            assert busy == list(range(expect_idx + 1))
+        ch._next_free[:] = [5.0, 2.0, 2.0]  # tie between 1 and 2
+        ch.reserve(1000, 0.0)
+        assert ch._next_free[1] > 2.0 and ch._next_free[2] == 2.0
+
 
 class TestLink:
     def test_directions_are_independent(self, sim):

@@ -7,6 +7,7 @@ from repro.net import (
     Fabric,
     MinimalRouting,
     dragonfly,
+    fat_tree,
     get_routing,
 )
 from repro.sim import Simulator
@@ -111,9 +112,37 @@ class TestAdaptive:
 
         m = get_machine("perlmutter-cpu-x4@dragonfly(2,2,1)")
         f = Fabric(sim, m.topology, routing="adaptive")
-        mids = f.routing._intermediates(f)
+        mids = f.topology._transit_endpoints()
         assert mids  # the generated routers qualify
         assert all("." not in mid for mid in mids)  # never node internals
+
+    def test_reused_instance_still_detours_on_a_second_topology(self, sim):
+        """The intermediate pool belongs to the topology, not the policy
+        instance: a policy that served a dragonfly used to carry its
+        routers onto a fat tree and silently fall back to minimal."""
+        policy = AdaptiveRouting(candidates=4)
+        first = _df_fabric(sim, routing=policy)
+        policy.route(first, "g0r0", "g1r0", 4096, 0.0)
+        second = Fabric(Simulator(), fat_tree(4).topology, routing=policy)
+        minimal = second.topology.route("pod0", "pod1")
+        for u, v in minimal.hops:
+            ch = second.link(u, v).channel(u, v)
+            for _ in range(50):
+                ch.reserve(262144, 0.0)
+        detours = [
+            policy.route(second, "pod0", "pod1", 4096, 0.0).hops != minimal.hops
+            for _ in range(8)  # the candidate draw varies per decision
+        ]
+        assert any(detours)
+
+    def test_intermediate_pool_follows_topology_edits(self):
+        topo = dragonfly(2, 2, 1).topology
+        before = list(topo._transit_endpoints())
+        topo.add_link("g0r0", "extra", dragonfly(2, 2, 1).attach_link)
+        topo.add_link("extra", "g1r1", dragonfly(2, 2, 1).attach_link)
+        after = topo._transit_endpoints()
+        assert "extra" not in before and "extra" in after
+        assert after == sorted(after)
 
     def test_deterministic_replay(self):
         """Same transfer sequence, fresh fabrics: bit-identical schedules."""
@@ -133,7 +162,7 @@ class TestAdaptive:
         """Successive decisions draw different intermediates (the decision
         counter feeds the hash)."""
         f = _df_fabric(sim, routing="adaptive")
-        pool = f.routing._intermediates(f)
+        pool = f.topology._transit_endpoints()
         first = f.routing._pick("g0r0", "g1r0", pool, 2)
         f.routing._decisions += 1
         second = f.routing._pick("g0r0", "g1r0", pool, 2)

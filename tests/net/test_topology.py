@@ -92,6 +92,27 @@ class TestRouting:
         r3 = t.route("a", "c")
         assert r3.latency == r1.latency  # cache invalidated but same answer
 
+    def test_route_via_memo_is_dropped_with_the_route_caches(self):
+        t = _topo()
+        via = t.route_via(["a", "b", "c"])
+        assert t.route_via(("a", "b", "c")) is via  # memoised per path
+        assert via.latency == 3e-6 and via.gap == 3e-7 and via.nhops == 2
+        t.invalidate_routes()
+        fresh = t.route_via(["a", "b", "c"])
+        assert fresh is not via and fresh == via
+        t.add_link("c", "d", LinkParams(latency=4e-6, bandwidth=1e9))
+        again = t.route_via(["a", "b", "c"])
+        assert again is not fresh and again == via
+        assert t.route_via(["a", "b", "c", "d"]).latency == 7e-6
+
+    def test_route_via_rejects_bad_paths_every_time(self):
+        t = _topo()
+        for _ in range(2):  # a failed costing must not poison the memo
+            with pytest.raises(KeyError, match="no link"):
+                t.route_via(["a", "c"])
+            with pytest.raises(ValueError):
+                t.route_via(["a"])
+
     def test_injection_registration(self):
         t = _topo()
         t.set_injection("a", LinkParams(latency=0.0, bandwidth=200e9))

@@ -59,6 +59,17 @@ class TestAmbientPickup:
         )
         assert link_bytes == job.fabric.total_bytes == snap["net.fabric.bytes"]
 
+    def test_route_cache_sizes_are_exported(self, pm_cpu):
+        """What the fabric trades for speed is visible: one compiled walk
+        and one memoised costing per distinct path the run touched."""
+        with obs.observe(obs.Obs()) as session:
+            job = Job(pm_cpu, 2, "two_sided", placement="spread")
+            job.run(_flood)
+        snap = session.snapshot()
+        assert snap["net.fabric.compiled_routes"] == len(job.fabric._walks) >= 1
+        assert snap["net.topology.route_memo"] == len(job.fabric.topology._via_cache)
+        assert snap["net.topology.route_memo"] >= snap["net.fabric.compiled_routes"]
+
     def test_metrics_aggregate_across_jobs(self, pm_cpu):
         with obs.observe(obs.Obs()) as session:
             j1 = Job(pm_cpu, 2, "two_sided", placement="spread")

@@ -60,6 +60,25 @@ class TestEventLifecycle:
         with pytest.raises(SimulationError):
             ev.add_callback(lambda e: None)
 
+    def test_callback_after_processing_raises_with_no_earlier_callback(self, sim):
+        """Callbacks are created lazily; 'processed' must not depend on
+        anybody having registered before the event fired."""
+        events = (sim.timeout(1), sim.event().succeed(delay=1))
+        assert not any(ev.processed for ev in events)
+        sim.run()
+        for ev in events:
+            assert ev.processed
+            with pytest.raises(SimulationError):
+                ev.add_callback(lambda e: None)
+
+    def test_unwaited_events_share_no_callback_state(self, sim):
+        a, b = sim.event(), sim.timeout(1)
+        seen = []
+        a.add_callback(seen.append)
+        a.succeed()
+        sim.run()
+        assert seen == [a]  # b's processing ran nothing of a's
+
     def test_delayed_succeed_fires_at_delay(self, sim):
         ev = sim.event()
         seen = []
@@ -136,6 +155,16 @@ class TestConditions:
         done = AllOf(sim, [t1, sim.timeout(2)])
         sim.run(until=done)
         assert sim.now == 3  # 1 (elapsed) + 2 (new timeout)
+
+    @pytest.mark.parametrize("cond", [AllOf, AnyOf])
+    def test_condition_over_only_processed_children(self, sim, cond):
+        """Children that fired with nobody waiting (no callbacks list was
+        ever made) still resolve a condition built afterwards."""
+        kids = [sim.timeout(1, "x"), sim.timeout(2, "y")]
+        sim.run()
+        done = cond(sim, kids)
+        assert done.triggered
+        assert sim.run(until=done) == {kids[0]: "x", kids[1]: "y"}
 
     def test_condition_rejects_foreign_events(self, sim):
         other = Simulator()

@@ -160,6 +160,27 @@ class TestInterrupt:
         assert p.value == "interrupted: reason"
         assert sim.now == 1
 
+    def test_interrupt_abandons_a_target_with_no_other_waiter(self, sim):
+        """The victim is the only waiter on its target: after the interrupt
+        the target fires into nothing, and a *failed* target still surfaces
+        as an unhandled error rather than vanishing."""
+        target = sim.event()
+
+        def victim():
+            try:
+                yield target
+            except Interrupt:
+                return "recovered"
+
+        p = sim.process(victim())
+        sim.run()
+        p.interrupt()
+        sim.run()
+        assert p.value == "recovered"
+        target.fail(RuntimeError("nobody listens"))
+        with pytest.raises(RuntimeError, match="nobody listens"):
+            sim.run()
+
     def test_interrupt_finished_process_raises(self, sim):
         def prog():
             yield sim.timeout(1)
