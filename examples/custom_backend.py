@@ -135,8 +135,8 @@ def main() -> None:
           "moves the paper's §V crossover to the smallest batches.")
 
     # The flood program is IR, so the pass pipeline applies to the user
-    # backend unchanged: coalesce merges the 256 small posts per sync
-    # into one bulk post, with a modeled-cost proof per rewrite.
+    # backend unchanged: coalesce turns the batch of 256 small messages
+    # per sync into one message, with a modeled-cost proof per rewrite.
     print()
     print("IR passes on the custom backend (repro ir explain, in-process):")
     with ir.passes(True), ir.collect() as reports:

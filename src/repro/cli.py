@@ -735,7 +735,7 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 
 
 def _cmd_collective(args: argparse.Namespace) -> int:
-    from repro.collectives import CollectiveError, explain_collective, run_collective
+    from repro.collectives import explain_collective, run_collective
     from repro.util import fmt_bw, fmt_time, parse_size
 
     machine = _resolve_machine(args.machine)
@@ -748,9 +748,6 @@ def _cmd_collective(args: argparse.Namespace) -> int:
             nranks=args.nranks, nbytes=nbytes, algorithm=args.algorithm,
             stripes=args.stripes, iters=args.iters,
         )
-    except (CollectiveError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
     except KeyError as exc:
         # e.g. a machine without this runtime's calibration
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
@@ -838,14 +835,20 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_topo(args)
     if args.command == "export":
         return _cmd_export(args)
-    if args.command == "flood":
-        return _cmd_flood(args)
-    if args.command == "fault":
-        return _cmd_fault(args)
-    if args.command == "roofline":
-        return _cmd_roofline(args)
-    if args.command == "collective":
-        return _cmd_collective(args)
+    message_shaped = {
+        "flood": _cmd_flood,
+        "fault": _cmd_fault,
+        "roofline": _cmd_roofline,
+        "collective": _cmd_collective,
+    }
+    if args.command in message_shaped:
+        try:
+            return message_shaped[args.command](args)
+        except ValueError as exc:
+            # A size, count or runtime name the model rejects (parse_size,
+            # run_flood, BatchSpec, the roofline, the backend registry).
+            print(exc, file=sys.stderr)
+            return 2
     if args.command == "ir":
         return _cmd_ir(args)
     raise AssertionError(f"unhandled command {args.command!r}")

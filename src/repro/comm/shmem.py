@@ -24,9 +24,11 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro import perf
 from repro.comm.base import CommError, Request
 from repro.comm.context import RankContext
 from repro.comm.window import Window, _propagate_failure
+from repro.perf.engine import drain_wait_until_all, issue_times
 from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,31 +132,24 @@ class ShmemContext(RankContext):
     ) -> Generator:
         """``n`` back-to-back pure-timing ``put_signal_nbi`` of one size.
 
-        Bulk path: counters and per-message channel reservations are
-        replayed exactly (:mod:`repro.perf.engine`); the data write, the
-        signal update (``n`` accumulated adds, or the final set) and the
-        watcher ring are applied in one step at the *last* delivery time,
-        tracked as a single outstanding put so ``quiet`` drains the whole
-        batch.  A bulk receiver recovers the per-message signal timing
-        from the returned delivery schedule via the batch rendezvous — a
-        scalar ``wait_until_all`` on the same window would see the signals
-        land all-at-once, which is why both sides of a batch must take the
-        same path (guaranteed by :func:`repro.perf.bulk_enabled` being a
-        per-job predicate).
-
-        Returns the delivery-time schedule on the bulk path, None on the
-        scalar fallback.
+        Bulk path (:func:`repro.perf.bulk_enabled`): counters and
+        per-message channel reservations are replayed exactly
+        (:mod:`repro.perf.engine`); the data write, the signal update
+        (``n`` accumulated adds, or the final set) and the watcher ring are
+        applied in one step at the *last* delivery time, tracked as a
+        single outstanding put so ``quiet`` drains the whole batch.  A
+        scalar ``wait_until_all`` would see those signals land all at once,
+        so the arrival schedule is published on the signal window for
+        :meth:`wait_signal_batch`, which takes the same verdict on the same
+        job.  Otherwise: the scalar loop.
         """
-        from repro import perf
-        from repro.perf.engine import issue_times, transfer_times
-
         if n < 1:
             raise CommError(f"put_signal_batch needs n >= 1, got {n}")
         if not 0 <= target < self.size:
             raise CommError(f"put_signal target {target} out of range")
         if signal_op not in (SIGNAL_SET, SIGNAL_ADD):
             raise CommError(f"unknown signal_op {signal_op!r}")
-        if not perf.bulk_enabled(self.job):
+        if not perf.bulk_verdict(self.job):
             for _ in range(n):
                 yield from self.put_signal_nbi(
                     data_win,
@@ -166,18 +161,17 @@ class ShmemContext(RankContext):
                     signal_value=signal_value,
                     signal_op=signal_op,
                 )
-            return None
+            return
         nbytes = nelems * data_win.dtype.itemsize + signal_win.dtype.itemsize
+        # Signal word before this batch lands: the waiter reconstructs the
+        # per-arrival signal values from this base.
+        base = int(signal_win.buffers[target][signal_idx])
         issue = issue_times(
             self.counter, self.sim.now, self.costs.put_signal, nbytes, n
         )
-        deliver = transfer_times(
-            self.fabric, self.endpoint, self.job.endpoints[target], nbytes, issue
-        )
-        last = deliver[0]
-        for v in deliver:
-            if v > last:
-                last = v
+        deliver = self.fabric.plan(
+            self.endpoint, self.job.endpoints[target], nbytes
+        ).times(issue)
         done = self.sim.event()
 
         def _complete(_ev: Event) -> None:
@@ -190,10 +184,46 @@ class ShmemContext(RankContext):
             signal_win._apply_write(target, signal_idx, None)
             done.succeed()
 
-        self.sim.at_time(last).add_callback(_complete)
+        self.sim.at_time(max(deliver)).add_callback(_complete)
         self._outstanding_puts.append(done)
         yield self.sim.at_time(issue[-1])
-        return deliver
+        if signal_op == SIGNAL_SET:  # only the first store can satisfy a wait
+            deliver, base = deliver[:1], 0
+        signal_win._publish_schedule(
+            (target, self.rank, signal_idx), (np.asarray(deliver), base, signal_value)
+        )
+
+    def wait_signal_batch(
+        self, signal_win: Window, source: int, signal_idx: int, value: int
+    ) -> Generator:
+        """Receiver half of :meth:`put_signal_batch`: :meth:`wait_until_all`
+        on one slot, timed exactly.
+
+        Bulk path: the batch's signals land in one step, so the polling
+        loop is replayed against the arrival schedule the sender published
+        (FIFO per (target, source, signal index); a waiter that got there
+        first parks until the publish).  Otherwise the scalar wait.
+        """
+        if not perf.bulk_enabled(self.job):
+            yield from self.wait_until_all(signal_win, [signal_idx], value=value)
+            return
+        self.counter.syncs += 1
+        self.counter.operations += 1
+        key = (self.rank, source, signal_idx)
+        rec = signal_win._take_schedule(key)
+        if signal_win.buffers[self.rank][signal_idx] >= value:
+            # Satisfied on entry — the batch is applied, so its schedule was
+            # published and is retired above: like the scalar loop, return
+            # without blocking or wakeup cost.
+            return
+        t_entry = self.sim.now
+        if rec is None:
+            rec = yield signal_win._schedule_waiter(key)
+        arrivals, base, signal_value = rec
+        t_done = drain_wait_until_all(
+            self, arrivals, base, value, t_entry, signal_value=signal_value
+        )
+        yield self.sim.at_time(t_done)
 
     # ------------------------------------------------------------------
     # waiting on signals

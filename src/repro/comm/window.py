@@ -25,7 +25,10 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro import perf
 from repro.comm.base import CommError, Request
+from repro.perf.atomics import bulk_cas_stream
+from repro.perf.engine import bulk_visible_last, issue_times
 from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,6 +76,11 @@ class Window:
         self._lock_queue: list[list[tuple[int, bool, Event]]] = [
             [] for _ in range(job.nranks)
         ]
+        # Arrival schedules of bulk ``put_signal_batch`` batches not yet
+        # waited for, FIFO per (target, source, signal index), and the
+        # waiter parked on a key, which the next publish is handed to.
+        self._schedules: dict[tuple[int, int, int], list] = {}
+        self._schedule_waiters: dict[tuple[int, int, int], Event] = {}
 
     # -- local access ---------------------------------------------------------
 
@@ -99,6 +107,27 @@ class Window:
         """An event that fires at the next remote write landing on ``target``."""
         ev = self.job.sim.event()
         self._watchers[target].append(ev)
+        return ev
+
+    def _publish_schedule(self, key, record) -> None:
+        ev = self._schedule_waiters.pop(key, None)
+        if ev is not None:
+            ev.succeed(record)  # handed straight to the parked waiter
+        else:
+            self._schedules.setdefault(key, []).append(record)
+
+    def _take_schedule(self, key):
+        """Consume and return the oldest schedule under ``key``, or None."""
+        queue = self._schedules.get(key)
+        if not queue:
+            return None
+        record = queue.pop(0)
+        if not queue:
+            del self._schedules[key]
+        return record
+
+    def _schedule_waiter(self, key) -> Event:
+        ev = self._schedule_waiters[key] = self.job.sim.event()
         return ev
 
     def _track(self, origin: int, target: int, ev: Event) -> None:
@@ -254,38 +283,31 @@ class WindowHandle:
     def put_batch(
         self, target: int, n: int, *, nelems: int, offset: int = 0
     ) -> Generator:
-        """``n`` back-to-back pure-timing puts of the same size (bulk path).
+        """``n`` back-to-back pure-timing puts of the same size.
 
         Timing- and state-identical to ``n`` sequential :meth:`put` calls
-        with ``nelems`` elements each — counters, channel reservations and
-        the target's copy-engine serialisation are replayed per message by
-        :mod:`repro.perf.engine` — but only two events touch the heap: the
-        sender's resume and one tracked completion at the last write's
-        visibility time, so a later flush/fence drains the whole batch as
-        one pending event.  Falls back to the scalar loop whenever
-        :func:`repro.perf.bulk_enabled` vetoes the job (faults, congestion
-        control, non-minimal routing, tracing, engine disabled).
-
-        Returns the per-message delivery times on the bulk path (consumed
-        by the transport layer's batch rendezvous), None on the fallback.
+        with ``nelems`` elements each, which is what runs whenever
+        :func:`repro.perf.bulk_enabled` vetoes the job.  Otherwise counters,
+        channel reservations and the target's copy-engine serialisation are
+        replayed per message by :mod:`repro.perf.engine` and only two events
+        touch the heap: the sender's resume and one tracked completion at
+        the last write's visibility time, so a later flush/fence drains the
+        whole batch as one pending event.
         """
-        from repro import perf
-        from repro.perf.engine import bulk_visible_last, issue_times, transfer_times
-
         ctx, win = self.ctx, self.window
         if n < 1:
             raise CommError(f"put_batch needs n >= 1, got {n}")
         if not 0 <= target < ctx.size:
             raise CommError(f"put target {target} out of range")
-        if not perf.bulk_enabled(ctx.job):
+        if not perf.bulk_verdict(ctx.job):
             for _ in range(n):
                 yield from self.put(target, nelems=nelems, offset=offset)
-            return None
+            return
         nbytes = nelems * win.dtype.itemsize
         issue = issue_times(ctx.counter, ctx.sim.now, ctx.costs.put, nbytes, n)
-        deliver = transfer_times(
-            ctx.fabric, ctx.endpoint, ctx.job.endpoints[target], nbytes, issue
-        )
+        deliver = ctx.fabric.plan(
+            ctx.endpoint, ctx.job.endpoints[target], nbytes
+        ).times(issue)
         last = bulk_visible_last(ctx.job.contexts[target], nbytes, deliver)
         done = ctx.sim.event()
 
@@ -296,7 +318,6 @@ class WindowHandle:
         ctx.sim.at_time(last).add_callback(_complete)
         win._track(self.rank, target, done)
         yield ctx.sim.at_time(issue[-1])
-        return deliver
 
     def get(
         self, target: int, *, offset: int = 0, nelems: int = 1
@@ -487,6 +508,34 @@ class WindowHandle:
         request_leg.event.add_callback(at_target)
         win._track(self.rank, target, done)
         return Request(done, "atomic", 8.0)
+
+    def cas_stream(self, target: int, offset: int, ops, *, wait: bool) -> Generator:
+        """Back-to-back blocking CAS ops on one word of a passive target;
+        returns the list of old values.
+
+        ``wait=True`` is :meth:`cas_blocking` per ``(compare, value)`` pair
+        (CAS + ``ctx.wait``, the MPI idiom); ``False`` is the fused
+        ``ShmemContext.atomic_compare_swap`` (resume on the response, no
+        wait accounting).  That loop runs unless nobody watches the target
+        and :func:`repro.perf.bulk_enabled` allows one pass over the
+        stream (:mod:`repro.perf.atomics`).
+        """
+        ctx, win = self.ctx, self.window
+        if not win._watchers[target] and perf.bulk_verdict(ctx.job):
+            out = yield from bulk_cas_stream(
+                ctx, win, target, offset, list(ops), count_wait=wait
+            )
+            return out
+        out = []
+        for compare, value in ops:
+            if wait:
+                old = yield from self.cas_blocking(target, offset, compare, value)
+            else:
+                old = yield from ctx.atomic_compare_swap(
+                    win, target, offset, compare, value
+                )
+            out.append(old)
+        return out
 
     def compare_and_swap(
         self, target: int, offset: int, compare: Any, value: Any

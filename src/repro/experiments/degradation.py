@@ -29,9 +29,9 @@ Every point flows through the IR lowering path (the runners emit
 but the non-clean fault plan forces the empty scalar/no-elide pipeline
 regardless of any ambient :func:`repro.ir.passes` scope: loss/jitter
 draws are per-message, so a rewrite that changes message counts would
-change the fault stream — the exact reason ``repro.perf.bulk_enabled``
-falls back to the scalar engine under faults.  The forced fallback is
-noted in each program's :class:`repro.ir.IRReport`.
+change the fault stream — the exact reason a fabric under faults is not
+``Fabric.replayable`` and batches stay on the scalar engine.  The forced
+fallback is noted in each program's :class:`repro.ir.IRReport`.
 """
 
 from __future__ import annotations

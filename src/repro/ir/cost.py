@@ -106,9 +106,11 @@ def _rank_cost(ops, spec, m: CostModel) -> float:
         cpu = max(cpu, net) + m.o_sync
 
     for op in ops:
-        if isinstance(op, O.BatchPost):
-            send(float(spec.nbytes))
-        elif isinstance(op, (O.BatchCommit, O.BatchWait, O.MsgDrain)):
+        if isinstance(op, O.BatchSend):
+            for _ in range(op.n):
+                send(float(spec.nbytes))
+            join()
+        elif isinstance(op, (O.BatchWait, O.MsgDrain)):
             join()
         elif isinstance(op, O.HaloPut):
             send(_halo_put_bytes(spec, op))

@@ -2,7 +2,7 @@
 
 :func:`run_program` is the single entry point the refactored runners
 call — it applies the ambient pass pipeline (unless faults force the
-scalar/no-elide path, mirroring ``repro.perf.bulk_enabled``), opens the
+scalar/no-elide path, as they make ``Fabric.replayable`` false), opens the
 program's channel on a fresh :class:`repro.comm.job.Job`, and lowers
 each rank's ops through :func:`_exec`, which maps every op onto exactly
 the endpoint calls the hand-written runners used to make.  With the
@@ -46,10 +46,8 @@ def _exec(op: O.Op, ep, ctx, state: dict):
             yield from ctx.compute(seconds=op.seconds)
         else:
             yield from ctx.compute(nbytes=op.nbytes, flops=op.flops)
-    elif isinstance(op, O.BatchPost):
-        yield from ep.post(op.dst)
-    elif isinstance(op, O.BatchCommit):
-        yield from ep.commit(op.dst, op.it)
+    elif isinstance(op, O.BatchSend):
+        yield from ep.send_batch(op.dst, op.it, op.n)
     elif isinstance(op, O.BatchWait):
         yield from ep.wait_batch(op.src, op.it, op.n)
     elif isinstance(op, O.HaloBegin):
@@ -257,9 +255,9 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread",
     Two conditions force the empty pipeline regardless (each noted in
     the report): a non-clean ambient fault plan — loss/jitter draws are
     per-message, so rewrites that change message counts would change
-    the fault stream (the same reason ``repro.perf.bulk_enabled`` falls
-    back to the scalar path) — and dynamic programs, whose op stream
-    only exists at run time.
+    the fault stream (the same reason a fabric under faults is not
+    ``Fabric.replayable``) — and dynamic programs, whose op stream only
+    exists at run time.
     """
     from repro import obs
     from repro.faults.inject import current_plan

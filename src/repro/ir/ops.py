@@ -25,8 +25,7 @@ __all__ = [
     "HaloBegin",
     "HaloPut",
     "HaloFinish",
-    "BatchPost",
-    "BatchCommit",
+    "BatchSend",
     "BatchWait",
     "TripletSend",
     "TripletSendAgg",
@@ -96,18 +95,13 @@ class HaloFinish(Op):
 
 
 @dataclass(frozen=True)
-class BatchPost(Op):
-    """Post one ``spec.nbytes`` message of the current batch to ``dst``."""
-
-    dst: int
-
-
-@dataclass(frozen=True)
-class BatchCommit(Op):
-    """Commit the posted batch for iteration ``it`` (flush + signal)."""
+class BatchSend(Op):
+    """Send iteration ``it``'s batch: ``n`` back-to-back ``spec.nbytes``
+    messages to ``dst``, then the sender-side completion (``ep.send_batch``)."""
 
     dst: int
     it: int
+    n: int
 
 
 @dataclass(frozen=True)

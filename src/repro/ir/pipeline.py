@@ -86,12 +86,12 @@ class CoalescePass(Pass):
 
     Two shapes:
 
-    * **batch**: ``BatchPost(dst) x n, BatchCommit(dst, it)`` against
-      ``BatchWait(src, it, n)`` becomes one post of ``n * nbytes`` (the
-      spec itself is rewritten), which every backend's batch channel
-      already handles — including the ``repro.perf`` bulk engine.
-      Fires only when n is uniform across regions (the spec is global),
-      n >= 2, and the merged message stays under 4 MiB.
+    * **batch**: ``BatchSend(dst, it, n)`` against ``BatchWait(src, it,
+      n)`` becomes a batch of one ``n * nbytes`` message (``n=1`` on both
+      ops, the spec itself rewritten), which every backend's batch
+      channel already handles.  Fires only when n is uniform across the
+      program (the spec is global), n >= 2, and the merged message stays
+      under 4 MiB.
     * **triplet**: k same-``(src, dst, tag)`` ``TripletSend`` ops in one
       region become a single ``TripletSendAgg`` carrying every payload;
       the receiver's k ``TripletRecv`` ops become one ``TripletRecvAgg``
@@ -131,25 +131,14 @@ class CoalescePass(Pass):
         spec = program.spec
         if not isinstance(spec, BatchSpec):
             return None
-        counts: set[int] = set()
-        for region in program.regions:
-            for ops in region.body:
-                posts = [op for op in ops if isinstance(op, O.BatchPost)]
-                waits = [op for op in ops if isinstance(op, O.BatchWait)]
-                if posts:
-                    # Contiguous run to a single dst, then its commit.
-                    idx = [i for i, op in enumerate(ops)
-                           if isinstance(op, O.BatchPost)]
-                    if idx != list(range(idx[0], idx[0] + len(idx))):
-                        return None
-                    if len({op.dst for op in posts}) != 1:
-                        return None
-                    nxt = ops[idx[-1] + 1] if idx[-1] + 1 < len(ops) else None
-                    if not isinstance(nxt, O.BatchCommit):
-                        return None
-                    counts.add(len(posts))
-                for w in waits:
-                    counts.add(w.n)
+        kinds = (O.BatchSend, O.BatchWait)
+        counts = {
+            op.n
+            for region in program.regions
+            for ops in region.body
+            for op in ops
+            if isinstance(op, kinds)
+        }
         if len(counts) != 1:
             return None
         n = counts.pop()
@@ -157,21 +146,13 @@ class CoalescePass(Pass):
             return None
 
         def rewrite(region: Region) -> Region:
-            body = []
-            for ops in region.body:
-                out = []
-                posted = False
-                for op in ops:
-                    if isinstance(op, O.BatchPost):
-                        if not posted:
-                            out.append(op)
-                            posted = True
-                    elif isinstance(op, O.BatchWait):
-                        out.append(dataclasses.replace(op, n=1))
-                    else:
-                        out.append(op)
-                body.append(tuple(out))
-            return Region(region.name, tuple(body))
+            return Region(region.name, tuple(
+                tuple(
+                    dataclasses.replace(op, n=1) if isinstance(op, kinds) else op
+                    for op in ops
+                )
+                for ops in region.body
+            ))
 
         p2 = _map_regions(program, rewrite)
         return p2.with_(

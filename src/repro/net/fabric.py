@@ -128,16 +128,20 @@ class Fabric:
         # drop; static policies keep the fixed-route retry loop.
         self._reroutes: bool = getattr(self.routing, "reroutes", False)
         self._on_drop = getattr(self.routing, "on_drop", None)
-        #: May homogeneous batches be replayed through :meth:`plan`?  Only
-        #: when every transfer is a pure function of port state: fault draws
-        #: are per message, congestion control feeds each transfer's wait
-        #: back into the next one's injection, and a non-minimal policy may
-        #: pick a different path per decision.
-        self.replayable: bool = (
-            faults is None
-            and self.cc is None
-            and (self.routing is None or isinstance(self.routing, MinimalRouting))
-        )
+        #: Why homogeneous batches may not be replayed through :meth:`plan`
+        #: (None: they may).  Replay needs every transfer to be a pure
+        #: function of port state: fault draws are per message, congestion
+        #: control feeds each transfer's wait back into the next one's
+        #: injection, and a non-minimal policy may pick a different path
+        #: per decision.
+        self.not_replayable: str | None = None
+        if faults is not None:
+            self.not_replayable = "faults"
+        elif self.cc is not None:
+            self.not_replayable = "congestion"
+        elif not (self.routing is None or isinstance(self.routing, MinimalRouting)):
+            self.not_replayable = "routing"
+        self.replayable: bool = self.not_replayable is None
         # Link key -> merged hard-outage windows (filled by
         # _install_faults when the plan carries element faults).
         self.hard_links: dict[frozenset[str], tuple] = {}
@@ -458,8 +462,8 @@ class Fabric:
     ) -> "TransferPlan":
         """Freeze the ``src -> dst`` walk for one homogeneous message size.
 
-        Only meaningful on a :attr:`replayable` fabric; the caller's gate is
-        :func:`repro.perf.bulk_enabled`.
+        Only meaningful on a :attr:`replayable` fabric, which the batch
+        verbs of :mod:`repro.comm` check before they plan.
         """
         if not 0 <= nbytes < inf:
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")

@@ -11,8 +11,9 @@ Public surface::
     perf.enabled()            # is the engine globally on?
     perf.vectorized(False)    # context manager: force off (or on)
     perf.bulk_enabled(job)    # may batches on this job take the bulk path?
+    perf.bulk_verdict(job)    # the same, counted once per batch under obs
 """
 
-from repro.perf.config import bulk_enabled, enabled, vectorized
+from repro.perf.config import bulk_enabled, bulk_verdict, enabled, vectorized
 
-__all__ = ["enabled", "vectorized", "bulk_enabled"]
+__all__ = ["enabled", "vectorized", "bulk_enabled", "bulk_verdict"]

@@ -15,7 +15,7 @@ path whenever exactness cannot be guaranteed for the whole job: a fabric
 that is not replayable (fault plan, congestion control, or a non-minimal
 routing policy — each makes a transfer depend on more than port state) or
 an enabled tracer (per-message records must be emitted) — see
-:func:`bulk_enabled`.
+:func:`bulk_enabled`, which only the batch verbs of :mod:`repro.comm` ask.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-__all__ = ["enabled", "vectorized", "bulk_enabled"]
+from repro import obs
+
+__all__ = ["enabled", "vectorized", "bulk_enabled", "bulk_verdict"]
 
 # Innermost-wins override stack installed by vectorized().
 _STACK: list[bool] = []
@@ -44,6 +46,13 @@ def vectorized(on: bool = True) -> Iterator[None]:
         _STACK.pop()
 
 
+def _declined(job) -> str | None:
+    """Why batches on ``job`` must stay scalar; None when they may go bulk."""
+    if not enabled():
+        return "engine_off"
+    return job.fabric.not_replayable or ("tracer" if job.tracer.enabled else None)
+
+
 def bulk_enabled(job) -> bool:
     """May batches on ``job`` take the bulk path?
 
@@ -59,9 +68,24 @@ def bulk_enabled(job) -> bool:
     * the job's tracer is disabled (per-message trace records cannot be
       batch-evaluated).
 
-    Both sides of a batch rendezvous (sender ``commit``, receiver
-    ``wait_batch``) evaluate this on the *same* job, so they always
-    agree; flipping :func:`vectorized` from inside a running rank
+    The question is asked in :mod:`repro.comm` only — by the batch verbs
+    that own the scalar verb they replay (``put_batch``,
+    ``put_signal_batch`` / ``wait_signal_batch``, ``cas_stream``) — and
+    both halves of a signalled batch ask it of the *same* job, so they
+    always agree; flipping :func:`vectorized` from inside a running rank
     program is unsupported.
     """
-    return enabled() and job.fabric.replayable and not job.tracer.enabled
+    return _declined(job) is None
+
+
+def bulk_verdict(job) -> bool:
+    """:func:`bulk_enabled` for the sending half of a batch: inside an
+    obs session the verdict is also counted, once per batch, as
+    ``perf.bulk.engaged`` or ``perf.bulk.declined.<reason>`` (``engine_off``,
+    ``faults``, ``congestion``, ``routing``, ``tracer``)."""
+    why = _declined(job)
+    session = obs.current()
+    if session is not None:
+        name = "perf.bulk.engaged" if why is None else f"perf.bulk.declined.{why}"
+        session.metrics.counter(name).inc()
+    return why is None

@@ -27,8 +27,10 @@ arithmetic engine.  What is eliminated is the per-message *event machinery*
 (heap pushes/pops, Event/Request allocation, generator suspensions), which
 is where the time went.
 
-Exactness contract (enforced by :func:`repro.perf.bulk_enabled` plus the
-construction of the call sites):
+Exactness contract (enforced by :func:`repro.perf.bulk_enabled`, asked by
+the batch verbs of :mod:`repro.comm` — ``put_batch``, ``put_signal_batch``
+/ ``wait_signal_batch``, ``cas_stream`` — plus the construction of their
+call sites):
 
 * the fabric is replayable (:attr:`repro.net.fabric.Fabric.replayable`):
   no fault injection (loss/jitter draws are per-message), no congestion
@@ -42,8 +44,10 @@ Under that contract the bulk path is not an approximation — every float
 written into port state, every counter, every metrics observation is the
 one the scalar path would have written.  The per-message hop walk itself
 is not here: it is :class:`repro.net.fabric.TransferPlan`, the fabric's own
-replay of :meth:`~repro.net.fabric.Fabric.transfer`; this module holds what
-surrounds it (issue clocks, copy engines, signal waits, the rendezvous).
+replay of :meth:`~repro.net.fabric.Fabric.transfer`, and the hand-off of a
+signalled batch's arrival schedule to its waiter lives beside the two verbs
+that share it (:mod:`repro.comm.shmem`); this module holds the float
+recurrences around them (issue clocks, copy engines, signal waits).
 """
 
 from __future__ import annotations
@@ -54,16 +58,8 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
-    from repro.net.fabric import Fabric
 
-__all__ = [
-    "issue_times",
-    "transfer_times",
-    "bulk_visible_last",
-    "drain_wait_until_all",
-    "BatchRendezvous",
-    "rendezvous",
-]
+__all__ = ["issue_times", "bulk_visible_last", "drain_wait_until_all"]
 
 
 def issue_times(counter, now: float, cost: float, nbytes: float, n: int) -> list[float]:
@@ -85,14 +81,6 @@ def issue_times(counter, now: float, cost: float, nbytes: float, n: int) -> list
         issue[k] = t
     counter.bytes_sent = bs
     return issue
-
-
-def transfer_times(
-    fabric: "Fabric", src: str, dst: str, nbytes: float, issue: list[float]
-) -> list[float]:
-    """Delivery heap times of one homogeneous batch, in issue order: the
-    fabric's own replay of :meth:`~repro.net.fabric.Fabric.transfer`."""
-    return fabric.plan(src, dst, nbytes).times(issue)
 
 
 def bulk_visible_last(target_ctx: "RankContext", nbytes: float, deliver: list[float]) -> float:
@@ -172,42 +160,3 @@ def drain_wait_until_all(
     if blocked and ctx.costs.wait_wakeup > 0:
         t = t + ctx.costs.wait_wakeup
     return t
-
-
-class BatchRendezvous:
-    """Sender -> receiver handoff of a batch's arrival schedule.
-
-    The sender publishes ``(arrivals, base_signal)`` under a key
-    ``(src_rank, dst_rank, iteration)`` at its commit time; a receiver that
-    got there first parks an event and is woken by the publish.  Records
-    are consumed by the first matching wait — one batch, one waiter.
-    """
-
-    __slots__ = ("_records", "_waiters")
-
-    def __init__(self):
-        self._records: dict = {}
-        self._waiters: dict = {}
-
-    def publish(self, key, arrivals: np.ndarray, base: int) -> None:
-        self._records[key] = (arrivals, base)
-        ev = self._waiters.pop(key, None)
-        if ev is not None:
-            ev.succeed()
-
-    def poll(self, key):
-        """Consume and return the record for ``key``, or None."""
-        return self._records.pop(key, None)
-
-    def waiter(self, key, sim):
-        ev = sim.event()
-        self._waiters[key] = ev
-        return ev
-
-
-def rendezvous(channel) -> BatchRendezvous:
-    """The (lazily created) per-transport-channel batch rendezvous."""
-    rv = getattr(channel, "_bulk_rendezvous", None)
-    if rv is None:
-        rv = channel._bulk_rendezvous = BatchRendezvous()
-    return rv

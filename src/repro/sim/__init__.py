@@ -2,8 +2,7 @@
 
 The engine provides virtual time (:class:`Simulator`), one-shot coordination
 points (:class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`),
-generator-based concurrency (:class:`Process`), queueing primitives
-(:class:`Resource`, :class:`Store`, :class:`Pipe`), reproducible randomness
+generator-based concurrency (:class:`Process`), reproducible randomness
 (:class:`RngFactory`) and structured tracing (:class:`Tracer`).
 
 All of ``repro.net``, ``repro.comm`` and the workloads are built on this
@@ -13,7 +12,6 @@ package and nothing else; there is no hidden wall-clock anywhere.
 from repro.sim.engine import Simulator
 from repro.sim.event import AllOf, AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Pipe, Resource, Store
 from repro.sim.rng import RngFactory
 from repro.sim.trace import ListSink, NullSink, NullTracer, TraceRecord, Tracer, TraceSink
 
@@ -29,9 +27,6 @@ __all__ = [
     "SimulationError",
     "Process",
     "Interrupt",
-    "Resource",
-    "Store",
-    "Pipe",
     "RngFactory",
     "Tracer",
     "NullTracer",

@@ -13,7 +13,7 @@ pattern / spec          verbs (on the rank Endpoint)    used by
                         drain``                         point-to-point)
                         ``send_round / recv_round``     collectives (round-
                                                         slotted messages)
-:class:`BatchSpec`      ``post / commit / wait_batch``  flood (bandwidth)
+:class:`BatchSpec`      ``send_batch / wait_batch``     flood (bandwidth)
 :class:`AtomicDomainSpec`  ``cas / faa / swap /         hashtable, CAS flood
                         publish / native_cas``
 ======================  ==============================  ====================
@@ -240,9 +240,19 @@ class BatchSpec:
     dtype: Any = np.float64
     nsignals: int = 4
 
+    def __post_init__(self):
+        # Window-backed backends move whole elements: any other size would
+        # be truncated on the wire while bandwidth is computed on nbytes.
+        item = np.dtype(self.dtype).itemsize
+        if self.nbytes < item or self.nbytes % item:
+            raise ValueError(
+                f"batch nbytes must be a positive multiple of the {item}-byte "
+                f"element, got {self.nbytes}"
+            )
+
     @property
     def nelems(self) -> int:
-        return max(int(self.nbytes // np.dtype(self.dtype).itemsize), 1)
+        return int(self.nbytes // np.dtype(self.dtype).itemsize)
 
 
 @dataclass(frozen=True)
@@ -384,11 +394,10 @@ class Endpoint:
         self._unsupported("recv_round")
 
     # -- batch ---------------------------------------------------------
-    def post(self, dst: int):
-        self._unsupported("post")
-
-    def commit(self, dst: int, it: int):
-        self._unsupported("commit")
+    def send_batch(self, dst: int, it: int, n: int):
+        """Iteration ``it``'s batch: ``n`` back-to-back ``spec.nbytes``
+        messages to ``dst``, then the sender-side completion."""
+        self._unsupported("send_batch")
 
     def wait_batch(self, src: int, it: int, n: int):
         self._unsupported("wait_batch")
@@ -420,9 +429,9 @@ class Endpoint:
 
         Semantically identical to looping ``native_cas`` over the
         ``(compare, value)`` pairs — that loop is the default — and
-        returns the list of old values.  Backends with a bulk path
-        (:mod:`repro.perf.atomics`) evaluate eligible streams in one
-        pass; the stream assumes a passive target for its duration.
+        returns the list of old values.  Window-backed endpoints hand the
+        whole stream to :meth:`repro.comm.window.WindowHandle.cas_stream`;
+        the stream assumes a passive target for its duration.
         """
         out = []
         for compare, value in ops:
@@ -435,3 +444,57 @@ class Endpoint:
 
     def recv_msg_poll(self, tag: int = 0):
         self._unsupported("recv_msg_poll")
+
+
+class _WindowAtomicEndpoint(Endpoint):
+    """Native remote atomics on an :class:`_AtomicChannel`'s windows
+    (MPI_Compare_and_swap / MPI_Fetch_and_op, SHMEM AMOs).  The
+    CAS/FAA/swap insert sequence is the blocking window verbs on every
+    backend (the context supplies the op costs); backends differ only in
+    how ``native_cas`` — the Fig. 4 CAS flood's op — completes.
+    """
+
+    #: True: CAS + ``ctx.wait`` (MPI ``cas_blocking``).  False: the fused
+    #: ``shmem_atomic_compare_swap``, which resumes on the response.
+    cas_waits = True
+
+    def __init__(self, channel, ctx):
+        super().__init__(channel, ctx)
+        self.h = {name: win.handle(ctx) for name, win in channel.wins.items()}
+
+    def local(self, space):
+        return self.channel.wins[space].local(self.ctx.rank)
+
+    def cas(self, space, dst, offset, compare, value):
+        old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
+        return old
+
+    def faa(self, space, dst, offset, value):
+        old = yield from self.h[space].faa_blocking(dst, offset, value)
+        return old
+
+    def swap(self, space, dst, offset, value):
+        req = yield from self.h[space].fetch_and_replace(dst, offset, value)
+        old = yield from self.ctx.wait(req)
+        return old
+
+    def publish(self, space, dst, values, *, offset=0):
+        # flush_local orders the element write before any subsequent op
+        # from this origin.
+        yield from self.h[space].put(dst, values, offset=offset)
+        yield from self.h[space].flush_local(dst)
+
+    def native_cas(self, space, dst, offset, compare, value):
+        if self.cas_waits:
+            old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
+        else:
+            old = yield from self.ctx.atomic_compare_swap(
+                self.channel.wins[space], dst, offset, compare, value
+            )
+        return old
+
+    def cas_stream(self, space, dst, offset, ops):
+        out = yield from self.h[space].cas_stream(
+            dst, offset, ops, wait=self.cas_waits
+        )
+        return out

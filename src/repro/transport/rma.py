@@ -22,6 +22,7 @@ from repro.transport.api import (
     HaloSpec,
     MailboxSpec,
     _AtomicChannel,
+    _WindowAtomicEndpoint,
     part_bounds,
 )
 from repro.transport.registry import ONE_SIDED, TransportBackend, register_backend
@@ -134,15 +135,15 @@ class _MailboxEndpoint(Endpoint):
 
     def send_round(self, dst, slot, *, words, parts=1, values=None):
         # Always the scalar put loop — no put_batch here.  Unlike the
-        # BSP batch pattern (where nothing runs between posts and
-        # commit), collective rounds have *concurrent* senders, and
-        # put_batch reserves all stripes' fabric slots atomically at
-        # issue time; on a shared channel that reordering diverges from
-        # the scalar interleaving once >= 3 ranks contend.  The shmem
-        # backend keeps its bulk path, but gated on path exclusivity
-        # (see _MailboxChannel.paths_exclusive): only topologies where
-        # no other sender can touch a hop mid-batch, which is where
-        # batch reservation order provably equals scalar order.
+        # batch pattern (nothing else runs while one sender issues its
+        # batch), collective rounds have *concurrent* senders, and
+        # put_batch may reserve all stripes' fabric slots at issue time;
+        # on a shared channel that reordering diverges from the scalar
+        # interleaving once >= 3 ranks contend.  The shmem backend does
+        # batch its stripes, but only where paths are exclusive (see its
+        # _MailboxChannel.paths_exclusive): topologies where no other
+        # sender can touch a hop mid-batch, which is where batch
+        # reservation order provably equals scalar order.
         offset = self.spec.offsets[dst][slot]
         for lo, hi in part_bounds(words, parts):
             if hi == lo:
@@ -195,23 +196,9 @@ class _BatchEndpoint(Endpoint):
         self.sig_win = channel.sig_win
         self.h = channel.data_win.handle(ctx)
         self.h_sig = channel.sig_win.handle(ctx)
-        self._queued: dict[int, int] = {}
 
-    def post(self, dst):
-        from repro import perf
-
-        if perf.bulk_enabled(self.ctx.job):
-            # Deferred: the batch pattern guarantees nothing runs between
-            # the posts and the commit, so issuing all n puts in one bulk
-            # pass at commit() reproduces the scalar issue times exactly.
-            self._queued[dst] = self._queued.get(dst, 0) + 1
-            return
-        yield from self.h.put(dst, nelems=self.spec.nelems)
-
-    def commit(self, dst, it):
-        n = self._queued.pop(dst, 0)
-        if n:
-            yield from self.h.put_batch(dst, n, nelems=self.spec.nelems)
+    def send_batch(self, dst, it, n):
+        yield from self.h.put_batch(dst, n, nelems=self.spec.nelems)
         yield from self.h.flush(dst)
         yield from self.h_sig.put(
             dst, np.array([it + 1], dtype=np.int64), offset=0
@@ -220,57 +207,6 @@ class _BatchEndpoint(Endpoint):
 
     def wait_batch(self, src, it, n):
         yield from self.ctx.poll_wait_signals(self.sig_win, [0], 1, value=it + 1)
-
-
-class _AtomicEndpoint(Endpoint):
-    """Native remote atomics (MPI_Compare_and_swap / MPI_Fetch_and_op)."""
-
-    def __init__(self, channel, ctx):
-        super().__init__(channel, ctx)
-        self.h = {name: win.handle(ctx) for name, win in channel.wins.items()}
-
-    def local(self, space):
-        return self.channel.wins[space].local(self.ctx.rank)
-
-    def cas(self, space, dst, offset, compare, value):
-        old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
-        return old
-
-    def faa(self, space, dst, offset, value):
-        old = yield from self.h[space].faa_blocking(dst, offset, value)
-        return old
-
-    def swap(self, space, dst, offset, value):
-        req = yield from self.h[space].fetch_and_replace(dst, offset, value)
-        old = yield from self.ctx.wait(req)
-        return old
-
-    def publish(self, space, dst, values, *, offset=0):
-        # flush_local orders the element write before any subsequent op
-        # from this origin.
-        yield from self.h[space].put(dst, values, offset=offset)
-        yield from self.h[space].flush_local(dst)
-
-    def native_cas(self, space, dst, offset, compare, value):
-        old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
-        return old
-
-    def cas_stream(self, space, dst, offset, ops):
-        from repro import perf
-        from repro.perf.atomics import bulk_cas_stream
-
-        win = self.channel.wins[space]
-        if perf.bulk_enabled(self.ctx.job) and not win._watchers[dst]:
-            # cas_blocking = CAS round trip + ctx.wait per op.
-            out = yield from bulk_cas_stream(
-                self.ctx, win, dst, offset, list(ops), count_wait=True
-            )
-            return out
-        out = []
-        for compare, value in ops:
-            old = yield from self.native_cas(space, dst, offset, compare, value)
-            out.append(old)
-        return out
 
 
 class RmaBackend(TransportBackend):
@@ -294,7 +230,7 @@ class RmaBackend(TransportBackend):
         return _BatchChannel(self, job, spec)
 
     def open_atomics(self, job, spec: AtomicDomainSpec):
-        return _AtomicChannel(self, job, spec, _AtomicEndpoint)
+        return _AtomicChannel(self, job, spec, _WindowAtomicEndpoint)
 
 
 register_backend(RmaBackend())

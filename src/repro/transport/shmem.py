@@ -22,6 +22,7 @@ from repro.transport.api import (
     HaloSpec,
     MailboxSpec,
     _AtomicChannel,
+    _WindowAtomicEndpoint,
     part_bounds,
 )
 from repro.transport.registry import SHMEM, TransportBackend, register_backend
@@ -93,14 +94,14 @@ class _MailboxChannel(Channel):
         super().__init__(backend, job, spec)
         self.data_win = job.window(max(spec.data_words, 1), dtype=spec.dtype)
         self.sig_win = job.window(max(spec.nslots, 1), dtype=spec.signal_dtype)
-        self._round_bulk_ok: bool | None = None
+        self._exclusive: bool | None = None
 
     def paths_exclusive(self, fabric) -> bool:
-        """May striped rounds take the bulk path on this job's topology?
+        """May striped rounds be issued as one batch on this job's topology?
 
-        The bulk engine reserves a whole batch's fabric slots at issue
-        time; that equals the scalar interleaving only when no *other*
-        sender can touch any hop of the path mid-batch.  Sufficient (and
+        A batch's fabric slots may all be reserved at issue time; that
+        equals the per-message interleaving only when no *other* sender
+        can touch any hop of the path mid-batch.  Sufficient (and
         checkable) condition: every rank has its own endpoint and every
         endpoint pair routes over a single direct hop — then each
         directional link belongs to exactly one sender (the mailbox
@@ -108,7 +109,7 @@ class _MailboxChannel(Channel):
         transits it.  NVLink all-to-all qualifies; fat-trees and the
         Summit dumbbell (shared X-links) do not and stay scalar.
         """
-        if self._round_bulk_ok is None:
+        if self._exclusive is None:
             eps = self.job.endpoints
             ok = len(set(eps)) == len(eps)
             if ok:
@@ -119,8 +120,8 @@ class _MailboxChannel(Channel):
                     for b in eps
                     if a != b
                 )
-            self._round_bulk_ok = ok
-        return self._round_bulk_ok
+            self._exclusive = ok
+        return self._exclusive
 
     def endpoint(self, ctx):
         return _MailboxEndpoint(self, ctx)
@@ -165,27 +166,23 @@ class _MailboxEndpoint(Endpoint):
             data = None
         return m.meta, data
 
-    def _bulk_round(self, words, parts):
-        from repro import perf
-
+    def _uniform_round(self, words, parts):
+        """Is this round one homogeneous batch — equal non-empty stripes,
+        pure timing, on a topology where paths are exclusive?  Both sides
+        evaluate it on the same arguments, so a batched sender always
+        meets a batch waiter."""
         return (
             parts >= 2
             and words
             and words % parts == 0
             and not self.spec.read_data
-            and perf.bulk_enabled(self.ctx.job)
             and self.channel.paths_exclusive(self.ctx.fabric)
         )
 
     def send_round(self, dst, slot, *, words, parts=1, values=None):
-        from repro.perf.engine import rendezvous
-
         offset = self.spec.offsets[dst][slot]
-        if self._bulk_round(words, parts):
-            # Signal word before this round lands: the bulk receiver
-            # reconstructs per-stripe signal values from this base.
-            base = int(self.sig_win.buffers[dst][slot])
-            deliver = yield from self.ctx.put_signal_batch(
+        if self._uniform_round(words, parts):
+            yield from self.ctx.put_signal_batch(
                 self.data_win,
                 dst,
                 parts,
@@ -196,10 +193,6 @@ class _MailboxEndpoint(Endpoint):
                 signal_value=1,
                 signal_op="add",
             )
-            if deliver is not None:
-                rendezvous(self.channel).publish(
-                    ("round", self.ctx.rank, dst, slot), np.asarray(deliver), base
-                )
             return
         for lo, hi in part_bounds(words, parts):
             stripe = None
@@ -222,8 +215,8 @@ class _MailboxEndpoint(Endpoint):
             )
 
     def recv_round(self, src, slot, *, words, parts=1):
-        if self._bulk_round(words, parts):
-            yield from self._recv_round_bulk(src, slot, parts)
+        if self._uniform_round(words, parts):
+            yield from self.ctx.wait_signal_batch(self.sig_win, src, slot, parts)
         else:
             yield from self.ctx.wait_until_all(self.sig_win, [slot], value=parts)
         if not self.spec.read_data:
@@ -232,27 +225,6 @@ class _MailboxEndpoint(Endpoint):
         return np.array(
             self.data_win.local(self.ctx.rank)[off : off + words], copy=True
         )
-
-    def _recv_round_bulk(self, src, slot, parts):
-        """Exact ``wait_until_all`` timing against the bulk sender's
-        published stripe-arrival schedule (mirrors the batch pattern)."""
-        from repro.perf.engine import drain_wait_until_all, rendezvous
-
-        ctx = self.ctx
-        ctx.counter.syncs += 1
-        ctx.counter.operations += 1
-        if self.sig_win.buffers[ctx.rank][slot] >= parts:
-            return
-        t_entry = ctx.sim.now
-        rv = rendezvous(self.channel)
-        key = ("round", src, ctx.rank, slot)
-        rec = rv.poll(key)
-        if rec is None:
-            yield rv.waiter(key, ctx.sim)
-            rec = rv.poll(key)
-        arrivals, base = rec
-        t_done = drain_wait_until_all(ctx, arrivals, base, parts, t_entry)
-        yield ctx.sim.at_time(t_done)
 
     def drain(self):
         yield from self.ctx.quiet()
@@ -269,145 +241,36 @@ class _BatchChannel(Channel):
 
 
 class _BatchEndpoint(Endpoint):
-    """``put_signal_nbi`` x n (signal op "add"), receiver ``wait_until_all``."""
+    """``put_signal_nbi`` x n (signal op "add") + ``quiet``; the receiver's
+    ``wait_until_all`` on the summed signal is ``wait_signal_batch``."""
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
         self.data_win = channel.data_win
         self.sig_win = channel.sig_win
-        self._queued: dict[int, int] = {}
 
-    def post(self, dst):
-        from repro import perf
-
-        if perf.bulk_enabled(self.ctx.job):
-            # Deferred: nothing runs between the batch pattern's posts and
-            # its commit, so one bulk pass at commit() reproduces the
-            # scalar issue times exactly.
-            self._queued[dst] = self._queued.get(dst, 0) + 1
-            return
-        yield from self.ctx.put_signal_nbi(
+    def send_batch(self, dst, it, n):
+        yield from self.ctx.put_signal_batch(
             self.data_win,
             dst,
+            n,
             nelems=self.spec.nelems,
             signal_win=self.sig_win,
             signal_idx=0,
             signal_value=1,
             signal_op="add",
         )
-
-    def commit(self, dst, it):
-        from repro.perf.engine import rendezvous
-
-        n = self._queued.pop(dst, 0)
-        if n:
-            # Signal word before this batch lands: the bulk receiver
-            # reconstructs per-arrival signal values from this base.
-            base = int(self.sig_win.buffers[dst][0])
-            deliver = yield from self.ctx.put_signal_batch(
-                self.data_win,
-                dst,
-                n,
-                nelems=self.spec.nelems,
-                signal_win=self.sig_win,
-                signal_idx=0,
-                signal_value=1,
-                signal_op="add",
-            )
-            if deliver is not None:
-                rendezvous(self.channel).publish(
-                    (self.ctx.rank, dst, it), np.asarray(deliver), base
-                )
         yield from self.ctx.quiet()
 
     def wait_batch(self, src, it, n):
-        from repro import perf
-
-        if perf.bulk_enabled(self.ctx.job):
-            yield from self._wait_batch_bulk(src, it, n)
-            return
-        yield from self.ctx.wait_until_all(self.sig_win, [0], value=(it + 1) * n)
-
-    def _wait_batch_bulk(self, src, it, n):
-        """Exact ``wait_until_all`` timing against the bulk sender's
-        published arrival schedule (the signals themselves land all at
-        once at the batch completion, so the scalar polling loop cannot
-        observe them one by one)."""
-        from repro.perf.engine import drain_wait_until_all, rendezvous
-
-        ctx = self.ctx
-        value = (it + 1) * n
-        ctx.counter.syncs += 1
-        ctx.counter.operations += 1
-        if self.sig_win.buffers[ctx.rank][0] >= value:
-            # Satisfied on entry (batch already applied): the scalar loop
-            # would return immediately without blocking or wakeup cost.
-            return
-        t_entry = ctx.sim.now
-        rv = rendezvous(self.channel)
-        key = (src, ctx.rank, it)
-        rec = rv.poll(key)
-        if rec is None:
-            yield rv.waiter(key, ctx.sim)
-            rec = rv.poll(key)
-        arrivals, base = rec
-        t_done = drain_wait_until_all(ctx, arrivals, base, value, t_entry)
-        yield ctx.sim.at_time(t_done)
+        yield from self.ctx.wait_signal_batch(self.sig_win, src, 0, (it + 1) * n)
 
 
-class _AtomicEndpoint(Endpoint):
-    """Remote AMOs.  The CAS/FAA/swap insert sequence reuses the blocking
-    window verbs (identical issue/response accounting on GPUs — the
-    context supplies the shmem op costs); ``native_cas`` is the fused
-    ``shmem_atomic_compare_swap`` used by the Fig. 4 CAS flood.
-    """
+class _AtomicEndpoint(_WindowAtomicEndpoint):
+    """Remote AMOs: ``native_cas`` is the fused
+    ``shmem_atomic_compare_swap`` used by the Fig. 4 CAS flood."""
 
-    def __init__(self, channel, ctx):
-        super().__init__(channel, ctx)
-        self.h = {name: win.handle(ctx) for name, win in channel.wins.items()}
-
-    def local(self, space):
-        return self.channel.wins[space].local(self.ctx.rank)
-
-    def cas(self, space, dst, offset, compare, value):
-        old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
-        return old
-
-    def faa(self, space, dst, offset, value):
-        old = yield from self.h[space].faa_blocking(dst, offset, value)
-        return old
-
-    def swap(self, space, dst, offset, value):
-        req = yield from self.h[space].fetch_and_replace(dst, offset, value)
-        old = yield from self.ctx.wait(req)
-        return old
-
-    def publish(self, space, dst, values, *, offset=0):
-        yield from self.h[space].put(dst, values, offset=offset)
-        yield from self.h[space].flush_local(dst)
-
-    def native_cas(self, space, dst, offset, compare, value):
-        old = yield from self.ctx.atomic_compare_swap(
-            self.channel.wins[space], dst, offset, compare, value
-        )
-        return old
-
-    def cas_stream(self, space, dst, offset, ops):
-        from repro import perf
-        from repro.perf.atomics import bulk_cas_stream
-
-        win = self.channel.wins[space]
-        if perf.bulk_enabled(self.ctx.job) and not win._watchers[dst]:
-            # Fused shmem CAS: resume on the response, no wait accounting.
-            out = yield from bulk_cas_stream(
-                self.ctx, win, dst, offset, list(ops), count_wait=False
-            )
-            return out
-        out = []
-        for compare, value in ops:
-            old = yield from self.native_cas(space, dst, offset, compare, value)
-            out.append(old)
-        return out
+    cas_waits = False
 
 
 class ShmemBackend(TransportBackend):

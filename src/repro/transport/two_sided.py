@@ -141,19 +141,14 @@ class _BatchChannel(Channel):
 
 
 class _BatchEndpoint(Endpoint):
-    """``Isend`` x n / pre-posted ``Irecv`` x n + ``Waitall``."""
+    """``Isend`` x n + ``Waitall`` / pre-posted ``Irecv`` x n + ``Waitall``."""
 
-    def __init__(self, channel, ctx):
-        super().__init__(channel, ctx)
-        self._reqs: list = []
-
-    def post(self, dst):
-        r = yield from self.ctx.isend(dst, nbytes=self.spec.nbytes, tag=_BATCH_TAG)
-        self._reqs.append(r)
-
-    def commit(self, dst, it):
-        yield from self.ctx.waitall(self._reqs)
-        self._reqs = []
+    def send_batch(self, dst, it, n):
+        reqs = []
+        for _ in range(n):
+            r = yield from self.ctx.isend(dst, nbytes=self.spec.nbytes, tag=_BATCH_TAG)
+            reqs.append(r)
+        yield from self.ctx.waitall(reqs)
 
     def wait_batch(self, src, it, n):
         reqs = []

@@ -3,9 +3,10 @@
 A flood run sends ``msgs_per_sync`` messages of ``nbytes`` each from rank 0
 to rank 1, then synchronises — repeated ``iters`` times.  The pattern is
 emitted as a :class:`repro.ir.IRProgram` over the transport
-:class:`BatchSpec` channel (``post`` / ``commit`` / ``wait_batch``) and
-lowered through :func:`repro.ir.run_program`; the backend chosen by
-runtime name supplies the op sequence (see docs/TRANSPORT.md):
+:class:`BatchSpec` channel — one ``BatchSend`` / ``BatchWait`` op pair
+(``send_batch`` / ``wait_batch``) per iteration — and lowered through
+:func:`repro.ir.run_program`; the backend chosen by runtime name supplies
+the op sequence (see docs/TRANSPORT.md):
 
 * two-sided: ``Isend`` x n  /  pre-posted ``Irecv`` x n + ``Waitall``;
 * one-sided MPI: ``Put`` x n + ``flush``, then the put/flush signal pair,
@@ -14,10 +15,10 @@ runtime name supplies the op sequence (see docs/TRANSPORT.md):
 * GPU SHMEM: ``put_signal_nbi`` x n, receiver ``wait_until_all``.
 
 Because the program is IR, the ambient pass pipeline (off by default —
-see docs/IR.md) can rewrite it: coalesce merges the n small posts into
-one ``n * nbytes`` post per sync, and auto-backend may retarget the
-whole program.  With passes off the lowering is byte-identical to the
-pre-IR hand-written generator.
+see docs/IR.md) can rewrite it: coalesce turns the batch of n small
+messages into one ``n * nbytes`` message per sync, and auto-backend may
+retarget the whole program.  With passes off the lowering is
+byte-identical to the pre-IR hand-written generator.
 
 There is also an atomic-CAS flood for the Fig. 4 compare-and-swap series.
 
@@ -77,9 +78,7 @@ def build_flood_program(
 
     def per_rank(rank: int, it: int):
         if rank == 0:
-            return [O.BatchPost(1) for _ in range(n)] + [
-                O.BatchCommit(1, it), O.Barrier(),
-            ]
+            return [O.BatchSend(1, it, n), O.Barrier()]
         if rank == 1:
             return [O.BatchWait(0, it, n), O.Barrier()]
         return [O.Barrier()]
@@ -116,8 +115,6 @@ def run_flood(
     paths); on a multi-node cluster, ``placement="block"`` puts them on
     different nodes, measuring the switched fabric instead.
     """
-    if nbytes < 8:
-        raise ValueError(f"flood nbytes must be >= 8, got {nbytes}")
     if msgs_per_sync < 1:
         raise ValueError(f"msgs_per_sync must be >= 1, got {msgs_per_sync}")
     if iters < 1:

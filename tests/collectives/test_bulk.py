@@ -1,10 +1,10 @@
 """Bulk-engine parity: vectorized round transfers stay byte-exact.
 
-Signal-carrying backends (shmem, one_sided_hw) route homogeneous striped
-rounds through the :mod:`repro.perf` bulk engine; the rma backend always
-takes the scalar path (concurrent senders make ``put_batch``'s atomic
-reservation diverge from the scalar interleaving — see
-``transport/rma.py``).  Either way, toggling :func:`repro.perf.vectorized`
+Signal-carrying backends (shmem, one_sided_hw) issue homogeneous striped
+rounds as one ``put_signal_batch``, which :mod:`repro.comm` may hand to the
+:mod:`repro.perf` bulk engine; the rma backend always takes the scalar
+path (concurrent senders make ``put_batch``'s atomic reservation diverge
+from the scalar interleaving — see ``transport/rma.py``).  Either way, toggling :func:`repro.perf.vectorized`
 must never change a simulated time, a stats count, or an output value.
 """
 
@@ -98,7 +98,9 @@ def test_non_signal_backends_unaffected_by_toggle(cpu_all_runtimes, rt):
 
 
 def _gate_decisions(machine, rt, P):
-    """What _bulk_round decides on each rank of a striped round."""
+    """The structural gate (uniform stripes on exclusive paths) on each
+    rank of a striped round; whether such a batch then goes bulk is
+    ``perf.bulk_enabled``, asked by the comm verbs behind it."""
     from repro.collectives.core import CollectiveComm
     from repro.collectives.plan import CollectivePlan
     from repro.comm.job import Job
@@ -111,7 +113,7 @@ def _gate_decisions(machine, rt, P):
 
     def prog(ctx, comm):
         ep = comm.endpoint(ctx)
-        flags.append(ep.ep._bulk_round(8, 2))
+        flags.append(ep.ep._uniform_round(8, 2))
         yield from ctx.barrier()
         return None
 

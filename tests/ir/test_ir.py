@@ -26,9 +26,8 @@ class TestProgram:
         assert not p.dynamic and p.portable
         assert len(p.regions) == 2
         r0 = p.regions[0].rank_ops(0)
-        assert [type(op).__name__ for op in r0] == (
-            ["BatchPost"] * 8 + ["BatchCommit", "Barrier"]
-        )
+        assert r0 == (O.BatchSend(1, 0, 8), O.Barrier())
+        assert p.regions[1].rank_ops(1) == (O.BatchWait(0, 1, 8), O.Barrier())
 
     def test_static_program_replicates_shared_prologue(self):
         p = static_program(

@@ -70,6 +70,23 @@ class TestAmbientPickup:
         assert snap["net.topology.route_memo"] == len(job.fabric.topology._via_cache)
         assert snap["net.topology.route_memo"] >= snap["net.fabric.compiled_routes"]
 
+    def test_bulk_verdict_is_counted_once_per_batch(self, pm_cpu):
+        """Which engine a batch took, and why not the bulk one."""
+        from repro import perf
+        from repro.workloads.flood import run_flood
+
+        with obs.observe(obs.Obs()) as session:
+            run_flood(pm_cpu, "one_sided", 64, 32, iters=2)
+            with perf.vectorized(False):
+                run_flood(pm_cpu, "one_sided", 64, 32, iters=3)
+        snap = session.snapshot()
+        assert snap["perf.bulk.engaged"] == 2
+        assert snap["perf.bulk.declined.engine_off"] == 3
+        with obs.observe(obs.Obs(trace=True)) as traced:
+            run_flood(pm_cpu, "one_sided", 64, 32, iters=2)
+        assert traced.snapshot()["perf.bulk.declined.tracer"] == 2
+        assert "perf.bulk.engaged" not in traced.snapshot()
+
     def test_metrics_aggregate_across_jobs(self, pm_cpu):
         with obs.observe(obs.Obs()) as session:
             j1 = Job(pm_cpu, 2, "two_sided", placement="spread")

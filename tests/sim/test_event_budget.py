@@ -9,16 +9,17 @@ from repro.sim.event import SimulationError
 
 class TestSimulatorBudget:
     def test_livelock_caught(self, sim):
-        def ping(other_store, my_store):
+        # Two processes that wake each other forever at one instant.
+        wake = {"a": sim.event(), "b": sim.event()}
+
+        def ping(me, other):
             while True:
-                other_store.put("tick")
-                yield my_store.get()
+                wake[other].succeed()
+                wake[other] = sim.event()
+                yield wake[me]
 
-        from repro.sim import Store
-
-        a, b = Store(sim), Store(sim)
-        sim.process(ping(a, b))
-        sim.process(ping(b, a))
+        sim.process(ping("a", "b"))
+        sim.process(ping("b", "a"))
         with pytest.raises(SimulationError, match="event budget"):
             sim.run(max_events=10_000)
 

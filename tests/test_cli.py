@@ -84,6 +84,31 @@ class TestCommands:
         assert main(["flood", "elcap", "two_sided"]) == 2
         assert "unknown machine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["flood", "--nbytes", "4"], "multiple of the 8-byte element"),
+            (["flood", "--nbytes", "100"], "multiple of the 8-byte element"),
+            (["flood", "--nbytes", "banana"], "size string"),
+            (["flood", "--msgs-per-sync", "0"], "msgs_per_sync"),
+            (["flood", "--iters", "0"], "iters"),
+            (["fault", "--nbytes", "banana"], "size string"),
+            (["fault", "--msgs-per-sync", "0"], "msgs_per_sync"),
+            (["roofline", "--nbytes", "banana"], "size string"),
+            (["roofline", "--msgs-per-sync", "0"], "msgs_per_sync"),
+            (["collective", "--nbytes", "banana"], "size string"),
+        ],
+    )
+    def test_bad_message_shape_exits_2_with_the_message(
+        self, argv, message, capsys
+    ):
+        positional = ["perlmutter-cpu", "one_sided"]
+        if argv[0] == "collective":
+            positional.append("allreduce")
+        assert main(argv[:1] + positional + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_roofline(self, capsys):
         rc = main(["roofline", "frontier-cpu", "one_sided", "--nbytes", "1KiB"])
         assert rc == 0

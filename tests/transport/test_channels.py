@@ -43,6 +43,12 @@ class TestSpecDispatch:
             with pytest.raises(NotImplementedError, match="bare"):
                 Bare().open(job, spec)
 
+    @pytest.mark.parametrize("nbytes", [0, 4, 100, -8])
+    def test_batch_spec_needs_whole_elements(self, nbytes):
+        with pytest.raises(ValueError, match="multiple of the 8-byte element"):
+            BatchSpec(nbytes=nbytes)
+        assert BatchSpec(nbytes=96).nelems == 12
+
     def test_every_builtin_opens_every_pattern(self, pm_cpu, pm_gpu):
         from repro.workloads.stencil.runner import StencilConfig, _halo_spec
         from repro.workloads.stencil.decomposition import ProcessGrid
@@ -77,8 +83,7 @@ class TestEndpointContract:
             ("expect", ({},)),
             ("recv", ()),
             ("drain", ()),
-            ("post", (1,)),
-            ("commit", (1, 0)),
+            ("send_batch", (1, 0, 1)),
             ("wait_batch", (0, 0, 1)),
             ("local", ("a",)),
             ("cas", ("a", 1, 0, 0, 1)),

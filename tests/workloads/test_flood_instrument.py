@@ -54,6 +54,8 @@ class TestFlood:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_flood(perlmutter_cpu(), "two_sided", 4, 1)
+        with pytest.raises(ValueError, match="multiple of the 8-byte element"):
+            run_flood(perlmutter_cpu(), "one_sided", 100, 16, iters=2)
         with pytest.raises(ValueError):
             run_flood(perlmutter_cpu(), "two_sided", 64, 0)
         with pytest.raises((ValueError, KeyError)):
