@@ -742,16 +742,11 @@ def _cmd_collective(args: argparse.Namespace) -> int:
     if machine is None:
         return 2
     nbytes = None if args.coll == "barrier" else parse_size(args.nbytes)
-    try:
-        r = run_collective(
-            machine, args.runtime, args.coll,
-            nranks=args.nranks, nbytes=nbytes, algorithm=args.algorithm,
-            stripes=args.stripes, iters=args.iters,
-        )
-    except KeyError as exc:
-        # e.g. a machine without this runtime's calibration
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    r = run_collective(
+        machine, args.runtime, args.coll,
+        nranks=args.nranks, nbytes=nbytes, algorithm=args.algorithm,
+        stripes=args.stripes, iters=args.iters,
+    )
     print(f"machine   : {r.machine} / {r.runtime}")
     print(f"collective: {r.coll} (P={r.nranks}, {r.nelems} words"
           + (f", {args.stripes} stripes" if args.stripes > 1 else "") + ")")
@@ -844,10 +839,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in message_shaped:
         try:
             return message_shaped[args.command](args)
-        except ValueError as exc:
+        except (ValueError, KeyError) as exc:
             # A size, count or runtime name the model rejects (parse_size,
-            # run_flood, BatchSpec, the roofline, the backend registry).
-            print(exc, file=sys.stderr)
+            # run_flood, BatchSpec, the roofline, the backend registry), or
+            # a runtime the machine has no calibration for (KeyError).
+            print(exc.args[0], file=sys.stderr)
             return 2
     if args.command == "ir":
         return _cmd_ir(args)

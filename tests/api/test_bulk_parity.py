@@ -15,10 +15,15 @@ import pytest
 from repro import perf
 from repro.comm import Job
 from repro.experiments.ablations import _with_hw_put_signal
-from repro.ir.lower import lower_rank
+from repro.ir.lower import lower_rank, run_program
 from repro.machines import get_machine
 from repro.net import CongestionConfig
-from repro.workloads.flood import build_flood_program, run_cas_flood, run_flood
+from repro.workloads.flood import (
+    build_cas_flood_program,
+    build_flood_program,
+    run_cas_flood,
+    run_flood,
+)
 from repro.workloads.hashtable import HashTableConfig, run_hashtable
 from repro.workloads.stencil import ProcessGrid, StencilConfig, run_stencil
 
@@ -109,3 +114,29 @@ def _flood_on(fabric_options, replayable):
 def test_flood_parity_across_fabric_options(fabric_options, replayable):
     scalar, vector = _both(lambda: _flood_on(fabric_options, replayable))
     assert scalar == vector
+
+
+@pytest.mark.parametrize(
+    "machine,build",
+    [
+        ("perlmutter-gpu", lambda n: build_flood_program("shmem", 64, n, iters=1)),
+        ("perlmutter-cpu", lambda n: build_flood_program("one_sided", 64, n, iters=1)),
+        (
+            "perlmutter-cpu",
+            lambda n: build_cas_flood_program("one_sided", n_ops=n, target_rank=1),
+        ),
+    ],
+    ids=["shmem-flood", "one_sided-flood", "one_sided-cas"],
+)
+def test_bulk_event_count_is_independent_of_batch_length(machine, build):
+    """What the engine buys, counted in simulator events instead of host
+    seconds: a batch costs the same few events at any length, where the
+    scalar chain pays at least one event per message."""
+
+    def events(n):
+        return run_program(get_machine(machine), build(n)).result.events_processed
+
+    with perf.vectorized(True):
+        assert events(256) == events(4096)
+    with perf.vectorized(False):
+        assert events(4096) - events(256) >= 4096 - 256

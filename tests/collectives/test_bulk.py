@@ -63,9 +63,8 @@ def test_shmem_bulk_is_value_exact():
         algorithm="ring", stripes=4, values=vals,
     )
     _assert_equal(scalar, bulk)
-    np.testing.assert_array_equal(
-        bulk.results[0], np.sum(vals, axis=0)
-    )
+    for out in bulk.results:
+        np.testing.assert_array_equal(out, np.sum(vals, axis=0))
 
 
 def test_hw_put_signal_bulk_is_exact(cpu_all_runtimes):

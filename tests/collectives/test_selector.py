@@ -92,11 +92,11 @@ def test_auto_threads_selection_into_the_result():
 def test_explain_matches_run_auto():
     """explain_collective predicts exactly what run(algorithm='auto') does."""
     m = perlmutter_gpu()
-    for nbytes in (64, 1 << 20):
-        sel = explain_collective(m, SHMEM, "allgather", nranks=4,
-                                 nbytes=nbytes)
-        r = run_collective(m, SHMEM, "allgather", nranks=4, nbytes=nbytes)
-        assert r.algorithm == sel.algorithm
+    for coll in ("allgather", "allreduce"):
+        for nbytes in (64, 1 << 20, 4 << 20):
+            sel = explain_collective(m, SHMEM, coll, nranks=4, nbytes=nbytes)
+            r = run_collective(m, SHMEM, coll, nranks=4, nbytes=nbytes)
+            assert r.algorithm == sel.algorithm
 
 
 def test_model_time_alpha_beta_decomposition():

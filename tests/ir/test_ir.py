@@ -9,11 +9,15 @@ from repro.ir import ops as O
 from repro.ir.cost import CostModel, program_cost
 from repro.ir.program import Region, region_for_all, static_program
 from repro.machines.registry import get_machine
-from repro.workloads.flood import build_flood_program
+from repro.workloads.flood import build_flood_program, run_flood
 from repro.workloads.hashtable.runner import (
     HashTableConfig,
+    _plan_rounds,
+    build_hashtable_program,
+    generate_keys,
     run_hashtable,
 )
+from repro.workloads.hashtable.table import TableGeometry
 from repro.workloads.stencil.decomposition import ProcessGrid
 from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 
@@ -76,6 +80,30 @@ class TestPipeline:
         _, not_fired = pipe.run(two, M)
         assert not_fired == []
 
+    def test_coalesce_and_overlap_cut_modeled_cost(self):
+        """The message-aggregation win, >= 1.2x modeled: small puts under
+        one sync (one-sided flood) and owner-routed triplets under a
+        window wide enough to hold same-owner groups (two-sided
+        hashtable); the simulated flood follows the model down."""
+        cfg = HashTableConfig(total_inserts=2000, sync_window=16)
+        geom = TableGeometry.for_inserts(4, 2000, load_factor=cfg.load_factor)
+        keys = generate_keys(cfg, 4)
+        programs = [
+            build_flood_program("one_sided", 4096, 64, iters=3),
+            build_hashtable_program(
+                "two_sided", geom, keys, _plan_rounds(geom, keys, 4, 16), 16, 4
+            ),
+        ]
+        pipe = ir.build_pipeline(["coalesce", "overlap"])
+        for program in programs:
+            rewritten, _ = pipe.run(program, M)
+            assert program_cost(program, M) >= 1.2 * program_cost(rewritten, M)
+        base = run_flood(M, "one_sided", 4096, 64, iters=3)
+        with ir.passes(["coalesce", "overlap"]):
+            assert run_flood(M, "one_sided", 4096, 64, iters=3).time_total < (
+                base.time_total
+            )
+
     def test_auto_backend_requires_portable(self):
         p = build_flood_program("one_sided", 65536, 64, iters=1)
         assert p.portable
@@ -91,13 +119,6 @@ class TestCostModel:
 
     def test_dynamic_program_cost_raises(self):
         geom_cfg = HashTableConfig(total_inserts=32)
-        from repro.workloads.hashtable.runner import (
-            _plan_rounds,
-            build_hashtable_program,
-            generate_keys,
-        )
-        from repro.workloads.hashtable.table import TableGeometry
-
         geom = TableGeometry.for_inserts(2, 32, load_factor=0.6)
         keys = generate_keys(geom_cfg, 2)
         incoming = _plan_rounds(geom, keys, 2, 1)

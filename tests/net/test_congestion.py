@@ -85,7 +85,7 @@ class TestControlLoop:
 
 
 class TestFabricIntegration:
-    def test_flood_marks_and_backs_off(self):
+    def test_flood_marks_and_backs_off(self, loaded_schedule):
         sim = Simulator()
         f = Fabric(sim, _topo(bandwidth=1e9), congestion=CongestionConfig())
         # 64 KiB at 1 GB/s = 65.5 us occupancy: queueing explodes fast.
@@ -94,6 +94,12 @@ class TestFabricIntegration:
         assert f.cc.marks > 0
         assert f.cc.backoffs > 0
         assert f.cc.rate("a") < 1.0
+        # The loop also engages beside adaptive routing on a dragonfly.
+        f, _deliveries = loaded_schedule("adaptive", congestion=CongestionConfig())
+        assert f.cc.marks > 0 and f.cc.backoffs > 0
+        assert any(
+            rate < 1.0 for key, rate in f.cc.stats().items() if key.startswith("cc.rate.")
+        )
 
     def test_backoff_stretches_schedule(self):
         def total_time(congestion):

@@ -27,6 +27,11 @@ def _dead_router_plan(name="g1r0", start=0.0):
     return FaultPlan(hard=(RouterFaults(name, windows=((start, INF),)),))
 
 
+# ``loaded_schedule`` options: g3r2 is dead from t=0; the traffic crosses
+# it (g3 <-> g2) but never starts or ends there.
+TRANSIT_KILL = {"plan": _dead_router_plan("g3r2"), "avoid": ("g3r2",)}
+
+
 class TestConstruction:
     def test_resolves_by_name(self):
         assert isinstance(get_routing("failover"), FailoverRouting)
@@ -42,18 +47,29 @@ class TestConstruction:
 
 
 class TestCleanParity:
-    def test_returns_cached_route_object(self):
+    def test_returns_cached_route_object(self, loaded_schedule):
         f = _fabric(routing="failover")
         route = f.routing.route(f, "g0r0", "g1r1", 1024, 0.0)
         assert route is f.topology.route("g0r0", "g1r1")
+        # With no fault the policy costs a lookup and nothing else: under
+        # load too, every transfer rides the topology's memoised Route and
+        # the detector never stirs.
+        f, deliveries = loaded_schedule("failover")
+        assert all(
+            d.route is f.topology.route(d.route.src, d.route.dst) for d in deliveries
+        )
+        assert not any(f.routing.stats().values())
 
-    def test_arrivals_bit_identical_to_default(self):
+    def test_arrivals_bit_identical_to_default(self, loaded_schedule):
         f_default = _fabric()
         f_failover = _fabric(routing="failover")
         for src, dst in [("g0r0", "g1r1"), ("g2r0", "g0r1"), ("g0r0", "g1r1")]:
             a = f_default.transfer(src, dst, 65536).arrival
             b = f_failover.transfer(src, dst, 65536).arrival
             assert a == b  # exact, not approx
+        _f, default = loaded_schedule()
+        _f, failover = loaded_schedule("failover")
+        assert [d.arrival for d in default] == [d.arrival for d in failover]
 
     def test_dormant_hard_plan_stays_bit_identical(self):
         """A plan whose hard fault never fires must not perturb timing,
@@ -67,12 +83,14 @@ class TestCleanParity:
 
 
 class TestRouterFailure:
-    def test_minimal_routing_dies(self):
+    def test_minimal_routing_dies(self, loaded_schedule):
         f = _fabric(plan=_dead_router_plan())
         with pytest.raises(FaultError, match="lost on"):
             f.transfer("g0r1", "g1r1", 65536)
+        with pytest.raises(FaultError, match="lost on"):
+            loaded_schedule("minimal", **TRANSIT_KILL)
 
-    def test_failover_delivers_around_dead_router(self):
+    def test_failover_delivers_around_dead_router(self, loaded_schedule):
         f = _fabric(routing="failover", plan=_dead_router_plan())
         d = f.transfer("g0r1", "g1r1", 65536)
         assert d.arrival > 0
@@ -80,6 +98,11 @@ class TestRouterFailure:
         assert stats["detections"] >= 1
         assert stats["failovers"] >= 1
         assert stats["partitions"] == 0
+        # A whole schedule that transits the victim is delivered too.
+        f, deliveries = loaded_schedule("failover", **TRANSIT_KILL)
+        assert len(deliveries) == 2000 and not any(d.dropped for d in deliveries)
+        assert f.routing.stats()["failovers"] > 0
+        assert f.routing.stats()["partitions"] == 0
 
     def test_detour_avoids_dead_links(self):
         f = _fabric(routing="failover", plan=_dead_router_plan())
@@ -144,7 +167,7 @@ class TestDetector:
 
 
 class TestDeterminism:
-    def test_bit_identical_replay(self):
+    def test_bit_identical_replay(self, loaded_schedule):
         def run():
             f = _fabric(routing="failover", plan=_dead_router_plan())
             arrivals = [
@@ -158,3 +181,9 @@ class TestDeterminism:
             return arrivals, f.routing.stats()
 
         assert run() == run()
+
+        def loaded():
+            f, deliveries = loaded_schedule("failover", **TRANSIT_KILL)
+            return [d.arrival for d in deliveries], f.routing.stats()
+
+        assert loaded() == loaded()

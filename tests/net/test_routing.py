@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import (
     AdaptiveRouting,
+    CongestionConfig,
     Fabric,
     MinimalRouting,
     dragonfly,
@@ -16,6 +17,11 @@ from repro.sim import Simulator
 def _df_fabric(sim, routing=None):
     """A router-only dragonfly fabric (endpoints are the routers)."""
     return Fabric(sim, dragonfly(4, 2, 1).topology, routing=routing)
+
+
+def _arrivals(schedule):
+    _fabric, deliveries = schedule
+    return [d.arrival for d in deliveries]
 
 
 class TestResolver:
@@ -47,13 +53,15 @@ class TestMinimal:
         route = f.routing.route(f, "g0r0", "g1r1", 1024, 0.0)
         assert route is f.topology.route("g0r0", "g1r1")
 
-    def test_fabric_arrivals_match_default(self):
+    def test_fabric_arrivals_match_default(self, loaded_schedule):
         f_default = _df_fabric(Simulator())
         f_minimal = _df_fabric(Simulator(), routing="minimal")
         for src, dst in [("g0r0", "g1r1"), ("g0r0", "g1r1"), ("g2r0", "g0r1")]:
             a = f_default.transfer(src, dst, 65536).arrival
             b = f_minimal.transfer(src, dst, 65536).arrival
             assert a == b  # exact, not approx
+        # ...and with every port queued, not only on an idle fabric.
+        assert _arrivals(loaded_schedule()) == _arrivals(loaded_schedule("minimal"))
 
 
 class TestAdaptive:
@@ -79,9 +87,10 @@ class TestAdaptive:
             assert delivery.route is route
             assert score == delivery.arrival
 
-    def test_detours_around_queued_links(self, sim):
+    def test_detours_around_queued_links(self, sim, loaded_schedule):
         """Queue every link of the minimal path; UGAL must pick a Valiant
-        detour whose hops differ."""
+        detour whose hops differ — and real traffic alone must queue
+        enough for some transfer to leave its minimal path."""
         f = _df_fabric(sim, routing=AdaptiveRouting(candidates=4))
         minimal = f.topology.route("g0r0", "g1r0")
         for u, v in minimal.hops:
@@ -92,6 +101,13 @@ class TestAdaptive:
         assert chosen.hops != minimal.hops
         assert chosen.nhops > minimal.nhops  # a real detour, freshly costed
         assert chosen.latency > minimal.latency
+        loaded, deliveries = loaded_schedule(
+            AdaptiveRouting(candidates=2), congestion=CongestionConfig()
+        )
+        assert any(
+            d.route.nhops > loaded.topology.route(d.route.src, d.route.dst).nhops
+            for d in deliveries
+        )
 
     def test_detour_reports_per_path_parameters(self, sim):
         f = _df_fabric(sim, routing=AdaptiveRouting(candidates=4))
@@ -144,7 +160,7 @@ class TestAdaptive:
         assert "extra" not in before and "extra" in after
         assert after == sorted(after)
 
-    def test_deterministic_replay(self):
+    def test_deterministic_replay(self, loaded_schedule):
         """Same transfer sequence, fresh fabrics: bit-identical schedules."""
 
         def run():
@@ -157,6 +173,15 @@ class TestAdaptive:
             ]
 
         assert run() == run()
+
+        def loaded():
+            return _arrivals(
+                loaded_schedule(
+                    AdaptiveRouting(candidates=2), congestion=CongestionConfig()
+                )
+            )
+
+        assert loaded() == loaded()
 
     def test_decisions_vary_candidates(self, sim):
         """Successive decisions draw different intermediates (the decision

@@ -111,11 +111,15 @@ class TestPassesOnAccuracy:
 
     def test_hashtable_values_unchanged(self):
         m = get_machine("perlmutter-cpu")
-        cfg = HashTableConfig(total_inserts=256)
-        base = run_hashtable(m, "two_sided", cfg, 4)
-        with ir.passes(True):
-            on = run_hashtable(m, "two_sided", cfg, 4)
-        assert sorted(on.extras["values"]) == sorted(base.extras["values"])
+        # Window 1 leaves the coalescer nothing to fold; window 16 holds
+        # same-owner triplet groups, so a rewrite really fires.
+        for window, fired in ((1, 0), (16, 1)):
+            cfg = HashTableConfig(total_inserts=256, sync_window=window)
+            base = run_hashtable(m, "two_sided", cfg, 4)
+            with ir.passes(True), ir.collect() as reports:
+                on = run_hashtable(m, "two_sided", cfg, 4)
+            assert len(reports[0].rewrites) == fired
+            assert sorted(on.extras["values"]) == sorted(base.extras["values"])
 
     def test_flood_payload_equivalent_and_faster(self):
         m = get_machine("perlmutter-cpu")

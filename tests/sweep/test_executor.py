@@ -13,6 +13,7 @@ from repro.sweep import (
     execution,
     run_sweep,
 )
+from repro.sweep.executor import _chunks
 
 
 # Module-level runners: process-pool workers pickle them by reference.
@@ -78,6 +79,15 @@ class TestParallel:
     def test_failure_raises_sweep_error(self):
         with pytest.raises(SweepError, match="cursed"):
             run_sweep(_spec(runner=_fail_on_two), jobs=2)
+
+    def test_chunks_are_few_contiguous_runs_in_queue_order(self):
+        """Dispatch cost is per chunk, not per point: a 144-point grid on
+        4 workers goes out as 16 futures, not 144."""
+        queue = list(range(144))
+        chunks = _chunks(queue, jobs=4)
+        assert [len(c) for c in chunks] == [9] * 16
+        assert [x for c in chunks for x in c] == queue
+        assert _chunks(queue[:3], jobs=4) == [[0], [1], [2]]
 
 
 class TestCaching:

@@ -97,15 +97,25 @@ class TestCommands:
             (["roofline", "--nbytes", "banana"], "size string"),
             (["roofline", "--msgs-per-sync", "0"], "msgs_per_sync"),
             (["collective", "--nbytes", "banana"], "size string"),
+            (["flood", "perlmutter-cpu", "shmem"], "has no runtime 'shmem'"),
+            (["roofline", "summit-cpu", "shmem"], "has no runtime 'shmem'"),
+            (["fault", "perlmutter-cpu", "shmem"], "has no runtime 'shmem'"),
+            (
+                ["collective", "perlmutter-cpu", "shmem", "allreduce"],
+                "has no runtime 'shmem'",
+            ),
         ],
     )
     def test_bad_message_shape_exits_2_with_the_message(
         self, argv, message, capsys
     ):
-        positional = ["perlmutter-cpu", "one_sided"]
-        if argv[0] == "collective":
-            positional.append("allreduce")
-        assert main(argv[:1] + positional + argv[1:]) == 2
+        command, *rest = argv
+        if rest[0].startswith("--"):  # options only: a valid machine and runtime
+            positional = ["perlmutter-cpu", "one_sided"]
+            if command == "collective":
+                positional.append("allreduce")
+            rest = positional + rest
+        assert main([command] + rest) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
