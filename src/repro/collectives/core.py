@@ -131,8 +131,8 @@ class CollectiveEndpoint:
         self.ep = comm.channel.endpoint(ctx)
         # Round schedules are data-dependent (algorithm choice, rank
         # geometry), so collectives lower through the dynamic-IR Emitter:
-        # each verb becomes a RoundSend/RoundRecv/MsgDrain op interpreted
-        # by repro.ir.lower._exec onto this endpoint.
+        # each verb becomes a RoundSend/RoundRecv/MsgDrain op lowered
+        # through repro.ir.lower.LOWERINGS onto this endpoint.
         self.em = Emitter(self.ep, ctx, counts=comm.ir_counts)
         self._op = 0
 
@@ -195,7 +195,9 @@ class _RoundExec:
 
     Verbs lower through the IR :class:`~repro.ir.lower.Emitter` rather
     than calling the endpoint directly, so every round of every schedule
-    is an IR op with per-kind counts."""
+    is an IR op with per-kind counts.  ``send`` / ``recv`` return the
+    endpoint's generator for the schedule to ``yield from``; the stats are
+    charged when the verb is called, which is when it is driven."""
 
     __slots__ = ("comm", "em", "ctx", "plan", "base", "idx", "reduce",
                  "root", "v", "P", "rank", "nelems", "stripes", "execute")
@@ -221,18 +223,14 @@ class _RoundExec:
         for st in (self.comm.stats, self.comm.op_stats[self.idx]):
             st.messages += parts
             st.bytes_moved += words * wb
-        yield from self.em.send_round(
+        return self.em.send_round(
             dst, self.base + rnd, words=words, parts=parts, values=values
         )
 
     def recv(self, src, rnd, words, parts=1):
-        got = yield from self.em.recv_round(
-            src, self.base + rnd, words=words, parts=parts
-        )
-        return got
+        return self.em.recv_round(src, self.base + rnd, words=words, parts=parts)
 
     def exchange(self, dst, src, rnd, send_words, recv_words,
                  values=None, parts=1):
         yield from self.send(dst, rnd, send_words, values=values, parts=parts)
-        got = yield from self.recv(src, rnd, recv_words, parts=parts)
-        return got
+        return (yield from self.recv(src, rnd, recv_words, parts=parts))

@@ -152,8 +152,9 @@ class RankContext:
             delivery.event.add_callback(
                 lambda ev: dst_ctx._deliver(ev.value) if ev.ok else _raise(ev.value)
             )
-            # Eager: the library buffers the data; the send completes locally.
-            send_done.succeed()
+            # Eager: the library buffers the data; the send completes locally
+            # — a flag on the request, not an occurrence anyone is woken by.
+            send_done.settle()
         else:
             self._start_rendezvous(msg, payload, dst_ctx, send_done)
         return Request(send_done, "isend", nbytes)

@@ -27,7 +27,7 @@ import numpy as np
 from repro import perf
 from repro.comm.base import CommError, Request
 from repro.comm.context import RankContext
-from repro.comm.window import Window, _propagate_failure
+from repro.comm.window import Window, _complete
 from repro.perf.engine import drain_wait_until_all, issue_times
 from repro.sim.event import Event
 
@@ -45,7 +45,24 @@ class ShmemContext(RankContext):
 
     def __init__(self, job: "Job", rank: int):
         super().__init__(job, rank)
-        self._outstanding_puts: list[Event] = []
+        # Remote completion is counted, not collected: puts issued and not
+        # yet landed, the losses a quiet must surface (fault injection),
+        # and one event armed only while a quiet is blocked.
+        self._puts_in_flight = 0
+        self._lost_puts: list[BaseException] = []
+        self._quiet_event: Event | None = None
+
+    def _put_landed(self, done: Event, ev: Event) -> None:
+        """One outstanding put completed at its target (``ev`` ok) or was
+        lost: count it, park a loss, release a quiet it was blocking —
+        the last put in flight, or the first lost (see ``_complete``)."""
+        self._puts_in_flight -= 1
+        if not ev.ok:
+            self._lost_puts.append(ev.value)
+        waiter = None
+        if self._quiet_event is not None and (not ev.ok or not self._puts_in_flight):
+            waiter, self._quiet_event = self._quiet_event, None
+        _complete(done, ev, waiter=waiter)
 
     # ------------------------------------------------------------------
     # put with signal
@@ -90,7 +107,8 @@ class ShmemContext(RankContext):
         done = self.sim.event()
 
         def land(_ev: Event) -> None:
-            if _propagate_failure(_ev, done):
+            if not _ev.ok:
+                self._put_landed(done, _ev)
                 return
             # Data first, then the signal becomes observable: one atomic
             # step at the same simulated instant preserves the ordering
@@ -102,10 +120,10 @@ class ShmemContext(RankContext):
             else:
                 sig[signal_idx] += signal_value
             signal_win._apply_write(target, signal_idx, None)  # ring watchers
-            done.succeed()
+            self._put_landed(done, _ev)
 
         delivery.event.add_callback(land)
-        self._outstanding_puts.append(done)
+        self._puts_in_flight += 1
         if self.job.tracer.enabled:
             self.job.tracer.emit(
                 self.sim.now,
@@ -174,7 +192,7 @@ class ShmemContext(RankContext):
         ).times(issue)
         done = self.sim.event()
 
-        def _complete(_ev: Event) -> None:
+        def landed(_ev: Event) -> None:
             data_win._apply_write(target, offset, None)
             sig = signal_win.buffers[target]
             if signal_op == SIGNAL_SET:
@@ -182,10 +200,10 @@ class ShmemContext(RankContext):
             else:
                 sig[signal_idx] += signal_value * n
             signal_win._apply_write(target, signal_idx, None)
-            done.succeed()
+            self._put_landed(done, _ev)
 
-        self.sim.at_time(max(deliver)).add_callback(_complete)
-        self._outstanding_puts.append(done)
+        self.sim.at_time(max(deliver)).add_callback(landed)
+        self._puts_in_flight += 1
         yield self.sim.at_time(issue[-1])
         if signal_op == SIGNAL_SET:  # only the first store can satisfy a wait
             deliver, base = deliver[:1], 0
@@ -229,15 +247,6 @@ class ShmemContext(RankContext):
     # waiting on signals
     # ------------------------------------------------------------------
 
-    def _signals_satisfied(
-        self, signal_win: Window, idxs: Sequence[int], value: int, require_all: bool
-    ) -> list[int]:
-        sig = signal_win.buffers[self.rank]
-        hit = [i for i in idxs if sig[i] >= value]
-        if require_all:
-            return hit if len(hit) == len(idxs) else []
-        return hit
-
     def wait_until_all(
         self, signal_win: Window, idxs: Sequence[int], value: int = 1
     ) -> Generator:
@@ -252,15 +261,22 @@ class ShmemContext(RankContext):
         self.counter.operations += 1
         if not idxs:
             return  # vacuously satisfied (e.g. a rank with no neighbors)
+        rank, sim = self.rank, self.sim
+        sig = signal_win.buffers[rank]
+        recheck = self.costs.poll_slot * len(idxs)
         blocked = False
-        while not self._signals_satisfied(signal_win, idxs, value, require_all=True):
+        while True:
+            for i in idxs:
+                if sig[i] < value:
+                    break
+            else:
+                break
             blocked = True
-            yield signal_win.on_write(self.rank)
-            recheck = self.costs.poll_slot * len(idxs)
+            yield signal_win.on_write(rank)
             if recheck > 0:
-                yield self.sim.timeout(recheck)
+                yield sim.timeout(recheck)
         if blocked and self.costs.wait_wakeup > 0:
-            yield self.sim.timeout(self.costs.wait_wakeup)
+            yield sim.timeout(self.costs.wait_wakeup)
 
     def wait_until_any(
         self,
@@ -288,8 +304,9 @@ class ShmemContext(RankContext):
             raise CommError("wait_until_any needs at least one index")
         self.counter.syncs += 1
         self.counter.operations += 1
+        sig = signal_win.buffers[self.rank]
         while True:
-            hit = self._signals_satisfied(signal_win, idxs, value, require_all=False)
+            hit = [i for i in idxs if sig[i] >= value]
             if hit:
                 break
             yield signal_win.on_write(self.rank)
@@ -335,16 +352,14 @@ class ShmemContext(RankContext):
         self.counter.operations += 1
         if self.costs.flush > 0:
             yield self.sim.timeout(self.costs.flush)
-        # Failed puts (fault injection) stay pending so the loss surfaces
-        # here, at the quiet — the NVSHMEM completion point.
-        pending = [
-            ev for ev in self._outstanding_puts if not ev.triggered or not ev.ok
-        ]
-        if pending:
-            yield self.sim.all_of(pending)
-        self._outstanding_puts = [
-            ev for ev in self._outstanding_puts if not ev.triggered
-        ]
+        if self._lost_puts:
+            # A lost put (fault injection) surfaces here, at the quiet — the
+            # NVSHMEM completion point — and at every later one.
+            raise self._lost_puts[0]
+        if self._puts_in_flight:
+            if self._quiet_event is None:
+                self._quiet_event = self.sim.event()
+            yield self._quiet_event
 
     def barrier_all(self) -> Generator:
         """``nvshmem_barrier_all``: quiet + barrier."""

@@ -38,19 +38,30 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Window", "WindowHandle"]
 
 
-def _propagate_failure(ev: Event, done: Event) -> bool:
-    """Forward a failed fabric delivery into an op's completion event.
+def _complete(
+    done: Event, ev: Event, value: Any = None, waiter: Event | None = None
+) -> None:
+    """Set an RMA op's completion ``done`` from ``ev``, the fabric event (or
+    local delay) that carried its last leg.
 
-    One-sided semantics: the origin does not learn about the loss at the
-    Put — the failure is parked on ``done`` (defused, so it never raises
-    unhandled) and surfaces when a flush/wait/fence gathers it.  Returns
-    True when ``ev`` failed and the op must not apply its effects.
+    ``done`` is a flag more than an event: nearly every reader asks
+    ``triggered`` / ``ok`` (``Request.done``, the outstanding counts), so it
+    is settled in place unless a process is parked on it.  A failed ``ev``
+    (fault injection) is one-sided semantics: the origin does not learn about
+    the loss at the op — it is parked on ``done`` (defused, so it never raises
+    unhandled) and surfaces at the flush / quiet / wait that gathers it.
+    ``waiter`` is a blocked flush or quiet this completion releases: then
+    ``done`` does take the heap trip and releases it from there — the same
+    two hops, in the same ``(time, seq)`` places, as the ``AllOf`` over every
+    pending op that the counts replace.
     """
+    if waiter is not None:
+        done.add_callback(lambda d: waiter.succeed() if d.ok else waiter.fail(d.value))
     if ev.ok:
-        return False
-    done.fail(ev.value)
-    done.defuse()
-    return True
+        done.settle(value)
+    else:
+        done.fail(ev.value)
+        done.defuse()
 
 
 class Window:
@@ -62,11 +73,24 @@ class Window:
         self.job = job
         self.count = count
         self.dtype = np.dtype(dtype)
+        # Zero fill is calloc, not a memset: a page nobody writes (timing-only
+        # puts) is never touched.
         self.buffers = [
-            np.full(count, fill, dtype=self.dtype) for _ in range(job.nranks)
+            np.zeros(count, dtype=self.dtype)
+            if fill == 0
+            else np.full(count, fill, dtype=self.dtype)
+            for _ in range(job.nranks)
         ]
-        # Outstanding RMA completion events, per (origin, target).
-        self._outstanding: dict[tuple[int, int], list[Event]] = {}
+        # Remote completion is counted, not collected: ops in flight per
+        # (origin, target) and per origin, the losses a flush must surface
+        # (fault injection), and per origin the (target, event) of a flush
+        # that is blocked right now.
+        self._in_flight: dict[tuple[int, int], int] = {}
+        self._in_flight_from = [0] * job.nranks
+        self._lost: list[list[tuple[int, BaseException]]] = [
+            [] for _ in range(job.nranks)
+        ]
+        self._flush_waiter: dict[int, tuple[int | None, Event]] = {}
         # Serialisation point for atomics at each target.
         self._atomic_next_free: list[float] = [0.0] * job.nranks
         # Write watchers, per target rank.
@@ -130,33 +154,48 @@ class Window:
         ev = self._schedule_waiters[key] = self.job.sim.event()
         return ev
 
-    def _track(self, origin: int, target: int, ev: Event) -> None:
-        self._outstanding.setdefault((origin, target), []).append(ev)
+    def _track(self, origin: int, target: int) -> None:
+        key = (origin, target)
+        self._in_flight[key] = self._in_flight.get(key, 0) + 1
+        self._in_flight_from[origin] += 1
 
-    def _pending(self, origin: int, target: int | None) -> list[Event]:
-        # Failed ops (fault injection) stay pending: a flush must gather
-        # them so the loss surfaces at the synchronisation point.
+    def _busy(self, origin: int, target: int | None) -> int:
         if target is None:
-            pending = [
-                ev
-                for (o, _t), evs in self._outstanding.items()
-                if o == origin
-                for ev in evs
-                if not ev.triggered or not ev.ok
-            ]
-        else:
-            pending = [
-                ev
-                for ev in self._outstanding.get((origin, target), [])
-                if not ev.triggered or not ev.ok
-            ]
-        return pending
+            return self._in_flight_from[origin]
+        return self._in_flight.get((origin, target), 0)
 
-    def _gc(self, origin: int) -> None:
-        for key in [k for k in self._outstanding if k[0] == origin]:
-            self._outstanding[key] = [
-                ev for ev in self._outstanding[key] if not ev.triggered
-            ]
+    def _op_done(
+        self, origin: int, target: int, done: Event, ev: Event, value: Any = None
+    ) -> None:
+        """``origin``'s op on ``target`` completed remotely (``ev`` ok) or
+        was lost: count it, park a loss, release a flush it was blocking."""
+        self._in_flight[origin, target] -= 1
+        self._in_flight_from[origin] -= 1
+        ok = ev.ok
+        if not ok:
+            self._lost[origin].append((target, ev.value))
+        waiter = None
+        if self._flush_waiter:
+            blocked = self._flush_waiter.get(origin)
+            if blocked is not None and blocked[0] in (None, target):
+                # The op that flush waits for: the last in flight, or a loss.
+                if not ok or not self._busy(origin, blocked[0]):
+                    waiter = self._flush_waiter.pop(origin)[1]
+        _complete(done, ev, value, waiter)
+
+    def _drain(self, origin: int, target: int | None) -> Generator:
+        """Block until ``origin`` has nothing in flight to ``target`` (None:
+        to anyone).  A lost op stays parked: it surfaces here, at the
+        synchronisation point, and at every later one."""
+        for t, exc in self._lost[origin]:
+            if target is None or t == target:
+                raise exc
+        if self._busy(origin, target):
+            if origin in self._flush_waiter:
+                raise CommError(f"rank {origin} is already blocked in a flush")
+            ev = self.job.sim.event()
+            self._flush_waiter[origin] = (target, ev)
+            yield ev
 
     # -- passive-target lock machinery ----------------------------------------
 
@@ -252,23 +291,21 @@ class WindowHandle:
         done = ctx.sim.event()
         target_ctx = ctx.job.contexts[target]
 
-        def land(_ev: Event) -> None:
-            if _propagate_failure(_ev, done):
-                return
-            # The target runtime's copy engine (if any) delays visibility.
-            delay = target_ctx.charge_copy(nbytes)
-
-            def visible(_e: Event) -> None:
+        def visible(_ev: Event) -> None:
+            if _ev.ok:
                 win._apply_write(target, offset, values)
-                done.succeed()
+            win._op_done(self.rank, target, done, _ev)
 
+        def land(_ev: Event) -> None:
+            # The target runtime's copy engine (if any) delays visibility.
+            delay = target_ctx.charge_copy(nbytes) if _ev.ok else 0.0
             if delay > 0:
                 ctx.sim.timeout(delay).add_callback(visible)
             else:
                 visible(_ev)
 
         delivery.event.add_callback(land)
-        win._track(self.rank, target, done)
+        win._track(self.rank, target)
         if ctx.job.tracer.enabled:
             ctx.job.tracer.emit(
                 ctx.sim.now,
@@ -311,12 +348,12 @@ class WindowHandle:
         last = bulk_visible_last(ctx.job.contexts[target], nbytes, deliver)
         done = ctx.sim.event()
 
-        def _complete(_ev: Event) -> None:
+        def visible(_ev: Event) -> None:
             win._apply_write(target, offset, None)
-            done.succeed()
+            win._op_done(self.rank, target, done, _ev)
 
-        ctx.sim.at_time(last).add_callback(_complete)
-        win._track(self.rank, target, done)
+        ctx.sim.at_time(last).add_callback(visible)
+        win._track(self.rank, target)
         yield ctx.sim.at_time(issue[-1])
 
     def get(
@@ -336,16 +373,17 @@ class WindowHandle:
         done = ctx.sim.event()
 
         def at_target(_ev: Event) -> None:
-            if _propagate_failure(_ev, done):
+            if not _ev.ok:
+                win._op_done(self.rank, target, done, _ev)
                 return
             data = np.array(win.buffers[target][offset : offset + nelems], copy=True)
             response = ctx.fabric.transfer(target_ep, ctx.endpoint, nbytes)
             response.event.add_callback(
-                lambda _e: None if _propagate_failure(_e, done) else done.succeed(data)
+                lambda _e: win._op_done(self.rank, target, done, _e, data)
             )
 
         request_leg.event.add_callback(at_target)
-        win._track(self.rank, target, done)
+        win._track(self.rank, target)
         return Request(done, "get", nbytes)
 
     # -- completion ------------------------------------------------------------
@@ -358,9 +396,7 @@ class WindowHandle:
         ctx.counter.operations += 1
         ctx.counter.syncs += 1
         yield ctx.sim.timeout(ctx.costs.flush)
-        pending = win._pending(self.rank, target)
-        if pending:
-            yield ctx.sim.all_of(pending)
+        yield from win._drain(self.rank, target)
         # Remote-completion acknowledgement: over RDMA a flush is realised
         # as a zero-byte read after the writes — a full round trip to the
         # (furthest) flushed target.
@@ -370,7 +406,6 @@ class WindowHandle:
             ack = 2.0 * ctx.job.max_route_latency(self.rank)
         if ack > 0:
             yield ctx.sim.timeout(ack)
-        win._gc(self.rank)
 
     def flush_local(self, target: int | None = None) -> Generator:
         """``MPI_Win_flush_local``: local completion only (buffers reusable;
@@ -379,10 +414,7 @@ class WindowHandle:
         ctx.counter.operations += 1
         ctx.counter.syncs += 1
         yield ctx.sim.timeout(ctx.costs.flush)
-        pending = win._pending(self.rank, target)
-        if pending:
-            yield ctx.sim.all_of(pending)
-        win._gc(self.rank)
+        yield from win._drain(self.rank, target)
 
     def fence(self) -> Generator:
         """``MPI_Win_fence``: close the epoch — complete all outstanding ops
@@ -390,10 +422,7 @@ class WindowHandle:
         ctx, win = self.ctx, self.window
         ctx.counter.operations += 1
         yield ctx.sim.timeout(ctx.costs.fence)
-        pending = win._pending(self.rank, None)
-        if pending:
-            yield ctx.sim.all_of(pending)
-        win._gc(self.rank)
+        yield from win._drain(self.rank, None)
         yield from ctx.barrier()
 
     def accumulate(
@@ -426,23 +455,21 @@ class WindowHandle:
         done = ctx.sim.event()
 
         def land(_ev: Event) -> None:
-            if _propagate_failure(_ev, done):
-                return
-            buf = win.buffers[target]
-            view = buf[offset : offset + values.size]
-            if op == "sum":
-                view += values
-            elif op == "max":
-                np.maximum(view, values, out=view)
-            elif op == "min":
-                np.minimum(view, values, out=view)
-            else:
-                view[:] = values
-            win._apply_write(target, offset, None)  # ring watchers
-            done.succeed()
+            if _ev.ok:
+                view = win.buffers[target][offset : offset + values.size]
+                if op == "sum":
+                    view += values
+                elif op == "max":
+                    np.maximum(view, values, out=view)
+                elif op == "min":
+                    np.minimum(view, values, out=view)
+                else:
+                    view[:] = values
+                win._apply_write(target, offset, None)  # ring watchers
+            win._op_done(self.rank, target, done, _ev)
 
         delivery.event.add_callback(land)
-        win._track(self.rank, target, done)
+        win._track(self.rank, target)
         return Request(done, "accumulate", nbytes)
 
     # -- passive-target epochs ------------------------------------------------
@@ -485,7 +512,8 @@ class WindowHandle:
         done = ctx.sim.event()
 
         def at_target(_ev: Event) -> None:
-            if _propagate_failure(_ev, done):
+            if not _ev.ok:
+                win._op_done(self.rank, target, done, _ev)
                 return
             # Atomics serialise at the target's atomic unit.
             now = ctx.sim.now
@@ -498,15 +526,13 @@ class WindowHandle:
                 win._apply_write(target, offset, None)  # ring watchers
                 response = ctx.fabric.transfer(target_ep, ctx.endpoint, 8.0)
                 response.event.add_callback(
-                    lambda _r: None
-                    if _propagate_failure(_r, done)
-                    else done.succeed(old)
+                    lambda _r: win._op_done(self.rank, target, done, _r, old)
                 )
 
             ctx.sim.timeout(finish - now).add_callback(apply_and_respond)
 
         request_leg.event.add_callback(at_target)
-        win._track(self.rank, target, done)
+        win._track(self.rank, target)
         return Request(done, "atomic", 8.0)
 
     def cas_stream(self, target: int, offset: int, ops, *, wait: bool) -> Generator:

@@ -54,9 +54,6 @@ def _point(params, seed):
         return ctx.sim.now - t0
 
     res = job.run(program)
-    # A finished Job is cyclic garbage: without this its 2 x volume bytes stay
-    # resident until the collector's next full pass, whenever that falls.
-    win.buffers.clear()
     return {"time": res.results[1]}
 
 

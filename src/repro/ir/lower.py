@@ -4,15 +4,16 @@
 call — it applies the ambient pass pipeline (unless faults force the
 scalar/no-elide path, as they make ``Fabric.replayable`` false), opens the
 program's channel on a fresh :class:`repro.comm.job.Job`, and lowers
-each rank's ops through :func:`_exec`, which maps every op onto exactly
-the endpoint calls the hand-written runners used to make.  With the
+each rank's ops through :data:`LOWERINGS`, one function per op class that
+maps the op onto exactly the endpoint calls the hand-written runners used
+to make.  With the
 empty pipeline the lowering of a builder-produced program is
 byte-identical to the pre-IR runner — the golden-parity lane pins this
 across all four backends.
 
 Dynamic programs drive an :class:`Emitter` instead: each emitter verb
-constructs the op and immediately lowers it through the same ``_exec``
-dispatch, so data-dependent control flow (SpTRSV wavefronts, CAS
+constructs the op and immediately lowers it through the same table, so
+data-dependent control flow (SpTRSV wavefronts, CAS
 collision handling, collective round schedules) still targets the IR
 vocabulary and is counted per op kind.
 """
@@ -35,101 +36,122 @@ def _resolve(value, state):
     return value(state) if callable(value) else value
 
 
-def _exec(op: O.Op, ep, ctx, state: dict):
-    """Lower one op; returns the verb's value (generator)."""
-    if isinstance(op, O.Barrier):
-        yield from ctx.barrier()
-    elif isinstance(op, O.Compute):
-        if op.fn is not None:
-            op.fn(state)
-        if op.seconds is not None:
-            yield from ctx.compute(seconds=op.seconds)
-        else:
-            yield from ctx.compute(nbytes=op.nbytes, flops=op.flops)
-    elif isinstance(op, O.BatchSend):
-        yield from ep.send_batch(op.dst, op.it, op.n)
-    elif isinstance(op, O.BatchWait):
-        yield from ep.wait_batch(op.src, op.it, op.n)
-    elif isinstance(op, O.HaloBegin):
-        yield from ep.begin(op.it)
-    elif isinstance(op, O.HaloPut):
-        yield from ep.put(op.seg, op.dst, values=_resolve(op.values, state))
-    elif isinstance(op, O.HaloFinish):
-        received = yield from ep.finish(op.it)
-        if op.on_done is not None:
-            op.on_done(state, received)
-        return received
-    elif isinstance(op, O.TripletSend):
-        yield from ep.post_msg(
-            op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payload
-        )
-    elif isinstance(op, O.TripletSendAgg):
-        yield from ep.post_msg(
-            op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payloads
-        )
-    elif isinstance(op, O.TripletRecv):
-        payload = yield from ep.recv_msg_poll(tag=op.tag)
-        if op.on_payload is not None:
+# One lowering per op class: ``fn(op, ep, ctx, state)`` returns something to
+# ``yield from`` whose value is the verb's value.  Where the op is exactly
+# one endpoint / context verb, that is the verb's own generator — lowering
+# adds no frame of its own under it; only ops that post-process the verb's
+# result (``on_done`` / ``on_payload`` / ``out``) are generators themselves.
+
+
+def _compute(op, ep, ctx, state):
+    if op.fn is not None:
+        op.fn(state)
+    if op.seconds is not None:
+        return ctx.compute(seconds=op.seconds)
+    return ctx.compute(nbytes=op.nbytes, flops=op.flops)
+
+
+def _halo_finish(op, ep, ctx, state):
+    received = yield from ep.finish(op.it)
+    if op.on_done is not None:
+        op.on_done(state, received)
+    return received
+
+
+def _triplet_recv(op, ep, ctx, state):
+    payload = yield from ep.recv_msg_poll(tag=op.tag)
+    if op.on_payload is not None:
+        op.on_payload(state, payload)
+    return payload
+
+
+def _triplet_recv_agg(op, ep, ctx, state):
+    payloads = yield from ep.recv_msg_poll(tag=op.tag)
+    if op.on_payload is not None:
+        for payload in payloads:
             op.on_payload(state, payload)
-        return payload
-    elif isinstance(op, O.TripletRecvAgg):
-        payloads = yield from ep.recv_msg_poll(tag=op.tag)
-        if op.on_payload is not None:
-            for payload in payloads:
-                op.on_payload(state, payload)
-        return payloads
-    elif isinstance(op, O.MsgDrain):
-        yield from ep.drain()
-    elif isinstance(op, O.MailboxExpect):
-        ep.expect(op.msgs)
-    elif isinstance(op, O.MailboxSend):
-        yield from ep.send(
-            op.dst, op.slot, words=op.words, values=op.values,
-            meta=op.meta, tag=op.tag,
-        )
-    elif isinstance(op, O.MailboxRecv):
-        got = yield from ep.recv()
-        return got
-    elif isinstance(op, O.RoundSend):
-        yield from ep.send_round(
-            op.dst, op.rnd, words=op.words, parts=op.parts, values=op.values
-        )
-    elif isinstance(op, O.RoundRecv):
-        got = yield from ep.recv_round(
-            op.src, op.rnd, words=op.words, parts=op.parts
-        )
-        return got
-    elif isinstance(op, O.AtomicCas):
-        old = yield from ep.cas(op.space, op.dst, op.offset, op.compare, op.value)
-        return old
-    elif isinstance(op, O.AtomicFaa):
-        old = yield from ep.faa(op.space, op.dst, op.offset, op.value)
-        return old
-    elif isinstance(op, O.AtomicSwap):
-        old = yield from ep.swap(op.space, op.dst, op.offset, op.value)
-        return old
-    elif isinstance(op, O.AtomicPublish):
-        yield from ep.publish(op.space, op.dst, op.values, offset=op.offset)
-    elif isinstance(op, O.AtomicStream):
-        out = yield from ep.cas_stream(op.space, op.dst, op.offset, list(op.ops))
-        if op.out is not None:
-            state[op.out] = out
-        return out
-    elif isinstance(op, O.AllreduceSum):
-        got = yield from ctx.allreduce_sum(_resolve(op.value, state))
-        return got
-    else:  # pragma: no cover - vocabulary and dispatch move together
-        raise TypeError(f"no lowering for op {type(op).__name__}")
+    return payloads
+
+
+def _mailbox_expect(op, ep, ctx, state):
+    ep.expect(op.msgs)
+    return ()  # nothing to wait for
+
+
+def _atomic_stream(op, ep, ctx, state):
+    out = yield from ep.cas_stream(op.space, op.dst, op.offset, list(op.ops))
+    if op.out is not None:
+        state[op.out] = out
+    return out
+
+
+LOWERINGS = {
+    O.Barrier: lambda op, ep, ctx, state: ctx.barrier(),
+    O.Compute: _compute,
+    O.BatchSend: lambda op, ep, ctx, state: ep.send_batch(op.dst, op.it, op.n),
+    O.BatchWait: lambda op, ep, ctx, state: ep.wait_batch(op.src, op.it, op.n),
+    O.HaloBegin: lambda op, ep, ctx, state: ep.begin(op.it),
+    O.HaloPut: lambda op, ep, ctx, state: ep.put(
+        op.seg, op.dst, values=_resolve(op.values, state)
+    ),
+    O.HaloFinish: _halo_finish,
+    O.TripletSend: lambda op, ep, ctx, state: ep.post_msg(
+        op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payload
+    ),
+    O.TripletSendAgg: lambda op, ep, ctx, state: ep.post_msg(
+        op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payloads
+    ),
+    O.TripletRecv: _triplet_recv,
+    O.TripletRecvAgg: _triplet_recv_agg,
+    O.MsgDrain: lambda op, ep, ctx, state: ep.drain(),
+    O.MailboxExpect: _mailbox_expect,
+    O.MailboxSend: lambda op, ep, ctx, state: ep.send(
+        op.dst, op.slot, words=op.words, values=op.values, meta=op.meta, tag=op.tag
+    ),
+    O.MailboxRecv: lambda op, ep, ctx, state: ep.recv(),
+    O.RoundSend: lambda op, ep, ctx, state: ep.send_round(
+        op.dst, op.rnd, words=op.words, parts=op.parts, values=op.values
+    ),
+    O.RoundRecv: lambda op, ep, ctx, state: ep.recv_round(
+        op.src, op.rnd, words=op.words, parts=op.parts
+    ),
+    O.AtomicCas: lambda op, ep, ctx, state: ep.cas(
+        op.space, op.dst, op.offset, op.compare, op.value
+    ),
+    O.AtomicFaa: lambda op, ep, ctx, state: ep.faa(
+        op.space, op.dst, op.offset, op.value
+    ),
+    O.AtomicSwap: lambda op, ep, ctx, state: ep.swap(
+        op.space, op.dst, op.offset, op.value
+    ),
+    O.AtomicPublish: lambda op, ep, ctx, state: ep.publish(
+        op.space, op.dst, op.values, offset=op.offset
+    ),
+    O.AtomicStream: _atomic_stream,
+    O.AllreduceSum: lambda op, ep, ctx, state: ctx.allreduce_sum(
+        _resolve(op.value, state)
+    ),
+}
+
+
+def lowering_of(op: O.Op):
+    """The table entry for ``op``'s class (exact type: ops do not subclass
+    each other — vocabulary and table move together)."""
+    try:
+        return LOWERINGS[type(op)]
+    except KeyError:
+        raise TypeError(f"no lowering for op {type(op).__name__}") from None
 
 
 class Emitter:
     """Verb-shaped facade for dynamic programs: build op, lower it, count it.
 
-    Every method constructs the matching IR op and immediately lowers it
-    through :func:`_exec`, so dynamic bodies target the same vocabulary
-    and dispatch as static programs — ``counts`` records how many ops of
-    each kind the body emitted (surfaced through obs as
-    ``ir.ops.<Kind>``).
+    Every method constructs the matching IR op and lowers it through the
+    same :data:`LOWERINGS` table as a static program — table-dispatched,
+    generator returned: a verb hands back the endpoint's own generator for
+    the caller to ``yield from``, with no frame of the emitter's under it.
+    ``counts`` records how many ops of each kind the body emitted
+    (surfaced through obs as ``ir.ops.<Kind>``).
     """
 
     def __init__(self, ep, ctx, state: dict | None = None,
@@ -142,8 +164,7 @@ class Emitter:
     def emit(self, op: O.Op):
         kind = type(op).__name__
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        result = yield from _exec(op, self.ep, self.ctx, self.state)
-        return result
+        return lowering_of(op)(op, self.ep, self.ctx, self.state)
 
     # -- job-wide ------------------------------------------------------
     def barrier(self):
@@ -216,20 +237,24 @@ def lower_rank(ctx, chan, program: IRProgram, counts: dict):
         em = Emitter(ep, ctx, state, counts)
         result = yield from program.body(ctx, em, state)
         return result
-    def run_op(op):
-        kind = type(op).__name__
-        counts[kind] = counts.get(kind, 0) + 1
-        yield from _exec(op, ep, ctx, state)
 
-    for op in program.prologue[ctx.rank]:
-        yield from run_op(op)
+    def bind(ops):
+        """Dispatch and count a straight-line op list once, not per op run."""
+        for op in ops:
+            kind = type(op).__name__
+            counts[kind] = counts.get(kind, 0) + 1
+        return [(lowering_of(op), op) for op in ops]
+
+    rank = ctx.rank
+    for lower, op in bind(program.prologue[rank]):
+        yield from lower(op, ep, ctx, state)
     t0 = ctx.sim.now
     for region in program.regions:
-        for op in region.body[ctx.rank]:
-            yield from run_op(op)
+        for lower, op in bind(region.body[rank]):
+            yield from lower(op, ep, ctx, state)
     elapsed = ctx.sim.now - t0
-    for op in program.epilogue[ctx.rank]:
-        yield from run_op(op)
+    for lower, op in bind(program.epilogue[rank]):
+        yield from lower(op, ep, ctx, state)
     if program.finalize is not None:
         return program.finalize(ctx, state, elapsed)
     return elapsed

@@ -10,7 +10,7 @@ package and nothing else; there is no hidden wall-clock anywhere.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.event import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim.event import AllOf, AnyOf, DeadlockError, Event, SimulationError, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.rng import RngFactory
 from repro.sim.trace import ListSink, NullSink, NullTracer, TraceRecord, Tracer, TraceSink
@@ -25,6 +25,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
+    "DeadlockError",
     "Process",
     "Interrupt",
     "RngFactory",

@@ -12,11 +12,18 @@ sequence number.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any
 
-from repro.sim.event import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim.event import (
+    AllOf,
+    AnyOf,
+    DeadlockError,
+    Event,
+    SimulationError,
+    Timeout,
+)
 from repro.sim.process import Process
 
 __all__ = ["Simulator"]
@@ -97,17 +104,34 @@ class Simulator:
                     f"cannot schedule into the past (at={at} < now={self._now})"
                 )
             when = at
-        heapq.heappush(self._heap, (when, self._seq, event))
+        heappush(self._heap, (when, self._seq, event))
         self._seq += 1
 
     # -- execution -------------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event. Raises IndexError if none remain."""
-        when, _, event = heapq.heappop(self._heap)
+        """Process the single next event. Raises IndexError if none remain.
+
+        Called exactly once per processed event, by :meth:`run` and by
+        nobody on its behalf: ``benchmarks/perf`` reads ``sim.events`` as
+        the profiler's call count of this function, so it must equal
+        ``event_count``.  The event's whole life-cycle step — mark it
+        processed, run its callbacks, surface an unhandled failure — is
+        inlined here: one frame per event.
+        """
+        when, _, event = heappop(self._heap)
         self._now = when
         self.event_count += 1
-        event._process()
+        callbacks = event.callbacks
+        if callbacks is None:
+            raise SimulationError(f"event {event!r} processed twice")
+        event.callbacks = None
+        for fn in callbacks:
+            fn(event)
+        if event._ok is False and not event._defused and not callbacks:
+            # A failed event nobody was waiting on: surface it rather than
+            # silently dropping the error.
+            raise event._value
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the heap is empty."""
@@ -124,7 +148,8 @@ class Simulator:
         * a float — advance the clock to exactly that time, processing every
           event scheduled before it;
         * an :class:`Event` — run until that event is processed and return its
-          value (raising if it failed).
+          value (raising if it failed); :class:`DeadlockError` if the heap
+          drains first.
 
         ``max_events`` bounds the number of events processed by *this call*
         — a guard against livelocked programs (e.g. two processes waking
@@ -134,62 +159,53 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         if max_events is not None and max_events < 1:
             raise SimulationError(f"max_events must be >= 1, got {max_events}")
-        budget_start = self.event_count
+        # The budget is a count to stop at, compared inline and only when
+        # one was given; heap and step are looked up once, not per event.
+        limit = None if max_events is None else self.event_count + max_events
+        heap, step = self._heap, self.step
         self._running = True
-
-        def check_budget() -> None:
-            if (
-                max_events is not None
-                and self.event_count - budget_start >= max_events
-            ):
-                raise SimulationError(
-                    f"event budget exhausted: processed {max_events} events "
-                    f"without completing (livelock? t={self._now:.3e}s)"
-                )
-
         try:
             if until is None:
-                while self._heap:
-                    check_budget()
-                    self.step()
+                while heap:
+                    if limit is not None and self.event_count >= limit:
+                        raise self._budget_exhausted(max_events)
+                    step()
                 return None
             if isinstance(until, Event):
-                sentinel = until
-                if sentinel.sim is not self:
+                if until.sim is not self:
                     raise SimulationError("'until' event belongs to another simulator")
-                done: list[Any] = []
-
-                def _mark(ev: Event) -> None:
-                    done.append(ev)
-
-                if sentinel.processed:
-                    done.append(sentinel)
-                else:
-                    sentinel.add_callback(_mark)
-                while not done:
-                    if not self._heap:
-                        raise SimulationError(
-                            "simulation ran to quiescence before 'until' event fired "
-                            "(deadlock: a process is waiting for a message that will "
-                            "never arrive?)"
+                while until.callbacks is not None:  # i.e. not yet processed
+                    if not heap:
+                        raise DeadlockError(
+                            f"deadlock: the event heap is empty at t={self._now:.3e}s "
+                            f"and {until!r} has not fired; nothing scheduled can "
+                            "trigger it"
                         )
-                    check_budget()
-                    self.step()
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
+                    if limit is not None and self.event_count >= limit:
+                        raise self._budget_exhausted(max_events)
+                    step()
+                if not until._ok:
+                    raise until._value
+                return until._value
             deadline = float(until)
             if deadline < self._now:
                 raise SimulationError(
                     f"cannot run until {deadline} < current time {self._now}"
                 )
-            while self._heap and self._heap[0][0] <= deadline:
-                check_budget()
-                self.step()
+            while heap and heap[0][0] <= deadline:
+                if limit is not None and self.event_count >= limit:
+                    raise self._budget_exhausted(max_events)
+                step()
             self._now = deadline
             return None
         finally:
             self._running = False
+
+    def _budget_exhausted(self, max_events: int) -> SimulationError:
+        return SimulationError(
+            f"event budget exhausted: processed {max_events} events "
+            f"without completing (livelock? t={self._now:.3e}s)"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now:.6e}s queued={len(self._heap)}>"

@@ -14,16 +14,22 @@ set of messages — the building block for ``MPI_Waitall`` and
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from heapq import heappush
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "SimulationError"]
+__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "SimulationError", "DeadlockError"]
 
 
 class SimulationError(RuntimeError):
     """Raised for violations of engine invariants (double-trigger, etc.)."""
+
+
+class DeadlockError(SimulationError):
+    """``run(until=event)`` found the heap empty with the event unfired:
+    nothing scheduled can ever trigger it."""
 
 
 _PENDING = object()  # sentinel: event value not yet set
@@ -113,18 +119,25 @@ class Event:
         else:
             callbacks.append(fn)
 
-    # -- engine hook ---------------------------------------------------------
+    def settle(self, value: Any = None) -> None:
+        """Succeed *now*: a completion flag rather than an occurrence.
 
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"event {self!r} processed twice")
-        for fn in callbacks:
-            fn(self)
-        if self._ok is False and not self._defused and not callbacks:
-            # A failed event nobody was waiting on: surface it rather than
-            # silently dropping the error.
-            raise self._value
+        With a waiter registered this is :meth:`succeed` — the waiter is
+        resumed from the heap, in ``(time, seq)`` order.  With none, a heap
+        entry would be popped to run no callback, so the event is marked
+        processed in place and never queued.  Use it only for completions
+        read through ``triggered`` / ``ok`` (an RMA op's remote completion):
+        a process that yields the event afterwards is relayed, as for any
+        processed event.
+        """
+        if self.callbacks:
+            self.succeed(value)
+            return
+        if self._value is not _PENDING:
+            raise SimulationError(f"event {self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.callbacks = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
@@ -149,7 +162,8 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        sim._schedule(self, delay)
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        sim._seq += 1
 
 
 class _Condition(Event):

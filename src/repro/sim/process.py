@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.event import Event, SimulationError
+from repro.sim.event import _NO_CALLBACKS, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -69,70 +69,72 @@ class Process(Event):
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        exc = Interrupt(cause)
         target = self._target
         if target is not None and target.callbacks:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
+        # A failed event nobody else sees: _resume throws its value.
         trigger = Event(self.sim)
-        trigger.add_callback(lambda ev: self._step(exc, throw=True))
-        trigger.succeed()
+        trigger.add_callback(self._resume)
+        trigger.fail(Interrupt(cause))
 
     # -- internal --------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        if event.ok:
-            self._step(event.value, throw=False)
-        else:
-            event.defuse()
-            self._step(event.value, throw=True)
+        """Event callback: one wake-up of the generator, in one frame.
 
-    def _step(self, value: Any, *, throw: bool) -> None:
+        Advance the generator with the event's outcome and park the process
+        on whatever it yields next.  The event's slots are read directly:
+        this runs once per wake-up of every rank, and two property calls
+        plus a second frame per wake-up were host time spent on no decision.
+        """
         try:
-            if throw:
-                target = self.generator.throw(value)
+            if event._ok:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.send(value)
+                event._defused = True
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
             self._target = None
             self.succeed(stop.value)
             return
-        except Interrupt as exc:
-            # Uncaught interrupt terminates the process as a failure.
-            self._target = None
-            self.fail(exc)
-            return
         except BaseException as exc:
+            # Including an uncaught Interrupt: the process ends as a failure.
             self._target = None
             self.fail(exc)
             return
-        if not isinstance(target, Event):
-            self.generator.close()
-            self._target = None
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes must "
-                    "yield Event instances"
-                )
-            )
-            return
-        if target.sim is not self.sim:
-            self._target = None
-            self.fail(SimulationError("process yielded an event from another simulator"))
+        if not isinstance(target, Event) or target.sim is not self.sim:
+            self._bad_yield(target)
             return
         self._target = target
-        if target.processed:
+        callbacks = target.callbacks
+        if callbacks is _NO_CALLBACKS:
+            target.callbacks = [self._resume]
+        elif callbacks is not None:
+            callbacks.append(self._resume)
+        else:
             # Already-fired event: resume on the next engine step.
             relay = Event(self.sim)
             relay.add_callback(self._resume)
-            if target.ok:
-                relay.succeed(target.value)
+            if target._ok:
+                relay.succeed(target._value)
             else:
-                relay.fail(target.value)
-        else:
-            target.add_callback(self._resume)
+                relay.fail(target._value)
+
+    def _bad_yield(self, target: Any) -> None:
+        self._target = None
+        if isinstance(target, Event):
+            self.fail(SimulationError("process yielded an event from another simulator"))
+            return
+        self.generator.close()
+        self.fail(
+            SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes must "
+                "yield Event instances"
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

@@ -140,3 +140,36 @@ def test_bulk_event_count_is_independent_of_batch_length(machine, build):
         assert events(256) == events(4096)
     with perf.vectorized(False):
         assert events(4096) - events(256) >= 4096 - 256
+
+
+def test_scalar_shmem_round_message_costs_five_events():
+    """The host cost of a message, counted: one scalar ``put_signal_nbi``
+    round message of a ring allreduce is five simulator events — the
+    issue charge, the delivery, the receiver's ``on_write`` wake, its
+    ``poll_slot`` recheck and its ``wait_wakeup``.  The put's completion is
+    a flag settled at landing, not a sixth event popped to run no callback
+    (``Event.settle``); each rank's ``quiet`` adds its one flush charge."""
+    from repro.collectives import CollectiveComm, plan_collective
+
+    machine, nranks = get_machine("perlmutter-gpu"), 4
+
+    def run(iters):
+        plan, _ = plan_collective(
+            "allreduce", nranks=nranks, nelems=4096, algorithm="ring",
+            machine=machine, runtime="shmem",
+        )
+        job = Job(machine, nranks, "shmem")
+        comm = CollectiveComm(job, [plan] * iters)
+
+        def program(ctx):
+            ep = comm.endpoint(ctx)
+            for _ in range(iters):
+                yield from ep.run()
+
+        return job.run(program).events_processed, comm.stats.messages
+
+    with perf.vectorized(False):
+        (events2, msgs2), (events3, msgs3) = run(2), run(3)
+    messages = msgs3 - msgs2
+    assert messages == 2 * (nranks - 1) * nranks
+    assert events3 - events2 == 5 * messages + nranks

@@ -233,3 +233,78 @@ class TestPollingReceiver:
 
             times[nslots] = job.run(program).results[0]
         assert times[64] > times[2]
+
+
+class TestCountedCompletion:
+    """flush / fence wait on a count of ops in flight per (origin, target),
+    not on an AllOf over a list of their completion events."""
+
+    def test_flush_of_one_target_ignores_traffic_to_another(self, pm_cpu):
+        job = Job(pm_cpu, 3, "one_sided", placement="spread")
+        win = job.window(1 << 16)
+
+        def program(ctx):
+            h = win.handle(ctx)
+            if ctx.rank == 0:
+                yield from h.put(2, nelems=1 << 16)  # long: 512 KiB
+                yield from h.put(1, nelems=1)
+                yield from h.flush(1)
+                after_one = win._busy(0, 1), win._busy(0, 2), win._busy(0, None)
+                yield from h.flush()
+                return after_one, win._busy(0, None)
+            yield from ctx.compute(seconds=0)
+
+        after_one, after_all = job.run(program).results[0]
+        assert after_one == (0, 1, 1)  # rank 2's put is still in flight
+        assert after_all == 0
+
+    def test_completions_nobody_waits_on_skip_the_heap(self, pm_cpu):
+        """n puts + flush: the n - 1 completions that cannot release the
+        flush are flags; only the last takes the heap trip."""
+
+        def events(n):
+            job = job2(pm_cpu)
+            win = job.window(1)
+
+            def program(ctx):
+                h = win.handle(ctx)
+                if ctx.rank == 0:
+                    reqs = []
+                    for _ in range(n):
+                        reqs.append((yield from h.put(1, nelems=1)))
+                    yield from h.flush(1)
+                    assert all(r.done for r in reqs)
+                yield from ctx.barrier()
+
+            return job.run(program).events_processed
+
+        # Per extra put: its issue charge and its delivery — no third event.
+        assert events(40) - events(8) == 2 * 32
+
+    def test_lost_put_surfaces_at_every_flush_that_covers_it(self, pm_cpu):
+        from repro import faults
+
+        plan = faults.FaultPlan.uniform(loss=0.999999, max_retries=0)
+        with faults.inject(plan):
+            job = Job(pm_cpu, 3, "one_sided", placement="spread")
+            win = job.window(4)
+
+            def program(ctx):
+                h = win.handle(ctx)
+                if ctx.rank != 0:
+                    yield from ctx.compute(seconds=0)
+                    return None
+                req = yield from h.put(1, nelems=1)
+                raised = []
+                for target in (1, 2, None, 1):
+                    try:
+                        yield from h.flush(target)
+                    except faults.FaultError as exc:
+                        raised.append((target, exc))
+                return req, raised
+
+            req, raised = job.run(program).results[0]
+        assert req.done and not req.event.ok
+        assert [t for t, _ in raised] == [1, None, 1]  # never target 2's flush
+        assert len({id(exc) for _, exc in raised}) == 1
+        assert win._busy(0, None) == 0

@@ -173,6 +173,93 @@ class TestQuiet:
         res = job.run(program)
         assert res.results[0] == 4.0
 
+    def test_landed_puts_leave_no_tracked_state(self, pm_gpu):
+        """A program that never calls quiet (halo exchange, fig10, the
+        SpTRSV receive loop) used to keep every put's completion event for
+        the life of the job.  Completion is counted: 10 000 landed puts
+        leave a zero, not a 10 000-entry list."""
+        job = gjob(pm_gpu)
+        data = job.window(1)
+        sig = job.window(1, dtype=np.uint64)
+        n = 10_000
+        peak = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                reqs = []
+                for _ in range(n):
+                    req = yield from ctx.put_signal_nbi(
+                        data, 1, nelems=1, signal_win=sig, signal_idx=0,
+                        signal_op="add",
+                    )
+                    reqs.append(req)
+                    peak.append(ctx._puts_in_flight)
+                return reqs
+            yield from ctx.wait_until_all(sig, [0], value=n)
+
+        res = job.run(program)
+        origin = job.contexts[0]
+        assert all(req.done for req in res.results[0])
+        assert origin._puts_in_flight == 0 and origin._lost_puts == []
+        assert origin._quiet_event is None
+        assert 0 < max(peak) < 100  # bounded by the wire, not by the program
+        # Nothing per-put survives on the context.
+        assert not any(
+            isinstance(v, (list, dict, set)) and len(v) > 100
+            for v in vars(origin).values()
+        )
+
+    def test_quiet_blocks_until_the_last_put_lands(self, pm_gpu):
+        job = gjob(pm_gpu)
+        data = job.window(8)
+        sig = job.window(1, dtype=np.uint64)
+
+        def program(ctx):
+            if ctx.rank == 0:
+                for i in range(8):
+                    yield from ctx.put_signal_nbi(
+                        data, 1, values=np.array([float(i + 1)]), offset=i,
+                        signal_win=sig, signal_idx=0, signal_op="add",
+                    )
+                in_flight = ctx._puts_in_flight
+                yield from ctx.quiet()
+                return in_flight, ctx._puts_in_flight, data.local(1).tolist()
+            yield from ctx.compute(seconds=0)
+
+        in_flight, after, landed = job.run(program).results[0]
+        assert in_flight > 0 and after == 0
+        assert landed == [float(i + 1) for i in range(8)]
+
+    def test_lost_put_surfaces_at_quiet_and_stays(self, pm_gpu):
+        from repro import faults
+
+        plan = faults.FaultPlan.uniform(loss=0.999999, max_retries=0)
+        with faults.inject(plan):
+            job = gjob(pm_gpu)
+            data = job.window(1)
+            sig = job.window(1, dtype=np.uint64)
+
+            def program(ctx):
+                if ctx.rank != 0:
+                    yield from ctx.compute(seconds=0)
+                    return None
+                req = yield from ctx.put_signal_nbi(
+                    data, 1, nelems=1, signal_win=sig, signal_idx=0
+                )
+                raised = []
+                for _ in range(2):  # blocked when it is lost; lost on entry
+                    try:
+                        yield from ctx.quiet()
+                    except faults.FaultError as exc:
+                        raised.append(exc)
+                return req, raised, ctx._puts_in_flight
+
+            req, raised, in_flight = job.run(program).results[0]
+        assert req.done and not req.event.ok
+        assert len(raised) == 2 and raised[0] is raised[1]
+        assert in_flight == 0
+        assert sig.local(1)[0] == 0  # a lost put applies nothing
+
     def test_barrier_all(self, pm_gpu):
         job = gjob(pm_gpu, n=4)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import ir, obs
@@ -47,6 +49,54 @@ class TestProgram:
     def test_op_count(self):
         p = build_flood_program("one_sided", 64, 4, iters=1)
         assert p.op_count() > 0
+
+
+@dataclasses.dataclass(frozen=True)
+class Teleport(O.Op):
+    """An op outside the vocabulary."""
+
+
+class TestLoweringTable:
+    """One ``op class -> lowering`` table serves static and dynamic
+    programs; vocabulary and table move together."""
+
+    def test_every_op_class_has_a_lowering(self):
+        from repro.ir.lower import LOWERINGS
+
+        vocabulary = {getattr(O, name) for name in O.__all__} - {O.Op}
+        assert vocabulary == set(LOWERINGS)
+        assert all(callable(fn) for fn in LOWERINGS.values())
+
+    def test_unknown_op_raises_type_error(self):
+        from repro.ir.lower import Emitter, lowering_of
+
+        with pytest.raises(TypeError, match="no lowering for op Teleport"):
+            lowering_of(Teleport())
+        counts = {}
+        with pytest.raises(TypeError, match="no lowering for op Teleport"):
+            Emitter(None, None, counts=counts).emit(Teleport())
+
+    def test_static_program_with_unknown_op_fails_the_run(self):
+        base = build_flood_program("two_sided", 64, 2, iters=1)
+        bad = base.with_(prologue=tuple((Teleport(),) for _ in range(base.nranks)))
+        with pytest.raises(TypeError, match="no lowering for op Teleport"):
+            ir.run_program(get_machine("perlmutter-cpu"), bad)
+
+    def test_emitter_verb_returns_the_endpoint_generator(self):
+        """Table-dispatched, generator returned: the emitter stacks no
+        frame of its own under the verb it lowers to."""
+        from repro.ir.lower import Emitter
+
+        class Ep:
+            def drain(self):
+                yield "from the endpoint"
+
+        counts = {}
+        em = Emitter(Ep(), None, counts=counts)
+        gen = em.drain()
+        assert gen.gi_code is Ep.drain.__code__
+        assert counts == {"MsgDrain": 1}
+        assert list(gen) == ["from the endpoint"]
 
 
 class TestPipeline:

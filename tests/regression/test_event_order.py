@@ -1,0 +1,127 @@
+"""Heap order is pinned, not inferred.
+
+The goldens and ``sim_digest`` see simulated *results*; two events that
+tie on simulated time can swap their ``(time, seq)`` heap order without
+moving a rendered table — until a later change makes one of them matter.
+Symmetric ring rounds tie constantly, so the engine's resume order is
+hashed here directly: every time any process is resumed, ``(sim.now,
+process name)`` goes into a SHA-256.  The expected digests were generated
+at the commit *before* the flat engine step / fused resume / completion
+flags landed (PR 16's head) and must stay green through any change to
+``repro.sim``, ``repro.ir.lower`` or the ``repro.comm`` completion paths.
+A hash that moves means a live event was merged, dropped or re-timed.
+
+The instrument wraps the generator handed to ``Simulator.process`` — it
+reads nothing of the engine's internals, so it measures the same thing
+before and after a rewrite of them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+
+import pytest
+
+from repro import perf
+from repro.collectives import run_collective
+from repro.machines import get_machine
+from repro.sim import Simulator
+from repro.workloads.flood import run_flood
+from repro.workloads.stencil import ProcessGrid, StencilConfig, run_stencil
+
+
+def _logged(sim, name, generator, log):
+    """Delegate to ``generator``, logging ``(now, name)`` at every resume."""
+    send, throw = generator.send, generator.throw
+    resume, arg = send, None
+    while True:
+        log.append((sim.now, name))
+        try:
+            target = resume(arg)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            resume, arg = send, (yield target)
+        except BaseException as exc:  # interrupt / failed event: forward it
+            resume, arg = throw, exc
+
+
+@pytest.fixture
+def resume_log(monkeypatch):
+    log: list[tuple[float, str]] = []
+    real = Simulator.process
+
+    def process(self, generator, name=None):
+        name = name or getattr(generator, "__name__", "process")
+        return real(self, _logged(self, name, generator, log), name=name)
+
+    monkeypatch.setattr(Simulator, "process", process)
+    return log
+
+
+def _digest(log) -> tuple[int, str]:
+    h = hashlib.sha256()
+    for now, name in log:
+        h.update(struct.pack("<d", now))
+        h.update(name.encode())
+    return len(log), h.hexdigest()
+
+
+def _ring_allreduce():
+    run_collective(
+        get_machine("perlmutter-gpu-x8@dragonfly(4,2,2)"), "shmem", "allreduce",
+        nranks=8, nelems=4096, algorithm="ring", iters=2,
+    )
+
+
+def _flood(runtime):
+    def run():
+        with perf.vectorized(False):  # the scalar chain: one event per message
+            run_flood(get_machine("perlmutter-cpu"), runtime, 4096, 16, iters=2)
+
+    return run
+
+
+def _shmem_halo():
+    # put_signal_nbi with no quiet, wait_until_all over several slots.
+    cfg = StencilConfig(nx=24, ny=24, iters=4, mode="execute")
+    with perf.vectorized(False):
+        run_stencil(get_machine("perlmutter-gpu"), "shmem", cfg, 4, grid=ProcessGrid(2, 2))
+
+
+# (resumes, sha256) of the resume sequence, generated at PR 16's head.
+EXPECTED = {
+    "shmem_ring_allreduce": (
+        936, "4eb4fad471a3da08bf9e9f96a33f2bac0bfbfa48ac43981a8ca703ec8b4878ef"
+    ),
+    "one_sided_flood": (
+        66, "75f3034aeec6280d8a5395f03905cb09194f04812ee4e3af8cae91c8d3001e7f"
+    ),
+    "two_sided_flood": (
+        84, "f82be6e905e3ddef0fba56568100aff5a86c819086ce2df164c6622d0f4418bb"
+    ),
+    "shmem_halo": (
+        108, "c4c7939ce95905e5007cfa3d2783be1e53ced8fb2d49d04f0ce82ec1ad2badbf"
+    ),
+}
+SCENARIOS = {
+    "shmem_ring_allreduce": _ring_allreduce,
+    "one_sided_flood": _flood("one_sided"),
+    "two_sided_flood": _flood("two_sided"),
+    "shmem_halo": _shmem_halo,
+}
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_resume_order_is_unchanged(scenario, resume_log):
+    SCENARIOS[scenario]()
+    assert _digest(resume_log) == EXPECTED[scenario]
+
+
+def test_ring_allreduce_ties_on_simulated_time(resume_log):
+    """The scenario is worth hashing only while it is tie-heavy: most
+    resumes share their instant with another rank's."""
+    _ring_allreduce()
+    times = [now for now, _ in resume_log]
+    assert len(set(times)) < len(times) / 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import DeadlockError, Simulator
 from repro.sim.event import SimulationError
 
 
@@ -67,6 +67,29 @@ class TestRunModes:
         sim.timeout(1)
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(until=ev)
+
+    def test_deadlock_is_a_typed_simulation_error(self, sim):
+        """An empty heap with the 'until' event unfired is DeadlockError — a
+        SimulationError, so existing handlers keep working — stating what
+        the engine knows (time, event), not a guess at the cause."""
+        ev = sim.event()
+        sim.timeout(3)
+        with pytest.raises(DeadlockError, match=r"heap is empty at t=3\.000e\+00s") as info:
+            sim.run(until=ev)
+        assert isinstance(info.value, SimulationError)
+        assert sim.event_count == 1  # the timeout was processed first
+        sim.run()  # the simulator is usable again (not left 'running')
+
+    def test_deadlock_on_an_empty_heap_from_the_start(self, sim):
+        with pytest.raises(DeadlockError):
+            sim.run(until=sim.event())
+
+    def test_run_until_already_processed_event_returns_at_once(self, sim):
+        ev = sim.timeout(1, value="x")
+        sim.timeout(5)
+        sim.run(until=2.0)
+        assert sim.run(until=ev) == "x"
+        assert sim.now == 2.0 and sim.event_count == 1
 
     def test_run_until_failed_event_raises(self, sim):
         ev = sim.event()

@@ -170,3 +170,38 @@ class TestConditions:
         other = Simulator()
         with pytest.raises(SimulationError):
             AllOf(sim, [other.timeout(1)])
+
+
+class TestSettle:
+    """``Event.settle``: a completion flag — the heap only when someone waits."""
+
+    def test_without_waiter_is_processed_in_place(self, sim):
+        ev = sim.event()
+        ev.settle(7)
+        assert ev.processed and ev.ok and ev.value == 7
+        sim.run()
+        assert sim.event_count == 0
+
+    def test_with_waiter_takes_the_heap_trip(self, sim):
+        ev = sim.event()
+        seen = []
+        ev.add_callback(lambda e: seen.append((e.value, sim.event_count)))
+        ev.settle("v")
+        assert ev.triggered and not ev.processed and seen == []
+        sim.run()
+        assert seen == [("v", 1)]
+
+    def test_settle_twice_or_after_succeed_raises(self, sim):
+        ev = sim.event()
+        ev.settle()
+        with pytest.raises(SimulationError):
+            ev.settle()
+        queued = sim.event().succeed()
+        with pytest.raises(SimulationError):
+            queued.settle()
+
+    def test_callback_on_settled_event_raises(self, sim):
+        ev = sim.event()
+        ev.settle()
+        with pytest.raises(SimulationError):
+            ev.add_callback(lambda e: None)

@@ -71,6 +71,65 @@ class TestSimulatorBudget:
             sim.run(max_events=50)
 
 
+class TestBudgetIsExact:
+    """The budget is compared inline, before each step: ``max_events=N``
+    processes exactly N events and raises on the N+1st, whichever way
+    ``run`` was asked to stop."""
+
+    @staticmethod
+    def _spinning(sim):
+        def spinner():
+            while True:
+                yield sim.timeout(1e-9)
+
+        sim.process(spinner())
+
+    @pytest.mark.parametrize("mode", ["none", "event", "time"])
+    @pytest.mark.parametrize("budget", [1, 7, 500])
+    def test_raises_at_the_same_count_in_every_until_mode(self, mode, budget):
+        sim = Simulator()
+        self._spinning(sim)
+        until = {"none": None, "event": sim.event(), "time": 1.0}[mode]
+        with pytest.raises(SimulationError, match=f"processed {budget} events"):
+            sim.run(until=until, max_events=budget)
+        assert sim.event_count == budget
+
+    @pytest.mark.parametrize("mode", ["none", "event", "time"])
+    def test_a_run_of_exactly_the_budget_completes(self, mode):
+        sim = Simulator()
+        last = [sim.timeout(t) for t in (1, 2, 3)][-1]
+        until = {"none": None, "event": last, "time": 3.0}[mode]
+        sim.run(until=until, max_events=3)
+        assert sim.event_count == 3
+
+    def test_event_count_is_the_number_of_step_calls(self, monkeypatch):
+        """``benchmarks/perf`` reads ``sim.events`` as the profiler's call
+        count of ``Simulator.step``: it must be called once per processed
+        event, by every ``run`` mode, and by nothing else."""
+        calls = []
+        real = Simulator.step
+
+        def counted(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(Simulator, "step", counted)
+        sim = Simulator()
+
+        def prog():
+            for _ in range(5):
+                yield sim.timeout(1)
+            return "end"
+
+        p = sim.process(prog())
+        sim.timeout(50)
+        sim.run(until=2.5)
+        assert sim.run(until=p) == "end"
+        sim.run()
+        assert sim.now == 50
+        assert len(calls) == sim.event_count == 8  # bootstrap, 5 timeouts, p, 50
+
+
 class TestJobBudget:
     def test_job_forwards_budget(self, pm_cpu):
         def chatty(ctx):

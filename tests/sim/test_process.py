@@ -205,3 +205,109 @@ class TestInterrupt:
         sim.run()
         assert not p.ok
         assert isinstance(p.value, Interrupt)
+
+
+class TestFusedResume:
+    """``Process._resume`` is one frame on the success path; every typed
+    failure it used to give through ``_step`` it still gives."""
+
+    def test_non_event_yield_closes_generator_and_names_the_value(self, sim):
+        cleaned = []
+
+        def prog():
+            try:
+                yield "not an event"
+            finally:
+                cleaned.append(True)
+
+        p = sim.process(prog(), name="offender")
+        p.defuse()
+        sim.run()
+        assert cleaned == [True]
+        assert isinstance(p.value, SimulationError)
+        assert "offender" in str(p.value) and "'not an event'" in str(p.value)
+
+    def test_foreign_event_message_and_no_callback_left_behind(self, sim):
+        other = Simulator()
+        foreign = other.event()
+
+        def prog():
+            yield foreign
+
+        p = sim.process(prog())
+        p.defuse()
+        sim.run()
+        assert isinstance(p.value, SimulationError)
+        assert "another simulator" in str(p.value)
+        assert not foreign.callbacks  # the process never parked on it
+
+    def test_failure_after_first_resume_is_typed_too(self, sim):
+        def prog():
+            yield sim.timeout(1)
+            yield None
+
+        p = sim.process(prog())
+        p.defuse()
+        sim.run()
+        assert sim.now == 1
+        assert isinstance(p.value, SimulationError)
+
+    def test_interrupt_while_parked_on_a_shared_event(self, sim):
+        """Two processes wait on one event; interrupting one disarms only
+        its own callback — the other is still resumed by the event."""
+        shared = sim.event()
+        log = []
+
+        def waiter(name):
+            try:
+                got = yield shared
+                log.append((name, got, sim.now))
+            except Interrupt as i:
+                log.append((name, f"interrupted:{i.cause}", sim.now))
+
+        a = sim.process(waiter("a"))
+        sim.process(waiter("b"))
+        sim.run()
+        a.interrupt("stop")
+        sim.run()
+        assert log == [("a", "interrupted:stop", 0)]
+        shared.succeed("go", delay=2)
+        sim.run()
+        assert log == [("a", "interrupted:stop", 0), ("b", "go", 2)]
+
+    def test_already_processed_event_is_relayed_on_the_next_step(self, sim):
+        """Yielding a fired event resumes at the same instant, one engine
+        step later, with the event's value (or its exception)."""
+        fired = sim.timeout(1, value="late")
+        failed = sim.event()
+        failed.fail(RuntimeError("old news"))
+        failed.defuse()
+        sim.run()
+        assert fired.processed and failed.processed
+        before = sim.event_count
+
+        def prog():
+            got = yield fired
+            try:
+                yield failed
+            except RuntimeError as exc:
+                return got, str(exc), sim.now
+
+        p = sim.process(prog())
+        sim.run()
+        assert p.value == ("late", "old news", 1)
+        # bootstrap + two relays + the process's own completion
+        assert sim.event_count - before == 4
+
+    def test_settled_event_relays_like_any_processed_event(self, sim):
+        flag = sim.event()
+        flag.settle("done")
+        assert flag.triggered and flag.processed and flag.ok
+        assert sim.peek() == float("inf")  # never queued
+
+        def prog():
+            return (yield flag)
+
+        p = sim.process(prog())
+        sim.run()
+        assert p.value == "done"
