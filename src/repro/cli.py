@@ -280,21 +280,6 @@ def _add_execution_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _execution_from_args(args: argparse.Namespace):
-    """An :func:`repro.sweep.execution` block configured from CLI flags.
-
-    Progress lines go to stderr so ``--json`` stdout stays parseable.
-    """
-    from repro.sweep import ResultCache, execution
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return execution(
-        jobs=args.jobs,
-        cache=cache,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-
-
 def _print_run_summary(statuses: dict[str, str], cache) -> None:
     """Per-experiment PASS/FAIL/ERROR lines plus a greppable cache-stats
     line.  ERROR marks an experiment that raised rather than merely
@@ -322,7 +307,59 @@ def _print_run_summary(statuses: dict[str, str], cache) -> None:
         )
 
 
-def _cmd_list() -> int:
+def _resolve_names(text: str, catalogue, what: str, *, one: bool = False):
+    """``'all'`` | one name | a comma list -> the names, all in ``catalogue``
+    (``one``: exactly one name, for commands that take a single run).  On a
+    miss: the unknown names and the catalogue on stderr, and ``None`` — the
+    caller exits 2."""
+    if one:
+        names = [text]
+    else:
+        names = sorted(catalogue) if text == "all" else text.split(",")
+    unknown = [n for n in names if n not in catalogue]
+    if unknown:
+        print(
+            f"unknown {what} {', '.join(repr(n) for n in unknown)}; "
+            f"available: {', '.join(sorted(catalogue))}",
+            file=sys.stderr,
+        )
+        return None
+    return names
+
+
+def _run_experiments(args: argparse.Namespace, names, emit) -> int:
+    """Run ``names`` under a :func:`repro.sweep.execution` block configured
+    from the CLI flags; ``emit(name, report)`` prints or writes each report.
+
+    Progress lines go to stderr so ``--json`` stdout stays parseable.
+    """
+    from repro.sweep import ResultCache, execution
+
+    statuses: dict[str, str] = {}
+    with execution(
+        jobs=args.jobs,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
+        progress=lambda line: print(line, file=sys.stderr),
+    ) as cfg:
+        for n in names:
+            # One crashing experiment must not abort the rest of `run all`:
+            # record it as ERROR and keep going (non-zero exit at the end).
+            try:
+                report = _run_one(n, args.metrics)
+            except Exception:
+                import traceback
+
+                print(f"experiment {n} raised:", file=sys.stderr)
+                traceback.print_exc()
+                statuses[n] = "ERROR"
+                continue
+            emit(n, report)
+            statuses[n] = "PASS" if report.all_expectations_met else "FAIL"
+        _print_run_summary(statuses, cfg.cache)
+    return 0 if all(s == "PASS" for s in statuses.values()) else 1
+
+
+def _cmd_list(_args) -> int:
     from repro.experiments import ALL_EXPERIMENTS
     from repro.experiments.ablations import ALL_ABLATIONS
     from repro.machines import machine_names
@@ -351,38 +388,16 @@ def _run_one(name: str, with_metrics: bool):
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import ALL_EXPERIMENTS
 
-    name = args.experiment
-    if name == "all":
-        names = sorted(ALL_EXPERIMENTS)
-    elif name in ALL_EXPERIMENTS:
-        names = [name]
-    else:
-        print(
-            f"unknown experiment {name!r}; available: "
-            f"{', '.join(sorted(ALL_EXPERIMENTS))}",
-            file=sys.stderr,
-        )
+    names = _resolve_names(args.experiment, ALL_EXPERIMENTS, "experiment")
+    if names is None:
         return 2
-    statuses: dict[str, str] = {}
-    with _execution_from_args(args) as cfg:
-        for n in names:
-            # One crashing experiment must not abort the rest of `run all`:
-            # record it as ERROR and keep going (non-zero exit at the end).
-            try:
-                report = _run_one(n, args.metrics)
-            except Exception:
-                import traceback
 
-                print(f"experiment {n} raised:", file=sys.stderr)
-                traceback.print_exc()
-                statuses[n] = "ERROR"
-                continue
-            print(report.to_json() if args.json else report.render())
-            if not args.json:
-                print()
-            statuses[n] = "PASS" if report.all_expectations_met else "FAIL"
-        _print_run_summary(statuses, cfg.cache)
-    return 0 if all(s == "PASS" for s in statuses.values()) else 1
+    def emit(_name, report):
+        print(report.to_json() if args.json else report.render())
+        if not args.json:
+            print()
+
+    return _run_experiments(args, names, emit)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -392,12 +407,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments import ALL_EXPERIMENTS
 
     name = args.experiment
-    if name not in ALL_EXPERIMENTS:
-        print(
-            f"unknown experiment {name!r}; available: "
-            f"{', '.join(sorted(ALL_EXPERIMENTS))}",
-            file=sys.stderr,
-        )
+    if _resolve_names(name, ALL_EXPERIMENTS, "experiment", one=True) is None:
         return 2
     if args.sink == "ring":
         if args.capacity < 1:
@@ -447,19 +457,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if report.all_expectations_met else 1
 
 
-def _cmd_ablation(name: str) -> int:
+def _cmd_ablation(args: argparse.Namespace) -> int:
     from repro.experiments.ablations import ALL_ABLATIONS
 
-    if name == "all":
-        names = sorted(ALL_ABLATIONS)
-    elif name in ALL_ABLATIONS:
-        names = [name]
-    else:
-        print(
-            f"unknown ablation {name!r}; available: "
-            f"{', '.join(sorted(ALL_ABLATIONS))}",
-            file=sys.stderr,
-        )
+    names = _resolve_names(args.name, ALL_ABLATIONS, "ablation")
+    if names is None:
         return 2
     ok = True
     for n in names:
@@ -475,37 +477,22 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
     from repro.experiments import ALL_EXPERIMENTS
 
-    which = args.experiments
-    names = sorted(ALL_EXPERIMENTS) if which == "all" else which.split(",")
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}", file=sys.stderr)
+    names = _resolve_names(args.experiments, ALL_EXPERIMENTS, "experiment")
+    if names is None:
         return 2
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    statuses: dict[str, str] = {}
-    with _execution_from_args(args) as cfg:
-        for n in names:
-            try:
-                report = _run_one(n, args.metrics)
-            except Exception:
-                import traceback
 
-                print(f"experiment {n} raised:", file=sys.stderr)
-                traceback.print_exc()
-                print(f"  {n}: ERROR (no report written)")
-                statuses[n] = "ERROR"
-                continue
-            (out / f"{n}.json").write_text(report.to_json() + "\n")
-            (out / f"{n}.txt").write_text(report.render() + "\n")
-            status = "ok" if report.all_expectations_met else "CHECKS FAILED"
-            print(f"  {n}: {status} -> {out / n}.{{json,txt}}")
-            statuses[n] = "PASS" if report.all_expectations_met else "FAIL"
-        _print_run_summary(statuses, cfg.cache)
-    return 0 if all(s == "PASS" for s in statuses.values()) else 1
+    def emit(n, report):
+        (out / f"{n}.json").write_text(report.to_json() + "\n")
+        (out / f"{n}.txt").write_text(report.render() + "\n")
+        status = "ok" if report.all_expectations_met else "CHECKS FAILED"
+        print(f"  {n}: {status} -> {out / n}.{{json,txt}}")
+
+    return _run_experiments(args, names, emit)
 
 
-def _cmd_machines() -> int:
+def _cmd_machines(_args) -> int:
     from repro.machines import get_machine, machine_names
 
     for name in machine_names(include_projections=True):
@@ -518,6 +505,7 @@ def _resolve_topology(name: str):
     """A TopologySpec from a machine name or a bare generator expression."""
     import re
 
+    from repro.machines import get_machine
     from repro.net.topology import dragonfly, fat_tree, torus
 
     m = re.match(r"^(dragonfly|fattree|torus)\((\d+(?:,\d+)*)\)$", name)
@@ -529,8 +517,7 @@ def _resolve_topology(name: str):
         if gen == "fattree":
             return fat_tree(*args).topology
         return torus(args).topology
-    machine = _resolve_machine(name)
-    return None if machine is None else machine.topology
+    return get_machine(name).topology
 
 
 def _topo_dot(topo) -> str:
@@ -555,8 +542,6 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         print(f"bad generator expression {args.name!r}: {exc}", file=sys.stderr)
         return 2
-    if topo is None:
-        return 2
     if args.dot:
         print(_topo_dot(topo))
         return 0
@@ -574,23 +559,12 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_machine(name: str):
-    from repro.machines import get_machine
-
-    try:
-        return get_machine(name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return None
-
-
 def _cmd_flood(args: argparse.Namespace) -> int:
+    from repro.machines import get_machine
     from repro.util import fmt_bw, fmt_time, parse_size
     from repro.workloads.flood import run_flood
 
-    machine = _resolve_machine(args.machine)
-    if machine is None:
-        return 2
+    machine = get_machine(args.machine)
     r = run_flood(
         machine, args.runtime, parse_size(args.nbytes), args.msgs_per_sync,
         iters=args.iters,
@@ -602,23 +576,28 @@ def _cmd_flood(args: argparse.Namespace) -> int:
     return 0
 
 
+def _us_window(bounds: list[str], complaint: str) -> tuple[float, float]:
+    """``[START, END]`` in microseconds -> seconds; anything else is a
+    ``ValueError(complaint)``, which :func:`main` reports with exit code 2."""
+    try:
+        start, end = bounds
+        return float(start) * 1e-6, float(end) * 1e-6
+    except ValueError:
+        raise ValueError(complaint) from None
+
+
 def _cmd_fault(args: argparse.Namespace) -> int:
     from repro import faults
+    from repro.machines import get_machine
     from repro.util import fmt_bw, parse_size
     from repro.workloads.flood import run_flood
 
-    machine = _resolve_machine(args.machine)
-    if machine is None:
-        return 2
-    down = []
-    for spec in args.down:
-        try:
-            a, b = spec.split(":")
-            down.append((float(a) * 1e-6, float(b) * 1e-6))
-        except ValueError:
-            print(f"--down expects START:END in microseconds, got {spec!r}",
-                  file=sys.stderr)
-            return 2
+    machine = get_machine(args.machine)
+    down = [
+        _us_window(spec.split(":"),
+                   f"--down expects START:END in microseconds, got {spec!r}")
+        for spec in args.down
+    ]
     hard: list[faults.HardFaults] = []
     hard_classes = {
         "router": ("--fail-router", args.fail_router, faults.RouterFaults),
@@ -629,47 +608,28 @@ def _cmd_fault(args: argparse.Namespace) -> int:
     for kind, (flag, specs, cls) in hard_classes.items():
         windows: dict[str, list[tuple[float, float]]] = {}
         for spec in specs:
-            parts = spec.split(":")
-            if len(parts) == 1:
-                name, window = parts[0], (0.0, float("inf"))
-            elif len(parts) == 3:
-                try:
-                    name = parts[0]
-                    window = (float(parts[1]) * 1e-6, float(parts[2]) * 1e-6)
-                except ValueError:
-                    print(f"{flag} expects NAME or NAME:START:END in "
-                          f"microseconds, got {spec!r}", file=sys.stderr)
-                    return 2
-            else:
-                print(f"{flag} expects NAME or NAME:START:END in "
-                      f"microseconds, got {spec!r}", file=sys.stderr)
-                return 2
+            name, *bounds = spec.split(":")
+            window = (0.0, float("inf")) if not bounds else _us_window(
+                bounds,
+                f"{flag} expects NAME or NAME:START:END in microseconds, "
+                f"got {spec!r}",
+            )
             # Validate the element name eagerly, before any simulation runs.
-            try:
-                faults.validate_element(
-                    machine.topology, kind, name, compute=compute
-                )
-            except faults.UnknownElementError as exc:
-                print(exc, file=sys.stderr)
-                return 2
+            faults.validate_element(machine.topology, kind, name, compute=compute)
             windows.setdefault(name, []).append(window)
         hard.extend(
             cls(name, windows=tuple(ws)) for name, ws in windows.items()
         )
-    try:
-        plan = faults.FaultPlan.uniform(
-            loss=args.loss,
-            jitter=args.jitter_us * 1e-6,
-            degrade=args.degrade,
-            down=tuple(down),
-            seed=args.seed,
-            timeout=args.timeout_us * 1e-6,
-            max_retries=args.max_retries,
-            hard=tuple(hard),
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    plan = faults.FaultPlan.uniform(
+        loss=args.loss,
+        jitter=args.jitter_us * 1e-6,
+        degrade=args.degrade,
+        down=tuple(down),
+        seed=args.seed,
+        timeout=args.timeout_us * 1e-6,
+        max_retries=args.max_retries,
+        hard=tuple(hard),
+    )
     size = parse_size(args.nbytes)
     clean = run_flood(
         machine, args.runtime, size, args.msgs_per_sync, iters=args.iters,
@@ -707,13 +667,12 @@ def _cmd_fault(args: argparse.Namespace) -> int:
 
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
+    from repro.machines import get_machine
     from repro.roofline import MessageRoofline
     from repro.transport import get_backend
     from repro.util import fmt_bw, fmt_time, parse_size
 
-    machine = _resolve_machine(args.machine)
-    if machine is None:
-        return 2
+    machine = get_machine(args.machine)
     backend = get_backend(args.runtime)
     params = machine.loggp(
         backend.resolve_costs_key(), 0, 1, nranks=2, placement="spread",
@@ -736,11 +695,10 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 
 def _cmd_collective(args: argparse.Namespace) -> int:
     from repro.collectives import explain_collective, run_collective
+    from repro.machines import get_machine
     from repro.util import fmt_bw, fmt_time, parse_size
 
-    machine = _resolve_machine(args.machine)
-    if machine is None:
-        return 2
+    machine = get_machine(args.machine)
     nbytes = None if args.coll == "barrier" else parse_size(args.nbytes)
     r = run_collective(
         machine, args.runtime, args.coll,
@@ -772,17 +730,8 @@ def _cmd_ir(args: argparse.Namespace) -> int:
     from repro import ir
     from repro.experiments import ALL_EXPERIMENTS
 
-    name = args.experiment
-    if name == "all":
-        names = sorted(ALL_EXPERIMENTS)
-    elif name in ALL_EXPERIMENTS:
-        names = [name]
-    else:
-        print(
-            f"unknown experiment {name!r}; available: "
-            f"{', '.join(sorted(ALL_EXPERIMENTS))}",
-            file=sys.stderr,
-        )
+    names = _resolve_names(args.experiment, ALL_EXPERIMENTS, "experiment")
+    if names is None:
         return 2
     spec = True if args.passes is None else [
         s.strip() for s in args.passes.split(",") if s.strip()
@@ -816,38 +765,33 @@ def _cmd_ir(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "ablation":
-        return _cmd_ablation(args.name)
-    if args.command == "machines":
-        return _cmd_machines()
-    if args.command == "topo":
-        return _cmd_topo(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    message_shaped = {
+    commands = {
+        "list": _cmd_list,
+        "run": _cmd_run,
+        "trace": _cmd_trace,
+        "ablation": _cmd_ablation,
+        "machines": _cmd_machines,
+        "export": _cmd_export,
+        "ir": _cmd_ir,
+    }
+    if args.command in commands:
+        return commands[args.command](args)
+    model_checked = {
+        "topo": _cmd_topo,
         "flood": _cmd_flood,
         "fault": _cmd_fault,
         "roofline": _cmd_roofline,
         "collective": _cmd_collective,
     }
-    if args.command in message_shaped:
-        try:
-            return message_shaped[args.command](args)
-        except (ValueError, KeyError) as exc:
-            # A size, count or runtime name the model rejects (parse_size,
-            # run_flood, BatchSpec, the roofline, the backend registry), or
-            # a runtime the machine has no calibration for (KeyError).
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    if args.command == "ir":
-        return _cmd_ir(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return model_checked[args.command](args)
+    except (ValueError, KeyError) as exc:
+        # A machine, size, count, fault window or runtime name the model
+        # rejects (get_machine, parse_size, run_flood, BatchSpec, FaultPlan,
+        # the roofline, the backend registry), or a runtime the machine has
+        # no calibration for (KeyError).
+        print(exc.args[0], file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.collectives.core import CollectiveComm, CollectiveStats
-from repro.collectives.plan import CollectiveError, CollectivePlan, plan_collective
+from repro.collectives.plan import _WORD, CollectiveError, plan_collective
 from repro.collectives.selector import Selection
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
@@ -87,7 +85,6 @@ def run_collective(
     op: str = "sum",
     root: int = 0,
     placement: str = "spread",
-    word_bytes: float = 8.0,
 ) -> CollectiveResult:
     """Simulate ``iters`` runs of one collective and measure it.
 
@@ -100,7 +97,7 @@ def run_collective(
     if (nelems is None) == (nbytes is None) and coll != "barrier":
         raise CollectiveError(f"{coll} needs exactly one of nelems=/nbytes=")
     if nelems is None:
-        nelems = 0 if nbytes is None else int(-(-nbytes // word_bytes))
+        nelems = 0 if nbytes is None else int(-(-nbytes // _WORD))
     if coll == "barrier":
         nelems = 0
     if iters < 1:
@@ -113,7 +110,6 @@ def run_collective(
         stripes=stripes,
         machine=machine,
         runtime=runtime,
-        word_bytes=word_bytes,
     )
     job = Job(machine, nranks, runtime, placement=placement)
     execute = values is not None
@@ -178,13 +174,12 @@ def explain_collective(
     nranks: int,
     nelems: int | None = None,
     nbytes: int | None = None,
-    word_bytes: float = 8.0,
 ) -> Selection:
     """Model-only: which algorithm the selector picks and why."""
     from repro.collectives.selector import select
 
     if nelems is not None:
-        nbytes = nelems * word_bytes
+        nbytes = nelems * _WORD
     elif nbytes is None:
         nbytes = 0
     return select(coll, nranks=nranks, nbytes=nbytes, machine=machine,

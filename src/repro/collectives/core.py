@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.collectives.algorithms import ALGORITHM_TABLE
 from repro.collectives.plan import CollectiveError, CollectivePlan
-from repro.ir.lower import Emitter
 from repro.transport.api import MailboxSpec
 
 __all__ = ["REDUCE_OPS", "CollectiveStats", "CollectiveComm", "CollectiveEndpoint"]
@@ -83,9 +82,6 @@ class CollectiveComm:
                 )
         self.job = job
         self.execute = execute
-        # Per-op-kind IR lowering counts (RoundSend/RoundRecv/MsgDrain),
-        # merged across all ranks' Emitters.
-        self.ir_counts: dict[str, int] = {}
         self.stats = CollectiveStats()
         self.op_stats = [CollectiveStats() for _ in self.plans]
         self.bases: list[int] = []
@@ -108,12 +104,10 @@ class CollectiveComm:
             # window serves any nelems (no memory scaling with payload).
             data_words = 1
             slot_offsets = [0] * max(nslots, 1)
-        word_bytes = self.plans[0].word_bytes
         spec = MailboxSpec(
             data_words=data_words,
             nslots=max(nslots, 1),
             offsets={r: tuple(slot_offsets) for r in range(job.nranks)},
-            word_bytes=word_bytes,
             read_data=execute,
         )
         self.channel = job.channel(spec)
@@ -129,11 +123,6 @@ class CollectiveEndpoint:
         self.comm = comm
         self.ctx = ctx
         self.ep = comm.channel.endpoint(ctx)
-        # Round schedules are data-dependent (algorithm choice, rank
-        # geometry), so collectives lower through the dynamic-IR Emitter:
-        # each verb becomes a RoundSend/RoundRecv/MsgDrain op lowered
-        # through repro.ir.lower.LOWERINGS onto this endpoint.
-        self.em = Emitter(self.ep, ctx, counts=comm.ir_counts)
         self._op = 0
 
     def run(self, values=None, *, op: str = "sum", root: int = 0):
@@ -164,10 +153,10 @@ class CollectiveEndpoint:
                 st.ops += 1
                 st.rounds += plan.rounds
         v = self._prepare(plan, values, root)
-        ex = _RoundExec(comm, self.em, self.ctx, plan, comm.bases[idx], idx,
+        ex = _RoundExec(comm, self.ep, self.ctx, plan, comm.bases[idx], idx,
                         REDUCE_OPS[op], root, v)
         result = yield from ALGORITHM_TABLE[(plan.coll, plan.algorithm)](ex)
-        yield from self.em.drain()
+        yield from self.ep.drain()
         return result
 
     def _prepare(self, plan: CollectivePlan, values, root: int):
@@ -193,18 +182,16 @@ class _RoundExec:
     """What an algorithm schedule sees: rank geometry, the working buffer,
     and round-addressed send/recv with uniform stats accounting.
 
-    Verbs lower through the IR :class:`~repro.ir.lower.Emitter` rather
-    than calling the endpoint directly, so every round of every schedule
-    is an IR op with per-kind counts.  ``send`` / ``recv`` return the
-    endpoint's generator for the schedule to ``yield from``; the stats are
-    charged when the verb is called, which is when it is driven."""
+    ``send`` / ``recv`` return the endpoint's generator for the schedule
+    to ``yield from``; the stats are charged when the verb is called,
+    which is when it is driven."""
 
-    __slots__ = ("comm", "em", "ctx", "plan", "base", "idx", "reduce",
+    __slots__ = ("comm", "ep", "ctx", "plan", "base", "idx", "reduce",
                  "root", "v", "P", "rank", "nelems", "stripes", "execute")
 
-    def __init__(self, comm, em, ctx, plan, base, idx, reduce, root, v):
+    def __init__(self, comm, ep, ctx, plan, base, idx, reduce, root, v):
         self.comm = comm
-        self.em = em
+        self.ep = ep
         self.ctx = ctx
         self.plan = plan
         self.base = base
@@ -219,16 +206,16 @@ class _RoundExec:
         self.execute = comm.execute
 
     def send(self, dst, rnd, words, values=None, parts=1):
-        wb = self.plan.word_bytes
+        wb = self.ep.spec.itemsize
         for st in (self.comm.stats, self.comm.op_stats[self.idx]):
             st.messages += parts
             st.bytes_moved += words * wb
-        return self.em.send_round(
+        return self.ep.send_round(
             dst, self.base + rnd, words=words, parts=parts, values=values
         )
 
     def recv(self, src, rnd, words, parts=1):
-        return self.em.recv_round(src, self.base + rnd, words=words, parts=parts)
+        return self.ep.recv_round(src, self.base + rnd, words=words, parts=parts)
 
     def exchange(self, dst, src, rnd, send_words, recv_words,
                  values=None, parts=1):

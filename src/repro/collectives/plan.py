@@ -6,7 +6,7 @@ data region per slot in execute mode) before any rank program runs, and
 for every backend to agree on the same schedule.  :func:`plan_collective`
 resolves ``algorithm="auto"`` through the LogGP selector.
 
-Size conventions (``nelems`` is in window words, ``word_bytes`` each):
+Size conventions (``nelems`` is in window words of 8 bytes):
 
 ================  =====================================================
 collective        ``nelems`` means
@@ -22,7 +22,7 @@ barrier           ignored (always 0)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "COLLECTIVES",
@@ -58,6 +58,11 @@ STRIPEABLE: frozenset[tuple[str, str]] = frozenset(
 )
 
 
+# Bytes per word: the element of the collective channel's data window
+# (MailboxSpec's float64 default).  A float, so byte counts stay floats.
+_WORD = 8.0
+
+
 class CollectiveError(ValueError):
     """Invalid collective plan (unknown name, bad size, bad strategy)."""
 
@@ -81,7 +86,6 @@ class CollectivePlan:
     nranks: int
     nelems: int
     stripes: int = 1
-    word_bytes: float = field(default=8.0, compare=True)
 
     def __post_init__(self):
         if self.coll not in ALGORITHMS:
@@ -154,7 +158,7 @@ class CollectivePlan:
     @property
     def nbytes(self) -> float:
         """The collective's message size ``m`` (Hockney/selector units)."""
-        return self.nelems * self.word_bytes
+        return self.nelems * _WORD
 
 
 def plan_collective(
@@ -166,7 +170,6 @@ def plan_collective(
     stripes: int = 1,
     machine=None,
     runtime: str | None = None,
-    word_bytes: float = 8.0,
 ):
     """Resolve ``algorithm`` (possibly ``"auto"``) into a
     :class:`CollectivePlan`; returns ``(plan, selection)``.
@@ -187,7 +190,7 @@ def plan_collective(
         selection = select(
             coll,
             nranks=nranks,
-            nbytes=nelems * word_bytes,
+            nbytes=nelems * _WORD,
             machine=machine,
             runtime=runtime,
         )
@@ -198,6 +201,5 @@ def plan_collective(
         nranks=nranks,
         nelems=nelems,
         stripes=stripes,
-        word_bytes=word_bytes,
     )
     return plan, selection

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Callable
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Any
 
 import numpy as np
@@ -189,6 +189,26 @@ class Job:
         src = self.endpoints[rank]
         eps = set(self.endpoints)
         return max(self.machine.topology.route(src, dst).latency for dst in eps)
+
+    @cached_property
+    def paths_exclusive(self) -> bool:
+        """May striped rounds be issued as one batch on this job's topology?
+
+        A batch's fabric slots may all be reserved at issue time; that
+        equals the per-message interleaving only when no *other* sender
+        can touch any hop of the path mid-batch.  Sufficient (and
+        checkable) condition: every rank has its own endpoint and every
+        endpoint pair routes over a single direct hop — then each
+        directional link belongs to exactly one sender (the mailbox
+        invariant: one message per receiver per round) and nothing
+        transits it.  NVLink all-to-all qualifies; fat-trees and the
+        Summit dumbbell (shared X-links) do not and stay scalar.
+        """
+        eps = self.endpoints
+        topo = self.fabric.topology
+        return len(set(eps)) == len(eps) and all(
+            len(topo.route(a, b).hops) == 1 for a in eps for b in eps if a != b
+        )
 
     def _collective_delay(self) -> float:
         """Per-rank cost of one dissemination barrier/allreduce release:

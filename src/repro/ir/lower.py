@@ -11,11 +11,10 @@ empty pipeline the lowering of a builder-produced program is
 byte-identical to the pre-IR runner — the golden-parity lane pins this
 across all four backends.
 
-Dynamic programs drive an :class:`Emitter` instead: each emitter verb
-constructs the op and immediately lowers it through the same table, so
-data-dependent control flow (SpTRSV wavefronts, CAS
-collision handling, collective round schedules) still targets the IR
-vocabulary and is counted per op kind.
+Dynamic programs drive an :class:`Emitter` instead: their op stream is
+data-dependent (SpTRSV wavefronts, CAS collision handling), so no pass can
+rewrite it and nothing is reified — each emitter verb counts its op kind
+and forwards to the endpoint.
 """
 
 from __future__ import annotations
@@ -73,11 +72,6 @@ def _triplet_recv_agg(op, ep, ctx, state):
     return payloads
 
 
-def _mailbox_expect(op, ep, ctx, state):
-    ep.expect(op.msgs)
-    return ()  # nothing to wait for
-
-
 def _atomic_stream(op, ep, ctx, state):
     out = yield from ep.cas_stream(op.space, op.dst, op.offset, list(op.ops))
     if op.out is not None:
@@ -104,29 +98,6 @@ LOWERINGS = {
     O.TripletRecv: _triplet_recv,
     O.TripletRecvAgg: _triplet_recv_agg,
     O.MsgDrain: lambda op, ep, ctx, state: ep.drain(),
-    O.MailboxExpect: _mailbox_expect,
-    O.MailboxSend: lambda op, ep, ctx, state: ep.send(
-        op.dst, op.slot, words=op.words, values=op.values, meta=op.meta, tag=op.tag
-    ),
-    O.MailboxRecv: lambda op, ep, ctx, state: ep.recv(),
-    O.RoundSend: lambda op, ep, ctx, state: ep.send_round(
-        op.dst, op.rnd, words=op.words, parts=op.parts, values=op.values
-    ),
-    O.RoundRecv: lambda op, ep, ctx, state: ep.recv_round(
-        op.src, op.rnd, words=op.words, parts=op.parts
-    ),
-    O.AtomicCas: lambda op, ep, ctx, state: ep.cas(
-        op.space, op.dst, op.offset, op.compare, op.value
-    ),
-    O.AtomicFaa: lambda op, ep, ctx, state: ep.faa(
-        op.space, op.dst, op.offset, op.value
-    ),
-    O.AtomicSwap: lambda op, ep, ctx, state: ep.swap(
-        op.space, op.dst, op.offset, op.value
-    ),
-    O.AtomicPublish: lambda op, ep, ctx, state: ep.publish(
-        op.space, op.dst, op.values, offset=op.offset
-    ),
     O.AtomicStream: _atomic_stream,
     O.AllreduceSum: lambda op, ep, ctx, state: ctx.allreduce_sum(
         _resolve(op.value, state)
@@ -144,87 +115,67 @@ def lowering_of(op: O.Op):
 
 
 class Emitter:
-    """Verb-shaped facade for dynamic programs: build op, lower it, count it.
+    """The counting seam of dynamic programs: count the verb, forward it.
 
-    Every method constructs the matching IR op and lowers it through the
-    same :data:`LOWERINGS` table as a static program — table-dispatched,
-    generator returned: a verb hands back the endpoint's own generator for
-    the caller to ``yield from``, with no frame of the emitter's under it.
-    ``counts`` records how many ops of each kind the body emitted
-    (surfaced through obs as ``ir.ops.<Kind>``).
+    Every method bumps ``counts[<op kind>]`` (surfaced through obs as
+    ``ir.ops.<Kind>``, under the names a static program's ops carry) and
+    returns the endpoint's (or context's) own generator for the caller to
+    ``yield from`` — no op object, no frame of the emitter's under it.
     """
 
-    def __init__(self, ep, ctx, state: dict | None = None,
-                 counts: dict | None = None):
+    def __init__(self, ep, ctx, counts: dict):
         self.ep = ep
         self.ctx = ctx
-        self.state = state if state is not None else {}
-        self.counts = counts if counts is not None else {}
+        self.counts = counts
 
-    def emit(self, op: O.Op):
-        kind = type(op).__name__
+    def _count(self, kind: str) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        return lowering_of(op)(op, self.ep, self.ctx, self.state)
 
     # -- job-wide ------------------------------------------------------
     def barrier(self):
-        return self.emit(O.Barrier())
+        self._count("Barrier")
+        return self.ctx.barrier()
 
-    def compute(self, nbytes: float = 0.0, flops: float = 0.0,
-                seconds: float | None = None, fn=None):
-        return self.emit(
-            O.Compute(nbytes=nbytes, flops=flops, seconds=seconds, fn=fn)
-        )
-
-    def allreduce_sum(self, value):
-        return self.emit(O.AllreduceSum(value=value))
+    def compute(self, *, seconds: float):
+        self._count("Compute")
+        return self.ctx.compute(seconds=seconds)
 
     # -- mailbox -------------------------------------------------------
     def expect(self, msgs):
-        return self.emit(O.MailboxExpect(n=len(msgs), msgs=msgs))
+        self._count("MailboxExpect")
+        self.ep.expect(msgs)
+        return ()  # nothing to wait for
 
     def send(self, dst, slot, *, words, values=None, meta=None, tag=0):
-        return self.emit(O.MailboxSend(
-            dst=dst, slot=slot, words=words, tag=tag, values=values, meta=meta
-        ))
+        self._count("MailboxSend")
+        return self.ep.send(
+            dst, slot, words=words, values=values, meta=meta, tag=tag
+        )
 
     def recv(self):
-        return self.emit(O.MailboxRecv())
+        self._count("MailboxRecv")
+        return self.ep.recv()
 
     def drain(self):
-        return self.emit(O.MsgDrain())
-
-    # -- collective rounds ----------------------------------------------
-    def send_round(self, dst, rnd, *, words, parts=1, values=None):
-        return self.emit(O.RoundSend(
-            dst=dst, rnd=rnd, words=words, parts=parts, values=values
-        ))
-
-    def recv_round(self, src, rnd, *, words, parts=1):
-        return self.emit(O.RoundRecv(src=src, rnd=rnd, words=words, parts=parts))
+        self._count("MsgDrain")
+        return self.ep.drain()
 
     # -- atomics ---------------------------------------------------------
     def cas(self, space, dst, offset, compare, value):
-        return self.emit(O.AtomicCas(
-            space=space, dst=dst, offset=offset, compare=compare, value=value
-        ))
+        self._count("AtomicCas")
+        return self.ep.cas(space, dst, offset, compare, value)
 
     def faa(self, space, dst, offset, value):
-        return self.emit(O.AtomicFaa(space=space, dst=dst, offset=offset, value=value))
+        self._count("AtomicFaa")
+        return self.ep.faa(space, dst, offset, value)
 
     def swap(self, space, dst, offset, value):
-        return self.emit(O.AtomicSwap(space=space, dst=dst, offset=offset, value=value))
+        self._count("AtomicSwap")
+        return self.ep.swap(space, dst, offset, value)
 
     def publish(self, space, dst, values, *, offset=0):
-        return self.emit(O.AtomicPublish(
-            space=space, dst=dst, offset=offset, values=values
-        ))
-
-    def cas_stream(self, space, dst, offset, ops):
-        ops = tuple(ops)
-        return self.emit(O.AtomicStream(
-            space=space, dst=dst, offset=offset, n=len(ops), ops=ops
-        ))
+        self._count("AtomicPublish")
+        return self.ep.publish(space, dst, values, offset=offset)
 
 
 def lower_rank(ctx, chan, program: IRProgram, counts: dict):
@@ -234,7 +185,7 @@ def lower_rank(ctx, chan, program: IRProgram, counts: dict):
     if program.setup is not None:
         program.setup(ctx, chan, ep, state)
     if program.dynamic:
-        em = Emitter(ep, ctx, state, counts)
+        em = Emitter(ep, ctx, counts)
         result = yield from program.body(ctx, em, state)
         return result
 

@@ -2,7 +2,10 @@
 
 Every op is a frozen dataclass naming one transport verb (or one unit of
 local work) over the existing spec vocabulary — :class:`HaloSpec`,
-:class:`MailboxSpec`, :class:`BatchSpec`, :class:`AtomicDomainSpec`.
+:class:`BatchSpec`, :class:`AtomicDomainSpec`.  An op exists for what a
+static builder constructs and a pass or :mod:`repro.ir.cost` reads; the
+mailbox and single-atomic verbs only dynamic programs issue are counted by
+:class:`repro.ir.lower.Emitter`, never reified.
 Programs (:mod:`repro.ir.program`) group ops into per-iteration regions;
 the interpreter (:mod:`repro.ir.lower`) maps each op onto exactly the
 endpoint-verb calls the hand-written runners used to make, so a lowering
@@ -32,15 +35,6 @@ __all__ = [
     "TripletRecv",
     "TripletRecvAgg",
     "MsgDrain",
-    "MailboxExpect",
-    "MailboxSend",
-    "MailboxRecv",
-    "RoundSend",
-    "RoundRecv",
-    "AtomicCas",
-    "AtomicFaa",
-    "AtomicSwap",
-    "AtomicPublish",
     "AtomicStream",
     "Compute",
     "Barrier",
@@ -170,100 +164,8 @@ class MsgDrain(Op):
 
 
 # ---------------------------------------------------------------------------
-# mailbox (MailboxSpec) and collective rounds — dynamic-program verbs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MailboxExpect(Op):
-    """Arm the receiver for this epoch's slot -> message map."""
-
-    n: int
-    msgs: Any = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class MailboxSend(Op):
-    """One notified mailbox send (``ep.send``)."""
-
-    dst: int
-    slot: int
-    words: int
-    tag: int = 0
-    values: Any = field(default=None, compare=False)
-    meta: Any = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class MailboxRecv(Op):
-    """Receive the next expected message; returns ``(meta, data)``."""
-
-
-@dataclass(frozen=True)
-class RoundSend(Op):
-    """One collective-round send (``ep.send_round``)."""
-
-    dst: int
-    rnd: int
-    words: int
-    parts: int = 1
-    values: Any = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class RoundRecv(Op):
-    """One collective-round receive (``ep.recv_round``); returns data."""
-
-    src: int
-    rnd: int
-    words: int
-    parts: int = 1
-
-
-# ---------------------------------------------------------------------------
 # atomics (AtomicDomainSpec)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AtomicCas(Op):
-    """One remote compare-and-swap; returns the old value."""
-
-    space: str
-    dst: int
-    offset: int
-    compare: Any = field(default=None, compare=False)
-    value: Any = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class AtomicFaa(Op):
-    """One remote fetch-and-add; returns the old value."""
-
-    space: str
-    dst: int
-    offset: int
-    value: Any = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class AtomicSwap(Op):
-    """One remote atomic swap; returns the old value."""
-
-    space: str
-    dst: int
-    offset: int
-    value: Any = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class AtomicPublish(Op):
-    """Ordered element publish into a remote space (``ep.publish``)."""
-
-    space: str
-    dst: int
-    offset: int = 0
-    values: Any = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The paper's central comparison — two-sided MPI vs one-sided MPI RMA vs
 GPU-initiated NVSHMEM — maps onto four *communication patterns* that the
 workloads use.  Each pattern is described by a declarative spec and served
-by a per-backend :class:`Channel`:
+by a :class:`Channel` over the endpoint class the backend declares for it:
 
 ======================  ==============================  ====================
 pattern / spec          verbs (on the rank Endpoint)    used by
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -224,11 +225,16 @@ class MailboxSpec:
     nslots: int
     # rank -> word offset of each receive slot in its data window.
     offsets: Mapping[int, Sequence[int]]
-    word_bytes: float = 8.0
     dtype: Any = np.float64
     signal_dtype: Any = np.int64
     # Copy payloads out of the data window on recv (execute mode).
     read_data: bool = False
+
+    @cached_property
+    def itemsize(self) -> float:
+        """Bytes per word: a word is one ``dtype`` element on every backend
+        (a float, so the byte counts derived from it stay floats)."""
+        return float(np.dtype(self.dtype).itemsize)
 
 
 @dataclass(frozen=True)
@@ -278,51 +284,57 @@ class AtomicDomainSpec:
 
 
 class Channel:
-    """Per-job communication resources for one pattern (windows, signal
-    slots, or nothing at all for pure two-sided messaging).
+    """Per-job communication resources for one pattern: the windows its
+    endpoint class asks for (:meth:`Endpoint.windows` — none at all for
+    pure two-sided messaging), set as attributes of the channel under the
+    names the endpoint reads them by.
 
     Created by ``Job.channel(spec)`` before the run; each rank program
     derives its :class:`Endpoint` with ``channel.endpoint(ctx)`` at zero
     simulated cost.
     """
 
-    def __init__(self, backend, job, spec):
+    def __init__(self, backend, job, spec, endpoint_cls):
         self.backend = backend
         self.job = job
         self.spec = spec
+        self.endpoint_cls = endpoint_cls
+        vars(self).update(endpoint_cls.windows(job, spec))
 
     @property
     def caps(self) -> BackendCaps:
         return self.backend.caps
 
     def endpoint(self, ctx) -> "Endpoint":
-        raise NotImplementedError
+        return self.endpoint_cls(self, ctx)
 
-    # Atomic domains expose the backing arrays for post-run collection.
     def array(self, space: str, rank: int) -> np.ndarray:
-        raise UnsupportedTransportOp(self.backend.name, "array()")
+        """A rank's backing array of one atomic-domain space, for post-run
+        collection (atomic domains only)."""
+        if not isinstance(self.spec, AtomicDomainSpec):
+            raise UnsupportedTransportOp(self.backend.name, "array()")
+        return self.wins[space].local(rank)
 
 
-class _AtomicChannel(Channel):
-    """One symmetric window per named space of an
-    :class:`AtomicDomainSpec`.  Every backend lays atomic domains out
-    this way; they differ only in ``endpoint_cls`` — how a rank updates a
-    remote space (owner-routed triplets, native MPI atomics, SHMEM AMOs).
-    """
+def _mailbox_windows(job, spec: MailboxSpec) -> dict:
+    """The data window and the signal-slot window of a window-backed
+    mailbox (one-sided MPI and the put-with-signal family alike)."""
+    return {
+        "data_win": job.window(max(spec.data_words, 1), dtype=spec.dtype),
+        "sig_win": job.window(max(spec.nslots, 1), dtype=spec.signal_dtype),
+    }
 
-    def __init__(self, backend, job, spec: AtomicDomainSpec, endpoint_cls):
-        super().__init__(backend, job, spec)
-        self.endpoint_cls = endpoint_cls
-        self.wins = {
+
+def _space_windows(job, spec: AtomicDomainSpec) -> dict:
+    """One symmetric window per named space.  Every backend lays atomic
+    domains out this way; they differ only in how a rank updates a remote
+    space (owner-routed triplets, native MPI atomics, SHMEM AMOs)."""
+    return {
+        "wins": {
             name: job.window(s.count, dtype=s.dtype, fill=s.fill)
             for name, s in spec.spaces.items()
         }
-
-    def endpoint(self, ctx):
-        return self.endpoint_cls(self, ctx)
-
-    def array(self, space, rank):
-        return self.wins[space].local(rank)
+    }
 
 
 class Endpoint:
@@ -335,6 +347,13 @@ class Endpoint:
         self.channel = channel
         self.ctx = ctx
         self.spec = channel.spec
+
+    @staticmethod
+    def windows(job, spec) -> dict:
+        """``{channel attribute: window}`` — what a channel of this
+        endpoint class allocates on ``job`` before the run.  Matching alone
+        needs nothing (two-sided)."""
+        return {}
 
     @property
     def caps(self) -> BackendCaps:
@@ -447,7 +466,7 @@ class Endpoint:
 
 
 class _WindowAtomicEndpoint(Endpoint):
-    """Native remote atomics on an :class:`_AtomicChannel`'s windows
+    """Native remote atomics on one window per space
     (MPI_Compare_and_swap / MPI_Fetch_and_op, SHMEM AMOs).  The
     CAS/FAA/swap insert sequence is the blocking window verbs on every
     backend (the context supplies the op costs); backends differ only in
@@ -457,6 +476,7 @@ class _WindowAtomicEndpoint(Endpoint):
     #: True: CAS + ``ctx.wait`` (MPI ``cas_blocking``).  False: the fused
     #: ``shmem_atomic_compare_swap``, which resumes on the response.
     cas_waits = True
+    windows = staticmethod(_space_windows)
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)

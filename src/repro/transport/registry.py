@@ -7,13 +7,15 @@ registered here under its name.  ``Job`` resolves the name through
 exactly one place — import the constants instead of spelling them out.
 
 Adding a runtime is a single file: subclass :class:`TransportBackend`
-(usually one of the built-in adapters), give it a ``name`` and a
-``costs_key``, and call :func:`register_backend`.  No workload code
+(usually one of the built-in adapters), give it a ``name``, a
+``costs_key`` and — where its op sequences differ — entries of the
+``endpoints`` table, and call :func:`register_backend`.  No workload code
 changes — see ``examples/custom_backend.py``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any
 
 from repro.faults.plan import FaultSemantics
@@ -56,12 +58,21 @@ ONE_SIDED_HW = "one_sided_hw"
 # profiles plus a device-initiation term (see repro.comm.stream).
 STREAM_TRIGGERED = "stream_triggered"
 
+# The communication patterns a backend may serve, as a miss in its table names them.
+_PATTERNS = {
+    HaloSpec: "halo",
+    MailboxSpec: "mailbox",
+    BatchSpec: "batch",
+    AtomicDomainSpec: "atomic",
+}
+
 _REGISTRY: dict[str, "TransportBackend"] = {}
 _BUILTINS_LOADED = False
 
 
 class TransportBackend:
-    """A named runtime adapter: context class + cost profile + channels.
+    """A named runtime adapter: context class + cost profile + the
+    ``spec -> endpoint`` table its channels are opened from.
 
     Class attributes:
 
@@ -71,6 +82,9 @@ class TransportBackend:
     * ``sided`` — op-accounting family for the analytic rooflines
       (``"two"`` | ``"one"`` | ``"shmem"``);
     * ``caps`` — :class:`BackendCaps` programs may branch on;
+    * ``endpoints`` — ``{spec class: endpoint class}``, one entry per
+      communication pattern the runtime serves: the op sequences are the
+      endpoint's verbs, the windows its ``windows`` hook;
     * ``fault_semantics`` — how this runtime experiences message loss
       under an active :class:`repro.faults.FaultPlan` (detection speed,
       abort-at-send vs surface-at-flush, re-sync penalty per retry).
@@ -82,6 +96,7 @@ class TransportBackend:
     caps: BackendCaps = BackendCaps()
     description: str = ""
     fault_semantics: FaultSemantics = FaultSemantics()
+    endpoints: Mapping[type, type] = {}
 
     @property
     def context_cls(self):
@@ -96,27 +111,15 @@ class TransportBackend:
 
     def open(self, job, spec: Any) -> Channel:
         """Allocate the channel resources for ``spec`` on ``job``."""
-        if isinstance(spec, HaloSpec):
-            return self.open_halo(job, spec)
-        if isinstance(spec, MailboxSpec):
-            return self.open_mailbox(job, spec)
-        if isinstance(spec, BatchSpec):
-            return self.open_batch(job, spec)
-        if isinstance(spec, AtomicDomainSpec):
-            return self.open_atomics(job, spec)
-        raise TypeError(f"unknown channel spec {type(spec).__name__}")
-
-    def open_halo(self, job, spec: HaloSpec) -> Channel:
-        raise NotImplementedError(f"{self.name}: halo channels unsupported")
-
-    def open_mailbox(self, job, spec: MailboxSpec) -> Channel:
-        raise NotImplementedError(f"{self.name}: mailbox channels unsupported")
-
-    def open_batch(self, job, spec: BatchSpec) -> Channel:
-        raise NotImplementedError(f"{self.name}: batch channels unsupported")
-
-    def open_atomics(self, job, spec: AtomicDomainSpec) -> Channel:
-        raise NotImplementedError(f"{self.name}: atomic channels unsupported")
+        endpoint_cls = self.endpoints.get(type(spec))
+        if endpoint_cls is None:
+            pattern = _PATTERNS.get(type(spec))
+            if pattern is None:
+                raise TypeError(f"unknown channel spec {type(spec).__name__}")
+            raise NotImplementedError(
+                f"{self.name}: {pattern} channels unsupported"
+            )
+        return Channel(self, job, spec, endpoint_cls)
 
 
 def register_backend(backend: TransportBackend, *, replace: bool = False) -> TransportBackend:

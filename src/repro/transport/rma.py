@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.base import CommError
 from repro.faults.plan import FaultSemantics
 from repro.transport.api import (
     AtomicDomainSpec,
     BackendCaps,
     BatchSpec,
-    Channel,
     Endpoint,
     HaloSpec,
     MailboxSpec,
-    _AtomicChannel,
     _WindowAtomicEndpoint,
+    _mailbox_windows,
     part_bounds,
 )
 from repro.transport.registry import ONE_SIDED, TransportBackend, register_backend
@@ -30,17 +30,12 @@ from repro.transport.registry import ONE_SIDED, TransportBackend, register_backe
 __all__ = ["RmaBackend"]
 
 
-class _HaloChannel(Channel):
-    def __init__(self, backend, job, spec: HaloSpec):
-        super().__init__(backend, job, spec)
-        self.win = job.window(spec.win_count, dtype=spec.dtype)
-
-    def endpoint(self, ctx):
-        return _HaloEndpoint(self, ctx)
-
-
 class _HaloEndpoint(Endpoint):
     """Puts within a pair of ``Win_fence`` (paper §III-A)."""
+
+    @staticmethod
+    def windows(job, spec: HaloSpec):
+        return {"win": job.window(spec.win_count, dtype=spec.dtype)}
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
@@ -70,18 +65,10 @@ class _HaloEndpoint(Endpoint):
         return received
 
 
-class _MailboxChannel(Channel):
-    def __init__(self, backend, job, spec: MailboxSpec):
-        super().__init__(backend, job, spec)
-        self.data_win = job.window(max(spec.data_words, 1), dtype=spec.dtype)
-        self.sig_win = job.window(max(spec.nslots, 1), dtype=spec.signal_dtype)
-
-    def endpoint(self, ctx):
-        return _MailboxEndpoint(self, ctx)
-
-
 class _MailboxEndpoint(Endpoint):
     """4-op notified send + the Listing-1 polling receiver."""
+
+    windows = staticmethod(_mailbox_windows)
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
@@ -109,6 +96,10 @@ class _MailboxEndpoint(Endpoint):
 
     def recv(self):
         ctx = self.ctx
+        if not self._hits and not self._remaining:
+            # Nothing left to land: the scan below would park on on_write
+            # for ever and surface only as a deadlock at the end of the job.
+            raise CommError("recv needs at least one expected message")
         # Listing 1: scan the mask of outstanding slots; each pass costs
         # poll_slot per unmasked entry.  Slots that fired together are
         # handed out one recv() at a time without rescanning.
@@ -140,10 +131,10 @@ class _MailboxEndpoint(Endpoint):
         # put_batch may reserve all stripes' fabric slots at issue time;
         # on a shared channel that reordering diverges from the scalar
         # interleaving once >= 3 ranks contend.  The shmem backend does
-        # batch its stripes, but only where paths are exclusive (see its
-        # _MailboxChannel.paths_exclusive): topologies where no other
-        # sender can touch a hop mid-batch, which is where batch
-        # reservation order provably equals scalar order.
+        # batch its stripes, but only where paths are exclusive (see
+        # Job.paths_exclusive): topologies where no other sender can
+        # touch a hop mid-batch, which is where batch reservation order
+        # provably equals scalar order.
         offset = self.spec.offsets[dst][slot]
         for lo, hi in part_bounds(words, parts):
             if hi == lo:
@@ -177,19 +168,16 @@ class _MailboxEndpoint(Endpoint):
         yield  # pragma: no cover - makes drain a (no-op) generator
 
 
-class _BatchChannel(Channel):
-    def __init__(self, backend, job, spec: BatchSpec):
-        super().__init__(backend, job, spec)
-        self.data_win = job.window(spec.nelems, dtype=spec.dtype)
-        self.sig_win = job.window(spec.nsignals, dtype=np.int64)
-
-    def endpoint(self, ctx):
-        return _BatchEndpoint(self, ctx)
-
-
 class _BatchEndpoint(Endpoint):
     """``Put`` x n + flush, then the put/flush signal pair; receiver polls
     (4 MPI ops per synchronised message group)."""
+
+    @staticmethod
+    def windows(job, spec: BatchSpec):
+        return {
+            "data_win": job.window(spec.nelems, dtype=spec.dtype),
+            "sig_win": job.window(spec.nsignals, dtype=np.int64),
+        }
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
@@ -220,17 +208,12 @@ class RmaBackend(TransportBackend):
     # flush/wait rather than at the send.
     fault_semantics = FaultSemantics(mode="surface", detect_scale=4.0, resync_penalty=True)
 
-    def open_halo(self, job, spec: HaloSpec):
-        return _HaloChannel(self, job, spec)
-
-    def open_mailbox(self, job, spec: MailboxSpec):
-        return _MailboxChannel(self, job, spec)
-
-    def open_batch(self, job, spec: BatchSpec):
-        return _BatchChannel(self, job, spec)
-
-    def open_atomics(self, job, spec: AtomicDomainSpec):
-        return _AtomicChannel(self, job, spec, _WindowAtomicEndpoint)
+    endpoints = {
+        HaloSpec: _HaloEndpoint,
+        MailboxSpec: _MailboxEndpoint,
+        BatchSpec: _BatchEndpoint,
+        AtomicDomainSpec: _WindowAtomicEndpoint,
+    }
 
 
 register_backend(RmaBackend())

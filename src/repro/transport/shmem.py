@@ -17,29 +17,16 @@ from repro.transport.api import (
     AtomicDomainSpec,
     BackendCaps,
     BatchSpec,
-    Channel,
     Endpoint,
     HaloSpec,
     MailboxSpec,
-    _AtomicChannel,
     _WindowAtomicEndpoint,
+    _mailbox_windows,
     part_bounds,
 )
 from repro.transport.registry import SHMEM, TransportBackend, register_backend
 
 __all__ = ["ShmemBackend"]
-
-
-class _HaloChannel(Channel):
-    def __init__(self, backend, job, spec: HaloSpec):
-        super().__init__(backend, job, spec)
-        # Double-buffered halo window (iteration parity), one signal slot
-        # per direction.
-        self.win = job.window(2 * spec.win_count, dtype=spec.dtype)
-        self.sig = job.window(len(spec.slot), dtype=np.uint64)
-
-    def endpoint(self, ctx):
-        return _HaloEndpoint(self, ctx)
 
 
 class _HaloEndpoint(Endpoint):
@@ -50,6 +37,15 @@ class _HaloEndpoint(Endpoint):
     k+1 put must not overwrite halo data this rank has not yet consumed
     for iteration k.
     """
+
+    @staticmethod
+    def windows(job, spec: HaloSpec):
+        # Double-buffered halo window (iteration parity), one signal slot
+        # per direction.
+        return {
+            "win": job.window(2 * spec.win_count, dtype=spec.dtype),
+            "sig": job.window(len(spec.slot), dtype=np.uint64),
+        }
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
@@ -89,46 +85,10 @@ class _HaloEndpoint(Endpoint):
         return received
 
 
-class _MailboxChannel(Channel):
-    def __init__(self, backend, job, spec: MailboxSpec):
-        super().__init__(backend, job, spec)
-        self.data_win = job.window(max(spec.data_words, 1), dtype=spec.dtype)
-        self.sig_win = job.window(max(spec.nslots, 1), dtype=spec.signal_dtype)
-        self._exclusive: bool | None = None
-
-    def paths_exclusive(self, fabric) -> bool:
-        """May striped rounds be issued as one batch on this job's topology?
-
-        A batch's fabric slots may all be reserved at issue time; that
-        equals the per-message interleaving only when no *other* sender
-        can touch any hop of the path mid-batch.  Sufficient (and
-        checkable) condition: every rank has its own endpoint and every
-        endpoint pair routes over a single direct hop — then each
-        directional link belongs to exactly one sender (the mailbox
-        invariant: one message per receiver per round) and nothing
-        transits it.  NVLink all-to-all qualifies; fat-trees and the
-        Summit dumbbell (shared X-links) do not and stay scalar.
-        """
-        if self._exclusive is None:
-            eps = self.job.endpoints
-            ok = len(set(eps)) == len(eps)
-            if ok:
-                topo = fabric.topology
-                ok = all(
-                    len(topo.route(a, b).hops) == 1
-                    for a in eps
-                    for b in eps
-                    if a != b
-                )
-            self._exclusive = ok
-        return self._exclusive
-
-    def endpoint(self, ctx):
-        return _MailboxEndpoint(self, ctx)
-
-
 class _MailboxEndpoint(Endpoint):
     """``put_signal_nbi`` + ``wait_until_any`` in a loop (GPU)."""
+
+    windows = staticmethod(_mailbox_windows)
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
@@ -176,7 +136,7 @@ class _MailboxEndpoint(Endpoint):
             and words
             and words % parts == 0
             and not self.spec.read_data
-            and self.channel.paths_exclusive(self.ctx.fabric)
+            and self.ctx.job.paths_exclusive
         )
 
     def send_round(self, dst, slot, *, words, parts=1, values=None):
@@ -230,19 +190,16 @@ class _MailboxEndpoint(Endpoint):
         yield from self.ctx.quiet()
 
 
-class _BatchChannel(Channel):
-    def __init__(self, backend, job, spec: BatchSpec):
-        super().__init__(backend, job, spec)
-        self.data_win = job.window(spec.nelems, dtype=spec.dtype)
-        self.sig_win = job.window(spec.nsignals, dtype=np.uint64)
-
-    def endpoint(self, ctx):
-        return _BatchEndpoint(self, ctx)
-
-
 class _BatchEndpoint(Endpoint):
     """``put_signal_nbi`` x n (signal op "add") + ``quiet``; the receiver's
     ``wait_until_all`` on the summed signal is ``wait_signal_batch``."""
+
+    @staticmethod
+    def windows(job, spec: BatchSpec):
+        return {
+            "data_win": job.window(spec.nelems, dtype=spec.dtype),
+            "sig_win": job.window(spec.nsignals, dtype=np.uint64),
+        }
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
@@ -289,17 +246,12 @@ class ShmemBackend(TransportBackend):
 
         return ShmemContext
 
-    def open_halo(self, job, spec: HaloSpec):
-        return _HaloChannel(self, job, spec)
-
-    def open_mailbox(self, job, spec: MailboxSpec):
-        return _MailboxChannel(self, job, spec)
-
-    def open_batch(self, job, spec: BatchSpec):
-        return _BatchChannel(self, job, spec)
-
-    def open_atomics(self, job, spec: AtomicDomainSpec):
-        return _AtomicChannel(self, job, spec, _AtomicEndpoint)
+    endpoints = {
+        HaloSpec: _HaloEndpoint,
+        MailboxSpec: _MailboxEndpoint,
+        BatchSpec: _BatchEndpoint,
+        AtomicDomainSpec: _AtomicEndpoint,
+    }
 
 
 register_backend(ShmemBackend())

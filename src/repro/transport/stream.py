@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.faults.plan import FaultSemantics
 from repro.transport.api import BackendCaps, HaloSpec
 from repro.transport.registry import STREAM_TRIGGERED, register_backend
-from repro.transport.shmem import ShmemBackend, _HaloChannel, _HaloEndpoint
+from repro.transport.shmem import ShmemBackend, _HaloEndpoint
 
 __all__ = ["StreamBackend"]
 
@@ -37,11 +37,6 @@ class _StreamHaloEndpoint(_HaloEndpoint):
         # parity/signal counter here so an elided begin(it+1) is exact.
         self._it = it + 1
         return received
-
-
-class _StreamHaloChannel(_HaloChannel):
-    def endpoint(self, ctx):
-        return _StreamHaloEndpoint(self, ctx)
 
 
 class StreamBackend(ShmemBackend):
@@ -70,8 +65,7 @@ class StreamBackend(ShmemBackend):
 
         return StreamContext
 
-    def open_halo(self, job, spec: HaloSpec):
-        return _StreamHaloChannel(self, job, spec)
+    endpoints = {**ShmemBackend.endpoints, HaloSpec: _StreamHaloEndpoint}
 
 
 register_backend(StreamBackend())

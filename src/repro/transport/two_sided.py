@@ -17,21 +17,15 @@ from repro.transport.api import (
     AtomicDomainSpec,
     BackendCaps,
     BatchSpec,
-    Channel,
     Endpoint,
     HaloSpec,
     MailboxSpec,
-    _AtomicChannel,
+    _space_windows,
     part_bounds,
 )
 from repro.transport.registry import TWO_SIDED, TransportBackend, register_backend
 
 __all__ = ["TwoSidedBackend"]
-
-
-class _HaloChannel(Channel):
-    def endpoint(self, ctx):
-        return _HaloEndpoint(self, ctx)
 
 
 class _HaloEndpoint(Endpoint):
@@ -68,11 +62,6 @@ class _HaloEndpoint(Endpoint):
         return received
 
 
-class _MailboxChannel(Channel):
-    def endpoint(self, ctx):
-        return _MailboxEndpoint(self, ctx)
-
-
 class _MailboxEndpoint(Endpoint):
     """``Isend`` + blocking ``Recv(ANY_SOURCE)``; sends drained at the end."""
 
@@ -86,7 +75,7 @@ class _MailboxEndpoint(Endpoint):
     def send(self, dst, slot, *, words, values=None, meta=None, tag=0):
         r = yield from self.ctx.isend(
             dst,
-            nbytes=words * self.spec.word_bytes,
+            nbytes=words * self.spec.itemsize,
             tag=tag,
             payload=(meta, values),
         )
@@ -106,7 +95,7 @@ class _MailboxEndpoint(Endpoint):
                 payload = np.asarray(values).ravel()[lo:hi].copy()
             r = yield from self.ctx.isend(
                 dst,
-                nbytes=(hi - lo) * self.spec.word_bytes,
+                nbytes=(hi - lo) * self.spec.itemsize,
                 tag=slot,
                 payload=payload,
             )
@@ -135,11 +124,6 @@ class _MailboxEndpoint(Endpoint):
 _BATCH_TAG = 7
 
 
-class _BatchChannel(Channel):
-    def endpoint(self, ctx):
-        return _BatchEndpoint(self, ctx)
-
-
 class _BatchEndpoint(Endpoint):
     """``Isend`` x n + ``Waitall`` / pre-posted ``Irecv`` x n + ``Waitall``."""
 
@@ -162,6 +146,8 @@ class _AtomicEndpoint(Endpoint):
     """Symmetric spaces without remote atomics: owners mutate their own
     arrays, writers route triplets to the owner (plus a window-backed CAS
     for the atomic flood, which any MPI runtime can issue)."""
+
+    windows = staticmethod(_space_windows)
 
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
@@ -199,17 +185,12 @@ class TwoSidedBackend(TransportBackend):
     # budget exhaustion aborts (MPI communicator-error style).
     fault_semantics = FaultSemantics(mode="abort", detect_scale=1.0)
 
-    def open_halo(self, job, spec: HaloSpec):
-        return _HaloChannel(self, job, spec)
-
-    def open_mailbox(self, job, spec: MailboxSpec):
-        return _MailboxChannel(self, job, spec)
-
-    def open_batch(self, job, spec: BatchSpec):
-        return _BatchChannel(self, job, spec)
-
-    def open_atomics(self, job, spec: AtomicDomainSpec):
-        return _AtomicChannel(self, job, spec, _AtomicEndpoint)
+    endpoints = {
+        HaloSpec: _HaloEndpoint,
+        MailboxSpec: _MailboxEndpoint,
+        BatchSpec: _BatchEndpoint,
+        AtomicDomainSpec: _AtomicEndpoint,
+    }
 
 
 register_backend(TwoSidedBackend())

@@ -97,6 +97,26 @@ def test_ring_allreduce_accounting_closed_form(cpu_all_runtimes):
         assert r.stats.bytes_moved == P * 2 * (P - 1) * (n // P) * 8.0
 
 
+def test_stats_bytes_are_the_bytes_on_the_wire():
+    """A word is the channel's element, whichever plan comes first: what
+    two-sided hands the fabric for a mixed sequence is what the stats say."""
+    from repro.collectives import CollectiveComm, CollectivePlan
+    from repro.comm import Job
+
+    plans = [CollectivePlan("allreduce", "ring", 4, 1024),
+             CollectivePlan("allgather", "ring", 4, 16)]
+    job = Job(perlmutter_cpu(), 4, TWO_SIDED)
+    comm = CollectiveComm(job, plans)
+
+    def program(ctx):
+        ep = comm.endpoint(ctx)
+        for _ in plans:
+            yield from ep.run()
+
+    res = job.run(program)
+    assert res.counters.bytes_sent == comm.stats.bytes_moved == 50_688.0
+
+
 def test_bus_bandwidth_is_wire_bytes_over_time(cpu_all_runtimes):
     """bus_bandwidth re-derives from the stats on every backend."""
     for rt in ALL_RUNTIMES:

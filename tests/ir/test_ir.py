@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.workloads.hashtable.runner import (
     run_hashtable,
 )
 from repro.workloads.hashtable.table import TableGeometry
+from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
 from repro.workloads.stencil.decomposition import ProcessGrid
 from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 
@@ -64,17 +67,31 @@ class TestLoweringTable:
         from repro.ir.lower import LOWERINGS
 
         vocabulary = {getattr(O, name) for name in O.__all__} - {O.Op}
+        assert len(vocabulary) == 14
         assert vocabulary == set(LOWERINGS)
         assert all(callable(fn) for fn in LOWERINGS.values())
 
+    def test_every_op_class_is_built_outside_the_lowering(self):
+        """An op exists for what a builder constructs and a pass or the
+        cost model reads: a class only ``lower.py`` ever instantiates is a
+        layer that forwards, not vocabulary."""
+        src = Path(ir.__file__).parents[1]
+        built = set()
+        for path in src.rglob("*.py"):
+            if path.name == "lower.py" and path.parent.name == "ir":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    built.add(fn.attr if isinstance(fn, ast.Attribute)
+                              else getattr(fn, "id", None))
+        assert set(O.__all__) - {"Op"} <= built
+
     def test_unknown_op_raises_type_error(self):
-        from repro.ir.lower import Emitter, lowering_of
+        from repro.ir.lower import lowering_of
 
         with pytest.raises(TypeError, match="no lowering for op Teleport"):
             lowering_of(Teleport())
-        counts = {}
-        with pytest.raises(TypeError, match="no lowering for op Teleport"):
-            Emitter(None, None, counts=counts).emit(Teleport())
 
     def test_static_program_with_unknown_op_fails_the_run(self):
         base = build_flood_program("two_sided", 64, 2, iters=1)
@@ -83,20 +100,25 @@ class TestLoweringTable:
             ir.run_program(get_machine("perlmutter-cpu"), bad)
 
     def test_emitter_verb_returns_the_endpoint_generator(self):
-        """Table-dispatched, generator returned: the emitter stacks no
-        frame of its own under the verb it lowers to."""
+        """Counted, not reified: the emitter stacks no frame of its own
+        under the endpoint verb it forwards to."""
         from repro.ir.lower import Emitter
 
-        class Ep:
-            def drain(self):
-                yield "from the endpoint"
+        def generator(self, *args, **kwargs):
+            yield "from the endpoint"
 
-        counts = {}
-        em = Emitter(Ep(), None, counts=counts)
-        gen = em.drain()
-        assert gen.gi_code is Ep.drain.__code__
-        assert counts == {"MsgDrain": 1}
-        assert list(gen) == ["from the endpoint"]
+        for verb, args, kwargs, kind in [
+            ("drain", (), {}, "MsgDrain"),
+            ("send", (1, 0), {"words": 2}, "MailboxSend"),
+            ("recv", (), {}, "MailboxRecv"),
+            ("cas", ("table", 1, 0, 0, 7), {}, "AtomicCas"),
+        ]:
+            Ep = type("Ep", (), {verb: generator})
+            counts = {}
+            gen = getattr(Emitter(Ep(), None, counts=counts), verb)(*args, **kwargs)
+            assert gen.gi_code is generator.__code__
+            assert counts == {kind: 1}
+            assert list(gen) == ["from the endpoint"]
 
 
 class TestPipeline:
@@ -214,3 +236,37 @@ class TestObsIntegration:
         assert snap["ir.ops.lowered"] > 0
         assert any(k.startswith("ir.ops.") and k != "ir.ops.lowered"
                    for k in snap)
+
+    @pytest.mark.parametrize("run, expected", [
+        (
+            lambda: run_sptrsv(
+                M, "one_sided",
+                generate_matrix(MatrixSpec(
+                    n_supernodes=20, width_lo=2, width_hi=12, seed=3
+                )),
+                4,
+            ),
+            {"Barrier": 4, "Compute": 55, "MailboxExpect": 4,
+             "MailboxRecv": 30, "MailboxSend": 30, "MsgDrain": 4,
+             "lowered": 127},
+        ),
+        (
+            lambda: run_hashtable(
+                M, "one_sided", HashTableConfig(total_inserts=64), 2
+            ),
+            {"AtomicCas": 64, "AtomicFaa": 21, "AtomicPublish": 21,
+             "AtomicSwap": 21, "Barrier": 4, "lowered": 131},
+        ),
+    ], ids=["sptrsv", "hashtable"])
+    def test_dynamic_programs_count_every_verb(self, run, expected):
+        """Exact ``ir.ops.<Kind>`` of two dynamic programs, generated while
+        each emitter verb still built an op and lowered it (PR 17): the
+        counting seam reports what the reifying emitter did."""
+        session = obs.Obs()
+        with obs.observe(session):
+            run()
+        snap = session.snapshot()
+        got = {k[len("ir.ops."):]: v for k, v in snap.items()
+               if k.startswith("ir.ops.")}
+        assert got == expected
+        assert snap["ir.programs.lowered"] == 1

@@ -161,19 +161,31 @@ def test_both_halves_of_a_batch_take_the_same_engine(on, monkeypatch):
     )
 
 
+def _importers_of(package, *dirs):
+    """``file:line`` of every import of ``package`` under ``src/repro/<dir>``."""
+    offenders = []
+    for d in dirs:
+        for path in sorted((Path(repro.__file__).parent / d).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(n == package or n.startswith(package + ".") for n in names):
+                    offenders.append(f"{d}/{path.name}:{node.lineno}")
+    return offenders
+
+
 def test_transport_never_imports_perf():
     """Adapters are op sequences; the engine choice lives in repro.comm."""
-    offenders = []
-    for path in sorted(Path(repro.transport.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [
-                    f"{node.module}.{alias.name}" for alias in node.names
-                ]
-            else:
-                continue
-            if any(n == "repro.perf" or n.startswith("repro.perf.") for n in names):
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert not offenders
+    assert not _importers_of("repro.perf", "transport")
+
+
+def test_nothing_below_the_ir_imports_it():
+    """The dependency runs one way: ``ir`` and ``workloads`` sit on
+    ``transport``; ``collectives`` sits beside them and calls the endpoint."""
+    assert not _importers_of("repro.ir", "collectives", "transport", "comm")

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from repro.comm import Job
+from repro.comm.base import CommError
+from repro.experiments.ablations import _with_hw_put_signal
 from repro.transport import (
     ONE_SIDED,
+    ONE_SIDED_HW,
     SHMEM,
+    STREAM_TRIGGERED,
     TWO_SIDED,
     AtomicDomainSpec,
     BatchSpec,
@@ -67,11 +71,33 @@ class TestSpecDispatch:
                 chan = job.channel(spec)
                 assert chan.caps is get_backend(name).caps
 
+    def test_user_backend_overrides_one_table_entry(self, pm_gpu):
+        """A backend is a ``spec -> endpoint`` table: a new runtime swaps
+        the entries whose op sequence differs and inherits the rest."""
+        from repro.transport.shmem import ShmemBackend, _BatchEndpoint
+        from repro.workloads.flood import run_flood
+
+        batches = []
+
+        class CountingBatch(_BatchEndpoint):
+            def send_batch(self, dst, it, n):
+                batches.append(n)
+                return super().send_batch(dst, it, n)
+
+        class Counting(ShmemBackend):
+            name = "counting_shmem"
+            costs_key = SHMEM
+            endpoints = {**ShmemBackend.endpoints, BatchSpec: CountingBatch}
+
+        r = run_flood(pm_gpu, Counting(), 4096, 8, iters=2)
+        assert batches == [8, 8]
+        assert r.bandwidth == run_flood(pm_gpu, SHMEM, 4096, 8, iters=2).bandwidth
+
 
 class TestEndpointContract:
     def _endpoint(self, pm_cpu):
         job = Job(pm_cpu, 2, TWO_SIDED)
-        chan = Channel(get_backend(TWO_SIDED), job, BatchSpec(nbytes=8))
+        chan = Channel(get_backend(TWO_SIDED), job, BatchSpec(nbytes=8), Endpoint)
         return Endpoint(chan, ctx=None)
 
     def test_unimplemented_verbs_raise(self, pm_cpu):
@@ -128,6 +154,36 @@ class TestEndpointContract:
             job = Job(machine, 2, name, placement="spread")
             res = job.run(program, job.channel(spec))
             assert all(t > 0 for t in res.results)
+
+
+class TestOverReceive:
+    """One recv() more than expect() announced is misuse the call names —
+    not a rank parked for ever that surfaces as a deadlock at job end."""
+
+    @pytest.mark.parametrize(
+        "name", [ONE_SIDED, SHMEM, ONE_SIDED_HW, STREAM_TRIGGERED]
+    )
+    def test_recv_with_nothing_expected_is_a_comm_error(self, name, pm_cpu, pm_gpu):
+        from repro.transport import MailboxMsg
+
+        def program(ctx, chan):
+            ep = chan.endpoint(ctx)
+            if ctx.rank == 0:
+                yield from ep.send(1, 0, words=1)
+                yield from ep.drain()
+            else:
+                ep.expect({0: MailboxMsg(slot=0, words=1)})
+                yield from ep.recv()
+                yield from ep.recv()
+
+        machine = {
+            ONE_SIDED: pm_cpu,
+            ONE_SIDED_HW: _with_hw_put_signal(pm_cpu),
+        }.get(name, pm_gpu)
+        job = Job(machine, 2, name)
+        spec = MailboxSpec(data_words=2, nslots=1, offsets={0: [0], 1: [0]})
+        with pytest.raises(CommError, match="needs at least one"):
+            job.run(program, job.channel(spec))
 
 
 class TestCrossBackendParity:
