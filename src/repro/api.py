@@ -3,9 +3,10 @@
 The library's power features are *ambient* context managers — an
 :func:`repro.obs.observe` session, a :func:`repro.faults.inject` scope, a
 :func:`repro.sweep.execution` config — because experiment runners keep
-zero-argument signatures.  Composing them by hand means three nested
-``with`` blocks in the right order.  :class:`Session` is that composition
-as one object::
+zero-argument signatures (each is one :class:`repro.scope.Scope`;
+:func:`repro.scope.ambient` lists what is current).  Composing them by
+hand means three nested ``with`` blocks in the right order.
+:class:`Session` is that composition as one object::
 
     import repro
 
@@ -158,9 +159,7 @@ class Session:
             )
         self.backend = backend
         self.fault_plan = faults
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+        self.jobs = _sweep.ExecutionConfig(jobs).jobs  # validated by its owner, eagerly
         self.cache = _sweep.ResultCache(cache) if isinstance(cache, str) else cache
         self.obs: _obs.Obs | None = (
             obs if isinstance(obs, _obs.Obs) else (_obs.Obs() if obs else None)
@@ -177,24 +176,20 @@ class Session:
     def __enter__(self) -> "Session":
         if self._stack is not None:
             raise RuntimeError("Session is not re-entrant")
-        self._stack = ExitStack()
-        try:
+        with ExitStack() as stack:  # unwinds the scopes entered so far on error
             if self.obs is not None:
-                self._stack.enter_context(_obs.observe(self.obs))
+                stack.enter_context(_obs.observe(self.obs))
             if self.fault_plan is not None:
-                self.fault_scope = self._stack.enter_context(
+                self.fault_scope = stack.enter_context(
                     _faults.inject(self.fault_plan)
                 )
             if self.passes.enabled:
-                self._stack.enter_context(_ir.passes(self.passes))
-            self.ir_reports = self._stack.enter_context(_ir.collect())
-            self.execution = self._stack.enter_context(
+                stack.enter_context(_ir.passes(self.passes))
+            self.ir_reports = stack.enter_context(_ir.collect())
+            self.execution = stack.enter_context(
                 _sweep.execution(jobs=self.jobs, cache=self.cache)
             )
-        except BaseException:
-            self._stack.close()
-            self._stack = None
-            raise
+            self._stack = stack.pop_all()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -204,16 +199,23 @@ class Session:
             stack.close()
 
     def fault_stats(self) -> dict[str, int]:
-        """Aggregate fault counters (empty when no plan was injected)."""
+        """Aggregate fault counters (empty when no plan was injected) of
+        *this* process's injectors: points run in sweep worker processes
+        (``jobs > 1``) are not counted — use ``jobs=1`` for a complete count."""
         return self.fault_scope.stats() if self.fault_scope is not None else {}
 
     def explain_ir(self) -> str:
         """Pass reports for every IR program lowered under this session —
         one deduplicated block per distinct (program, target, rewrites)
         shape; see :func:`repro.ir.explain_all`."""
-        if not self.ir_reports:
-            return "(no IR programs lowered in this session)"
-        return _ir.explain_all(self.ir_reports)
+        if self.ir_reports:
+            return _ir.explain_all(self.ir_reports)
+        if self.jobs > 1:
+            return (
+                "(no IR reports collected: programs lowered in sweep worker "
+                "processes are not collected — use jobs=1)"
+            )
+        return "(no IR programs lowered in this session)"
 
     # -- conveniences ---------------------------------------------------
 

@@ -301,8 +301,9 @@ def _print_run_summary(statuses: dict[str, str], cache) -> None:
             print(f"  all {len(statuses)} experiments passed", file=sys.stderr)
     if cache is not None:
         s = cache.stats()
+        unkeyed = f" uncacheable={cache.uncacheable}" if cache.uncacheable else ""
         print(
-            f"[sweep] cache: hits={s['hits']} misses={s['misses']}",
+            f"[sweep] cache: hits={s['hits']} misses={s['misses']}{unkeyed}",
             file=sys.stderr,
         )
 

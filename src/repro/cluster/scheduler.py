@@ -27,7 +27,7 @@ import hashlib
 from typing import Any
 
 from repro.comm.job import Job, JobResult
-from repro.faults.inject import FaultInjector, current_plan, current_scope
+from repro.faults.inject import injector_for
 from repro.faults.plan import FaultPlan
 from repro.machines.base import MachineModel
 from repro.machines.registry import get_machine
@@ -218,13 +218,7 @@ class Cluster:
             else NullTracer()
         )
         self.metrics = obs.metrics if obs is not None else None
-        plan = faults if faults is not None else current_plan()
-        self.fault_injector = None
-        if plan is not None and not plan.clean:
-            self.fault_injector = FaultInjector(plan)
-            scope = current_scope()
-            if scope is not None:
-                scope.attach(self.fault_injector)
+        self.fault_injector = injector_for(faults)
         self.fabric = Fabric(
             self.sim,
             self.machine.topology,

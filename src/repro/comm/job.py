@@ -23,7 +23,7 @@ import numpy as np
 from repro.comm.base import OpCounter
 from repro.comm.context import RankContext
 from repro.comm.window import Window
-from repro.faults.inject import FaultInjector, current_plan, current_scope
+from repro.faults.inject import injector_for
 from repro.faults.plan import FaultPlan
 from repro.machines.base import MachineModel, Placement
 from repro.net.fabric import Fabric
@@ -119,18 +119,7 @@ class Job:
         self.spans: SpanTracker = (
             self.obs.spans if self.obs is not None else SpanTracker()
         )
-        # An explicit plan wins; otherwise the ambient faults.inject()
-        # scope applies (how experiment runners reach jobs built deep
-        # inside workloads).  A clean/absent plan keeps the fabric on its
-        # byte-identical fault-free path.
-        plan = faults if faults is not None else current_plan()
-        self.fault_plan = plan
-        self.fault_injector = None
-        if plan is not None and not plan.clean:
-            self.fault_injector = FaultInjector(plan, self.backend.fault_semantics)
-            scope = current_scope()
-            if scope is not None:
-                scope.attach(self.fault_injector)
+        self.fault_injector = injector_for(faults, self.backend.fault_semantics)
         if fabric is not None:
             self.fabric = fabric
         else:

@@ -10,9 +10,12 @@ so — like :mod:`repro.obs` — a fault plan is installed ambiently::
         result = run_flood(machine, "one_sided", 65536, 64)
     print(scope.stats())   # drops / retransmits / exhausted / ...
 
-Every job constructed inside the block threads the plan into its fabric.
-Outside a scope (or with ``inject(None)``) nothing changes: the fabric
-takes its zero-overhead, byte-identical fault-free path.
+Every job constructed inside the block threads the plan into its fabric
+(:func:`injector_for`).  Outside a scope (or with ``inject(None)``)
+nothing changes: the fabric takes its zero-overhead, byte-identical
+fault-free path.  The scope is a *carried* :class:`repro.scope.Scope`:
+the plan changes simulated results, so sweep workers re-enter it and
+sweep cache keys name it (:meth:`FaultPlan.fingerprint`).
 
 Determinism: every loss/jitter draw is a pure function of
 ``(seed, link, direction, message id, attempt)`` via a keyed blake2b
@@ -26,14 +29,25 @@ monotone in the loss rate.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
-from collections.abc import Iterator
+from contextlib import AbstractContextManager
 
 from repro.faults.plan import FaultPlan, FaultSemantics
+from repro.scope import Scope
 
-__all__ = ["FaultInjector", "FaultScope", "inject", "current_plan", "current_scope"]
+__all__ = ["FaultInjector", "FaultScope", "inject", "injector_for", "current_plan", "current_scope"]
 
 _TWO_64 = float(2**64)
+
+# The counters an injector keeps and a scope sums, in reporting order.
+_STATS = (
+    "drops",
+    "retransmits",
+    "exhausted",
+    "delivered",
+    "delivered_with_retry",
+    "down_stall_seconds",
+    "hard_drops",
+)
 
 
 class FaultInjector:
@@ -128,15 +142,7 @@ class FaultInjector:
 
     def stats(self) -> dict[str, float]:
         """Aggregate counters (the shape :class:`FaultScope` merges)."""
-        return {
-            "drops": float(self.drops),
-            "retransmits": float(self.retransmits),
-            "exhausted": float(self.exhausted),
-            "delivered": float(self.delivered),
-            "delivered_with_retry": float(self.delivered_with_retry),
-            "down_stall_seconds": self.down_stall_seconds,
-            "hard_drops": float(self.hard_drops),
-        }
+        return {name: float(getattr(self, name)) for name in _STATS}
 
     def metrics_snapshot(self) -> dict[str, float]:
         """Snapshot-time collector payload for a MetricsRegistry."""
@@ -152,54 +158,68 @@ class FaultInjector:
 
 class FaultScope:
     """Aggregates fault statistics over every job run inside one
-    :func:`inject` block (``plan`` may be None for a no-op scope)."""
+    :func:`inject` block (``plan`` may be None for a no-op scope).  Only
+    the plan crosses a process boundary: injectors serve the fabrics of
+    the process that built them (a sweep worker's scope starts empty)."""
 
     def __init__(self, plan: FaultPlan | None):
         self.plan = plan
         self.injectors: list[FaultInjector] = []
 
+    def __getstate__(self) -> dict:
+        return {"plan": self.plan, "injectors": []}
+
+    def fingerprint(self) -> dict:
+        """What a sweep cache key says of this scope."""
+        return {"plan": None if self.plan is None else self.plan.fingerprint()}
+
     def attach(self, injector: FaultInjector) -> None:
         self.injectors.append(injector)
 
     def stats(self) -> dict[str, float]:
-        merged: dict[str, float] = {
-            "drops": 0.0,
-            "retransmits": 0.0,
-            "exhausted": 0.0,
-            "delivered": 0.0,
-            "delivered_with_retry": 0.0,
-            "down_stall_seconds": 0.0,
-            "hard_drops": 0.0,
-        }
+        merged = dict.fromkeys(_STATS, 0.0)
         for inj in self.injectors:
-            for k, v in inj.stats().items():
-                merged[k] = merged.get(k, 0.0) + v
+            for name, value in inj.stats().items():
+                merged[name] += value
         return merged
 
 
-_STACK: list[FaultScope] = []
-
-
-def current_plan() -> FaultPlan | None:
-    """The innermost active plan, or None (the fault-free default)."""
-    return _STACK[-1].plan if _STACK else None
+_SCOPE = Scope("repro.faults.inject", carried=True)
 
 
 def current_scope() -> FaultScope | None:
     """The innermost active scope, or None."""
-    return _STACK[-1] if _STACK else None
+    return _SCOPE.current()
 
 
-@contextmanager
-def inject(plan: FaultPlan | None) -> Iterator[FaultScope]:
+def current_plan() -> FaultPlan | None:
+    """The innermost active plan, or None (the fault-free default)."""
+    scope = _SCOPE.current()
+    return scope.plan if scope is not None else None
+
+
+def inject(plan: FaultPlan | None) -> AbstractContextManager[FaultScope]:
     """Install ``plan`` as the ambient fault plan for the block.
 
     ``inject(None)`` is a valid no-op scope — convenient for code that
     builds the plan conditionally and always wants a scope to query.
     """
-    scope = FaultScope(plan)
-    _STACK.append(scope)
-    try:
-        yield scope
-    finally:
-        _STACK.pop()
+    return _SCOPE.push(FaultScope(plan))
+
+
+def injector_for(
+    plan: FaultPlan | None, semantics: FaultSemantics | None = None
+) -> FaultInjector | None:
+    """The injector a new fabric carries: built from the explicit ``plan``,
+    else the ambient one (how experiment runners reach jobs built deep
+    inside workloads), and attached to the ambient scope.  None for a clean
+    or absent plan: the fabric keeps its byte-identical fault-free path."""
+    scope = _SCOPE.current()
+    if plan is None and scope is not None:
+        plan = scope.plan
+    if plan is None or plan.clean:
+        return None
+    injector = FaultInjector(plan, semantics)
+    if scope is not None:
+        scope.attach(injector)
+    return injector

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "FaultError",
@@ -300,6 +300,18 @@ class FaultPlan:
             ),
             hard=hard,
         )
+
+    def fingerprint(self) -> dict:
+        """Canonical JSON-able form: what a sweep cache key says of a plan."""
+        return {
+            "seed": self.seed,
+            "default": asdict(self.default),
+            "links": {
+                "|".join(sorted(pair)): asdict(lf) for pair, lf in self.links.items()
+            },
+            "retransmit": asdict(self.retransmit),
+            "hard": sorted([hf.kind, hf.element, hf.windows] for hf in self.hard),
+        }
 
     def for_link(self, a: str, b: str) -> LinkFaults:
         """The fault parameters governing the (unordered) link ``a<->b``.

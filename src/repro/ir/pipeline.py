@@ -448,6 +448,13 @@ class PassPipeline:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.passes)
 
+    def fingerprint(self) -> list[str] | None:
+        """What a cache key says of this pipeline: its pass names — or None
+        (uncacheable) when a pass is not the built-in its name is registered to."""
+        if any(type(p) is not _PASSES.get(p.name) for p in self.passes):
+            return None
+        return list(self.names())
+
     def run(self, program: IRProgram, machine):
         """Apply every pass in order; returns (program, rewrites)."""
         rewrites: list[Rewrite] = []

@@ -17,17 +17,19 @@ under a ``jobN:machine/runtime`` label in ``session.traces``.
 
 Outside a session nothing changes: jobs default to
 :class:`~repro.sim.trace.NullTracer` and no metrics, so the zero-overhead
-path stays zero-overhead.
+path stays zero-overhead.  The session is a :class:`repro.scope.Scope` that
+is *not* carried: sweep workers start unobserved.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
+from contextlib import AbstractContextManager
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracker
+from repro.scope import Scope
 from repro.sim.trace import ListSink, NullTracer, Tracer, TraceSink
 
 __all__ = ["Obs", "observe", "current"]
@@ -88,21 +90,15 @@ class Obs:
                 close()
 
 
-_ACTIVE: list[Obs] = []
+_SESSION = Scope("repro.obs.observe")
 
 
 def current() -> Obs | None:
     """The innermost active session, or None (the zero-overhead default)."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    return _SESSION.current()
 
 
-@contextmanager
-def observe(session: Obs | None = None) -> Iterator[Obs]:
+def observe(session: Obs | None = None) -> AbstractContextManager[Obs]:
     """Install ``session`` (a fresh metrics-only ``Obs`` by default) as the
     ambient observation session for the duration of the block."""
-    session = session if session is not None else Obs()
-    _ACTIVE.append(session)
-    try:
-        yield session
-    finally:
-        _ACTIVE.pop()
+    return _SESSION.push(session if session is not None else Obs())

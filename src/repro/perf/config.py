@@ -10,6 +10,10 @@ The one override, for benchmarking and debugging, is the
     with perf.vectorized(False):
         scalar = run_flood(machine, "one_sided", 64, 1024)
 
+The switch is a *carried* :class:`repro.scope.Scope`: which engine runs is
+part of a run's stated configuration, so sweep workers take the engine
+their parent asked for and a sweep cache key says when it was off.
+
 Independent of this switch, batches fall back to the scalar per-message
 path whenever exactness cannot be guaranteed for the whole job: a fabric
 that is not replayable (fault plan, congestion control, or a non-minimal
@@ -20,30 +24,24 @@ an enabled tracer (per-message records must be emitted) — see
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 
 from repro import obs
+from repro.scope import Scope
 
 __all__ = ["enabled", "vectorized", "bulk_enabled", "bulk_verdict"]
 
-# Innermost-wins override stack installed by vectorized().
-_STACK: list[bool] = []
+_ENGINE = Scope("repro.perf.vectorized", True, carried=True)
 
 
 def enabled() -> bool:
     """Is the bulk engine globally enabled right now?"""
-    return _STACK[-1] if _STACK else True
+    return _ENGINE.current()
 
 
-@contextmanager
-def vectorized(on: bool = True) -> Iterator[None]:
+def vectorized(on: bool = True) -> AbstractContextManager[bool]:
     """Force the bulk engine on (default) or off for the block."""
-    _STACK.append(bool(on))
-    try:
-        yield
-    finally:
-        _STACK.pop()
+    return _ENGINE.push(bool(on))
 
 
 def _declined(job) -> str | None:

@@ -9,7 +9,12 @@ result:
 * the canonical JSON of the point parameters;
 * a fingerprint of every referenced machine model's LogGP/topology
   parameters (:func:`repro.machines.registry.machine_fingerprint`) — so
-  recalibrating a machine invalidates exactly its points.
+  recalibrating a machine invalidates exactly its points;
+* every *carried* ambient scope that left its default
+  (:func:`repro.scope.carried`: fault plan, pass pipeline, bulk switch),
+  as its ``fingerprint()`` or, for a JSON scalar, itself.  Nothing ambient:
+  no entry, and the key older versions wrote; a value with no fingerprint:
+  no key (:meth:`ResultCache.key_for` returns None, the point is uncacheable).
 
 Entries are one JSON file each under ``<root>/<key[:2]>/<key>.json``
 (git-friendly two-level fan-out).  Reads tolerate corrupt or truncated
@@ -24,9 +29,11 @@ import json
 import os
 import tempfile
 import warnings
+from contextlib import suppress
 from pathlib import Path
 from typing import Any
 
+from repro import scope
 from repro._version import __version__
 from repro.machines.registry import machine_fingerprint
 from repro.sweep.spec import SweepPoint, SweepSpec, canonical_json
@@ -45,9 +52,12 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.write_errors = 0
+        self.uncacheable = 0
         self._warned_write = False
 
-    def key_for(self, spec: SweepSpec, point: SweepPoint) -> str:
+    def key_for(self, spec: SweepSpec, point: SweepPoint) -> str | None:
+        """The point's key under the current ambient state; None (counted in
+        ``uncacheable``) when a carried value has no canonical fingerprint."""
         payload = {
             "repro": __version__,
             "sweep": spec.name,
@@ -59,6 +69,15 @@ class ResultCache:
                 for name in sorted(set(spec.machine_names(point)))
             },
         }
+        ambient = {
+            name: value.fingerprint() if hasattr(value, "fingerprint") else value
+            for name, value in scope.carried().items()
+        }
+        if None in ambient.values():
+            self.uncacheable += 1
+            return None
+        if ambient:
+            payload["ambient"] = ambient
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
     def _path(self, key: str) -> Path:
@@ -98,22 +117,15 @@ class ResultCache:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
                 f.write(text)
             os.replace(tmp, path)
-        except OSError as exc:
-            self._note_write_error(exc, tmp)
-        except BaseException:
+        except BaseException as exc:
             if tmp is not None:
-                try:
+                with suppress(OSError):
                     os.unlink(tmp)
-                except OSError:
-                    pass
-            raise
+            if not isinstance(exc, OSError):
+                raise
+            self._note_write_error(exc)
 
-    def _note_write_error(self, exc: OSError, tmp: str | None) -> None:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+    def _note_write_error(self, exc: OSError) -> None:
         self.write_errors += 1
         from repro import obs
 

@@ -15,36 +15,24 @@ cache directory and spawns no workers).
 
 The config owns the process pool so consecutive sweeps in one block
 (``repro run all --jobs N``) share workers instead of paying pool
-start-up per experiment.  Workers are started with an initializer that
-clears any forked-in ambient :class:`~repro.obs.session.Obs` session:
-only plain (runner, params, seed) tuples cross the pickle boundary,
-never live ``Tracer``/``Obs`` instances.
+start-up per experiment.  The config is a :class:`repro.scope.Scope`;
+workers start from :func:`repro.scope.reset` — no forked-in ``Obs`` session
+(tracer sinks must not be double-driven), no forked-in config holding the
+parent's pool — and get the *carried* scopes with each submission
+(``docs/SWEEPS.md``, "What crosses the process boundary").
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 
+from repro import scope
 from repro.sweep.cache import ResultCache
 
 __all__ = ["ExecutionConfig", "current_execution", "execution"]
-
-
-def _worker_init() -> None:
-    """Process-pool worker start-up: drop inherited observability state.
-
-    Under the fork start method a worker inherits the parent's ambient
-    ``Obs`` session; metrics it fed there would be lost noise (the parent
-    aggregates point *results*, not worker-side instruments), and tracer
-    sinks (open JSONL files) must not be double-driven.  Point runners
-    always start unobserved.
-    """
-    from repro.obs import session as _session
-
-    _session._ACTIVE.clear()
 
 
 @dataclass
@@ -62,37 +50,33 @@ class ExecutionConfig:
 
     def pool(self) -> ProcessPoolExecutor:
         """The shared process pool (created lazily on first parallel sweep)."""
-        if self.jobs < 2:
-            raise ValueError("no pool for a serial ExecutionConfig (jobs=1)")
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_worker_init
+                max_workers=self.jobs, initializer=scope.reset
             )
         return self._pool
 
-    def reset_pool(self) -> None:
+    def reset_pool(self, *, wait: bool = False) -> None:
         """Discard the pool (broken or not); ``pool()`` recreates it.
 
-        The executor calls this after a :class:`BrokenProcessPool` so the
-        next sweep in the same ``execution()`` block gets live workers.
+        The executor calls this after a :class:`BrokenProcessPool` or an
+        abandoned (timed-out) future, so the next sweep in the same
+        ``execution()`` block gets live workers.
         """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
             self._pool = None
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self.reset_pool(wait=True)
 
 
-_DEFAULT = ExecutionConfig()
-_STACK: list[ExecutionConfig] = []
+_EXECUTION = scope.Scope("repro.sweep.execution", ExecutionConfig())
 
 
 def current_execution() -> ExecutionConfig:
     """The innermost active config (serial/uncached default otherwise)."""
-    return _STACK[-1] if _STACK else _DEFAULT
+    return _EXECUTION.current()
 
 
 @contextmanager
@@ -105,10 +89,5 @@ def execution(
 
     The config's process pool (if any) is shut down on exit.
     """
-    cfg = ExecutionConfig(jobs=jobs, cache=cache, progress=progress)
-    _STACK.append(cfg)
-    try:
+    with _EXECUTION.push(ExecutionConfig(jobs, cache, progress)) as cfg, closing(cfg):
         yield cfg
-    finally:
-        _STACK.pop()
-        cfg.close()

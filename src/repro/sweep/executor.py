@@ -26,22 +26,19 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable, Mapping
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro import obs
+from repro import obs, scope
 from repro.sweep.cache import ResultCache
-from repro.sweep.config import _worker_init, current_execution
-from repro.sweep.spec import PointRunner, SweepPoint, SweepSpec
+from repro.sweep.config import ExecutionConfig, current_execution, execution
+from repro.sweep.spec import SweepPoint, SweepSpec
 
 __all__ = ["SweepError", "SweepResult", "SweepStats", "run_sweep"]
-
-_UNSET = object()
 
 # Seconds buckets for the per-point duration histogram.
 _POINT_SECONDS_EDGES = (1e-3, 1e-2, 0.1, 1.0, 10.0)
@@ -166,52 +163,44 @@ class _SpillBoard(list):
             self._fh = None
 
 
-def _execute_point(
-    runner: PointRunner, params: Mapping[str, Any], seed: int
-) -> tuple[dict[str, Any], float]:
-    """Run one point (in a worker or inline) and time it."""
-    t0 = time.perf_counter()
-    value = dict(runner(params, seed))
-    return value, time.perf_counter() - t0
-
-
-def _execute_chunk(items) -> list[tuple[bool, Any, float]]:
-    """Run a batch of points in one worker submission.
+def _execute_chunk(carried: dict, items) -> list[tuple[bool, Any, float]]:
+    """Run a batch of points in one worker submission, under the parent's
+    carried scopes (fault plan, pass pipeline, bulk switch) re-entered here.
 
     Per-point outcomes are ``(ok, value-or-error-message, duration)`` so
     a failing point never poisons the rest of its chunk — ``on_error``
     semantics are applied by the parent process.
     """
     out = []
-    for runner, params, seed in items:
-        t0 = time.perf_counter()
-        try:
-            value = dict(runner(params, seed))
-        except Exception as exc:
-            out.append(
-                (False, f"{type(exc).__name__}: {exc}",
-                 time.perf_counter() - t0)
-            )
-        else:
-            out.append((True, value, time.perf_counter() - t0))
+    with scope.entered(carried):
+        for runner, params, seed in items:
+            t0 = time.perf_counter()
+            try:
+                value = dict(runner(params, seed))
+            except Exception as exc:
+                out.append(
+                    (False, f"{type(exc).__name__}: {exc}",
+                     time.perf_counter() - t0)
+                )
+            else:
+                out.append((True, value, time.perf_counter() - t0))
     return out
 
 
 def run_sweep(
     spec: SweepSpec,
     *,
-    jobs: int | None = None,
-    cache: ResultCache | None | object = _UNSET,
-    progress: Callable[[str], None] | None | object = _UNSET,
     on_error: str = "raise",
     timeout: float | None = None,
     spill_path: str | Path | None = None,
+    **overrides,
 ) -> list[SweepResult]:
     """Execute every point of ``spec``; return results in grid order.
 
-    ``jobs``/``cache``/``progress`` default to the ambient
-    :func:`~repro.sweep.config.execution` config (serial, uncached, and
-    silent outside any ``execution()`` block).
+    Runs under the ambient :func:`~repro.sweep.config.execution` config
+    (serial, uncached, and silent outside any ``execution()`` block);
+    ``jobs=`` / ``cache=`` / ``progress=`` given here replace those fields
+    in a nested ``execution(...)`` scope around this one call.
 
     ``on_error="keep"`` records a failing point (``result.error`` set,
     empty value, never cached) instead of aborting the sweep.  A broken
@@ -233,11 +222,13 @@ def run_sweep(
     points replay from cache).  See :class:`_SpillBoard`.
     """
     cfg = current_execution()
-    jobs = cfg.jobs if jobs is None else jobs
-    cache = cfg.cache if cache is _UNSET else cache
-    progress = cfg.progress if progress is _UNSET else progress
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if overrides:
+        ambient = {"jobs": cfg.jobs, "cache": cfg.cache, "progress": cfg.progress}
+        with execution(**{**ambient, **overrides}):
+            return run_sweep(
+                spec, on_error=on_error, timeout=timeout, spill_path=spill_path
+            )
+    jobs, cache, progress = cfg.jobs, cfg.cache, cfg.progress
     if on_error not in ("raise", "keep"):
         raise ValueError(f'on_error must be "raise" or "keep", got {on_error!r}')
     if timeout is not None and timeout <= 0:
@@ -258,9 +249,8 @@ def run_sweep(
     try:
         with span:
             for i, pt in enumerate(points):
-                key = None
-                if cache is not None:
-                    key = cache.key_for(spec, pt)
+                key = cache.key_for(spec, pt) if cache is not None else None
+                if key is not None:  # no cache, or an uncacheable point
                     value = cache.get(key)
                     if value is not None:
                         results[i] = SweepResult(
@@ -277,9 +267,7 @@ def run_sweep(
                 )
 
             if jobs > 1 and len(pending) > 1:
-                _run_parallel(
-                    spec, pending, results, cache, cfg, jobs, on_error, timeout
-                )
+                _run_parallel(spec, pending, results, cfg, on_error, timeout)
             else:
                 _run_serial(spec, pending, results, cache, session, on_error)
     finally:
@@ -306,6 +294,8 @@ def run_sweep(
         m.counter("sweep.points.failed").inc(failed)
         m.counter("sweep.cache.hits").inc(hits)
         m.counter("sweep.cache.misses").inc(len(pending))
+        if cache is not None and (unkeyed := sum(k is None for _, _, k in pending)):
+            m.counter("sweep.cache.uncacheable").inc(unkeyed)
         m.gauge(f"sweep.{spec.name}.wall_seconds").set(wall)
         m.gauge(f"sweep.{spec.name}.utilization").set(stats.utilization)
         hist = m.histogram("sweep.point.seconds", _POINT_SECONDS_EDGES)
@@ -349,7 +339,7 @@ def _run_serial(spec, pending, results, cache, session, on_error) -> None:
         t0 = time.perf_counter()
         try:
             with span:
-                value, duration = _execute_point(pt.runner, pt.params_dict, pt.seed)
+                value = dict(pt.runner(pt.params_dict, pt.seed))
         except Exception as exc:
             if on_error == "raise":
                 raise SweepError(f"sweep point {pt.label()} failed: {exc}") from exc
@@ -359,90 +349,61 @@ def _run_serial(spec, pending, results, cache, session, on_error) -> None:
                 duration=time.perf_counter() - t0,
             )
             continue
-        _store(results, cache, i, pt, key, value, duration)
+        _store(results, cache, i, pt, key, value, time.perf_counter() - t0)
 
 
 def _run_parallel(
-    spec, pending, results, cache, cfg, jobs, on_error, timeout
+    spec, pending, results, cfg: ExecutionConfig, on_error, timeout
 ) -> None:
-    # Use the ambient config's persistent pool when it matches the
-    # requested width (so `repro run all --jobs N` reuses workers across
-    # experiments); otherwise spin up a sweep-local pool.
-    if cfg.jobs == jobs and current_execution() is cfg:
-        pool, owned = cfg.pool(), False
-    else:
-        pool, owned = (
-            ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init),
-            True,
-        )
+    """Drain ``pending`` through ``cfg``'s pool — one pool per
+    ``execution()`` block, so `repro run all --jobs N` reuses workers
+    across experiments."""
+    carried = scope.carried()
     queue = list(pending)
     crashes = 0
-    abandoned = 0
-    try:
-        while queue:
-            try:
-                abandoned += _drain_pool(
-                    pool, spec, queue, results, cache, on_error, timeout, jobs
-                )
+    while queue:
+        try:
+            _drain_pool(cfg, carried, spec, queue, results, on_error, timeout)
+            break
+        except BrokenProcessPool as exc:
+            # A worker died mid-point, poisoning every in-flight
+            # future — the culprit is unidentifiable from here.
+            # Rebuild the pool and resubmit whatever has no result
+            # yet; once the retry budget is spent, fall back to
+            # running each straggler in its own single-worker pool so
+            # only the point that actually kills its worker fails.
+            crashes += 1
+            queue = [p for p in queue if results[p[0]] is None]
+            cfg.reset_pool()
+            if crashes > _POOL_RETRIES:
+                if on_error == "raise":
+                    raise SweepError(
+                        f"sweep {spec.name}: worker pool crashed "
+                        f"{crashes} times; {len(queue)} point(s) unfinished"
+                    ) from exc
+                _run_isolated(cfg, carried, spec, queue, results)
                 break
-            except BrokenProcessPool as exc:
-                # A worker died mid-point, poisoning every in-flight
-                # future — the culprit is unidentifiable from here.
-                # Rebuild the pool and resubmit whatever has no result
-                # yet; once the retry budget is spent, fall back to
-                # running each straggler in its own single-worker pool so
-                # only the point that actually kills its worker fails.
-                crashes += 1
-                queue = [p for p in queue if results[p[0]] is None]
-                if owned:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(
-                        max_workers=jobs, initializer=_worker_init
-                    )
-                else:
-                    cfg.reset_pool()
-                    pool = cfg.pool()
-                if crashes > _POOL_RETRIES:
-                    if on_error == "raise":
-                        raise SweepError(
-                            f"sweep {spec.name}: worker pool crashed "
-                            f"{crashes} times; {len(queue)} point(s) unfinished"
-                        ) from exc
-                    _run_isolated(queue, results, cache)
-                    break
-    finally:
-        if owned:
-            # Abandoned (timed-out) futures still occupy workers; waiting
-            # on them would stall the caller indefinitely.
-            pool.shutdown(wait=abandoned == 0, cancel_futures=abandoned > 0)
 
 
-def _run_isolated(queue, results, cache) -> None:
+def _run_isolated(cfg, carried, spec, queue, results) -> None:
     """Last-resort pass after repeated pool crashes (``on_error="keep"``).
 
-    Each unfinished point gets a fresh single-worker pool: a point that
-    crashes its worker fails alone, and every innocent point that was
-    merely in flight when a neighbour died still completes.
+    Each unfinished point is drained through a fresh one-worker config: a
+    point that crashes its worker fails alone, and every innocent point
+    that was merely in flight when a neighbour died still completes.
     """
-    for i, pt, key in queue:
-        solo = ProcessPoolExecutor(max_workers=1, initializer=_worker_init)
+    for entry in queue:
+        solo = ExecutionConfig(jobs=1, cache=cfg.cache)
         try:
-            fut = solo.submit(_execute_point, pt.runner, pt.params_dict, pt.seed)
-            try:
-                value, duration = fut.result()
-            except BrokenProcessPool:
-                _fail(
-                    results, i, pt,
-                    "worker process crashed (BrokenProcessPool) "
-                    "running this point in isolation",
-                )
-                continue
-            except Exception as exc:
-                _fail(results, i, pt, f"{type(exc).__name__}: {exc}")
-                continue
-            _store(results, cache, i, pt, key, value, duration)
+            _drain_pool(solo, carried, spec, [entry], results, "keep", None)
+        except BrokenProcessPool:
+            _fail(
+                results, entry[0], entry[1],
+                "worker process crashed (BrokenProcessPool) "
+                "running this point in isolation",
+            )
         finally:
-            solo.shutdown(wait=False, cancel_futures=True)
+            solo.reset_pool()
 
 
 def _chunks(queue, jobs) -> list[list]:
@@ -452,105 +413,75 @@ def _chunks(queue, jobs) -> list[list]:
     return [queue[k : k + size] for k in range(0, len(queue), size)]
 
 
-def _drain_chunked(pool, spec, queue, results, cache, on_error, jobs) -> None:
-    """Submit the queue as per-worker chunks and collect every outcome.
+def _drain_pool(cfg, carried, spec, queue, results, on_error, timeout) -> None:
+    """Submit ``queue`` to ``cfg``'s pool as chunks and collect every outcome.
 
-    A :class:`BrokenProcessPool` from any chunk propagates to the caller's
-    rebuild loop; points of the broken chunk that have no result yet are
-    resubmitted with the rest of the unfinished queue.
+    Without a per-point ``timeout`` a chunk is a per-worker run of points
+    (see :func:`_chunks`); timeout enforcement needs a future per point,
+    so there a chunk is one point.  A :class:`BrokenProcessPool` from any
+    chunk propagates to the caller's rebuild loop; points of the broken
+    chunk that have no result yet are resubmitted with the rest of the
+    unfinished queue.
     """
+    pool = cfg.pool()
+    chunks = _chunks(queue, cfg.jobs) if timeout is None else [[p] for p in queue]
     futures = {
         pool.submit(
             _execute_chunk,
+            carried,
             [(pt.runner, pt.params_dict, pt.seed) for _, pt, _ in chunk],
         ): chunk
-        for chunk in _chunks(queue, jobs)
-    }
-    not_done = set(futures)
-    while not_done:
-        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-        for fut in done:
-            chunk = futures[fut]
-            outcomes = fut.result()  # BrokenProcessPool propagates
-            for (i, pt, key), (ok, payload, duration) in zip(chunk, outcomes):
-                if ok:
-                    _store(results, cache, i, pt, key, payload, duration)
-                elif on_error == "raise":
-                    for f in not_done:
-                        f.cancel()
-                    raise SweepError(
-                        f"sweep point {pt.label()} failed: {payload}"
-                    )
-                else:
-                    _fail(results, i, pt, payload, duration=duration)
-
-
-def _drain_pool(
-    pool, spec, queue, results, cache, on_error, timeout, jobs
-) -> int:
-    """Submit ``queue`` and collect everything; returns #abandoned futures.
-
-    Without a per-point ``timeout`` the queue is dispatched as chunks
-    (see :func:`_execute_chunk`); timeout enforcement needs a future per
-    point, so that path keeps the one-point-one-future protocol.
-    """
-    if timeout is None:
-        _drain_chunked(pool, spec, queue, results, cache, on_error, jobs)
-        return 0
-    futures = {
-        pool.submit(_execute_point, pt.runner, pt.params_dict, pt.seed): (
-            i,
-            pt,
-            key,
-        )
-        for i, pt, key in queue
+        for chunk in chunks
     }
     not_done = set(futures)
     started: dict[Any, float] = {}
-    abandoned = 0
-    while not_done:
-        tick = _TIMEOUT_TICK if timeout is not None else None
-        done, not_done = wait(not_done, timeout=tick, return_when=FIRST_COMPLETED)
-        for fut in done:
-            i, pt, key = futures[fut]
-            try:
-                value, duration = fut.result()
-            except BrokenProcessPool:
-                raise
-            except Exception as exc:
+    abandoned = False
+    try:
+        while not_done:
+            done, not_done = wait(
+                not_done,
+                timeout=None if timeout is None else _TIMEOUT_TICK,
+                return_when=FIRST_COMPLETED,
+            )
+            for fut in done:  # fut.result(): a BrokenProcessPool propagates
+                for (i, pt, key), (ok, payload, duration) in zip(futures[fut], fut.result()):
+                    if ok:
+                        _store(results, cfg.cache, i, pt, key, payload, duration)
+                    elif on_error == "raise":
+                        for f in not_done:
+                            f.cancel()
+                        raise SweepError(
+                            f"sweep point {pt.label()} failed: {payload}"
+                        )
+                    else:
+                        _fail(results, i, pt, payload, duration=duration)
+            if timeout is None:
+                continue
+            # ProcessPoolExecutor cannot interrupt a running worker, so a
+            # timeout abandons the future: the point is recorded as timed
+            # out and its (eventual) result is discarded.
+            now = time.perf_counter()
+            expired = [
+                f for f in not_done
+                if f.running() and now - started.setdefault(f, now) > timeout
+            ]
+            for fut in expired:
+                ((i, pt, _key),) = futures[fut]
+                not_done.discard(fut)
+                abandoned = True
                 if on_error == "raise":
                     for f in not_done:
                         f.cancel()
                     raise SweepError(
-                        f"sweep point {pt.label()} failed: {exc}"
-                    ) from exc
-                _fail(results, i, pt, f"{type(exc).__name__}: {exc}")
-                continue
-            _store(results, cache, i, pt, key, value, duration)
-        if timeout is None:
-            continue
-        # ProcessPoolExecutor cannot interrupt a running worker, so a
-        # timeout abandons the future: the point is recorded as timed out
-        # and its (eventual) result is discarded.
-        now = time.perf_counter()
-        for fut in not_done:
-            if fut.running() and fut not in started:
-                started[fut] = now
-        expired = [
-            f for f in not_done if f in started and now - started[f] > timeout
-        ]
-        for fut in expired:
-            i, pt, _key = futures[fut]
-            not_done.discard(fut)
-            abandoned += 1
-            if on_error == "raise":
-                for f in not_done:
-                    f.cancel()
-                raise SweepError(
-                    f"sweep point {pt.label()} timed out after {timeout:g}s"
+                        f"sweep point {pt.label()} timed out after {timeout:g}s"
+                    )
+                _fail(
+                    results, i, pt,
+                    f"timed out after {timeout:g}s", duration=timeout,
                 )
-            _fail(
-                results, i, pt,
-                f"timed out after {timeout:g}s", duration=timeout,
-            )
-    return abandoned
+    finally:
+        if abandoned:
+            # The abandoned future still occupies its worker; the pool is
+            # dropped without waiting so neither the next sweep nor
+            # close() stalls behind it.
+            cfg.reset_pool()

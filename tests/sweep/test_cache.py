@@ -156,3 +156,156 @@ class TestWriteResilience:
         key = _one_key(c, _spec())
         with pytest.raises(TypeError):
             c.put(key, {"v": object()})
+
+
+# -- ambient state in the key --------------------------------------------
+# What a run happens under is part of what determines its rows: the carried
+# scopes of repro.scope (fault plan, pass pipeline, bulk switch) enter the key.
+
+_FIG03 = dict(machines=("perlmutter-cpu",), iters=1)
+
+
+def _rows(name, kwargs=None, **session):
+    import repro
+
+    with repro.Session(**session) as s:
+        report = s.run_experiment(name, **(kwargs or {}))
+    return report.rows
+
+
+class TestAmbientKeys:
+    def test_key_with_nothing_ambient_is_the_parents_literal(
+        self, tmp_path, monkeypatch
+    ):
+        """Digest generated at PR 18 (8ffd377) for fig05's first point with
+        the machine fingerprint pinned: existing ``.repro-cache/`` entries
+        stay valid.  It moves only with ``repro.__version__`` or the payload."""
+        from repro.experiments.fig05_stencil import _spec as fig05_spec
+
+        monkeypatch.setattr(cache_mod, "machine_fingerprint", lambda name: "pinned")
+        spec = fig05_spec(16384, 5)
+        key = ResultCache(tmp_path).key_for(spec, spec.iter_points()[0])
+        assert key == (
+            "0268bc29a3b0fe69c37ba8f6246a4826377e3a99dab903fa5727381c134b15db"
+        )
+
+    def test_default_valued_scopes_leave_the_key_alone(self, tmp_path):
+        from repro import ir, perf
+
+        c = ResultCache(tmp_path)
+        bare = _one_key(c, _spec())
+        with perf.vectorized(True), ir.passes(False):
+            assert _one_key(c, _spec()) == bare
+        with perf.vectorized(False):
+            scalar = _one_key(c, _spec())
+        with ir.passes(["coalesce"]):
+            coalesce = _one_key(c, _spec())
+        with ir.passes(["coalesce", "overlap"]):
+            both = _one_key(c, _spec())
+        assert len({bare, scalar, coalesce, both}) == 4
+
+    def test_fault_plans_are_told_apart(self, tmp_path):
+        from repro import faults
+        from repro.faults import FaultPlan, LinkFaults, RouterFaults
+
+        plans = [
+            FaultPlan.uniform(loss=0.05, seed=1),
+            FaultPlan.uniform(loss=0.05, seed=2),
+            FaultPlan.uniform(loss=0.06, seed=1),
+            FaultPlan(links={("a", "b"): LinkFaults(jitter=1e-6)}),
+            FaultPlan(hard=(RouterFaults("sw0", ((0.0, float("inf")),)),)),
+        ]
+        c = ResultCache(tmp_path)
+        keys = []
+        for plan in plans:
+            with faults.inject(plan):
+                keys.append(_one_key(c, _spec()))
+                assert _one_key(c, _spec()) == keys[-1]
+        assert len({_one_key(c, _spec()), *keys}) == len(plans) + 1
+
+    def test_warm_cache_is_not_served_under_a_pass_pipeline(self, tmp_path):
+        plain = _rows("fig05", cache=str(tmp_path))
+        uncached = _rows("fig05", passes=True)
+        cache = ResultCache(tmp_path)
+        cached = _rows("fig05", cache=cache, passes=True)
+        assert cached == uncached
+        assert cached != plain
+        assert cache.hits == 0
+        again = _rows("fig05", cache=cache, passes=True)
+        assert again == uncached
+        assert (cache.hits, cache.misses) == (len(uncached), len(uncached))
+
+    def test_warm_cache_is_not_served_under_a_fault_plan(self, tmp_path):
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan.uniform(loss=0.05, seed=1)
+        plain = _rows("fig03", _FIG03, cache=str(tmp_path))
+        uncached = _rows("fig03", _FIG03, faults=plan)
+        cache = ResultCache(tmp_path)
+        cached = _rows("fig03", _FIG03, cache=cache, faults=plan)
+        assert cached == uncached
+        assert cached != plain
+        assert cache.hits == 0
+        assert _rows("fig03", _FIG03, cache=cache, faults=plan) == uncached
+        assert cache.hits == cache.misses > 0
+
+
+class TestUncacheable:
+    """A carried value with no canonical fingerprint: run, never stored,
+    counted — not guessed at."""
+
+    def _custom_pipeline(self):
+        from repro.ir.pipeline import Pass
+
+        class Noop(Pass):
+            name = "noop"
+
+        return [Noop()]
+
+    def test_custom_pass_has_no_key(self, tmp_path):
+        from repro import ir
+        from repro.ir.pipeline import CoalescePass
+
+        c = ResultCache(tmp_path)
+        with ir.passes(self._custom_pipeline()):
+            assert _one_key(c, _spec()) is None
+        with ir.passes([type("Mine", (CoalescePass,), {})()]):  # not *the* built-in
+            assert _one_key(c, _spec()) is None
+        assert c.uncacheable == 2
+
+    def test_points_run_are_not_stored_and_are_counted(self, tmp_path):
+        from repro import ir, obs
+        from repro.sweep import run_sweep
+
+        cache = ResultCache(tmp_path)
+        spec = _spec(points=[{"x": 1}, {"x": 2}])
+        with obs.observe() as session, ir.passes(self._custom_pipeline()):
+            first = run_sweep(spec, cache=cache)
+            second = run_sweep(spec, cache=cache)
+        assert [r.value for r in first + second] == [{"v": 1}, {"v": 2}] * 2
+        assert not any(r.cached for r in first + second)
+        assert not list(tmp_path.rglob("*.json"))
+        assert cache.uncacheable == 4
+        assert cache.stats() == {"hits": 0, "misses": 0, "write_errors": 0}
+        assert session.metrics.snapshot()["sweep.cache.uncacheable"] == 4.0
+
+    def test_counter_absent_when_everything_has_a_key(self, tmp_path):
+        from repro import obs
+        from repro.sweep import run_sweep
+
+        with obs.observe() as session:
+            run_sweep(_spec(), cache=ResultCache(tmp_path))
+        assert "sweep.cache.uncacheable" not in session.metrics.snapshot()
+
+    def test_cli_cache_line_names_it_only_when_nonzero(self, tmp_path, capsys):
+        from repro.cli import _print_run_summary
+
+        cache = ResultCache(tmp_path)
+        _print_run_summary({"fig03": "PASS"}, cache)
+        assert capsys.readouterr().err == "[sweep] cache: hits=0 misses=0\n"
+        cache.uncacheable = 3
+        _print_run_summary({"fig03": "PASS"}, cache)
+        assert (
+            capsys.readouterr().err
+            == "[sweep] cache: hits=0 misses=0 uncacheable=3\n"
+        )
