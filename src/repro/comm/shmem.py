@@ -27,7 +27,7 @@ import numpy as np
 from repro import perf
 from repro.comm.base import CommError, Request
 from repro.comm.context import RankContext
-from repro.comm.window import Window, _complete
+from repro.comm.window import Window, _cas, _complete, _faa
 from repro.perf.engine import drain_wait_until_all, issue_times
 from repro.sim.event import Event
 
@@ -326,25 +326,17 @@ class ShmemContext(RankContext):
         self, win: Window, target: int, offset: int, compare: Any, value: Any
     ) -> Generator:
         """Blocking device-initiated remote CAS; returns the old value."""
-        handle = win.handle(self)
-        req = yield from handle.compare_and_swap(target, offset, compare, value)
-        if not req.done:
-            old = yield req.event
-        else:
-            old = req.event.value
-        return old
+        return win.handle(self)._atomic_blocking(
+            target, offset, _cas, compare, value, wait=False
+        )
 
     def atomic_fetch_add(
         self, win: Window, target: int, offset: int, value: Any
     ) -> Generator:
         """Blocking device-initiated remote fetch-and-add; returns old value."""
-        handle = win.handle(self)
-        req = yield from handle.fetch_and_add(target, offset, value)
-        if not req.done:
-            old = yield req.event
-        else:
-            old = req.event.value
-        return old
+        return win.handle(self)._atomic_blocking(
+            target, offset, _faa, None, value, wait=False
+        )
 
     def quiet(self) -> Generator:
         """``nvshmem_quiet``: complete all outstanding puts from this PE."""

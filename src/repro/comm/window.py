@@ -29,7 +29,7 @@ from repro import perf
 from repro.comm.base import CommError, Request
 from repro.perf.atomics import bulk_cas_stream
 from repro.perf.engine import bulk_visible_last, issue_times
-from repro.sim.event import Event
+from repro.sim.event import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
@@ -62,6 +62,82 @@ def _complete(
     else:
         done.fail(ev.value)
         done.defuse()
+
+
+def _cas(buf, offset, compare, value):
+    old = buf[offset].item()
+    if old == compare:
+        buf[offset] = value
+    return old
+
+
+def _faa(buf, offset, _compare, value):
+    old = buf[offset].item()
+    buf[offset] = old + value
+    return old
+
+
+def _swap(buf, offset, _compare, value):
+    old = buf[offset].item()
+    buf[offset] = value
+    return old
+
+
+class _AtomicOp:
+    """One remote atomic in flight: a request leg, a turn at the target's
+    atomic unit, a response leg carrying the old value into ``done``.
+
+    The three hops are this object's bound methods and what they share is
+    its slots.  Creating it posts the request.
+    """
+
+    __slots__ = ("handle", "target", "offset", "apply_fn", "compare", "value",
+                 "old", "done")
+
+    def __init__(self, handle, target, offset, apply_fn, compare, value):
+        self.handle = handle
+        self.target = target
+        self.offset = offset
+        self.apply_fn = apply_fn
+        self.compare = compare
+        self.value = value
+        ctx = handle.ctx
+        request = ctx.fabric.transfer(
+            ctx.endpoint, ctx.job.endpoints[target], 16.0, atomic=True
+        )
+        self.done = Event(ctx.sim)
+        request.event.add_callback(self._at_target)
+        handle.window._track(handle.rank, target)
+        if apply_fn is _cas and ctx.job.tracer.enabled:
+            ctx.job.tracer.emit(
+                ctx.sim.now, "cas", handle.rank, target=target, offset=offset
+            )
+
+    def _at_target(self, ev: Event) -> None:
+        handle, target = self.handle, self.target
+        win, ctx = handle.window, handle.ctx
+        if not ev.ok:
+            win._op_done(handle.rank, target, self.done, ev)
+            return
+        # Atomics serialise at the target's atomic unit.
+        now = ctx.sim.now
+        finish = max(now, win._atomic_next_free[target]) + ctx.costs.atomic_apply
+        win._atomic_next_free[target] = finish
+        Timeout(ctx.sim, finish - now).add_callback(self._apply)
+
+    def _apply(self, _ev: Event) -> None:
+        handle, target = self.handle, self.target
+        win, ctx = handle.window, handle.ctx
+        self.old = self.apply_fn(
+            win.buffers[target], self.offset, self.compare, self.value
+        )
+        win._apply_write(target, self.offset, None)  # ring watchers
+        response = ctx.fabric.transfer(ctx.job.endpoints[target], ctx.endpoint, 8.0)
+        response.event.add_callback(self._respond)
+
+    def _respond(self, ev: Event) -> None:
+        handle = self.handle
+        handle.window._op_done(handle.rank, self.target, self.done, ev, self.old)
 
 
 class Window:
@@ -499,41 +575,47 @@ class WindowHandle:
 
     # -- atomics ------------------------------------------------------------------
 
-    def _atomic(self, target: int, offset: int, apply_fn) -> Generator:
-        """Shared atomic machinery: round trip + serial application."""
-        ctx, win = self.ctx, self.window
-        if not 0 <= offset < win.count:
-            raise CommError(f"atomic offset {offset} out of bounds ({win.count})")
+    def _atomic_charge(self, offset: int) -> Timeout:
+        """Count one atomic and charge its issue overhead (``fetch_op``)."""
+        ctx = self.ctx
+        if not 0 <= offset < self.window.count:
+            raise CommError(
+                f"atomic offset {offset} out of bounds ({self.window.count})"
+            )
         ctx.counter.operations += 1
         ctx.counter.atomics += 1
-        yield ctx.sim.timeout(ctx.costs.fetch_op)
-        target_ep = ctx.job.endpoints[target]
-        request_leg = ctx.fabric.transfer(ctx.endpoint, target_ep, 16.0, atomic=True)
-        done = ctx.sim.event()
+        return Timeout(ctx.sim, ctx.costs.fetch_op)
 
-        def at_target(_ev: Event) -> None:
-            if not _ev.ok:
-                win._op_done(self.rank, target, done, _ev)
-                return
-            # Atomics serialise at the target's atomic unit.
-            now = ctx.sim.now
-            start = max(now, win._atomic_next_free[target])
-            finish = start + ctx.costs.atomic_apply
-            win._atomic_next_free[target] = finish
+    def _atomic(self, target, offset, apply_fn, compare, value) -> Generator:
+        """Non-blocking atomic: the request completes with the old value."""
+        yield self._atomic_charge(offset)
+        op = _AtomicOp(self, target, offset, apply_fn, compare, value)
+        return Request(op.done, "atomic", 8.0)
 
-            def apply_and_respond(_e: Event) -> None:
-                old = apply_fn(win.buffers[target])
-                win._apply_write(target, offset, None)  # ring watchers
-                response = ctx.fabric.transfer(target_ep, ctx.endpoint, 8.0)
-                response.event.add_callback(
-                    lambda _r: win._op_done(self.rank, target, done, _r, old)
-                )
+    def _atomic_blocking(
+        self, target, offset, apply_fn, compare, value, *, wait: bool = True
+    ) -> Generator:
+        """Blocking atomic, issue to old value in one frame.
 
-            ctx.sim.timeout(finish - now).add_callback(apply_and_respond)
-
-        request_leg.event.add_callback(at_target)
-        win._track(self.rank, target)
-        return Request(done, "atomic", 8.0)
+        ``wait=True`` is the MPI idiom, the atomic followed by
+        :meth:`RankContext.wait` on its request (a synchronisation: counted,
+        and ``sync_enter`` paid on wake-up); ``False`` is the fused SHMEM
+        AMO, which resumes on the response.  Nothing runs between the post
+        and the ``yield``, so the op cannot have completed yet: ``wait``'s
+        already-complete branch has no counterpart here.
+        """
+        ctx = self.ctx
+        yield self._atomic_charge(offset)
+        op = _AtomicOp(self, target, offset, apply_fn, compare, value)
+        wake = 0.0
+        if wait:
+            ctx.counter.syncs += 1
+            ctx.counter.operations += 1
+            wake = ctx.costs.sync_enter + ctx.costs.wait_per_req
+        old = yield op.done
+        if wake > 0:
+            yield Timeout(ctx.sim, wake)
+        return old
 
     def cas_stream(self, target: int, offset: int, ops, *, wait: bool) -> Generator:
         """Back-to-back blocking CAS ops on one word of a passive target;
@@ -554,12 +636,9 @@ class WindowHandle:
             return out
         out = []
         for compare, value in ops:
-            if wait:
-                old = yield from self.cas_blocking(target, offset, compare, value)
-            else:
-                old = yield from ctx.atomic_compare_swap(
-                    win, target, offset, compare, value
-                )
+            old = yield from self._atomic_blocking(
+                target, offset, _cas, compare, value, wait=wait
+            )
             out.append(old)
         return out
 
@@ -567,53 +646,27 @@ class WindowHandle:
         self, target: int, offset: int, compare: Any, value: Any
     ) -> Generator:
         """Non-blocking CAS: returns a request completing with the old value."""
-
-        def apply_fn(buf: np.ndarray) -> Any:
-            old = buf[offset].item()
-            if old == compare:
-                buf[offset] = value
-            return old
-
-        req = yield from self._atomic(target, offset, apply_fn)
-        if self.ctx.job.tracer.enabled:
-            self.ctx.job.tracer.emit(
-                self.ctx.sim.now, "cas", self.rank, target=target, offset=offset
-            )
-        return req
+        return self._atomic(target, offset, _cas, compare, value)
 
     def fetch_and_add(self, target: int, offset: int, value: Any) -> Generator:
         """Non-blocking fetch-and-add: request completes with the old value."""
-
-        def apply_fn(buf: np.ndarray) -> Any:
-            old = buf[offset].item()
-            buf[offset] = old + value
-            return old
-
-        req = yield from self._atomic(target, offset, apply_fn)
-        return req
+        return self._atomic(target, offset, _faa, None, value)
 
     def fetch_and_replace(self, target: int, offset: int, value: Any) -> Generator:
         """Non-blocking atomic swap (``MPI_Fetch_and_op`` with
         ``MPI_REPLACE``): request completes with the old value."""
-
-        def apply_fn(buf: np.ndarray) -> Any:
-            old = buf[offset].item()
-            buf[offset] = value
-            return old
-
-        req = yield from self._atomic(target, offset, apply_fn)
-        return req
+        return self._atomic(target, offset, _swap, None, value)
 
     def cas_blocking(
         self, target: int, offset: int, compare: Any, value: Any
     ) -> Generator:
         """CAS + ``flush_local``: returns the old value (hashtable idiom)."""
-        req = yield from self.compare_and_swap(target, offset, compare, value)
-        old = yield from self.ctx.wait(req)
-        return old
+        return self._atomic_blocking(target, offset, _cas, compare, value)
 
     def faa_blocking(self, target: int, offset: int, value: Any) -> Generator:
         """Fetch-and-add + wait: returns the old value."""
-        req = yield from self.fetch_and_add(target, offset, value)
-        old = yield from self.ctx.wait(req)
-        return old
+        return self._atomic_blocking(target, offset, _faa, None, value)
+
+    def swap_blocking(self, target: int, offset: int, value: Any) -> Generator:
+        """Atomic swap + wait: returns the old value."""
+        return self._atomic_blocking(target, offset, _swap, None, value)

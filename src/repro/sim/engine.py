@@ -46,6 +46,8 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self.event_count: int = 0  # processed events, for instrumentation
+        # Processes whose generator has not finished, in creation order.
+        self._live: dict[Process, None] = {}
 
     # -- clock ---------------------------------------------------------------
 
@@ -176,11 +178,7 @@ class Simulator:
                     raise SimulationError("'until' event belongs to another simulator")
                 while until.callbacks is not None:  # i.e. not yet processed
                     if not heap:
-                        raise DeadlockError(
-                            f"deadlock: the event heap is empty at t={self._now:.3e}s "
-                            f"and {until!r} has not fired; nothing scheduled can "
-                            "trigger it"
-                        )
+                        raise self._deadlock(until)
                     if limit is not None and self.event_count >= limit:
                         raise self._budget_exhausted(max_events)
                     step()
@@ -200,6 +198,16 @@ class Simulator:
             return None
         finally:
             self._running = False
+
+    def _deadlock(self, until: Event) -> DeadlockError:
+        parked = "".join(
+            f"\n  process {p.name!r} is parked on {p._target!r}" for p in self._live
+        )
+        return DeadlockError(
+            f"deadlock: the event heap is empty at t={self._now:.3e}s "
+            f"and {until!r} has not fired; nothing scheduled can "
+            f"trigger it{parked or ' (no live process)'}"
+        )
 
     def _budget_exhausted(self, max_events: int) -> SimulationError:
         return SimulationError(

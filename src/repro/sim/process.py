@@ -51,6 +51,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
+        sim._live[self] = None  # until _retire: what a DeadlockError names
         bootstrap = Event(sim)
         bootstrap.add_callback(self._resume)
         bootstrap.succeed()
@@ -97,12 +98,12 @@ class Process(Event):
                 event._defused = True
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
-            self._target = None
+            self._retire()
             self.succeed(stop.value)
             return
         except BaseException as exc:
             # Including an uncaught Interrupt: the process ends as a failure.
-            self._target = None
+            self._retire()
             self.fail(exc)
             return
         if not isinstance(target, Event) or target.sim is not self.sim:
@@ -123,8 +124,13 @@ class Process(Event):
             else:
                 relay.fail(target._value)
 
-    def _bad_yield(self, target: Any) -> None:
+    def _retire(self) -> None:
+        """The generator is finished: parked on nothing, no longer live."""
         self._target = None
+        del self.sim._live[self]
+
+    def _bad_yield(self, target: Any) -> None:
+        self._retire()
         if isinstance(target, Event):
             self.fail(SimulationError("process yielded an event from another simulator"))
             return

@@ -485,18 +485,16 @@ class _WindowAtomicEndpoint(Endpoint):
     def local(self, space):
         return self.channel.wins[space].local(self.ctx.rank)
 
+    # The blocking verbs return the handle's generator: one frame from the
+    # program body to the fabric.
     def cas(self, space, dst, offset, compare, value):
-        old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
-        return old
+        return self.h[space].cas_blocking(dst, offset, compare, value)
 
     def faa(self, space, dst, offset, value):
-        old = yield from self.h[space].faa_blocking(dst, offset, value)
-        return old
+        return self.h[space].faa_blocking(dst, offset, value)
 
     def swap(self, space, dst, offset, value):
-        req = yield from self.h[space].fetch_and_replace(dst, offset, value)
-        old = yield from self.ctx.wait(req)
-        return old
+        return self.h[space].swap_blocking(dst, offset, value)
 
     def publish(self, space, dst, values, *, offset=0):
         # flush_local orders the element write before any subsequent op
@@ -506,15 +504,10 @@ class _WindowAtomicEndpoint(Endpoint):
 
     def native_cas(self, space, dst, offset, compare, value):
         if self.cas_waits:
-            old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
-        else:
-            old = yield from self.ctx.atomic_compare_swap(
-                self.channel.wins[space], dst, offset, compare, value
-            )
-        return old
+            return self.h[space].cas_blocking(dst, offset, compare, value)
+        return self.ctx.atomic_compare_swap(
+            self.channel.wins[space], dst, offset, compare, value
+        )
 
     def cas_stream(self, space, dst, offset, ops):
-        out = yield from self.h[space].cas_stream(
-            dst, offset, ops, wait=self.cas_waits
-        )
-        return out
+        return self.h[space].cas_stream(dst, offset, ops, wait=self.cas_waits)

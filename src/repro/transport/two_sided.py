@@ -171,8 +171,7 @@ class _AtomicEndpoint(Endpoint):
 
     def native_cas(self, space, dst, offset, compare, value):
         h = self.channel.wins[space].handle(self.ctx)
-        old = yield from h.cas_blocking(dst, offset, compare, value)
-        return old
+        return h.cas_blocking(dst, offset, compare, value)
 
 
 class TwoSidedBackend(TransportBackend):

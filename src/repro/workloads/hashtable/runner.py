@@ -64,7 +64,6 @@ class HashTableConfig:
     total_inserts: int = 20_000
     load_factor: float = 0.6
     seed: int = 0
-    mode: str = "execute"  # table ops are cheap; execute by default
     # Two-sided: inserts per rank between synchronisation rounds.  One
     # insert per rank per round matches Table II (P messages per sync
     # globally) and makes the log2(P) round-synchronisation cost dominate
@@ -76,8 +75,6 @@ class HashTableConfig:
             raise ValueError("total_inserts must be >= 1")
         if not 0 < self.load_factor <= 1:
             raise ValueError("load_factor in (0, 1]")
-        if self.mode not in ("simulate", "execute"):
-            raise ValueError(f"mode must be simulate|execute, got {self.mode!r}")
         if self.sync_window < 1:
             raise ValueError("sync_window must be >= 1")
 
@@ -121,7 +118,7 @@ def _domain_spec(geom: TableGeometry) -> AtomicDomainSpec:
     )
 
 
-def _atomics_body(geom: TableGeometry, keys_by_rank):
+def _atomics_body(geom: TableGeometry, triplets):
     """Sender's-control inserts: CAS / increment / second-atomic.
 
     Dynamic IR body — the CAS result steers collision handling, so the
@@ -132,9 +129,7 @@ def _atomics_body(geom: TableGeometry, keys_by_rank):
         yield from em.barrier()
         t0 = ctx.sim.now
         collisions = 0
-        for key in keys_by_rank[ctx.rank]:
-            key = int(key)
-            r, s = geom.locate(key)
+        for key, r, s in zip(*triplets[ctx.rank]):
             old = yield from em.cas("table", r, s, EMPTY, key)
             if old != EMPTY:
                 collisions += 1
@@ -170,23 +165,31 @@ def _recv_handler(state: dict, payload) -> None:
 
 
 def build_hashtable_program(
-    runtime: str, geom: TableGeometry, keys_by_rank, incoming_per_round,
-    window: int, nranks: int,
+    runtime: str, geom: TableGeometry, keys_by_rank, window: int, nranks: int,
 ) -> IRProgram:
     """Emit the insert pattern as IR; the algorithm (atomics vs
     owner-routed triplets) branches on the backend's caps exactly as the
-    hand-written program branched on ``ep.caps.remote_atomics``."""
+    hand-written program branched on ``ep.caps.remote_atomics``.
+
+    Every key is hashed here, once: the ``(keys, owners, slots)`` lists per
+    inserting rank feed whichever of the two algorithms runs (and the owner
+    arrays, for triplets, the round plan)."""
     from repro.transport.registry import get_backend
 
     spec = _domain_spec(geom)
     meta = {"total_keys": sum(len(k) for k in keys_by_rank), "window": window}
+    homes = [geom.locate_many(keys) for keys in keys_by_rank]
+    triplets = [
+        (keys.tolist(), owners.tolist(), slots.tolist())
+        for keys, (owners, slots) in zip(keys_by_rank, homes)
+    ]
     if get_backend(runtime).caps.remote_atomics:
         return IRProgram(
             name="hashtable",
             spec=spec,
             nranks=nranks,
             runtime=runtime,
-            body=_atomics_body(geom, keys_by_rank),
+            body=_atomics_body(geom, triplets),
             meta=meta,
         )
 
@@ -198,27 +201,28 @@ def build_hashtable_program(
         for space in ("table", "chain", "heap", "meta"):
             state[space] = ep.local(space)
 
+    incoming_per_round = _plan_rounds(
+        [owners for owners, _slots in homes], nranks, window
+    )
     nrounds = len(incoming_per_round[0]) if nranks else 0
+    # Hot-loop receive: GUPS-style codes poll MPI_Recv in a tight loop
+    # rather than descheduling per message.  The pair is the same for every
+    # incoming triplet (ops are frozen), so it is built once.
+    take_one = (O.TripletRecv(1, on_payload=_recv_handler), O.Compute(nbytes=64.0))
     regions = []
     for rnd in range(nrounds):
         body = []
+        lo, hi = rnd * window, (rnd + 1) * window
         for rank in range(nranks):
-            my_keys = keys_by_rank[rank]
-            lo, hi = rnd * window, min((rnd + 1) * window, len(my_keys))
+            my_keys, owners, slots = triplets[rank]
             ops: list[O.Op] = []
-            for key in my_keys[lo:hi]:
-                key = int(key)
-                r, s = geom.locate(key)
+            for key, r, s in zip(my_keys[lo:hi], owners[lo:hi], slots[lo:hi]):
                 if r == rank:
                     ops.append(O.Compute(nbytes=64.0, fn=_insert_fn(key, s)))
                 else:
                     ops.append(O.TripletSend(r, 24.0, 1, payload=(r, key, s)))
             expected = incoming_per_round[rank][rnd]
-            for _ in range(expected):
-                # Hot-loop receive: GUPS-style codes poll MPI_Recv in a
-                # tight loop rather than descheduling per message.
-                ops.append(O.TripletRecv(1, on_payload=_recv_handler))
-                ops.append(O.Compute(nbytes=64.0))
+            ops.extend(take_one * expected)
             # Round synchronisation: termination/quiescence exchange.
             ops.append(O.AllreduceSum(float(expected)))
             body.append(tuple(ops))
@@ -243,25 +247,24 @@ def build_hashtable_program(
 
 
 def _plan_rounds(
-    geom: TableGeometry, keys_by_rank: list[np.ndarray], nranks: int, window: int
+    owners_by_rank: list[np.ndarray], nranks: int, window: int
 ) -> list[list[int]]:
-    """Per-rank, per-round incoming message counts (static schedule).
+    """Per-rank, per-round incoming message counts (static schedule), from
+    the owner rank of each sender's keys in insert order.
 
     Receivers must know how many triplets to expect each round; computing
     the counts up front models the counting handshake real codes do without
     simulating a termination-detection protocol.
     """
     nrounds = max(
-        (len(k) + window - 1) // window for k in keys_by_rank
-    ) if keys_by_rank else 0
-    counts = [[0] * nrounds for _ in range(nranks)]
-    for src in range(nranks):
-        keys = keys_by_rank[src]
-        for i, key in enumerate(keys):
-            r, _s = geom.locate(int(key))
-            if r != src:
-                counts[r][i // window] += 1
-    return counts
+        ((len(owners) + window - 1) // window for owners in owners_by_rank),
+        default=0,
+    )
+    counts = np.zeros((nranks, nrounds), dtype=np.int64)
+    for src, owners in enumerate(owners_by_rank):
+        remote = np.flatnonzero(owners != src)
+        np.add.at(counts, (owners[remote], remote // window), 1)
+    return counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +292,8 @@ def run_hashtable(
     keys_by_rank = generate_keys(cfg, nranks)
     if placement is None:
         placement = "spread" if machine.is_gpu_machine else "block"
-    incoming = _plan_rounds(geom, keys_by_rank, nranks, cfg.sync_window)
     program = build_hashtable_program(
-        runtime, geom, keys_by_rank, incoming, cfg.sync_window, nranks
+        runtime, geom, keys_by_rank, cfg.sync_window, nranks
     )
     run = run_program(machine, program, placement=placement)
     job, chan, result = run.job, run.chan, run.result

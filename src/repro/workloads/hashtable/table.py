@@ -56,6 +56,21 @@ class TableGeometry:
         idx = h % self.total_slots
         return int(idx // self.slots_per_rank), int(idx % self.slots_per_rank)
 
+    def locate_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``locate`` of every key in one pass: int64 ``(ranks, slots)``.
+
+        Exact, not approximate: a uint64 multiply wraps modulo 2**64, which
+        is ``locate``'s ``& 0xFFFF_FFFF_FFFF_FFFF``.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        if (keys == EMPTY).any():
+            raise ValueError("key 0 is reserved for empty slots")
+        h = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        ranks, slots = np.divmod(
+            h % np.uint64(self.total_slots), np.uint64(self.slots_per_rank)
+        )
+        return ranks.astype(np.int64), slots.astype(np.int64)
+
     @classmethod
     def for_inserts(
         cls, nranks: int, total_inserts: int, *, load_factor: float = 0.6

@@ -17,7 +17,10 @@ pipeline we cannot rerun, so this module generates matrices with the same
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,11 +66,30 @@ class SupernodalMatrix:
             ``offsets[J]:offsets[J+1]``.
         blocks: ``(I, J) -> dense block`` for ``I >= J``; the diagonal
             blocks ``(J, J)`` are unit lower triangular.
+
+    Immutable once built: :func:`generate_matrix` hands the same object to
+    every caller with the same spec, so ``widths`` / ``offsets`` are tuples,
+    ``blocks`` is a read-only mapping of read-only arrays, and the
+    sub-diagonal structure is indexed by column and by row here, once.
     """
 
-    widths: list[int]
-    offsets: list[int]
-    blocks: dict[tuple[int, int], np.ndarray] = field(repr=False, default_factory=dict)
+    widths: tuple[int, ...]
+    offsets: tuple[int, ...]
+    blocks: Mapping[tuple[int, int], np.ndarray] = field(repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.widths = tuple(self.widths)
+        self.offsets = tuple(self.offsets)
+        self.blocks = MappingProxyType(dict(self.blocks))
+        below: list[list[int]] = [[] for _ in self.widths]
+        left: list[list[int]] = [[] for _ in self.widths]
+        for I, J in sorted(self.blocks):  # I-major: both lists come out sorted
+            self.blocks[I, J].setflags(write=False)
+            if I > J:
+                below[J].append(I)
+                left[I].append(J)
+        self._below = tuple(map(tuple, below))
+        self._left = tuple(map(tuple, left))
 
     @property
     def n(self) -> int:
@@ -84,13 +106,13 @@ class SupernodalMatrix:
     def sn_range(self, j: int) -> tuple[int, int]:
         return self.offsets[j], self.offsets[j + 1]
 
-    def column_blocks(self, j: int) -> list[int]:
-        """Row supernode indices I > J with a nonzero block (I, J)."""
-        return sorted(I for (I, J) in self.blocks if J == j and I > j)
+    def column_blocks(self, j: int) -> tuple[int, ...]:
+        """Row supernode indices I > J with a nonzero block (I, J), ascending."""
+        return self._below[j]
 
-    def row_blocks(self, i: int) -> list[int]:
-        """Column supernode indices J < I with a nonzero block (I, J)."""
-        return sorted(J for (I, J) in self.blocks if I == i and J < i)
+    def row_blocks(self, i: int) -> tuple[int, ...]:
+        """Column supernode indices J < I with a nonzero block (I, J), ascending."""
+        return self._left[i]
 
     def message_sizes(self) -> np.ndarray:
         """Bytes per x-message (one solution subvector per supernode)."""
@@ -130,8 +152,18 @@ class SupernodalMatrix:
         return max(depth) + 1 if depth else 0
 
 
+@lru_cache(maxsize=1)
 def generate_matrix(spec: MatrixSpec = MatrixSpec()) -> SupernodalMatrix:
-    """Generate a well-conditioned supernodal lower-triangular matrix."""
+    """The well-conditioned supernodal lower-triangular matrix of ``spec``.
+
+    Remembers the last spec built: the points of a sweep (fig08's 20) ask
+    for one matrix, and it is immutable, so they share it.  One entry only —
+    a paper-scale matrix is tens of MiB.
+    """
+    return _build_matrix(spec)
+
+
+def _build_matrix(spec: MatrixSpec) -> SupernodalMatrix:
     rng = np.random.default_rng(spec.seed)
     widths = rng.integers(spec.width_lo, spec.width_hi + 1, spec.n_supernodes)
     widths = [int(w) for w in widths]

@@ -195,6 +195,25 @@ class TestWaits:
         assert res.results[1] == ("big", 500_000)
 
 
+class TestDeadlockDiagnosis:
+    def test_mutual_recv_names_both_ranks(self, pm_cpu):
+        """Two ranks each waiting for the other's message: the error says
+        who is stuck and on what, not only when."""
+        from repro.sim import DeadlockError
+
+        job = Job(pm_cpu, 2, "two_sided", placement="spread")
+
+        def program(ctx):
+            yield from ctx.recv(source=1 - ctx.rank)
+
+        with pytest.raises(DeadlockError) as info:
+            job.run(program)
+        msg = str(info.value)
+        for rank in (0, 1):
+            posted = job.contexts[rank].engine._posted[0].event
+            assert f"process 'rank{rank}' is parked on {posted!r}" in msg
+
+
 class TestInstrumentation:
     def test_counters_track_messages_and_syncs(self, pm_cpu):
         def program(ctx):

@@ -77,3 +77,33 @@ def test_scope_stats_reflect_run(pm_cpu):
     assert s["delivered"] > 0
     assert s["drops"] > 0
     assert s["retransmits"] <= s["drops"]
+
+
+@pytest.mark.parametrize(
+    "machine, runtime, time, stats, lost",
+    [
+        ("perlmutter-cpu", "one_sided", 0.009255389242619655, (103.0, 103.0, 938.0),
+         "transfer cpu0->cpu1 (8 B) lost on cpu0<->cpu1 after 1 attempts"),
+        ("perlmutter-gpu", "shmem", 0.0015108257003538367, (152.0, 152.0, 1404.0),
+         "transfer gpu1->gpu3 (16 B) lost on gpu1<->gpu3 after 1 attempts"),
+    ],
+)
+def test_hashtable_atomics_under_loss_are_unmoved(machine, runtime, time, stats, lost):
+    """A blocking remote atomic retransmits and, past the budget, fails at
+    the origin's wait — the insert epoch's time, drop accounting and the
+    first loss to surface are the values taken before the atomic verbs were
+    fused into one generator (PR 19's head)."""
+    from repro.machines import get_machine
+    from repro.workloads.hashtable import HashTableConfig, run_hashtable
+
+    cfg = HashTableConfig(total_inserts=600, seed=2)
+    with faults.inject(faults.FaultPlan.uniform(loss=0.1, jitter=2e-6, seed=7)) as scope:
+        res = run_hashtable(get_machine(machine), runtime, cfg, 4)
+    s = scope.stats()
+    assert res.time == time
+    assert (s["drops"], s["retransmits"], s["delivered"]) == stats
+    assert len(res.extras["values"]) == 600
+    with faults.inject(faults.FaultPlan.uniform(loss=0.3, max_retries=0, seed=7)):
+        with pytest.raises(faults.FaultError) as info:
+            run_hashtable(get_machine(machine), runtime, cfg, 4)
+    assert str(info.value) == lost

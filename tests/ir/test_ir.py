@@ -16,7 +16,6 @@ from repro.machines.registry import get_machine
 from repro.workloads.flood import build_flood_program, run_flood
 from repro.workloads.hashtable.runner import (
     HashTableConfig,
-    _plan_rounds,
     build_hashtable_program,
     generate_keys,
     run_hashtable,
@@ -162,9 +161,7 @@ class TestPipeline:
         keys = generate_keys(cfg, 4)
         programs = [
             build_flood_program("one_sided", 4096, 64, iters=3),
-            build_hashtable_program(
-                "two_sided", geom, keys, _plan_rounds(geom, keys, 4, 16), 16, 4
-            ),
+            build_hashtable_program("two_sided", geom, keys, 16, 4),
         ]
         pipe = ir.build_pipeline(["coalesce", "overlap"])
         for program in programs:
@@ -193,8 +190,7 @@ class TestCostModel:
         geom_cfg = HashTableConfig(total_inserts=32)
         geom = TableGeometry.for_inserts(2, 32, load_factor=0.6)
         keys = generate_keys(geom_cfg, 2)
-        incoming = _plan_rounds(geom, keys, 2, 1)
-        p = build_hashtable_program("one_sided", geom, keys, incoming, 1, 2)
+        p = build_hashtable_program("one_sided", geom, keys, 1, 2)
         assert p.dynamic
         with pytest.raises(ValueError, match="dynamic"):
             program_cost(p, M)

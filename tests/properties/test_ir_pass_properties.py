@@ -25,7 +25,6 @@ from repro.machines.registry import get_machine
 from repro.workloads.flood import build_cas_flood_program, build_flood_program
 from repro.workloads.hashtable.runner import (
     HashTableConfig,
-    _plan_rounds,
     build_hashtable_program,
     generate_keys,
 )
@@ -75,9 +74,8 @@ def programs(draw):
             nranks, cfg.total_inserts, load_factor=cfg.load_factor
         )
         keys = generate_keys(cfg, nranks)
-        incoming = _plan_rounds(geom, keys, nranks, cfg.sync_window)
         program = build_hashtable_program(
-            runtime, geom, keys, incoming, cfg.sync_window, nranks
+            runtime, geom, keys, cfg.sync_window, nranks
         )
     return program, machine
 

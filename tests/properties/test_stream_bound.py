@@ -26,7 +26,6 @@ from repro.workloads.flood import (
 )
 from repro.workloads.hashtable.runner import (
     HashTableConfig,
-    _plan_rounds,
     build_hashtable_program,
     generate_keys,
 )
@@ -69,9 +68,8 @@ def program_pairs(draw):
             nranks, cfg.total_inserts, load_factor=cfg.load_factor
         )
         keys = generate_keys(cfg, nranks)
-        incoming = _plan_rounds(geom, keys, nranks, cfg.sync_window)
         build = lambda rt: build_hashtable_program(
-            rt, geom, keys, incoming, cfg.sync_window, nranks
+            rt, geom, keys, cfg.sync_window, nranks
         )
     return build(ONE_SIDED), build(STREAM_TRIGGERED), machine
 

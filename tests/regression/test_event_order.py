@@ -28,6 +28,7 @@ from repro.collectives import run_collective
 from repro.machines import get_machine
 from repro.sim import Simulator
 from repro.workloads.flood import run_flood
+from repro.workloads.hashtable import HashTableConfig, run_hashtable
 from repro.workloads.stencil import ProcessGrid, StencilConfig, run_stencil
 
 
@@ -90,7 +91,19 @@ def _shmem_halo():
         run_stencil(get_machine("perlmutter-gpu"), "shmem", cfg, 4, grid=ProcessGrid(2, 2))
 
 
-# (resumes, sha256) of the resume sequence, generated at PR 16's head.
+def _hashtable_inserts(machine, runtime):
+    # Eight origins' blocking CAS / FAA / swap streams meeting at the
+    # targets' atomic units; a collision also does the put + flush_local.
+    def run():
+        cfg = HashTableConfig(total_inserts=400, load_factor=0.9, seed=3)
+        res = run_hashtable(get_machine(machine), runtime, cfg, 8)
+        assert res.extras["collisions"] > 40
+
+    return run
+
+
+# (resumes, sha256) of the resume sequence, generated at PR 16's head — the
+# two hashtable epochs at PR 19's, before a blocking atomic became one frame.
 EXPECTED = {
     "shmem_ring_allreduce": (
         936, "4eb4fad471a3da08bf9e9f96a33f2bac0bfbfa48ac43981a8ca703ec8b4878ef"
@@ -104,12 +117,22 @@ EXPECTED = {
     "shmem_halo": (
         108, "c4c7939ce95905e5007cfa3d2783be1e53ced8fb2d49d04f0ce82ec1ad2badbf"
     ),
+    "one_sided_hashtable": (
+        2421, "ed9bbd2c44aa1b6aa347380480ddd105f60cf196e0c0a708af3c67c6004088c2"
+    ),
+    "shmem_hashtable": (
+        1813, "01c61a43e1f5d375646278142a0acf5da5864d6421efd1e95fdce1d8f86c5c30"
+    ),
 }
 SCENARIOS = {
     "shmem_ring_allreduce": _ring_allreduce,
     "one_sided_flood": _flood("one_sided"),
     "two_sided_flood": _flood("two_sided"),
     "shmem_halo": _shmem_halo,
+    "one_sided_hashtable": _hashtable_inserts("perlmutter-cpu", "one_sided"),
+    "shmem_hashtable": _hashtable_inserts(
+        "perlmutter-gpu-x8@dragonfly(4,2,2)", "shmem"
+    ),
 }
 
 

@@ -81,8 +81,34 @@ class TestRunModes:
         sim.run()  # the simulator is usable again (not left 'running')
 
     def test_deadlock_on_an_empty_heap_from_the_start(self, sim):
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError, match="no live process"):
             sim.run(until=sim.event())
+
+    def test_deadlock_names_the_live_processes_and_what_they_wait_on(self, sim):
+        """Only processes whose generator has not finished are named, each
+        with the event it is parked on, in creation order."""
+        gate = sim.event()
+
+        def finishes():
+            yield sim.timeout(1)
+
+        def blocks():
+            yield sim.timeout(2)
+            yield gate
+
+        sim.process(finishes(), name="done-by-then")
+        first = sim.process(blocks(), name="first")
+        second = sim.process(blocks(), name="second")
+        with pytest.raises(DeadlockError) as info:
+            sim.run(until=sim.all_of([first, second]))
+        lines = str(info.value).splitlines()
+        assert lines[1:] == [
+            f"  process 'first' is parked on {gate!r}",
+            f"  process 'second' is parked on {gate!r}",
+        ]
+        gate.succeed()
+        sim.run()
+        assert not sim._live  # dropped at completion, not kept for the run
 
     def test_run_until_already_processed_event_returns_at_once(self, sim):
         ev = sim.timeout(1, value="x")

@@ -181,8 +181,6 @@ class TestDistributedBehaviour:
             HashTableConfig(load_factor=1.5)
         with pytest.raises(ValueError):
             HashTableConfig(sync_window=0)
-        with pytest.raises(ValueError):
-            HashTableConfig(mode="other")
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises((ValueError, KeyError)):
