@@ -122,6 +122,12 @@ class Fabric:
         self._loopback_next_free: dict[str, float] = {}
         self.total_messages = 0
         self.total_bytes = 0.0
+        # What an adaptive policy counts here (net.routing.<key>).  The
+        # decision number seeds its candidate draw, so it is this fabric's:
+        # one policy object replays identically on every fabric it serves.
+        self.routing_counts = dict.fromkeys(
+            ("decisions", "detours", "candidates_scored", "candidates_pruned"), 0
+        )
         self.faults = faults
         # Failure-aware policies (FailoverRouting) ask for a fresh routing
         # decision per retry attempt and are told about every detected
@@ -443,11 +449,14 @@ class Fabric:
 
     def _collect(self) -> dict[str, float]:
         """Snapshot-time export (sum-merged across fabrics feeding the same
-        registry): the per-link totals the channels already count, and the
-        sizes of the two route caches this fabric's speed is bought with."""
+        registry): the per-link totals the channels already count, the
+        adaptive-routing counts, and the sizes of the three route caches
+        this fabric's speed is bought with."""
         out = {f"net.link.{k}": float(v) for k, v in self.link_stats().items()}
+        out.update((f"net.routing.{k}", float(v)) for k, v in self.routing_counts.items())
         out["net.fabric.compiled_routes"] = float(len(self._walks))
         out["net.topology.route_memo"] = float(len(self.topology._via_cache))
+        out["net.routing.decision_memo"] = float(len(self.topology._decision_memo))
         return out
 
     def link_stats(self) -> dict[str, float]:

@@ -22,7 +22,8 @@ taken, never from the cached minimal pair.
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import blake2b
+from math import inf
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.faults.plan import FaultError
@@ -85,70 +86,82 @@ class AdaptiveRouting:
     2x-path-length-vs-queue-depth tradeoff, expressed in seconds.
 
     Intermediates are drawn from a keyed hash of ``(src, dst, decision
-    sequence number)``: deterministic given the simulation history, varying
-    across decisions so flows spread over distinct detours.
+    number)``, varying across decisions so flows spread over distinct
+    detours.  The fabric counts its decisions; the policy holds no per-run
+    state, so one object serves any number of fabrics replayably.
     """
 
     name = "adaptive"
 
     def __init__(self, candidates: int = 2):
-        if candidates < 1:
-            raise ValueError(f"candidates must be >= 1, got {candidates}")
+        if type(candidates) is not int or candidates < 1:
+            raise ValueError(f"candidates must be an int >= 1, got {candidates!r}")
         self.candidates = candidates
-        self._decisions = 0
-
-    def _pick(self, src: str, dst: str, pool: list[str], n: int) -> list[str]:
-        """``n`` deterministic intermediate candidates for this decision."""
-        if not pool:
-            return []
-        picked: list[str] = []
-        for i in range(min(n, len(pool))):
-            h = hashlib.blake2b(
-                f"{src}|{dst}|{self._decisions}|{i}".encode(), digest_size=8
-            ).digest()
-            cand = pool[int.from_bytes(h, "big") % len(pool)]
-            if cand not in picked:
-                picked.append(cand)
-        return picked
 
     def route(
         self, fabric: "Fabric", src: str, dst: str, nbytes: float, now: float
     ) -> Route:
+        # What depends only on the pair, or on (pair, intermediate), comes
+        # from the topology's memo; the message pays for draws and scores.
         topo = fabric.topology
-        minimal = topo.route(src, dst)
-        self._decisions += 1
+        memo = topo._decision_memo
+        entry = memo.get((src, dst))
+        if entry is None:  # an unknown endpoint raises here, before any count
+            entry = memo[src, dst] = self._pair(topo, src, dst)
+        minimal, pool, prefix = entry
+        counts = fabric.routing_counts
+        seq = counts["decisions"] = counts["decisions"] + 1
         if minimal.nhops == 0:
             return minimal
         best = minimal
         best_score = self._score(fabric, minimal, nbytes, now)
-        on_minimal = {src, dst} | {v for _u, v in minimal.hops}
-        pool = [m for m in topo._transit_endpoints() if m not in on_minimal]
-        for mid in self._pick(src, dst, pool, self.candidates):
-            path = self._valiant_path(topo, src, mid, dst)
-            if path is None:
+        picked: list[str] = []
+        for i in range(min(self.candidates, len(pool))):
+            h = blake2b(prefix + b"%d|%d" % (seq, i), digest_size=8).digest()
+            mid = pool[int.from_bytes(h, "big") % len(pool)]
+            if mid in picked:
                 continue
-            route = topo.route_via(path)
-            score = self._score(fabric, route, nbytes, now)
+            picked.append(mid)
+            try:
+                detour = memo[src, mid, dst]
+            except KeyError:
+                detour = memo[src, mid, dst] = self._detour(topo, src, mid, dst)
+            if detour is None:
+                continue
+            counts["candidates_scored"] += 1
+            score = self._score(fabric, detour, nbytes, now, best_score)
             if score < best_score:
-                best, best_score = route, score
+                best, best_score = detour, score
+            elif score == inf:  # the walk was abandoned: it could not win
+                counts["candidates_pruned"] += 1
+        if best is not minimal:
+            counts["detours"] += 1
         return best
 
     @staticmethod
-    def _valiant_path(topo, src: str, mid: str, dst: str) -> list[str] | None:
-        """Minimal(src->mid) + minimal(mid->dst), rejected if it revisits
-        an endpoint (a looping detour can deadlock cut-through orderings)."""
-        try:
-            first = topo.shortest_path(src, mid)
-            second = topo.shortest_path(mid, dst)
-        except KeyError:
-            return None
-        path = first + second[1:]
-        if len(set(path)) != len(path):
-            return None
-        return path
+    def _pair(topo, src: str, dst: str) -> tuple[Route, list[str], bytes]:
+        """Memo entry of a pair: its minimal route, the transit endpoints
+        off that route (the candidate pool) and the hash-key prefix."""
+        minimal = topo.route(src, dst)
+        on_minimal = {src, dst}.union(v for _u, v in minimal.hops)
+        pool = [m for m in topo._transit_endpoints() if m not in on_minimal]
+        return minimal, pool, f"{src}|{dst}|".encode()
 
     @staticmethod
-    def _score(fabric: "Fabric", route: Route, nbytes: float, now: float) -> float:
+    def _detour(topo, src: str, mid: str, dst: str) -> Route | None:
+        """Minimal(src->mid) + minimal(mid->dst), costed; ``None`` if
+        unreachable or if it revisits an endpoint (a looping detour can
+        deadlock cut-through orderings)."""
+        try:
+            path = topo.shortest_path(src, mid) + topo.shortest_path(mid, dst)[1:]
+        except KeyError:
+            return None
+        return topo.route_via(path) if len(set(path)) == len(path) else None
+
+    @staticmethod
+    def _score(
+        fabric: "Fabric", route: Route, nbytes: float, now: float, bound: float = inf
+    ) -> float:
         """Estimated tail-arrival time of ``nbytes`` along ``route``.
 
         The estimate walks the hops the same way a reservation would:
@@ -156,19 +169,32 @@ class AdaptiveRouting:
         so UGAL never *prefers* a link mid-outage; a hop that is
         hard-down (element failure) takes a large fixed penalty, so any
         live candidate outranks a dead one.
+
+        A walk that can no longer come in under ``bound`` is abandoned and
+        reads ``inf``.  That is exact for a caller that takes a candidate
+        only on ``score < bound``: ``t`` never decreases along the walk and
+        IEEE addition is monotone, so the finished score would be
+        ``>= t + tail >= bound`` too.
         """
         t = now
-        for channel, _link in fabric._walk(route):  # the ports transfer() walks
-            t = max(t, min(channel._next_free))
+        tail = nbytes * route.G
+        walk = fabric._walks.get(route.hops) or fabric._walk(route)
+        for channel, _link in walk:  # the ports transfer() walks
+            nf = channel._next_free
+            free = nf[0] if len(nf) == 1 else min(nf)
+            if free > t:
+                t = free
             lf = channel.faults
             if lf is not None:
                 for a, b in lf.down:
                     if a <= t < b:
                         t = b
-            if channel.hard_down_at(t):
+            if channel.hard is not None and channel.hard_down_at(t):
                 t += _HARD_DOWN_PENALTY
             t += channel._latency
-        return t + nbytes * route.G
+            if t + tail >= bound:
+                return inf
+        return t + tail
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AdaptiveRouting(candidates={self.candidates})"

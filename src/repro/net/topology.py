@@ -75,6 +75,8 @@ class TopologySpec:
     _route_cache: dict[tuple[str, str], Route] = field(default_factory=dict)
     _path_cache: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     _via_cache: dict[tuple[str, ...], Route] = field(default_factory=dict)
+    # AdaptiveRouting's per-pair and per-(pair, intermediate) entries.
+    _decision_memo: dict[tuple[str, ...], object] = field(default_factory=dict)
     _transit_cache: list[str] | None = None
     _hop_cache: dict[tuple[str, str], tuple[str, str]] = field(default_factory=dict)
 
@@ -99,6 +101,7 @@ class TopologySpec:
         """
         self.injection[endpoint] = params
         self._transit_cache = None
+        self._decision_memo.clear()  # candidate pools exclude injecting endpoints
 
     @property
     def endpoints(self) -> list[str]:
@@ -235,6 +238,7 @@ class TopologySpec:
         self._route_cache.clear()
         self._path_cache.clear()
         self._via_cache.clear()
+        self._decision_memo.clear()
         self._transit_cache = None
 
     def _transit_endpoints(self) -> list[str]:

@@ -6,6 +6,7 @@ from repro.net import (
     AdaptiveRouting,
     CongestionConfig,
     Fabric,
+    FailoverRouting,
     MinimalRouting,
     dragonfly,
     fat_tree,
@@ -43,6 +44,13 @@ class TestResolver:
     def test_candidate_validation(self):
         with pytest.raises(ValueError):
             AdaptiveRouting(candidates=0)
+
+    @pytest.mark.parametrize("candidates", [1.5, 2.0, True, "2", None])
+    def test_candidates_must_be_an_int(self, candidates):
+        """1.5 and True used to construct and run; "2" died in the
+        comparison with a TypeError instead of naming the argument."""
+        with pytest.raises(ValueError, match="candidates must be an int >= 1"):
+            AdaptiveRouting(candidates=candidates)
 
 
 class TestMinimal:
@@ -160,6 +168,43 @@ class TestAdaptive:
         assert "extra" not in before and "extra" in after
         assert after == sorted(after)
 
+    def test_decision_memo_follows_topology_edits(self):
+        """What a decision remembers per pair (minimal route, candidate
+        pool, detours) is dropped by every call that can change it — on a
+        topology that fabrics and policies share."""
+        topo = dragonfly(3, 2, 1).topology
+        attach = dragonfly(3, 2, 1).attach_link
+        policy = AdaptiveRouting(candidates=4)
+        memo = topo._decision_memo
+
+        def pool(src="g0r0", dst="g1r1"):
+            # A fabric per decision: the memo is the topology's, not theirs.
+            fabric = Fabric(Simulator(), topo, routing=policy)
+            assert policy.route(fabric, src, dst, 4096, 0.0) is topo.route(src, dst)
+            minimal, candidates, _prefix = memo[src, dst]
+            assert minimal is topo.route(src, dst)
+            assert any(key[::2] == (src, dst) for key in memo if len(key) == 3)
+            return candidates
+
+        assert pool() is pool()  # remembered, not rebuilt
+        # add_link: a new transit router joins the pool of a known pair.
+        topo.add_link("g2r0", "extra", attach)
+        topo.add_link("extra", "g2r1", attach)
+        assert not memo
+        assert "extra" in pool()
+        # set_injection: an injecting endpoint is no intermediate.
+        topo.set_injection("extra", attach)
+        assert not memo
+        assert "extra" not in pool()
+        # invalidate_routes, as FailoverRouting calls it on a detection.
+        stale = topo.route("g0r0", "g1r1")
+        failover = FailoverRouting(suspect_after=1)
+        fabric = Fabric(Simulator(), topo, routing=failover)
+        failover.on_drop(fabric, frozenset(("g2r0", "g2r1")), 0.0)
+        assert not memo
+        pool()
+        assert memo["g0r0", "g1r1"][0] is not stale  # rebuilt on live routes
+
     def test_deterministic_replay(self, loaded_schedule):
         """Same transfer sequence, fresh fabrics: bit-identical schedules."""
 
@@ -183,15 +228,54 @@ class TestAdaptive:
 
         assert loaded() == loaded()
 
-    def test_decisions_vary_candidates(self, sim):
+    def test_decisions_vary_candidates(self):
         """Successive decisions draw different intermediates (the decision
-        counter feeds the hash)."""
-        f = _df_fabric(sim, routing="adaptive")
-        pool = f.topology._transit_endpoints()
-        first = f.routing._pick("g0r0", "g1r0", pool, 2)
-        f.routing._decisions += 1
-        second = f.routing._pick("g0r0", "g1r0", pool, 2)
-        assert first != second
+        counter feeds the hash) — and the counter is the fabric's: the same
+        policy object draws the same sequence again on a fresh fabric."""
+        drawn = []
+
+        class Spy(AdaptiveRouting):
+            @staticmethod
+            def _detour(topo, src, mid, dst):
+                drawn.append(mid)
+                return AdaptiveRouting._detour(topo, src, mid, dst)
+
+        policy = Spy(candidates=2)
+
+        def draws(n=6):
+            f = _df_fabric(Simulator(), routing=policy)
+            out = []
+            for _ in range(n):
+                f.topology._decision_memo.clear()  # every pick is looked up anew
+                del drawn[:]
+                policy.route(f, "g0r0", "g1r0", 4096, 0.0)
+                out.append(list(drawn))
+            assert f.routing_counts["decisions"] == n
+            return out
+
+        first = draws()
+        assert all(first) and first[0] != first[1]
+        assert len({mid for decision in first for mid in decision}) > 2
+        assert draws() == first
+
+    def test_a_reused_policy_object_replays(self, loaded_schedule):
+        """The decision number that seeds the candidate draw is counted by
+        the fabric, so a policy built once (a runner, ``Cluster(routing=p)``)
+        gives every fresh fabric the schedule a fresh policy gives it."""
+
+        def run(policy):
+            fabric, deliveries = loaded_schedule(
+                policy, congestion=CongestionConfig(), n=3000
+            )
+            assert fabric.routing_counts["decisions"] == 3000
+            assert fabric.routing_counts["detours"] > 0
+            return [(d.arrival, d.route.hops) for d in deliveries]
+
+        p = AdaptiveRouting(2)
+        assert not vars(p).keys() - {"candidates"}  # no per-run state to carry
+        first = run(p)
+        assert run(p) == first
+        assert run(AdaptiveRouting(2)) == first
 
 
 class TestAdaptiveWithDownWindows:

@@ -70,6 +70,35 @@ class TestAmbientPickup:
         assert snap["net.topology.route_memo"] == len(job.fabric.topology._via_cache)
         assert snap["net.topology.route_memo"] >= snap["net.fabric.compiled_routes"]
 
+    def test_routing_decisions_are_exported(self):
+        """What adaptive routing did, per fabric, summed over the session:
+        decisions, the ones that left the minimal path, candidates scored
+        and abandoned, and the size of the topology's decision memo."""
+        from repro.net import AdaptiveRouting, Fabric, dragonfly
+        from repro.sim import Simulator
+
+        topo = dragonfly(4, 2, 1).topology
+        policy = AdaptiveRouting(candidates=2)
+        with obs.observe(obs.Obs()) as session:
+            fabrics = [
+                Fabric(Simulator(), topo, routing=policy, metrics=session.metrics)
+                for _ in range(2)
+            ]
+            for fabric in fabrics:
+                for _ in range(40):
+                    fabric.transfer("g0r0", "g1r0", 262144)
+                    fabric.transfer("g0r1", "g1r0", 262144)
+            Fabric(Simulator(), topo, metrics=session.metrics).transfer("g0r0", "g1r0", 64)
+        snap = session.snapshot()
+        one = fabrics[0].routing_counts
+        assert fabrics[1].routing_counts == one  # one policy object, two replays
+        assert one["decisions"] == 80
+        assert 0 < one["detours"] <= one["candidates_scored"] - one["candidates_pruned"]
+        assert 0 < one["candidates_pruned"] < one["candidates_scored"] <= 2 * 80
+        for key, value in one.items():
+            assert snap[f"net.routing.{key}"] == 2 * value  # the third fabric adds 0
+        assert snap["net.routing.decision_memo"] == 3 * len(topo._decision_memo) > 0
+
     def test_bulk_verdict_is_counted_once_per_batch(self, pm_cpu):
         """Which engine a batch took, and why not the bulk one."""
         from repro import perf
