@@ -28,7 +28,7 @@ from repro.workloads.sptrsv import (
     MatrixSpec,
     generate_matrix,
 )
-from repro.workloads.sptrsv.runner import _mailbox_spec, _program_sptrsv
+from repro.workloads.sptrsv.runner import _mailbox_spec, _solve_rank
 
 
 def main() -> None:
@@ -51,7 +51,7 @@ def main() -> None:
     job = Job(perlmutter_cpu(), nranks, TWO_SIDED, placement="block",
               trace=True)
     chan = job.channel(_mailbox_spec(plan, nranks, False))
-    result = job.run(_program_sptrsv, plan, None, False, chan)
+    result = job.run(_solve_rank, chan, plan, None, False)
     makespan = max(r["time"] for r in result.results)
     print(f"  simulated solve makespan: {fmt_time(makespan)} "
           f"({makespan / bound:.1f}x the bound)")

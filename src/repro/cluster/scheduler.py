@@ -270,7 +270,6 @@ class Cluster:
             self.machine,
             nranks,
             runtime,
-            seed=self.seed if seed is None else seed,
             sim=self.sim,
             fabric=self.fabric,
             endpoints=endpoints,

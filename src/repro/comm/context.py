@@ -264,39 +264,6 @@ class RankContext:
             if poll_cost > 0:
                 yield self.sim.timeout(poll_cost)
 
-    def sendrecv(
-        self,
-        dest: int,
-        nbytes: float,
-        *,
-        source: int | None = None,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        payload: Any = None,
-    ) -> Generator:
-        """Paired exchange (``MPI_Sendrecv``): send to ``dest`` while
-        receiving from ``source`` (default: ``dest``); deadlock-free by
-        construction.  Returns ``(payload, Status)`` of the received
-        message."""
-        source = dest if source is None else source
-        send_req = yield from self.isend(
-            dest, nbytes=nbytes, tag=sendtag, payload=payload
-        )
-        recv_req = yield from self.irecv(source=source, tag=recvtag)
-        values = yield from self.waitall([send_req, recv_req])
-        return values[1]
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        """Non-blocking probe (``MPI_Iprobe``): returns the matching
-        message's :class:`Status` or None, without consuming it."""
-        self.counter.operations += 1
-        if self.costs.irecv > 0:
-            yield self.sim.timeout(self.costs.irecv)
-        msg = self.engine.probe(source, tag)
-        if msg is None:
-            return None
-        return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
-
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
@@ -344,30 +311,6 @@ class RankContext:
         if post > 0:
             yield self.sim.timeout(post)
         return [r.event.value for r in reqs]
-
-    def waitany(self, reqs: list[Request]) -> Generator:
-        """Block until at least one request completes; returns its index.
-
-        An empty request list completes immediately and returns ``None``
-        (the ``MPI_UNDEFINED`` analogue).
-        """
-        self.counter.syncs += 1
-        self.counter.operations += 1
-        if not reqs:
-            return None
-        for i, r in enumerate(reqs):
-            if r.done:
-                if self.costs.wait_per_req > 0:
-                    yield self.sim.timeout(self.costs.wait_per_req)
-                return i
-        yield self.sim.any_of([r.event for r in reqs])
-        wake = self.costs.sync_enter + self.costs.wait_per_req
-        if wake > 0:
-            yield self.sim.timeout(wake)
-        for i, r in enumerate(reqs):
-            if r.done:
-                return i
-        raise AssertionError("waitany woke with no completed request")
 
     # ------------------------------------------------------------------
     # user-implemented receiver notification (paper Listing 1)

@@ -31,7 +31,6 @@ from repro.obs.session import current as _obs_current
 from repro.obs.spans import SpanTracker
 from repro.sim.engine import Simulator
 from repro.sim.event import Event
-from repro.sim.rng import RngFactory
 from repro.sim.trace import NullTracer, Tracer
 from repro.transport.registry import TransportBackend, get_backend
 
@@ -65,7 +64,6 @@ class Job:
         runtime: str | TransportBackend,
         *,
         placement: Placement = "block",
-        seed: int = 0,
         trace: bool = False,
         faults: FaultPlan | None = None,
         sim: Simulator | None = None,
@@ -134,7 +132,6 @@ class Job:
             )
         if self.metrics is not None:
             self.metrics.register_collector(self._collect_comm_metrics)
-        self.rng = RngFactory(seed)
         if endpoints is not None:
             for ep in endpoints:
                 if not machine.topology.has_endpoint(ep):

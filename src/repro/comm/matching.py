@@ -91,13 +91,6 @@ class MatchingEngine:
                 return
         self._posted.append(PostedRecv(source, tag, event))
 
-    def probe(self, source: int, tag: int) -> Message | None:
-        """Non-destructive check of the unexpected queue (``MPI_Iprobe``)."""
-        for msg in self._unexpected:
-            if msg.matches(source, tag):
-                return msg
-        return None
-
     def take(self, source: int, tag: int) -> Message | None:
         """Pop the oldest matching unexpected message (polling receive)."""
         for i, msg in enumerate(self._unexpected):

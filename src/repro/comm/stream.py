@@ -8,20 +8,13 @@ CPU-Free MPI GPU Communication Abstraction" describe the next step:
 communication ops *enqueued on ordered device streams* behind kernels,
 initiated and completed entirely on the device.
 
-This module is that execution model:
-
-* :class:`Stream` — an ordered op queue.  Kernels and communication ops
-  enqueue in program order; ``run()`` drives them in sequence on the
-  simulated device, honouring stream ordering (an op starts only after
-  its predecessor completes).
-* **kernel+put fusion** — a ``put_signal`` enqueued directly behind a
-  kernel is triggered by the kernel's completion (the NIC doorbell is
-  rung from the last thread block), so its device issue cost is not paid
-  separately.
-* **host bypass** — no ``o_sync`` host term anywhere: waits are hardware
-  signal waits (``wait_wakeup = 0`` in the derived profile) and there is
-  no kernel-launch latency per iteration (persistent enqueue, vs
-  ``GpuSpec.kernel_launch`` per kernel for host-driven execution).
+What this module models is the *cost profile* of that execution: the
+verbs are the NVSHMEM ones (``stream_triggered`` ranks are
+:class:`~repro.comm.shmem.ShmemContext` PEs — enqueueing changes when ops
+issue and what they cost, not their semantics) and **host bypass** is the
+whole difference: no ``o_sync`` host term anywhere, waits are hardware
+signal waits (``wait_wakeup = 0`` in the derived profile) and there is no
+per-iteration kernel-launch latency.
 
 Costs are *derived*, not calibrated: :func:`derive_stream_costs` builds
 a :class:`~repro.machines.base.CommCosts` profile for any machine from
@@ -34,23 +27,14 @@ exceeds the host-driven one-sided cost on the same machine.
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Generator
 from typing import TYPE_CHECKING
 
-from repro.comm.shmem import ShmemContext
 from repro.machines.base import CommCosts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machines.base import MachineModel
 
-__all__ = [
-    "STREAM_DEVICE_INITIATION",
-    "Stream",
-    "StreamContext",
-    "derive_stream_costs",
-    "host_launch_overhead",
-]
+__all__ = ["STREAM_DEVICE_INITIATION", "derive_stream_costs"]
 
 # Device-side cost (seconds) of triggering one enqueued communication op:
 # the proxy-bypass doorbell write described in the CPU-free co-design
@@ -93,125 +77,3 @@ def derive_stream_costs(machine: "MachineModel") -> CommCosts:
         # is ever charged.
         eager_threshold=max(c.eager_threshold for c in profiles),
     )
-
-
-def host_launch_overhead(machine: "MachineModel", n_kernels: int) -> float:
-    """Host-driven kernel-launch overhead stream execution removes.
-
-    Host-driven GPU execution pays ``GpuSpec.kernel_launch`` once per
-    launched kernel; stream-triggered execution enqueues the whole
-    dependency chain up front (or runs a persistent kernel) and pays
-    nothing.  Zero on CPU machines, where there is no launch to elide.
-    """
-    if machine.gpu is None:
-        return 0.0
-    return machine.gpu.kernel_launch * n_kernels
-
-
-class StreamContext(ShmemContext):
-    """A PE whose communication is enqueued on ordered device streams.
-
-    The verb set is the NVSHMEM one (:class:`ShmemContext`): stream
-    enqueue changes *when ops issue and what they cost*, not their
-    semantics.  The context's cost profile is the derived
-    ``stream_triggered`` table, so waits wake for free and ``quiet`` is a
-    pure completion drain.
-    """
-
-    def __init__(self, job, rank: int):
-        super().__init__(job, rank)
-        self._fuse_next_put = False
-
-    def stream(self) -> "Stream":
-        """A new ordered op queue on this PE's device."""
-        return Stream(self)
-
-    def put_signal_nbi(self, *args, **kwargs) -> Generator:
-        if not self._fuse_next_put:
-            result = yield from super().put_signal_nbi(*args, **kwargs)
-            return result
-        # Kernel+put fusion: the preceding kernel's completion rings the
-        # NIC doorbell, so the device issue cost is not paid again.
-        self._fuse_next_put = False
-        saved = self.costs
-        self.costs = dataclasses.replace(saved, put_signal=0.0)
-        try:
-            result = yield from super().put_signal_nbi(*args, **kwargs)
-        finally:
-            self.costs = saved
-        return result
-
-
-class Stream:
-    """An ordered device op queue: kernels and communication in sequence.
-
-    Ops enqueue instantly (the host — or a device-side graph — builds the
-    queue up front); :meth:`run` executes them in order on the simulated
-    device.  Stream ordering is the only synchronisation: each op starts
-    when its predecessor completes, which is exactly why the epoch-open
-    fence is free on this backend (see ``SyncElidePass``).
-    """
-
-    def __init__(self, ctx: StreamContext):
-        self.ctx = ctx
-        self._ops: list[tuple] = []
-
-    # -- enqueue (instant; order is the contract) -----------------------
-
-    def enqueue_kernel(self, nbytes: float = 0.0, flops: float = 0.0) -> "Stream":
-        """Enqueue a compute kernel (roofline-modelled device time)."""
-        self._ops.append(("kernel", (nbytes, flops)))
-        return self
-
-    def enqueue_put_signal(self, data_win, target: int, **kwargs) -> "Stream":
-        """Enqueue a device-initiated ``put_signal_nbi`` behind the
-        queue's predecessors.  Directly behind a kernel it fuses: the
-        kernel completion triggers it at zero extra device issue cost."""
-        self._ops.append(("put_signal", (data_win, target, kwargs)))
-        return self
-
-    def enqueue_wait(self, signal_win, idxs, value: int = 1) -> "Stream":
-        """Enqueue a hardware signal wait (``wait_until_all``)."""
-        self._ops.append(("wait", (signal_win, list(idxs), value)))
-        return self
-
-    def enqueue_quiet(self) -> "Stream":
-        """Enqueue a completion drain for all prior puts on this PE."""
-        self._ops.append(("quiet", ()))
-        return self
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    # -- execute --------------------------------------------------------
-
-    def run(self) -> Generator:
-        """Drive the queue in order on the simulated device.
-
-        Returns the number of kernel+put fusions that fired.
-        """
-        ctx = self.ctx
-        ops, self._ops = self._ops, []
-        fused = 0
-        prev_kernel = False
-        for kind, payload in ops:
-            if kind == "kernel":
-                nbytes, flops = payload
-                yield from ctx.compute(nbytes, flops)
-                prev_kernel = True
-                continue
-            if kind == "put_signal":
-                data_win, target, kwargs = payload
-                if prev_kernel:
-                    ctx._fuse_next_put = True
-                    fused += 1
-                yield from ctx.put_signal_nbi(data_win, target, **kwargs)
-            elif kind == "wait":
-                signal_win, idxs, value = payload
-                yield from ctx.wait_until_all(signal_win, idxs, value=value)
-            elif kind == "quiet":
-                yield from ctx.quiet()
-            else:  # pragma: no cover - enqueue methods are the only writers
-                raise ValueError(f"unknown stream op {kind!r}")
-            prev_kernel = False
-        return fused

@@ -10,9 +10,9 @@ does).  Verbs are charged with the machine's one-sided
   why the paper's 4-op one-sided message (put, flush, put-signal, flush)
   costs ~5 us on Perlmutter CPUs against 3.3 us for two-sided;
 * ``fence`` is a full epoch close: complete everything, then barrier;
-* atomics (``compare_and_swap``, ``fetch_and_add``) are round trips applied
-  serially at the target (a per-target atomic unit), which is where the
-  hashtable's hot-spot contention comes from.
+* atomics (``cas_blocking``, ``faa_blocking``, ``swap_blocking``) are round
+  trips applied serially at the target (a per-target atomic unit), which is
+  where the hashtable's hot-spot contention comes from.
 
 Writes to a rank's buffer ring that rank's *write watchers* — the hook both
 the CPU polling loop (paper Listing 1) and NVSHMEM ``wait_until`` build on.
@@ -171,11 +171,6 @@ class Window:
         self._atomic_next_free: list[float] = [0.0] * job.nranks
         # Write watchers, per target rank.
         self._watchers: list[list[Event]] = [[] for _ in range(job.nranks)]
-        # Passive-target lock state per target: holders + FIFO wait queue.
-        self._lock_holders: list[dict[int, bool]] = [{} for _ in range(job.nranks)]
-        self._lock_queue: list[list[tuple[int, bool, Event]]] = [
-            [] for _ in range(job.nranks)
-        ]
         # Arrival schedules of bulk ``put_signal_batch`` batches not yet
         # waited for, FIFO per (target, source, signal index), and the
         # waiter parked on a key, which the next publish is handed to.
@@ -272,46 +267,6 @@ class Window:
             ev = self.job.sim.event()
             self._flush_waiter[origin] = (target, ev)
             yield ev
-
-    # -- passive-target lock machinery ----------------------------------------
-
-    def _lock_grantable(self, target: int, exclusive: bool) -> bool:
-        holders = self._lock_holders[target]
-        if not holders:
-            return True
-        if exclusive:
-            return False
-        return not any(holders.values())  # shared with shared only
-
-    def _lock_request(self, origin: int, target: int, exclusive: bool) -> Event:
-        if origin in self._lock_holders[target]:
-            raise CommError(
-                f"rank {origin} already holds a lock on target {target}"
-            )
-        ev = self.job.sim.event()
-        if self._lock_grantable(target, exclusive) and not self._lock_queue[target]:
-            self._lock_holders[target][origin] = exclusive
-            ev.succeed()
-        else:
-            self._lock_queue[target].append((origin, exclusive, ev))
-        return ev
-
-    def _lock_release(self, origin: int, target: int) -> None:
-        holders = self._lock_holders[target]
-        if origin not in holders:
-            raise CommError(f"rank {origin} does not hold a lock on {target}")
-        del holders[origin]
-        # Grant as many queued requests as compatibility allows (FIFO).
-        queue = self._lock_queue[target]
-        while queue:
-            o, excl, ev = queue[0]
-            if not self._lock_grantable(target, excl):
-                break
-            queue.pop(0)
-            holders[o] = excl
-            ev.succeed()
-            if excl:
-                break
 
     def handle(self, ctx: "RankContext") -> "WindowHandle":
         """This rank's verb interface to the window."""
@@ -501,96 +456,7 @@ class WindowHandle:
         yield from win._drain(self.rank, None)
         yield from ctx.barrier()
 
-    def accumulate(
-        self,
-        target: int,
-        values: np.ndarray,
-        *,
-        offset: int = 0,
-        op: str = "sum",
-    ) -> Generator:
-        """``MPI_Accumulate``: element-wise combine into the target window.
-
-        Per the MPI standard, accumulates with the same op are element-wise
-        atomic; the combine is applied at message arrival so concurrent
-        accumulates from different origins never lose updates.
-        """
-        ctx, win = self.ctx, self.window
-        if op not in ("sum", "max", "min", "replace"):
-            raise CommError(f"unsupported accumulate op {op!r}")
-        values = np.asarray(values, dtype=win.dtype).ravel()
-        nbytes = values.size * win.dtype.itemsize
-        if offset < 0 or offset + values.size > win.count:
-            raise CommError("accumulate out of window bounds")
-        ctx.counter.operations += 1
-        ctx.counter.messages += 1
-        ctx.counter.bytes_sent += nbytes
-        yield ctx.sim.timeout(ctx.costs.put)
-        target_ep = ctx.job.endpoints[target]
-        delivery = ctx.fabric.transfer(ctx.endpoint, target_ep, nbytes)
-        done = ctx.sim.event()
-
-        def land(_ev: Event) -> None:
-            if _ev.ok:
-                view = win.buffers[target][offset : offset + values.size]
-                if op == "sum":
-                    view += values
-                elif op == "max":
-                    np.maximum(view, values, out=view)
-                elif op == "min":
-                    np.minimum(view, values, out=view)
-                else:
-                    view[:] = values
-                win._apply_write(target, offset, None)  # ring watchers
-            win._op_done(self.rank, target, done, _ev)
-
-        delivery.event.add_callback(land)
-        win._track(self.rank, target)
-        return Request(done, "accumulate", nbytes)
-
-    # -- passive-target epochs ------------------------------------------------
-
-    def lock(self, target: int, *, exclusive: bool = False) -> Generator:
-        """``MPI_Win_lock``: open a passive-target access epoch.
-
-        Exclusive locks serialise against every other epoch on the target;
-        shared locks (the default, matching ``MPI_LOCK_SHARED``) coexist
-        with each other.  Lock acquisition costs one request round trip.
-        """
-        ctx, win = self.ctx, self.window
-        ctx.counter.operations += 1
-        yield ctx.sim.timeout(ctx.costs.flush)
-        grant = win._lock_request(self.rank, target, exclusive)
-        if not grant.triggered:
-            yield grant
-        # Grant notification travels back from the target.
-        ack = ctx.job.route_latency(target, self.rank)
-        if ack > 0:
-            yield ctx.sim.timeout(ack)
-
-    def unlock(self, target: int) -> Generator:
-        """``MPI_Win_unlock``: close the epoch; implies a flush."""
-        yield from self.flush(target)
-        self.window._lock_release(self.rank, target)
-
     # -- atomics ------------------------------------------------------------------
-
-    def _atomic_charge(self, offset: int) -> Timeout:
-        """Count one atomic and charge its issue overhead (``fetch_op``)."""
-        ctx = self.ctx
-        if not 0 <= offset < self.window.count:
-            raise CommError(
-                f"atomic offset {offset} out of bounds ({self.window.count})"
-            )
-        ctx.counter.operations += 1
-        ctx.counter.atomics += 1
-        return Timeout(ctx.sim, ctx.costs.fetch_op)
-
-    def _atomic(self, target, offset, apply_fn, compare, value) -> Generator:
-        """Non-blocking atomic: the request completes with the old value."""
-        yield self._atomic_charge(offset)
-        op = _AtomicOp(self, target, offset, apply_fn, compare, value)
-        return Request(op.done, "atomic", 8.0)
 
     def _atomic_blocking(
         self, target, offset, apply_fn, compare, value, *, wait: bool = True
@@ -605,7 +471,13 @@ class WindowHandle:
         already-complete branch has no counterpart here.
         """
         ctx = self.ctx
-        yield self._atomic_charge(offset)
+        if not 0 <= offset < self.window.count:
+            raise CommError(
+                f"atomic offset {offset} out of bounds ({self.window.count})"
+            )
+        ctx.counter.operations += 1
+        ctx.counter.atomics += 1
+        yield Timeout(ctx.sim, ctx.costs.fetch_op)  # the issue overhead
         op = _AtomicOp(self, target, offset, apply_fn, compare, value)
         wake = 0.0
         if wait:
@@ -641,21 +513,6 @@ class WindowHandle:
             )
             out.append(old)
         return out
-
-    def compare_and_swap(
-        self, target: int, offset: int, compare: Any, value: Any
-    ) -> Generator:
-        """Non-blocking CAS: returns a request completing with the old value."""
-        return self._atomic(target, offset, _cas, compare, value)
-
-    def fetch_and_add(self, target: int, offset: int, value: Any) -> Generator:
-        """Non-blocking fetch-and-add: request completes with the old value."""
-        return self._atomic(target, offset, _faa, None, value)
-
-    def fetch_and_replace(self, target: int, offset: int, value: Any) -> Generator:
-        """Non-blocking atomic swap (``MPI_Fetch_and_op`` with
-        ``MPI_REPLACE``): request completes with the old value."""
-        return self._atomic(target, offset, _swap, None, value)
 
     def cas_blocking(
         self, target: int, offset: int, compare: Any, value: Any

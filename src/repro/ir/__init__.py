@@ -38,7 +38,7 @@ from repro.ir import ops
 from repro.ir.config import collect, current_pipeline, passes
 from repro.ir.cost import CostModel, program_cost
 from repro.ir.explain import IRReport, explain_all
-from repro.ir.lower import Emitter, IRRun, lower_rank, run_program
+from repro.ir.lower import IRRun, lower_rank, run_program
 from repro.ir.pipeline import (
     DEFAULT_PASSES,
     AutoBackendPass,
@@ -57,7 +57,6 @@ __all__ = [
     "CoalescePass",
     "CostModel",
     "DEFAULT_PASSES",
-    "Emitter",
     "IRProgram",
     "IRReport",
     "IRRun",

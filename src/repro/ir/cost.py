@@ -137,12 +137,7 @@ def _rank_cost(ops, spec, m: CostModel) -> float:
 def program_cost(
     program: IRProgram, machine, *, runtime: str | None = None
 ) -> float:
-    """Modeled seconds for one run of a *static* program."""
-    if program.dynamic:
-        raise ValueError(
-            f"program {program.name!r} is dynamic; its cost is not "
-            "statically modelable"
-        )
+    """Modeled seconds for one run of ``program``."""
     m = CostModel.for_(machine, runtime or program.runtime, program.nranks)
     total = 0.0
     for part in (program.prologue, program.epilogue):

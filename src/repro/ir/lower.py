@@ -11,10 +11,10 @@ empty pipeline the lowering of a builder-produced program is
 byte-identical to the pre-IR runner — the golden-parity lane pins this
 across all four backends.
 
-Dynamic programs drive an :class:`Emitter` instead: their op stream is
-data-dependent (SpTRSV wavefronts, CAS collision handling), so no pass can
-rewrite it and nothing is reified — each emitter verb counts its op kind
-and forwards to the endpoint.
+A workload whose op stream is data-dependent (SpTRSV wavefronts, CAS
+collision handling) is not a program here: no pass or cost model could
+read it, so it is a plain rank program over the endpoint verbs
+(``repro.workloads.sptrsv`` / ``.hashtable``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.ir.config import current_pipeline, record_report
 from repro.ir.explain import IRReport
 from repro.ir.program import IRProgram
 
-__all__ = ["Emitter", "IRRun", "run_program", "lower_rank"]
+__all__ = ["IRRun", "run_program", "lower_rank"]
 
 
 def _resolve(value, state):
@@ -114,80 +114,12 @@ def lowering_of(op: O.Op):
         raise TypeError(f"no lowering for op {type(op).__name__}") from None
 
 
-class Emitter:
-    """The counting seam of dynamic programs: count the verb, forward it.
-
-    Every method bumps ``counts[<op kind>]`` (surfaced through obs as
-    ``ir.ops.<Kind>``, under the names a static program's ops carry) and
-    returns the endpoint's (or context's) own generator for the caller to
-    ``yield from`` — no op object, no frame of the emitter's under it.
-    """
-
-    def __init__(self, ep, ctx, counts: dict):
-        self.ep = ep
-        self.ctx = ctx
-        self.counts = counts
-
-    def _count(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
-    # -- job-wide ------------------------------------------------------
-    def barrier(self):
-        self._count("Barrier")
-        return self.ctx.barrier()
-
-    def compute(self, *, seconds: float):
-        self._count("Compute")
-        return self.ctx.compute(seconds=seconds)
-
-    # -- mailbox -------------------------------------------------------
-    def expect(self, msgs):
-        self._count("MailboxExpect")
-        self.ep.expect(msgs)
-        return ()  # nothing to wait for
-
-    def send(self, dst, slot, *, words, values=None, meta=None, tag=0):
-        self._count("MailboxSend")
-        return self.ep.send(
-            dst, slot, words=words, values=values, meta=meta, tag=tag
-        )
-
-    def recv(self):
-        self._count("MailboxRecv")
-        return self.ep.recv()
-
-    def drain(self):
-        self._count("MsgDrain")
-        return self.ep.drain()
-
-    # -- atomics ---------------------------------------------------------
-    def cas(self, space, dst, offset, compare, value):
-        self._count("AtomicCas")
-        return self.ep.cas(space, dst, offset, compare, value)
-
-    def faa(self, space, dst, offset, value):
-        self._count("AtomicFaa")
-        return self.ep.faa(space, dst, offset, value)
-
-    def swap(self, space, dst, offset, value):
-        self._count("AtomicSwap")
-        return self.ep.swap(space, dst, offset, value)
-
-    def publish(self, space, dst, values, *, offset=0):
-        self._count("AtomicPublish")
-        return self.ep.publish(space, dst, values, offset=offset)
-
-
 def lower_rank(ctx, chan, program: IRProgram, counts: dict):
     """The per-rank generator handed to ``job.run``."""
     ep = chan.endpoint(ctx)
     state: dict = {"ctx": ctx}
     if program.setup is not None:
         program.setup(ctx, chan, ep, state)
-    if program.dynamic:
-        em = Emitter(ep, ctx, counts)
-        result = yield from program.body(ctx, em, state)
-        return result
 
     def bind(ops):
         """Dispatch and count a straight-line op list once, not per op run."""
@@ -228,12 +160,10 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread",
     """Optimise (ambient pipeline), lower, and run ``program``.
 
     ``pipeline`` overrides the ambient :func:`repro.ir.passes` scope.
-    Two conditions force the empty pipeline regardless (each noted in
-    the report): a non-clean ambient fault plan — loss/jitter draws are
-    per-message, so rewrites that change message counts would change
-    the fault stream (the same reason a fabric under faults is not
-    ``Fabric.replayable``) — and dynamic programs, whose op stream only
-    exists at run time.
+    A non-clean ambient fault plan forces the empty pipeline regardless
+    (noted in the report): loss/jitter draws are per-message, so rewrites
+    that change message counts would change the fault stream (the same
+    reason a fabric under faults is not ``Fabric.replayable``).
     """
     from repro import obs
     from repro.faults.inject import current_plan
@@ -247,9 +177,6 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread",
     plan = current_plan()
     if pipe.enabled and plan is not None and not plan.clean:
         notes.append("faults active: scalar/no-elide pipeline forced")
-        pipe = build_pipeline(False)
-    if pipe.enabled and program.dynamic:
-        notes.append("dynamic program: passes skipped")
         pipe = build_pipeline(False)
 
     session = obs.current()

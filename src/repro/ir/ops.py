@@ -3,9 +3,9 @@
 Every op is a frozen dataclass naming one transport verb (or one unit of
 local work) over the existing spec vocabulary — :class:`HaloSpec`,
 :class:`BatchSpec`, :class:`AtomicDomainSpec`.  An op exists for what a
-static builder constructs and a pass or :mod:`repro.ir.cost` reads; the
-mailbox and single-atomic verbs only dynamic programs issue are counted by
-:class:`repro.ir.lower.Emitter`, never reified.
+builder constructs and a pass or :mod:`repro.ir.cost` reads; the mailbox
+and single-atomic verbs only data-dependent rank programs issue (SpTRSV,
+the atomics hashtable) are endpoint calls, never ops.
 Programs (:mod:`repro.ir.program`) group ops into per-iteration regions;
 the interpreter (:mod:`repro.ir.lower`) maps each op onto exactly the
 endpoint-verb calls the hand-written runners used to make, so a lowering

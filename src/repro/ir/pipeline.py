@@ -1,6 +1,6 @@
 """The pass catalog: coalesce, overlap, sync-elide, auto-backend.
 
-Every pass maps a *static* :class:`IRProgram` to a rewritten program
+Every pass maps an :class:`IRProgram` to a rewritten program
 plus :class:`Rewrite` records (kind, how many sites merged/moved/
 elided, and the modeled before/after cost around the application).
 Passes fire only when the rewrite is provably semantics-preserving for
@@ -437,7 +437,7 @@ DEFAULT_PASSES = ("coalesce", "overlap", "sync-elide")
 
 @dataclass(frozen=True)
 class PassPipeline:
-    """An ordered tuple of passes applied to every lowered static program."""
+    """An ordered tuple of passes applied to every lowered program."""
 
     passes: tuple[Pass, ...]
 

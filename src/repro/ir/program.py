@@ -1,17 +1,13 @@
 """IR programs: per-rank op lists grouped into per-iteration regions.
 
-A *static* program lists every op up front — prologue (untimed, before
-the measured window opens), a sequence of :class:`Region` (the timed
+A program lists every op up front — prologue (untimed, before the
+measured window opens), a sequence of :class:`Region` (the timed
 iterations), and an epilogue (after the window closes, e.g. a trailing
-barrier that the runner deliberately excludes from its measurement).
-Static programs are what the pass pipeline rewrites.
-
-A *dynamic* program supplies a ``body(ctx, em, state)`` generator that
-emits ops through an :class:`repro.ir.lower.Emitter` as control flow
-unfolds — the shape SpTRSV (data-dependent wavefronts), the hashtable
-atomics path (CAS results steer collision handling) and the collective
-round executors need.  Passes skip dynamic programs; the explain report
-says so.
+barrier that the runner deliberately excludes from its measurement) — so
+a pass can rewrite it and :mod:`repro.ir.cost` can price it.  An op
+stream that only exists at run time (SpTRSV's wavefronts, the hashtable's
+CAS-steered collision handling) has nothing for either to read and is a
+plain rank program, not an :class:`IRProgram`.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ class IRProgram:
             ``BatchSpec(n*b)``.
         nranks: job size.
         runtime: backend name; the auto-backend pass may replace it.
-        prologue/regions/epilogue: the static form (empty for dynamic).
-        body: the dynamic form — ``body(ctx, em, state)`` generator.
+        prologue/regions/epilogue: per-rank op tuples (see module doc).
         setup: per-rank ``setup(ctx, chan, ep, state) -> None`` run before
             the prologue (pure python: allocate local arrays, read
             ``ep.local(...)`` views — never yields).
@@ -73,21 +68,16 @@ class IRProgram:
     prologue: tuple[tuple[Op, ...], ...] = ()
     regions: tuple[Region, ...] = ()
     epilogue: tuple[tuple[Op, ...], ...] = ()
-    body: Callable | None = field(default=None, compare=False)
     setup: Callable | None = field(default=None, compare=False)
     finalize: Callable | None = field(default=None, compare=False)
     portable: bool = False
     meta: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def dynamic(self) -> bool:
-        return self.body is not None
-
     def with_(self, **changes) -> "IRProgram":
         return replace(self, **changes)
 
     def op_count(self) -> int:
-        """Total static ops across ranks (0 for dynamic programs)."""
+        """Total ops across ranks."""
         total = 0
         for part in (self.prologue, self.epilogue):
             total += sum(len(ops) for ops in part)

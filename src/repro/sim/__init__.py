@@ -1,18 +1,16 @@
 """Discrete-event simulation engine.
 
 The engine provides virtual time (:class:`Simulator`), one-shot coordination
-points (:class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`),
-generator-based concurrency (:class:`Process`), reproducible randomness
-(:class:`RngFactory`) and structured tracing (:class:`Tracer`).
+points (:class:`Event`, :class:`Timeout`, :class:`AllOf`), generator-based
+concurrency (:class:`Process`) and structured tracing (:class:`Tracer`).
 
 All of ``repro.net``, ``repro.comm`` and the workloads are built on this
 package and nothing else; there is no hidden wall-clock anywhere.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.event import AllOf, AnyOf, DeadlockError, Event, SimulationError, Timeout
-from repro.sim.process import Interrupt, Process
-from repro.sim.rng import RngFactory
+from repro.sim.event import AllOf, DeadlockError, Event, SimulationError, Timeout
+from repro.sim.process import Process
 from repro.sim.trace import ListSink, NullSink, NullTracer, TraceRecord, Tracer, TraceSink
 
 __all__ = [
@@ -23,12 +21,9 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "SimulationError",
     "DeadlockError",
     "Process",
-    "Interrupt",
-    "RngFactory",
     "Tracer",
     "NullTracer",
     "TraceRecord",

@@ -18,7 +18,6 @@ from typing import Any
 
 from repro.sim.event import (
     AllOf,
-    AnyOf,
     DeadlockError,
     Event,
     SimulationError,
@@ -83,9 +82,6 @@ class Simulator:
 
     def all_of(self, events: list[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: list[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Launch a generator as a simulation process."""

@@ -6,9 +6,9 @@ self-contained): an :class:`Event` starts *untriggered*; calling
 which point the engine invokes its callbacks.  Processes (see
 ``repro.sim.process``) suspend on events by ``yield``-ing them.
 
-Composite events (:class:`AllOf`, :class:`AnyOf`) let a process wait for a
-set of messages — the building block for ``MPI_Waitall`` and
-``nvshmem_wait_until_any`` in the communication layers.
+The composite event :class:`AllOf` lets a process wait for a set of
+messages — the building block for ``MPI_Waitall`` in the communication
+layers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "SimulationError", "DeadlockError"]
+__all__ = ["Event", "Timeout", "AllOf", "SimulationError", "DeadlockError"]
 
 
 class SimulationError(RuntimeError):
@@ -166,8 +166,9 @@ class Timeout(Event):
         sim._seq += 1
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf: resolves from the states of child events."""
+class AllOf(Event):
+    """Succeeds when *all* child events have succeeded (``MPI_Waitall``);
+    fails with the first child that fails."""
 
     __slots__ = ("events", "_n_done")
 
@@ -199,26 +200,5 @@ class _Condition(Event):
             self.fail(ev.value)
             return
         self._n_done += 1
-        if self._satisfied():
+        if self._n_done == len(self.events):
             self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds when *all* child events have succeeded (``MPI_Waitall``)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_done == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Succeeds when *any* child event has succeeded (``MPI_Waitany``)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_done >= 1

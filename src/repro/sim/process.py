@@ -19,15 +19,7 @@ from repro.sim.event import _NO_CALLBACKS, Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process"]
 
 
 class Process(Event):
@@ -62,25 +54,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The target event the process was waiting on is abandoned (its
-        callback is disarmed); the process decides how to recover.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        target = self._target
-        if target is not None and target.callbacks:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        # A failed event nobody else sees: _resume throws its value.
-        trigger = Event(self.sim)
-        trigger.add_callback(self._resume)
-        trigger.fail(Interrupt(cause))
-
     # -- internal --------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
@@ -102,7 +75,6 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            # Including an uncaught Interrupt: the process ends as a failure.
             self._retire()
             self.fail(exc)
             return

@@ -1,8 +1,8 @@
 """Stream-triggered backend: device-enqueued, CPU-free communication.
 
 The fifth backend family (ROADMAP item 5): the op sequences are the
-fused NVSHMEM ones (:class:`ShmemBackend` channels), executed by
-:class:`~repro.comm.stream.StreamContext` under the *derived*
+fused NVSHMEM ones (:class:`ShmemBackend` channels and its
+:class:`~repro.comm.shmem.ShmemContext` PEs), executed under the *derived*
 ``stream_triggered`` cost profile — cheapest demonstrated issue path
 plus a device-initiation term, zero host-side overhead anywhere (see
 :func:`repro.comm.stream.derive_stream_costs`).  No machine needs a
@@ -52,18 +52,12 @@ class StreamBackend(ShmemBackend):
     )
     description = (
         "stream-triggered CPU-free communication: ops enqueued on ordered "
-        "device streams, kernel+put fusion, hardware completion with no "
-        "host synchronisation (costs derived per machine)"
+        "device streams, hardware completion with no host synchronisation "
+        "(costs derived per machine)"
     )
     # Device-side triggering detects loss as fast as NVSHMEM's NIC path,
     # and stream ordering replays without any host re-sync.
     fault_semantics = FaultSemantics(mode="surface", detect_scale=0.5)
-
-    @property
-    def context_cls(self):
-        from repro.comm.stream import StreamContext
-
-        return StreamContext
 
     endpoints = {**ShmemBackend.endpoints, HaloSpec: _StreamHaloEndpoint}
 

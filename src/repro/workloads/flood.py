@@ -187,6 +187,8 @@ def run_cas_flood(
     ``target_rank`` selects the victim — on Summit GPUs, a rank in the other
     island exposes the cross-socket atomic penalty (1.6 us vs 1.0 us).
     """
+    if n_ops < 1:
+        raise ValueError(f"n_ops must be >= 1, got {n_ops}")
     if not 0 < target_rank < nranks:
         raise ValueError(f"target_rank {target_rank} out of range (1..{nranks - 1})")
     program = build_cas_flood_program(

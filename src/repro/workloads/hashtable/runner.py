@@ -31,16 +31,16 @@ inverted-at-P=2 results) rather than the prose's broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from repro.comm.base import OpCounter
+from repro.comm.job import Job
 from repro.ir import ops as O
 from repro.ir.lower import run_program
 from repro.ir.program import IRProgram, Region, static_program
 from repro.machines.base import MachineModel
 from repro.transport import AtomicDomainSpec, SpaceSpec
+from repro.transport.registry import get_backend
 from repro.workloads.base import WorkloadResult
 from repro.workloads.hashtable.table import (
     EMPTY,
@@ -118,36 +118,36 @@ def _domain_spec(geom: TableGeometry) -> AtomicDomainSpec:
     )
 
 
-def _atomics_body(geom: TableGeometry, triplets):
+def _atomics_rank(ctx, chan, geom: TableGeometry, keys_by_rank, homes):
     """Sender's-control inserts: CAS / increment / second-atomic.
 
-    Dynamic IR body — the CAS result steers collision handling, so the
-    op stream only exists at run time (passes skip it; the Emitter
-    still lowers and counts every op)."""
-
-    def body(ctx, em, state):
-        yield from em.barrier()
-        t0 = ctx.sim.now
-        collisions = 0
-        for key, r, s in zip(*triplets[ctx.rank]):
-            old = yield from em.cas("table", r, s, EMPTY, key)
-            if old != EMPTY:
-                collisions += 1
-                idx = yield from em.faa("meta", r, 0, 1)
-                if idx >= geom.heap_per_rank:
-                    raise RuntimeError("overflow heap exhausted at target rank")
-                # Link in at the head of the slot's chain: swap the head,
-                # then publish the (key, next) pair ordered before any
-                # subsequent op from this origin.
-                prev = yield from em.swap("chain", r, s, idx + 1)
-                yield from em.publish(
-                    "heap", r, np.array([key, prev], dtype=np.int64), offset=2 * idx
-                )
-        insert_time = ctx.sim.now - t0
-        yield from em.barrier()
-        return {"time": insert_time, "collisions": collisions}
-
-    return body
+    A rank program over the atomic endpoint's verbs, not an
+    :class:`IRProgram` — the CAS result steers collision handling, so the
+    op stream only exists at run time and no pass or cost model could
+    read it."""
+    ep = chan.endpoint(ctx)
+    owners, slots = homes[ctx.rank]
+    inserts = zip(keys_by_rank[ctx.rank].tolist(), owners.tolist(), slots.tolist())
+    yield from ctx.barrier()
+    t0 = ctx.sim.now
+    collisions = 0
+    for key, r, s in inserts:
+        old = yield from ep.cas("table", r, s, EMPTY, key)
+        if old != EMPTY:
+            collisions += 1
+            idx = yield from ep.faa("meta", r, 0, 1)
+            if idx >= geom.heap_per_rank:
+                raise RuntimeError("overflow heap exhausted at target rank")
+            # Link in at the head of the slot's chain: swap the head,
+            # then publish the (key, next) pair ordered before any
+            # subsequent op from this origin.
+            prev = yield from ep.swap("chain", r, s, idx + 1)
+            yield from ep.publish(
+                "heap", r, np.array([key, prev], dtype=np.int64), offset=2 * idx
+            )
+    insert_time = ctx.sim.now - t0
+    yield from ctx.barrier()
+    return {"time": insert_time, "collisions": collisions}
 
 
 def _insert_fn(key: int, s: int):
@@ -167,15 +167,14 @@ def _recv_handler(state: dict, payload) -> None:
 def build_hashtable_program(
     runtime: str, geom: TableGeometry, keys_by_rank, window: int, nranks: int,
 ) -> IRProgram:
-    """Emit the insert pattern as IR; the algorithm (atomics vs
-    owner-routed triplets) branches on the backend's caps exactly as the
-    hand-written program branched on ``ep.caps.remote_atomics``.
+    """Emit the owner-routed insert pattern — the algorithm of a backend
+    without remote atomics — as IR: triplets with per-round
+    synchronisation, one region per round, then a drain region (inside the
+    timed window) and the trailing barrier in the epilogue (outside it),
+    matching the hand-written measurement exactly.
 
     Every key is hashed here, once: the ``(keys, owners, slots)`` lists per
-    inserting rank feed whichever of the two algorithms runs (and the owner
-    arrays, for triplets, the round plan)."""
-    from repro.transport.registry import get_backend
-
+    inserting rank are the triplets, the owner arrays the round plan."""
     spec = _domain_spec(geom)
     meta = {"total_keys": sum(len(k) for k in keys_by_rank), "window": window}
     homes = [geom.locate_many(keys) for keys in keys_by_rank]
@@ -183,20 +182,7 @@ def build_hashtable_program(
         (keys.tolist(), owners.tolist(), slots.tolist())
         for keys, (owners, slots) in zip(keys_by_rank, homes)
     ]
-    if get_backend(runtime).caps.remote_atomics:
-        return IRProgram(
-            name="hashtable",
-            spec=spec,
-            nranks=nranks,
-            runtime=runtime,
-            body=_atomics_body(geom, triplets),
-            meta=meta,
-        )
 
-    # Owner-routed triplets with per-round synchronisation: one region
-    # per round, then a drain region (inside the timed window) and the
-    # trailing barrier in the epilogue (outside it) — matching the
-    # hand-written measurement exactly.
     def setup(ctx, chan, ep, state):
         for space in ("table", "chain", "heap", "meta"):
             state[space] = ep.local(space)
@@ -292,11 +278,19 @@ def run_hashtable(
     keys_by_rank = generate_keys(cfg, nranks)
     if placement is None:
         placement = "spread" if machine.is_gpu_machine else "block"
-    program = build_hashtable_program(
-        runtime, geom, keys_by_rank, cfg.sync_window, nranks
-    )
-    run = run_program(machine, program, placement=placement)
-    job, chan, result = run.job, run.chan, run.result
+    # The algorithm is the backend's capability, not an op sequence: remote
+    # atomics insert from the sender, anything else routes to the owner.
+    if get_backend(runtime).caps.remote_atomics:
+        job = Job(machine, nranks, runtime, placement=placement)
+        chan = job.channel(_domain_spec(geom))
+        homes = [geom.locate_many(keys) for keys in keys_by_rank]
+        result = job.run(_atomics_rank, chan, geom, keys_by_rank, homes)
+    else:
+        program = build_hashtable_program(
+            runtime, geom, keys_by_rank, cfg.sync_window, nranks
+        )
+        run = run_program(machine, program, placement=placement)
+        job, chan, result = run.job, run.chan, run.result
     tables = [chan.array("table", r) for r in range(nranks)]
     chains = [chan.array("chain", r) for r in range(nranks)]
     heaps = [chan.array("heap", r) for r in range(nranks)]
@@ -311,7 +305,6 @@ def run_hashtable(
     values: list[int] = []
     for r in range(nranks):
         values.extend(collect_values(tables[r], heaps[r], metas[r]))
-    merged = reduce(OpCounter.merge, result.per_rank, OpCounter())
     extras = {
         "geometry": geom,
         "values": values,
@@ -328,7 +321,7 @@ def run_hashtable(
         variant=job.runtime_name,
         nranks=nranks,
         time=elapsed,
-        counters=merged,
+        counters=result.counters,
         per_rank=result.per_rank,
         extras=extras,
     )

@@ -25,14 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from functools import reduce
 
 import numpy as np
 import scipy.linalg as sla
 
-from repro.comm.base import OpCounter
-from repro.ir.lower import run_program
-from repro.ir.program import IRProgram
+from repro.comm.job import Job
 from repro.machines.base import MachineModel
 from repro.transport import MailboxMsg, MailboxSpec
 from repro.workloads.base import WorkloadResult
@@ -46,7 +43,6 @@ from repro.workloads.sptrsv.plan import (
 
 __all__ = [
     "SpTrsvConfig",
-    "build_sptrsv_program",
     "reference_solve",
     "run_sptrsv",
 ]
@@ -82,10 +78,9 @@ SPARSE_CPU_BW = 5e9
 class _SolveState:
     """Per-rank mutable solver state shared by the three variants."""
 
-    def __init__(self, ctx, em, plan: CommPlan, b: np.ndarray | None,
+    def __init__(self, ctx, plan: CommPlan, b: np.ndarray | None,
                  execute: bool):
         self.ctx = ctx
-        self.em = em
         self.plan = plan
         self.m = plan.matrix
         self.execute = execute
@@ -119,7 +114,7 @@ class _SolveState:
             )
         else:
             xJ = None
-        yield from self.em.compute(seconds=w * w * 4.0 / self.eff_bw)
+        yield from self.ctx.compute(seconds=w * w * 4.0 / self.eff_bw)
         self.x[J] = xJ
         return xJ
 
@@ -130,7 +125,7 @@ class _SolveState:
             u = self.m.blocks[(I, J)] @ xJ
         else:
             u = None
-        yield from self.em.compute(seconds=wi * wj * 8.0 / self.eff_bw)
+        yield from self.ctx.compute(seconds=wi * wj * 8.0 / self.eff_bw)
         return u
 
     def apply_contrib(self, I: int, u) -> bool:
@@ -197,69 +192,57 @@ def _mailbox_spec(plan: CommPlan, nranks: int, execute: bool) -> MailboxSpec:
     )
 
 
-def build_sptrsv_program(
-    runtime: str, plan: CommPlan, b, execute: bool, nranks: int
-) -> IRProgram:
-    """Emit the wavefront solve as a dynamic IR program.
+def _solve_rank(ctx, chan, plan: CommPlan, b, execute: bool):
+    """One rank of the wavefront solve (generator handed to ``job.run``).
 
     The op stream is data-dependent — which supernodes become ready, and
-    in what order, is only known as messages arrive — so the body drives
-    an :class:`repro.ir.lower.Emitter` instead of building static regions
-    (passes skip dynamic programs; every op is still lowered and counted
-    through the same dispatch).
+    in what order, is only known as messages arrive — so this is a rank
+    program over the mailbox endpoint's verbs, not an
+    :class:`repro.ir.program.IRProgram`: there is nothing a pass or the
+    cost model could read ahead of the run.
     """
+    ep = chan.endpoint(ctx)
+    solve = _SolveState(ctx, plan, b, execute)
 
-    def body(ctx, em, state):
-        solve = _SolveState(ctx, em, plan, b, execute)
-
-        def send_msg(kind, sn, block, dst, values, words):
-            slot = plan.slot_of[dst][(kind, sn, ctx.rank, block)]
-            yield from em.send(
-                dst,
-                slot,
-                words=words,
-                values=values if execute else None,
-                meta=(kind, sn),
-                tag=kind,
-            )
-
-        def send_x(J, dst, xJ):
-            yield from send_msg(X_MSG, J, None, dst, xJ, plan.matrix.widths[J])
-
-        def send_lsum(I, block, dst, u):
-            yield from send_msg(LSUM_MSG, I, block, dst, u, plan.matrix.widths[I])
-
-        yield from em.barrier()
-        t0 = ctx.sim.now
-        yield from _drain_ready(solve, send_x, send_lsum)
-        expected = plan.expected[ctx.rank]
-        yield from em.expect(
-            {
-                m.slot: MailboxMsg(
-                    slot=m.slot, words=m.words, meta=(m.kind, m.supernode)
-                )
-                for m in expected
-            }
+    def send_msg(kind, sn, block, dst, values, words):
+        slot = plan.slot_of[dst][(kind, sn, ctx.rank, block)]
+        yield from ep.send(
+            dst,
+            slot,
+            words=words,
+            values=values if execute else None,
+            meta=(kind, sn),
+            tag=kind,
         )
-        for _ in range(len(expected)):
-            (kind, sn), data = yield from em.recv()
-            yield from _dispatch(solve, kind, sn, data, send_lsum)
-            yield from _drain_ready(solve, send_x, send_lsum)
-        yield from em.drain()
-        elapsed = ctx.sim.now - t0
-        return {
-            "time": elapsed,
-            "x": {J: solve.x.get(J) for J in plan.owned_diags.get(ctx.rank, [])},
-        }
 
-    return IRProgram(
-        name="sptrsv",
-        spec=_mailbox_spec(plan, nranks, execute),
-        nranks=nranks,
-        runtime=runtime,
-        body=body,
-        meta={"nnz": plan.matrix.nnz, "execute": execute},
+    def send_x(J, dst, xJ):
+        yield from send_msg(X_MSG, J, None, dst, xJ, plan.matrix.widths[J])
+
+    def send_lsum(I, block, dst, u):
+        yield from send_msg(LSUM_MSG, I, block, dst, u, plan.matrix.widths[I])
+
+    yield from ctx.barrier()
+    t0 = ctx.sim.now
+    yield from _drain_ready(solve, send_x, send_lsum)
+    expected = plan.expected[ctx.rank]
+    ep.expect(
+        {
+            m.slot: MailboxMsg(
+                slot=m.slot, words=m.words, meta=(m.kind, m.supernode)
+            )
+            for m in expected
+        }
     )
+    for _ in range(len(expected)):
+        (kind, sn), data = yield from ep.recv()
+        yield from _dispatch(solve, kind, sn, data, send_lsum)
+        yield from _drain_ready(solve, send_x, send_lsum)
+    yield from ep.drain()
+    elapsed = ctx.sim.now - t0
+    return {
+        "time": elapsed,
+        "x": {J: solve.x.get(J) for J in plan.owned_diags.get(ctx.rank, [])},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +273,9 @@ def run_sptrsv(
             raise ValueError(f"b has length {len(b)}, expected {matrix.n}")
     if placement is None:
         placement = "spread" if machine.is_gpu_machine else "block"
-    program = build_sptrsv_program(runtime, plan, b, execute, nranks)
-    run = run_program(machine, program, placement=placement)
-    job, result = run.job, run.result
+    job = Job(machine, nranks, runtime, placement=placement)
+    chan = job.channel(_mailbox_spec(plan, nranks, execute))
+    result = job.run(_solve_rank, chan, plan, b, execute)
     times = [r["time"] for r in result.results]
     extras: dict = {"plan": plan.describe(), "nnz": matrix.nnz}
     if execute:
@@ -302,7 +285,6 @@ def run_sptrsv(
                 lo, hi = matrix.sn_range(J)
                 x[lo:hi] = xJ
         extras["x"] = x
-    merged = reduce(OpCounter.merge, result.per_rank, OpCounter())
     return WorkloadResult(
         workload="sptrsv",
         machine=machine.name,
@@ -310,7 +292,7 @@ def run_sptrsv(
         variant=job.runtime_name,
         nranks=nranks,
         time=max(times),
-        counters=merged,
+        counters=result.counters,
         per_rank=result.per_rank,
         extras=extras,
     )

@@ -18,11 +18,9 @@ compute time, so timings are comparable across modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from repro.comm.base import OpCounter
 from repro.ir import ops as O
 from repro.ir.lower import run_program
 from repro.ir.program import IRProgram, Region, static_program
@@ -355,7 +353,6 @@ def run_stencil(
             rows, cols = grid.block(rank, cfg.nx, cfg.ny)
             field_out[rows, cols] = result.results[rank]["block"]
         extras["field"] = field_out
-    merged = reduce(OpCounter.merge, result.per_rank, OpCounter())
     return WorkloadResult(
         workload="stencil",
         machine=machine.name,
@@ -363,7 +360,7 @@ def run_stencil(
         variant=job.runtime_name,
         nranks=nranks,
         time=max(times),
-        counters=merged,
+        counters=result.counters,
         per_rank=result.per_rank,
         extras=extras,
     )

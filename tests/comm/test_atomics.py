@@ -108,22 +108,6 @@ class TestFetchOps:
         assert sorted(indices) == list(range(7))
         assert win.local(0)[0] == 7
 
-    def test_fetch_and_replace_swaps(self, pm_cpu):
-        job = job_n(pm_cpu)
-        win = job.window(1, dtype=np.int64, fill=99)
-
-        def program(ctx):
-            h = win.handle(ctx)
-            if ctx.rank == 0:
-                req = yield from h.fetch_and_replace(1, 0, 123)
-                old = yield from ctx.wait(req)
-                return old
-            yield from ctx.compute(seconds=0)
-
-        res = job.run(program)
-        assert res.results[0] == 99
-        assert win.local(1)[0] == 123
-
 
 class TestAtomicTiming:
     def test_atomics_serialise_at_target(self, pm_cpu):

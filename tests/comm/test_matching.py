@@ -90,14 +90,6 @@ class TestMatching:
 
 
 class TestProbeAndTake:
-    def test_probe_nondestructive(self, sim, engine):
-        engine.deliver(_msg(payload="x"))
-        assert engine.probe(1, 5) is not None
-        assert engine.unexpected_depth == 1
-
-    def test_probe_miss(self, sim, engine):
-        assert engine.probe(1, 5) is None
-
     def test_take_pops_matching(self, sim, engine):
         engine.deliver(_msg(tag=1, payload="a"))
         engine.deliver(_msg(tag=2, payload="b"))

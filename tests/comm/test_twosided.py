@@ -155,21 +155,6 @@ class TestWaits:
         _, res = run2(pm_cpu, program)
         assert res.results[1] == [0, 1, 2]
 
-    def test_waitany_returns_completed_index(self, pm_cpu):
-        def program(ctx):
-            if ctx.rank == 0:
-                yield from ctx.compute(seconds=1e-4)
-                r = yield from ctx.isend(1, nbytes=8, tag=7, payload="late")
-                yield from ctx.waitall([r])
-                return None
-            r_never = yield from ctx.irecv(source=0, tag=99)
-            r_comes = yield from ctx.irecv(source=0, tag=7)
-            idx = yield from ctx.waitany([r_never, r_comes])
-            return idx
-
-        _, res = run2(pm_cpu, program)
-        assert res.results[1] == 1
-
     def test_recv_poll_equivalent_to_recv(self, pm_cpu):
         def program(ctx):
             if ctx.rank == 0:

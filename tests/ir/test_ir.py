@@ -31,7 +31,7 @@ M = get_machine("perlmutter-cpu")
 class TestProgram:
     def test_flood_program_shape(self):
         p = build_flood_program("one_sided", 4096, 8, iters=2)
-        assert not p.dynamic and p.portable
+        assert p.portable
         assert len(p.regions) == 2
         r0 = p.regions[0].rank_ops(0)
         assert r0 == (O.BatchSend(1, 0, 8), O.Barrier())
@@ -59,8 +59,8 @@ class Teleport(O.Op):
 
 
 class TestLoweringTable:
-    """One ``op class -> lowering`` table serves static and dynamic
-    programs; vocabulary and table move together."""
+    """One ``op class -> lowering`` table; vocabulary and table move
+    together."""
 
     def test_every_op_class_has_a_lowering(self):
         from repro.ir.lower import LOWERINGS
@@ -97,27 +97,6 @@ class TestLoweringTable:
         bad = base.with_(prologue=tuple((Teleport(),) for _ in range(base.nranks)))
         with pytest.raises(TypeError, match="no lowering for op Teleport"):
             ir.run_program(get_machine("perlmutter-cpu"), bad)
-
-    def test_emitter_verb_returns_the_endpoint_generator(self):
-        """Counted, not reified: the emitter stacks no frame of its own
-        under the endpoint verb it forwards to."""
-        from repro.ir.lower import Emitter
-
-        def generator(self, *args, **kwargs):
-            yield "from the endpoint"
-
-        for verb, args, kwargs, kind in [
-            ("drain", (), {}, "MsgDrain"),
-            ("send", (1, 0), {"words": 2}, "MailboxSend"),
-            ("recv", (), {}, "MailboxRecv"),
-            ("cas", ("table", 1, 0, 0, 7), {}, "AtomicCas"),
-        ]:
-            Ep = type("Ep", (), {verb: generator})
-            counts = {}
-            gen = getattr(Emitter(Ep(), None, counts=counts), verb)(*args, **kwargs)
-            assert gen.gi_code is generator.__code__
-            assert counts == {kind: 1}
-            assert list(gen) == ["from the endpoint"]
 
 
 class TestPipeline:
@@ -186,15 +165,6 @@ class TestCostModel:
         cm = CostModel.for_(M, "one_sided", 2)
         assert cm.alpha > 0 and cm.G > 0 and cm.barrier > 0
 
-    def test_dynamic_program_cost_raises(self):
-        geom_cfg = HashTableConfig(total_inserts=32)
-        geom = TableGeometry.for_inserts(2, 32, load_factor=0.6)
-        keys = generate_keys(geom_cfg, 2)
-        p = build_hashtable_program("one_sided", geom, keys, 1, 2)
-        assert p.dynamic
-        with pytest.raises(ValueError, match="dynamic"):
-            program_cost(p, M)
-
     def test_more_messages_cost_more(self):
         small = build_flood_program("one_sided", 4096, 4, iters=1)
         big = build_flood_program("one_sided", 4096, 64, iters=1)
@@ -235,34 +205,34 @@ class TestObsIntegration:
 
     @pytest.mark.parametrize("run, expected", [
         (
-            lambda: run_sptrsv(
-                M, "one_sided",
+            lambda rt: run_sptrsv(
+                M, rt,
                 generate_matrix(MatrixSpec(
                     n_supernodes=20, width_lo=2, width_hi=12, seed=3
                 )),
                 4,
             ),
-            {"Barrier": 4, "Compute": 55, "MailboxExpect": 4,
-             "MailboxRecv": 30, "MailboxSend": 30, "MsgDrain": 4,
-             "lowered": 127},
+            {"one_sided": {"messages": 60, "recv_messages": 0},
+             "two_sided": {"messages": 30, "recv_messages": 30}},
         ),
         (
-            lambda: run_hashtable(
-                M, "one_sided", HashTableConfig(total_inserts=64), 2
+            lambda rt: run_hashtable(
+                M, rt, HashTableConfig(total_inserts=64), 2
             ),
-            {"AtomicCas": 64, "AtomicFaa": 21, "AtomicPublish": 21,
-             "AtomicSwap": 21, "Barrier": 4, "lowered": 131},
+            # 64 CAS + 21 FAA + 21 swap; one publish per collision.
+            {"one_sided": {"atomics": 106, "messages": 21, "collisions": 21}},
         ),
     ], ids=["sptrsv", "hashtable"])
     def test_dynamic_programs_count_every_verb(self, run, expected):
-        """Exact ``ir.ops.<Kind>`` of two dynamic programs, generated while
-        each emitter verb still built an op and lowered it (PR 17): the
-        counting seam reports what the reifying emitter did."""
+        """The op streams of the two data-dependent workloads, pinned where
+        they are counted now: they are rank programs over the endpoint
+        verbs, so ``WorkloadResult.counters`` sees every message and atomic
+        and nothing is lowered (no ``ir.*`` count, no IR report)."""
         session = obs.Obs()
-        with obs.observe(session):
-            run()
-        snap = session.snapshot()
-        got = {k[len("ir.ops."):]: v for k, v in snap.items()
-               if k.startswith("ir.ops.")}
-        assert got == expected
-        assert snap["ir.programs.lowered"] == 1
+        with obs.observe(session), ir.collect() as reports:
+            results = {rt: run(rt) for rt in expected}
+        for rt, want in expected.items():
+            seen = {**vars(results[rt].counters), **results[rt].extras}
+            assert {k: seen[k] for k in want} == want
+        assert reports == []
+        assert not any(k.startswith("ir.") for k in session.snapshot())

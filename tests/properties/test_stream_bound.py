@@ -24,12 +24,6 @@ from repro.workloads.flood import (
     build_flood_program,
     run_flood,
 )
-from repro.workloads.hashtable.runner import (
-    HashTableConfig,
-    build_hashtable_program,
-    generate_keys,
-)
-from repro.workloads.hashtable.table import TableGeometry
 from repro.workloads.stencil.decomposition import ProcessGrid
 from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 
@@ -42,7 +36,7 @@ MACHINES = ("perlmutter-cpu", "summit-cpu", "frontier-cpu")
 def program_pairs(draw):
     """The same workload shape lowered for one_sided and stream."""
     machine = get_machine(draw(st.sampled_from(MACHINES)))
-    kind = draw(st.sampled_from(("flood", "cas_flood", "stencil", "hashtable")))
+    kind = draw(st.sampled_from(("flood", "cas_flood", "stencil")))
     if kind == "flood":
         nbytes = draw(st.sampled_from((64, 1024, 4096, 65536)))
         n = draw(st.sampled_from((1, 4, 64)))
@@ -53,7 +47,7 @@ def program_pairs(draw):
         build = lambda rt: build_cas_flood_program(
             rt, n_ops=n_ops, target_rank=1
         )
-    elif kind == "stencil":
+    else:
         nranks = draw(st.sampled_from((1, 2, 4)))
         n = draw(st.sampled_from((16, 32)))
         cfg = StencilConfig(
@@ -61,16 +55,6 @@ def program_pairs(draw):
         )
         grid = ProcessGrid.square_ish(nranks)
         build = lambda rt: build_stencil_program(rt, cfg, grid, nranks)
-    else:
-        nranks = draw(st.sampled_from((2, 4)))
-        cfg = HashTableConfig(total_inserts=draw(st.sampled_from((32, 128))))
-        geom = TableGeometry.for_inserts(
-            nranks, cfg.total_inserts, load_factor=cfg.load_factor
-        )
-        keys = generate_keys(cfg, nranks)
-        build = lambda rt: build_hashtable_program(
-            rt, geom, keys, cfg.sync_window, nranks
-        )
     return build(ONE_SIDED), build(STREAM_TRIGGERED), machine
 
 
@@ -78,8 +62,6 @@ def program_pairs(draw):
 @given(program_pairs())
 def test_stream_never_models_slower_than_one_sided(pair):
     host, stream, machine = pair
-    if host.dynamic or stream.dynamic:
-        return  # dynamic programs have no static modeled cost
     t_host = program_cost(host, machine)
     t_stream = program_cost(stream, machine)
     assert t_stream <= t_host * (1 + 1e-12), (

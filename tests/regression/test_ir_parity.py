@@ -158,15 +158,6 @@ class TestExplainSnapshots:
         assert lines[3].startswith("  total: ")
         assert lines[3].endswith("x modeled)")
 
-    def test_dynamic_program_note(self):
-        m = get_machine("perlmutter-cpu")
-        cfg = HashTableConfig(total_inserts=64)
-        with ir.passes(True), ir.collect() as reports:
-            run_hashtable(m, "one_sided", cfg, 2)
-        (rep,) = reports
-        assert rep.passes == ()
-        assert any("dynamic program" in n for n in rep.notes)
-
     def test_explain_all_dedupes(self):
         m = get_machine("perlmutter-cpu")
         with ir.collect() as reports:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AllOf, Simulator
 from repro.sim.event import SimulationError
 
 
@@ -124,12 +124,6 @@ class TestConditions:
         sim.run(until=done)
         assert sim.now == 5
 
-    def test_anyof_fires_on_first(self, sim):
-        t1, t2 = sim.timeout(4), sim.timeout(2)
-        done = AnyOf(sim, [t1, t2])
-        sim.run(until=done)
-        assert sim.now == 2
-
     def test_empty_allof_is_vacuously_satisfied(self, sim):
         done = AllOf(sim, [])
         assert done.triggered
@@ -156,7 +150,7 @@ class TestConditions:
         sim.run(until=done)
         assert sim.now == 3  # 1 (elapsed) + 2 (new timeout)
 
-    @pytest.mark.parametrize("cond", [AllOf, AnyOf])
+    @pytest.mark.parametrize("cond", [AllOf])
     def test_condition_over_only_processed_children(self, sim, cond):
         """Children that fired with nobody waiting (no callbacks list was
         ever made) still resolve a condition built afterwards."""

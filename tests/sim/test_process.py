@@ -1,8 +1,8 @@
-"""Generator processes: suspension, return values, failure, interrupts."""
+"""Generator processes: suspension, return values, failure."""
 
 import pytest
 
-from repro.sim import Interrupt, Process, Simulator
+from repro.sim import Process, Simulator
 from repro.sim.event import SimulationError
 
 
@@ -141,72 +141,6 @@ class TestFailures:
         assert not p.ok
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_process(self, sim):
-        def victim():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as i:
-                return f"interrupted: {i.cause}"
-
-        p = sim.process(victim())
-
-        def interrupter():
-            yield sim.timeout(1)
-            p.interrupt("reason")
-
-        sim.process(interrupter())
-        sim.run(until=p)
-        assert p.value == "interrupted: reason"
-        assert sim.now == 1
-
-    def test_interrupt_abandons_a_target_with_no_other_waiter(self, sim):
-        """The victim is the only waiter on its target: after the interrupt
-        the target fires into nothing, and a *failed* target still surfaces
-        as an unhandled error rather than vanishing."""
-        target = sim.event()
-
-        def victim():
-            try:
-                yield target
-            except Interrupt:
-                return "recovered"
-
-        p = sim.process(victim())
-        sim.run()
-        p.interrupt()
-        sim.run()
-        assert p.value == "recovered"
-        target.fail(RuntimeError("nobody listens"))
-        with pytest.raises(RuntimeError, match="nobody listens"):
-            sim.run()
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def prog():
-            yield sim.timeout(1)
-
-        p = sim.process(prog())
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_uncaught_interrupt_fails_process(self, sim):
-        def victim():
-            yield sim.timeout(100)
-
-        p = sim.process(victim())
-        p.defuse()
-
-        def interrupter():
-            yield sim.timeout(1)
-            p.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        assert not p.ok
-        assert isinstance(p.value, Interrupt)
-
-
 class TestFusedResume:
     """``Process._resume`` is one frame on the success path; every typed
     failure it used to give through ``_step`` it still gives."""
@@ -251,29 +185,6 @@ class TestFusedResume:
         sim.run()
         assert sim.now == 1
         assert isinstance(p.value, SimulationError)
-
-    def test_interrupt_while_parked_on_a_shared_event(self, sim):
-        """Two processes wait on one event; interrupting one disarms only
-        its own callback — the other is still resumed by the event."""
-        shared = sim.event()
-        log = []
-
-        def waiter(name):
-            try:
-                got = yield shared
-                log.append((name, got, sim.now))
-            except Interrupt as i:
-                log.append((name, f"interrupted:{i.cause}", sim.now))
-
-        a = sim.process(waiter("a"))
-        sim.process(waiter("b"))
-        sim.run()
-        a.interrupt("stop")
-        sim.run()
-        assert log == [("a", "interrupted:stop", 0)]
-        shared.succeed("go", delay=2)
-        sim.run()
-        assert log == [("a", "interrupted:stop", 0), ("b", "go", 2)]
 
     def test_already_processed_event_is_relayed_on_the_next_step(self, sim):
         """Yielding a fired event resumes at the same instant, one engine

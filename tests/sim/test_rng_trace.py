@@ -1,44 +1,6 @@
-"""Deterministic RNG streams and the tracer."""
+"""The tracer."""
 
-import numpy as np
-import pytest
-
-from repro.sim import NullTracer, RngFactory, Tracer
-
-
-class TestRng:
-    def test_same_seed_same_stream(self):
-        a = RngFactory(7).stream("x").random(8)
-        b = RngFactory(7).stream("x").random(8)
-        assert np.array_equal(a, b)
-
-    def test_different_names_differ(self):
-        f = RngFactory(7)
-        assert not np.array_equal(f.stream("x").random(8), f.stream("y").random(8))
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(
-            RngFactory(1).stream("x").random(8), RngFactory(2).stream("x").random(8)
-        )
-
-    def test_order_independence(self):
-        f1 = RngFactory(3)
-        _ = f1.stream("a")
-        b_after = f1.stream("b").random(4)
-        b_fresh = RngFactory(3).stream("b").random(4)
-        assert np.array_equal(b_after, b_fresh)
-
-    def test_child_is_deterministic(self):
-        c1 = RngFactory(5).child("sub")
-        c2 = RngFactory(5).child("sub")
-        assert c1.seed == c2.seed
-        assert c1.seed != 5
-
-    def test_invalid_seed_rejected(self):
-        with pytest.raises(ValueError):
-            RngFactory(-1)
-        with pytest.raises(ValueError):
-            RngFactory("abc")
+from repro.sim import NullTracer, Tracer
 
 
 class TestTracer:

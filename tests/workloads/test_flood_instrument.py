@@ -89,6 +89,9 @@ class TestCasFlood:
             run_cas_flood(perlmutter_cpu(), "one_sided", target_rank=0)
         with pytest.raises(ValueError):
             run_cas_flood(perlmutter_cpu(), "one_sided", nranks=2, target_rank=2)
+        for n_ops in (0, -3):
+            with pytest.raises(ValueError, match="n_ops must be >= 1, got"):
+                run_cas_flood(perlmutter_cpu(), "one_sided", n_ops=n_ops)
 
 
 class TestTable2:
