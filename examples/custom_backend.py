@@ -6,9 +6,10 @@ two-sided" once the 4-op software emulation (Put / flush / Put(signal) /
 flush + the Listing-1 polling receiver) becomes a single hardware
 put-with-signal.  This example builds that NIC as a *user* backend:
 
-1. subclass a built-in adapter (the fused op sequences are exactly the
-   NVSHMEM ones, so :class:`ShmemBackend` already does the right thing),
-   give it a name and a cost-profile key, and register it;
+1. subclass a built-in adapter (the fused op sequences — and the op
+   accounting their endpoints declare — are exactly the NVSHMEM ones, so
+   :class:`ShmemBackend` already does the right thing), give it a name
+   and a cost-profile key, and register it;
 2. give a machine model the matching :class:`CommCosts` profile;
 3. run the unchanged flood workload under the new name.
 
@@ -52,15 +53,16 @@ class FusedPutNic(ShmemBackend):
     from the parent adapter; only the name and the cost profile differ.
     Declare capabilities *first* and completely — every flag, not just
     the ones that differ from the default — because consumers branch on
-    the caps table, never on the backend's name.
+    the caps table, never on the backend's name.  The op count is not a
+    flag: "one fused op, not four" is the inherited mailbox endpoint's
+    ``ops = (("put_signal",), ("wait_wakeup",))``, and registration
+    derives ``caps.ops_per_message == 1`` from it.
     """
 
     name = FUSED
     costs_key = FUSED
-    sided = "shmem"  # fused-op accounting in the analytic rooflines
     caps = BackendCaps(
         remote_atomics=True,   # NIC-side fetch-add (hashtable workload)
-        ops_per_message=1,     # the whole point: one fused op, not four
         gpu_initiated=False,   # host issues the verbs...
         host_bypass=False,     # ...and host polls completion
         fence_epochs=False,    # no epoch fence -> sync-elide stays off
@@ -106,10 +108,10 @@ def main() -> None:
     print("capabilities():")
     for name, caps in sorted(capabilities().items()):
         print(f"  {name:>16}: {caps.summary()}")
-    fused_ops = require(ops_per_message=1, gpu_initiated=False)
-    print(f"require(ops_per_message=1, gpu_initiated=False).candidates() = "
-          f"{fused_ops.candidates()}")
-    assert FUSED in fused_ops.candidates()
+    assert capabilities()[FUSED].ops_per_message == 1  # derived, never declared
+    host_nic = require(gpu_initiated=False, fence_epochs=False, remote_atomics=True)
+    print(f"{host_nic}.candidates() = {host_nic.candidates()}")
+    assert FUSED in host_nic.candidates()
     print()
 
     # Small-message flood: sweep messages-per-sync and watch the
@@ -145,13 +147,13 @@ def main() -> None:
 
     # The host-involvement ablation's overhead model branches on the
     # caps table too, so the user backend gets a correctly-costed row
-    # with zero extra code: ops_per_message=1 selects the fused
-    # put_signal-per-message formula instead of the 4-op emulation.
+    # with zero extra code: its per-message cost is the one put_signal
+    # its mailbox endpoint declares instead of the 4-op emulation.
     from repro.experiments.host_involvement import host_overhead
 
     machine = fused_machine()
     print()
-    print("host_overhead (256 msgs, 3 syncs) via the caps table:")
+    print("host_overhead (256 msgs, 3 syncs) via caps + endpoint ops:")
     for runtime in (TWO_SIDED, ONE_SIDED, FUSED):
         h = host_overhead(machine, runtime, messages=256, syncs=3)
         print(f"  {runtime:>16}: {h * 1e6:8.1f} us")

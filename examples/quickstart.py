@@ -12,6 +12,7 @@ Run:  python examples/quickstart.py
 import repro
 from repro.comm import Job
 from repro.roofline import MessageRoofline
+from repro.transport import get_backend
 from repro.util import fmt_bw, fmt_time
 
 
@@ -50,8 +51,7 @@ def main() -> None:
     print()
 
     # 3. The analytic Message Roofline bound for the same operating points.
-    params = machine.loggp("two_sided", 0, 1, nranks=2, placement="spread",
-                           sided="two")
+    params = get_backend(repro.TWO_SIDED).loggp(machine, "batch")
     roofline = MessageRoofline(params, name="perlmutter-cpu/two-sided")
     print("Message Roofline bound at the same points:")
     for n in (1, 16, 256):

@@ -19,16 +19,15 @@ from repro.roofline import (
     ascii_loglog,
     fit_loggp,
 )
+from repro.transport import get_backend
 from repro.util import fmt_bw, fmt_bytes
 from repro.workloads.flood import run_flood
 
 
 def main() -> None:
     machine = frontier_cpu()
-    params = machine.loggp(
-        "one_sided", 0, 1, nranks=2, placement="spread", sided="one",
-        ops_per_message=1,
-    )
+    # "batch": n puts, then one flush/put/flush completion per sync.
+    params = get_backend("one_sided").loggp(machine, "batch")
     roofline = MessageRoofline(params, name="frontier/one-sided")
 
     print("== 1. the model ==")

@@ -675,10 +675,9 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 
     machine = get_machine(args.machine)
     backend = get_backend(args.runtime)
-    params = machine.loggp(
-        backend.resolve_costs_key(), 0, 1, nranks=2, placement="spread",
-        sided=backend.sided,
-    )
+    # The command's axis is msgs/sync: the batch endpoint's accounting.
+    params = backend.loggp(machine, "batch")
+    per_msg, per_sync = backend.ops("batch")
     roof = MessageRoofline(params)
     B = parse_size(args.nbytes)
     bound = roof.bound(B, args.msgs_per_sync)
@@ -688,6 +687,7 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
         f"g={params.g * 1e6:.2f} us, o_sync={params.o_sync * 1e6:.2f} us, "
         f"peak={fmt_bw(params.peak_bandwidth)}"
     )
+    print(f"ops     : {', '.join(per_msg)} /msg; {', '.join(per_sync)} /sync")
     print(f"bound   : {fmt_bw(bound['bound_bandwidth'])} "
           f"({bound['fraction_of_peak'] * 100:.1f}% of peak)")
     print(f"per sync: {fmt_time(bound['bound_time_per_sync'])}")

@@ -29,18 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.collectives.plan import _ceil_log2, _pof2
 from repro.transport.api import part_bounds
 
 __all__ = ["ALGORITHM_TABLE"]
-
-
-def _ceil_log2(n: int) -> int:
-    return max(n - 1, 0).bit_length()
-
-
-def _pof2(n: int) -> tuple[int, int]:
-    p = 1 << (n.bit_length() - 1)
-    return p, n - p
 
 
 def _sl(v, lo, hi):

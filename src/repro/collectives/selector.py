@@ -21,18 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives.plan import ALGORITHMS, CollectiveError
+from repro.collectives.plan import ALGORITHMS, CollectiveError, _ceil_log2, _pof2
 
 __all__ = ["Selection", "model_time", "select"]
-
-
-def _ceil_log2(n: int) -> int:
-    return max(n - 1, 0).bit_length()
-
-
-def _pof2(n: int) -> tuple[int, int]:
-    p = 1 << (n.bit_length() - 1)
-    return p, n - p
 
 
 def model_time(coll: str, algorithm: str, nranks: int, nbytes: float,
@@ -134,10 +125,8 @@ def select(coll: str, *, nranks: int, nbytes: float, machine,
         )
     backend = get_backend(runtime)
     if nranks >= 2:
-        params = machine.loggp(
-            backend.resolve_costs_key(), 0, 1, nranks=2, placement="spread",
-            sided=backend.sided, ops_per_message=backend.caps.ops_per_message,
-        )
+        # Every round is one notified (round-slotted mailbox) message.
+        params = backend.loggp(machine, "mailbox")
         alpha = params.L + params.o + params.o_sync
         beta = params.G
     else:

@@ -22,7 +22,7 @@ from repro.experiments.report import ExperimentReport
 from repro.machines.registry import get_machine
 from repro.roofline import MessageRoofline, SplitModel
 from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
-from repro.transport import ONE_SIDED, ONE_SIDED_HW, TWO_SIDED
+from repro.transport import ONE_SIDED, ONE_SIDED_HW, TWO_SIDED, get_backend
 
 __all__ = [
     "run_ablation_gap",
@@ -37,8 +37,7 @@ __all__ = [
 def run_ablation_gap() -> ExperimentReport:
     """Let the injection gap go to zero and watch the ceiling move."""
     machine = get_machine("perlmutter-cpu")
-    base = machine.loggp(TWO_SIDED, 0, 1, nranks=2, placement="spread",
-                         sided="two")
+    base = get_backend(TWO_SIDED).loggp(machine, "batch")
     no_gap = dataclasses.replace(base, g=0.0)
     no_overhead = dataclasses.replace(base, o=1e-9, g=0.0)
     headers = ["B (bytes)", "baseline GB/s", "g=0 GB/s", "g=0,o~0 GB/s"]
@@ -79,8 +78,7 @@ def run_ablation_sharp_junction() -> ExperimentReport:
     """Quantify the sharp-vs-rounded gap around the knee (Fig. 1's
     'ideal region one can never practically reach')."""
     machine = get_machine("perlmutter-cpu")
-    params = machine.loggp(TWO_SIDED, 0, 1, nranks=2, placement="spread",
-                           sided="two")
+    params = get_backend(TWO_SIDED).loggp(machine, "batch")
     roof = MessageRoofline(params)
     headers = ["B (bytes)", "rounded GB/s", "sharp GB/s", "sharp/rounded"]
     rows = []

@@ -25,7 +25,7 @@ from repro.machines.registry import get_machine
 from repro.roofline import MessageRoofline, Series, ascii_loglog
 from repro.sweep import SweepSpec, run_sweep
 from repro.workloads.flood import run_flood
-from repro.transport import ONE_SIDED
+from repro.transport import ONE_SIDED, get_backend
 
 __all__ = ["run_fig01"]
 
@@ -60,10 +60,7 @@ def run_fig01(*, measured: bool = True, iters: int = 2) -> ExperimentReport:
     machine = get_machine("frontier-cpu")
     # Flood-style accounting: one put per message, completion amortised
     # over the batch (the paper's Fig. 1 is the generic put roofline).
-    params = machine.loggp(
-        ONE_SIDED, 0, 1, nranks=2, placement="spread", sided="one",
-        ops_per_message=1,
-    )
+    params = get_backend(ONE_SIDED).loggp(machine, "batch")
     roofline = MessageRoofline(params, name="frontier-cpu/one-sided")
     headers = ["B (bytes)", "n=1 GB/s", "n=10 GB/s", "n=100 GB/s", "n=1000 GB/s",
                "sharp n=1 GB/s"]

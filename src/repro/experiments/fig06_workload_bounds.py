@@ -29,15 +29,15 @@ __all__ = ["run_fig06"]
 
 _STENCIL_SIZES = tuple(float(2**k) for k in range(13, 17))
 
-# Profile name -> (sizes, msgs_per_sync, sided, ops_per_message).  Stencil
-# one-sided runs four puts inside a fence pair — the completion sequence
-# amortises over the sync (ops_per_message=1).
+# Profile name -> (workload, sizes, msgs_per_sync, runtime, pattern): the
+# pattern is the channel the workload opens, whose endpoint declares the
+# op accounting.
 _PROFILES = {
-    "stencil/two": ("stencil", _STENCIL_SIZES, 4, "two", 2),
-    "stencil/one": ("stencil", _STENCIL_SIZES, 4, "one", 1),
-    "sptrsv/two": ("sptrsv", (24.0, 800.0, 1040.0), 1, "two", 2),
-    "sptrsv/one": ("sptrsv", (24.0, 800.0, 1040.0), 1, "one", 4),
-    "hashtable/two": ("hashtable", (24.0,), 100, "two", 2),
+    "stencil/two": ("stencil", _STENCIL_SIZES, 4, TWO_SIDED, "halo"),
+    "stencil/one": ("stencil", _STENCIL_SIZES, 4, ONE_SIDED, "halo"),
+    "sptrsv/two": ("sptrsv", (24.0, 800.0, 1040.0), 1, TWO_SIDED, "mailbox"),
+    "sptrsv/one": ("sptrsv", (24.0, 800.0, 1040.0), 1, ONE_SIDED, "mailbox"),
+    "hashtable/two": ("hashtable", (24.0,), 100, TWO_SIDED, "atomic"),
 }
 
 
@@ -49,11 +49,9 @@ def _point(params, seed):
             params["workload"],
             tuple(params["sizes"]),
             msgs_per_sync=params["msgs"],
-            sided=params["sided"],
-            ops_per_message=params["ops"],
+            pattern=params["pattern"],
         )
-        runtime = ONE_SIDED if prof.sided == "one" else TWO_SIDED
-        wb = bound_workload(machine, runtime, prof)
+        wb = bound_workload(machine, params["runtime"], prof)
         return {
             "rows": [dict(r) for r in wb.rows()],
             "time_per_sync": list(wb.time_per_sync),
@@ -76,8 +74,8 @@ def _point(params, seed):
 def _spec(iters: int) -> SweepSpec:
     points = [
         {"kind": "bound", "profile": name, "workload": wl, "sizes": list(sizes),
-         "msgs": msgs, "sided": sided, "ops": ops}
-        for name, (wl, sizes, msgs, sided, ops) in _PROFILES.items()
+         "msgs": msgs, "runtime": runtime, "pattern": pattern}
+        for name, (wl, sizes, msgs, runtime, pattern) in _PROFILES.items()
     ]
     points += [
         {"kind": "flood", "runtime": TWO_SIDED, "size": 2**16, "msgs": 4,

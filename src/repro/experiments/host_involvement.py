@@ -30,7 +30,7 @@ from repro.collectives import run_collective
 from repro.experiments.report import ExperimentReport
 from repro.machines.registry import get_machine
 from repro.transport import ONE_SIDED, SHMEM, STREAM_TRIGGERED, TWO_SIDED
-from repro.transport.registry import get_backend
+from repro.transport.registry import get_backend, op_seconds
 from repro.workloads.flood import run_flood
 from repro.workloads.hashtable import HashTableConfig, run_hashtable
 from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
@@ -63,19 +63,20 @@ def host_overhead(machine, runtime: str, *, messages: float, syncs: float,
                   atomics: float = 0.0, ranks: float = 1.0) -> float:
     """Modeled host CPU seconds a workload's op mix costs on ``runtime``.
 
-    Branches on :class:`~repro.transport.BackendCaps` only:
+    ``host_bypass`` and ``gpu_initiated`` come from
+    :class:`~repro.transport.BackendCaps`, the op costs from the backend's
+    endpoint declarations:
 
     * ``host_bypass`` — zero: completion never touches the host;
     * ``gpu_initiated`` (without bypass) — the host's remaining job is
       launching one persistent kernel per PE (the paper's NVSHMEM idiom:
       communication is device-initiated, but a host thread still owns
       the launch);
-    * host-driven, fused single op — ``put_signal`` per message plus the
-      notification wake per sync;
-    * host-driven two-sided — ``isend + recv_match`` per message plus
-      ``sync_enter`` per sync;
-    * host-driven multi-op one-sided — the n-op emulation per message
-      plus the batched completion sequence (put + 2 flushes) per sync.
+    * host-driven — every message is charged as a notified one (the
+      mailbox endpoint's per-message ops: ``isend + recv_match``, the
+      4-op emulation, or one ``put_signal``) and every synchronisation as
+      a batch completion (the batch endpoint's per-sync ops:
+      ``sync_enter``, put + 2 flushes, or the notification wake).
     """
     backend = get_backend(runtime)
     caps = backend.caps
@@ -85,17 +86,8 @@ def host_overhead(machine, runtime: str, *, messages: float, syncs: float,
         launch = machine.gpu.kernel_launch if machine.gpu is not None else 0.0
         return launch * ranks
     costs = machine.runtime(backend.resolve_costs_key())
-    if backend.sided == "two":
-        per_msg = costs.isend + costs.recv_match
-        per_sync = costs.sync_enter
-    elif caps.ops_per_message == 1:
-        per_msg = costs.put_signal
-        per_sync = costs.wait_wakeup
-    else:
-        n_puts = (caps.ops_per_message + 1) // 2
-        n_flushes = caps.ops_per_message // 2
-        per_msg = n_puts * costs.put + n_flushes * costs.flush
-        per_sync = costs.put + 2 * costs.flush
+    per_msg = op_seconds(costs, backend.ops("mailbox")[0])
+    per_sync = op_seconds(costs, backend.ops("batch")[1])
     return messages * per_msg + syncs * per_sync + atomics * costs.fetch_op
 
 

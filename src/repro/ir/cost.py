@@ -2,15 +2,16 @@
 
 Same Hockney grounding as :mod:`repro.collectives.selector` — per-round
 latency ``alpha = L + o + o_sync`` and per-byte ``beta = G`` from the
-machine's calibrated LogGP for the program's backend — but evaluated per
-op with a two-clock walk so that *overlap* is representable:
+backend's LogGP on this machine, under the op accounting of the endpoint
+that serves the program's pattern (its spec) — but evaluated per op with
+a two-clock walk so that *overlap* is representable:
 
 * ``cpu`` — the rank's issue clock (message overheads, compute);
 * ``net`` — when the last injected byte lands.
 
-Puts advance ``cpu`` by the per-message overhead (``o`` times the
-backend's ops-per-message accounting, the paper's Table I) and push
-``net``; synchronising ops (commit/fence/wait/drain) join the clocks.
+Puts advance ``cpu`` by the per-message overhead ``o`` (the pattern's
+per-message ops already summed, the paper's Table I) and push ``net``;
+synchronising ops (commit/fence/wait/drain) join the clocks.
 Region cost is the max across ranks (the trailing barrier aligns
 everyone), so the model is monotone under each pass by construction:
 coalescing drops per-message overheads while keeping bytes, overlap
@@ -36,35 +37,27 @@ __all__ = ["CostModel", "program_cost"]
 
 @dataclass(frozen=True)
 class CostModel:
-    """LogGP-derived per-op costs for one (machine, backend) pair."""
+    """LogGP-derived per-op costs for one (machine, backend, pattern)."""
 
     L: float
     o: float
     o_sync: float
     G: float
-    ops_per_message: int
     nranks: int
     machine: object
 
     @classmethod
-    def for_(cls, machine, runtime: str, nranks: int) -> "CostModel":
+    def for_(cls, machine, runtime: str, nranks: int,
+             pattern: str = "mailbox") -> "CostModel":
         from repro.transport.registry import get_backend
 
         backend = get_backend(runtime)
         if nranks >= 2:
-            p = machine.loggp(
-                backend.resolve_costs_key(), 0, 1, nranks=2,
-                placement="spread", sided=backend.sided,
-                ops_per_message=backend.caps.ops_per_message,
-            )
+            p = backend.loggp(machine, pattern)
             L, o, o_sync, G = p.L, p.o, p.o_sync, p.G
         else:
             L = o = o_sync = G = 0.0
-        return cls(
-            L=L, o=o, o_sync=o_sync, G=G,
-            ops_per_message=backend.caps.ops_per_message,
-            nranks=nranks, machine=machine,
-        )
+        return cls(L=L, o=o, o_sync=o_sync, G=G, nranks=nranks, machine=machine)
 
     @property
     def alpha(self) -> float:
@@ -75,7 +68,7 @@ class CostModel:
         return max(self.nranks - 1, 0).bit_length() * self.alpha
 
     def message_overhead(self) -> float:
-        return self.o * self.ops_per_message
+        return self.o
 
     def compute_seconds(self, op: O.Compute) -> float:
         if op.seconds is not None:
@@ -122,7 +115,8 @@ def _rank_cost(ops, spec, m: CostModel) -> float:
         elif isinstance(op, (O.TripletRecv, O.TripletRecvAgg)):
             join()
         elif isinstance(op, O.AtomicStream):
-            cpu += op.n * (2.0 * m.L + m.message_overhead() + 8.0 * m.G)
+            # Blocking: every atomic is a round trip and its own sync.
+            cpu += op.n * (2.0 * m.L + m.message_overhead() + m.o_sync + 8.0 * m.G)
         elif isinstance(op, O.Compute):
             cpu += m.compute_seconds(op)
         elif isinstance(op, O.Barrier):
@@ -138,7 +132,12 @@ def program_cost(
     program: IRProgram, machine, *, runtime: str | None = None
 ) -> float:
     """Modeled seconds for one run of ``program``."""
-    m = CostModel.for_(machine, runtime or program.runtime, program.nranks)
+    from repro.transport.registry import pattern_of
+
+    m = CostModel.for_(
+        machine, runtime or program.runtime, program.nranks,
+        pattern_of(program.spec),
+    )
     total = 0.0
     for part in (program.prologue, program.epilogue):
         if any(part):

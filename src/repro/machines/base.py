@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.loggp import LogGPParams
 from repro.net.topology import TopologySpec
 from repro.util.validation import check_non_negative, check_positive
 
@@ -89,9 +88,6 @@ class CommCosts:
     wait_poll: float = 0.0
     copy_per_byte: float = 0.0
     eager_threshold: float = 16 * 1024.0
-    # Rendezvous protocol adds one request/ack round trip for messages over
-    # the eager threshold.
-    rendezvous_rtt_factor: float = 2.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -112,7 +108,6 @@ class CommCosts:
             "wait_poll",
             "copy_per_byte",
             "eager_threshold",
-            "rendezvous_rtt_factor",
         ):
             check_non_negative(name, getattr(self, name))
 
@@ -302,77 +297,6 @@ class MachineModel:
             )
             rate = self.flop_rate_per_core
         return max(nbytes / bw, flops / rate if rate > 0 else 0.0)
-
-    # -- analytic-model bridge --------------------------------------------------
-
-    def loggp(
-        self,
-        runtime: str,
-        src: str | int,
-        dst: str | int,
-        *,
-        nranks: int | None = None,
-        placement: Placement = "spread",
-        ops_per_message: int = 1,
-        sided: str = "two",
-    ) -> LogGPParams:
-        """Combined LogGP parameters for a (runtime, path) pair.
-
-        The analytic Message Roofline model (``repro.roofline``) wants one
-        ``(L, o, g, G)`` tuple; this assembles it from the topology route and
-        the runtime cost table.  ``src``/``dst`` may be endpoint names or
-        rank ids (resolved with ``nranks``/``placement``).
-        """
-        costs = self.runtime(runtime)
-        if isinstance(src, int) or isinstance(dst, int):
-            if nranks is None:
-                raise ValueError("nranks is required when src/dst are rank ids")
-            src_ep = (
-                self.endpoint_of_rank(src, nranks, placement)
-                if isinstance(src, int)
-                else src
-            )
-            dst_ep = (
-                self.endpoint_of_rank(dst, nranks, placement)
-                if isinstance(dst, int)
-                else dst
-            )
-        else:
-            src_ep, dst_ep = src, dst
-        route = self.topology.route(src_ep, dst_ep)
-        if sided == "two":
-            o_msg = costs.isend + costs.recv_match
-            o_sync = costs.sync_enter
-            latency = route.latency
-        elif sided == "one":
-            # ops_per_message counts the RMA calls *carried by each
-            # message*: the paper's SpTRSV message is put, flush,
-            # put-signal, flush = 4 ops; a flood/stencil batch amortises
-            # the completion sequence over the sync (= 1 op/message, with
-            # the flush + put-signal + flush charged once per sync).
-            n_puts = (ops_per_message + 1) // 2
-            n_flushes = ops_per_message // 2
-            o_msg = n_puts * costs.put + n_flushes * costs.flush
-            # Each per-message flush is a remote-completion round trip.
-            latency = route.latency * (1.0 + 2.0 * n_flushes)
-            if ops_per_message == 1:
-                # Batched completion: flush + put(signal) + flush per sync.
-                o_sync = costs.put + 2 * costs.flush + 4 * route.latency
-            else:
-                o_sync = 0.0
-        elif sided == "shmem":
-            o_msg = costs.put_signal
-            o_sync = costs.wait_wakeup
-            latency = route.latency
-        else:
-            raise ValueError(f"unknown sidedness {sided!r}")
-        return LogGPParams(
-            L=latency,
-            o=o_msg,
-            g=max(route.gap, 0.0),
-            G=route.G + costs.copy_per_byte,
-            o_sync=o_sync,
-        )
 
     def describe(self) -> str:
         """Multi-line description used by the Table I bench."""

@@ -26,7 +26,7 @@ time for a (machine, runtime, path) triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util.validation import check_non_negative, check_positive
 
@@ -67,33 +67,6 @@ class LogGPParams:
     def peak_bandwidth(self) -> float:
         """Peak link bandwidth in bytes/second (= 1/G)."""
         return 1.0 / self.G
-
-    @classmethod
-    def from_bandwidth(
-        cls, *, latency: float, overhead: float, gap: float, bandwidth: float
-    ) -> "LogGPParams":
-        """Construct from a bandwidth (bytes/s) instead of per-byte time."""
-        check_positive("bandwidth", bandwidth)
-        return cls(L=latency, o=overhead, g=gap, G=1.0 / bandwidth)
-
-    def with_overhead(self, o: float) -> "LogGPParams":
-        """A copy with a different software overhead (runtime substitution)."""
-        return replace(self, o=o)
-
-    def scaled_bandwidth(self, factor: float) -> "LogGPParams":
-        """A copy with bandwidth multiplied by ``factor`` (G divided)."""
-        check_positive("factor", factor)
-        return replace(self, G=self.G / factor)
-
-    # ------------------------------------------------------------------
-    # Elementary LogGP timings (used by the roofline model and the tests
-    # that pin the link simulator to the analytic form).
-    # ------------------------------------------------------------------
-
-    def time_one_message(self, nbytes: float) -> float:
-        """End-to-end time of a single isolated message: ``o + L + B*G``."""
-        check_non_negative("nbytes", nbytes)
-        return self.o + self.L + nbytes * self.G
 
     def time_pipelined(self, nbytes: float, msgs_per_sync: int) -> float:
         """Time for ``msgs_per_sync`` back-to-back messages of ``nbytes``

@@ -13,7 +13,6 @@ from repro.roofline.bounds import (
     WorkloadBound,
     WorkloadProfile,
     bound_workload,
-    profile_from_counters,
 )
 from repro.roofline.fit import FitResult, FloodSample, fit_loggp
 from repro.roofline.model import MessageRoofline, RooflineSeries
@@ -30,7 +29,6 @@ __all__ = [
     "WorkloadBound",
     "WorkloadProfile",
     "bound_workload",
-    "profile_from_counters",
     "Series",
     "ascii_loglog",
 ]

@@ -9,12 +9,12 @@ paper does for HashTable, Stencil and SpTRSV on Perlmutter CPUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.machines.base import MachineModel
 from repro.roofline.model import MessageRoofline
+from repro.transport.registry import get_backend
 
 __all__ = ["WorkloadProfile", "WorkloadBound", "bound_workload"]
 
@@ -26,8 +26,7 @@ class WorkloadProfile:
     name: str
     message_sizes: tuple[float, ...]  # bytes, the tested sizes (Fig. 6 verticals)
     msgs_per_sync: float
-    sided: str  # "two" | "one" | "shmem"
-    ops_per_message: int
+    pattern: str  # halo | mailbox | batch | atomic: whose op accounting applies
 
     def __post_init__(self) -> None:
         if not self.message_sizes:
@@ -79,19 +78,13 @@ def bound_workload(
 ) -> WorkloadBound:
     """Place ``profile`` on the machine's Message Roofline.
 
-    The LogGP parameters come from the machine model via
-    :meth:`~repro.machines.base.MachineModel.loggp`, using the workload's
-    sidedness to pick the op accounting (2 ops two-sided, 4 ops one-sided
-    CPU, 1 fused op GPU).
+    The LogGP parameters are the runtime's
+    (:meth:`~repro.transport.TransportBackend.loggp`) under the op
+    accounting of the endpoint that serves the workload's pattern (2 ops
+    two-sided, 4 ops one-sided CPU, 1 fused op GPU per notified message).
     """
-    params = machine.loggp(
-        runtime,
-        src,
-        dst,
-        nranks=nranks,
-        placement="spread",
-        ops_per_message=profile.ops_per_message,
-        sided=profile.sided,
+    params = get_backend(runtime).loggp(
+        machine, profile.pattern, src, dst, nranks=nranks
     )
     roofline = MessageRoofline(params, name=f"{machine.name}/{runtime}")
     n = max(int(round(profile.msgs_per_sync)), 1)
@@ -106,31 +99,4 @@ def bound_workload(
         bound_bandwidth=tuple(float(v) for v in np.atleast_1d(bw)),
         time_per_sync=tuple(float(v) for v in np.atleast_1d(t)),
         peak_bandwidth=roofline.peak_bandwidth,
-    )
-
-
-def profile_from_counters(
-    name: str,
-    counters,
-    *,
-    sided: str,
-    sizes: Sequence[float] | None = None,
-) -> WorkloadProfile:
-    """Derive a :class:`WorkloadProfile` from a job's merged
-    :class:`~repro.comm.base.OpCounter` (measured, not assumed)."""
-    msgs_per_sync = counters.msg_per_sync()
-    if not np.isfinite(msgs_per_sync) or msgs_per_sync < 1:
-        msgs_per_sync = 1.0
-    if sizes is None:
-        mean = (
-            counters.bytes_sent / counters.messages if counters.messages else 8.0
-        )
-        sizes = (max(mean, 1.0),)
-    ops = counters.ops_per_message()
-    return WorkloadProfile(
-        name=name,
-        message_sizes=tuple(float(s) for s in sizes),
-        msgs_per_sync=float(msgs_per_sync),
-        sided=sided,
-        ops_per_message=int(ops) if np.isfinite(ops) else 1,
     )

@@ -127,7 +127,9 @@ class BackendCaps:
     """
 
     remote_atomics: bool = True  # true sender's-control CAS/FAA/swap
-    ops_per_message: int = 2  # paper Table I accounting
+    # Paper Table I accounting; ``register_backend`` derives it from the
+    # mailbox endpoint's per-message ops.
+    ops_per_message: int | None = None
     gpu_initiated: bool = False
     # Halo begin/finish are both a collective fence over the same window
     # (one-sided RMA): back-to-back finish/begin pairs carry no exposure
@@ -325,6 +327,17 @@ def _mailbox_windows(job, spec: MailboxSpec) -> dict:
     }
 
 
+def _read_slot(ep, slot: int, words: int) -> np.ndarray | None:
+    """A private copy of the ``words`` landed in receive ``slot`` of a
+    window-backed mailbox endpoint's own data window (the next message into
+    the slot overwrites it); None unless the spec has ``read_data``."""
+    if not ep.spec.read_data:
+        return None
+    rank = ep.ctx.rank
+    off = ep.spec.offsets[rank][slot]
+    return np.array(ep.data_win.local(rank)[off : off + words], copy=True)
+
+
 def _space_windows(job, spec: AtomicDomainSpec) -> dict:
     """One symmetric window per named space.  Every backend lays atomic
     domains out this way; they differ only in how a rank updates a remote
@@ -341,7 +354,13 @@ class Endpoint:
     """One rank's verbs on a channel.  Subclasses implement the verb set
     matching their channel's spec; everything else raises
     :class:`UnsupportedTransportOp`.
+
+    ``ops`` is the op accounting :meth:`TransportBackend.loggp` prices: the
+    :class:`CommCosts` fields one message and one synchronisation cost, in
+    issue order — what the verbs must execute (``test_op_accounting.py``).
     """
+
+    ops: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
 
     def __init__(self, channel: Channel, ctx):
         self.channel = channel
@@ -473,6 +492,9 @@ class _WindowAtomicEndpoint(Endpoint):
     how ``native_cas`` — the Fig. 4 CAS flood's op — completes.
     """
 
+    # A blocking atomic is one message and one synchronisation (the wait's
+    # wake-up); its round trip is the caller's to add.
+    ops = (("fetch_op",), ("sync_enter",))
     #: True: CAS + ``ctx.wait`` (MPI ``cas_blocking``).  False: the fused
     #: ``shmem_atomic_compare_swap``, which resumes on the response.
     cas_waits = True

@@ -25,8 +25,7 @@ __all__ = ["HwPutSignalBackend"]
 class HwPutSignalBackend(ShmemBackend):
     name = ONE_SIDED_HW
     costs_key = ONE_SIDED_HW
-    sided = "shmem"  # fused put-with-signal accounting
-    caps = BackendCaps(remote_atomics=True, ops_per_message=1, gpu_initiated=False)
+    caps = BackendCaps(remote_atomics=True, gpu_initiated=False)
     description = (
         "hypothetical CrayMPI with hardware put-with-signal (DESIGN.md "
         "ablation #3); requires a machine with a 'one_sided_hw' cost profile"

@@ -11,14 +11,19 @@ Adding a runtime is a single file: subclass :class:`TransportBackend`
 ``costs_key`` and — where its op sequences differ — entries of the
 ``endpoints`` table, and call :func:`register_backend`.  No workload code
 changes — see ``examples/custom_backend.py``.
+
+The paper's 2 / 4 / 1 op accounting is each endpoint class's ``ops``;
+:meth:`TransportBackend.loggp` is where it becomes a LogGP tuple.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import dataclasses
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.faults.plan import FaultSemantics
+from repro.net.loggp import LogGPParams
 from repro.transport.api import (
     AtomicDomainSpec,
     BackendCaps,
@@ -36,6 +41,8 @@ __all__ = [
     "ONE_SIDED_HW",
     "STREAM_TRIGGERED",
     "TransportBackend",
+    "op_seconds",
+    "pattern_of",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -58,16 +65,32 @@ ONE_SIDED_HW = "one_sided_hw"
 # profiles plus a device-initiation term (see repro.comm.stream).
 STREAM_TRIGGERED = "stream_triggered"
 
-# The communication patterns a backend may serve, as a miss in its table names them.
+# The communication patterns a backend may serve, and the spec that opens each.
 _PATTERNS = {
-    HaloSpec: "halo",
-    MailboxSpec: "mailbox",
-    BatchSpec: "batch",
-    AtomicDomainSpec: "atomic",
+    "halo": HaloSpec,
+    "mailbox": MailboxSpec,
+    "batch": BatchSpec,
+    "atomic": AtomicDomainSpec,
 }
 
 _REGISTRY: dict[str, "TransportBackend"] = {}
 _BUILTINS_LOADED = False
+
+
+def pattern_of(spec: Any) -> str:
+    """The pattern name (``halo | mailbox | batch | atomic``) of a channel spec."""
+    for pattern, spec_cls in _PATTERNS.items():
+        if type(spec) is spec_cls:
+            return pattern
+    raise TypeError(f"unknown channel spec {type(spec).__name__}")
+
+
+def op_seconds(costs, ops: Sequence[str]) -> float:
+    """CPU seconds of an op sequence under a :class:`CommCosts` table: each
+    distinct op's cost times its count (the paper's ops x ``o``)."""
+    return sum(
+        (ops.count(op) * getattr(costs, op) for op in dict.fromkeys(ops)), 0.0
+    )
 
 
 class TransportBackend:
@@ -79,12 +102,12 @@ class TransportBackend:
     * ``name`` — registry key and ``--runtime`` value;
     * ``costs_key`` — the machine's :class:`CommCosts` entry to charge
       (defaults to ``name``);
-    * ``sided`` — op-accounting family for the analytic rooflines
-      (``"two"`` | ``"one"`` | ``"shmem"``);
-    * ``caps`` — :class:`BackendCaps` programs may branch on;
+    * ``caps`` — :class:`BackendCaps` programs may branch on
+      (``ops_per_message`` is derived at registration);
     * ``endpoints`` — ``{spec class: endpoint class}``, one entry per
       communication pattern the runtime serves: the op sequences are the
-      endpoint's verbs, the windows its ``windows`` hook;
+      endpoint's verbs, their accounting its ``ops``, the windows its
+      ``windows`` hook;
     * ``fault_semantics`` — how this runtime experiences message loss
       under an active :class:`repro.faults.FaultPlan` (detection speed,
       abort-at-send vs surface-at-flush, re-sync penalty per retry).
@@ -92,7 +115,6 @@ class TransportBackend:
 
     name: str = ""
     costs_key: str | None = None
-    sided: str = "two"
     caps: BackendCaps = BackendCaps()
     description: str = ""
     fault_semantics: FaultSemantics = FaultSemantics()
@@ -109,17 +131,53 @@ class TransportBackend:
 
     # -- channel factory -----------------------------------------------
 
-    def open(self, job, spec: Any) -> Channel:
-        """Allocate the channel resources for ``spec`` on ``job``."""
-        endpoint_cls = self.endpoints.get(type(spec))
+    def _serving(self, pattern: str) -> type:
+        """The endpoint class this backend serves ``pattern`` with."""
+        if pattern not in _PATTERNS:
+            raise ValueError(
+                f"unknown pattern {pattern!r}; valid: {', '.join(_PATTERNS)}"
+            )
+        endpoint_cls = self.endpoints.get(_PATTERNS[pattern])
         if endpoint_cls is None:
-            pattern = _PATTERNS.get(type(spec))
-            if pattern is None:
-                raise TypeError(f"unknown channel spec {type(spec).__name__}")
             raise NotImplementedError(
                 f"{self.name}: {pattern} channels unsupported"
             )
-        return Channel(self, job, spec, endpoint_cls)
+        return endpoint_cls
+
+    def open(self, job, spec: Any) -> Channel:
+        """Allocate the channel resources for ``spec`` on ``job``."""
+        return Channel(self, job, spec, self._serving(pattern_of(spec)))
+
+    # -- analytic-model bridge -----------------------------------------
+
+    def ops(self, pattern: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The ``(per-message, per-sync)`` op names declared by the
+        endpoint class that serves ``pattern``."""
+        return self._serving(pattern).ops
+
+    def loggp(self, machine, pattern: str, src: int = 0, dst: int = 1, *,
+              nranks: int = 2, placement: str = "spread") -> LogGPParams:
+        """The ``(L, o, g, G, o_sync)`` of this runtime between two ranks of
+        ``machine`` — what the Message Roofline, the collectives selector
+        and the IR cost model run on.  ``o`` and ``o_sync`` price the
+        pattern's per-message and per-sync ops; a ``flush`` is also a
+        remote-completion round trip, stretching ``L`` when every message
+        carries it and ``o_sync`` when the synchronisation does.
+        """
+        per_msg, per_sync = self.ops(pattern)
+        costs = machine.runtime(self.resolve_costs_key())
+        route = machine.topology.route(
+            machine.endpoint_of_rank(src, nranks, placement),
+            machine.endpoint_of_rank(dst, nranks, placement),
+        )
+        return LogGPParams(
+            L=route.latency * (1.0 + 2.0 * per_msg.count("flush")),
+            o=op_seconds(costs, per_msg),
+            g=max(route.gap, 0.0),
+            G=route.G + costs.copy_per_byte,
+            o_sync=op_seconds(costs, per_sync)
+            + per_sync.count("flush") * 2.0 * route.latency,
+        )
 
 
 def register_backend(backend: TransportBackend, *, replace: bool = False) -> TransportBackend:
@@ -128,7 +186,9 @@ def register_backend(backend: TransportBackend, *, replace: bool = False) -> Tra
     A name collision is an error unless ``replace=True``; the diagnostic
     names the incumbent class (and its description) so a double-import or
     an accidental shadowing of a built-in is identifiable from the
-    message alone.
+    message alone.  ``caps.ops_per_message`` is filled in here from the
+    mailbox endpoint's per-message ops; a declared count that disagrees
+    with them is an error.
     """
     if not backend.name:
         raise ValueError("backend must define a non-empty name")
@@ -142,6 +202,19 @@ def register_backend(backend: TransportBackend, *, replace: bool = False) -> Tra
             f"{detail}; pass replace=True to "
             f"{'re-register it' if type(incumbent) is type(backend) else 'shadow it'}"
         )
+    mailbox = backend.endpoints.get(MailboxSpec)
+    if mailbox is not None:
+        per_msg = mailbox.ops[0]
+        declared = backend.caps.ops_per_message
+        if declared is None:
+            backend.caps = dataclasses.replace(
+                backend.caps, ops_per_message=len(per_msg)
+            )
+        elif declared != len(per_msg):
+            raise ValueError(
+                f"backend {backend.name!r} declares {declared} op/msg but its "
+                f"mailbox endpoint issues {len(per_msg)}: {', '.join(per_msg)}"
+            )
     _REGISTRY[backend.name] = backend
     return backend
 

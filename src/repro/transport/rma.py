@@ -23,15 +23,22 @@ from repro.transport.api import (
     MailboxSpec,
     _WindowAtomicEndpoint,
     _mailbox_windows,
+    _read_slot,
     part_bounds,
 )
 from repro.transport.registry import ONE_SIDED, TransportBackend, register_backend
 
 __all__ = ["RmaBackend"]
 
+# n puts, then one completion sequence per synchronisation.
+_AMORTISED = (("put",), ("flush", "put", "flush"))
+
 
 class _HaloEndpoint(Endpoint):
-    """Puts within a pair of ``Win_fence`` (paper §III-A)."""
+    """Puts within a pair of ``Win_fence`` (paper §III-A).  The fence pair
+    is charged as the amortised completion (docs/MODEL.md §3)."""
+
+    ops = _AMORTISED
 
     @staticmethod
     def windows(job, spec: HaloSpec):
@@ -68,6 +75,7 @@ class _HaloEndpoint(Endpoint):
 class _MailboxEndpoint(Endpoint):
     """4-op notified send + the Listing-1 polling receiver."""
 
+    ops = (("put", "flush", "put", "flush"), ())
     windows = staticmethod(_mailbox_windows)
 
     def __init__(self, channel, ctx):
@@ -114,15 +122,7 @@ class _MailboxEndpoint(Endpoint):
                 continue
             self._hits.extend(self._remaining.pop(s) for s in hit)
         m = self._hits.pop(0)
-        return m.meta, self._read(m)
-
-    def _read(self, m):
-        if not self.spec.read_data:
-            return None
-        off = self.spec.offsets[self.ctx.rank][m.slot]
-        return np.array(
-            self.data_win.local(self.ctx.rank)[off : off + m.words], copy=True
-        )
+        return m.meta, _read_slot(self, m.slot, m.words)
 
     def send_round(self, dst, slot, *, words, parts=1, values=None):
         # Always the scalar put loop — no put_batch here.  Unlike the
@@ -156,12 +156,7 @@ class _MailboxEndpoint(Endpoint):
 
     def recv_round(self, src, slot, *, words, parts=1):
         yield from self.ctx.poll_wait_signals(self.sig_win, [slot], 1)
-        if not self.spec.read_data:
-            return None
-        off = self.spec.offsets[self.ctx.rank][slot]
-        return np.array(
-            self.data_win.local(self.ctx.rank)[off : off + words], copy=True
-        )
+        return _read_slot(self, slot, words)
 
     def drain(self):
         return
@@ -171,6 +166,8 @@ class _MailboxEndpoint(Endpoint):
 class _BatchEndpoint(Endpoint):
     """``Put`` x n + flush, then the put/flush signal pair; receiver polls
     (4 MPI ops per synchronised message group)."""
+
+    ops = _AMORTISED
 
     @staticmethod
     def windows(job, spec: BatchSpec):
@@ -199,8 +196,7 @@ class _BatchEndpoint(Endpoint):
 
 class RmaBackend(TransportBackend):
     name = ONE_SIDED
-    sided = "one"
-    caps = BackendCaps(remote_atomics=True, ops_per_message=4, fence_epochs=True)
+    caps = BackendCaps(remote_atomics=True, fence_epochs=True)
     description = "one-sided MPI RMA: 4-op put/flush/signal + Listing-1 polling"
     # A lost Put has no receiver to notice it: loss is only discovered at
     # the next synchronisation (slow detection), every retry re-syncs the

@@ -22,6 +22,7 @@ from repro.transport.api import (
     MailboxSpec,
     _WindowAtomicEndpoint,
     _mailbox_windows,
+    _read_slot,
     part_bounds,
 )
 from repro.transport.registry import SHMEM, TransportBackend, register_backend
@@ -29,7 +30,14 @@ from repro.transport.registry import SHMEM, TransportBackend, register_backend
 __all__ = ["ShmemBackend"]
 
 
-class _HaloEndpoint(Endpoint):
+class _FusedEndpoint(Endpoint):
+    """One fused put-with-signal per message, one wait wake-up per
+    synchronisation."""
+
+    ops = (("put_signal",), ("wait_wakeup",))
+
+
+class _HaloEndpoint(_FusedEndpoint):
     """``put_signal_nbi`` x neighbours + ``wait_until_all`` on the signals.
 
     The halo window is double-buffered by iteration parity: without the
@@ -85,7 +93,7 @@ class _HaloEndpoint(Endpoint):
         return received
 
 
-class _MailboxEndpoint(Endpoint):
+class _MailboxEndpoint(_FusedEndpoint):
     """``put_signal_nbi`` + ``wait_until_any`` in a loop (GPU)."""
 
     windows = staticmethod(_mailbox_windows)
@@ -117,14 +125,7 @@ class _MailboxEndpoint(Endpoint):
             self.sig_win, list(self._remaining), value=1, consume=True
         )
         m = self._remaining.pop(slot)
-        if self.spec.read_data:
-            off = self.spec.offsets[self.ctx.rank][m.slot]
-            data = np.array(
-                self.data_win.local(self.ctx.rank)[off : off + m.words], copy=True
-            )
-        else:
-            data = None
-        return m.meta, data
+        return m.meta, _read_slot(self, m.slot, m.words)
 
     def _uniform_round(self, words, parts):
         """Is this round one homogeneous batch — equal non-empty stripes,
@@ -179,18 +180,13 @@ class _MailboxEndpoint(Endpoint):
             yield from self.ctx.wait_signal_batch(self.sig_win, src, slot, parts)
         else:
             yield from self.ctx.wait_until_all(self.sig_win, [slot], value=parts)
-        if not self.spec.read_data:
-            return None
-        off = self.spec.offsets[self.ctx.rank][slot]
-        return np.array(
-            self.data_win.local(self.ctx.rank)[off : off + words], copy=True
-        )
+        return _read_slot(self, slot, words)
 
     def drain(self):
         yield from self.ctx.quiet()
 
 
-class _BatchEndpoint(Endpoint):
+class _BatchEndpoint(_FusedEndpoint):
     """``put_signal_nbi`` x n (signal op "add") + ``quiet``; the receiver's
     ``wait_until_all`` on the summed signal is ``wait_signal_batch``."""
 
@@ -225,15 +221,16 @@ class _BatchEndpoint(Endpoint):
 
 class _AtomicEndpoint(_WindowAtomicEndpoint):
     """Remote AMOs: ``native_cas`` is the fused
-    ``shmem_atomic_compare_swap`` used by the Fig. 4 CAS flood."""
+    ``shmem_atomic_compare_swap`` used by the Fig. 4 CAS flood, which
+    resumes on the response: no wait, so no per-sync op."""
 
+    ops = (("fetch_op",), ())
     cas_waits = False
 
 
 class ShmemBackend(TransportBackend):
     name = SHMEM
-    sided = "shmem"
-    caps = BackendCaps(remote_atomics=True, ops_per_message=1, gpu_initiated=True)
+    caps = BackendCaps(remote_atomics=True, gpu_initiated=True)
     description = "NVSHMEM: fused put_signal_nbi + hardware wait_until"
     # NIC-hardware retry: loss is detected fastest of all runtimes and
     # needs no window re-sync, but an unrecoverable message still only

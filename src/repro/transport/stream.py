@@ -42,10 +42,8 @@ class _StreamHaloEndpoint(_HaloEndpoint):
 class StreamBackend(ShmemBackend):
     name = STREAM_TRIGGERED
     costs_key = STREAM_TRIGGERED
-    sided = "shmem"
     caps = BackendCaps(
         remote_atomics=True,
-        ops_per_message=1,
         gpu_initiated=True,
         host_bypass=True,
         stream_ordered=True,

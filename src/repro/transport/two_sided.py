@@ -28,7 +28,14 @@ from repro.transport.registry import TWO_SIDED, TransportBackend, register_backe
 __all__ = ["TwoSidedBackend"]
 
 
-class _HaloEndpoint(Endpoint):
+class _MatchedEndpoint(Endpoint):
+    """The send and its matching receive per message, one blocking call
+    per synchronisation — whatever the pattern."""
+
+    ops = (("isend", "recv_match"), ("sync_enter",))
+
+
+class _HaloEndpoint(_MatchedEndpoint):
     """Four ``Irecv`` + four ``Isend`` + ``Waitall`` per iteration."""
 
     def __init__(self, channel, ctx):
@@ -62,7 +69,7 @@ class _HaloEndpoint(Endpoint):
         return received
 
 
-class _MailboxEndpoint(Endpoint):
+class _MailboxEndpoint(_MatchedEndpoint):
     """``Isend`` + blocking ``Recv(ANY_SOURCE)``; sends drained at the end."""
 
     def __init__(self, channel, ctx):
@@ -124,7 +131,7 @@ class _MailboxEndpoint(Endpoint):
 _BATCH_TAG = 7
 
 
-class _BatchEndpoint(Endpoint):
+class _BatchEndpoint(_MatchedEndpoint):
     """``Isend`` x n + ``Waitall`` / pre-posted ``Irecv`` x n + ``Waitall``."""
 
     def send_batch(self, dst, it, n):
@@ -142,7 +149,7 @@ class _BatchEndpoint(Endpoint):
         yield from self.ctx.waitall(reqs)
 
 
-class _AtomicEndpoint(Endpoint):
+class _AtomicEndpoint(_MatchedEndpoint):
     """Symmetric spaces without remote atomics: owners mutate their own
     arrays, writers route triplets to the owner (plus a window-backed CAS
     for the atomic flood, which any MPI runtime can issue)."""
@@ -176,8 +183,7 @@ class _AtomicEndpoint(Endpoint):
 
 class TwoSidedBackend(TransportBackend):
     name = TWO_SIDED
-    sided = "two"
-    caps = BackendCaps(remote_atomics=False, ops_per_message=2)
+    caps = BackendCaps(remote_atomics=False)
     description = "two-sided MPI: Isend/Irecv/Recv with tag matching"
     # Library-internal recovery off a sender-side ack timer: loss is
     # detected at the base timeout, retransmitted transparently, and only

@@ -170,6 +170,18 @@ class TestCostModel:
         big = build_flood_program("one_sided", 4096, 64, iters=1)
         assert program_cost(big, M) > program_cost(small, M)
 
+    def test_message_overhead_is_the_patterns_ops_counted_once(self):
+        """``o`` already sums the message's ops (it used to be multiplied by
+        ``ops_per_message`` again), and a batched flood is priced as puts
+        plus one completion per sync, not as 4-op notified messages."""
+        c = M.runtime("one_sided")
+        mailbox = CostModel.for_(M, "one_sided", 2, "mailbox")
+        assert mailbox.message_overhead() == 2 * c.put + 2 * c.flush
+        assert CostModel.for_(M, "one_sided", 2, "batch").message_overhead() == c.put
+        # The order the simulator and Fig. 3a give for a 256 x 64 B flood.
+        flood = build_flood_program("one_sided", 64, 256, iters=2)
+        assert program_cost(flood, M) < program_cost(flood, M, runtime="two_sided")
+
 
 class TestScopes:
     def test_innermost_pipeline_wins(self):

@@ -1,9 +1,11 @@
-"""MachineModel mechanics: placement, capacity, compute model, loggp bridge."""
+"""MachineModel mechanics: placement, capacity, compute model, and the
+backend's loggp bridge over them."""
 
 import pytest
 
 from repro.machines import CommCosts, GpuSpec, MachineModel, get_machine
 from repro.net import LinkParams, TopologySpec
+from repro.transport import get_backend
 
 
 def _tiny_machine(**kwargs):
@@ -110,24 +112,25 @@ class TestComputeModel:
 
 class TestLoggpBridge:
     def test_two_sided_params(self):
-        m = _tiny_machine()
-        p = m.loggp("two_sided", "s0", "s1", sided="two")
+        p = get_backend("two_sided").loggp(_tiny_machine(), "mailbox")
         assert p.o == pytest.approx(2e-7)
         assert p.L == pytest.approx(1e-6)
         assert p.peak_bandwidth == pytest.approx(10e9)
 
     def test_rank_resolution_needs_nranks(self):
+        two = get_backend("two_sided")
         m = _tiny_machine()
         with pytest.raises(ValueError, match="nranks"):
-            m.loggp("two_sided", 0, 1, sided="two")
-        p = m.loggp("two_sided", 0, 1, nranks=2, placement="spread", sided="two")
-        assert p.L == pytest.approx(1e-6)
+            two.loggp(m, "mailbox", 0, 2)  # rank 2 of the default 2
+        p = two.loggp(m, "mailbox", 0, 2, nranks=4)  # s0 -> s0: loopback
+        assert p.L < two.loggp(m, "mailbox", 0, 1, nranks=4).L == pytest.approx(1e-6)
 
     def test_unknown_sidedness(self):
-        with pytest.raises(ValueError):
-            _tiny_machine().loggp("two_sided", "s0", "s1", sided="three")
+        with pytest.raises(ValueError, match="unknown pattern"):
+            get_backend("two_sided").loggp(_tiny_machine(), "three")
 
     def test_copy_per_byte_lowers_effective_bandwidth(self):
         m = get_machine("summit-cpu")
-        p = m.loggp("two_sided", "cpu0", "cpu1", sided="two")
+        assert m.endpoint_of_rank(1, 2, "spread") == "cpu1"
+        p = get_backend("two_sided").loggp(m, "mailbox")
         assert p.peak_bandwidth < 32e9  # copy engine folded into G

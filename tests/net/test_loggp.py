@@ -10,12 +10,6 @@ class TestLogGPParams:
         p = LogGPParams(L=1e-6, o=1e-7, g=1e-7, G=1e-9)
         assert p.peak_bandwidth == pytest.approx(1e9)
 
-    def test_from_bandwidth(self):
-        p = LogGPParams.from_bandwidth(
-            latency=1e-6, overhead=1e-7, gap=1e-7, bandwidth=32e9
-        )
-        assert p.G == pytest.approx(1 / 32e9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LogGPParams(L=-1, o=0, g=0, G=1e-9)
@@ -23,16 +17,6 @@ class TestLogGPParams:
             LogGPParams(L=0, o=0, g=0, G=0)
         with pytest.raises(ValueError):
             LogGPParams(L=0, o=0, g=0, G=1e-9, o_sync=-1)
-
-    def test_with_overhead_and_scaling(self):
-        p = LogGPParams(L=1e-6, o=1e-7, g=1e-7, G=1e-9)
-        assert p.with_overhead(5e-7).o == 5e-7
-        assert p.scaled_bandwidth(2.0).peak_bandwidth == pytest.approx(2e9)
-
-    def test_one_message_time(self):
-        p = LogGPParams(L=1e-6, o=2e-7, g=0.0, G=1e-9, o_sync=0.0)
-        # o + L + B*G
-        assert p.time_one_message(1000) == pytest.approx(2e-7 + 1e-6 + 1e-6)
 
     def test_pipelined_reduces_to_single_at_n1(self):
         p = LogGPParams(L=1e-6, o=2e-7, g=1e-7, G=1e-9, o_sync=3e-7)

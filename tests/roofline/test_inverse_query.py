@@ -58,10 +58,9 @@ class TestRequiredMsgsPerSync:
         saturation on Perlmutter one-sided takes tens of msgs/sync —
         the paper's '100 messages per sync' guidance territory."""
         from repro.machines import perlmutter_cpu
+        from repro.transport import get_backend
 
-        m = perlmutter_cpu()
-        params = m.loggp("one_sided", 0, 1, nranks=2, placement="spread",
-                         sided="one", ops_per_message=1)
+        params = get_backend("one_sided").loggp(perlmutter_cpu(), "batch")
         roof = MessageRoofline(params)
         n = roof.required_msgs_per_sync(64.0, 0.9)
         assert n is not None

@@ -9,7 +9,6 @@ from repro.roofline import (
     WorkloadProfile,
     ascii_loglog,
     bound_workload,
-    profile_from_counters,
 )
 
 
@@ -71,8 +70,7 @@ class TestSplitModel:
 class TestWorkloadBounds:
     def test_bound_rows_structure(self):
         prof = WorkloadProfile(
-            "stencil", (8192.0, 65536.0), msgs_per_sync=4, sided="two",
-            ops_per_message=2,
+            "stencil", (8192.0, 65536.0), msgs_per_sync=4, pattern="halo",
         )
         wb = bound_workload(perlmutter_cpu(), "two_sided", prof)
         rows = wb.rows()
@@ -84,31 +82,22 @@ class TestWorkloadBounds:
         two = bound_workload(
             perlmutter_cpu(),
             "two_sided",
-            WorkloadProfile("sptrsv", (800.0,), 1, "two", 2),
+            WorkloadProfile("sptrsv", (800.0,), 1, "mailbox"),
         )
         one = bound_workload(
             perlmutter_cpu(),
             "one_sided",
-            WorkloadProfile("sptrsv", (800.0,), 1, "one", 4),
+            WorkloadProfile("sptrsv", (800.0,), 1, "mailbox"),
         )
         assert one.time_per_sync[0] > two.time_per_sync[0]
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            WorkloadProfile("x", (), 1, "two", 2)
+            WorkloadProfile("x", (), 1, "mailbox")
         with pytest.raises(ValueError):
-            WorkloadProfile("x", (-1.0,), 1, "two", 2)
+            WorkloadProfile("x", (-1.0,), 1, "mailbox")
         with pytest.raises(ValueError):
-            WorkloadProfile("x", (8.0,), 0, "two", 2)
-
-    def test_profile_from_counters(self):
-        from repro.comm import OpCounter
-
-        c = OpCounter(messages=40, bytes_sent=40 * 800, operations=80, syncs=10)
-        prof = profile_from_counters("w", c, sided="two")
-        assert prof.msgs_per_sync == pytest.approx(4.0)
-        assert prof.message_sizes == (800.0,)
-        assert prof.ops_per_message == 2
+            WorkloadProfile("x", (8.0,), 0, "mailbox")
 
 
 class TestAsciiRender:

@@ -125,6 +125,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "peak=36.00 GB/s" in out
         assert "bound" in out
+        # Which accounting the bound uses, from the batch endpoint's declaration.
+        assert "ops     : put /msg; flush, put, flush /sync\n" in out
 
     def test_roofline_projection_machine(self, capsys):
         rc = main(["roofline", "frontier-gpu", "shmem", "--nbytes", "64KiB"])

@@ -63,9 +63,31 @@ class TestCaps:
         assert not get_backend(ONE_SIDED_HW).caps.gpu_initiated
 
     def test_sided_labels(self):
-        assert get_backend(TWO_SIDED).sided == "two"
-        assert get_backend(ONE_SIDED).sided == "one"
-        assert get_backend(SHMEM).sided == "shmem"
+        """The accounting is the endpoint's declaration; the 2 / 4 / 1 of
+        ``caps`` is the length of the mailbox one's per-message tuple."""
+        declared = {
+            TWO_SIDED: (("isend", "recv_match"), ("sync_enter",)),
+            ONE_SIDED: (("put", "flush", "put", "flush"), ()),
+            SHMEM: (("put_signal",), ("wait_wakeup",)),
+        }
+        for name, ops in declared.items():
+            backend = get_backend(name)
+            assert backend.ops("mailbox") == ops
+            assert backend.caps.ops_per_message == len(ops[0])
+        assert get_backend(ONE_SIDED).ops("batch") == get_backend(ONE_SIDED).ops(
+            "halo") == (("put",), ("flush", "put", "flush"))
+        assert not hasattr(get_backend(TWO_SIDED), "sided")
+
+    def test_declared_count_must_match_the_endpoint(self):
+        from repro.transport.shmem import ShmemBackend
+
+        class Miscounted(ShmemBackend):
+            name = "miscounted-test-backend"
+            caps = BackendCaps(ops_per_message=4)
+
+        with pytest.raises(ValueError, match="declares 4 op/msg.*issues 1"):
+            register_backend(Miscounted())
+        assert "miscounted-test-backend" not in backend_names()
 
 
 class TestRegistration:
