@@ -546,11 +546,12 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     if args.dot:
         print(_topo_dot(topo))
         return 0
+    diameter = topo.diameter_hops()  # before any output: its ValueError is main()'s exit 2
     nlinks = len(topo.links)
     print(f"topology  : {topo.name}")
     print(f"endpoints : {len(topo.endpoints)}")
     print(f"links     : {nlinks}")
-    print(f"diameter  : {topo.diameter_hops()} hops")
+    print(f"diameter  : {diameter} hops")
     print(f"bisection : {fmt_bw(topo.bisection_bandwidth())}")
     kinds: dict[str, int] = {}
     for params in topo.links.values():

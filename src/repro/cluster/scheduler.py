@@ -56,7 +56,7 @@ def _attach_router(machine: MachineModel, node: str, eps: list[str]) -> str:
     for ep in topo.endpoints:
         if not ep.startswith(prefix):
             continue
-        for other in topo._graph.neighbors(ep):
+        for other in topo.neighbors(ep):
             if not other.startswith(prefix):
                 return other
     return node

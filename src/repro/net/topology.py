@@ -9,7 +9,8 @@ parametric generators here (:func:`dragonfly`, :func:`fat_tree`,
 :func:`repro.machines.cluster.make_cluster`.
 
 Path *selection* lives in :mod:`repro.net.routing`; this module resolves
-static minimum-latency paths (computed with networkx and cached) and turns
+static minimum-latency paths (its own bidirectional Dijkstra, cached; ties
+break by link insertion order, held by ``tests/net/test_route_oracle.py``) and turns
 any explicit hop sequence into a costed :class:`Route` via
 :meth:`TopologySpec.route_via` — bottleneck fields are computed from the
 actual hops of each path, so adaptive (non-minimal) routes report their own
@@ -19,9 +20,9 @@ per-path latency/``G``, not the cached minimal pair's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
-
-import networkx as nx
+from collections.abc import Collection, Sequence
+from heapq import heappop, heappush
+from itertools import count
 
 from repro.net.loggp import LinkParams
 
@@ -71,7 +72,8 @@ class TopologySpec:
     )
     injection: dict[str, LinkParams] = field(default_factory=dict)
     _links: dict[frozenset[str], LinkParams] = field(default_factory=dict)
-    _graph: nx.Graph = field(default_factory=nx.Graph)
+    # {endpoint: {neighbour: latency}} in insertion order, which breaks route ties.
+    _adj: dict[str, dict[str, float]] = field(default_factory=dict)
     _route_cache: dict[tuple[str, str], Route] = field(default_factory=dict)
     _path_cache: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     _via_cache: dict[tuple[str, ...], Route] = field(default_factory=dict)
@@ -88,7 +90,8 @@ class TopologySpec:
         if key in self._links:
             raise ValueError(f"duplicate link {a!r}<->{b!r} in topology {self.name!r}")
         self._links[key] = params
-        self._graph.add_edge(a, b, weight=params.latency, params=params)
+        self._adj.setdefault(a, {})[b] = params.latency
+        self._adj.setdefault(b, {})[a] = params.latency
         self.invalidate_routes()
 
     def set_injection(self, endpoint: str, params: LinkParams) -> None:
@@ -105,7 +108,7 @@ class TopologySpec:
 
     @property
     def endpoints(self) -> list[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._adj)
 
     @property
     def links(self) -> dict[frozenset[str], LinkParams]:
@@ -118,7 +121,13 @@ class TopologySpec:
         return self._links[key]
 
     def has_endpoint(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._adj
+
+    def neighbors(self, endpoint: str) -> tuple[str, ...]:
+        """Endpoints one link from ``endpoint``, in link insertion order."""
+        if endpoint not in self._adj:
+            raise KeyError(f"endpoint {endpoint!r} not in topology {self.name!r}")
+        return tuple(self._adj[endpoint])
 
     def route(self, src: str, dst: str) -> Route:
         """Resolve the (cached) minimum-latency route ``src -> dst``.
@@ -143,18 +152,8 @@ class TopologySpec:
                 message_bandwidth=self.loopback.channel_bandwidth,
                 gap=self.loopback.gap,
             )
-            self._route_cache[key] = route
-            return route
-        for ep in (src, dst):
-            if ep not in self._graph:
-                raise KeyError(f"endpoint {ep!r} not in topology {self.name!r}")
-        try:
-            path = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except nx.NetworkXNoPath:
-            raise KeyError(
-                f"no path {src!r} -> {dst!r} in topology {self.name!r}"
-            ) from None
-        route = self.route_via(path)
+        else:
+            route = self.route_via(self.shortest_path(src, dst))
         self._route_cache[key] = route
         return route
 
@@ -211,19 +210,69 @@ class TopologySpec:
         """
         key = (src, dst)
         cached = self._path_cache.get(key)
-        if cached is not None:
-            return list(cached)
+        if cached is None:
+            cached = self._path_cache[key] = self._min_latency_path(src, dst)
+        return list(cached)
+
+    def _min_latency_path(
+        self, src: str, dst: str, dead: Collection[frozenset[str]] = ()
+    ) -> list[str]:
+        """Bidirectional Dijkstra over the live links, ``KeyError`` if none.
+
+        A port of networkx's ``bidirectional_dijkstra`` (BSD-3-Clause,
+        ``networkx/algorithms/shortest_paths/weighted.py``), which is what
+        ``nx.shortest_path(g, src, dst, weight=...)`` runs.  Its tie rule
+        picks among equal-latency paths and must not drift: forward search
+        first, ``(dist, counter, node)`` heap entries, neighbours in
+        insertion order, strict ``<`` relaxation, best meeting node seen.
+        ``dead`` links are skipped where ``nx.restricted_view`` hid them.
+        """
         for ep in (src, dst):
-            if ep not in self._graph:
+            if ep not in self._adj:
                 raise KeyError(f"endpoint {ep!r} not in topology {self.name!r}")
-        try:
-            path = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except nx.NetworkXNoPath:
-            raise KeyError(
-                f"no path {src!r} -> {dst!r} in topology {self.name!r}"
-            ) from None
-        self._path_cache[key] = path
-        return list(path)
+        if src == dst:
+            return [src]
+        settled = (set(), set())  # [forward, backward]
+        preds = ({src: None}, {dst: None})
+        seen = ({src: 0.0}, {dst: 0.0})  # best distance found so far
+        fringe = ([], [])
+        c = count()
+        heappush(fringe[0], (0.0, next(c), src))
+        heappush(fringe[1], (0.0, next(c), dst))
+
+        def walk(node, side):
+            out = []
+            while node is not None:
+                out.append(node)
+                node = preds[side][node]
+            return out
+
+        finaldist = meetnode = None
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction  # 0 forward from src, 1 backward from dst
+            dist, _, v = heappop(fringe[direction])
+            if v in settled[direction]:
+                continue
+            settled[direction].add(v)
+            if v in settled[1 - direction]:
+                return walk(meetnode, 0)[::-1] + walk(preds[1][meetnode], 1)
+            for w, latency in self._adj[v].items():
+                if w in settled[direction] or (dead and frozenset((v, w)) in dead):
+                    continue
+                vw = dist + latency
+                if w not in seen[direction] or vw < seen[direction][w]:
+                    seen[direction][w] = vw
+                    heappush(fringe[direction], (vw, next(c), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        total = vw + seen[1 - direction][w]
+                        if finaldist is None or finaldist > total:
+                            finaldist, meetnode = total, w
+        raise KeyError(
+            f"no {'live ' if dead else ''}path {src!r} -> {dst!r} in topology "
+            f"{self.name!r}" + (f" ({len(dead)} dead link(s))" if dead else "")
+        )
 
     def invalidate_routes(self) -> None:
         """Drop every cached route and path.
@@ -250,16 +299,15 @@ class TopologySpec:
         or socket is not a thing real fabrics do.
         """
         if self._transit_cache is None:
-            g = self._graph
             self._transit_cache = sorted(
                 n
-                for n in g.nodes
-                if g.degree(n) >= 2 and "." not in n and n not in self.injection
+                for n in self._adj
+                if len(self.neighbors(n)) >= 2 and "." not in n and n not in self.injection
             )
         return self._transit_cache
 
     def shortest_path_avoiding(
-        self, src: str, dst: str, dead: "frozenset[frozenset[str]] | set"
+        self, src: str, dst: str, dead: Collection[frozenset[str]]
     ) -> list[str]:
         """Minimum-latency path that uses none of the ``dead`` links.
 
@@ -268,25 +316,30 @@ class TopologySpec:
         partitions ``src`` from ``dst`` — the caller's signal that no
         failover is possible.
         """
-        for ep in (src, dst):
-            if ep not in self._graph:
-                raise KeyError(f"endpoint {ep!r} not in topology {self.name!r}")
-        view = nx.restricted_view(
-            self._graph, [], [tuple(key) for key in dead]
-        )
-        try:
-            return list(nx.shortest_path(view, src, dst, weight="weight"))
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise KeyError(
-                f"no live path {src!r} -> {dst!r} in topology {self.name!r} "
-                f"({len(dead)} dead link(s))"
-            ) from None
+        return self._min_latency_path(src, dst, dead)
 
     # -- graph-level summaries (repro topo CLI, FabricBlueprint.describe) ----
 
     def diameter_hops(self) -> int:
         """Longest shortest path (in hops) between any endpoint pair."""
-        return nx.diameter(self._graph)
+        if not self._adj:
+            raise ValueError(f"topology {self.name!r} has no endpoints")
+        diameter = 0
+        for src in self._adj:
+            depth = {src: 0}
+            order = [src]  # breadth-first; grows while it is walked
+            for v in order:
+                for w in self._adj[v]:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        order.append(w)
+            if len(depth) < len(self._adj):
+                lost = next(ep for ep in self._adj if ep not in depth)
+                raise ValueError(
+                    f"topology {self.name!r} is not connected: {src!r} cannot reach {lost!r}"
+                )
+            diameter = max(diameter, depth[order[-1]])
+        return diameter
 
     def bisection_bandwidth(self) -> float:
         """Bandwidth crossing a balanced min-cut of the fabric (bytes/s).
@@ -296,11 +349,17 @@ class TopologySpec:
         bandwidth of cut links.  For larger graphs this is the standard
         heuristic estimate, not a certificate.
         """
-        nodes = sorted(self._graph.nodes)
-        if len(nodes) < 2:
+        if len(self._adj) < 2:
             return 0.0
-        half_a, half_b = nx.algorithms.community.kernighan_lin_bisection(
-            self._graph, partition=None, weight=None, seed=0
+        import networkx as nx
+
+        # Nodes, then links, in insertion order: the bisection the seeded
+        # sweep finds depends on both.  A link key unpacks as an edge.
+        g = nx.Graph()
+        g.add_nodes_from(self._adj)
+        g.add_edges_from(self._links)
+        half_a, _ = nx.algorithms.community.kernighan_lin_bisection(
+            g, partition=None, weight=None, seed=0
         )
         cut = 0.0
         for key, p in self._links.items():

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.net.loggp import LogGPParams
 
@@ -98,6 +97,8 @@ def fit_loggp(
                 [l_frac * t_small, o_frac * t_small, 0.1 * t_small, 1.0 / bw_peak0]
             )
         )
+    from scipy.optimize import least_squares
+
     best = None
     for theta0 in starts:
         sol = least_squares(

@@ -21,9 +21,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["SupernodalMatrix", "generate_matrix", "MatrixSpec"]
 
@@ -120,6 +123,8 @@ class SupernodalMatrix:
 
     def to_csr(self) -> sp.csr_matrix:
         """Assemble the full sparse matrix (reference solves, tests)."""
+        import scipy.sparse as sp
+
         rows, cols, vals = [], [], []
         for (I, J), block in self.blocks.items():
             r0, _ = self.sn_range(I)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from collections import deque
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
@@ -107,9 +106,11 @@ class _SolveState:
         """Triangular solve of the diagonal block (generator: charges time)."""
         w = self.m.widths[J]
         if self.execute:
+            from scipy.linalg import solve_triangular
+
             lo, hi = self.m.sn_range(J)
             rhs = self.b[lo:hi] - self.acc[J]
-            xJ = sla.solve_triangular(
+            xJ = solve_triangular(
                 self.m.blocks[(J, J)], rhs, lower=True, unit_diagonal=True
             )
         else:

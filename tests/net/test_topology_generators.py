@@ -107,6 +107,32 @@ class TestBlueprintSummaries:
         assert topo.diameter_hops() >= 2
         assert topo.bisection_bandwidth() > 0
 
+    def test_summaries_of_an_empty_topology(self):
+        empty = TopologySpec(name="x")
+        with pytest.raises(ValueError, match="topology 'x' has no endpoints"):
+            empty.diameter_hops()
+        assert empty.bisection_bandwidth() == 0.0
+
+    def test_diameter_of_a_disconnected_topology_names_the_pair(self):
+        topo = TopologySpec(name="split")
+        link = LinkParams(latency=1e-6, bandwidth=1e9)
+        topo.add_link("a", "b", link)
+        topo.add_link("c", "d", link)
+        with pytest.raises(
+            ValueError, match="'split' is not connected: 'a' cannot reach 'c'"
+        ):
+            topo.diameter_hops()
+
+    def test_neighbors_in_link_insertion_order(self):
+        topo = TopologySpec(name="star")
+        link = LinkParams(latency=1e-6, bandwidth=1e9)
+        for leaf in ("z", "m", "a"):
+            topo.add_link("hub", leaf, link)
+        assert topo.neighbors("hub") == ("z", "m", "a")
+        assert topo.neighbors("m") == ("hub",)
+        with pytest.raises(KeyError, match="'nope' not in topology 'star'"):
+            topo.neighbors("nope")
+
 
 class TestRouteVia:
     """Satellite: bottleneck fields come from the hops actually taken."""

@@ -54,6 +54,18 @@ class TestCommands:
         assert main(["topo", "not-a-fabric"]) == 2
         assert "unknown" in capsys.readouterr().err.lower()
 
+    def test_topo_disconnected_is_a_message_not_a_traceback(self, capsys, monkeypatch):
+        from repro.net import LinkParams, TopologySpec
+
+        split = TopologySpec(name="split")
+        split.add_link("a", "b", LinkParams(latency=1e-6, bandwidth=1e9))
+        split.add_link("c", "d", LinkParams(latency=1e-6, bandwidth=1e9))
+        monkeypatch.setattr("repro.cli._resolve_topology", lambda name: split)
+        assert main(["topo", "split"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'split' is not connected: 'a' cannot reach 'c'" in captured.err
+
     def test_run_single_experiment(self, capsys):
         assert main(["run", "table1"]) == 0
         out = capsys.readouterr().out
