@@ -190,7 +190,7 @@ def run_recoverable_training(
             t0 = sim.now
             try:
                 if spec.compute_seconds > 0:
-                    yield sim.timeout(spec.compute_seconds)
+                    yield float(spec.compute_seconds)
                 # Ring allreduce: 2(n-1) neighbour-exchange phases, each
                 # rank streaming its shard to the next rank.
                 for _phase in range(2 * (nranks - 1)):
@@ -208,7 +208,7 @@ def run_recoverable_training(
                 # Confirm the failure (health-check consensus) before
                 # acting; the hard windows are live by now.
                 if config.detect_timeout > 0:
-                    yield sim.timeout(config.detect_timeout)
+                    yield float(config.detect_timeout)
                 dead = sorted(
                     _dead_job_nodes(plan, ledger, sim.now) if plan is not None else ()
                 )
@@ -224,7 +224,7 @@ def run_recoverable_training(
                     result.steps_done = step - 1
                     return
                 if config.restart_cost > 0:
-                    yield sim.timeout(config.restart_cost)
+                    yield float(config.restart_cost)
                 result.replayed_steps += (step - 1) - last_ckpt
                 open_recoveries.append((step, fail_time))
                 step = last_ckpt + 1
@@ -241,7 +241,7 @@ def run_recoverable_training(
                     open_recoveries.remove((failed_step, fail_time))
             if step % config.checkpoint_interval == 0 and step < spec.steps:
                 if config.checkpoint_cost > 0:
-                    yield sim.timeout(config.checkpoint_cost)
+                    yield float(config.checkpoint_cost)
                 result.checkpoints += 1
                 last_ckpt = step
             result.steps_done = step

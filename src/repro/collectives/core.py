@@ -184,18 +184,16 @@ class _RoundExec:
 
     ``send`` / ``recv`` return the endpoint's generator for the schedule
     to ``yield from``; the stats are charged when the verb is called,
-    which is when it is driven."""
+    which is when it is driven.  What they need of the comm and the
+    endpoint — the two stats records, the word size, the two verbs — is
+    bound once per collective call, not looked up per message."""
 
-    __slots__ = ("comm", "ep", "ctx", "plan", "base", "idx", "reduce",
-                 "root", "v", "P", "rank", "nelems", "stripes", "execute")
+    __slots__ = ("base", "reduce", "root", "v", "P", "rank", "nelems",
+                 "stripes", "execute", "_stats", "_itemsize", "_send_round",
+                 "_recv_round")
 
     def __init__(self, comm, ep, ctx, plan, base, idx, reduce, root, v):
-        self.comm = comm
-        self.ep = ep
-        self.ctx = ctx
-        self.plan = plan
         self.base = base
-        self.idx = idx
         self.reduce = reduce
         self.root = root
         self.v = v
@@ -204,18 +202,22 @@ class _RoundExec:
         self.nelems = plan.nelems
         self.stripes = plan.stripes
         self.execute = comm.execute
+        self._stats = (comm.stats, comm.op_stats[idx])
+        self._itemsize = ep.spec.itemsize
+        self._send_round = ep.send_round
+        self._recv_round = ep.recv_round
 
     def send(self, dst, rnd, words, values=None, parts=1):
-        wb = self.ep.spec.itemsize
-        for st in (self.comm.stats, self.comm.op_stats[self.idx]):
+        nbytes = words * self._itemsize
+        for st in self._stats:
             st.messages += parts
-            st.bytes_moved += words * wb
-        return self.ep.send_round(
+            st.bytes_moved += nbytes
+        return self._send_round(
             dst, self.base + rnd, words=words, parts=parts, values=values
         )
 
     def recv(self, src, rnd, words, parts=1):
-        return self.ep.recv_round(src, self.base + rnd, words=words, parts=parts)
+        return self._recv_round(src, self.base + rnd, words=words, parts=parts)
 
     def exchange(self, dst, src, rnd, send_words, recv_words,
                  values=None, parts=1):

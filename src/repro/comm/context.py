@@ -96,7 +96,7 @@ class RankContext:
             )
         )
         if t > 0:
-            yield self.sim.timeout(t)
+            yield t if isinstance(t, float) else float(t)  # a sleep is a float
         return t
 
     # ------------------------------------------------------------------
@@ -137,7 +137,7 @@ class RankContext:
         self.counter.operations += 1
         self.counter.messages += 1
         self.counter.bytes_sent += nbytes
-        yield self.sim.timeout(self.costs.isend)
+        yield self.costs.isend
         msg = Message(src=self.rank, dst=dest, tag=tag, nbytes=nbytes, payload=payload)
         dst_ctx = self.job.contexts[dest]
         send_done = self.sim.event()
@@ -218,7 +218,7 @@ class RankContext:
             raise CommError(f"irecv source {source} out of range (size {self.size})")
         self.counter.operations += 1
         if self.costs.irecv > 0:
-            yield self.sim.timeout(self.costs.irecv)
+            yield self.costs.irecv
         ev = self.sim.event()
         self.engine.post(source, tag, ev)
         return Request(ev, "irecv")
@@ -242,6 +242,7 @@ class RankContext:
         """
         self.counter.operations += 1
         self.counter.syncs += 1
+        poll_cost = float(poll_cost)
         while True:
             msg = self.engine.take(source, tag)
             if msg is not None:
@@ -255,14 +256,14 @@ class RankContext:
                     return value
                 delay = self._recv_delay(msg)
                 if delay > 0:
-                    yield self.sim.timeout(delay)
+                    yield delay
                 return (
                     msg.payload,
                     Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes),
                 )
             yield self.engine.on_arrival()
             if poll_cost > 0:
-                yield self.sim.timeout(poll_cost)
+                yield poll_cost
 
     # ------------------------------------------------------------------
     # completion
@@ -278,7 +279,7 @@ class RankContext:
         self.counter.operations += 1
         if req.done:
             if self.costs.wait_per_req > 0:
-                yield self.sim.timeout(self.costs.wait_per_req)
+                yield self.costs.wait_per_req
             if not req.event.ok:
                 # Fault injection: the operation failed before we waited;
                 # the loss surfaces here, at the synchronisation point.
@@ -287,7 +288,7 @@ class RankContext:
         value = yield req.event
         wake = self.costs.sync_enter + self.costs.wait_per_req
         if wake > 0:
-            yield self.sim.timeout(wake)
+            yield wake
         return value
 
     def waitall(self, reqs: list[Request]) -> Generator:
@@ -309,7 +310,7 @@ class RankContext:
             self.costs.sync_enter if blocked else 0.0
         )
         if post > 0:
-            yield self.sim.timeout(post)
+            yield post
         return [r.event.value for r in reqs]
 
     # ------------------------------------------------------------------
@@ -342,7 +343,7 @@ class RankContext:
         while len(received) < expected:
             scan_cost = self.costs.poll_slot * max(len(remaining), 1)
             if scan_cost > 0:
-                yield self.sim.timeout(scan_cost)
+                yield scan_cost
             sig = signal_win.buffers[self.rank]
             hit = [s for s in remaining if sig[s] >= value]
             if hit:
@@ -369,7 +370,7 @@ class RankContext:
         release, delay = self.job._barrier_arrive()
         yield release
         if delay > 0:
-            yield self.sim.timeout(delay)
+            yield delay
 
     def allreduce_sum(self, value: float) -> Generator:
         """Sum a scalar across ranks (recursive-doubling cost model).
@@ -382,7 +383,7 @@ class RankContext:
         release, delay, total = self.job._allreduce_arrive(self.rank, value)
         yield release
         if delay > 0:
-            yield self.sim.timeout(delay)
+            yield delay
         return total.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

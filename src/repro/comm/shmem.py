@@ -101,7 +101,7 @@ class ShmemContext(RankContext):
         self.counter.operations += 1
         self.counter.messages += 1
         self.counter.bytes_sent += nbytes
-        yield self.sim.timeout(self.costs.put_signal)
+        yield self.costs.put_signal
         target_ep = self.job.endpoints[target]
         delivery = self.fabric.transfer(self.endpoint, target_ep, nbytes)
         done = self.sim.event()
@@ -261,7 +261,7 @@ class ShmemContext(RankContext):
         self.counter.operations += 1
         if not idxs:
             return  # vacuously satisfied (e.g. a rank with no neighbors)
-        rank, sim = self.rank, self.sim
+        rank = self.rank
         sig = signal_win.buffers[rank]
         recheck = self.costs.poll_slot * len(idxs)
         blocked = False
@@ -274,9 +274,9 @@ class ShmemContext(RankContext):
             blocked = True
             yield signal_win.on_write(rank)
             if recheck > 0:
-                yield sim.timeout(recheck)
+                yield recheck
         if blocked and self.costs.wait_wakeup > 0:
-            yield sim.timeout(self.costs.wait_wakeup)
+            yield self.costs.wait_wakeup
 
     def wait_until_any(
         self,
@@ -312,7 +312,7 @@ class ShmemContext(RankContext):
             yield signal_win.on_write(self.rank)
             recheck = self.costs.wait_poll + self.costs.poll_slot * len(idxs)
             if recheck > 0:
-                yield self.sim.timeout(recheck)
+                yield recheck
         idx = hit[0]
         if consume:
             signal_win.buffers[self.rank][idx] = 0
@@ -343,7 +343,7 @@ class ShmemContext(RankContext):
         self.counter.syncs += 1
         self.counter.operations += 1
         if self.costs.flush > 0:
-            yield self.sim.timeout(self.costs.flush)
+            yield self.costs.flush
         if self._lost_puts:
             # A lost put (fault injection) surfaces here, at the quiet — the
             # NVSHMEM completion point — and at every later one.

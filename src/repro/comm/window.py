@@ -316,7 +316,7 @@ class WindowHandle:
         ctx.counter.operations += 1
         ctx.counter.messages += 1
         ctx.counter.bytes_sent += nbytes
-        yield ctx.sim.timeout(ctx.costs.put)
+        yield ctx.costs.put
         target_ep = ctx.job.endpoints[target]
         delivery = ctx.fabric.transfer(ctx.endpoint, target_ep, nbytes)
         done = ctx.sim.event()
@@ -398,7 +398,7 @@ class WindowHandle:
         ctx, win = self.ctx, self.window
         nbytes = nelems * win.dtype.itemsize
         ctx.counter.operations += 1
-        yield ctx.sim.timeout(ctx.costs.get)
+        yield ctx.costs.get
         target_ep = ctx.job.endpoints[target]
         request_leg = ctx.fabric.transfer(ctx.endpoint, target_ep, 8.0)
         done = ctx.sim.event()
@@ -426,7 +426,7 @@ class WindowHandle:
         ctx, win = self.ctx, self.window
         ctx.counter.operations += 1
         ctx.counter.syncs += 1
-        yield ctx.sim.timeout(ctx.costs.flush)
+        yield ctx.costs.flush
         yield from win._drain(self.rank, target)
         # Remote-completion acknowledgement: over RDMA a flush is realised
         # as a zero-byte read after the writes — a full round trip to the
@@ -436,7 +436,7 @@ class WindowHandle:
         else:
             ack = 2.0 * ctx.job.max_route_latency(self.rank)
         if ack > 0:
-            yield ctx.sim.timeout(ack)
+            yield ack
 
     def flush_local(self, target: int | None = None) -> Generator:
         """``MPI_Win_flush_local``: local completion only (buffers reusable;
@@ -444,7 +444,7 @@ class WindowHandle:
         ctx, win = self.ctx, self.window
         ctx.counter.operations += 1
         ctx.counter.syncs += 1
-        yield ctx.sim.timeout(ctx.costs.flush)
+        yield ctx.costs.flush
         yield from win._drain(self.rank, target)
 
     def fence(self) -> Generator:
@@ -452,7 +452,7 @@ class WindowHandle:
         from this rank, then synchronise all ranks."""
         ctx, win = self.ctx, self.window
         ctx.counter.operations += 1
-        yield ctx.sim.timeout(ctx.costs.fence)
+        yield ctx.costs.fence
         yield from win._drain(self.rank, None)
         yield from ctx.barrier()
 
@@ -477,7 +477,7 @@ class WindowHandle:
             )
         ctx.counter.operations += 1
         ctx.counter.atomics += 1
-        yield Timeout(ctx.sim, ctx.costs.fetch_op)  # the issue overhead
+        yield ctx.costs.fetch_op  # the issue overhead
         op = _AtomicOp(self, target, offset, apply_fn, compare, value)
         wake = 0.0
         if wait:
@@ -486,7 +486,7 @@ class WindowHandle:
             wake = ctx.costs.sync_enter + ctx.costs.wait_per_req
         old = yield op.done
         if wake > 0:
-            yield Timeout(ctx.sim, wake)
+            yield wake
         return old
 
     def cas_stream(self, target: int, offset: int, ops, *, wait: bool) -> Generator:

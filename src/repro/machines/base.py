@@ -109,7 +109,11 @@ class CommCosts:
             "copy_per_byte",
             "eager_threshold",
         ):
-            check_non_negative(name, getattr(self, name))
+            value = getattr(self, name)
+            check_non_negative(name, value)
+            if not isinstance(value, float):
+                # A cost is charged by sleeping on it, and a sleep is a float.
+                object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,11 @@ class Fabric:
         self._injection: dict[str, Channel] = {
             ep: Channel(sim, params) for ep, params in topology.injection.items()
         }
+        # Without a routing policy a pair's route never changes, so a
+        # transfer reads (route, walk, injection port) in one lookup.
+        self._pairs: dict[
+            tuple[str, str], tuple[Route, tuple[tuple[Channel, Link], ...], Channel | None]
+        ] = {}
         self._loopback_next_free: dict[str, float] = {}
         self.total_messages = 0
         self.total_bytes = 0.0
@@ -275,11 +280,19 @@ class Fabric:
         now = clock if earliest is None else max(earliest, clock)
         routing = self.routing
         if routing is None:
-            route = self.topology.route(src, dst)
+            pair = self._pairs.get((src, dst))
+            if pair is None:
+                route = self.topology.route(src, dst)
+                pair = self._pairs[src, dst] = (
+                    route, self._walk(route), self._injection.get(src)
+                )
+            route, walk, inj = pair
         else:
             # One routing decision per transfer: adaptive policies may pick
             # a different (freshly costed) path for the same pair over time.
             route = routing.route(self, src, dst, nbytes, now)
+            walk = self._walk(route)
+            inj = self._injection.get(src)
         faults = self.faults
         attempts = 1
         error: Exception | None = None
@@ -293,8 +306,6 @@ class Fabric:
             arrival = start + route.latency + nbytes * route.G
         else:
             cc = self.cc
-            walk = self._walk(route)
-            inj = self._injection.get(src)
             tid = self.total_messages  # stable per-transfer id for fault draws
             t_ready = now
             if cc is not None:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from heapq import heappop, heappush
+from math import inf
 from typing import Any
 
 from repro.sim.event import (
+    _PENDING,
     AllOf,
     DeadlockError,
     Event,
@@ -33,10 +35,21 @@ class Simulator:
 
     Usage::
 
+        def rank(sim, done):
+            yield 2e-6  # sleep: a float delay, nothing allocated
+            yield done  # park until the event fires
+            return sim.now
+
         sim = Simulator()
-        sim.process(my_generator_fn(sim))
+        done = sim.timeout(5e-6)  # an event: it can carry callbacks
+        done.add_callback(lambda ev: print("fired at", sim.now))
+        proc = sim.process(rank(sim, done))
         sim.run()
-        print(sim.now)
+        print(sim.now, proc.value)
+
+    A process sleeps by yielding the delay; :meth:`timeout` is for events
+    that carry callbacks or that several parties wait on (a fabric
+    delivery, the atomic unit's apply, copy-engine visibility).
     """
 
     def __init__(self) -> None:
@@ -62,7 +75,11 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` simulated seconds from now."""
+        """An event that fires ``delay`` simulated seconds from now.
+
+        For an occurrence with callbacks or several waiters; a process that
+        only needs to sleep yields ``delay`` itself.
+        """
         return Timeout(self, delay, value)
 
     def at_time(self, when: float, value: Any = None) -> Event:
@@ -92,14 +109,16 @@ class Simulator:
     def _schedule(
         self, event: Event, delay: float = 0.0, *, at: float | None = None
     ) -> None:
+        # A nan or infinite key would sit in the heap for ever (nan compares
+        # false both ways, so it does not even sort); negative is the past.
         if at is None:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
+            if not 0 <= delay < inf:
+                raise ValueError(f"event delay must be finite and >= 0, got {delay}")
             when = self._now + delay
         else:
-            if at < self._now:
-                raise SimulationError(
-                    f"cannot schedule into the past (at={at} < now={self._now})"
+            if not self._now <= at < inf:
+                raise ValueError(
+                    f"event time must be finite and >= now ({self._now}), got {at}"
                 )
             when = at
         heappush(self._heap, (when, self._seq, event))
@@ -120,6 +139,11 @@ class Simulator:
         when, _, event = heappop(self._heap)
         self._now = when
         self.event_count += 1
+        if event._value is _PENDING:
+            # Only a sleeping process is queued untriggered: the entry is
+            # the process itself, and the sleep resumes it with None.
+            event._resume(None)
+            return
         callbacks = event.callbacks
         if callbacks is None:
             raise SimulationError(f"event {event!r} processed twice")

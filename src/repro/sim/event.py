@@ -4,7 +4,8 @@ The design follows the classic process-interaction style (as in SimPy, but
 self-contained): an :class:`Event` starts *untriggered*; calling
 :meth:`Event.succeed` or :meth:`Event.fail` schedules it for processing, at
 which point the engine invokes its callbacks.  Processes (see
-``repro.sim.process``) suspend on events by ``yield``-ing them.
+``repro.sim.process``) suspend on events by ``yield``-ing them; a process
+that only sleeps yields the delay and needs no event at all.
 
 The composite event :class:`AllOf` lets a process wait for a set of
 messages — the building block for ``MPI_Waitall`` in the communication
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from heapq import heappush
+from math import inf
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -89,9 +91,9 @@ class Event:
         """Mark the event successful; callbacks run after ``delay`` sim-time."""
         if self._value is not _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
+        self.sim._schedule(self, delay)  # first: a bad delay leaves it pending
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
         return self
 
     def fail(self, exc: BaseException, *, delay: float = 0.0) -> "Event":
@@ -100,9 +102,9 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
+        self.sim._schedule(self, delay)
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay)
         return self
 
     def defuse(self) -> None:
@@ -149,13 +151,19 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that succeeds automatically after ``delay`` simulated seconds."""
+    """An event that succeeds automatically after ``delay`` simulated seconds.
+
+    For occurrences that carry callbacks (a fabric delivery, the atomic
+    unit's apply, copy-engine visibility) or that several parties wait on;
+    a process that only sleeps yields the delay instead
+    (:class:`~repro.sim.process.Process`).
+    """
 
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        if not 0 <= delay < inf:
+            raise ValueError(f"timeout delay must be finite and >= 0, got {delay}")
         # Born triggered: Event.__init__ + succeed(value, delay=) in one call.
         self.sim = sim
         self.callbacks = _NO_CALLBACKS

@@ -1,9 +1,15 @@
 """Generator-based simulation processes.
 
 A *process* is a Python generator that yields :class:`~repro.sim.event.Event`
-objects; the process suspends until the yielded event fires and resumes with
-the event's value (``value = yield ev``).  An MPI rank, a GPU thread block,
-and a NIC injector are all processes.
+objects or delays.  ``value = yield ev`` suspends it until the event fires
+and resumes it with the event's value; ``yield d`` (a ``float``, seconds)
+sleeps: the process resumes, with ``None``, ``d`` simulated seconds later.
+An MPI rank, a GPU thread block, and a NIC injector are all processes.
+
+A sleep allocates nothing: the heap entry is ``(now + d, seq, process)``,
+the process itself, pushed where a ``Timeout(sim, d)`` would have been
+pushed — so it takes the same place in ``(time, seq)`` order.  Only a wait
+that somebody else can observe or hang a callback on needs an event.
 
 A :class:`Process` is itself an event: it succeeds with the generator's
 return value, so processes can wait on each other (fork/join).
@@ -12,6 +18,8 @@ return value, so processes can wait on each other (fork/join).
 from __future__ import annotations
 
 from collections.abc import Generator
+from heapq import heappush
+from math import inf
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.event import _NO_CALLBACKS, Event, SimulationError
@@ -25,8 +33,8 @@ __all__ = ["Process"]
 class Process(Event):
     """Wrap a generator as a schedulable process.
 
-    The first resumption is scheduled immediately (at the current simulated
-    time) when the process is created.
+    The first resumption is a zero sleep, scheduled when the process is
+    created.
     """
 
     __slots__ = ("generator", "name", "_target")
@@ -44,10 +52,8 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
         sim._live[self] = None  # until _retire: what a DeadlockError names
-        bootstrap = Event(sim)
-        bootstrap.add_callback(self._resume)
-        bootstrap.succeed()
-        self._target = bootstrap
+        heappush(sim._heap, (sim._now, sim._seq, self))
+        sim._seq += 1
 
     @property
     def is_alive(self) -> bool:
@@ -56,20 +62,36 @@ class Process(Event):
 
     # -- internal --------------------------------------------------------------
 
-    def _resume(self, event: Event) -> None:
-        """Event callback: one wake-up of the generator, in one frame.
+    def _resume(self, event: Event | None) -> None:
+        """One wake-up of the generator, in one frame.
 
-        Advance the generator with the event's outcome and park the process
-        on whatever it yields next.  The event's slots are read directly:
-        this runs once per wake-up of every rank, and two property calls
-        plus a second frame per wake-up were host time spent on no decision.
+        ``event`` is what the process was parked on (this is its callback),
+        or None when ``Simulator.step`` pops the process's own sleep entry.
+        Advance the generator with the outcome and park the process on
+        whatever it yields next: an event, or — a float — the heap itself.
+        The event's slots are read directly: this runs once per wake-up of
+        every rank, and two property calls plus a second frame per wake-up
+        were host time spent on no decision.
         """
+        generator = self.generator
         try:
-            if event._ok:
-                target = self.generator.send(event._value)
+            if event is None:
+                target = generator.send(None)
+            elif event._ok:
+                target = generator.send(event._value)
             else:
                 event._defused = True
-                target = self.generator.throw(event._value)
+                target = generator.throw(event._value)
+            while isinstance(target, float):
+                if 0.0 <= target < inf:
+                    sim = self.sim
+                    heappush(sim._heap, (sim._now + target, sim._seq, self))
+                    sim._seq += 1
+                    return
+                # Raised at the yield, as Timeout's own check is.
+                target = generator.throw(
+                    ValueError(f"sleep delay must be finite and >= 0, got {target}")
+                )
         except StopIteration as stop:
             self._retire()
             self.succeed(stop.value)
@@ -110,7 +132,7 @@ class Process(Event):
         self.fail(
             SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
+                "yield an Event or a float delay"
             )
         )
 

@@ -114,7 +114,7 @@ class _MailboxEndpoint(Endpoint):
         while not self._hits:
             scan = ctx.costs.poll_slot * len(self._remaining)
             if scan > 0:
-                yield ctx.sim.timeout(scan)
+                yield scan
             sig = self.sig_win.local(ctx.rank)
             hit = [s for s in self._remaining if sig[s] >= 1]
             if not hit:

@@ -103,6 +103,7 @@ class _MailboxEndpoint(_FusedEndpoint):
         self.data_win = channel.data_win
         self.sig_win = channel.sig_win
         self._remaining: dict = {}
+        self._metrics = ctx.job.metrics  # None outside an obs session
 
     def expect(self, msgs):
         self._remaining = dict(msgs)
@@ -127,22 +128,50 @@ class _MailboxEndpoint(_FusedEndpoint):
         m = self._remaining.pop(slot)
         return m.meta, _read_slot(self, m.slot, m.words)
 
-    def _uniform_round(self, words, parts):
-        """Is this round one homogeneous batch — equal non-empty stripes,
-        pure timing, on a topology where paths are exclusive?  Both sides
-        evaluate it on the same arguments, so a batched sender always
-        meets a batch waiter."""
-        return (
-            parts >= 2
-            and words
-            and words % parts == 0
-            and not self.spec.read_data
-            and self.ctx.job.paths_exclusive
-        )
+    def _scalar_reason(self, words, parts):
+        """Why this round is not one homogeneous batch, or None when it is:
+        a batch needs equal non-empty stripes, pure timing, and a topology
+        where paths are exclusive.  Both sides evaluate it on the same
+        arguments, so a batched sender always meets a batch waiter."""
+        if parts < 2:
+            return "one_part"
+        if not words:
+            return "empty"
+        if words % parts:
+            return "uneven"
+        if self.spec.read_data:
+            return "read_data"
+        if not self.ctx.job.paths_exclusive:
+            return "shared_paths"
+        return None
 
     def send_round(self, dst, slot, *, words, parts=1, values=None):
+        metrics = self._metrics
+        if metrics is not None:
+            why = self._scalar_reason(words, parts)
+            metrics.counter(
+                "transport.round.batched"
+                if why is None
+                else f"transport.round.scalar.{why}"
+            ).inc()
+        if parts == 1 and not self.spec.read_data:
+            # The round message is one put_signal_nbi: hand the caller its
+            # generator, with no frame of ours to pass through per resume.
+            return self.ctx.put_signal_nbi(
+                self.data_win,
+                dst,
+                nelems=words,
+                offset=self.spec.offsets[dst][slot],
+                signal_win=self.sig_win,
+                signal_idx=slot,
+                signal_value=1,
+                signal_op="add",
+            )
+        return self._send_parts(dst, slot, words, parts, values)
+
+    def _send_parts(self, dst, slot, words, parts, values):
         offset = self.spec.offsets[dst][slot]
-        if self._uniform_round(words, parts):
+        if self._scalar_reason(words, parts) is None:
             yield from self.ctx.put_signal_batch(
                 self.data_win,
                 dst,
@@ -176,7 +205,14 @@ class _MailboxEndpoint(_FusedEndpoint):
             )
 
     def recv_round(self, src, slot, *, words, parts=1):
-        if self._uniform_round(words, parts):
+        if parts == 1 and not self.spec.read_data:
+            # Nothing to read back (_read_slot would be None): the wait's
+            # own generator, as for send_round.
+            return self.ctx.wait_until_all(self.sig_win, [slot], value=1)
+        return self._recv_parts(src, slot, words, parts)
+
+    def _recv_parts(self, src, slot, words, parts):
+        if self._scalar_reason(words, parts) is None:
             yield from self.ctx.wait_signal_batch(self.sig_win, src, slot, parts)
         else:
             yield from self.ctx.wait_until_all(self.sig_win, [slot], value=parts)

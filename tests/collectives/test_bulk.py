@@ -112,7 +112,7 @@ def _gate_decisions(machine, rt, P):
 
     def prog(ctx, comm):
         ep = comm.endpoint(ctx)
-        flags.append(ep.ep._uniform_round(8, 2))
+        flags.append(ep.ep._scalar_reason(8, 2) is None)
         yield from ctx.barrier()
         return None
 

@@ -117,6 +117,46 @@ class TestTimeout:
             sim.timeout(-1.0)
 
 
+class TestNonFiniteTimesNeverReachTheHeap:
+    """A nan key does not even sort (it compares false both ways) and an
+    infinite one never fires: both are rejected before the push, by every
+    way of putting an event on the heap."""
+
+    BAD = [float("nan"), float("inf"), -1e-9]
+
+    @pytest.mark.parametrize("delay", BAD)
+    def test_timeout(self, sim, delay):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            sim.timeout(delay)
+        assert sim.peek() == float("inf")
+
+    @pytest.mark.parametrize("delay", BAD)
+    def test_succeed_and_fail_delay(self, sim, delay):
+        ev = sim.event()
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ev.succeed(delay=delay)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            sim.event().fail(RuntimeError("x"), delay=delay)
+        assert sim.peek() == float("inf")
+        # Rejected before any state changed: still pending, still usable.
+        assert not ev.triggered
+        ev.succeed("ok", delay=2.0)
+        assert sim.run(until=ev) == "ok" and sim.now == 2.0
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"), 0.5])
+    def test_at_time(self, sim, when):
+        sim.timeout(1.0)
+        sim.run()  # now = 1.0, so 0.5 is the past
+        with pytest.raises(ValueError, match="finite and >= now"):
+            sim.at_time(when)
+        assert sim.peek() == float("inf")
+
+    def test_at_time_now_is_legal(self, sim):
+        sim.timeout(1.0)
+        sim.run()
+        assert sim.run(until=sim.at_time(1.0, "v")) == "v"
+
+
 class TestConditions:
     def test_allof_waits_for_all(self, sim):
         t1, t2, t3 = sim.timeout(1), sim.timeout(5), sim.timeout(3)

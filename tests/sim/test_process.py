@@ -1,9 +1,10 @@
 """Generator processes: suspension, return values, failure."""
 
+import numpy as np
 import pytest
 
 from repro.sim import Process, Simulator
-from repro.sim.event import SimulationError
+from repro.sim.event import DeadlockError, SimulationError
 
 
 class TestBasics:
@@ -222,3 +223,177 @@ class TestFusedResume:
         p = sim.process(prog())
         sim.run()
         assert p.value == "done"
+
+
+class TestSleep:
+    """``yield d`` (a float) sleeps: the heap entry is the process itself,
+    pushed where ``Timeout(sim, d)`` would have been, so a sleep takes the
+    same ``(time, seq)`` place and the same one engine step."""
+
+    def test_sleep_and_timeout_made_at_one_instant_resume_in_seq_order(self, sim):
+        log = []
+
+        def sleeper(tag, first):
+            if first:
+                yield 1.0
+            else:
+                yield sim.timeout(1.0)
+            log.append(tag)
+
+        # Alternate sleeps and Timeouts, all due at t=1: creation order wins.
+        for i in range(6):
+            sim.process(sleeper(i, first=i % 2 == 0))
+        sim.run()
+        assert log == [0, 1, 2, 3, 4, 5]
+        assert sim.now == 1.0
+
+    def test_a_sleep_queued_before_a_timeout_due_earlier_still_waits(self, sim):
+        log = []
+
+        def sleeper():
+            yield 2.0
+            log.append(("sleep", sim.now))
+
+        sim.process(sleeper())
+        sim.run(until=0.5)
+        sim.timeout(1.0).add_callback(lambda ev: log.append(("timeout", sim.now)))
+        sim.run()
+        assert log == [("timeout", 1.5), ("sleep", 2.0)]
+
+    def test_sleep_resumes_with_none(self, sim):
+        def prog():
+            got = yield 1.5
+            return got, sim.now
+
+        p = sim.process(prog())
+        sim.run()
+        assert p.value == (None, 1.5)
+
+    def test_numpy_float64_is_a_float(self, sim):
+        def prog():
+            yield np.float64(0.25)
+            yield np.float64(0.0)
+            return sim.now
+
+        p = sim.process(prog())
+        sim.run()
+        assert p.ok and p.value == 0.25
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -0.5e-300])
+    def test_bad_delay_raises_at_the_yield(self, sim, bad):
+        def prog():
+            try:
+                yield bad
+            except ValueError as exc:
+                caught = str(exc)
+            else:  # pragma: no cover - the assertion below reports it
+                caught = None
+            yield 1.0  # still a live process: the error did not kill it
+            return caught
+
+        p = sim.process(prog())
+        sim.run()
+        assert p.ok and "finite and >= 0" in p.value
+        assert sim.now == 1.0
+
+    def test_uncaught_bad_delay_fails_the_process(self, sim):
+        def prog():
+            yield float("nan")
+
+        p = sim.process(prog())
+        p.defuse()
+        sim.run()
+        assert not p.ok and isinstance(p.value, ValueError)
+        assert sim.now == 0.0  # nothing reached the heap
+
+    def test_bad_delay_after_a_bad_delay(self, sim):
+        """The generator may answer the error with another bad delay."""
+
+        def prog():
+            for bad in (-1.0, float("nan")):
+                try:
+                    yield bad
+                except ValueError:
+                    pass
+            return "survived"
+
+        p = sim.process(prog())
+        sim.run()
+        assert p.value == "survived"
+
+    def test_int_is_still_a_bad_yield(self, sim):
+        def prog():
+            yield 1
+
+        p = sim.process(prog())
+        p.defuse()
+        sim.run()
+        assert isinstance(p.value, SimulationError)
+        assert "float delay" in str(p.value)
+
+    def test_sleeping_process_is_never_listed_in_a_deadlock(self, sim):
+        never = sim.event()
+
+        def napper():
+            yield 1.0
+            yield 2.0
+
+        def waiter():
+            yield never
+
+        sim.process(napper(), name="napper")
+        sim.process(waiter(), name="waiter")
+        with pytest.raises(DeadlockError) as err:
+            sim.run(until=never)
+        assert "'waiter' is parked on" in str(err.value)
+        assert "napper" not in str(err.value)
+        assert sim.now == 3.0  # the sleeps ran out before the heap did
+
+    def test_each_sleep_is_one_event(self, sim):
+        def prog(n):
+            for _ in range(n):
+                yield 1e-6
+
+        for n in (0, 1, 7):
+            before = sim.event_count
+            p = sim.process(prog(n))
+            sim.run()
+            # bootstrap (a zero sleep) + n sleeps + the process's completion
+            assert sim.event_count - before == n + 2
+            assert p.ok
+
+
+class TestNoTimeoutForARoundMessage:
+    """A 4-rank shmem ring allreduce: the sender's issue charge and the
+    receiver's recheck and wake-up are sleeps, so the only ``Timeout``s
+    built are the fabric deliveries — while the event count stays what it
+    was when each of those sleeps was a ``Timeout`` (133)."""
+
+    def test_only_deliveries_build_a_timeout(self, monkeypatch):
+        from repro.collectives.core import CollectiveComm
+        from repro.collectives.plan import CollectivePlan
+        from repro.comm.job import Job
+        from repro.machines import perlmutter_gpu
+        from repro.sim import event as event_mod
+
+        built = []
+        real = event_mod.Timeout.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(event_mod.Timeout, "__init__", counted)
+        plan = CollectivePlan(
+            coll="allreduce", algorithm="ring", nranks=4, nelems=64, stripes=1
+        )
+        job = Job(perlmutter_gpu(), 4, "shmem")
+        comm = CollectiveComm(job, [plan])
+
+        def prog(ctx, comm):
+            yield from comm.endpoint(ctx).run()
+
+        res = job.run(prog, comm)
+        assert comm.stats.messages == job.fabric.total_messages == 24
+        assert len(built) == job.fabric.total_messages
+        assert job.sim.event_count == res.events_processed == 133
