@@ -504,21 +504,9 @@ def _cmd_machines(_args) -> int:
 
 def _resolve_topology(name: str):
     """A TopologySpec from a machine name or a bare generator expression."""
-    import re
+    from repro.machines.registry import get_topology
 
-    from repro.machines import get_machine
-    from repro.net.topology import dragonfly, fat_tree, torus
-
-    m = re.match(r"^(dragonfly|fattree|torus)\((\d+(?:,\d+)*)\)$", name)
-    if m is not None:
-        args = tuple(int(x) for x in m.group(2).split(","))
-        gen = m.group(1)
-        if gen == "dragonfly":
-            return dragonfly(*args).topology
-        if gen == "fattree":
-            return fat_tree(*args).topology
-        return torus(args).topology
-    return get_machine(name).topology
+    return get_topology(name)
 
 
 def _topo_dot(topo) -> str:
@@ -538,11 +526,7 @@ def _topo_dot(topo) -> str:
 def _cmd_topo(args: argparse.Namespace) -> int:
     from repro.util import fmt_bw
 
-    try:
-        topo = _resolve_topology(args.name)
-    except (ValueError, TypeError) as exc:
-        print(f"bad generator expression {args.name!r}: {exc}", file=sys.stderr)
-        return 2
+    topo = _resolve_topology(args.name)
     if args.dot:
         print(_topo_dot(topo))
         return 0

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.experiments.points import sptrsv_matrix
 from repro.experiments.report import ExperimentReport
 from repro.machines.registry import get_machine
 from repro.roofline import MessageRoofline, SplitModel
-from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
+from repro.workloads.sptrsv import run_sptrsv
 from repro.transport import ONE_SIDED, ONE_SIDED_HW, TWO_SIDED, get_backend
 
 __all__ = [
@@ -130,9 +131,7 @@ def run_ablation_put_with_signal() -> ExperimentReport:
     The hw variant reuses the GPU (shmem) code path with CPU wire
     parameters: one fused op per message plus true receiver notification.
     """
-    matrix = generate_matrix(
-        MatrixSpec(n_supernodes=120, width_lo=3, width_hi=130, seed=4)
-    )
+    matrix = sptrsv_matrix(120, 4)
     headers = ["variant", "P", "time (ms)", "vs two-sided"]
     rows = []
     t: dict[tuple[str, int], float] = {}
@@ -178,9 +177,7 @@ def run_ablation_polling() -> ExperimentReport:
     """Scale the Listing-1 per-slot polling cost and watch one-sided
     SpTRSV's gap to two-sided grow — the paper's 'extra work to maintain
     data arrival'."""
-    matrix = generate_matrix(
-        MatrixSpec(n_supernodes=120, width_lo=3, width_hi=130, seed=4)
-    )
+    matrix = sptrsv_matrix(120, 4)
     headers = ["poll_slot (us)", "P", "one-sided (ms)", "one/two"]
     rows = []
     ratios = {}

@@ -36,14 +36,10 @@ fallback is noted in each program's :class:`repro.ir.IRReport`.
 
 from __future__ import annotations
 
-from repro import faults
+from repro.experiments.points import run_point
 from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
 from repro.sweep import SweepSpec, run_sweep
 from repro.transport import ONE_SIDED, SHMEM, TWO_SIDED
-from repro.workloads.flood import run_flood
-from repro.workloads.hashtable import HashTableConfig, run_hashtable
-from repro.workloads.stencil import StencilConfig, run_stencil
 
 __all__ = ["run_degradation", "LOSS_RATES", "JITTERS"]
 
@@ -58,77 +54,38 @@ _CASES = (
     ("perlmutter-gpu", SHMEM),
 )
 
-_FLOOD_BYTES = 65536
-_FLOOD_MSGS = 64
-
-
-def _plan(params) -> faults.FaultPlan:
-    return faults.FaultPlan.uniform(
-        loss=params.get("loss", 0.0),
-        jitter=params.get("jitter", 0.0),
-        seed=params["fault_seed"],
-    )
-
-
-def _point(params, seed):
-    machine = get_machine(params["machine"])
-    runtime = params["runtime"]
-    with faults.inject(_plan(params)) as scope:
-        if params["workload"] == "flood":
-            r = run_flood(machine, runtime, _FLOOD_BYTES, _FLOOD_MSGS, iters=2)
-            metric = r.bandwidth
-        elif params["workload"] == "stencil":
-            cfg = StencilConfig(nx=2048, ny=2048, iters=3, mode="simulate")
-            metric = run_stencil(machine, runtime, cfg, 4).time
-        else:
-            cfg = HashTableConfig(total_inserts=2000, seed=5)
-            metric = run_hashtable(machine, runtime, cfg, 4).time
-    stats = scope.stats()
-    return {
-        "metric": metric,
-        "drops": stats["drops"],
-        "retransmits": stats["retransmits"],
-        "exhausted": stats["exhausted"],
-    }
-
-
-def _spec() -> SweepSpec:
-    points = [
-        {
-            "workload": w,
-            "machine": m,
-            "runtime": rt,
-            "loss": loss,
-            "jitter": 0.0,
-            "fault_seed": _SEED,
-        }
-        for w in ("flood", "stencil", "hashtable")
-        for m, rt in _CASES
-        for loss in LOSS_RATES
-    ]
-    points += [
-        {
-            "workload": "flood",
-            "machine": m,
-            "runtime": rt,
-            "loss": 0.0,
-            "jitter": jitter,
-            "fault_seed": _SEED,
-        }
-        for m, rt in _CASES
-        for jitter in JITTERS[1:]  # jitter 0.0 is the loss-sweep baseline
-    ]
-    return SweepSpec(name="degradation", runner=_point, points=points)
+# Workload -> (its arguments beyond machine and runtime, the value its
+# metric reads).  For the flood the metric is bandwidth (higher = better,
+# rel <= 1); for stencil/hashtable it is run time (lower = better, rel >= 1).
+_WORKLOADS = {
+    "flood": ({"size": 65536, "msgs": 64, "iters": 2}, "bandwidth"),
+    "stencil": ({"nx": 2048, "iters": 3, "P": 4}, "time"),
+    "hashtable": ({"total_inserts": 2000, "seed": 5, "P": 4}, "time"),
+}
 
 
 def run_degradation() -> ExperimentReport:
-    sweep = run_sweep(_spec())
-    values: dict[tuple, dict] = {
-        (
-            p["workload"], p["runtime"], p["loss"], p["jitter"]
-        ): r.value
-        for r in sweep
-        for p in [r.params]
+    # (workload, machine, runtime, loss, jitter); jitter 0.0 is the
+    # loss-sweep baseline, so the flood's jitter mini-sweep starts past it.
+    cells = [
+        (w, m, rt, loss, 0.0)
+        for w in _WORKLOADS
+        for m, rt in _CASES
+        for loss in LOSS_RATES
+    ]
+    cells += [("flood", m, rt, 0.0, jitter) for m, rt in _CASES for jitter in JITTERS[1:]]
+    sweep = run_sweep(SweepSpec(
+        name="degradation",
+        runner=run_point,
+        points=[
+            {"workload": w, **_WORKLOADS[w][0], "machine": m, "runtime": rt,
+             "faults": {"loss": loss, "jitter": jitter, "seed": _SEED}}
+            for w, m, rt, loss, jitter in cells
+        ],
+    ))
+    values = {
+        (w, rt, loss, jitter): {**r.value, "metric": r.value[_WORKLOADS[w][1]]}
+        for (w, _m, rt, loss, jitter), r in zip(cells, sweep)
     }
 
     headers = [
@@ -136,8 +93,6 @@ def run_degradation() -> ExperimentReport:
         "metric", "rel. to clean", "drops", "retransmits",
     ]
     rows = []
-    # For the flood the metric is bandwidth (higher = better, rel <= 1);
-    # for stencil/hashtable it is run time (lower = better, rel >= 1).
     rel: dict[tuple, float] = {}
     for w in ("flood", "stencil", "hashtable"):
         for m, rt in _CASES:

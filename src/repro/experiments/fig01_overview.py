@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments.points import run_point
 from repro.experiments.report import ExperimentReport
 from repro.machines.registry import get_machine
 from repro.roofline import MessageRoofline, Series, ascii_loglog
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.flood import run_flood
 from repro.transport import ONE_SIDED, get_backend
 
 __all__ = ["run_fig01"]
@@ -33,26 +33,6 @@ _SIZES = [2.0**k for k in range(3, 23)]  # 8 B .. 4 MiB
 _NS = (1, 10, 100, 1000)
 _DOT_NS = (1, 16, 256)
 _DOT_SIZES = (64, 4096, 262144)
-
-
-def _point(params, seed):
-    r = run_flood(
-        get_machine(params["machine"]),
-        params["runtime"],
-        params["size"],
-        params["msgs"],
-        iters=params["iters"],
-    )
-    return {"bandwidth": r.bandwidth}
-
-
-def _spec(iters: int) -> SweepSpec:
-    return SweepSpec(
-        name="fig01",
-        runner=_point,
-        axes={"msgs": _DOT_NS, "size": _DOT_SIZES},
-        common={"machine": "frontier-cpu", "runtime": ONE_SIDED, "iters": iters},
-    )
 
 
 def run_fig01(*, measured: bool = True, iters: int = 2) -> ExperimentReport:
@@ -100,7 +80,13 @@ def run_fig01(*, measured: bool = True, iters: int = 2) -> ExperimentReport:
         for n, m in zip(_NS, "1abc")
     ]
     if measured:
-        sweep = run_sweep(_spec(iters))
+        sweep = run_sweep(SweepSpec(
+            name="fig01",
+            runner=run_point,
+            axes={"msgs": _DOT_NS, "size": _DOT_SIZES},
+            common={"workload": "flood", "machine": "frontier-cpu",
+                    "runtime": ONE_SIDED, "iters": iters},
+        ))
         dots = [(r.params["size"], r.value["bandwidth"]) for r in sweep]
         series.append(Series("measured", dots, marker="*"))
         # Dots must lie at or below the sharp ceiling.

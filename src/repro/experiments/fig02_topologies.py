@@ -109,16 +109,12 @@ def _point(params, seed):
     }
 
 
-def _spec() -> SweepSpec:
-    return SweepSpec(
+def run_fig02() -> ExperimentReport:
+    sweep = run_sweep(SweepSpec(
         name="fig02",
         runner=_point,
         points=[{"panel": panel, "machine": machine} for panel, machine in _PANELS],
-    )
-
-
-def run_fig02() -> ExperimentReport:
-    sweep = run_sweep(_spec())
+    ))
     headers = ["panel", "link", "endpoints", "GB/s/dir", "latency (us)"]
     rows = [row for r in sweep for row in r.value["rows"]]
     expectations: dict[str, bool] = {}

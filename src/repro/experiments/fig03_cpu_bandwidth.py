@@ -20,12 +20,11 @@ The (machine x msg/sync x size x runtime) grid is declared as a
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.roofline import fit_loggp
 from repro.roofline.fit import FloodSample
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.flood import run_flood
 from repro.transport import TWO_SIDED, ONE_SIDED
 
 __all__ = ["run_fig03"]
@@ -35,49 +34,21 @@ _NS = (1, 16, 256)
 _RUNTIMES = (TWO_SIDED, ONE_SIDED)
 
 
-def _point(params, seed):
-    r = run_flood(
-        get_machine(params["machine"]),
-        params["runtime"],
-        params["size"],
-        params["msgs"],
-        iters=params["iters"],
-    )
-    return {"bandwidth": r.bandwidth}
-
-
-def _spec(machines: tuple[str, ...], iters: int) -> SweepSpec:
-    return SweepSpec(
-        name="fig03",
-        runner=_point,
-        axes={
-            "machine": machines,
-            "msgs": _NS,
-            "size": _SIZES,
-            "runtime": _RUNTIMES,
-        },
-        common={"iters": iters},
-    )
-
-
 def run_fig03(
     *,
     machines: tuple[str, ...] = ("perlmutter-cpu", "frontier-cpu", "summit-cpu"),
     iters: int = 2,
 ) -> ExperimentReport:
-    sweep = run_sweep(_spec(machines, iters))
-    results: dict[tuple[str, str, int, int], float] = {
-        (p["machine"], p["runtime"], p["size"], p["msgs"]): r.value["bandwidth"]
-        for r in sweep
-        for p in [r.params]
+    sweep = run_sweep(SweepSpec(
+        name="fig03",
+        runner=run_point,
+        axes={"machine": machines, "msgs": _NS, "size": _SIZES, "runtime": _RUNTIMES},
+        common={"workload": "flood", "iters": iters},
+    ))
+    results = {
+        key: v["bandwidth"]
+        for key, v in index(sweep, "machine", "runtime", "size", "msgs").items()
     }
-    return _summarize(machines, results)
-
-
-def _summarize(
-    machines: tuple[str, ...],
-    results: dict[tuple[str, str, int, int], float],
-) -> ExperimentReport:
     headers = ["machine", "B (bytes)", "msg/sync", "two-sided GB/s", "one-sided GB/s",
                "one/two"]
     rows = []

@@ -19,10 +19,9 @@ are explicit (irregular) entries after the regular grid.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.flood import run_cas_flood, run_flood
 from repro.transport import SHMEM
 
 __all__ = ["run_fig04"]
@@ -38,61 +37,36 @@ _CAS_CASES = (
 )
 
 
-def _point(params, seed):
-    machine = get_machine(params["machine"])
-    if params["kind"] == "flood":
-        r = run_flood(
-            machine, SHMEM, params["size"], params["msgs"],
-            iters=params["iters"],
-        )
-        return {
-            "bandwidth": r.bandwidth,
-            "latency_per_message": r.latency_per_message,
-        }
-    c = run_cas_flood(
-        machine, SHMEM, nranks=params["nranks"], target_rank=params["target"]
-    )
-    return {"ops": c["ops"], "latency_per_cas": c["latency_per_cas"]}
-
-
-def _spec(iters: int) -> SweepSpec:
-    points = [
-        {"kind": "flood", "machine": m, "msgs": n, "size": B, "iters": iters}
-        for m in _MACHINES
-        for n in _NS
-        for B in _SIZES
-    ]
-    points += [
-        {"kind": "cas", "label": label, "machine": m, "nranks": nranks,
-         "target": target}
-        for label, m, nranks, target in _CAS_CASES
-    ]
-    return SweepSpec(name="fig04", runner=_point, points=points)
-
-
 def run_fig04(*, iters: int = 2) -> ExperimentReport:
-    sweep = run_sweep(_spec(iters))
+    sweep = run_sweep(SweepSpec(
+        name="fig04",
+        runner=run_point,
+        points=[
+            {"workload": "flood", "machine": m, "msgs": n, "size": B, "iters": iters}
+            for m in _MACHINES
+            for n in _NS
+            for B in _SIZES
+        ] + [
+            {"workload": "cas", "label": label, "machine": m, "nranks": nranks,
+             "target_rank": target}
+            for label, m, nranks, target in _CAS_CASES
+        ],
+        common={"runtime": SHMEM},
+    ))
+    flood = index(
+        [r for r in sweep if r.params["workload"] == "flood"], "machine", "size", "msgs"
+    )
+    cas = index([r for r in sweep if r.params["workload"] == "cas"], "label")
     headers = ["machine", "B (bytes)", "msg/sync", "GB/s", "us/msg"]
-    rows = []
-    lat: dict[tuple[str, int, int], float] = {}
-    bw: dict[tuple[str, int, int], float] = {}
-    cas: dict[str, dict[str, float]] = {}
-    for r in sweep:
-        p = r.params
-        if p["kind"] == "flood":
-            rows.append(
-                [p["machine"], p["size"], p["msgs"],
-                 r.value["bandwidth"] / 1e9,
-                 r.value["latency_per_message"] * 1e6]
-            )
-            lat[(p["machine"], p["size"], p["msgs"])] = r.value["latency_per_message"]
-            bw[(p["machine"], p["size"], p["msgs"])] = r.value["bandwidth"]
-        else:
-            cas[p["label"]] = r.value
-            rows.append(
-                [f"CAS {p['label']}", 8, r.value["ops"], 0.0,
-                 r.value["latency_per_cas"] * 1e6]
-            )
+    rows = [
+        [*key, v["bandwidth"] / 1e9, v["latency_per_message"] * 1e6]
+        for key, v in flood.items()
+    ] + [
+        [f"CAS {label}", 8, v["ops"], 0.0, v["latency_per_cas"] * 1e6]
+        for label, v in cas.items()
+    ]
+    lat = {key: v["latency_per_message"] for key, v in flood.items()}
+    bw = {key: v["bandwidth"] for key, v in flood.items()}
 
     p1 = lat[("perlmutter-gpu", 64, 1)] * 1e6
     pn = lat[("perlmutter-gpu", 64, max(_NS))] * 1e6

@@ -16,10 +16,9 @@ stencil simulation.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.stencil import StencilConfig, run_stencil
 from repro.transport import TWO_SIDED, ONE_SIDED, SHMEM
 
 __all__ = ["run_fig05"]
@@ -41,43 +40,17 @@ _CASES = (
 )
 
 
-def _point(params, seed):
-    cfg = StencilConfig(
-        nx=params["nx"], ny=params["nx"], iters=params["iters"], mode="simulate"
-    )
-    res = run_stencil(
-        get_machine(params["machine"]), params["runtime"], cfg, params["P"]
-    )
-    return {
-        "time": res.time,
-        "halo_max": max(res.extras["halo_bytes"].values()),
-    }
-
-
-def _spec(nx: int, iters: int) -> SweepSpec:
-    return SweepSpec(
-        name="fig05",
-        runner=_point,
-        points=[
-            {"machine": m, "runtime": runtime, "P": P}
-            for m, runtime, P in _CASES
-        ],
-        common={"nx": nx, "iters": iters},
-    )
-
-
 def run_fig05(*, nx: int = 16384, iters: int = 5) -> ExperimentReport:
-    sweep = run_sweep(_spec(nx, iters))
+    sweep = run_sweep(SweepSpec(
+        name="fig05",
+        runner=run_point,
+        points=[{"machine": m, "runtime": runtime, "P": P} for m, runtime, P in _CASES],
+        common={"workload": "stencil", "nx": nx, "iters": iters},
+    ))
+    table = index(sweep, "machine", "runtime", "P")
     headers = ["machine", "variant", "P", "time (ms)", "msg bytes"]
-    rows = []
-    t: dict[tuple[str, str, int], float] = {}
-    for r in sweep:
-        p = r.params
-        t[(p["machine"], p["runtime"], p["P"])] = r.value["time"]
-        rows.append(
-            [p["machine"], p["runtime"], p["P"], r.value["time"] * 1e3,
-             r.value["halo_max"]]
-        )
+    rows = [[*key, v["time"] * 1e3, v["halo_max"]] for key, v in table.items()]
+    t = {key: v["time"] for key, v in table.items()}
 
     two_vs_one = [
         t[("perlmutter-cpu", ONE_SIDED, P)] / t[("perlmutter-cpu", TWO_SIDED, P)]

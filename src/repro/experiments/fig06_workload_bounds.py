@@ -18,11 +18,11 @@ two measured calibration points (a stencil-like flood and a CAS stream).
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.machines.registry import get_machine
 from repro.roofline import WorkloadProfile, bound_workload
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.flood import run_cas_flood, run_flood
 from repro.transport import TWO_SIDED, ONE_SIDED
 
 __all__ = ["run_fig06"]
@@ -42,66 +42,43 @@ _PROFILES = {
 
 
 def _point(params, seed):
-    machine = get_machine(params["machine"])
-    kind = params["kind"]
-    if kind == "bound":
-        prof = WorkloadProfile(
-            params["workload"],
-            tuple(params["sizes"]),
-            msgs_per_sync=params["msgs"],
-            pattern=params["pattern"],
-        )
-        wb = bound_workload(machine, params["runtime"], prof)
-        return {
-            "rows": [dict(r) for r in wb.rows()],
-            "time_per_sync": list(wb.time_per_sync),
-            # The bound at the profile's largest size and the stencil's 4
-            # msgs/sync — the convergence check's operand.
-            "bw_at_max_size_n4": float(
-                wb.roofline.bandwidth(max(params["sizes"]), 4)
-            ),
-        }
-    if kind == "flood":
-        r = run_flood(
-            machine, params["runtime"], params["size"], params["msgs"],
-            iters=params["iters"],
-        )
-        return {"bandwidth": r.bandwidth}
-    c = run_cas_flood(machine, params["runtime"])
-    return {"latency_per_cas": c["latency_per_cas"]}
-
-
-def _spec(iters: int) -> SweepSpec:
-    points = [
-        {"kind": "bound", "profile": name, "workload": wl, "sizes": list(sizes),
-         "msgs": msgs, "runtime": runtime, "pattern": pattern}
-        for name, (wl, sizes, msgs, runtime, pattern) in _PROFILES.items()
-    ]
-    points += [
-        {"kind": "flood", "runtime": TWO_SIDED, "size": 2**16, "msgs": 4,
-         "iters": iters},
-        {"kind": "cas", "runtime": ONE_SIDED},
-    ]
-    return SweepSpec(
-        name="fig06",
-        runner=_point,
-        points=points,
-        common={"machine": "perlmutter-cpu"},
+    """A profile's analytic bound; the two measured dots are workload runs."""
+    if "profile" not in params:
+        return run_point(params, seed)
+    prof = WorkloadProfile(
+        params["workload"],
+        tuple(params["sizes"]),
+        msgs_per_sync=params["msgs"],
+        pattern=params["pattern"],
     )
+    wb = bound_workload(get_machine(params["machine"]), params["runtime"], prof)
+    return {
+        "rows": [dict(r) for r in wb.rows()],
+        "time_per_sync": list(wb.time_per_sync),
+        # The bound at the profile's largest size and the stencil's 4
+        # msgs/sync — the convergence check's operand.
+        "bw_at_max_size_n4": float(wb.roofline.bandwidth(max(params["sizes"]), 4)),
+    }
 
 
 def run_fig06(*, iters: int = 2) -> ExperimentReport:
-    sweep = run_sweep(_spec(iters))
-    bounds: dict[str, dict] = {}
-    stencil_bw = cas_lat = None
-    for r in sweep:
-        kind = r.params["kind"]
-        if kind == "bound":
-            bounds[r.params["profile"]] = r.value
-        elif kind == "flood":
-            stencil_bw = r.value["bandwidth"]
-        else:
-            cas_lat = r.value["latency_per_cas"]
+    *bound_points, flood, cas = run_sweep(SweepSpec(
+        name="fig06",
+        runner=_point,
+        points=[
+            {"profile": name, "workload": wl, "sizes": list(sizes), "msgs": msgs,
+             "runtime": runtime, "pattern": pattern}
+            for name, (wl, sizes, msgs, runtime, pattern) in _PROFILES.items()
+        ] + [
+            {"workload": "flood", "runtime": TWO_SIDED, "size": 2**16, "msgs": 4,
+             "iters": iters},
+            {"workload": "cas", "runtime": ONE_SIDED},
+        ],
+        common={"machine": "perlmutter-cpu"},
+    ))
+    bounds = index(bound_points, "profile")
+    stencil_bw = flood.value["bandwidth"]
+    cas_lat = cas.value["latency_per_cas"]
 
     headers = ["profile", "B (bytes)", "msg/sync", "bound GB/s", "us/sync",
                "frac of peak"]

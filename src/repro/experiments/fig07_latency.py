@@ -12,7 +12,7 @@ the analytic rounded model.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
+from repro.experiments.report import ExperimentReport, index
 from repro.machines.registry import get_machine
 from repro.roofline import MessageRoofline
 from repro.sweep import SweepSpec, run_sweep
@@ -44,8 +44,8 @@ def _point(params, seed):
     return {"us_per_message": us}
 
 
-def _spec() -> SweepSpec:
-    return SweepSpec(
+def run_fig07() -> ExperimentReport:
+    sweep = run_sweep(SweepSpec(
         name="fig07",
         runner=_point,
         points=[
@@ -54,19 +54,15 @@ def _spec() -> SweepSpec:
             for mname, runtime in _MACHINE_RUNTIMES
             for wl, (B, n) in _WORKLOAD_POINTS.items()
         ],
-    )
-
-
-def run_fig07() -> ExperimentReport:
-    sweep = run_sweep(_spec())
+    ))
+    lat = {
+        key: v["us_per_message"] for key, v in index(sweep, "workload", "machine").items()
+    }
     headers = ["workload", "machine", "B (bytes)", "msg/sync", "us/message"]
-    rows = []
-    lat: dict[tuple[str, str], float] = {}
-    for r in sweep:
-        p = r.params
-        us = r.value["us_per_message"]
-        lat[(p["workload"], p["machine"])] = us
-        rows.append([p["workload"], p["machine"], int(p["size"]), p["msgs"], us])
+    rows = [
+        [wl, m, int(_WORKLOAD_POINTS[wl][0]), _WORKLOAD_POINTS[wl][1], us]
+        for (wl, m), us in lat.items()
+    ]
 
     expectations = {
         "hashtable latency < stencil latency (GPU)": (

@@ -19,10 +19,9 @@ points are independent and parallelise freely.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point, sptrsv_matrix
+from repro.experiments.report import ExperimentReport, index
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
 from repro.transport import TWO_SIDED, ONE_SIDED, SHMEM
 
 __all__ = ["run_fig08"]
@@ -36,46 +35,16 @@ _CASES = (
 )
 
 
-def _matrix(params):
-    return generate_matrix(
-        MatrixSpec(
-            n_supernodes=params["n_supernodes"],
-            width_lo=3,
-            width_hi=130,
-            seed=params["seed"],
-        )
-    )
-
-
-def _point(params, seed):
-    res = run_sptrsv(
-        get_machine(params["machine"]), params["runtime"], _matrix(params),
-        params["P"],
-    )
-    return {"time": res.time}
-
-
-def _spec(n_supernodes: int, seed: int) -> SweepSpec:
-    return SweepSpec(
-        name="fig08",
-        runner=_point,
-        points=[
-            {"machine": m, "runtime": runtime, "P": P}
-            for m, runtime, P in _CASES
-        ],
-        common={"n_supernodes": n_supernodes, "seed": seed},
-    )
-
-
 def run_fig08(*, n_supernodes: int = 220, seed: int = 2) -> ExperimentReport:
-    sweep = run_sweep(_spec(n_supernodes, seed))
+    sweep = run_sweep(SweepSpec(
+        name="fig08",
+        runner=run_point,
+        points=[{"machine": m, "runtime": runtime, "P": P} for m, runtime, P in _CASES],
+        common={"workload": "sptrsv", "n_supernodes": n_supernodes, "seed": seed},
+    ))
+    t = {key: v["time"] for key, v in index(sweep, "machine", "runtime", "P").items()}
     headers = ["machine", "variant", "P", "time (ms)"]
-    rows = []
-    t: dict[tuple[str, str, int], float] = {}
-    for r in sweep:
-        p = r.params
-        t[(p["machine"], p["runtime"], p["P"])] = r.value["time"]
-        rows.append([p["machine"], p["runtime"], p["P"], r.value["time"] * 1e3])
+    rows = [[*key, time * 1e3] for key, time in t.items()]
 
     ratio_4gpu = t[("summit-gpu", SHMEM, 4)] / t[("perlmutter-gpu", SHMEM, 4)]
     expectations = {
@@ -104,8 +73,8 @@ def run_fig08(*, n_supernodes: int = 220, seed: int = 2) -> ExperimentReport:
             > t[("summit-cpu", TWO_SIDED, 32)] * 0.93
         ),
     }
-    # Regenerate once (deterministic) for the title's size/nnz stamp.
-    matrix = _matrix({"n_supernodes": n_supernodes, "seed": seed})
+    # The points' matrix (memoised) stamps the title's size/nnz.
+    matrix = sptrsv_matrix(n_supernodes, seed)
     return ExperimentReport(
         experiment="fig08",
         title="SpTRSV time (synthetic supernodal matrix, "

@@ -16,10 +16,9 @@ Each (machine, runtime, P) case is an independent sweep point.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.hashtable import HashTableConfig, run_hashtable
 from repro.transport import TWO_SIDED, ONE_SIDED, SHMEM
 
 __all__ = ["run_fig09"]
@@ -32,40 +31,17 @@ _CASES = (
 )
 
 
-def _point(params, seed):
-    cfg = HashTableConfig(
-        total_inserts=params["total_inserts"], seed=params["seed"]
-    )
-    res = run_hashtable(
-        get_machine(params["machine"]), params["runtime"], cfg, params["P"]
-    )
-    return {"time": res.time, "gups": res.extras["gups"]}
-
-
-def _spec(total_inserts: int, seed: int) -> SweepSpec:
-    return SweepSpec(
-        name="fig09",
-        runner=_point,
-        points=[
-            {"machine": m, "runtime": runtime, "P": P}
-            for m, runtime, P in _CASES
-        ],
-        common={"total_inserts": total_inserts, "seed": seed},
-    )
-
-
 def run_fig09(*, total_inserts: int = 8000, seed: int = 5) -> ExperimentReport:
-    sweep = run_sweep(_spec(total_inserts, seed))
+    sweep = run_sweep(SweepSpec(
+        name="fig09",
+        runner=run_point,
+        points=[{"machine": m, "runtime": runtime, "P": P} for m, runtime, P in _CASES],
+        common={"workload": "hashtable", "total_inserts": total_inserts, "seed": seed},
+    ))
+    table = index(sweep, "machine", "runtime", "P")
     headers = ["machine", "variant", "P", "time (ms)", "KUPS"]
-    rows = []
-    t: dict[tuple[str, str, int], float] = {}
-    for r in sweep:
-        p = r.params
-        t[(p["machine"], p["runtime"], p["P"])] = r.value["time"]
-        rows.append(
-            [p["machine"], p["runtime"], p["P"], r.value["time"] * 1e3,
-             r.value["gups"] * 1e6]
-        )
+    rows = [[*key, v["time"] * 1e3, v["gups"] * 1e6] for key, v in table.items()]
+    t = {key: v["time"] for key, v in table.items()}
 
     speedup_128 = (
         t[("perlmutter-cpu", TWO_SIDED, 128)]

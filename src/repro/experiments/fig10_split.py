@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.job import Job
-from repro.experiments.report import ExperimentReport
+from repro.experiments.report import ExperimentReport, index
 from repro.machines.registry import get_machine
 from repro.roofline import SplitModel
 from repro.sweep import SweepSpec, run_sweep
@@ -57,23 +57,15 @@ def _point(params, seed):
     return {"time": res.results[1]}
 
 
-def _spec(k: int) -> SweepSpec:
-    return SweepSpec(
-        name="fig10",
-        runner=_point,
-        axes={"volume": _VOLUMES, "split": (1, k)},
-        common={"machine": "perlmutter-gpu"},
-    )
-
-
 def run_fig10(*, k: int = 4, measured: bool = True) -> ExperimentReport:
     model = SplitModel.from_machine(get_machine("perlmutter-gpu"), "gpu0", "gpu1")
-    measured_time: dict[tuple[int, int], float] = {}
     if measured:
-        for r in run_sweep(_spec(k)):
-            measured_time[(r.params["volume"], r.params["split"])] = (
-                r.value["time"]
-            )
+        measured_time = index(run_sweep(SweepSpec(
+            name="fig10",
+            runner=_point,
+            axes={"volume": _VOLUMES, "split": (1, k)},
+            common={"machine": "perlmutter-gpu"},
+        )), "volume", "split")
 
     headers = ["volume (bytes)", "model 1-msg (us)", f"model {k}-msg (us)",
                "model speedup", "measured speedup"]
@@ -84,7 +76,7 @@ def run_fig10(*, k: int = 4, measured: bool = True) -> ExperimentReport:
         tk = float(model.time(V, k))
         m = float("nan")
         if measured:
-            m = measured_time[(V, 1)] / measured_time[(V, k)]
+            m = measured_time[(V, 1)]["time"] / measured_time[(V, k)]["time"]
             measured_speedups[V] = m
         rows.append([V, t1 * 1e6, tk * 1e6, t1 / tk, m])
 

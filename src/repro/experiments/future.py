@@ -23,12 +23,9 @@ regenerated deterministically inside the runner.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.hashtable import HashTableConfig, run_hashtable
-from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
-from repro.workloads.stencil import StencilConfig, run_stencil
 from repro.transport import SHMEM
 
 __all__ = ["run_future_frontier"]
@@ -40,46 +37,29 @@ _MACHINES = (
 )
 
 
-def _point(params, seed):
-    machine = get_machine(params["machine"])
-    workload, P = params["workload"], params["P"]
-    if workload == "stencil":
-        cfg = StencilConfig(nx=8192, ny=8192, iters=5, mode="simulate")
-        res = run_stencil(machine, SHMEM, cfg, P)
-    elif workload == "sptrsv":
-        matrix = generate_matrix(
-            MatrixSpec(n_supernodes=160, width_lo=3, width_hi=130, seed=6)
-        )
-        res = run_sptrsv(machine, SHMEM, matrix, P)
-    else:
-        res = run_hashtable(
-            machine, SHMEM, HashTableConfig(total_inserts=4000, seed=6), P
-        )
-    return {"time": res.time}
-
-
-def _spec() -> SweepSpec:
-    return SweepSpec(
-        name="future_frontier",
-        runner=_point,
-        points=[
-            {"machine": mname, "label": label, "P": P, "workload": wl}
-            for mname, label in _MACHINES
-            for P in (1, 4)
-            for wl in ("stencil", "sptrsv", "hashtable")
-        ],
-    )
+# Workload -> its arguments beyond machine, runtime and P.
+_WORKLOADS = {
+    "stencil": {"nx": 8192, "iters": 5},
+    "sptrsv": {"n_supernodes": 160, "seed": 6},
+    "hashtable": {"total_inserts": 4000, "seed": 6},
+}
 
 
 def run_future_frontier() -> ExperimentReport:
-    sweep = run_sweep(_spec())
+    sweep = run_sweep(SweepSpec(
+        name="future_frontier",
+        runner=run_point,
+        points=[
+            {"machine": mname, "label": label, "P": P, "workload": wl, **args}
+            for mname, label in _MACHINES
+            for P in (1, 4)
+            for wl, args in _WORKLOADS.items()
+        ],
+        common={"runtime": SHMEM},
+    ))
+    t = {key: v["time"] for key, v in index(sweep, "workload", "label", "P").items()}
     headers = ["workload", "machine", "P", "time (ms)"]
-    rows = []
-    t: dict[tuple[str, str, int], float] = {}
-    for r in sweep:
-        p = r.params
-        t[(p["workload"], p["label"], p["P"])] = r.value["time"]
-        rows.append([p["workload"], p["label"], p["P"], r.value["time"] * 1e3])
+    rows = [[*key, time * 1e3] for key, time in t.items()]
 
     sptrsv_pm = t[("sptrsv", "perlmutter-gpu", 4)]
     sptrsv_fr = t[("sptrsv", "frontier-gpu*", 4)]

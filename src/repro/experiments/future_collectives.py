@@ -24,7 +24,7 @@ Every (machine, size, variant) cell is one sweep point.
 from __future__ import annotations
 
 from repro.collectives import run_collective
-from repro.experiments.report import ExperimentReport
+from repro.experiments.report import ExperimentReport, index
 from repro.machines.registry import get_machine
 from repro.sweep import SweepSpec, run_sweep
 from repro.transport import SHMEM, TWO_SIDED
@@ -53,8 +53,8 @@ def _point(params, seed):
     return {"time": r.time, "algo_bandwidth": r.bus_bandwidth}
 
 
-def _spec() -> SweepSpec:
-    return SweepSpec(
+def run_future_collectives() -> ExperimentReport:
+    table = index(run_sweep(SweepSpec(
         name="future_collectives",
         runner=_point,
         axes={
@@ -67,21 +67,12 @@ def _spec() -> SweepSpec:
         # same findings, but timings come from the shared transport-verb
         # schedules (old cached v1 cells measured the hand-rolled ring).
         version=2,
-    )
-
-
-def run_future_collectives() -> ExperimentReport:
-    sweep = run_sweep(_spec())
+    )), "machine", "variant", "nelems")
     headers = ["machine", "variant", "elements", "time (us)", "algo GB/s"]
-    rows = []
-    t: dict[tuple[str, str, int], float] = {}
-    for r in sweep:
-        p = r.params
-        t[(p["machine"], p["variant"], p["nelems"])] = r.value["time"]
-        rows.append(
-            [p["machine"], p["variant"], p["nelems"], r.value["time"] * 1e6,
-             r.value["algo_bandwidth"] / 1e9]
-        )
+    rows = [
+        [*key, v["time"] * 1e6, v["algo_bandwidth"] / 1e9] for key, v in table.items()
+    ]
+    t = {key: v["time"] for key, v in table.items()}
 
     big = _SIZES[-1]
     small = _SIZES[0]

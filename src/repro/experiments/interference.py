@@ -28,7 +28,7 @@ bit-identical across runs — CI diffs two back-to-back executions.
 from __future__ import annotations
 
 from repro.cluster import Cluster, attach_bully, attach_victim, sample_quantile
-from repro.experiments.report import ExperimentReport
+from repro.experiments.report import ExperimentReport, index
 from repro.net.congestion import CongestionConfig
 from repro.sweep import SweepSpec, run_sweep
 
@@ -78,39 +78,20 @@ def _point(params, seed):
     }
 
 
-def _spec() -> SweepSpec:
-    points = [
-        {
-            "machine": _MACHINE,
-            "placement": placement,
-            "routing": "minimal",
-            "bully": False,
-            "congestion": True,
-            "seed": _SEED,
-        }
-        for placement in PLACEMENTS
-    ]
-    points += [
-        {
-            "machine": _MACHINE,
-            "placement": placement,
-            "routing": routing,
-            "bully": True,
-            "congestion": True,
-            "seed": _SEED,
-        }
-        for placement in PLACEMENTS
-        for routing in ROUTINGS
-    ]
-    return SweepSpec(name="interference", runner=_point, points=points)
-
-
 def run_interference() -> ExperimentReport:
-    sweep = run_sweep(_spec())
-    values: dict[tuple, dict] = {
-        (r.params["placement"], r.params["routing"], r.params["bully"]): r.value
-        for r in sweep
-    }
+    values = index(run_sweep(SweepSpec(
+        name="interference",
+        runner=_point,
+        points=[
+            {"placement": placement, "routing": "minimal", "bully": False}
+            for placement in PLACEMENTS
+        ] + [
+            {"placement": placement, "routing": routing, "bully": True}
+            for placement in PLACEMENTS
+            for routing in ROUTINGS
+        ],
+        common={"machine": _MACHINE, "congestion": True, "seed": _SEED},
+    )), "placement", "routing", "bully")
 
     headers = [
         "placement", "routing", "bully",

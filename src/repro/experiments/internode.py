@@ -18,11 +18,9 @@ name plus a :data:`~repro.machines.cluster.FABRICS` key.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.cluster import FABRICS, make_cluster
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads.flood import run_flood
 from repro.transport import TWO_SIDED, ONE_SIDED
 
 __all__ = ["run_internode"]
@@ -36,54 +34,28 @@ _CASES = (
 )
 
 
-def _point(params, seed):
-    machine = get_machine(params["machine"])
-    if params["fabric_key"] is not None:
-        machine = make_cluster(machine, 2, FABRICS[params["fabric_key"]])
-    r = run_flood(
-        machine, params["runtime"], params["size"], params["msgs"],
-        iters=params["iters"], placement=params["placement"],
-    )
-    return {"bandwidth": r.bandwidth, "latency": r.latency_per_message}
-
-
-def _spec(iters: int) -> SweepSpec:
-    return SweepSpec(
+def run_internode(*, iters: int = 2) -> ExperimentReport:
+    sweep = run_sweep(SweepSpec(
         name="internode",
-        runner=_point,
+        runner=run_point,
         points=[
-            {"fabric": fabric, "machine": base, "fabric_key": key,
+            {"fabric": fabric, "machine": base, "interconnect": key,
              "placement": placement, "runtime": runtime, "size": B, "msgs": n}
             for fabric, base, key, placement in _CASES
             for runtime in (TWO_SIDED, ONE_SIDED)
             for B in (64, 65536, 4194304)
             for n in (1, 256)
         ],
-        common={"iters": iters},
-    )
-
-
-def run_internode(*, iters: int = 2) -> ExperimentReport:
-    sweep = run_sweep(_spec(iters))
+        common={"workload": "flood", "iters": iters},
+    ))
+    table = index(sweep, "fabric", "runtime", "size", "msgs")
     headers = ["fabric", "runtime", "B (bytes)", "msg/sync", "GB/s", "us/msg"]
-    rows = []
-    bw: dict[tuple[str, str, int, int], float] = {}
-    lat: dict[tuple[str, str, int, int], float] = {}
-    for r in sweep:
-        p = r.params
-        key = (p["fabric"], p["runtime"], p["size"], p["msgs"])
-        bw[key] = r.value["bandwidth"]
-        lat[key] = r.value["latency"]
-        rows.append(
-            [
-                p["fabric"],
-                p["runtime"],
-                p["size"],
-                p["msgs"],
-                r.value["bandwidth"] / 1e9,
-                r.value["latency"] * 1e6,
-            ]
-        )
+    rows = [
+        [*key, v["bandwidth"] / 1e9, v["latency_per_message"] * 1e6]
+        for key, v in table.items()
+    ]
+    bw = {key: v["bandwidth"] for key, v in table.items()}
+    lat = {key: v["latency_per_message"] for key, v in table.items()}
 
     big, hi_n = 4194304, 256
     expectations = {

@@ -20,11 +20,10 @@ exceeds the port-group peak it runs on.
 
 from __future__ import annotations
 
-from repro.experiments.report import ExperimentReport
-from repro.machines.registry import get_machine
+from repro.experiments.points import run_point
+from repro.experiments.report import ExperimentReport, index
 from repro.sweep import SweepSpec, run_sweep
 from repro.transport import SHMEM, TWO_SIDED
-from repro.workloads.ml import run_kv_transfer, run_moe_dispatch, run_training_step
 
 __all__ = ["run_ml_training", "run_ml_moe", "run_ml_inference"]
 
@@ -44,40 +43,19 @@ _GRADS = (1 << 20, 16 << 20)
 _TOKENS = (512, 8192)
 
 
-def _training_point(params, seed):
-    r = run_training_step(
-        get_machine(params["machine"]), params["runtime"],
-        nranks=params["P"], grad_bytes=params["grad_bytes"],
-        tokens_per_rank=params["tokens"],
-    )
-    return {
-        "time": r.time,
-        "comm_time": r.comm_time,
-        "comm_fraction": r.comm_fraction,
-        "algorithm": r.algorithm,
-    }
-
-
 def run_ml_training() -> ExperimentReport:
-    sweep = run_sweep(SweepSpec(
+    cell = index(run_sweep(SweepSpec(
         name="ml_training",
-        runner=_training_point,
+        runner=run_point,
         axes={"runtime": _RUNTIMES, "grad_bytes": _GRADS, "tokens": _TOKENS},
-        common={"machine": _MACHINE, "P": _P},
-    ))
-    t, frac, comm = {}, {}, {}
-    rows = []
-    for r in sweep:
-        p = r.params
-        key = (p["runtime"], p["grad_bytes"], p["tokens"])
-        t[key] = r.value["time"]
-        frac[key] = r.value["comm_fraction"]
-        comm[key] = r.value["comm_time"]
-        rows.append([
-            p["runtime"], r.value["algorithm"], p["grad_bytes"] >> 20,
-            p["tokens"], r.value["time"] * 1e6,
-            100 * r.value["comm_fraction"],
-        ])
+        common={"workload": "training", "machine": _MACHINE, "P": _P},
+    )), "runtime", "grad_bytes", "tokens")
+    rows = [
+        [rt, v["algorithm"], g >> 20, k, v["time"] * 1e6, 100 * v["comm_fraction"]]
+        for (rt, g, k), v in cell.items()
+    ]
+    t = {key: v["time"] for key, v in cell.items()}
+    frac = {key: v["comm_fraction"] for key, v in cell.items()}
     wire = 2 * (_P - 1) / _P  # allreduce wire bytes per payload byte
     expectations = {
         "GPU-initiated transport never loses a cell": all(
@@ -93,8 +71,8 @@ def run_ml_training() -> ExperimentReport:
             for rt in _RUNTIMES for g in _GRADS
         ),
         "implied allreduce bandwidth stays under the port-group peak": all(
-            wire * g / c <= _PORT_GROUP_PEAK
-            for (rt, g, k), c in comm.items()
+            wire * g / v["comm_time"] <= _PORT_GROUP_PEAK
+            for (rt, g, k), v in cell.items()
         ),
     }
     return ExperimentReport(
@@ -119,39 +97,20 @@ _HIDDEN = (64, 512)
 _MOE_TOKENS = (256, 2048)
 
 
-def _moe_point(params, seed):
-    r = run_moe_dispatch(
-        get_machine(params["machine"]), params["runtime"],
-        nranks=params["P"], tokens_per_rank=params["tokens"],
-        hidden=params["hidden"],
-    )
-    return {
-        "time": r.time,
-        "comm_fraction": r.comm_fraction,
-        "tokens_per_s": r.tokens_per_s,
-        "algorithm": r.algorithm,
-    }
-
-
 def run_ml_moe() -> ExperimentReport:
-    sweep = run_sweep(SweepSpec(
+    cell = index(run_sweep(SweepSpec(
         name="ml_moe",
-        runner=_moe_point,
+        runner=run_point,
         axes={"runtime": _RUNTIMES, "hidden": _HIDDEN, "tokens": _MOE_TOKENS},
-        common={"machine": _MACHINE, "P": _P},
-    ))
-    t, frac = {}, {}
-    rows = []
-    for r in sweep:
-        p = r.params
-        key = (p["runtime"], p["hidden"], p["tokens"])
-        t[key] = r.value["time"]
-        frac[key] = r.value["comm_fraction"]
-        rows.append([
-            p["runtime"], r.value["algorithm"], p["hidden"], p["tokens"],
-            r.value["time"] * 1e6, 100 * r.value["comm_fraction"],
-            r.value["tokens_per_s"] / 1e6,
-        ])
+        common={"workload": "moe", "machine": _MACHINE, "P": _P},
+    )), "runtime", "hidden", "tokens")
+    rows = [
+        [rt, v["algorithm"], h, k, v["time"] * 1e6, 100 * v["comm_fraction"],
+         v["tokens_per_s"] / 1e6]
+        for (rt, h, k), v in cell.items()
+    ]
+    t = {key: v["time"] for key, v in cell.items()}
+    frac = {key: v["comm_fraction"] for key, v in cell.items()}
     expectations = {
         "GPU-initiated transport never loses a cell": all(
             t[(SHMEM, h, k)] <= t[(TWO_SIDED, h, k)]
@@ -188,40 +147,21 @@ def run_ml_moe() -> ExperimentReport:
 _CONTEXTS = (512, 4096)
 
 
-def _inference_point(params, seed):
-    r = run_kv_transfer(
-        get_machine(params["machine"]), params["runtime"],
-        nranks=params["P"], context_tokens=params["context"],
-    )
-    return {
-        "transfer_time": r.transfer_time,
-        "transfer_bandwidth": r.transfer_bandwidth,
-        "ttft": r.ttft,
-        "kv_bytes": r.kv_bytes,
-        "algorithm": r.algorithm,
-    }
-
-
 def run_ml_inference() -> ExperimentReport:
-    sweep = run_sweep(SweepSpec(
+    cell = index(run_sweep(SweepSpec(
         name="ml_inference",
-        runner=_inference_point,
+        runner=run_point,
         axes={"runtime": _RUNTIMES, "context": _CONTEXTS},
-        common={"machine": _MACHINE, "P": _P},
-    ))
-    xfer, bw, ttft = {}, {}, {}
-    rows = []
-    for r in sweep:
-        p = r.params
-        key = (p["runtime"], p["context"])
-        xfer[key] = r.value["transfer_time"]
-        bw[key] = r.value["transfer_bandwidth"]
-        ttft[key] = r.value["ttft"]
-        rows.append([
-            p["runtime"], r.value["algorithm"], p["context"],
-            r.value["kv_bytes"] / (1 << 20), r.value["transfer_time"] * 1e6,
-            r.value["transfer_bandwidth"] / 1e9, r.value["ttft"] * 1e6,
-        ])
+        common={"workload": "kv", "machine": _MACHINE, "P": _P},
+    )), "runtime", "context")
+    rows = [
+        [rt, v["algorithm"], c, v["kv_bytes"] / (1 << 20), v["transfer_time"] * 1e6,
+         v["transfer_bandwidth"] / 1e9, v["ttft"] * 1e6]
+        for (rt, c), v in cell.items()
+    ]
+    xfer = {key: v["transfer_time"] for key, v in cell.items()}
+    bw = {key: v["transfer_bandwidth"] for key, v in cell.items()}
+    ttft = {key: v["ttft"] for key, v in cell.items()}
     expectations = {
         "KV hand-off grows with context": all(
             xfer[(rt, _CONTEXTS[0])] < xfer[(rt, _CONTEXTS[1])]

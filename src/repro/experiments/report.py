@@ -8,7 +8,15 @@ from typing import Any
 
 from repro.util.tables import format_table
 
-__all__ = ["ExperimentReport"]
+__all__ = ["ExperimentReport", "index"]
+
+
+def index(sweep, *keys) -> dict:
+    """Each point's value keyed by its params at ``keys`` (a bare value for
+    one key, a tuple for several), in the sweep's grid order."""
+    if len(keys) == 1:
+        return {r.params[keys[0]]: r.value for r in sweep}
+    return {tuple(r.params[k] for k in keys): r.value for r in sweep}
 
 
 @dataclass

@@ -42,7 +42,7 @@ from repro.cluster import (
     run_recoverable_training,
     sample_quantile,
 )
-from repro.experiments.report import ExperimentReport
+from repro.experiments.report import ExperimentReport, index
 from repro.faults import FaultError, FaultPlan, NodeFaults, RouterFaults
 from repro.net import FailoverRouting
 from repro.sweep import SweepSpec, run_sweep
@@ -143,107 +143,63 @@ def _point(params, seed):
     return _train_point(params)
 
 
-def _spec() -> SweepSpec:
-    points = [
-        {
-            "mode": "victim",
-            "machine": _MACHINE,
-            "routing": routing,
-            "fault": fault,
-            "seed": _SEED,
-        }
-        for routing in ("minimal", "failover")
-        for fault in (False, True)
-    ]
-    # Blast radius + cascade: packed vs scattered, 1 vs 2 failures.
-    points += [
-        {
-            "mode": "train",
-            "machine": _MACHINE,
-            "placement": placement,
-            "interval": 2,
-            "ckpt_cost": 0.0,
-            "faults": faults,
-            "seed": _SEED,
-        }
-        for placement, faults in (
-            ("packed", 1),
-            ("scattered", 1),
-            ("packed", 2),
-        )
-    ]
-    # Time-to-recovery vs checkpoint interval (cost 0 keeps the failure
-    # landing at the same simulated instant for every interval).
-    points += [
-        {
-            "mode": "train",
-            "machine": _MACHINE,
-            "placement": "packed",
-            "interval": interval,
-            "ckpt_cost": 0.0,
-            "faults": 1,
-            "seed": _SEED,
-        }
-        for interval in (1, 4)
-    ]
-    # Checkpoint overhead with no failure: the insurance premium.
-    points += [
-        {
-            "mode": "train",
-            "machine": _MACHINE,
-            "placement": "packed",
-            "interval": interval,
-            "ckpt_cost": 20e-6,
-            "faults": 0,
-            "seed": _SEED,
-        }
-        for interval in (1, 4)
-    ]
-    return SweepSpec(name="resilience", runner=_point, points=points)
-
-
-def _train_key(params) -> tuple:
-    return (
-        params["placement"],
-        params["interval"],
-        params["ckpt_cost"],
-        params["faults"],
-    )
-
-
 def run_resilience() -> ExperimentReport:
-    sweep = run_sweep(_spec())
-    victims: dict[tuple, dict] = {}
-    trains: dict[tuple, dict] = {}
-    for r in sweep:
-        if r.params["mode"] == "victim":
-            victims[(r.params["routing"], r.params["fault"])] = r.value
-        else:
-            trains[_train_key(r.params)] = r.value
+    sweep = run_sweep(SweepSpec(
+        name="resilience",
+        runner=_point,
+        points=[
+            {"mode": "victim", "routing": routing, "fault": fault}
+            for routing in ("minimal", "failover")
+            for fault in (False, True)
+        ] + [
+            {"mode": "train", "placement": placement, "interval": interval,
+             "ckpt_cost": ckpt_cost, "faults": faults}
+            for placement, interval, ckpt_cost, faults in (
+                # Blast radius + cascade: packed vs scattered, 1 vs 2 failures.
+                ("packed", 2, 0.0, 1),
+                ("scattered", 2, 0.0, 1),
+                ("packed", 2, 0.0, 2),
+                # Time-to-recovery vs checkpoint interval (cost 0 keeps the
+                # failure landing at the same simulated instant for every
+                # interval).
+                ("packed", 1, 0.0, 1),
+                ("packed", 4, 0.0, 1),
+                # Checkpoint overhead with no failure: the insurance premium.
+                ("packed", 1, 20e-6, 0),
+                ("packed", 4, 20e-6, 0),
+            )
+        ],
+        common={"machine": _MACHINE, "seed": _SEED},
+    ))
+    victims = index(
+        [r for r in sweep if r.params["mode"] == "victim"], "routing", "fault"
+    )
+    trains = index(
+        [r for r in sweep if r.params["mode"] == "train"],
+        "placement", "interval", "ckpt_cost", "faults",
+    )
 
     headers = [
         "job", "routing", "placement", "faults", "ckpt", "completed",
         "p99 (us)", "blast", "replayed", "recovery (us)", "makespan (us)",
     ]
     rows = []
-    for routing in ("minimal", "failover"):
-        for fault in (False, True):
-            v = victims[(routing, fault)]
-            rows.append(
-                [
-                    "victim",
-                    routing,
-                    "pinned n2/n6",
-                    "g1r0" if fault else "none",
-                    "-",
-                    "yes" if v["completed"] else "NO",
-                    round(v["p99"] * 1e6, 4) if v["nmsgs"] else "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                ]
-            )
+    for (routing, fault), v in victims.items():
+        rows.append(
+            [
+                "victim",
+                routing,
+                "pinned n2/n6",
+                "g1r0" if fault else "none",
+                "-",
+                "yes" if v["completed"] else "NO",
+                round(v["p99"] * 1e6, 4) if v["nmsgs"] else "-",
+                "-",
+                "-",
+                "-",
+                "-",
+            ]
+        )
     for key in sorted(trains, key=lambda k: (k[3], k[0], k[1], k[2])):
         placement, interval, cost, faults = key
         t = trains[key]

@@ -21,17 +21,13 @@ def _table1_point(params, seed):
     return {"row": row, "describe": get_machine(name).describe()}
 
 
-def _table1_spec() -> SweepSpec:
-    return SweepSpec(
+def run_table1() -> ExperimentReport:
+    """Regenerate Table I from the machine registry."""
+    sweep = run_sweep(SweepSpec(
         name="table1",
         runner=_table1_point,
         points=[{"machine": name} for name in machine_names()],
-    )
-
-
-def run_table1() -> ExperimentReport:
-    """Regenerate Table I from the machine registry."""
-    sweep = run_sweep(_table1_spec())
+    ))
     rows = [
         [v["machine"], v["gpus"], v["cpus/cores"], v["runtimes"], v["links"]]
         for v in (r.value["row"] for r in sweep)
@@ -71,17 +67,11 @@ def _table2_point(params, seed):
     }
 
 
-def _table2_spec(machine_name: str) -> SweepSpec:
-    return SweepSpec(
-        name="table2",
-        runner=_table2_point,
-        points=[{"machine": machine_name}],
-    )
-
-
 def run_table2(machine_name: str = "perlmutter-cpu") -> ExperimentReport:
     """Regenerate Table II from instrumented workload runs."""
-    (result,) = run_sweep(_table2_spec(machine_name))
+    (result,) = run_sweep(SweepSpec(
+        name="table2", runner=_table2_point, points=[{"machine": machine_name}]
+    ))
     rows = [list(cells) for cells in result.value["cells"]]
     facts = result.value["facts"]
     expectations = {

@@ -30,6 +30,7 @@ __all__ = [
     "MACHINES",
     "PROJECTIONS",
     "get_machine",
+    "get_topology",
     "machine_fingerprint",
     "machine_names",
     "table1_row",
@@ -52,21 +53,32 @@ PROJECTIONS: dict[str, Callable[[], MachineModel]] = {
 }
 
 
-# Cluster name grammar: "{base}-x{N}" is an N-node star-switch cluster of
-# the registered node model {base}; an optional "@generator(args)" suffix
-# swaps the star for a generated router fabric, e.g.
-# "perlmutter-cpu-x8@dragonfly(2,2,2)", "summit-cpu-x4@fattree(4)",
+# Generator expression grammar: "dragonfly(g,r,n)", "fattree(k)",
+# "torus(d0,d1,...)".  Cluster name grammar: "{base}-x{N}" is an N-node
+# star-switch cluster of the registered node model {base}; an optional
+# "@generator(args)" suffix swaps the star for a generated router fabric,
+# e.g. "perlmutter-cpu-x8@dragonfly(2,2,2)", "summit-cpu-x4@fattree(4)",
 # "frontier-cpu-x4@torus(2,2)".
-_CLUSTER_RE = re.compile(
-    r"^(?P<base>.+)-x(?P<n>\d+)"
-    r"(?:@(?P<gen>dragonfly|fattree|torus)\((?P<args>\d+(?:,\d+)*)\))?$"
-)
+_GENERATOR = r"(?P<gen>dragonfly|fattree|torus)\((?P<args>\d+(?:,\d+)*)\)"
+_GENERATOR_RE = re.compile(rf"^{_GENERATOR}$")
+_CLUSTER_RE = re.compile(rf"^(?P<base>.+)-x(?P<n>\d+)(?:@{_GENERATOR})?$")
 
 _GENERATORS: dict[str, Callable[..., object]] = {
     "dragonfly": lambda *a: dragonfly(*a),
     "fattree": lambda *a: fat_tree(*a),
     "torus": lambda *a: torus(a),
 }
+
+
+def _generated(m: re.Match, name: str):
+    """The fabric blueprint a matched generator expression builds."""
+    args = tuple(int(x) for x in m.group("args").split(","))
+    try:
+        return _GENERATORS[m.group("gen")](*args)
+    except TypeError:
+        raise ValueError(
+            f"bad generator arity in {name!r}: {m.group('gen')}({m.group('args')})"
+        ) from None
 
 
 def _cluster_from_name(name: str) -> MachineModel | None:
@@ -76,17 +88,17 @@ def _cluster_from_name(name: str) -> MachineModel | None:
     factory = MACHINES.get(m.group("base")) or PROJECTIONS.get(m.group("base"))
     if factory is None:
         return None
-    fabric = None
-    if m.group("gen") is not None:
-        args = tuple(int(x) for x in m.group("args").split(","))
-        try:
-            fabric = _GENERATORS[m.group("gen")](*args)
-        except TypeError:
-            raise ValueError(
-                f"bad generator arity in machine name {name!r}: "
-                f"{m.group('gen')}({m.group('args')})"
-            ) from None
+    fabric = _generated(m, name) if m.group("gen") is not None else None
     return make_cluster(factory(), int(m.group("n")), fabric=fabric, name=name)
+
+
+def get_topology(name: str):
+    """The topology of a machine name, or of a bare generator expression
+    (``"dragonfly(4,2,2)"``) built without a machine around it."""
+    m = _GENERATOR_RE.match(name)
+    if m is not None:
+        return _generated(m, name).topology
+    return get_machine(name).topology
 
 
 def get_machine(name: str) -> MachineModel:

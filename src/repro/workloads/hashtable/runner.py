@@ -272,6 +272,8 @@ def run_hashtable(
     Execute-mode verification data (all stored values) is returned in
     ``extras["values"]``; ``extras["gups"]`` holds giga-updates/s.
     """
+    if nranks < 1:
+        raise ValueError(f"nranks must be >= 1, got {nranks}")
     geom = TableGeometry.for_inserts(
         nranks, cfg.total_inserts, load_factor=cfg.load_factor
     )

@@ -263,6 +263,8 @@ def run_sptrsv(
     placement: str | None = None,
 ) -> WorkloadResult:
     """Run the distributed solve; execute mode returns ``extras["x"]``."""
+    if nranks < 1:
+        raise ValueError(f"nranks must be >= 1, got {nranks}")
     layout = layout if layout is not None else BlockCyclicLayout.square_ish(nranks)
     if layout.nranks != nranks:
         raise ValueError(f"layout {layout.pr}x{layout.pc} != nranks {nranks}")

@@ -179,11 +179,22 @@ class TestAmbientKeys:
     ):
         """Digest generated at PR 18 (8ffd377) for fig05's first point with
         the machine fingerprint pinned: existing ``.repro-cache/`` entries
-        stay valid.  It moves only with ``repro.__version__`` or the payload."""
-        from repro.experiments.fig05_stencil import _spec as fig05_spec
+        stay valid.  It moves only with ``repro.__version__`` or the payload.
+        The payload is spelled out as fig05 then keyed it (its own runner,
+        ``fig05_stencil:_point``); fig05's points now key under the shared
+        ``run_point``, so this pins the key derivation, not fig05."""
 
+        def point(params, seed):
+            raise AssertionError("keying a point never runs it")
+
+        point.__module__, point.__qualname__ = "repro.experiments.fig05_stencil", "_point"
         monkeypatch.setattr(cache_mod, "machine_fingerprint", lambda name: "pinned")
-        spec = fig05_spec(16384, 5)
+        spec = SweepSpec(
+            name="fig05",
+            runner=point,
+            points=[{"machine": "perlmutter-cpu", "runtime": "two_sided", "P": 4}],
+            common={"nx": 16384, "iters": 5},
+        )
         key = ResultCache(tmp_path).key_for(spec, spec.iter_points()[0])
         assert key == (
             "0268bc29a3b0fe69c37ba8f6246a4826377e3a99dab903fa5727381c134b15db"

@@ -54,6 +54,13 @@ class TestCommands:
         assert main(["topo", "not-a-fabric"]) == 2
         assert "unknown" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("name", ["dragonfly(2)", "perlmutter-cpu-x2@fattree(4,4)"])
+    def test_topo_bad_arity(self, capsys, name):
+        assert main(["topo", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad generator arity in {name!r}" in captured.err
+
     def test_topo_disconnected_is_a_message_not_a_traceback(self, capsys, monkeypatch):
         from repro.net import LinkParams, TopologySpec
 

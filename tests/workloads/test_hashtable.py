@@ -49,6 +49,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             TableGeometry.for_inserts(2, 10, load_factor=0)
 
+    @pytest.mark.parametrize("runtime", ["one_sided", "two_sided"])
+    @pytest.mark.parametrize("nranks", [0, -1])
+    def test_runner_rejects_fewer_than_one_rank(self, runtime, nranks):
+        with pytest.raises(ValueError, match=f"nranks must be >= 1, got {nranks}"):
+            run_hashtable(perlmutter_cpu(), runtime, HashTableConfig(total_inserts=100), nranks)
+
 
 class TestLocalInsert:
     def _state(self, slots=4, heap=4):

@@ -74,6 +74,12 @@ class TestCorrectnessVariants:
                 layout=BlockCyclicLayout(1, 2),
             )
 
+    @pytest.mark.parametrize("runtime", ["one_sided", "two_sided"])
+    @pytest.mark.parametrize("nranks", [0, -1])
+    def test_fewer_than_one_rank_rejected(self, small_matrix, runtime, nranks):
+        with pytest.raises(ValueError, match=f"nranks must be >= 1, got {nranks}"):
+            run_sptrsv(perlmutter_cpu(), runtime, small_matrix, nranks)
+
     def test_unknown_runtime_rejected(self, small_matrix):
         with pytest.raises((ValueError, KeyError)):
             run_sptrsv(perlmutter_cpu(), "mystery", small_matrix, 2)
