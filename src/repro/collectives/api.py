@@ -14,6 +14,7 @@ LogGP selector), runs ``iters`` back-to-back collectives, and returns a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.collectives.core import CollectiveComm, CollectiveStats
@@ -96,6 +97,9 @@ def run_collective(
     """
     if (nelems is None) == (nbytes is None) and coll != "barrier":
         raise CollectiveError(f"{coll} needs exactly one of nelems=/nbytes=")
+    for name, size in (("nelems", nelems), ("nbytes", nbytes)):
+        if size is not None and not math.isfinite(size):
+            raise CollectiveError(f"{name} must be finite, got {size}")
     if nelems is None:
         nelems = 0 if nbytes is None else int(-(-nbytes // _WORD))
     if coll == "barrier":

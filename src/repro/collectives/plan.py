@@ -77,6 +77,13 @@ def _pof2(n: int) -> tuple[int, int]:
     return p, n - p
 
 
+def _check_sizes(nranks: int, nelems: int) -> None:
+    if nranks < 1:
+        raise CollectiveError(f"nranks must be >= 1, got {nranks}")
+    if nelems < 0:
+        raise CollectiveError(f"nelems must be >= 0, got {nelems}")
+
+
 @dataclass(frozen=True)
 class CollectivePlan:
     """One collective call's static shape, shared by all backends."""
@@ -98,10 +105,7 @@ class CollectivePlan:
                 f"unknown {self.coll} algorithm {self.algorithm!r}; valid: "
                 + ", ".join(ALGORITHMS[self.coll])
             )
-        if self.nranks < 1:
-            raise CollectiveError(f"nranks must be >= 1, got {self.nranks}")
-        if self.nelems < 0:
-            raise CollectiveError(f"nelems must be >= 0, got {self.nelems}")
+        _check_sizes(self.nranks, self.nelems)
         if self.stripes < 1:
             raise CollectiveError(f"stripes must be >= 1, got {self.stripes}")
         if self.stripes > 1 and (self.coll, self.algorithm) not in STRIPEABLE:
@@ -177,8 +181,9 @@ def plan_collective(
     ``selection`` is the :class:`repro.collectives.selector.Selection`
     with the modeled per-algorithm costs (its ``explain()`` reports the
     choice) when the selector ran — ``algorithm="auto"`` needs ``machine``
-    and ``runtime`` — otherwise None.
+    and ``runtime`` — otherwise None.  Sizes are checked before selecting.
     """
+    _check_sizes(nranks, nelems)
     selection = None
     if algorithm == "auto":
         from repro.collectives.selector import select

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.comm.base import Message, Status
 from repro.sim.event import Event
+from repro.sim.process import WaitList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -50,7 +51,7 @@ class MatchingEngine:
         self._delay_fn = delay_fn if delay_fn is not None else (lambda msg: 0.0)
         self._unexpected: deque[Message] = deque()
         self._posted: deque[PostedRecv] = deque()
-        self._arrival_watchers: list[Event] = []
+        self._arrival_watchers = WaitList(f"a message arriving at rank {rank}")
         self.matched_count = 0
 
     @property
@@ -72,9 +73,8 @@ class MatchingEngine:
             raise ValueError(
                 f"message for rank {msg.dst} delivered to engine of rank {self.rank}"
             )
-        watchers, self._arrival_watchers = self._arrival_watchers, []
-        for ev in watchers:
-            ev.succeed()
+        if self._arrival_watchers:
+            self._arrival_watchers.wake()
         for i, posted in enumerate(self._posted):
             if msg.matches(posted.source, posted.tag):
                 del self._posted[i]
@@ -100,11 +100,9 @@ class MatchingEngine:
                 return msg
         return None
 
-    def on_arrival(self) -> Event:
-        """Event firing at the next message delivery to this rank."""
-        ev = Event(self.sim)
-        self._arrival_watchers.append(ev)
-        return ev
+    def on_arrival(self) -> WaitList:
+        """Yield it to park until the next message delivery to this rank."""
+        return self._arrival_watchers
 
     def _complete(self, posted: PostedRecv, msg: Message) -> None:
         self.matched_count += 1

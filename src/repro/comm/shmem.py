@@ -30,6 +30,7 @@ from repro.comm.context import RankContext
 from repro.comm.window import Window, _cas, _complete, _faa
 from repro.perf.engine import drain_wait_until_all, issue_times
 from repro.sim.event import Event
+from repro.sim.process import WaitList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.job import Job
@@ -47,21 +48,21 @@ class ShmemContext(RankContext):
         super().__init__(job, rank)
         # Remote completion is counted, not collected: puts issued and not
         # yet landed, the losses a quiet must surface (fault injection),
-        # and one event armed only while a quiet is blocked.
+        # and the wait list of a quiet, armed only while one is blocked.
         self._puts_in_flight = 0
         self._lost_puts: list[BaseException] = []
-        self._quiet_event: Event | None = None
+        self._quiet_waiter: WaitList | None = None
 
     def _put_landed(self, done: Event, ev: Event) -> None:
         """One outstanding put completed at its target (``ev`` ok) or was
         lost: count it, park a loss, release a quiet it was blocking —
         the last put in flight, or the first lost (see ``_complete``)."""
         self._puts_in_flight -= 1
-        if not ev.ok:
-            self._lost_puts.append(ev.value)
+        if not ev._ok:
+            self._lost_puts.append(ev._value)
         waiter = None
-        if self._quiet_event is not None and (not ev.ok or not self._puts_in_flight):
-            waiter, self._quiet_event = self._quiet_event, None
+        if self._quiet_waiter is not None and (not ev._ok or not self._puts_in_flight):
+            waiter, self._quiet_waiter = self._quiet_waiter, None
         _complete(done, ev, waiter=waiter)
 
     # ------------------------------------------------------------------
@@ -104,10 +105,10 @@ class ShmemContext(RankContext):
         yield self.costs.put_signal
         target_ep = self.job.endpoints[target]
         delivery = self.fabric.transfer(self.endpoint, target_ep, nbytes)
-        done = self.sim.event()
+        done = Event(self.sim)
 
         def land(_ev: Event) -> None:
-            if not _ev.ok:
+            if not _ev._ok:
                 self._put_landed(done, _ev)
                 return
             # Data first, then the signal becomes observable: one atomic
@@ -236,7 +237,9 @@ class ShmemContext(RankContext):
             return
         t_entry = self.sim.now
         if rec is None:
-            rec = yield signal_win._schedule_waiter(key)
+            waiter = signal_win._schedule_waiters[key] = WaitList(f"batch schedule {key}")
+            yield waiter
+            rec = signal_win._take_schedule(key)
         arrivals, base, signal_value = rec
         t_done = drain_wait_until_all(
             self, arrivals, base, value, t_entry, signal_value=signal_value
@@ -344,14 +347,13 @@ class ShmemContext(RankContext):
         self.counter.operations += 1
         if self.costs.flush > 0:
             yield self.costs.flush
+        if self._puts_in_flight and not self._lost_puts:
+            self._quiet_waiter = WaitList(f"PE {self.rank}'s quiet")
+            yield self._quiet_waiter
         if self._lost_puts:
             # A lost put (fault injection) surfaces here, at the quiet — the
             # NVSHMEM completion point — and at every later one.
             raise self._lost_puts[0]
-        if self._puts_in_flight:
-            if self._quiet_event is None:
-                self._quiet_event = self.sim.event()
-            yield self._quiet_event
 
     def barrier_all(self) -> Generator:
         """``nvshmem_barrier_all``: quiet + barrier."""

@@ -14,7 +14,7 @@ does).  Verbs are charged with the machine's one-sided
   trips applied serially at the target (a per-target atomic unit), which is
   where the hashtable's hot-spot contention comes from.
 
-Writes to a rank's buffer ring that rank's *write watchers* — the hook both
+Writes to a rank's buffer wake that rank's *write watchers* — the hook both
 the CPU polling loop (paper Listing 1) and NVSHMEM ``wait_until`` build on.
 """
 
@@ -30,6 +30,7 @@ from repro.comm.base import CommError, Request
 from repro.perf.atomics import bulk_cas_stream
 from repro.perf.engine import bulk_visible_last, issue_times
 from repro.sim.event import Event, Timeout
+from repro.sim.process import WaitList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
@@ -39,7 +40,7 @@ __all__ = ["Window", "WindowHandle"]
 
 
 def _complete(
-    done: Event, ev: Event, value: Any = None, waiter: Event | None = None
+    done: Event, ev: Event, value: Any = None, waiter: WaitList | None = None
 ) -> None:
     """Set an RMA op's completion ``done`` from ``ev``, the fabric event (or
     local delay) that carried its last leg.
@@ -51,16 +52,16 @@ def _complete(
     the loss at the op — it is parked on ``done`` (defused, so it never raises
     unhandled) and surfaces at the flush / quiet / wait that gathers it.
     ``waiter`` is a blocked flush or quiet this completion releases: then
-    ``done`` does take the heap trip and releases it from there — the same
-    two hops, in the same ``(time, seq)`` places, as the ``AllOf`` over every
-    pending op that the counts replace.
+    ``done`` does take the heap trip and wakes it from there — the same two
+    hops, in the same ``(time, seq)`` places, as the ``AllOf`` over every
+    pending op that the counts replace.  The woken rank finds a loss parked.
     """
     if waiter is not None:
-        done.add_callback(lambda d: waiter.succeed() if d.ok else waiter.fail(d.value))
-    if ev.ok:
+        done.add_callback(waiter.wake)
+    if ev._ok:
         done.settle(value)
     else:
-        done.fail(ev.value)
+        done.fail(ev._value)
         done.defuse()
 
 
@@ -83,16 +84,16 @@ def _swap(buf, offset, _compare, value):
     return old
 
 
-class _AtomicOp:
+class _AtomicOp(WaitList):
     """One remote atomic in flight: a request leg, a turn at the target's
-    atomic unit, a response leg carrying the old value into ``done``.
+    atomic unit, a response leg carrying the old value back to the origin.
 
-    The three hops are this object's bound methods and what they share is
-    its slots.  Creating it posts the request.
+    The hops are this object's bound methods, sharing its slots; creating
+    it posts the request, and the origin parks on the op itself.
     """
 
     __slots__ = ("handle", "target", "offset", "apply_fn", "compare", "value",
-                 "old", "done")
+                 "old", "lost")
 
     def __init__(self, handle, target, offset, apply_fn, compare, value):
         self.handle = handle
@@ -105,7 +106,6 @@ class _AtomicOp:
         request = ctx.fabric.transfer(
             ctx.endpoint, ctx.job.endpoints[target], 16.0, atomic=True
         )
-        self.done = Event(ctx.sim)
         request.event.add_callback(self._at_target)
         handle.window._track(handle.rank, target)
         if apply_fn is _cas and ctx.job.tracer.enabled:
@@ -113,14 +113,17 @@ class _AtomicOp:
                 ctx.sim.now, "cas", handle.rank, target=target, offset=offset
             )
 
+    def __repr__(self) -> str:
+        return f"<WaitList: an atomic at rank {self.target}, offset {self.offset}>"
+
     def _at_target(self, ev: Event) -> None:
+        if not ev._ok:
+            self._respond(ev)
+            return
         handle, target = self.handle, self.target
         win, ctx = handle.window, handle.ctx
-        if not ev.ok:
-            win._op_done(handle.rank, target, self.done, ev)
-            return
         # Atomics serialise at the target's atomic unit.
-        now = ctx.sim.now
+        now = ctx.sim._now
         finish = max(now, win._atomic_next_free[target]) + ctx.costs.atomic_apply
         win._atomic_next_free[target] = finish
         Timeout(ctx.sim, finish - now).add_callback(self._apply)
@@ -137,7 +140,11 @@ class _AtomicOp:
 
     def _respond(self, ev: Event) -> None:
         handle = self.handle
-        handle.window._op_done(handle.rank, self.target, self.done, ev, self.old)
+        flush = handle.window._op_done(handle.rank, self.target, ev)
+        self.lost = None if ev._ok else ev._value
+        self.wake()
+        if flush is not None:  # another process of the origin rank
+            flush.wake()
 
 
 class Window:
@@ -159,23 +166,24 @@ class Window:
         ]
         # Remote completion is counted, not collected: ops in flight per
         # (origin, target) and per origin, the losses a flush must surface
-        # (fault injection), and per origin the (target, event) of a flush
-        # that is blocked right now.
+        # (fault injection), per origin the target of a flush that is
+        # blocked right now, and where that flush parks.
         self._in_flight: dict[tuple[int, int], int] = {}
         self._in_flight_from = [0] * job.nranks
         self._lost: list[list[tuple[int, BaseException]]] = [
             [] for _ in range(job.nranks)
         ]
-        self._flush_waiter: dict[int, tuple[int | None, Event]] = {}
+        self._flush_waiter: dict[int, int | None] = {}
+        self._flushing = [WaitList(f"rank {r}'s flush") for r in range(job.nranks)]
         # Serialisation point for atomics at each target.
         self._atomic_next_free: list[float] = [0.0] * job.nranks
         # Write watchers, per target rank.
-        self._watchers: list[list[Event]] = [[] for _ in range(job.nranks)]
+        self._watchers = [WaitList(f"a write to rank {r}") for r in range(job.nranks)]
         # Arrival schedules of bulk ``put_signal_batch`` batches not yet
         # waited for, FIFO per (target, source, signal index), and the
-        # waiter parked on a key, which the next publish is handed to.
+        # waiter parked on a key, which the next publish wakes.
         self._schedules: dict[tuple[int, int, int], list] = {}
-        self._schedule_waiters: dict[tuple[int, int, int], Event] = {}
+        self._schedule_waiters: dict[tuple[int, int, int], WaitList] = {}
 
     # -- local access ---------------------------------------------------------
 
@@ -194,22 +202,19 @@ class Window:
                     f"(count {self.count})"
                 )
             self.buffers[target][offset : offset + n] = values
-        watchers, self._watchers[target] = self._watchers[target], []
-        for ev in watchers:
-            ev.succeed()
+        watchers = self._watchers[target]
+        if watchers:
+            watchers.wake()
 
-    def on_write(self, target: int) -> Event:
-        """An event that fires at the next remote write landing on ``target``."""
-        ev = self.job.sim.event()
-        self._watchers[target].append(ev)
-        return ev
+    def on_write(self, target: int) -> WaitList:
+        """Yield it to park until the next remote write lands on ``target``."""
+        return self._watchers[target]
 
     def _publish_schedule(self, key, record) -> None:
-        ev = self._schedule_waiters.pop(key, None)
-        if ev is not None:
-            ev.succeed(record)  # handed straight to the parked waiter
-        else:
-            self._schedules.setdefault(key, []).append(record)
+        self._schedules.setdefault(key, []).append(record)
+        waiter = self._schedule_waiters.pop(key, None)
+        if waiter is not None:
+            waiter.wake()  # the parked waiter takes it when it resumes
 
     def _take_schedule(self, key):
         """Consume and return the oldest schedule under ``key``, or None."""
@@ -221,10 +226,6 @@ class Window:
             del self._schedules[key]
         return record
 
-    def _schedule_waiter(self, key) -> Event:
-        ev = self._schedule_waiters[key] = self.job.sim.event()
-        return ev
-
     def _track(self, origin: int, target: int) -> None:
         key = (origin, target)
         self._in_flight[key] = self._in_flight.get(key, 0) + 1
@@ -235,38 +236,37 @@ class Window:
             return self._in_flight_from[origin]
         return self._in_flight.get((origin, target), 0)
 
-    def _op_done(
-        self, origin: int, target: int, done: Event, ev: Event, value: Any = None
-    ) -> None:
+    def _op_done(self, origin: int, target: int, ev: Event) -> WaitList | None:
         """``origin``'s op on ``target`` completed remotely (``ev`` ok) or
-        was lost: count it, park a loss, release a flush it was blocking."""
+        was lost: count it, park a loss, and return the blocked flush it
+        releases — the last op in flight, or a loss — if any."""
         self._in_flight[origin, target] -= 1
         self._in_flight_from[origin] -= 1
-        ok = ev.ok
+        ok = ev._ok
         if not ok:
-            self._lost[origin].append((target, ev.value))
-        waiter = None
+            self._lost[origin].append((target, ev._value))
         if self._flush_waiter:
-            blocked = self._flush_waiter.get(origin)
-            if blocked is not None and blocked[0] in (None, target):
-                # The op that flush waits for: the last in flight, or a loss.
-                if not ok or not self._busy(origin, blocked[0]):
-                    waiter = self._flush_waiter.pop(origin)[1]
-        _complete(done, ev, value, waiter)
+            blocked = self._flush_waiter.get(origin, -1)
+            if blocked in (None, target) and (not ok or not self._busy(origin, blocked)):
+                del self._flush_waiter[origin]
+                return self._flushing[origin]
+        return None
 
     def _drain(self, origin: int, target: int | None) -> Generator:
         """Block until ``origin`` has nothing in flight to ``target`` (None:
         to anyone).  A lost op stays parked: it surfaces here, at the
-        synchronisation point, and at every later one."""
-        for t, exc in self._lost[origin]:
-            if target is None or t == target:
-                raise exc
-        if self._busy(origin, target):
+        synchronisation point — on entry, or once the loss has woken a
+        blocked flush — and at every later one."""
+        for parked in (False, True):  # on entry, then once woken
+            for t, exc in self._lost[origin]:
+                if target is None or t == target:
+                    raise exc
+            if parked or not self._busy(origin, target):
+                return
             if origin in self._flush_waiter:
                 raise CommError(f"rank {origin} is already blocked in a flush")
-            ev = self.job.sim.event()
-            self._flush_waiter[origin] = (target, ev)
-            yield ev
+            self._flush_waiter[origin] = target
+            yield self._flushing[origin]
 
     def handle(self, ctx: "RankContext") -> "WindowHandle":
         """This rank's verb interface to the window."""
@@ -319,17 +319,17 @@ class WindowHandle:
         yield ctx.costs.put
         target_ep = ctx.job.endpoints[target]
         delivery = ctx.fabric.transfer(ctx.endpoint, target_ep, nbytes)
-        done = ctx.sim.event()
+        done = Event(ctx.sim)
         target_ctx = ctx.job.contexts[target]
 
         def visible(_ev: Event) -> None:
-            if _ev.ok:
+            if _ev._ok:
                 win._apply_write(target, offset, values)
-            win._op_done(self.rank, target, done, _ev)
+            _complete(done, _ev, None, win._op_done(self.rank, target, _ev))
 
         def land(_ev: Event) -> None:
             # The target runtime's copy engine (if any) delays visibility.
-            delay = target_ctx.charge_copy(nbytes) if _ev.ok else 0.0
+            delay = target_ctx.charge_copy(nbytes) if _ev._ok else 0.0
             if delay > 0:
                 ctx.sim.timeout(delay).add_callback(visible)
             else:
@@ -381,7 +381,7 @@ class WindowHandle:
 
         def visible(_ev: Event) -> None:
             win._apply_write(target, offset, None)
-            win._op_done(self.rank, target, done, _ev)
+            _complete(done, _ev, None, win._op_done(self.rank, target, _ev))
 
         ctx.sim.at_time(last).add_callback(visible)
         win._track(self.rank, target)
@@ -401,16 +401,16 @@ class WindowHandle:
         yield ctx.costs.get
         target_ep = ctx.job.endpoints[target]
         request_leg = ctx.fabric.transfer(ctx.endpoint, target_ep, 8.0)
-        done = ctx.sim.event()
+        done = Event(ctx.sim)
 
         def at_target(_ev: Event) -> None:
-            if not _ev.ok:
-                win._op_done(self.rank, target, done, _ev)
+            if not _ev._ok:
+                _complete(done, _ev, None, win._op_done(self.rank, target, _ev))
                 return
             data = np.array(win.buffers[target][offset : offset + nelems], copy=True)
             response = ctx.fabric.transfer(target_ep, ctx.endpoint, nbytes)
             response.event.add_callback(
-                lambda _e: win._op_done(self.rank, target, done, _e, data)
+                lambda _e: _complete(done, _e, data, win._op_done(self.rank, target, _e))
             )
 
         request_leg.event.add_callback(at_target)
@@ -484,10 +484,12 @@ class WindowHandle:
             ctx.counter.syncs += 1
             ctx.counter.operations += 1
             wake = ctx.costs.sync_enter + ctx.costs.wait_per_req
-        old = yield op.done
+        yield op
+        if op.lost is not None:
+            raise op.lost
         if wake > 0:
             yield wake
-        return old
+        return op.old
 
     def cas_stream(self, target: int, offset: int, ops, *, wait: bool) -> Generator:
         """Back-to-back blocking CAS ops on one word of a passive target;

@@ -1,14 +1,14 @@
 """Bulk evaluation of blocking remote-atomic streams (hashtable/CAS flood).
 
-A blocking remote CAS on the scalar path is ~12 heap events: the issue
-timeout, the 16 B request transfer, the target-side serialisation timeout,
-the 8 B response transfer, the completion event and the waiter's wake-up
-timeout.  The paper's sender's-control workloads (Fig. 4 CAS flood, the
-hashtable insert epoch) issue these back-to-back from one origin to one
-passive target — a homogeneous stream this module replays as a single
-tight loop over the identical float recurrence.
+A blocking remote CAS on the scalar path is 6 heap events (MPI) / 5 (the
+fused shmem AMO): the issue sleep, the 16 B request transfer, the
+target-side serialisation timeout, the 8 B response transfer, the origin's
+wake (the process itself) and, MPI only, the wait's wake-up sleep.  The paper's sender's-control workloads (Fig. 4
+CAS flood, the hashtable insert epoch) issue these back-to-back from one
+origin to one passive target — a homogeneous stream this module replays
+as a single tight loop over the identical float recurrence.
 
-Replicated per op (see ``WindowHandle._atomic`` / ``RankContext.wait``):
+Replicated per op (see ``WindowHandle._atomic_blocking``):
 
 1. ``operations += 1; atomics += 1``; origin clock ``t += fetch_op``;
 2. 16 B request transfer at ``t`` (``atomic=True`` spacing) -> heap time

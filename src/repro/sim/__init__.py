@@ -2,7 +2,8 @@
 
 The engine provides virtual time (:class:`Simulator`), one-shot coordination
 points (:class:`Event`, :class:`Timeout`, :class:`AllOf`), generator-based
-concurrency (:class:`Process`) and structured tracing (:class:`Tracer`).
+concurrency (:class:`Process`, which yields an event, a float delay or a
+:class:`WaitList`) and structured tracing (:class:`Tracer`).
 
 All of ``repro.net``, ``repro.comm`` and the workloads are built on this
 package and nothing else; there is no hidden wall-clock anywhere.
@@ -10,7 +11,7 @@ package and nothing else; there is no hidden wall-clock anywhere.
 
 from repro.sim.engine import Simulator
 from repro.sim.event import AllOf, DeadlockError, Event, SimulationError, Timeout
-from repro.sim.process import Process
+from repro.sim.process import Process, WaitList
 from repro.sim.trace import ListSink, NullSink, NullTracer, TraceRecord, Tracer, TraceSink
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "Process",
+    "WaitList",
     "Tracer",
     "NullTracer",
     "TraceRecord",

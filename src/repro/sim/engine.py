@@ -140,8 +140,8 @@ class Simulator:
         self._now = when
         self.event_count += 1
         if event._value is _PENDING:
-            # Only a sleeping process is queued untriggered: the entry is
-            # the process itself, and the sleep resumes it with None.
+            # Only a process is queued untriggered — its own sleep, or a
+            # wake from a wait list — and it resumes with None.
             event._resume(None)
             return
         callbacks = event.callbacks

@@ -1,15 +1,17 @@
 """Generator-based simulation processes.
 
-A *process* is a Python generator that yields :class:`~repro.sim.event.Event`
-objects or delays.  ``value = yield ev`` suspends it until the event fires
-and resumes it with the event's value; ``yield d`` (a ``float``, seconds)
-sleeps: the process resumes, with ``None``, ``d`` simulated seconds later.
-An MPI rank, a GPU thread block, and a NIC injector are all processes.
+A *process* is a Python generator that yields one of three things: an
+:class:`~repro.sim.event.Event` (``value = yield ev`` resumes it with the
+event's value once it fires), a ``float`` delay ``d`` (it sleeps ``d``
+simulated seconds) or a :class:`WaitList` (it parks until the list's owner
+wakes it).  An MPI rank, a GPU thread block, and a NIC injector are all
+processes.
 
-A sleep allocates nothing: the heap entry is ``(now + d, seq, process)``,
-the process itself, pushed where a ``Timeout(sim, d)`` would have been
-pushed — so it takes the same place in ``(time, seq)`` order.  Only a wait
-that somebody else can observe or hang a callback on needs an event.
+A sleep or a wake allocates nothing: the heap entry is the process itself,
+pushed where a ``Timeout(sim, d)`` — or the woken event's ``succeed()`` —
+would have pushed, so it takes the same place in ``(time, seq)`` order.
+Only a wait that somebody else can observe or hang a callback on needs an
+event.
 
 A :class:`Process` is itself an event: it succeeds with the generator's
 return value, so processes can wait on each other (fork/join).
@@ -27,7 +29,29 @@ from repro.sim.event import _NO_CALLBACKS, Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-__all__ = ["Process"]
+__all__ = ["Process", "WaitList"]
+
+
+class WaitList(list):
+    """Processes parked on one occurrence nobody else observes: ``yield wl``
+    parks one; the owner's :meth:`wake` pushes them, in order, at the current
+    instant and empties the list.  ``what`` names it in a DeadlockError."""
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str) -> None:
+        self.what = what
+
+    def wake(self, _event: Event | None = None) -> None:
+        """Resume the parked processes; an event callback as it stands."""
+        for process in self:
+            sim = process.sim
+            heappush(sim._heap, (sim._now, sim._seq, process))
+            sim._seq += 1
+        self.clear()
+
+    def __repr__(self) -> str:
+        return f"<WaitList: {self.what}>"
 
 
 class Process(Event):
@@ -50,7 +74,7 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Event | None = None
+        self._target: Event | WaitList | None = None
         sim._live[self] = None  # until _retire: what a DeadlockError names
         heappush(sim._heap, (sim._now, sim._seq, self))
         sim._seq += 1
@@ -66,9 +90,9 @@ class Process(Event):
         """One wake-up of the generator, in one frame.
 
         ``event`` is what the process was parked on (this is its callback),
-        or None when ``Simulator.step`` pops the process's own sleep entry.
-        Advance the generator with the outcome and park the process on
-        whatever it yields next: an event, or — a float — the heap itself.
+        or None when ``Simulator.step`` pops the process itself (a sleep or
+        a wake).  Advance the generator with the outcome and park the process
+        on what it yields next: an event, a wait list, or the heap itself.
         The event's slots are read directly: this runs once per wake-up of
         every rank, and two property calls plus a second frame per wake-up
         were host time spent on no decision.
@@ -100,10 +124,13 @@ class Process(Event):
             self._retire()
             self.fail(exc)
             return
+        self._target = target
+        if isinstance(target, WaitList):
+            target.append(self)
+            return
         if not isinstance(target, Event) or target.sim is not self.sim:
             self._bad_yield(target)
             return
-        self._target = target
         callbacks = target.callbacks
         if callbacks is _NO_CALLBACKS:
             target.callbacks = [self._resume]
@@ -132,7 +159,7 @@ class Process(Event):
         self.fail(
             SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "
-                "yield an Event or a float delay"
+                "yield an Event, a WaitList or a float delay"
             )
         )
 

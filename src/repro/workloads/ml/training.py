@@ -113,8 +113,8 @@ def run_training_step(
     compute is the transformer estimate ``6 * params * tokens`` FLOPs
     per rank, charged through the machine's roofline model.
     """
-    if grad_bytes < _WORD:
-        raise CollectiveError(f"grad_bytes must be >= {_WORD}, got {grad_bytes}")
+    if not _WORD <= grad_bytes < float("inf"):
+        raise CollectiveError(f"grad_bytes must be finite and >= {_WORD}, got {grad_bytes}")
     if buckets < 1:
         raise CollectiveError(f"buckets must be >= 1, got {buckets}")
     if tokens_per_rank < 1:

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.collectives import CollectiveError, run_collective
-from repro.collectives.plan import ALGORITHMS, CollectivePlan, plan_collective
-from repro.machines import perlmutter_cpu
-from repro.transport import TWO_SIDED
+from repro.collectives.plan import ALGORITHMS, COLLECTIVES, CollectivePlan, plan_collective
+from repro.machines import perlmutter_cpu, perlmutter_gpu
+from repro.transport import SHMEM, TWO_SIDED
 from repro.transport.api import part_bounds
 
 from tests.collectives.test_algorithms import check
@@ -161,6 +161,10 @@ def test_nbytes_rounds_up_to_whole_words():
         (dict(coll="allreduce", nelems=4, op="xor"), "unknown reduction"),
         (dict(coll="broadcast", nelems=4, root=7), "root"),
         (dict(coll="allreduce", nbytes=0), "nelems >= 1"),
+        (dict(coll="allreduce", nbytes=float("nan")), "nbytes must be finite"),
+        (dict(coll="allreduce", nbytes=float("inf")), "nbytes must be finite"),
+        (dict(coll="allreduce", nelems=float("nan")), "nelems must be finite"),
+        (dict(coll="allreduce", nelems=float("inf")), "nelems must be finite"),
     ],
 )
 def test_invalid_requests_raise(kwargs, match):
@@ -170,6 +174,23 @@ def test_invalid_requests_raise(kwargs, match):
     with pytest.raises(CollectiveError, match=match):
         run_collective(PM(), TWO_SIDED, coll, nranks=5, op=op, root=root,
                        **kwargs)
+
+
+@pytest.mark.parametrize("nranks", [0, -1])
+@pytest.mark.parametrize("coll", COLLECTIVES)
+def test_auto_checks_nranks_before_selecting(coll, nranks, monkeypatch):
+    """``algorithm="auto"`` (the default) rejects a bad rank count with the
+    same typed error as an explicit algorithm, before the selector's cost
+    model ever sees it."""
+    from repro.collectives import selector
+
+    def select(*args, **kwargs):
+        raise AssertionError("the selector ran on an invalid request")
+
+    monkeypatch.setattr(selector, "select", select)
+    size = {} if coll == "barrier" else dict(nbytes=64)
+    with pytest.raises(CollectiveError, match=f"nranks must be >= 1, got {nranks}"):
+        run_collective(perlmutter_gpu(), SHMEM, coll, nranks=nranks, **size)
 
 
 def test_execute_mode_validates_value_length():

@@ -101,10 +101,20 @@ class TestProbeAndTake:
         assert engine.take(ANY_SOURCE, ANY_TAG) is None
 
     def test_arrival_watcher_fires_on_delivery(self, sim, engine):
-        ev = engine.on_arrival()
-        assert not ev.triggered
-        engine.deliver(_msg())
-        assert ev.triggered
+        """A process parked on ``on_arrival()`` resumes at the delivery's
+        instant, and only the delivery wakes it."""
+
+        def poller():
+            yield engine.on_arrival()
+            return sim.now
+
+        p = sim.process(poller())
+        sim.run()
+        assert p.is_alive and engine.on_arrival()  # parked, nothing queued
+        sim.timeout(2e-6).add_callback(lambda _ev: engine.deliver(_msg()))
+        sim.run()
+        assert p.value == pytest.approx(2e-6)
+        assert not engine.on_arrival()  # the wake emptied the list
 
     def test_on_match_hook_bypasses_completion(self, sim, engine):
         hooked = []

@@ -201,7 +201,7 @@ class TestQuiet:
         origin = job.contexts[0]
         assert all(req.done for req in res.results[0])
         assert origin._puts_in_flight == 0 and origin._lost_puts == []
-        assert origin._quiet_event is None
+        assert origin._quiet_waiter is None
         assert 0 < max(peak) < 100  # bounded by the wire, not by the program
         # Nothing per-put survives on the context.
         assert not any(

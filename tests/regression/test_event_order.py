@@ -29,6 +29,7 @@ from repro.machines import get_machine
 from repro.sim import Simulator
 from repro.workloads.flood import run_flood
 from repro.workloads.hashtable import HashTableConfig, run_hashtable
+from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
 from repro.workloads.stencil import ProcessGrid, StencilConfig, run_stencil
 
 
@@ -102,8 +103,25 @@ def _hashtable_inserts(machine, runtime):
     return run
 
 
+def _two_sided_hashtable():
+    # recv_poll: every owner parks on its arrival queue between inserts.
+    cfg = HashTableConfig(total_inserts=400, load_factor=0.9, seed=3)
+    run_hashtable(get_machine("perlmutter-cpu"), "two_sided", cfg, 8)
+
+
+def _sptrsv(machine, runtime, nranks):
+    # The receive loop: one-sided, the Listing-1 poll parked on the signal
+    # window's writes; shmem, wait_until_any.
+    def run():
+        matrix = generate_matrix(MatrixSpec(n_supernodes=40, seed=1))
+        run_sptrsv(get_machine(machine), runtime, matrix, nranks)
+
+    return run
+
+
 # (resumes, sha256) of the resume sequence, generated at PR 16's head — the
 # two hashtable epochs at PR 19's, before a blocking atomic became one frame.
+# The last three: before a single waiter parked itself on a wait list.
 EXPECTED = {
     "shmem_ring_allreduce": (
         936, "4eb4fad471a3da08bf9e9f96a33f2bac0bfbfa48ac43981a8ca703ec8b4878ef"
@@ -123,6 +141,15 @@ EXPECTED = {
     "shmem_hashtable": (
         1813, "01c61a43e1f5d375646278142a0acf5da5864d6421efd1e95fdce1d8f86c5c30"
     ),
+    "two_sided_hashtable": (
+        2564, "a70e6d1ef192f43a28d2702233937730d394eacf31ef3768f936b036d8c061bc"
+    ),
+    "one_sided_sptrsv": (
+        956, "5af019e657b075dc9b8c9bc789cfd9da10a90ae3191c2838bbdc4865611149af"
+    ),
+    "shmem_sptrsv": (
+        275, "3d9687890bf03d5abce8ae57bf35d357df087aed02bc24ec1641ec50d8b00a12"
+    ),
 }
 SCENARIOS = {
     "shmem_ring_allreduce": _ring_allreduce,
@@ -133,6 +160,9 @@ SCENARIOS = {
     "shmem_hashtable": _hashtable_inserts(
         "perlmutter-gpu-x8@dragonfly(4,2,2)", "shmem"
     ),
+    "two_sided_hashtable": _two_sided_hashtable,
+    "one_sided_sptrsv": _sptrsv("perlmutter-cpu", "one_sided", 8),
+    "shmem_sptrsv": _sptrsv("perlmutter-gpu", "shmem", 4),
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import Process, Simulator
+from repro.sim import Process, Simulator, WaitList
 from repro.sim.event import DeadlockError, SimulationError
 
 
@@ -361,6 +361,128 @@ class TestSleep:
             # bootstrap (a zero sleep) + n sleeps + the process's completion
             assert sim.event_count - before == n + 2
             assert p.ok
+
+
+class TestWaitList:
+    """``yield wl`` parks the process on a :class:`WaitList`; ``wl.wake()``
+    pushes ``(now, seq, process)`` where the replaced event's ``succeed()``
+    pushed itself, so a wake takes the event's place in ``(time, seq)``."""
+
+    def test_resumes_at_the_wakers_instant_between_older_and_newer_entries(self, sim):
+        log = []
+        wl = WaitList("a test occurrence")
+
+        def parked():
+            got = yield wl
+            log.append(("parked", sim.now, got))
+
+        def waker():
+            yield 2.0
+            sim.timeout(0.0).add_callback(lambda _: log.append(("before", sim.now)))
+            wl.wake()
+            sim.timeout(0.0).add_callback(lambda _: log.append(("after", sim.now)))
+
+        sim.process(parked())
+        sim.process(waker())
+        sim.run()
+        assert log == [("before", 2.0), ("parked", 2.0, None), ("after", 2.0)]
+
+    def test_wake_takes_the_place_of_the_event_it_replaces(self):
+        """The same program with an ``Event`` + ``succeed()`` in place of the
+        list resumes in the same order and processes as many events."""
+
+        def run(use_list):
+            sim = Simulator()
+            log = []
+            parks = [WaitList(f"w{i}") if use_list else sim.event() for i in range(3)]
+
+            def waiter(i):
+                yield parks[i]
+                log.append((i, sim.now))
+
+            def waker():
+                yield 1.0
+                for i in (2, 0, 1):
+                    if use_list:
+                        parks[i].wake()
+                    else:
+                        parks[i].succeed()
+                    sim.timeout(0.0).add_callback(lambda _, i=i: log.append(("t", i)))
+
+            for i in range(3):
+                sim.process(waiter(i))
+            sim.process(waker())
+            sim.run()
+            return log, sim.event_count
+
+        assert run(use_list=True) == run(use_list=False)
+
+    def test_waking_an_empty_list_pushes_nothing(self, sim):
+        wl = WaitList("nobody")
+        wl.wake()
+        assert sim.peek() == float("inf") and not wl
+
+    def test_a_second_wake_resumes_only_the_processes_parked_since(self, sim):
+        wl = WaitList("a test occurrence")
+        log = []
+
+        def parked(tag, delay):
+            yield delay
+            yield wl
+            log.append((tag, sim.now))
+
+        def waker():
+            yield 1.5
+            wl.wake()
+            yield 1.5
+            wl.wake()
+
+        sim.process(parked("a", 1.0))
+        sim.process(parked("b", 1.0))
+        sim.process(parked("c", 2.0))
+        sim.process(waker())
+        sim.run()
+        assert log == [("a", 1.5), ("b", 1.5), ("c", 3.0)]
+        assert not wl
+
+    @pytest.mark.parametrize("bad", [[], [1.0], 3])
+    def test_a_plain_list_or_an_int_is_still_a_bad_yield(self, sim, bad):
+        def prog():
+            yield bad
+
+        p = sim.process(prog())
+        p.defuse()
+        sim.run()
+        assert isinstance(p.value, SimulationError)
+        assert "WaitList" in str(p.value)
+
+    def test_a_deadlock_names_what_a_parked_rank_waits_for(self, pm_cpu, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.comm import Job
+
+        job = Job(pm_cpu, 3, "one_sided", placement="spread")
+        sig = job.window(1, dtype=np.int64)
+        table = job.window(1, dtype=np.int64)
+        # A wire that never delivers: the atomic's request leg never lands.
+        never = SimpleNamespace(event=job.sim.event())
+        monkeypatch.setattr(job.fabric, "transfer", lambda *a, **k: never)
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield sig.on_write(0)  # nobody ever writes
+            elif ctx.rank == 1:
+                yield ctx.engine.on_arrival()  # nobody ever sends
+            else:
+                yield from table.handle(ctx).cas_blocking(0, 0, 0, 1)
+
+        with pytest.raises(DeadlockError) as err:
+            job.run(program)
+        msg = str(err.value)
+        assert "'rank0' is parked on <WaitList: a write to rank 0>" in msg
+        assert "'rank1' is parked on <WaitList: a message arriving at rank 1>" in msg
+        assert "'rank2' is parked on <WaitList: an atomic at rank 0, offset 0>" in msg
+        assert "Process" not in msg
 
 
 class TestNoTimeoutForARoundMessage:

@@ -93,6 +93,20 @@ class TestTrainingStep:
         with pytest.raises(CollectiveError, match=match):
             run_training_step(PM(), SHMEM, nranks=4, **kwargs)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [
+            (dict(nranks=0, grad_bytes=1024.0), "nranks must be >= 1, got 0"),
+            (dict(nranks=4, grad_bytes=float("nan")), "grad_bytes must be finite"),
+            (dict(nranks=4, grad_bytes=float("inf")), "grad_bytes must be finite"),
+        ],
+    )
+    def test_degenerate_inputs_are_typed(self, kwargs, match):
+        """With the default ``algorithm="auto"``, too: the request is
+        checked before the selector models it."""
+        with pytest.raises(CollectiveError, match=match):
+            run_training_step(PM(), SHMEM, **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # MoE dispatch
