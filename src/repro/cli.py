@@ -59,6 +59,26 @@ def _cache_dir(text: str) -> str:
     return text
 
 
+def _writable(flag: str, text: str, *, directory: bool) -> bool:
+    """Check an output path before any experiment runs: a ``directory`` is
+    created, a file must go into an existing directory.  Otherwise one
+    stderr line naming ``flag`` and the path, and ``False`` (exit 2)."""
+    import pathlib
+
+    path, why = pathlib.Path(text), None
+    if not directory:
+        if path.is_dir() or not path.parent.is_dir():
+            why = "not a file in an existing directory"
+    else:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            why = exc.strerror or str(exc)
+    if why:
+        print(f"{flag}: cannot write {text!r}: {why}", file=sys.stderr)
+    return why is None
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.transport import backend_names
 
@@ -410,6 +430,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     name = args.experiment
     if _resolve_names(name, ALL_EXPERIMENTS, "experiment", one=True) is None:
         return 2
+    if not _writable("--out", args.out, directory=False):
+        return 2
     if args.sink == "ring":
         if args.capacity < 1:
             print(
@@ -421,8 +443,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         def factory():
             return obs.RingBufferSink(args.capacity)
     elif args.sink == "jsonl":
+        if not _writable("--jsonl-dir", args.jsonl_dir, directory=True):
+            return 2
         jsonl_dir = pathlib.Path(args.jsonl_dir)
-        jsonl_dir.mkdir(parents=True, exist_ok=True)
         counter = iter(range(1_000_000))
 
         def factory():
@@ -479,10 +502,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.experiments import ALL_EXPERIMENTS
 
     names = _resolve_names(args.experiments, ALL_EXPERIMENTS, "experiment")
-    if names is None:
+    if names is None or not _writable("outdir", args.outdir, directory=True):
         return 2
     out = pathlib.Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def emit(n, report):
         (out / f"{n}.json").write_text(report.to_json() + "\n")

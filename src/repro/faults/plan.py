@@ -31,6 +31,7 @@ degradation shapes in ``repro run degradation``.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
@@ -76,10 +77,10 @@ class LinkFaults:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {self.loss}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if self.degrade < 1.0:
-            raise ValueError(f"degrade must be >= 1, got {self.degrade}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
+        if not 1.0 <= self.degrade < math.inf:
+            raise ValueError(f"degrade must be finite and >= 1, got {self.degrade}")
         windows = tuple(sorted((float(a), float(b)) for a, b in self.down))
         for a, b in windows:
             if not 0.0 <= a < b:
@@ -182,10 +183,10 @@ class RetransmitPolicy:
     max_retries: int = 8  # retries after the first attempt
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not 1.0 <= self.backoff < math.inf:
+            raise ValueError(f"backoff must be finite and >= 1, got {self.backoff}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
@@ -217,8 +218,10 @@ class FaultSemantics:
     def __post_init__(self) -> None:
         if self.mode not in ("abort", "surface"):
             raise ValueError(f"mode must be 'abort' or 'surface', got {self.mode!r}")
-        if self.detect_scale <= 0:
-            raise ValueError(f"detect_scale must be > 0, got {self.detect_scale}")
+        if not 0.0 < self.detect_scale < math.inf:
+            raise ValueError(
+                f"detect_scale must be finite and > 0, got {self.detect_scale}"
+            )
 
 
 def _normalize_links(

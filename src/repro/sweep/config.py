@@ -59,9 +59,8 @@ class ExecutionConfig:
     def reset_pool(self, *, wait: bool = False) -> None:
         """Discard the pool (broken or not); ``pool()`` recreates it.
 
-        The executor calls this after a :class:`BrokenProcessPool` or an
-        abandoned (timed-out) future, so the next sweep in the same
-        ``execution()`` block gets live workers.
+        The executor calls this after a :class:`BrokenProcessPool`, so
+        the next sweep in the same ``execution()`` block gets live workers.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=wait, cancel_futures=not wait)

@@ -6,27 +6,25 @@ never depend on worker completion order, and per-point seeds derive from
 point keys, so ``--jobs N`` output is identical to serial output.
 
 When an ambient :class:`repro.obs.Obs` session is active, each sweep
-feeds it: ``sweep.points.completed`` / ``sweep.points.failed`` /
-``sweep.cache.hits`` / ``sweep.cache.misses`` counters, a
-``sweep.point.seconds`` histogram, per-sweep wall-time and
-worker-utilization gauges, and a ``sweep.<name>`` span.
+feeds it: ``sweep.points.completed`` / ``sweep.cache.hits`` /
+``sweep.cache.misses`` counters, a ``sweep.point.seconds`` histogram,
+per-sweep wall-time and worker-utilization gauges, and a
+``sweep.<name>`` span.
 
-Failure handling is explicit: with ``on_error="raise"`` (the default)
-the first failing point aborts the sweep with :class:`SweepError`; with
-``on_error="keep"`` failing points are *recorded* — their
-:class:`SweepResult` carries ``error`` and an empty value — and the
-sweep runs to completion (partial-result reporting).  A worker process
-dying mid-point (segfault, ``os._exit``) breaks the whole process pool;
-the executor rebuilds it and resubmits the unfinished points a bounded
-number of times, then runs the stragglers one-per-pool so that only the
-point actually killing its worker is marked failed.
+A sweep runs every point or raises: the first failing point aborts it
+with :class:`SweepError` naming the point.  Points that finished before
+it are already in the cache, so re-running the sweep against the same
+cache executes only what did not finish.  A worker process dying
+mid-point (segfault, ``os._exit``) breaks the whole process pool; the
+executor rebuilds it and resubmits the unfinished points a bounded
+number of times, then raises.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -35,7 +33,7 @@ from typing import Any
 
 from repro import obs, scope
 from repro.sweep.cache import ResultCache
-from repro.sweep.config import ExecutionConfig, current_execution, execution
+from repro.sweep.config import current_execution, execution
 from repro.sweep.spec import SweepPoint, SweepSpec
 
 __all__ = ["SweepError", "SweepResult", "SweepStats", "run_sweep"]
@@ -43,11 +41,8 @@ __all__ = ["SweepError", "SweepResult", "SweepStats", "run_sweep"]
 # Seconds buckets for the per-point duration histogram.
 _POINT_SECONDS_EDGES = (1e-3, 1e-2, 0.1, 1.0, 10.0)
 
-# Pool rebuilds tolerated per sweep before unfinished points are failed.
+# Pool rebuilds tolerated per sweep before the sweep raises.
 _POOL_RETRIES = 2
-
-# Poll interval for per-point timeout enforcement (parallel mode).
-_TIMEOUT_TICK = 0.05
 
 # Target chunks per worker slot when batching points into one submission.
 # Chunking amortises per-future submission and pickling overhead (a cheap
@@ -70,11 +65,6 @@ class SweepResult:
     value: dict[str, Any]
     cached: bool
     duration: float  # seconds spent executing (0.0 for cache hits)
-    error: str | None = None  # set when the point failed (on_error="keep")
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
     @property
     def params(self) -> dict[str, Any]:
@@ -91,7 +81,6 @@ class SweepStats:
     executed: int
     wall_seconds: float
     jobs: int
-    failed: int = 0
 
     @property
     def utilization(self) -> float:
@@ -104,9 +93,8 @@ class SweepStats:
 
     def line(self) -> str:
         cached = f", {self.cache_hits} cached" if self.cache_hits else ""
-        failed = f", {self.failed} FAILED" if self.failed else ""
         return (
-            f"[sweep] {self.sweep}: {self.npoints} points{cached}{failed}, "
+            f"[sweep] {self.sweep}: {self.npoints} points{cached}, "
             f"jobs={self.jobs}, {self.wall_seconds:.2f}s, "
             f"utilization {self.utilization:.0%}"
         )
@@ -117,12 +105,13 @@ class _SpillBoard(list):
 
     ``run_sweep(..., spill_path=...)`` swaps its plain result list for
     one of these: each ``results[i] = SweepResult(...)`` assignment —
-    cache hit, executed point, or recorded failure alike — appends one
-    JSON line immediately (the :class:`repro.obs.JsonlSink` discipline:
-    stream, retain nothing extra in memory).  Lines land in completion
-    order; each carries its own ``params``, so readers never depend on
-    file order.  Because cache hits are re-emitted, resuming an
-    interrupted sweep with the same content-addressed cache rewrites a
+    cache hit or executed point alike — appends one JSON line
+    immediately (the :class:`repro.obs.JsonlSink` discipline: stream,
+    retain nothing extra in memory).  Lines land in completion order;
+    each carries its own ``params``, so readers never depend on file
+    order.  A sweep that raises leaves the lines of the points that
+    finished before it.  Because cache hits are re-emitted, re-running
+    an interrupted sweep with the same content-addressed cache rewrites a
     *complete* file — earlier points replay from cache in the same run.
     """
 
@@ -133,12 +122,9 @@ class _SpillBoard(list):
         if self.path.parent != Path():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w")
-        self.written = 0
 
-    def __setitem__(self, i: int, result: SweepResult | None) -> None:
+    def __setitem__(self, i: int, result: SweepResult) -> None:
         super().__setitem__(i, result)
-        if result is None or self._fh is None:
-            return
         line = json.dumps(
             {
                 "sweep": self.sweep,
@@ -147,7 +133,6 @@ class _SpillBoard(list):
                 "seed": result.point.seed,
                 "value": result.value,
                 "cached": result.cached,
-                "error": result.error,
             },
             sort_keys=True,
             default=str,
@@ -155,21 +140,18 @@ class _SpillBoard(list):
         self._fh.write(line)
         self._fh.write("\n")
         self._fh.flush()  # each line survives a mid-sweep crash
-        self.written += 1
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
 
 
 def _execute_chunk(carried: dict, items) -> list[tuple[bool, Any, float]]:
     """Run a batch of points in one worker submission, under the parent's
     carried scopes (fault plan, pass pipeline, bulk switch) re-entered here.
 
-    Per-point outcomes are ``(ok, value-or-error-message, duration)`` so
-    a failing point never poisons the rest of its chunk — ``on_error``
-    semantics are applied by the parent process.
+    Per-point outcomes are ``(ok, value-or-error-message, duration)``, in
+    order, up to and including the first point that raises: the parent
+    caches the points before it and raises :class:`SweepError` naming it.
     """
     out = []
     with scope.entered(carried):
@@ -182,16 +164,14 @@ def _execute_chunk(carried: dict, items) -> list[tuple[bool, Any, float]]:
                     (False, f"{type(exc).__name__}: {exc}",
                      time.perf_counter() - t0)
                 )
-            else:
-                out.append((True, value, time.perf_counter() - t0))
+                break
+            out.append((True, value, time.perf_counter() - t0))
     return out
 
 
 def run_sweep(
     spec: SweepSpec,
     *,
-    on_error: str = "raise",
-    timeout: float | None = None,
     spill_path: str | Path | None = None,
     **overrides,
 ) -> list[SweepResult]:
@@ -202,18 +182,9 @@ def run_sweep(
     ``jobs=`` / ``cache=`` / ``progress=`` given here replace those fields
     in a nested ``execution(...)`` scope around this one call.
 
-    ``on_error="keep"`` records a failing point (``result.error`` set,
-    empty value, never cached) instead of aborting the sweep.  A broken
-    worker pool is rebuilt up to a bounded number of times either way;
-    with ``"raise"`` exhausting the retries raises, with ``"keep"`` the
-    still-unfinished points run isolated (one per single-worker pool) so
-    only the true crasher is failed.
-
-    ``timeout`` bounds each point's wall-clock seconds in parallel mode
-    (the result is marked/raised as timed out; the stuck worker keeps its
-    slot until it finishes, so the *next* points may start late).  Serial
-    execution cannot preempt a running point, so ``timeout`` is ignored
-    there.
+    The first point that raises aborts the sweep with :class:`SweepError`
+    naming it; a failing point is never cached.  A broken worker pool is
+    rebuilt a bounded number of times, then the sweep raises too.
 
     ``spill_path`` streams every completed point (cache hits included)
     to a JSON Lines file as it lands, flushed per line — a crash leaves
@@ -225,14 +196,8 @@ def run_sweep(
     if overrides:
         ambient = {"jobs": cfg.jobs, "cache": cfg.cache, "progress": cfg.progress}
         with execution(**{**ambient, **overrides}):
-            return run_sweep(
-                spec, on_error=on_error, timeout=timeout, spill_path=spill_path
-            )
+            return run_sweep(spec, spill_path=spill_path)
     jobs, cache, progress = cfg.jobs, cfg.cache, cfg.progress
-    if on_error not in ("raise", "keep"):
-        raise ValueError(f'on_error must be "raise" or "keep", got {on_error!r}')
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
 
     points = spec.iter_points()
     session = obs.current()
@@ -267,17 +232,15 @@ def run_sweep(
                 )
 
             if jobs > 1 and len(pending) > 1:
-                _run_parallel(spec, pending, results, cfg, on_error, timeout)
+                _run_parallel(spec, pending, results, cfg)
             else:
-                _run_serial(spec, pending, results, cache, session, on_error)
+                _run_serial(spec, pending, results, cache, session)
     finally:
         if isinstance(results, _SpillBoard):
             results.close()
 
     wall = time.perf_counter() - t_start
-    done = [r for r in results if r is not None]
-    busy = sum(r.duration for r in done)
-    failed = sum(1 for r in done if r.error is not None)
+    done = list(results)
     stats = SweepStats(
         sweep=spec.name,
         npoints=len(points),
@@ -285,13 +248,11 @@ def run_sweep(
         executed=len(pending),
         wall_seconds=wall,
         jobs=jobs,
-        failed=failed,
-        _busy=busy,
+        _busy=sum(r.duration for r in done),
     )
     if session:
         m = session.metrics
         m.counter("sweep.points.completed").inc(len(points))
-        m.counter("sweep.points.failed").inc(failed)
         m.counter("sweep.cache.hits").inc(hits)
         m.counter("sweep.cache.misses").inc(len(pending))
         if cache is not None and (unkeyed := sum(k is None for _, _, k in pending)):
@@ -300,11 +261,11 @@ def run_sweep(
         m.gauge(f"sweep.{spec.name}.utilization").set(stats.utilization)
         hist = m.histogram("sweep.point.seconds", _POINT_SECONDS_EDGES)
         for r in done:
-            if not r.cached and r.error is None:
+            if not r.cached:
                 hist.observe(r.duration)
     if progress and points:
         progress(stats.line())
-    return [r for r in results if r is not None]
+    return done
 
 
 def _store(
@@ -321,17 +282,7 @@ def _store(
     results[i] = SweepResult(pt, value, cached=False, duration=duration)
 
 
-def _fail(
-    results: list[SweepResult | None],
-    i: int,
-    pt: SweepPoint,
-    message: str,
-    duration: float = 0.0,
-) -> None:
-    results[i] = SweepResult(pt, {}, cached=False, duration=duration, error=message)
-
-
-def _run_serial(spec, pending, results, cache, session, on_error) -> None:
+def _run_serial(spec, pending, results, cache, session) -> None:
     for i, pt, key in pending:
         span = (
             session.span(f"sweep.{spec.name}.point") if session else nullcontext()
@@ -341,69 +292,35 @@ def _run_serial(spec, pending, results, cache, session, on_error) -> None:
             with span:
                 value = dict(pt.runner(pt.params_dict, pt.seed))
         except Exception as exc:
-            if on_error == "raise":
-                raise SweepError(f"sweep point {pt.label()} failed: {exc}") from exc
-            _fail(
-                results, i, pt,
-                f"{type(exc).__name__}: {exc}",
-                duration=time.perf_counter() - t0,
-            )
-            continue
+            raise SweepError(f"sweep point {pt.label()} failed: {exc}") from exc
         _store(results, cache, i, pt, key, value, time.perf_counter() - t0)
 
 
-def _run_parallel(
-    spec, pending, results, cfg: ExecutionConfig, on_error, timeout
-) -> None:
+def _run_parallel(spec, pending, results, cfg) -> None:
     """Drain ``pending`` through ``cfg``'s pool — one pool per
     ``execution()`` block, so `repro run all --jobs N` reuses workers
     across experiments."""
     carried = scope.carried()
     queue = list(pending)
     crashes = 0
-    while queue:
+    while True:
         try:
-            _drain_pool(cfg, carried, spec, queue, results, on_error, timeout)
-            break
+            _drain_pool(cfg, carried, queue, results)
+            return
         except BrokenProcessPool as exc:
             # A worker died mid-point, poisoning every in-flight
             # future — the culprit is unidentifiable from here.
-            # Rebuild the pool and resubmit whatever has no result
-            # yet; once the retry budget is spent, fall back to
-            # running each straggler in its own single-worker pool so
-            # only the point that actually kills its worker fails.
+            # Rebuild the pool (the next sweep in the block gets live
+            # workers either way) and resubmit whatever has no result
+            # yet, until the retry budget is spent.
             crashes += 1
             queue = [p for p in queue if results[p[0]] is None]
             cfg.reset_pool()
             if crashes > _POOL_RETRIES:
-                if on_error == "raise":
-                    raise SweepError(
-                        f"sweep {spec.name}: worker pool crashed "
-                        f"{crashes} times; {len(queue)} point(s) unfinished"
-                    ) from exc
-                _run_isolated(cfg, carried, spec, queue, results)
-                break
-
-
-def _run_isolated(cfg, carried, spec, queue, results) -> None:
-    """Last-resort pass after repeated pool crashes (``on_error="keep"``).
-
-    Each unfinished point is drained through a fresh one-worker config: a
-    point that crashes its worker fails alone, and every innocent point
-    that was merely in flight when a neighbour died still completes.
-    """
-    for entry in queue:
-        solo = ExecutionConfig(jobs=1, cache=cfg.cache)
-        try:
-            _drain_pool(solo, carried, spec, [entry], results, "keep", None)
-        except BrokenProcessPool:
-            _fail(
-                results, entry[0], entry[1],
-                "worker process crashed (BrokenProcessPool) "
-                "running this point in isolation",
-            )
-        finally:
-            solo.reset_pool()
+                raise SweepError(
+                    f"sweep {spec.name}: worker pool crashed "
+                    f"{crashes} times; {len(queue)} point(s) unfinished"
+                ) from exc
 
 
 def _chunks(queue, jobs) -> list[list]:
@@ -413,75 +330,29 @@ def _chunks(queue, jobs) -> list[list]:
     return [queue[k : k + size] for k in range(0, len(queue), size)]
 
 
-def _drain_pool(cfg, carried, spec, queue, results, on_error, timeout) -> None:
-    """Submit ``queue`` to ``cfg``'s pool as chunks and collect every outcome.
+def _drain_pool(cfg, carried, queue, results) -> None:
+    """Submit ``queue`` to ``cfg``'s pool as per-worker runs of points (see
+    :func:`_chunks`) and store every outcome as its chunk lands.
 
-    Without a per-point ``timeout`` a chunk is a per-worker run of points
-    (see :func:`_chunks`); timeout enforcement needs a future per point,
-    so there a chunk is one point.  A :class:`BrokenProcessPool` from any
-    chunk propagates to the caller's rebuild loop; points of the broken
-    chunk that have no result yet are resubmitted with the rest of the
-    unfinished queue.
+    The first failing outcome cancels the chunks not yet started and
+    raises :class:`SweepError` naming its point.  A
+    :class:`BrokenProcessPool` from any chunk propagates to the caller's
+    rebuild loop; points of the broken chunk that have no result yet are
+    resubmitted with the rest of the unfinished queue.
     """
     pool = cfg.pool()
-    chunks = _chunks(queue, cfg.jobs) if timeout is None else [[p] for p in queue]
     futures = {
         pool.submit(
             _execute_chunk,
             carried,
             [(pt.runner, pt.params_dict, pt.seed) for _, pt, _ in chunk],
         ): chunk
-        for chunk in chunks
+        for chunk in _chunks(queue, cfg.jobs)
     }
-    not_done = set(futures)
-    started: dict[Any, float] = {}
-    abandoned = False
-    try:
-        while not_done:
-            done, not_done = wait(
-                not_done,
-                timeout=None if timeout is None else _TIMEOUT_TICK,
-                return_when=FIRST_COMPLETED,
-            )
-            for fut in done:  # fut.result(): a BrokenProcessPool propagates
-                for (i, pt, key), (ok, payload, duration) in zip(futures[fut], fut.result()):
-                    if ok:
-                        _store(results, cfg.cache, i, pt, key, payload, duration)
-                    elif on_error == "raise":
-                        for f in not_done:
-                            f.cancel()
-                        raise SweepError(
-                            f"sweep point {pt.label()} failed: {payload}"
-                        )
-                    else:
-                        _fail(results, i, pt, payload, duration=duration)
-            if timeout is None:
-                continue
-            # ProcessPoolExecutor cannot interrupt a running worker, so a
-            # timeout abandons the future: the point is recorded as timed
-            # out and its (eventual) result is discarded.
-            now = time.perf_counter()
-            expired = [
-                f for f in not_done
-                if f.running() and now - started.setdefault(f, now) > timeout
-            ]
-            for fut in expired:
-                ((i, pt, _key),) = futures[fut]
-                not_done.discard(fut)
-                abandoned = True
-                if on_error == "raise":
-                    for f in not_done:
-                        f.cancel()
-                    raise SweepError(
-                        f"sweep point {pt.label()} timed out after {timeout:g}s"
-                    )
-                _fail(
-                    results, i, pt,
-                    f"timed out after {timeout:g}s", duration=timeout,
-                )
-    finally:
-        if abandoned:
-            # The abandoned future still occupies its worker; the pool is
-            # dropped without waiting so neither the next sweep nor
-            # close() stalls behind it.
-            cfg.reset_pool()
+    for fut in as_completed(futures):  # fut.result(): a BrokenProcessPool propagates
+        for (i, pt, key), (ok, payload, duration) in zip(futures[fut], fut.result()):
+            if not ok:
+                for f in futures:
+                    f.cancel()
+                raise SweepError(f"sweep point {pt.label()} failed: {payload}")
+            _store(results, cfg.cache, i, pt, key, payload, duration)

@@ -75,6 +75,25 @@ class TestFaultSemantics:
             FaultSemantics(detect_scale=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (LinkFaults, "jitter"),
+        (LinkFaults, "degrade"),
+        (RetransmitPolicy, "timeout"),
+        (RetransmitPolicy, "backoff"),
+        (FaultSemantics, "detect_scale"),
+    ],
+)
+def test_non_finite_knob_rejected_by_name(cls, field, value):
+    """A one-sided comparison lets ``nan`` and ``inf`` through to a silent
+    row (or to the simulator's nameless delay check); each knob is a
+    finite range that names itself."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: value})
+
+
 class TestFaultPlan:
     def test_default_plan_is_clean(self):
         assert FaultPlan().clean

@@ -205,6 +205,43 @@ class TestTrace:
         assert rc == 2
         assert "--capacity must be >= 1" in capsys.readouterr().err
 
+    def test_trace_out_in_missing_directory_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.experiments as experiments
+
+        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", _never_run("table2"))
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(["trace", "table2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err and out in err
+
+    def test_trace_jsonl_dir_that_cannot_be_made_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.experiments as experiments
+
+        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", _never_run("table2"))
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        jdir = str(blocker / "jsonl")
+        rc = main(
+            ["trace", "table2", "--out", str(tmp_path / "t.json"),
+             "--sink", "jsonl", "--jsonl-dir", jdir]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jsonl-dir" in err and jdir in err
+
+
+def _never_run(*names):
+    """An experiment table whose entries fail the test if called."""
+
+    def run():
+        raise AssertionError("an experiment ran before the output path was checked")
+
+    return {n: run for n in names}
+
 
 class TestMetricsFlag:
     def test_run_metrics_embedded_in_json(self, capsys):
@@ -348,6 +385,16 @@ class TestExport:
         rc = main(["export", str(tmp_path), "--experiments", "fig99"])
         assert rc == 2
 
+    def test_export_into_an_existing_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        import repro.experiments as experiments
+
+        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", _never_run("table1"))
+        f = tmp_path / "not-a-dir"
+        f.write_text("x")
+        assert main(["export", str(f), "--experiments", "table1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outdir" in err and str(f) in err
+
 
 class TestFaultCommand:
     def test_fault_reports_degradation(self, capsys):
@@ -388,6 +435,14 @@ class TestFaultCommand:
         rc = main(["fault", "perlmutter-cpu", "two_sided", "--loss", "1.5"])
         assert rc == 2
         assert "loss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, field", [("--degrade", "degrade"), ("--timeout-us", "timeout")]
+    )
+    def test_fault_nan_knob_exits_2(self, capsys, flag, field):
+        rc = main(["fault", "perlmutter-cpu", "one_sided", flag, "nan"])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
 
     def test_fault_unknown_machine(self, capsys):
         assert main(["fault", "elcap", "two_sided"]) == 2
