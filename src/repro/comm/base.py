@@ -70,11 +70,11 @@ class Message:
 
 
 class Request:
-    """Handle for a non-blocking operation (send, recv, put, atomic).
+    """Handle for a non-blocking send, recv or get (a put returns none).
 
     ``event`` fires when the operation completes; for receives the value is
-    a ``(payload, Status)`` pair, for fetch-style atomics it is the fetched
-    value, for sends/puts it is ``None``.
+    a ``(payload, Status)`` pair, for a get the fetched array, for sends
+    ``None``.
     """
 
     __slots__ = ("event", "kind", "nbytes")

@@ -40,7 +40,7 @@ from repro.comm.base import (
     Status,
 )
 from repro.comm.matching import MatchingEngine
-from repro.sim.event import Event
+from repro.sim.process import InFlight
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.job import Job
@@ -48,15 +48,57 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RankContext"]
 
 
-def _raise(exc: BaseException) -> None:
-    """Re-raise a failed delivery from inside an event callback.
+class _Arrival(InFlight):
+    """A two-sided message in flight (an eager send or a rendezvous RTS);
+    on arrival it enters the receiver's matching engine.
 
     Two-sided deliveries only fail when fault injection runs a two-sided
     verb under surface-mode semantics (no receiver exists to surface the
     loss at); re-raising aborts the simulation at the delivery instant
     rather than letting the receiver hang forever.
     """
-    raise exc
+
+    __slots__ = ("dst_ctx", "msg", "error")
+
+    def __init__(self, dst_ctx: "RankContext", msg: Message):
+        self.dst_ctx, self.msg = dst_ctx, msg
+
+    def _resume(self, _none: None) -> None:
+        if self.error is not None:
+            raise self.error
+        self.dst_ctx._deliver(self.msg)
+
+
+class _Rendezvous(InFlight):
+    """The data phase of a rendezvous send, started when the RTS matches:
+    the CTS back to the sender, then the data (``data_sent``), whose
+    arrival completes the posted receive and the send."""
+
+    __slots__ = ("sender", "dst_ctx", "msg", "payload", "send_done", "posted",
+                 "data_sent", "error")
+
+    def __init__(self, sender, dst_ctx, msg, payload, send_done):
+        self.sender, self.dst_ctx, self.msg = sender, dst_ctx, msg
+        self.payload, self.send_done = payload, send_done
+        self.data_sent = False
+
+    def matched(self, posted, _msg: Message) -> None:
+        """``msg.on_match``: matched at max(RTS arrival, recv posted)."""
+        self.posted = posted
+        self.sender.fabric.send(self.dst_ctx.endpoint, self.sender.endpoint, 0.0, self)
+
+    def _resume(self, _none: None) -> None:
+        msg, dst_ctx = self.msg, self.dst_ctx
+        if not self.data_sent:
+            self.data_sent = True
+            self.sender.fabric.send(self.sender.endpoint, dst_ctx.endpoint, msg.nbytes, self)
+            return
+        self.posted.event.succeed(
+            (self.payload, Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)),
+            delay=dst_ctx._recv_delay(msg),
+        )
+        if not self.send_done.triggered:
+            self.send_done.succeed()
 
 
 class RankContext:
@@ -146,55 +188,16 @@ class RankContext:
                 self.sim.now, "send", self.rank, dst=dest, tag=tag, nbytes=nbytes
             )
         if nbytes <= self.costs.eager_threshold:
-            delivery = self.fabric.transfer(
-                self.endpoint, dst_ctx.endpoint, nbytes, payload=msg
-            )
-            delivery.event.add_callback(
-                lambda ev: dst_ctx._deliver(ev.value) if ev.ok else _raise(ev.value)
-            )
+            self.fabric.send(self.endpoint, dst_ctx.endpoint, nbytes, _Arrival(dst_ctx, msg))
             # Eager: the library buffers the data; the send completes locally
             # — a flag on the request, not an occurrence anyone is woken by.
             send_done.settle()
         else:
-            self._start_rendezvous(msg, payload, dst_ctx, send_done)
+            # RTS/CTS protocol: data moves only after the receive is posted.
+            msg.on_match = _Rendezvous(self, dst_ctx, msg, payload, send_done).matched
+            msg.payload = None  # envelope only; data moves in the CTS phase
+            self.fabric.send(self.endpoint, dst_ctx.endpoint, 0.0, _Arrival(dst_ctx, msg))
         return Request(send_done, "isend", nbytes)
-
-    def _start_rendezvous(
-        self, msg: Message, payload: Any, dst_ctx: "RankContext", send_done: Event
-    ) -> None:
-        """RTS/CTS protocol: data moves only after the receive is posted."""
-        src_ep, dst_ep = self.endpoint, dst_ctx.endpoint
-
-        def on_match(posted, matched_msg: Message) -> None:
-            # Matched at max(RTS arrival, recv posted): send CTS back, then
-            # stream the data.
-            cts = self.fabric.transfer(dst_ep, src_ep, 0.0)
-
-            def after_cts(_ev: Event) -> None:
-                data = self.fabric.transfer(src_ep, dst_ep, msg.nbytes)
-
-                def after_data(_ev2: Event) -> None:
-                    delay = dst_ctx._recv_delay(msg)
-                    posted.event.succeed(
-                        (
-                            payload,
-                            Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes),
-                        ),
-                        delay=delay,
-                    )
-                    if not send_done.triggered:
-                        send_done.succeed()
-
-                data.event.add_callback(after_data)
-
-            cts.event.add_callback(after_cts)
-
-        msg.on_match = on_match
-        msg.payload = None  # envelope only; data moves in the CTS phase
-        rts = self.fabric.transfer(src_ep, dst_ep, 0.0, payload=msg)
-        rts.event.add_callback(
-            lambda ev: dst_ctx._deliver(ev.value) if ev.ok else _raise(ev.value)
-        )
 
     def _deliver(self, msg: Message) -> None:
         """Fabric callback: a message has arrived at this rank."""

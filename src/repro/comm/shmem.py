@@ -25,12 +25,12 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import perf
-from repro.comm.base import CommError, Request
+from repro.comm.base import CommError
 from repro.comm.context import RankContext
 from repro.comm.window import Window, _cas, _complete, _faa
 from repro.perf.engine import drain_wait_until_all, issue_times
 from repro.sim.event import Event
-from repro.sim.process import WaitList
+from repro.sim.process import InFlight, WaitList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.job import Job
@@ -39,6 +39,36 @@ __all__ = ["ShmemContext", "SIGNAL_SET", "SIGNAL_ADD"]
 
 SIGNAL_SET = "set"
 SIGNAL_ADD = "add"
+
+
+class _PutSignal(InFlight):
+    """One ``put_signal_nbi`` in flight; on arrival it applies data and
+    signal and counts itself landed at its origin PE."""
+
+    __slots__ = ("ctx", "data_win", "target", "offset", "values", "signal_win",
+                 "signal_idx", "signal_value", "signal_op", "error")
+
+    def __init__(self, ctx, data_win, target, offset, values, signal_win,
+                 signal_idx, signal_value, signal_op):
+        self.ctx, self.target = ctx, target
+        self.data_win, self.offset, self.values = data_win, offset, values
+        self.signal_win, self.signal_idx = signal_win, signal_idx
+        self.signal_value, self.signal_op = signal_value, signal_op
+
+    def _resume(self, _none: None) -> None:
+        if self.error is None:
+            # Data first, then the signal becomes observable: one atomic
+            # step at the same simulated instant preserves the ordering
+            # guarantee (no waiter can observe signal-without-data).
+            target, signal_win, idx = self.target, self.signal_win, self.signal_idx
+            self.data_win._apply_write(target, self.offset, self.values)
+            sig = signal_win.buffers[target]
+            if self.signal_op == SIGNAL_SET:
+                sig[idx] = self.signal_value
+            else:
+                sig[idx] += self.signal_value
+            signal_win._apply_write(target, idx, None)  # ring watchers
+        self.ctx._put_landed(self.error)
 
 
 class ShmemContext(RankContext):
@@ -53,17 +83,17 @@ class ShmemContext(RankContext):
         self._lost_puts: list[BaseException] = []
         self._quiet_waiter: WaitList | None = None
 
-    def _put_landed(self, done: Event, ev: Event) -> None:
-        """One outstanding put completed at its target (``ev`` ok) or was
-        lost: count it, park a loss, release a quiet it was blocking —
+    def _put_landed(self, error: BaseException | None) -> None:
+        """One outstanding put completed at its target (``error`` None) or
+        was lost: count it, park a loss, release a quiet it was blocking —
         the last put in flight, or the first lost (see ``_complete``)."""
         self._puts_in_flight -= 1
-        if not ev._ok:
-            self._lost_puts.append(ev._value)
+        if error is not None:
+            self._lost_puts.append(error)
         waiter = None
-        if self._quiet_waiter is not None and (not ev._ok or not self._puts_in_flight):
+        if self._quiet_waiter is not None and (error is not None or not self._puts_in_flight):
             waiter, self._quiet_waiter = self._quiet_waiter, None
-        _complete(done, ev, waiter=waiter)
+        _complete(self.sim, error, waiter)
 
     # ------------------------------------------------------------------
     # put with signal
@@ -86,8 +116,8 @@ class ShmemContext(RankContext):
 
         The data lands in ``data_win`` at ``target``; the signal word
         ``signal_win[target][signal_idx]`` is updated *after* the data is
-        visible.  Returns a :class:`Request` tracking remote completion
-        (``quiet`` also covers it).
+        visible.  Returns nothing: remote completion is ``quiet``, which
+        counts it.
         """
         if not 0 <= target < self.size:
             raise CommError(f"put_signal target {target} out of range")
@@ -103,27 +133,9 @@ class ShmemContext(RankContext):
         self.counter.messages += 1
         self.counter.bytes_sent += nbytes
         yield self.costs.put_signal
-        target_ep = self.job.endpoints[target]
-        delivery = self.fabric.transfer(self.endpoint, target_ep, nbytes)
-        done = Event(self.sim)
-
-        def land(_ev: Event) -> None:
-            if not _ev._ok:
-                self._put_landed(done, _ev)
-                return
-            # Data first, then the signal becomes observable: one atomic
-            # step at the same simulated instant preserves the ordering
-            # guarantee (no waiter can observe signal-without-data).
-            data_win._apply_write(target, offset, values)
-            sig = signal_win.buffers[target]
-            if signal_op == SIGNAL_SET:
-                sig[signal_idx] = signal_value
-            else:
-                sig[signal_idx] += signal_value
-            signal_win._apply_write(target, signal_idx, None)  # ring watchers
-            self._put_landed(done, _ev)
-
-        delivery.event.add_callback(land)
+        record = _PutSignal(self, data_win, target, offset, values, signal_win,
+                            signal_idx, signal_value, signal_op)
+        self.fabric.send(self.endpoint, self.job.endpoints[target], nbytes, record)
         self._puts_in_flight += 1
         if self.job.tracer.enabled:
             self.job.tracer.emit(
@@ -134,7 +146,6 @@ class ShmemContext(RankContext):
                 nbytes=nbytes,
                 signal_idx=signal_idx,
             )
-        return Request(done, "put_signal", nbytes)
 
     def put_signal_batch(
         self,
@@ -191,7 +202,6 @@ class ShmemContext(RankContext):
         deliver = self.fabric.plan(
             self.endpoint, self.job.endpoints[target], nbytes
         ).times(issue)
-        done = self.sim.event()
 
         def landed(_ev: Event) -> None:
             data_win._apply_write(target, offset, None)
@@ -201,7 +211,7 @@ class ShmemContext(RankContext):
             else:
                 sig[signal_idx] += signal_value * n
             signal_win._apply_write(target, signal_idx, None)
-            self._put_landed(done, _ev)
+            self._put_landed(None)
 
         self.sim.at_time(max(deliver)).add_callback(landed)
         self._puts_in_flight += 1

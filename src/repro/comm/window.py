@@ -29,8 +29,8 @@ from repro import perf
 from repro.comm.base import CommError, Request
 from repro.perf.atomics import bulk_cas_stream
 from repro.perf.engine import bulk_visible_last, issue_times
-from repro.sim.event import Event, Timeout
-from repro.sim.process import WaitList
+from repro.sim.event import Event
+from repro.sim.process import InFlight, WaitList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
@@ -39,74 +39,73 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Window", "WindowHandle"]
 
 
-def _complete(
-    done: Event, ev: Event, value: Any = None, waiter: WaitList | None = None
-) -> None:
-    """Set an RMA op's completion ``done`` from ``ev``, the fabric event (or
-    local delay) that carried its last leg.
+def _complete(sim, error, waiter, done=None, value=None) -> None:
+    """Set an RMA op's completion ``done`` when its last leg lands
+    (``error`` None) or is lost.
 
     ``done`` is a flag more than an event: nearly every reader asks
     ``triggered`` / ``ok`` (``Request.done``, the outstanding counts), so it
-    is settled in place unless a process is parked on it.  A failed ``ev``
-    (fault injection) is one-sided semantics: the origin does not learn about
-    the loss at the op — it is parked on ``done`` (defused, so it never raises
-    unhandled) and surfaces at the flush / quiet / wait that gathers it.
-    ``waiter`` is a blocked flush or quiet this completion releases: then
-    ``done`` does take the heap trip and wakes it from there — the same two
-    hops, in the same ``(time, seq)`` places, as the ``AllOf`` over every
-    pending op that the counts replace.  The woken rank finds a loss parked.
+    is settled in place unless a process is parked on it.  A put has none:
+    one is built only to take the heap trip.  A loss (fault injection) is
+    one-sided semantics: the origin does not learn about it at the op — it
+    is parked on ``done`` (defused, so it never raises unhandled) and
+    surfaces at the flush / quiet / wait that gathers it.  ``waiter`` is a
+    blocked flush or quiet this completion releases: then ``done`` does take
+    the heap trip and wakes it from there — the same two hops, in the same
+    ``(time, seq)`` places, as the ``AllOf`` over every pending op that the
+    counts replace.  The woken rank finds a loss parked.
     """
+    if done is None:
+        if waiter is None and error is None:
+            return
+        done = Event(sim)
     if waiter is not None:
         done.add_callback(waiter.wake)
-    if ev._ok:
+    if error is None:
         done.settle(value)
     else:
-        done.fail(ev._value)
+        done.fail(error)
         done.defuse()
 
 
 def _cas(buf, offset, compare, value):
-    old = buf[offset].item()
+    old = buf.item(offset)
     if old == compare:
         buf[offset] = value
     return old
 
 
 def _faa(buf, offset, _compare, value):
-    old = buf[offset].item()
+    old = buf.item(offset)
     buf[offset] = old + value
     return old
 
 
 def _swap(buf, offset, _compare, value):
-    old = buf[offset].item()
+    old = buf.item(offset)
     buf[offset] = value
     return old
 
 
-class _AtomicOp(WaitList):
+class _AtomicOp(WaitList, InFlight):
     """One remote atomic in flight: a request leg, a turn at the target's
     atomic unit, a response leg carrying the old value back to the origin.
 
-    The hops are this object's bound methods, sharing its slots; creating
-    it posts the request, and the origin parks on the op itself.
+    The three are pushes of this one record; creating it posts the request,
+    and the origin parks on the op itself.
     """
 
     __slots__ = ("handle", "target", "offset", "apply_fn", "compare", "value",
-                 "old", "lost")
+                 "old", "stage", "error")
 
     def __init__(self, handle, target, offset, apply_fn, compare, value):
-        self.handle = handle
-        self.target = target
-        self.offset = offset
-        self.apply_fn = apply_fn
-        self.compare = compare
-        self.value = value
+        self.handle, self.target, self.offset = handle, target, offset
+        self.apply_fn, self.compare, self.value = apply_fn, compare, value
+        self.stage = 0  # 0: request leg, 1: at the atomic unit, 2: response leg
         ctx = handle.ctx
-        request = ctx.fabric.transfer(
-            ctx.endpoint, ctx.job.endpoints[target], 16.0, atomic=True
+        ctx.fabric.send(
+            ctx.endpoint, ctx.job.endpoints[target], 16.0, self, atomic=True
         )
-        request.event.add_callback(self._at_target)
         handle.window._track(handle.rank, target)
         if apply_fn is _cas and ctx.job.tracer.enabled:
             ctx.job.tracer.emit(
@@ -116,35 +115,78 @@ class _AtomicOp(WaitList):
     def __repr__(self) -> str:
         return f"<WaitList: an atomic at rank {self.target}, offset {self.offset}>"
 
-    def _at_target(self, ev: Event) -> None:
-        if not ev._ok:
-            self._respond(ev)
+    def _resume(self, _none: None) -> None:
+        handle, target = self.handle, self.target
+        win, ctx = handle.window, handle.ctx
+        stage = self.stage
+        if stage == 0 and self.error is None:
+            # Atomics serialise at the target's atomic unit.
+            now = ctx.sim._now
+            finish = max(now, win._atomic_next_free[target]) + ctx.costs.atomic_apply
+            win._atomic_next_free[target] = finish
+            self.stage = 1
+            ctx.sim._schedule(self, finish - now)
+        elif stage == 1:
+            self.old = self.apply_fn(
+                win.buffers[target], self.offset, self.compare, self.value
+            )
+            win._apply_write(target, self.offset, None)  # ring watchers
+            self.stage = 2
+            ctx.fabric.send(ctx.job.endpoints[target], ctx.endpoint, 8.0, self)
+        else:  # the response landed, or a leg was lost
+            flush = win._op_done(handle.rank, target, self.error)
+            self.wake()
+            if flush is not None:  # another process of the origin rank
+                flush.wake()
+
+
+class _Put(InFlight):
+    """One ``MPI_Put`` in flight: its delivery and, when the target runtime
+    has a copy engine, a second push when the copy makes the data visible."""
+
+    __slots__ = ("window", "origin", "target", "offset", "values", "nbytes",
+                 "copied", "error")
+
+    def __init__(self, window, origin, target, offset, values, nbytes):
+        self.window, self.origin, self.target = window, origin, target
+        self.offset, self.values, self.nbytes = offset, values, nbytes
+        self.copied = False
+
+    def _resume(self, _none: None) -> None:
+        win, target, error = self.window, self.target, self.error
+        if error is None:
+            if not self.copied:
+                delay = win.job.contexts[target].charge_copy(self.nbytes)
+                if delay > 0:
+                    self.copied = True
+                    win.job.sim._schedule(self, delay)
+                    return
+            win._apply_write(target, self.offset, self.values)
+        _complete(win.job.sim, error, win._op_done(self.origin, target, error))
+
+
+class _Get(InFlight):
+    """One ``MPI_Get`` in flight: the request leg, then the response leg
+    carrying the data back (``data`` is set once the request is served)."""
+
+    __slots__ = ("window", "origin", "target", "offset", "nelems", "done",
+                 "data", "error")
+
+    def __init__(self, window, origin, target, offset, nelems, done):
+        self.window, self.origin, self.target = window, origin, target
+        self.offset, self.nelems, self.done = offset, nelems, done
+        self.data = None
+
+    def _resume(self, _none: None) -> None:
+        win, target, error = self.window, self.target, self.error
+        job = win.job
+        if error is None and self.data is None:
+            lo = self.offset
+            self.data = np.array(win.buffers[target][lo : lo + self.nelems], copy=True)
+            job.fabric.send(job.endpoints[target], job.endpoints[self.origin],
+                            self.nelems * win.dtype.itemsize, self)
             return
-        handle, target = self.handle, self.target
-        win, ctx = handle.window, handle.ctx
-        # Atomics serialise at the target's atomic unit.
-        now = ctx.sim._now
-        finish = max(now, win._atomic_next_free[target]) + ctx.costs.atomic_apply
-        win._atomic_next_free[target] = finish
-        Timeout(ctx.sim, finish - now).add_callback(self._apply)
-
-    def _apply(self, _ev: Event) -> None:
-        handle, target = self.handle, self.target
-        win, ctx = handle.window, handle.ctx
-        self.old = self.apply_fn(
-            win.buffers[target], self.offset, self.compare, self.value
-        )
-        win._apply_write(target, self.offset, None)  # ring watchers
-        response = ctx.fabric.transfer(ctx.job.endpoints[target], ctx.endpoint, 8.0)
-        response.event.add_callback(self._respond)
-
-    def _respond(self, ev: Event) -> None:
-        handle = self.handle
-        flush = handle.window._op_done(handle.rank, self.target, ev)
-        self.lost = None if ev._ok else ev._value
-        self.wake()
-        if flush is not None:  # another process of the origin rank
-            flush.wake()
+        _complete(job.sim, error, win._op_done(self.origin, target, error), self.done, self.data)
 
 
 class Window:
@@ -236,15 +278,15 @@ class Window:
             return self._in_flight_from[origin]
         return self._in_flight.get((origin, target), 0)
 
-    def _op_done(self, origin: int, target: int, ev: Event) -> WaitList | None:
-        """``origin``'s op on ``target`` completed remotely (``ev`` ok) or
-        was lost: count it, park a loss, and return the blocked flush it
+    def _op_done(self, origin: int, target: int, error: BaseException | None) -> WaitList | None:
+        """``origin``'s op on ``target`` completed remotely (``error`` None)
+        or was lost: count it, park a loss, and return the blocked flush it
         releases — the last op in flight, or a loss — if any."""
         self._in_flight[origin, target] -= 1
         self._in_flight_from[origin] -= 1
-        ok = ev._ok
+        ok = error is None
         if not ok:
-            self._lost[origin].append((target, ev._value))
+            self._lost[origin].append((target, error))
         if self._flush_waiter:
             blocked = self._flush_waiter.get(origin, -1)
             if blocked in (None, target) and (not ok or not self._busy(origin, blocked)):
@@ -297,7 +339,7 @@ class WindowHandle:
         offset: int = 0,
         nelems: int | None = None,
     ) -> Generator:
-        """Non-blocking ``MPI_Put``; completion requires a flush/fence.
+        """Non-blocking ``MPI_Put``, returning nothing: a flush/fence completes it.
 
         Either pass ``values`` (copied into the target at arrival) or, in
         pure-timing mode, just ``nelems``.
@@ -317,25 +359,8 @@ class WindowHandle:
         ctx.counter.messages += 1
         ctx.counter.bytes_sent += nbytes
         yield ctx.costs.put
-        target_ep = ctx.job.endpoints[target]
-        delivery = ctx.fabric.transfer(ctx.endpoint, target_ep, nbytes)
-        done = Event(ctx.sim)
-        target_ctx = ctx.job.contexts[target]
-
-        def visible(_ev: Event) -> None:
-            if _ev._ok:
-                win._apply_write(target, offset, values)
-            _complete(done, _ev, None, win._op_done(self.rank, target, _ev))
-
-        def land(_ev: Event) -> None:
-            # The target runtime's copy engine (if any) delays visibility.
-            delay = target_ctx.charge_copy(nbytes) if _ev._ok else 0.0
-            if delay > 0:
-                ctx.sim.timeout(delay).add_callback(visible)
-            else:
-                visible(_ev)
-
-        delivery.event.add_callback(land)
+        record = _Put(win, self.rank, target, offset, values, nbytes)
+        ctx.fabric.send(ctx.endpoint, ctx.job.endpoints[target], nbytes, record)
         win._track(self.rank, target)
         if ctx.job.tracer.enabled:
             ctx.job.tracer.emit(
@@ -346,7 +371,6 @@ class WindowHandle:
                 nbytes=nbytes,
                 offset=offset,
             )
-        return Request(done, "put", nbytes)
 
     def put_batch(
         self, target: int, n: int, *, nelems: int, offset: int = 0
@@ -377,11 +401,10 @@ class WindowHandle:
             ctx.endpoint, ctx.job.endpoints[target], nbytes
         ).times(issue)
         last = bulk_visible_last(ctx.job.contexts[target], nbytes, deliver)
-        done = ctx.sim.event()
 
         def visible(_ev: Event) -> None:
             win._apply_write(target, offset, None)
-            _complete(done, _ev, None, win._op_done(self.rank, target, _ev))
+            _complete(ctx.sim, None, win._op_done(self.rank, target, None))
 
         ctx.sim.at_time(last).add_callback(visible)
         win._track(self.rank, target)
@@ -396,26 +419,13 @@ class WindowHandle:
         response arrives (local completion via ``flush``/``flush_local``).
         """
         ctx, win = self.ctx, self.window
-        nbytes = nelems * win.dtype.itemsize
         ctx.counter.operations += 1
         yield ctx.costs.get
-        target_ep = ctx.job.endpoints[target]
-        request_leg = ctx.fabric.transfer(ctx.endpoint, target_ep, 8.0)
         done = Event(ctx.sim)
-
-        def at_target(_ev: Event) -> None:
-            if not _ev._ok:
-                _complete(done, _ev, None, win._op_done(self.rank, target, _ev))
-                return
-            data = np.array(win.buffers[target][offset : offset + nelems], copy=True)
-            response = ctx.fabric.transfer(target_ep, ctx.endpoint, nbytes)
-            response.event.add_callback(
-                lambda _e: _complete(done, _e, data, win._op_done(self.rank, target, _e))
-            )
-
-        request_leg.event.add_callback(at_target)
+        record = _Get(win, self.rank, target, offset, nelems, done)
+        ctx.fabric.send(ctx.endpoint, ctx.job.endpoints[target], 8.0, record)
         win._track(self.rank, target)
-        return Request(done, "get", nbytes)
+        return Request(done, "get", nelems * win.dtype.itemsize)
 
     # -- completion ------------------------------------------------------------
 
@@ -485,8 +495,8 @@ class WindowHandle:
             ctx.counter.operations += 1
             wake = ctx.costs.sync_enter + ctx.costs.wait_per_req
         yield op
-        if op.lost is not None:
-            raise op.lost
+        if op.error is not None:
+            raise op.error
         if wake > 0:
             yield wake
         return op.old

@@ -1,9 +1,10 @@
 """The live network: topology + simulator = message delivery with contention.
 
 :class:`Fabric` instantiates one :class:`~repro.net.link.Link` per topology
-edge and exposes a single operation, :meth:`Fabric.transfer`, which moves
-``nbytes`` from one endpoint to another and returns the simulation event that
-fires on delivery (tail arrival at the destination).
+edge and exposes a single operation, :meth:`Fabric.send`, which moves
+``nbytes`` from one endpoint to another and pushes the caller's record on the
+heap for delivery (tail arrival at the destination); :meth:`Fabric.transfer`
+sends an event.
 
 Multi-hop routes use cut-through (wormhole) forwarding: the head of the
 message reserves each hop's injection port in order; per-hop latencies
@@ -12,7 +13,7 @@ head.  Contention on any shared hop delays the reservation and is therefore
 visible end to end — this is what produces the Summit 42-CPU SpTRSV
 contention collapse and the cross-socket hashtable penalty in the paper.
 
-That recurrence lives here once.  :meth:`Fabric.transfer` is a single
+That recurrence lives here once.  :meth:`Fabric.send` is a single
 attempt loop over the route's ports — loss/jitter/hard-down draws and
 retransmission are per-hop steps taken only under a fault plan — and
 :class:`TransferPlan` (from :meth:`Fabric.plan`) replays the same walk for a
@@ -23,6 +24,7 @@ once per distinct path by :meth:`Fabric._walk`.
 
 from __future__ import annotations
 
+from heapq import heappush
 from math import inf
 from typing import TYPE_CHECKING
 
@@ -31,7 +33,7 @@ from repro.net.congestion import CongestionConfig, CongestionControl
 from repro.net.link import Channel, Link
 from repro.net.routing import MinimalRouting, get_routing
 from repro.net.topology import Route, TopologySpec
-from repro.sim.event import Event, Timeout
+from repro.sim.event import _NO_CALLBACKS, Event
 from repro.sim.trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.routing import RoutingPolicy
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Simulator
+    from repro.sim.process import InFlight
 
 __all__ = ["Fabric", "Delivery", "TransferPlan"]
 
@@ -50,6 +53,13 @@ _TIMELINE_BIN = 1e-4
 # Attempt-count histogram edges: bucket k counts transfers delivered on
 # attempt <= edge (1 = first try; the retry cap defaults to 8 retries).
 _ATTEMPT_EDGES = (1.0, 2.0, 3.0, 5.0, 9.0)
+
+
+class _Landing(Event):
+    """A transfer's event: the walk's details stay on the :class:`Delivery`,
+    off the heap entry."""
+
+    __slots__ = ("error",)
 
 
 class Delivery:
@@ -254,7 +264,26 @@ class Fabric:
 
         Returns:
             A :class:`Delivery` whose ``event`` fires with ``payload`` at the
-            tail-arrival time.
+            tail-arrival time (or fails, see :meth:`send`).  A comm verb, whose
+            arrival has one consumer, sends its own record instead.
+        """
+        event = _Landing.__new__(_Landing)  # Event.__init__'s slots, minus its frame
+        event.sim, event.callbacks, event._defused = self.sim, _NO_CALLBACKS, False
+        start, arrival, route, attempts = self.send(
+            src, dst, nbytes, event, earliest=earliest, atomic=atomic
+        )
+        event._ok = ok = event.error is None  # triggered before anything pops it
+        event._value = payload if ok else event.error
+        return Delivery(event, start, arrival, nbytes, route, attempts, not ok)
+
+    def send(
+        self, src: str, dst: str, nbytes: float, record: "InFlight | _Landing", *,
+        earliest: float | None = None, atomic: bool = False,
+    ) -> tuple[float, float, Route, int]:
+        """The hop walk: move ``nbytes`` from ``src`` to ``dst``, set
+        ``record.error`` (None, or the :class:`FaultError` below) and push
+        ``record`` on the heap at the arrival time.  Returns the walk's
+        ``(start, arrival, route, attempts)``.
 
         One attempt reserves the injection port and every hop of the route.
         Without a fault plan that first attempt is the whole transfer.  With
@@ -264,9 +293,8 @@ class Fabric:
         detect_scale * backoff**attempt`` after that attempt started
         injecting and re-enters the fabric then.  Exhausting the budget
         raises :class:`FaultError` (``mode="abort"``: library-internal
-        recovery, MPI-style) or fails the completion event
-        (``mode="surface"``: the error reaches the program at
-        flush/wait/quiet time).
+        recovery, MPI-style) or hands it to the record (``mode="surface"``:
+        the error reaches the program at flush/wait/quiet time).
 
         Loss and jitter draws are keyed on ``(seed, link, transfer id,
         attempt)``: two runs with the same plan replay identically, and a
@@ -276,7 +304,7 @@ class Fabric:
         if not 0 <= nbytes < inf:
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         sim = self.sim
-        clock = sim.now  # constant for the whole call: nothing steps the engine
+        clock = sim._now  # constant for the whole call: nothing steps the engine
         now = clock if earliest is None else max(earliest, clock)
         routing = self.routing
         if routing is None:
@@ -427,10 +455,8 @@ class Fabric:
                     walk = self._walk(route)
                 attempts += 1
         delay = arrival - clock
-        if delay < 0:
-            raise AssertionError(
-                f"fabric computed arrival in the past: {arrival} < {clock}"
-            )
+        if not 0 <= delay < inf:  # a past, nan or endless heap key
+            raise ValueError(f"delivery delay must be finite and >= 0, got {delay}")
         self.total_messages += 1
         self.total_bytes += nbytes
         if self._m_bytes is not None:
@@ -448,15 +474,10 @@ class Fabric:
             self.tracer.emit(sim.now, "net.transfer", -1, **detail)
         if error is not None and faults.semantics.mode == "abort":
             raise error
-        if error is None:
-            # Born triggered: one object on the heap, no callbacks list
-            # until somebody waits on it.
-            event = Timeout(sim, delay, payload)
-        else:
-            event = sim.event().fail(error, delay=delay)
-        return Delivery(
-            event, start, arrival, nbytes, route, attempts, error is not None
-        )
+        record.error = error
+        heappush(sim._heap, (clock + delay, sim._seq, record))
+        sim._seq += 1
+        return start, arrival, route, attempts
 
     def _collect(self) -> dict[str, float]:
         """Snapshot-time export (sum-merged across fabrics feeding the same

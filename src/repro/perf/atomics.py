@@ -89,7 +89,7 @@ def bulk_cas_stream(
         finish = start + atomic_apply
         anf = finish
         u = h_req + (finish - h_req)
-        old = buf[offset].item()
+        old = buf.item(offset)
         if old == compare:
             buf[offset] = value
         old_values.append(old)

@@ -25,7 +25,7 @@ from repro.sim.event import (
     SimulationError,
     Timeout,
 )
-from repro.sim.process import Process
+from repro.sim.process import InFlight, Process
 
 __all__ = ["Simulator"]
 
@@ -47,14 +47,14 @@ class Simulator:
         sim.run()
         print(sim.now, proc.value)
 
-    A process sleeps by yielding the delay; :meth:`timeout` is for events
-    that carry callbacks or that several parties wait on (a fabric
-    delivery, the atomic unit's apply, copy-engine visibility).
+    A process sleeps by yielding the delay, a message in flight is an
+    :class:`~repro.sim.process.InFlight` record; :meth:`timeout` is for
+    events that carry callbacks or that several parties wait on.
     """
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | InFlight]] = []
         self._seq: int = 0
         self._running = False
         self.event_count: int = 0  # processed events, for instrumentation
@@ -107,7 +107,7 @@ class Simulator:
     # -- scheduling ------------------------------------------------------------
 
     def _schedule(
-        self, event: Event, delay: float = 0.0, *, at: float | None = None
+        self, event: Event | InFlight, delay: float = 0.0, *, at: float | None = None
     ) -> None:
         # A nan or infinite key would sit in the heap for ever (nan compares
         # false both ways, so it does not even sort); negative is the past.
@@ -140,8 +140,8 @@ class Simulator:
         self._now = when
         self.event_count += 1
         if event._value is _PENDING:
-            # Only a process is queued untriggered — its own sleep, or a
-            # wake from a wait list — and it resumes with None.
+            # Only a process (a sleep, or a wake from a wait list) or an
+            # InFlight record is queued untriggered: both resume with None.
             event._resume(None)
             return
         callbacks = event.callbacks

@@ -153,10 +153,10 @@ class Event:
 class Timeout(Event):
     """An event that succeeds automatically after ``delay`` simulated seconds.
 
-    For occurrences that carry callbacks (a fabric delivery, the atomic
-    unit's apply, copy-engine visibility) or that several parties wait on;
+    For occurrences that carry callbacks or that several parties wait on;
     a process that only sleeps yields the delay instead
-    (:class:`~repro.sim.process.Process`).
+    (:class:`~repro.sim.process.Process`), and a message in flight is an
+    :class:`~repro.sim.process.InFlight` record.
     """
 
     __slots__ = ()

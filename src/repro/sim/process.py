@@ -11,7 +11,8 @@ A sleep or a wake allocates nothing: the heap entry is the process itself,
 pushed where a ``Timeout(sim, d)`` — or the woken event's ``succeed()`` —
 would have pushed, so it takes the same place in ``(time, seq)`` order.
 Only a wait that somebody else can observe or hang a callback on needs an
-event.
+event.  A heap entry is therefore a process, an :class:`InFlight` record or
+an :class:`~repro.sim.event.Event`.
 
 A :class:`Process` is itself an event: it succeeds with the generator's
 return value, so processes can wait on each other (fork/join).
@@ -24,12 +25,22 @@ from heapq import heappush
 from math import inf
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.event import _NO_CALLBACKS, Event, SimulationError
+from repro.sim.event import _NO_CALLBACKS, _PENDING, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-__all__ = ["Process", "WaitList"]
+__all__ = ["InFlight", "Process", "WaitList"]
+
+
+class InFlight:
+    """A heap entry with one consumer, fixed at creation (a message in flight
+    and what its arrival does): pushed where its ``Timeout`` would have been
+    and popped like a sleeping process (``_value`` is ``_PENDING`` for good),
+    it runs ``_resume(None)``, the body of that ``Timeout``'s one callback."""
+
+    __slots__ = ()
+    _value = _PENDING
 
 
 class WaitList(list):

@@ -29,6 +29,7 @@ being usable), which is what the paper's sustained-bandwidth plots show.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -117,8 +118,8 @@ def run_flood(
     """
     if msgs_per_sync < 1:
         raise ValueError(f"msgs_per_sync must be >= 1, got {msgs_per_sync}")
-    if iters < 1:
-        raise ValueError(f"flood iters must be >= 1, got {iters}")
+    if not isinstance(iters, Integral) or iters < 1:
+        raise ValueError(f"flood iters must be an integer >= 1, got {iters}")
     if nranks < 2:
         raise ValueError(f"flood nranks must be >= 2, got {nranks}")
     program = build_flood_program(

@@ -117,9 +117,9 @@ def collect_values(
     table: np.ndarray, heap: np.ndarray, meta: np.ndarray
 ) -> list[int]:
     """All stored keys (table slots + allocated heap entries)."""
-    vals = [int(v) for v in table if v != EMPTY]
-    used = int(meta[0])
-    vals.extend(int(heap[2 * i]) for i in range(used) if heap[2 * i] != EMPTY)
+    vals = table[table != EMPTY].tolist()
+    keys = heap[: 2 * int(meta[0]) : 2]
+    vals.extend(keys[keys != EMPTY].tolist())
     return vals
 
 

@@ -72,6 +72,8 @@ def run_moe_dispatch(
     placement: str = "spread",
 ) -> MoeDispatchResult:
     """Simulate ``iters`` MoE layers and measure one."""
+    if nranks < 1:
+        raise CollectiveError(f"nranks must be >= 1, got {nranks}")
     if tokens_per_rank < nranks:
         raise CollectiveError(
             f"tokens_per_rank ({tokens_per_rank}) must be >= nranks ({nranks})"

@@ -269,11 +269,11 @@ class TestCountedCompletion:
             def program(ctx):
                 h = win.handle(ctx)
                 if ctx.rank == 0:
-                    reqs = []
                     for _ in range(n):
-                        reqs.append((yield from h.put(1, nelems=1)))
+                        yield from h.put(1, nelems=1)
+                    assert win._busy(0, 1) > 0
                     yield from h.flush(1)
-                    assert all(r.done for r in reqs)
+                    assert win._busy(0, None) == 0
                 yield from ctx.barrier()
 
             return job.run(program).events_processed
@@ -294,17 +294,20 @@ class TestCountedCompletion:
                 if ctx.rank != 0:
                     yield from ctx.compute(seconds=0)
                     return None
-                req = yield from h.put(1, nelems=1)
+                returned = yield from h.put(1, nelems=1)
+                in_flight = win._busy(0, 1)
                 raised = []
                 for target in (1, 2, None, 1):
                     try:
                         yield from h.flush(target)
                     except faults.FaultError as exc:
                         raised.append((target, exc))
-                return req, raised
+                return returned, in_flight, raised
 
-            req, raised = job.run(program).results[0]
-        assert req.done and not req.event.ok
+            returned, in_flight, raised = job.run(program).results[0]
+        assert returned is None  # MPI_Put: completion is the flush
+        assert in_flight == 1
         assert [t for t, _ in raised] == [1, None, 1]  # never target 2's flush
         assert len({id(exc) for _, exc in raised}) == 1
         assert win._busy(0, None) == 0
+        assert win._lost[0] == [(1, raised[0][1])]  # parked once, kept

@@ -186,20 +186,20 @@ class TestQuiet:
 
         def program(ctx):
             if ctx.rank == 0:
-                reqs = []
+                returned = set()
                 for _ in range(n):
-                    req = yield from ctx.put_signal_nbi(
+                    returned.add((yield from ctx.put_signal_nbi(
                         data, 1, nelems=1, signal_win=sig, signal_idx=0,
                         signal_op="add",
-                    )
-                    reqs.append(req)
+                    )))
                     peak.append(ctx._puts_in_flight)
-                return reqs
+                return returned
             yield from ctx.wait_until_all(sig, [0], value=n)
 
         res = job.run(program)
         origin = job.contexts[0]
-        assert all(req.done for req in res.results[0])
+        assert res.results[0] == {None}  # completion is counted, not handed out
+        assert sig.local(1)[0] == n
         assert origin._puts_in_flight == 0 and origin._lost_puts == []
         assert origin._quiet_waiter is None
         assert 0 < max(peak) < 100  # bounded by the wire, not by the program
@@ -243,21 +243,23 @@ class TestQuiet:
                 if ctx.rank != 0:
                     yield from ctx.compute(seconds=0)
                     return None
-                req = yield from ctx.put_signal_nbi(
+                returned = yield from ctx.put_signal_nbi(
                     data, 1, nelems=1, signal_win=sig, signal_idx=0
                 )
+                issued = ctx._puts_in_flight
                 raised = []
                 for _ in range(2):  # blocked when it is lost; lost on entry
                     try:
                         yield from ctx.quiet()
                     except faults.FaultError as exc:
                         raised.append(exc)
-                return req, raised, ctx._puts_in_flight
+                return returned, issued, raised, ctx._puts_in_flight
 
-            req, raised, in_flight = job.run(program).results[0]
-        assert req.done and not req.event.ok
+            returned, issued, raised, in_flight = job.run(program).results[0]
+        assert returned is None and issued == 1
         assert len(raised) == 2 and raised[0] is raised[1]
         assert in_flight == 0
+        assert job.contexts[0]._lost_puts == [raised[0]]  # parked once, kept
         assert sig.local(1)[0] == 0  # a lost put applies nothing
 
     def test_barrier_all(self, pm_gpu):

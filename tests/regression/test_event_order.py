@@ -23,7 +23,7 @@ import struct
 
 import pytest
 
-from repro import perf
+from repro import faults, perf
 from repro.collectives import run_collective
 from repro.machines import get_machine
 from repro.sim import Simulator
@@ -119,9 +119,35 @@ def _sptrsv(machine, runtime, nranks):
     return run
 
 
+def _copy_engine_puts():
+    # summit-cpu's one-sided runtime has copy_per_byte > 0: each put becomes
+    # visible a copy-engine delay after its delivery, a second heap trip.
+    machine = get_machine("summit-cpu")
+    assert machine.runtimes["one_sided"].copy_per_byte > 0
+    with perf.vectorized(False):
+        run_flood(machine, "one_sided", 4096, 16, iters=2)
+
+
+def _rendezvous_flood():
+    # 64 KiB is over the eager threshold: RTS, CTS and data legs per message.
+    machine = get_machine("perlmutter-cpu")
+    assert machine.runtimes["two_sided"].eager_threshold < 65536
+    with perf.vectorized(False):
+        run_flood(machine, "two_sided", 65536, 8, iters=2)
+
+
+def _lossy_hashtable():
+    # Dropped and retransmitted atomic request / response legs.
+    cfg = HashTableConfig(total_inserts=400, load_factor=0.9, seed=3)
+    with faults.inject(faults.FaultPlan.uniform(loss=0.02, seed=11)) as scope:
+        run_hashtable(get_machine("perlmutter-cpu"), "one_sided", cfg, 8)
+    assert scope.stats()["retransmits"] > 0
+
+
 # (resumes, sha256) of the resume sequence, generated at PR 16's head — the
 # two hashtable epochs at PR 19's, before a blocking atomic became one frame.
-# The last three: before a single waiter parked itself on a wait list.
+# The next three: before a single waiter parked itself on a wait list; the
+# last three: before a comm delivery became its op record on the heap.
 EXPECTED = {
     "shmem_ring_allreduce": (
         936, "4eb4fad471a3da08bf9e9f96a33f2bac0bfbfa48ac43981a8ca703ec8b4878ef"
@@ -150,6 +176,15 @@ EXPECTED = {
     "shmem_sptrsv": (
         275, "3d9687890bf03d5abce8ae57bf35d357df087aed02bc24ec1641ec50d8b00a12"
     ),
+    "copy_engine_put_flood": (
+        62, "9272200704454eb2ab3cf572fca9d2d6fc55baa3032e621ad329c10e07a171c8"
+    ),
+    "rendezvous_flood": (
+        54, "9e244eece437706775d530371a924647c4c2cac2cba37549c7a3f933cfa5beab"
+    ),
+    "lossy_one_sided_hashtable": (
+        2421, "ec17e2f70bb1ff42d391adb2cb36aec4516131743986afa503b2571e2691aad0"
+    ),
 }
 SCENARIOS = {
     "shmem_ring_allreduce": _ring_allreduce,
@@ -163,6 +198,9 @@ SCENARIOS = {
     "two_sided_hashtable": _two_sided_hashtable,
     "one_sided_sptrsv": _sptrsv("perlmutter-cpu", "one_sided", 8),
     "shmem_sptrsv": _sptrsv("perlmutter-gpu", "shmem", 4),
+    "copy_engine_put_flood": _copy_engine_puts,
+    "rendezvous_flood": _rendezvous_flood,
+    "lossy_one_sided_hashtable": _lossy_hashtable,
 }
 
 

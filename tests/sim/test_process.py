@@ -457,16 +457,13 @@ class TestWaitList:
         assert "WaitList" in str(p.value)
 
     def test_a_deadlock_names_what_a_parked_rank_waits_for(self, pm_cpu, monkeypatch):
-        from types import SimpleNamespace
-
         from repro.comm import Job
 
         job = Job(pm_cpu, 3, "one_sided", placement="spread")
         sig = job.window(1, dtype=np.int64)
         table = job.window(1, dtype=np.int64)
         # A wire that never delivers: the atomic's request leg never lands.
-        never = SimpleNamespace(event=job.sim.event())
-        monkeypatch.setattr(job.fabric, "transfer", lambda *a, **k: never)
+        monkeypatch.setattr(job.fabric, "send", lambda *a, **k: None)
 
         def program(ctx):
             if ctx.rank == 0:
@@ -485,27 +482,37 @@ class TestWaitList:
         assert "Process" not in msg
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Every ``Timeout`` / ``Delivery`` / ``_AtomicOp`` constructed, by class."""
+    from repro.comm.window import _AtomicOp
+    from repro.net.fabric import Delivery
+    from repro.sim.event import Timeout
+
+    counts = dict.fromkeys(("Timeout", "Delivery", "_AtomicOp"), 0)
+    for cls in (Timeout, Delivery, _AtomicOp):
+        real = cls.__init__
+
+        def counted(self, *args, _real=real, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
 class TestNoTimeoutForARoundMessage:
     """A 4-rank shmem ring allreduce: the sender's issue charge and the
-    receiver's recheck and wake-up are sleeps, so the only ``Timeout``s
-    built are the fabric deliveries — while the event count stays what it
-    was when each of those sleeps was a ``Timeout`` (133)."""
+    receiver's recheck and wake-up are sleeps, and each delivery is the
+    put's own record on the heap — while the event count stays what it was
+    when each of those was a ``Timeout`` (133)."""
 
-    def test_only_deliveries_build_a_timeout(self, monkeypatch):
+    def test_a_round_message_builds_no_timeout_and_no_delivery(self, built):
         from repro.collectives.core import CollectiveComm
         from repro.collectives.plan import CollectivePlan
         from repro.comm.job import Job
         from repro.machines import perlmutter_gpu
-        from repro.sim import event as event_mod
 
-        built = []
-        real = event_mod.Timeout.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(event_mod.Timeout, "__init__", counted)
         plan = CollectivePlan(
             coll="allreduce", algorithm="ring", nranks=4, nelems=64, stripes=1
         )
@@ -517,5 +524,37 @@ class TestNoTimeoutForARoundMessage:
 
         res = job.run(prog, comm)
         assert comm.stats.messages == job.fabric.total_messages == 24
-        assert len(built) == job.fabric.total_messages
+        assert built == {"Timeout": 0, "Delivery": 0, "_AtomicOp": 0}
         assert job.sim.event_count == res.events_processed == 133
+
+    @pytest.mark.parametrize(("runtime", "events"), [("one_sided", 6), ("shmem", 5)])
+    def test_a_blocking_cas_is_one_record(self, built, runtime, events):
+        """Request leg, the atomic unit's turn and the response leg are three
+        pushes of one ``_AtomicOp``; the events are the protocol's 6 / 5."""
+        import numpy as np
+
+        from repro.comm.job import Job
+        from repro.machines import perlmutter_cpu, perlmutter_gpu
+
+        machine = perlmutter_cpu() if runtime == "one_sided" else perlmutter_gpu()
+
+        def events_for(n_cas):
+            job = Job(machine, 2, runtime)
+            win = job.window(1, dtype=np.int64)
+
+            def prog(ctx):
+                if ctx.rank == 0:
+                    for i in range(n_cas):
+                        if runtime == "one_sided":
+                            yield from win.handle(ctx).cas_blocking(1, 0, i, i + 1)
+                        else:
+                            yield from ctx.atomic_compare_swap(win, 1, 0, i, i + 1)
+                yield from ctx.barrier()
+
+            res = job.run(prog)
+            assert win.local(1)[0] == n_cas
+            return res.events_processed
+
+        extra = events_for(2) - events_for(1)
+        assert built == {"Timeout": 0, "Delivery": 0, "_AtomicOp": 3}
+        assert extra == events

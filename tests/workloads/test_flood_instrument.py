@@ -65,6 +65,12 @@ class TestFlood:
         with pytest.raises(ValueError, match="iters"):
             run_flood(perlmutter_cpu(), "two_sided", 64, 4, iters=0)
 
+    @pytest.mark.parametrize("iters", [float("nan"), 2.5], ids=["nan", "fraction"])
+    def test_non_integer_iters_are_typed(self, iters):
+        """``nan`` slips past ``iters < 1``; either used to reach ``range``."""
+        with pytest.raises(ValueError, match=r"flood iters must be an integer >= 1"):
+            run_flood(perlmutter_cpu(), "one_sided", 64, 4, iters=iters)
+
     def test_sweep_covers_grid(self):
         """A (size x msg/sync) flood grid is a sweep over run_flood points."""
         out = run_sweep(SweepSpec(

@@ -152,6 +152,11 @@ class TestMoeDispatch:
         with pytest.raises(CollectiveError, match=match):
             run_moe_dispatch(PM(), SHMEM, nranks=4, **kwargs)
 
+    def test_zero_ranks_is_typed(self):
+        """Not ``ZeroDivisionError`` from the per-expert token split."""
+        with pytest.raises(CollectiveError, match="nranks must be >= 1, got 0"):
+            run_moe_dispatch(PM(), "shmem", nranks=0, tokens_per_rank=8, hidden=64)
+
 
 # ---------------------------------------------------------------------------
 # KV transfer
