@@ -9,9 +9,8 @@ channel's slot space and does the stats accounting identically for every
 backend (the cross-backend parity guarantee).
 
 Invariant every schedule keeps: **at most one logical message per
-(receiver, round)** — that is what makes a round a mailbox slot, lets
-one-sided signals accumulate per-stripe without ambiguity, and keeps the
-bulk engine's single-publisher rendezvous exact.
+(receiver, round)** — that is what makes a round a mailbox slot and lets
+one-sided signals accumulate per-stripe without ambiguity.
 
 Edge cases are handled here, once, for all backends:
 

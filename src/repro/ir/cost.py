@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.ir import ops as O
 from repro.ir.program import IRProgram
 
@@ -79,12 +77,6 @@ class CostModel:
         )
 
 
-def _halo_put_bytes(spec, op: O.HaloPut) -> float:
-    seg_dir = spec.opposite[op.seg]
-    _, length = spec.segments[op.dst][seg_dir]
-    return float(length) * np.dtype(spec.dtype).itemsize
-
-
 def _rank_cost(ops, spec, m: CostModel) -> float:
     cpu = 0.0
     net = 0.0
@@ -106,7 +98,7 @@ def _rank_cost(ops, spec, m: CostModel) -> float:
         elif isinstance(op, (O.BatchWait, O.MsgDrain)):
             join()
         elif isinstance(op, O.HaloPut):
-            send(_halo_put_bytes(spec, op))
+            send(float(spec.landing[op.dst][op.seg][3]) * spec.itemsize)
         elif isinstance(op, (O.HaloBegin, O.HaloFinish)):
             join()
             cpu += m.barrier  # fences are collective in every backend

@@ -182,21 +182,16 @@ class HaloSpec:
     """BSP halo exchange: every rank swaps fixed strips with its grid
     neighbours each iteration.
 
-    All maps are *global* (rank-indexed) because one-sided puts target the
-    receiver's window layout, which differs from the sender's when blocks
-    are uneven.
+    The workload derives it once per program from its own geometry; a
+    backend only reads where a strip lands.  ``landing`` is *global*
+    (rank-indexed) because one-sided puts target the receiver's window
+    layout, which differs from the sender's when blocks are uneven.
     """
 
-    # segment name -> signal-slot / tag index (e.g. north=0 .. east=3).
-    slot: Mapping[str, int]
-    # segment name -> the segment the receiver reads it from.
-    opposite: Mapping[str, str]
-    # rank -> {segment name -> neighbour rank}, in exchange order.
-    neighbors: Mapping[int, Mapping[str, int]]
-    # rank -> {segment name -> (offset, nelems)} window layout.
-    segments: Mapping[int, Mapping[str, tuple[int, int]]]
-    # rank -> total elems of that rank's halo layout (buffer stride).
-    counts: Mapping[int, int]
+    # rank -> {seg: (src, slot, offset, nelems)}, in exchange order: the
+    # strip ``src`` puts as ``seg`` lands at ``offset`` of this rank's halo
+    # window, ``nelems`` long, announced by signal slot / tag ``slot``.
+    landing: Mapping[int, Mapping[str, tuple[int, int, int, int]]]
     # symmetric window allocation (max layout across ranks).
     win_count: int
     dtype: Any = np.float64
@@ -204,6 +199,22 @@ class HaloSpec:
     @property
     def itemsize(self) -> int:
         return np.dtype(self.dtype).itemsize
+
+    @cached_property
+    def nslots(self) -> int:
+        """Signal slots per rank: one past the highest any strip uses."""
+        return 1 + max(
+            (site[1] for sites in self.landing.values() for site in sites.values()),
+            default=0,
+        )
+
+    def strips(self, rank: int, buf: np.ndarray, base: int = 0) -> dict:
+        """``{seg: view}`` of the strips landed in ``rank``'s halo window
+        ``buf``, whose layout starts at ``base``."""
+        return {
+            seg: buf[base + off : base + off + n]
+            for seg, (_, _, off, n) in self.landing[rank].items()
+        }
 
 
 @dataclass(frozen=True)

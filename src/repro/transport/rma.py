@@ -54,22 +54,15 @@ class _HaloEndpoint(Endpoint):
         yield from self.h.fence()
 
     def put(self, seg, dst, values=None):
-        # Data lands in the segment the *receiver* reads for the opposite
-        # direction (blocks can be uneven, so layouts differ per rank).
-        seg_dir = self.spec.opposite[seg]
-        offset, length = self.spec.segments[dst][seg_dir]
+        _, _, offset, nelems = self.spec.landing[dst][seg]
         if values is not None:
             yield from self.h.put(dst, values, offset=offset)
         else:
-            yield from self.h.put(dst, nelems=length, offset=offset)
+            yield from self.h.put(dst, nelems=nelems, offset=offset)
 
     def finish(self, it):
         yield from self.h.fence()
-        received = {}
-        for d in self.spec.neighbors[self.ctx.rank]:
-            offset, length = self.spec.segments[self.ctx.rank][d]
-            received[d] = self.win.local(self.ctx.rank)[offset : offset + length]
-        return received
+        return self.spec.strips(self.ctx.rank, self.win.local(self.ctx.rank))
 
 
 class _MailboxEndpoint(Endpoint):
@@ -125,16 +118,8 @@ class _MailboxEndpoint(Endpoint):
         return m.meta, _read_slot(self, m.slot, m.words)
 
     def send_round(self, dst, slot, *, words, parts=1, values=None):
-        # Always the scalar put loop — no put_batch here.  Unlike the
-        # batch pattern (nothing else runs while one sender issues its
-        # batch), collective rounds have *concurrent* senders, and
-        # put_batch may reserve all stripes' fabric slots at issue time;
-        # on a shared channel that reordering diverges from the scalar
-        # interleaving once >= 3 ranks contend.  The shmem backend does
-        # batch its stripes, but only where paths are exclusive (see
-        # Job.paths_exclusive): topologies where no other sender can
-        # touch a hop mid-batch, which is where batch reservation order
-        # provably equals scalar order.
+        # The scalar put loop, never put_batch: a round has concurrent
+        # senders, and a batch's issue-time reservations would reorder them.
         offset = self.spec.offsets[dst][slot]
         for lo, hi in part_bounds(words, parts):
             if hi == lo:

@@ -49,10 +49,10 @@ class _HaloEndpoint(_FusedEndpoint):
     @staticmethod
     def windows(job, spec: HaloSpec):
         # Double-buffered halo window (iteration parity), one signal slot
-        # per direction.
+        # per strip.
         return {
             "win": job.window(2 * spec.win_count, dtype=spec.dtype),
-            "sig": job.window(len(spec.slot), dtype=np.uint64),
+            "sig": job.window(spec.nslots, dtype=np.uint64),
         }
 
     def __init__(self, channel, ctx):
@@ -67,30 +67,25 @@ class _HaloEndpoint(_FusedEndpoint):
         yield  # pragma: no cover - no epoch-open op in shmem
 
     def put(self, seg, dst, values=None):
-        seg_dir = self.spec.opposite[seg]
-        offset, length = self.spec.segments[dst][seg_dir]
-        offset += (self._it % 2) * self.spec.counts[dst]
+        _, slot, offset, nelems = self.spec.landing[dst][seg]
         yield from self.ctx.put_signal_nbi(
             self.win,
             dst,
             values=values,
-            nelems=length,
-            offset=offset,
+            nelems=nelems,
+            offset=(self._it % 2) * self.spec.win_count + offset,
             signal_win=self.sig,
-            signal_idx=self.spec.slot[seg_dir],
+            signal_idx=slot,
             signal_value=self._it + 1,
         )
 
     def finish(self, it):
-        expected = [self.spec.slot[d] for d in self.spec.neighbors[self.ctx.rank]]
-        yield from self.ctx.wait_until_all(self.sig, expected, value=it + 1)
-        parity = it % 2
-        received = {}
-        for d in self.spec.neighbors[self.ctx.rank]:
-            offset, length = self.spec.segments[self.ctx.rank][d]
-            start = parity * self.spec.counts[self.ctx.rank] + offset
-            received[d] = self.win.local(self.ctx.rank)[start : start + length]
-        return received
+        rank = self.ctx.rank
+        slots = [site[1] for site in self.spec.landing[rank].values()]
+        yield from self.ctx.wait_until_all(self.sig, slots, value=it + 1)
+        return self.spec.strips(
+            rank, self.win.local(rank), (it % 2) * self.spec.win_count
+        )
 
 
 class _MailboxEndpoint(_FusedEndpoint):
@@ -103,7 +98,6 @@ class _MailboxEndpoint(_FusedEndpoint):
         self.data_win = channel.data_win
         self.sig_win = channel.sig_win
         self._remaining: dict = {}
-        self._metrics = ctx.job.metrics  # None outside an obs session
 
     def expect(self, msgs):
         self._remaining = dict(msgs)
@@ -128,32 +122,7 @@ class _MailboxEndpoint(_FusedEndpoint):
         m = self._remaining.pop(slot)
         return m.meta, _read_slot(self, m.slot, m.words)
 
-    def _scalar_reason(self, words, parts):
-        """Why this round is not one homogeneous batch, or None when it is:
-        a batch needs equal non-empty stripes, pure timing, and a topology
-        where paths are exclusive.  Both sides evaluate it on the same
-        arguments, so a batched sender always meets a batch waiter."""
-        if parts < 2:
-            return "one_part"
-        if not words:
-            return "empty"
-        if words % parts:
-            return "uneven"
-        if self.spec.read_data:
-            return "read_data"
-        if not self.ctx.job.paths_exclusive:
-            return "shared_paths"
-        return None
-
     def send_round(self, dst, slot, *, words, parts=1, values=None):
-        metrics = self._metrics
-        if metrics is not None:
-            why = self._scalar_reason(words, parts)
-            metrics.counter(
-                "transport.round.batched"
-                if why is None
-                else f"transport.round.scalar.{why}"
-            ).inc()
         if parts == 1 and not self.spec.read_data:
             # The round message is one put_signal_nbi: hand the caller its
             # generator, with no frame of ours to pass through per resume.
@@ -171,19 +140,6 @@ class _MailboxEndpoint(_FusedEndpoint):
 
     def _send_parts(self, dst, slot, words, parts, values):
         offset = self.spec.offsets[dst][slot]
-        if self._scalar_reason(words, parts) is None:
-            yield from self.ctx.put_signal_batch(
-                self.data_win,
-                dst,
-                parts,
-                nelems=words // parts,
-                offset=offset,
-                signal_win=self.sig_win,
-                signal_idx=slot,
-                signal_value=1,
-                signal_op="add",
-            )
-            return
         for lo, hi in part_bounds(words, parts):
             stripe = None
             if values is not None and self.spec.read_data:
@@ -209,13 +165,10 @@ class _MailboxEndpoint(_FusedEndpoint):
             # Nothing to read back (_read_slot would be None): the wait's
             # own generator, as for send_round.
             return self.ctx.wait_until_all(self.sig_win, [slot], value=1)
-        return self._recv_parts(src, slot, words, parts)
+        return self._recv_parts(slot, words, parts)
 
-    def _recv_parts(self, src, slot, words, parts):
-        if self._scalar_reason(words, parts) is None:
-            yield from self.ctx.wait_signal_batch(self.sig_win, src, slot, parts)
-        else:
-            yield from self.ctx.wait_until_all(self.sig_win, [slot], value=parts)
+    def _recv_parts(self, slot, words, parts):
+        yield from self.ctx.wait_until_all(self.sig_win, [slot], value=parts)
         return _read_slot(self, slot, words)
 
     def drain(self):

@@ -46,15 +46,13 @@ class _HaloEndpoint(_MatchedEndpoint):
     def begin(self, it):
         self._recvs = []
         self._sends = []
-        for d, nb in self.spec.neighbors[self.ctx.rank].items():
-            r = yield from self.ctx.irecv(source=nb, tag=self.spec.slot[d])
-            self._recvs.append((d, r))
+        for seg, (src, slot, _, _) in self.spec.landing[self.ctx.rank].items():
+            r = yield from self.ctx.irecv(source=src, tag=slot)
+            self._recvs.append((seg, r))
 
     def put(self, seg, dst, values=None):
         payload = values.copy() if values is not None else None
-        # Tag by the direction the receiver sees it coming from.
-        tag = self.spec.slot[self.spec.opposite[seg]]
-        nelems = self.spec.segments[self.ctx.rank][seg][1]
+        _, tag, _, nelems = self.spec.landing[dst][seg]
         s = yield from self.ctx.isend(
             dst, nbytes=nelems * self.spec.itemsize, tag=tag, payload=payload
         )

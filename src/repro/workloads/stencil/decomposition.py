@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 __all__ = ["ProcessGrid", "DIRECTIONS"]
 
-# Direction name -> (dx, dy) in process-grid coordinates.
+# Direction name -> (dx, dy) in process-grid coordinates, in exchange
+# order.  The stencil's only direction table: opposites, strips, their
+# lengths and the global-boundary sides all follow from an offset's axis
+# and sign.
 DIRECTIONS: dict[str, tuple[int, int]] = {
     "west": (-1, 0),
     "east": (1, 0),
     "north": (0, -1),
     "south": (0, 1),
 }
-
-_OPPOSITE = {"west": "east", "east": "west", "north": "south", "south": "north"}
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,9 @@ class ProcessGrid:
 
     @staticmethod
     def opposite(direction: str) -> str:
-        return _OPPOSITE[direction]
+        """The direction whose offset is ``direction``'s negated."""
+        dx, dy = DIRECTIONS[direction]
+        return next(d for d, off in DIRECTIONS.items() if off == (-dx, -dy))
 
     @staticmethod
     def _split(n: int, parts: int, idx: int) -> tuple[int, int]:
@@ -103,12 +106,8 @@ class ProcessGrid:
         return cols.stop - cols.start, rows.stop - rows.start
 
     def halo_bytes(self, nx: int, ny: int, itemsize: int = 8) -> dict[str, int]:
-        """Per-direction halo message sizes in bytes (largest block)."""
+        """Per-direction halo message sizes in bytes (largest block): a
+        strip toward an x neighbour is a column, toward a y neighbour a row."""
         bx = -(-nx // self.px)  # ceil
         by = -(-ny // self.py)
-        return {
-            "west": by * itemsize,
-            "east": by * itemsize,
-            "north": bx * itemsize,
-            "south": bx * itemsize,
-        }
+        return {d: (by if dx else bx) * itemsize for d, (dx, _) in DIRECTIONS.items()}

@@ -17,7 +17,10 @@ compute time, so timings are comparable across modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from repro.ir.program import IRProgram, Region, static_program
 from repro.machines.base import MachineModel
 from repro.transport import HaloSpec
 from repro.workloads.base import WorkloadResult
-from repro.workloads.stencil.decomposition import ProcessGrid
+from repro.workloads.stencil.decomposition import DIRECTIONS, ProcessGrid
 from repro.workloads.stencil.kernels import (
     heat_step,
     initial_grid,
@@ -37,9 +40,6 @@ from repro.workloads.stencil.kernels import (
 )
 
 __all__ = ["StencilConfig", "build_stencil_program", "run_stencil"]
-
-_DIR_ORDER = ("north", "south", "west", "east")
-_DIR_INDEX = {d: i for i, d in enumerate(_DIR_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,18 @@ class StencilConfig:
     nsources: int = 3
 
     def __post_init__(self) -> None:
-        if self.nx < 3 or self.ny < 3:
-            raise ValueError(f"grid must be >= 3x3, got {self.nx}x{self.ny}")
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
+        for name, low in (("nx", 3), ("ny", 3), ("iters", 1), ("nsources", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(
+                    f"stencil {name} must be an integer >= {low}, got {value}"
+                )
+        if not math.isfinite(self.energy):
+            raise ValueError(f"stencil energy must be finite, got {self.energy}")
         if self.mode not in ("simulate", "execute"):
             raise ValueError(f"mode must be simulate|execute, got {self.mode!r}")
         if self.variant not in ("jacobi", "heat"):
             raise ValueError(f"variant must be jacobi|heat, got {self.variant!r}")
-        if self.nsources < 0:
-            raise ValueError("nsources must be >= 0")
 
     def source_positions(self) -> list[tuple[int, int]]:
         """Deterministic global (row, col) source positions, interior-only."""
@@ -84,123 +86,99 @@ class StencilConfig:
         return out
 
 
-@dataclass
-class _RankPlan:
-    """Precomputed per-rank geometry shared by all three variants."""
+class _Side(NamedTuple):
+    """One stencil offset as lines of a halo-padded block (row = y, column
+    = x), read off the offset's axis and sign: ``halo`` is the halo line on
+    that side (the global grid's boundary line has the same index),
+    ``edge`` the owned line next to it (what is sent toward that side, and
+    what a global boundary there pins), ``fills`` the receiver's halo line
+    that a strip sent toward that side lands in."""
 
-    grid: ProcessGrid
-    rank: int
-    bx: int
-    by: int
+    axis: int  # 0: the offset crosses rows, so its strips are rows
+    halo: int
+    edge: int
+    fills: int
+
+    def line(self, k: int, span: slice = slice(1, -1)) -> tuple:
+        return (k, span) if self.axis == 0 else (span, k)
+
+
+# (halo, edge, fills): toward the last row / column, else toward the first.
+_SIDES = {
+    d: _Side(0 if dy else 1, *((-1, -2, 0) if dx + dy > 0 else (0, 1, -1)))
+    for d, (dx, dy) in DIRECTIONS.items()
+}
+
+
+class _RankPlan(NamedTuple):
+    """One rank's block of the global grid and its neighbours by side, in
+    exchange order."""
+
+    rows: slice
+    cols: slice
     neighbors: dict[str, int]
-    halo_elems: dict[str, int] = field(default_factory=dict)
-    # Window layout: direction -> (offset, length) in the halo window.
-    win_segment: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, grid: ProcessGrid, rank: int, nx: int, ny: int) -> "_RankPlan":
-        bx, by = grid.block_shape(rank, nx, ny)
-        plan = cls(
-            grid=grid, rank=rank, bx=bx, by=by, neighbors=grid.neighbors(rank)
-        )
-        plan.halo_elems = {"north": bx, "south": bx, "west": by, "east": by}
-        offset = 0
-        for d in _DIR_ORDER:
-            plan.win_segment[d] = (offset, plan.halo_elems[d])
-            offset += plan.halo_elems[d]
-        return plan
 
     @property
-    def window_count(self) -> int:
-        return 2 * self.bx + 2 * self.by
+    def bx(self) -> int:
+        return self.cols.stop - self.cols.start
 
-    def edge_strip(self, local: np.ndarray, direction: str) -> np.ndarray:
-        """The owned edge row/column to send toward ``direction``."""
-        if direction == "north":
-            return local[1, 1:-1]
-        if direction == "south":
-            return local[-2, 1:-1]
-        if direction == "west":
-            return local[1:-1, 1]
-        if direction == "east":
-            return local[1:-1, -2]
-        raise ValueError(f"unknown direction {direction!r}")
-
-    def write_halo(self, local: np.ndarray, direction: str, data: np.ndarray) -> None:
-        """Store data received *from* ``direction`` into the halo ring."""
-        if direction == "north":
-            local[0, 1:-1] = data
-        elif direction == "south":
-            local[-1, 1:-1] = data
-        elif direction == "west":
-            local[1:-1, 0] = data
-        elif direction == "east":
-            local[1:-1, -1] = data
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
+    @property
+    def by(self) -> int:
+        return self.rows.stop - self.rows.start
 
 
-def _local_sources(plan: _RankPlan, cfg: StencilConfig) -> list[tuple[int, int]]:
-    """This rank's heat sources in local (halo-inclusive) coordinates."""
-    rows, cols = plan.grid.block(plan.rank, cfg.nx, cfg.ny)
-    out = []
-    for r, c in cfg.source_positions():
-        if rows.start <= r < rows.stop and cols.start <= c < cols.stop:
-            out.append((r - rows.start + 1, c - cols.start + 1))
-    return out
+def _layout(grid: ProcessGrid, nx: int, ny: int) -> tuple[list[_RankPlan], HaloSpec]:
+    """Every rank's geometry and the exchange's :class:`HaloSpec`.
+
+    A rank's halo window holds one strip per side in ``DIRECTIONS`` order,
+    announced by the side's index; the neighbour on a side fills it with
+    the strip it sends toward the opposite side.  Blocks can be uneven, so
+    each rank's layout is its own.
+    """
+    plans, landing = [], {}
+    for rank in range(grid.nranks):
+        plan = _RankPlan(*grid.block(rank, nx, ny), grid.neighbors(rank))
+        sites, offset = {}, 0
+        for slot, (d, side) in enumerate(_SIDES.items()):
+            nelems = plan.bx if side.axis == 0 else plan.by
+            sites[d] = (slot, offset, nelems)
+            offset += nelems
+        landing[rank] = {
+            ProcessGrid.opposite(d): (nb, *sites[d])
+            for d, nb in plan.neighbors.items()
+        }
+        plans.append(plan)
+    win_count = max(2 * (p.bx + p.by) for p in plans)
+    return plans, HaloSpec(landing=landing, win_count=win_count, dtype=np.float64)
 
 
-def _local_setup(plan: _RankPlan, cfg: StencilConfig) -> np.ndarray | None:
-    """Initial local block (with halo ring) in execute mode."""
-    if cfg.mode != "execute":
-        return None
-    rows, cols = plan.grid.block(plan.rank, cfg.nx, cfg.ny)
+def _local_state(plan: _RankPlan, cfg: StencilConfig) -> dict:
+    """Execute mode's initial block (with halo ring), its sweep scratch, the
+    owned global-boundary lines to pin and the heat sources, all local."""
     if cfg.variant == "heat":
         u0 = np.zeros((cfg.ny, cfg.nx), dtype=np.float64)
     else:
         u0 = initial_grid(cfg.nx, cfg.ny)
+    rows, cols = plan.rows, plan.cols
     local = np.zeros((plan.by + 2, plan.bx + 2), dtype=np.float64)
     local[1:-1, 1:-1] = u0[rows, cols]
-    # Global-boundary halo cells hold the fixed Dirichlet values.
-    ix, iy = plan.grid.coords(plan.rank)
-    if iy == 0:
-        local[0, 1:-1] = u0[0, cols]
-    if iy == plan.grid.py - 1:
-        local[-1, 1:-1] = u0[-1, cols]
-    if ix == 0:
-        local[1:-1, 0] = u0[rows, 0]
-    if ix == plan.grid.px - 1:
-        local[1:-1, -1] = u0[rows, -1]
-    return local
-
-
-def _pin_global_boundary(plan: _RankPlan, local: np.ndarray, pinned: dict) -> None:
-    """Re-apply Dirichlet values on owned global-boundary cells."""
-    for key, values in pinned.items():
-        if key == "top":
-            local[1, :] = values
-        elif key == "bottom":
-            local[-2, :] = values
-        elif key == "left":
-            local[:, 1] = values
-        elif key == "right":
-            local[:, -2] = values
-
-
-def _pinned_slices(plan: _RankPlan, local: np.ndarray | None) -> dict:
-    if local is None:
-        return {}
-    ix, iy = plan.grid.coords(plan.rank)
-    pinned = {}
-    if iy == 0:
-        pinned["top"] = local[1, :].copy()
-    if iy == plan.grid.py - 1:
-        pinned["bottom"] = local[-2, :].copy()
-    if ix == 0:
-        pinned["left"] = local[:, 1].copy()
-    if ix == plan.grid.px - 1:
-        pinned["right"] = local[:, -2].copy()
-    return pinned
+    # Global-boundary halo lines (no neighbour on that side) hold the fixed
+    # Dirichlet values.
+    sides = [side for d, side in _SIDES.items() if d not in plan.neighbors]
+    for side in sides:
+        span = cols if side.axis == 0 else rows
+        local[side.line(side.halo)] = u0[side.line(side.halo, span)]
+    edges = [side.line(side.edge, slice(None)) for side in sides]
+    return {
+        "local": local,
+        "scratch": local.copy(),
+        "pinned": [(e, local[e].copy()) for e in edges],
+        "sources": [
+            (r - rows.start + 1, c - cols.start + 1)
+            for r, c in cfg.source_positions()
+            if rows.start <= r < rows.stop and cols.start <= c < cols.stop
+        ],
+    }
 
 
 def _sweep_fn(cfg: StencilConfig):
@@ -208,9 +186,7 @@ def _sweep_fn(cfg: StencilConfig):
     runner ran it: after the halos land, before the modelled compute."""
 
     def fn(state: dict) -> None:
-        plan, local, scratch = state["plan"], state["local"], state["scratch"]
-        if local is None:
-            return
+        local, scratch = state["local"], state["scratch"]
         if cfg.variant == "heat":
             scratch = heat_step(
                 local, scratch, sources=state["sources"], energy=cfg.energy
@@ -218,33 +194,19 @@ def _sweep_fn(cfg: StencilConfig):
         else:
             scratch = jacobi_step(local, scratch)
         local, scratch = scratch, local
-        _pin_global_boundary(plan, local, state["pinned"])
+        # Re-apply the Dirichlet values on owned global-boundary lines.
+        for index, values in state["pinned"]:
+            local[index] = values
         state["local"], state["scratch"] = local, scratch
 
     return fn
 
 
 def _write_halos(state: dict, received: dict) -> None:
-    plan, local = state["plan"], state["local"]
-    for d in plan.neighbors:
-        plan.write_halo(local, d, received[d])
-
-
-def _halo_spec(grid: ProcessGrid, cfg: StencilConfig, nranks: int) -> HaloSpec:
-    """Global halo geometry: the transport backends need the *receiver's*
-    window layout (blocks can be uneven, so neighbor layouts differ)."""
-    plans = {r: _RankPlan.build(grid, r, cfg.nx, cfg.ny) for r in range(nranks)}
-    bx = -(-cfg.nx // grid.px)  # ceil: largest block dims size the windows
-    by = -(-cfg.ny // grid.py)
-    return HaloSpec(
-        slot=dict(_DIR_INDEX),
-        opposite={d: ProcessGrid.opposite(d) for d in _DIR_ORDER},
-        neighbors={r: plans[r].neighbors for r in range(nranks)},
-        segments={r: dict(plans[r].win_segment) for r in range(nranks)},
-        counts={r: plans[r].window_count for r in range(nranks)},
-        win_count=2 * bx + 2 * by,
-        dtype=np.float64,
-    )
+    local = state["local"]
+    for seg, data in received.items():
+        side = _SIDES[seg]
+        local[side.line(side.fills)] = data
 
 
 def build_stencil_program(
@@ -258,30 +220,22 @@ def build_stencil_program(
     the modelled compute is independent of the incoming halos.
     """
     execute = cfg.mode == "execute"
-    plans = {r: _RankPlan.build(grid, r, cfg.nx, cfg.ny) for r in range(nranks)}
+    plans, spec = _layout(grid, cfg.nx, cfg.ny)
     sweep = _sweep_fn(cfg) if execute else None
 
     def setup(ctx, chan, ep, state):
-        plan = plans[ctx.rank]
-        local = _local_setup(plan, cfg)
-        state["plan"] = plan
-        state["local"] = local
-        state["scratch"] = local.copy() if local is not None else None
-        state["pinned"] = _pinned_slices(plan, local)
-        state["sources"] = _local_sources(plan, cfg)
+        state["local"] = None
+        if execute:
+            state.update(_local_state(plans[ctx.rank], cfg))
 
     regions = []
     for it in range(cfg.iters):
         body = []
-        for r in range(nranks):
-            plan = plans[r]
+        for plan in plans[:nranks]:
             ops: list[O.Op] = [O.HaloBegin(it)]
             for d, nb in plan.neighbors.items():
-                values = (
-                    (lambda st, d=d: st["plan"].edge_strip(st["local"], d))
-                    if execute
-                    else None
-                )
+                edge = _SIDES[d].line(_SIDES[d].edge)
+                values = (lambda st, e=edge: st["local"][e]) if execute else None
                 ops.append(O.HaloPut(d, nb, values=values))
             ops.append(O.HaloFinish(it, on_done=_write_halos if execute else None))
             cells = plan.bx * plan.by
@@ -303,7 +257,7 @@ def build_stencil_program(
 
     return static_program(
         "stencil",
-        _halo_spec(grid, cfg, nranks),
+        spec,
         nranks,
         runtime,
         prologue=[O.Barrier()],

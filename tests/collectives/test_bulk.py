@@ -1,11 +1,9 @@
-"""Bulk-engine parity: vectorized round transfers stay byte-exact.
+"""A collective round never depends on the bulk engine.
 
-Signal-carrying backends (shmem, one_sided_hw) issue homogeneous striped
-rounds as one ``put_signal_batch``, which :mod:`repro.comm` may hand to the
-:mod:`repro.perf` bulk engine; the rma backend always takes the scalar
-path (concurrent senders make ``put_batch``'s atomic reservation diverge
-from the scalar interleaving — see ``transport/rma.py``).  Either way, toggling :func:`repro.perf.vectorized`
-must never change a simulated time, a stats count, or an output value.
+Every backend sends a striped round as one scalar message per stripe (a
+round has concurrent senders, so a batch's issue-time reservations would
+reorder them), so toggling :func:`repro.perf.vectorized` must never change
+a simulated time, a stats count, or an output value.
 """
 
 from __future__ import annotations
@@ -76,9 +74,7 @@ def test_hw_put_signal_bulk_is_exact(cpu_all_runtimes):
 
 
 def test_summit_dumbbell_stays_scalar_and_exact():
-    """Six ranks over Summit's dumbbell NVLink: the shared X-links fail
-    the exclusivity gate, so both settings take the scalar path — and
-    must therefore agree trivially."""
+    """Six ranks over Summit's dumbbell NVLink, whose X-links are shared."""
     scalar, bulk = _both(
         summit_gpu(), SHMEM, coll="allreduce", nranks=6, nelems=1536,
         algorithm="ring", stripes=2,
@@ -94,43 +90,6 @@ def test_non_signal_backends_unaffected_by_toggle(cpu_all_runtimes, rt):
         algorithm="ring", stripes=4,
     )
     _assert_equal(scalar, bulk)
-
-
-def _gate_decisions(machine, rt, P):
-    """The structural gate (uniform stripes on exclusive paths) on each
-    rank of a striped round; whether such a batch then goes bulk is
-    ``perf.bulk_enabled``, asked by the comm verbs behind it."""
-    from repro.collectives.core import CollectiveComm
-    from repro.collectives.plan import CollectivePlan
-    from repro.comm.job import Job
-
-    plan = CollectivePlan(coll="allreduce", algorithm="ring", nranks=P,
-                          nelems=64, stripes=2)
-    job = Job(machine, P, rt, placement="spread")
-    comm = CollectiveComm(job, [plan])
-    flags = []
-
-    def prog(ctx, comm):
-        ep = comm.endpoint(ctx)
-        flags.append(ep.ep._scalar_reason(8, 2) is None)
-        yield from ctx.barrier()
-        return None
-
-    with perf.vectorized(True):
-        job.run(prog, comm)
-    return flags
-
-
-def test_bulk_engine_really_engages_where_exclusive(cpu_all_runtimes):
-    """The exactness tests would be vacuous if nothing ever vectorized.
-
-    The exclusivity gate must open on the all-to-all NVLink machine
-    (every pair has its own direct link) and stay closed where senders
-    can share a hop: Summit's dumbbell and the CPU fat-tree.
-    """
-    assert all(_gate_decisions(perlmutter_gpu(), SHMEM, 4))
-    assert not any(_gate_decisions(summit_gpu(), SHMEM, 6))
-    assert not any(_gate_decisions(cpu_all_runtimes, SHMEM, 4))
 
 
 def test_vectorized_toggle_is_honoured():

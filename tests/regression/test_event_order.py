@@ -144,6 +144,25 @@ def _lossy_hashtable():
     assert scope.stats()["retransmits"] > 0
 
 
+def _uneven_stencil(machine, runtime):
+    # 33x35 on a 3x2 grid: neighbouring blocks differ in size, so every
+    # strip lands at an offset of the receiver's own layout.
+    def run():
+        cfg = StencilConfig(nx=33, ny=35, iters=3, mode="execute")
+        run_stencil(get_machine(machine), runtime, cfg, 6, grid=ProcessGrid(3, 2))
+
+    return run
+
+
+def _striped_round():
+    # Four equal stripes per round message on an all-to-all NVLink node:
+    # each stripe is its own put_signal_nbi, whatever the engine setting.
+    run_collective(
+        get_machine("perlmutter-gpu"), "shmem", "allreduce",
+        nranks=4, nbytes=4 << 20, algorithm="ring", stripes=4,
+    )
+
+
 # (resumes, sha256) of the resume sequence, generated at PR 16's head — the
 # two hashtable epochs at PR 19's, before a blocking atomic became one frame.
 # The next three: before a single waiter parked itself on a wait list; the
@@ -185,6 +204,21 @@ EXPECTED = {
     "lossy_one_sided_hashtable": (
         2421, "ec17e2f70bb1ff42d391adb2cb36aec4516131743986afa503b2571e2691aad0"
     ),
+    # Generated before the halo exchange was derived from the stencil's
+    # offsets; ``striped_round`` was recorded with the bulk engine off,
+    # before a striped round stopped being a batch.
+    "two_sided_uneven_stencil": (
+        156, "b356cf1676842920e74f30feeaa359dd3126cbdc2dca347c8ed9cf4775d8c95f"
+    ),
+    "one_sided_uneven_stencil": (
+        204, "00231f1116df2bd7cbc11b00dfa9e209c564faa15e3d712e2c3f69a0b55dfef6"
+    ),
+    "shmem_uneven_stencil": (
+        152, "f03de7bed1e3ee91956085609101b9524d6c3f654358d914195a4eeff5e308d8"
+    ),
+    "striped_round": (
+        328, "8adcbfcafeb7125e94d06c86982514b858ecdc14049f8bb1673be44b83b1ce7c"
+    ),
 }
 SCENARIOS = {
     "shmem_ring_allreduce": _ring_allreduce,
@@ -201,6 +235,10 @@ SCENARIOS = {
     "copy_engine_put_flood": _copy_engine_puts,
     "rendezvous_flood": _rendezvous_flood,
     "lossy_one_sided_hashtable": _lossy_hashtable,
+    "two_sided_uneven_stencil": _uneven_stencil("perlmutter-cpu", "two_sided"),
+    "one_sided_uneven_stencil": _uneven_stencil("perlmutter-cpu", "one_sided"),
+    "shmem_uneven_stencil": _uneven_stencil("summit-gpu", "shmem"),
+    "striped_round": _striped_round,
 }
 
 

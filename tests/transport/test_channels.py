@@ -54,12 +54,11 @@ class TestSpecDispatch:
         assert BatchSpec(nbytes=96).nelems == 12
 
     def test_every_builtin_opens_every_pattern(self, pm_cpu, pm_gpu):
-        from repro.workloads.stencil.runner import StencilConfig, _halo_spec
+        from repro.workloads.stencil.runner import _layout
         from repro.workloads.stencil.decomposition import ProcessGrid
 
-        grid = ProcessGrid.square_ish(2)
         specs = (
-            _halo_spec(grid, StencilConfig(nx=16, ny=16, iters=1), 2),
+            _layout(ProcessGrid.square_ish(2), 16, 16)[1],
             MailboxSpec(data_words=4, nslots=2, offsets={0: [0, 2], 1: [0, 2]}),
             BatchSpec(nbytes=64),
             AtomicDomainSpec(spaces={"a": SpaceSpec(4)}),
