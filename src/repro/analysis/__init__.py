@@ -10,7 +10,6 @@ from repro.analysis.traces import (
     ascii_timeline,
     bandwidth_timeline,
     comm_matrix,
-    from_records,
     load_jsonl,
     message_stats,
     rank_activity,
@@ -24,7 +23,6 @@ __all__ = [
     "ascii_timeline",
     "bandwidth_timeline",
     "comm_matrix",
-    "from_records",
     "load_jsonl",
     "message_stats",
     "rank_activity",

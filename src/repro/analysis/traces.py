@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterable
 
 import numpy as np
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import Tracer
 
 __all__ = [
     "MessageStats",
@@ -34,7 +33,6 @@ __all__ = [
     "comm_matrix",
     "ascii_timeline",
     "load_jsonl",
-    "from_records",
 ]
 
 
@@ -53,15 +51,6 @@ def load_jsonl(path: str | Path) -> Tracer:
             line = line.strip()
             if line:
                 tracer.sink.append(record_from_json(line))
-    return tracer
-
-
-def from_records(records: Iterable[TraceRecord]) -> Tracer:
-    """Wrap pre-existing records (e.g. a ring sink's survivors) in a
-    :class:`Tracer` so the analysis helpers apply."""
-    tracer = Tracer()
-    for rec in records:
-        tracer.sink.append(rec)
     return tracer
 
 

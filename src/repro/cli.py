@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from repro._version import __version__
+from repro.faults import NicFaults, NodeFaults, RouterFaults
 
 __all__ = ["main", "build_parser"]
+
+# The hard-fault kinds ``repro fault`` takes as ``--fail-<kind>``.
+_HARD_FAULTS = (RouterFaults, NodeFaults, NicFaults)
 
 
 def _positive_int(text: str) -> int:
@@ -80,6 +85,8 @@ def _writable(flag: str, text: str, *, directory: bool) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.ablations import ALL_ABLATIONS
+    from repro.ir.pipeline import _PASSES, DEFAULT_PASSES
     from repro.transport import backend_names
 
     p = argparse.ArgumentParser(
@@ -99,12 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-    runp.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect the repro.obs metrics snapshot and embed it in the report",
-    )
-    _add_execution_args(runp)
+    _add_report_args(runp)
 
     tp = sub.add_parser(
         "trace",
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     abp = sub.add_parser("ablation", help="run an ablation study")
-    abp.add_argument("name", help="gap|sharp|put_signal|polling|split_k|all")
+    abp.add_argument("name", help="|".join([*ALL_ABLATIONS, "all"]))
 
     sub.add_parser("machines", help="describe the modelled platforms")
 
@@ -151,17 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fp = sub.add_parser("flood", help="run a flood bandwidth point")
-    fp.add_argument("machine")
-    fp.add_argument("runtime", choices=backend_names())
-    _add_message_args(fp, iters=3)
+    _add_point_args(fp, iters=3)
 
     fap = sub.add_parser(
         "fault",
         help="run a flood point under fault injection; compare to clean",
     )
-    fap.add_argument("machine")
-    fap.add_argument("runtime", choices=backend_names())
-    _add_message_args(fap, iters=2)
+    _add_point_args(fap, iters=2)
     fap.add_argument(
         "--loss", type=float, default=0.05,
         help="per-traversal link loss probability in [0, 1) (default 0.05)",
@@ -178,20 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--down", action="append", default=[], metavar="START:END",
         help="link outage window in simulated microseconds (repeatable)",
     )
-    fap.add_argument(
-        "--fail-router", action="append", default=[], metavar="NAME[:START:END]",
-        help="hard-fail a router, taking down every attached link "
-             "(outage window in simulated microseconds, END may be 'inf'; "
-             "bare NAME means dead for the whole run; repeatable)",
-    )
-    fap.add_argument(
-        "--fail-node", action="append", default=[], metavar="NAME[:START:END]",
-        help="hard-fail a node (all its links); same syntax as --fail-router",
-    )
-    fap.add_argument(
-        "--fail-nic", action="append", default=[], metavar="NAME[:START:END]",
-        help="hard-fail a NIC; same syntax as --fail-router",
-    )
+    for cls in _HARD_FAULTS:
+        fap.add_argument(
+            f"--fail-{cls.kind}", action="append", default=[],
+            metavar="NAME[:START:END]",
+            help=f"hard-fail a {cls.kind}, taking down its links (outage "
+            "window in simulated microseconds, END may be 'inf'; bare NAME "
+            "means dead for the whole run; repeatable)",
+        )
     fap.add_argument(
         "--placement", choices=["spread", "block"], default="spread",
         help="rank placement: 'spread' keeps the flood on-node, 'block' "
@@ -215,17 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--experiments", default="all",
         help="comma-separated names, or 'all' (default)",
     )
-    ep.add_argument(
-        "--metrics",
-        action="store_true",
-        help="embed the repro.obs metrics snapshot in each JSON report",
-    )
-    _add_execution_args(ep)
+    _add_report_args(ep)
 
     rp = sub.add_parser("roofline", help="query the analytic bound")
-    rp.add_argument("machine")
-    rp.add_argument("runtime", choices=backend_names())
-    _add_message_args(rp, iters=None)
+    _add_point_args(rp, iters=None)
 
     from repro.collectives.plan import ALGORITHMS
 
@@ -265,14 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     irp.add_argument("experiment", help="e.g. fig03, fig05, or 'all'")
     irp.add_argument(
         "--passes", default=None,
-        help="comma-separated pass names (coalesce, overlap, sync-elide, "
-        "auto-backend); default: the standard pipeline",
+        help=f"comma-separated pass names ({', '.join(_PASSES)}); "
+        f"default: {', '.join(DEFAULT_PASSES)}",
     )
     return p
 
 
-def _add_message_args(p: argparse.ArgumentParser, *, iters: int | None) -> None:
-    """The message-shape flags shared by ``flood``/``roofline``/``fault``."""
+def _add_point_args(p: argparse.ArgumentParser, *, iters: int | None) -> None:
+    """``machine runtime`` and the message-shape flags of ``flood`` /
+    ``fault`` / ``roofline``."""
+    from repro.transport import backend_names
+
+    p.add_argument("machine")
+    p.add_argument("runtime", choices=backend_names())
     p.add_argument("--nbytes", default="64KiB", help="message size (e.g. 4KiB)")
     p.add_argument(
         "--msgs-per-sync", type=int, default=64, help="messages per sync",
@@ -281,10 +271,15 @@ def _add_message_args(p: argparse.ArgumentParser, *, iters: int | None) -> None:
         p.add_argument("--iters", type=int, default=iters)
 
 
-def _add_execution_args(p: argparse.ArgumentParser) -> None:
-    """Sweep-execution flags shared by ``run`` and ``export``."""
+def _add_report_args(p: argparse.ArgumentParser) -> None:
+    """``--metrics`` and the sweep-execution flags of ``run`` / ``export``."""
     from repro.sweep import DEFAULT_CACHE_DIR
 
+    p.add_argument(
+        "--metrics",
+        action="store_true",
+        help="collect the repro.obs metrics snapshot and embed it in each report",
+    )
     p.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes for sweep points (default 1 = serial; "
@@ -298,34 +293,6 @@ def _add_execution_args(p: argparse.ArgumentParser) -> None:
         "--cache-dir", type=_cache_dir, default=DEFAULT_CACHE_DIR, metavar="DIR",
         help=f"sweep result cache directory (default {DEFAULT_CACHE_DIR!r})",
     )
-
-
-def _print_run_summary(statuses: dict[str, str], cache) -> None:
-    """Per-experiment PASS/FAIL/ERROR lines plus a greppable cache-stats
-    line.  ERROR marks an experiment that raised rather than merely
-    failing its expectations."""
-    if len(statuses) > 1:
-        print("summary:", file=sys.stderr)
-        for n, status in statuses.items():
-            print(f"  {n:<20} {status}", file=sys.stderr)
-        failed = sum(1 for s in statuses.values() if s == "FAIL")
-        errored = sum(1 for s in statuses.values() if s == "ERROR")
-        if failed or errored:
-            parts = []
-            if failed:
-                parts.append(f"{failed}/{len(statuses)} experiments failed expectations")
-            if errored:
-                parts.append(f"{errored}/{len(statuses)} experiments raised")
-            print(f"  {'; '.join(parts)}", file=sys.stderr)
-        else:
-            print(f"  all {len(statuses)} experiments passed", file=sys.stderr)
-    if cache is not None:
-        s = cache.stats()
-        unkeyed = f" uncacheable={cache.uncacheable}" if cache.uncacheable else ""
-        print(
-            f"[sweep] cache: hits={s['hits']} misses={s['misses']}{unkeyed}",
-            file=sys.stderr,
-        )
 
 
 def _resolve_names(text: str, catalogue, what: str, *, one: bool = False):
@@ -348,35 +315,63 @@ def _resolve_names(text: str, catalogue, what: str, *, one: bool = False):
     return names
 
 
-def _run_experiments(args: argparse.Namespace, names, emit) -> int:
-    """Run ``names`` under a :func:`repro.sweep.execution` block configured
-    from the CLI flags; ``emit(name, report)`` prints or writes each report.
+def _run_reports(args: argparse.Namespace, names, catalogue, what: str, emit) -> int:
+    """Run each of ``names`` in ``catalogue`` (experiments or ablations) and
+    ``emit(name, report)`` it; exit code 1 unless every entry passed.
 
-    Progress lines go to stderr so ``--json`` stdout stays parseable.
+    An entry that raises is marked ERROR and the rest still run.  ``run`` /
+    ``export`` run inside a :func:`repro.sweep.execution` block configured
+    from their flags.  Progress, the PASS/FAIL/ERROR summary (more than one
+    entry) and the cache line (a cached run) go to stderr, so ``--json``
+    stdout stays parseable.
     """
+    import contextlib
+    import traceback
+
+    from repro import obs
     from repro.sweep import ResultCache, execution
 
-    statuses: dict[str, str] = {}
-    with execution(
+    block = contextlib.nullcontext() if "jobs" not in args else execution(
         jobs=args.jobs,
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         progress=lambda line: print(line, file=sys.stderr),
-    ) as cfg:
+    )
+    statuses: dict[str, str] = {}
+    with block as cfg:
         for n in names:
-            # One crashing experiment must not abort the rest of `run all`:
-            # record it as ERROR and keep going (non-zero exit at the end).
             try:
-                report = _run_one(n, args.metrics)
+                if getattr(args, "metrics", False):
+                    with obs.observe(obs.Obs()) as session, session.span(n):
+                        report = catalogue[n]()
+                    report.metrics = session.snapshot()
+                else:
+                    report = catalogue[n]()
             except Exception:
-                import traceback
-
-                print(f"experiment {n} raised:", file=sys.stderr)
+                print(f"{what} {n} raised:", file=sys.stderr)
                 traceback.print_exc()
                 statuses[n] = "ERROR"
                 continue
             emit(n, report)
             statuses[n] = "PASS" if report.all_expectations_met else "FAIL"
-        _print_run_summary(statuses, cfg.cache)
+        cache = cfg.cache if cfg is not None else None
+    if len(statuses) > 1:
+        print("summary:", file=sys.stderr)
+        for n, status in statuses.items():
+            print(f"  {n:<20} {status}", file=sys.stderr)
+        total, counts = len(statuses), Counter(statuses.values())
+        parts = [
+            f"{counts[status]}/{total} {what}s {verb}"
+            for status, verb in (("FAIL", "failed expectations"), ("ERROR", "raised"))
+            if counts[status]
+        ]
+        print(f"  {'; '.join(parts) or f'all {total} {what}s passed'}", file=sys.stderr)
+    if cache is not None:
+        s = cache.stats()
+        unkeyed = f" uncacheable={cache.uncacheable}" if cache.uncacheable else ""
+        print(
+            f"[sweep] cache: hits={s['hits']} misses={s['misses']}{unkeyed}",
+            file=sys.stderr,
+        )
     return 0 if all(s == "PASS" for s in statuses.values()) else 1
 
 
@@ -391,21 +386,6 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _run_one(name: str, with_metrics: bool):
-    """Run one experiment, optionally under an observation session."""
-    from repro.experiments import ALL_EXPERIMENTS
-
-    if not with_metrics:
-        return ALL_EXPERIMENTS[name]()
-    from repro import obs
-
-    with obs.observe(obs.Obs()) as session:
-        with session.span(name):
-            report = ALL_EXPERIMENTS[name]()
-    report.metrics = session.snapshot()
-    return report
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import ALL_EXPERIMENTS
 
@@ -414,11 +394,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     def emit(_name, report):
-        print(report.to_json() if args.json else report.render())
-        if not args.json:
-            print()
+        print(report.to_json() if args.json else report.render() + "\n")
 
-    return _run_experiments(args, names, emit)
+    return _run_reports(args, names, ALL_EXPERIMENTS, "experiment", emit)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -434,10 +412,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     if args.sink == "ring":
         if args.capacity < 1:
-            print(
-                f"--capacity must be >= 1, got {args.capacity}",
-                file=sys.stderr,
-            )
+            print(f"--capacity must be >= 1, got {args.capacity}", file=sys.stderr)
             return 2
 
         def factory():
@@ -453,9 +428,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         factory = None  # unbounded in-memory ListSink
     session = obs.Obs(trace=True, sink_factory=factory)
-    with obs.observe(session):
-        with session.span(name):
-            report = ALL_EXPERIMENTS[name]()
+    with obs.observe(session), session.span(name):
+        report = ALL_EXPERIMENTS[name]()
     session.close()
     traces: list = []
     for label, tracer in session.traces:
@@ -467,8 +441,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         traces.append((label, records))
     out = obs.write_chrome_trace(args.out, traces, session.spans)
     kept = sum(len(records) for _label, records in traces)
-    print(report.render())
-    print()
+    print(report.render() + "\n")
     print(f"trace     : {out} ({kept} records across {len(traces)} jobs)")
     print("open in   : chrome://tracing or https://ui.perfetto.dev")
     if args.sink == "jsonl":
@@ -487,13 +460,10 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     names = _resolve_names(args.name, ALL_ABLATIONS, "ablation")
     if names is None:
         return 2
-    ok = True
-    for n in names:
-        report = ALL_ABLATIONS[n]()
-        print(report.render())
-        print()
-        ok = ok and report.all_expectations_met
-    return 0 if ok else 1
+    return _run_reports(
+        args, names, ALL_ABLATIONS, "ablation",
+        lambda _name, report: print(report.render() + "\n"),
+    )
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -512,56 +482,38 @@ def _cmd_export(args: argparse.Namespace) -> int:
         status = "ok" if report.all_expectations_met else "CHECKS FAILED"
         print(f"  {n}: {status} -> {out / n}.{{json,txt}}")
 
-    return _run_experiments(args, names, emit)
+    return _run_reports(args, names, ALL_EXPERIMENTS, "experiment", emit)
 
 
 def _cmd_machines(_args) -> int:
     from repro.machines import get_machine, machine_names
 
     for name in machine_names(include_projections=True):
-        print(get_machine(name).describe())
-        print()
+        print(get_machine(name).describe() + "\n")
     return 0
 
 
-def _resolve_topology(name: str):
-    """A TopologySpec from a machine name or a bare generator expression."""
-    from repro.machines.registry import get_topology
-
-    return get_topology(name)
-
-
-def _topo_dot(topo) -> str:
-    lines = [f'graph "{topo.name}" {{']
-    for ep in topo.endpoints:
-        lines.append(f'  "{ep}";')
-    for key, params in sorted(topo.links.items(), key=lambda kv: sorted(kv[0])):
-        a, b = sorted(key)
-        lines.append(
-            f'  "{a}" -- "{b}" '
-            f'[label="{params.name} {params.bandwidth / 1e9:.0f}GB/s"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def _cmd_topo(args: argparse.Namespace) -> int:
+    from repro.machines.registry import get_topology
     from repro.util import fmt_bw
 
-    topo = _resolve_topology(args.name)
+    topo = get_topology(args.name)
     if args.dot:
-        print(_topo_dot(topo))
+        print(f'graph "{topo.name}" {{')
+        for ep in topo.endpoints:
+            print(f'  "{ep}";')
+        for key, params in sorted(topo.links.items(), key=lambda kv: sorted(kv[0])):
+            a, b = sorted(key)
+            print(f'  "{a}" -- "{b}" [label="{params.name} {params.bandwidth / 1e9:.0f}GB/s"];')
+        print("}")
         return 0
     diameter = topo.diameter_hops()  # before any output: its ValueError is main()'s exit 2
-    nlinks = len(topo.links)
     print(f"topology  : {topo.name}")
     print(f"endpoints : {len(topo.endpoints)}")
-    print(f"links     : {nlinks}")
+    print(f"links     : {len(topo.links)}")
     print(f"diameter  : {diameter} hops")
     print(f"bisection : {fmt_bw(topo.bisection_bandwidth())}")
-    kinds: dict[str, int] = {}
-    for params in topo.links.values():
-        kinds[params.name] = kinds.get(params.name, 0) + 1
+    kinds = Counter(params.name for params in topo.links.values())
     for kind, count in sorted(kinds.items()):
         print(f"  {count:>4} x {kind}")
     return 0
@@ -607,27 +559,20 @@ def _cmd_fault(args: argparse.Namespace) -> int:
         for spec in args.down
     ]
     hard: list[faults.HardFaults] = []
-    hard_classes = {
-        "router": ("--fail-router", args.fail_router, faults.RouterFaults),
-        "node": ("--fail-node", args.fail_node, faults.NodeFaults),
-        "nic": ("--fail-nic", args.fail_nic, faults.NicFaults),
-    }
     compute = tuple(machine.compute_endpoints)
-    for kind, (flag, specs, cls) in hard_classes.items():
+    for cls in _HARD_FAULTS:
         windows: dict[str, list[tuple[float, float]]] = {}
-        for spec in specs:
+        for spec in getattr(args, f"fail_{cls.kind}"):
             name, *bounds = spec.split(":")
             window = (0.0, float("inf")) if not bounds else _us_window(
                 bounds,
-                f"{flag} expects NAME or NAME:START:END in microseconds, "
-                f"got {spec!r}",
+                f"--fail-{cls.kind} expects NAME or NAME:START:END in "
+                f"microseconds, got {spec!r}",
             )
             # Validate the element name eagerly, before any simulation runs.
-            faults.validate_element(machine.topology, kind, name, compute=compute)
+            faults.validate_element(machine.topology, cls.kind, name, compute=compute)
             windows.setdefault(name, []).append(window)
-        hard.extend(
-            cls(name, windows=tuple(ws)) for name, ws in windows.items()
-        )
+        hard.extend(cls(name, windows=tuple(ws)) for name, ws in windows.items())
     plan = faults.FaultPlan.uniform(
         loss=args.loss,
         jitter=args.jitter_us * 1e-6,
@@ -638,17 +583,11 @@ def _cmd_fault(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         hard=tuple(hard),
     )
-    size = parse_size(args.nbytes)
-    clean = run_flood(
-        machine, args.runtime, size, args.msgs_per_sync, iters=args.iters,
-        placement=args.placement,
-    )
+    point = (machine, args.runtime, parse_size(args.nbytes), args.msgs_per_sync)
+    clean = run_flood(*point, iters=args.iters, placement=args.placement)
     try:
         with faults.inject(plan) as scope:
-            faulty = run_flood(
-                machine, args.runtime, size, args.msgs_per_sync,
-                iters=args.iters, placement=args.placement,
-            )
+            faulty = run_flood(*point, iters=args.iters, placement=args.placement)
     except faults.FaultError as exc:
         print(f"machine   : {machine.name} / {args.runtime}")
         print(f"plan      : loss={args.loss} jitter={args.jitter_us}us "
@@ -771,33 +710,31 @@ def _cmd_ir(args: argparse.Namespace) -> int:
     return status
 
 
+_COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "trace": _cmd_trace,
+    "ablation": _cmd_ablation,
+    "machines": _cmd_machines,
+    "topo": _cmd_topo,
+    "flood": _cmd_flood,
+    "fault": _cmd_fault,
+    "export": _cmd_export,
+    "roofline": _cmd_roofline,
+    "collective": _cmd_collective,
+    "ir": _cmd_ir,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    commands = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "trace": _cmd_trace,
-        "ablation": _cmd_ablation,
-        "machines": _cmd_machines,
-        "export": _cmd_export,
-        "ir": _cmd_ir,
-    }
-    if args.command in commands:
-        return commands[args.command](args)
-    model_checked = {
-        "topo": _cmd_topo,
-        "flood": _cmd_flood,
-        "fault": _cmd_fault,
-        "roofline": _cmd_roofline,
-        "collective": _cmd_collective,
-    }
     try:
-        return model_checked[args.command](args)
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:
         # A machine, size, count, fault window or runtime name the model
         # rejects (get_machine, parse_size, run_flood, BatchSpec, FaultPlan,
         # the roofline, the backend registry), or a runtime the machine has
-        # no calibration for (KeyError).
+        # no calibration for (KeyError).  The report loops catch their own.
         print(exc.args[0], file=sys.stderr)
         return 2
 

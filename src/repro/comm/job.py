@@ -24,7 +24,6 @@ from repro.comm.base import OpCounter
 from repro.comm.context import RankContext
 from repro.comm.window import Window
 from repro.faults.inject import injector_for
-from repro.faults.plan import FaultPlan
 from repro.machines.base import MachineModel, Placement
 from repro.net.fabric import Fabric
 from repro.obs.session import current as _obs_current
@@ -65,20 +64,17 @@ class Job:
         *,
         placement: Placement = "block",
         trace: bool = False,
-        faults: FaultPlan | None = None,
         sim: Simulator | None = None,
         fabric: Fabric | None = None,
         endpoints: list[str] | None = None,
-        routing: Any = None,
-        congestion: Any = None,
     ):
         """``sim``/``fabric``/``endpoints`` support co-scheduling: a
         :class:`repro.cluster.Cluster` hands several jobs one shared
         simulator + fabric and pins each job's ranks to the endpoints its
-        placement policy chose.  ``routing``/``congestion`` configure a
-        job-owned fabric (ignored when ``fabric`` is passed); all five
-        default to ``None``, which keeps the original single-job path —
-        and its arithmetic — untouched.
+        placement policy chose.  All three default to ``None``, which keeps
+        the original single-job path — and its arithmetic — untouched.  A
+        job-owned fabric takes the ambient fault plan
+        (:func:`repro.faults.inject`).
         """
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
@@ -117,7 +113,7 @@ class Job:
         self.spans: SpanTracker = (
             self.obs.spans if self.obs is not None else SpanTracker()
         )
-        self.fault_injector = injector_for(faults, self.backend.fault_semantics)
+        self.fault_injector = injector_for(None, self.backend.fault_semantics)
         if fabric is not None:
             self.fabric = fabric
         else:
@@ -127,8 +123,6 @@ class Job:
                 self.tracer,
                 metrics=self.metrics,
                 faults=self.fault_injector,
-                routing=routing,
-                congestion=congestion,
             )
         if self.metrics is not None:
             self.metrics.register_collector(self._collect_comm_metrics)

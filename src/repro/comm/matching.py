@@ -58,10 +58,6 @@ class MatchingEngine:
     def unexpected_depth(self) -> int:
         return len(self._unexpected)
 
-    @property
-    def posted_depth(self) -> int:
-        return len(self._posted)
-
     def deliver(self, msg: Message) -> None:
         """A message has arrived from the fabric.
 

@@ -6,11 +6,10 @@ Public surface:
   declarative description of link loss, jitter, outages and degradation.
 * :class:`RouterFaults` / :class:`NodeFaults` / :class:`NicFaults` —
   hard (fail-stop) faults scoped to topology elements, resolved against
-  a concrete fabric by :func:`resolve_hard_faults`; victims for a sweep
-  come from the keyed-hash :func:`pick_victims`.
+  a concrete fabric by :func:`resolve_hard_faults`.
 * :class:`FaultSemantics` — how a runtime reacts to loss (carried by each
   :mod:`repro.transport` backend).
-* :func:`inject` / :func:`current_plan` / :func:`current_scope` — ambient
+* :func:`inject` / :func:`current_plan` — ambient
   installation of a plan, mirroring :func:`repro.obs.observe`.
 * :class:`FaultError` — delivery failure after the retry budget (or a
   partitioned topology under failover routing).
@@ -34,7 +33,6 @@ from repro.faults.hard import (
     UnknownElementError,
     element_catalog,
     elements_down_at,
-    pick_victims,
     resolve_hard_faults,
     validate_element,
 )
@@ -42,7 +40,6 @@ from repro.faults.inject import (
     FaultInjector,
     FaultScope,
     current_plan,
-    current_scope,
     inject,
 )
 
@@ -61,11 +58,9 @@ __all__ = [
     "FaultInjector",
     "FaultScope",
     "current_plan",
-    "current_scope",
     "element_catalog",
     "elements_down_at",
     "inject",
-    "pick_victims",
     "resolve_hard_faults",
     "validate_element",
 ]

@@ -20,15 +20,10 @@ module bridges the two:
   different scales (an element absent from a topology does not bind
   there, exactly like a ``links`` override for a link that machine
   doesn't have).
-
-Which element fails in a sweep is chosen deterministically with
-:func:`pick_victims`: a keyed blake2b ranking of the candidate names,
-pure in ``(seed, key)`` — same seed, same victims, bit for bit.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING
 
 from repro.faults.plan import _NODE_PREFIX, FaultPlan, HardFaults
@@ -40,7 +35,6 @@ __all__ = [
     "UnknownElementError",
     "element_catalog",
     "elements_down_at",
-    "pick_victims",
     "resolve_hard_faults",
     "validate_element",
 ]
@@ -140,29 +134,18 @@ def _merge_windows(
 def resolve_hard_faults(
     plan: FaultPlan,
     topology: "TopologySpec",
-    *,
-    strict: bool = False,
-    compute: tuple[str, ...] = (),
 ) -> dict[frozenset[str], tuple[tuple[float, float], ...]]:
     """Map each topology link to its merged hard-outage windows.
 
     Only links covered by at least one firing hard fault appear in the
-    result.  With ``strict=True`` an element the topology doesn't have
-    raises :class:`UnknownElementError`; the default is lenient (the
-    plan may span machines of different scales).
+    result.  An element the topology doesn't have binds nothing (the plan
+    may span machines of different scales).
     """
     out: dict[frozenset[str], list[tuple[float, float]]] = {}
     for hf in plan.hard:
         if hf.clean:
             continue
-        keys = _element_links(topology, hf)
-        if not keys:
-            if strict:
-                validate_element(topology, hf.kind, hf.element, compute=compute)
-                # An element can exist yet have no links (isolated): then
-                # its death takes nothing down, which is fine.
-            continue
-        for key in keys:
+        for key in _element_links(topology, hf):
             out.setdefault(key, []).extend(hf.windows)
     return {key: _merge_windows(ws) for key, ws in out.items()}
 
@@ -176,27 +159,3 @@ def elements_down_at(plan: FaultPlan, t: float) -> list[HardFaults]:
         if any(a <= t < b for a, b in hf.windows)
     ]
 
-
-def pick_victims(
-    elements: tuple[str, ...] | list[str],
-    count: int,
-    *,
-    seed: int = 0,
-    key: str = "victims",
-) -> tuple[str, ...]:
-    """``count`` victim elements, chosen by keyed-hash ranking.
-
-    Pure in ``(seed, key, elements)``: the same sweep point always kills
-    the same elements, and raising ``count`` only *adds* victims (the
-    ranking is a fixed total order), so failure sweeps are monotone.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-
-    def rank(name: str) -> bytes:
-        return hashlib.blake2b(
-            f"{seed}|{key}|{name}".encode(), digest_size=8
-        ).digest()
-
-    ranked = sorted(elements, key=rank)
-    return tuple(ranked[: min(count, len(ranked))])

@@ -34,7 +34,7 @@ from contextlib import AbstractContextManager
 from repro.faults.plan import FaultPlan, FaultSemantics
 from repro.scope import Scope
 
-__all__ = ["FaultInjector", "FaultScope", "inject", "injector_for", "current_plan", "current_scope"]
+__all__ = ["FaultInjector", "FaultScope", "inject", "injector_for", "current_plan"]
 
 _TWO_64 = float(2**64)
 
@@ -185,11 +185,6 @@ class FaultScope:
 
 
 _SCOPE = Scope("repro.faults.inject", carried=True)
-
-
-def current_scope() -> FaultScope | None:
-    """The innermost active scope, or None."""
-    return _SCOPE.current()
 
 
 def current_plan() -> FaultPlan | None:

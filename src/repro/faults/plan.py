@@ -111,9 +111,7 @@ class HardFaults:
     ``float("inf")`` for an element that never comes back.  Unlike the
     soft :class:`LinkFaults` knobs, hard faults are not sampled — the
     windows themselves are the whole behaviour, so two runs with the
-    same plan replay identically by construction (use
-    :func:`repro.faults.pick_victims` for a keyed-hash choice of *which*
-    element fails in a sweep).
+    same plan replay identically by construction.
 
     Subclasses name the element kind the plan resolver binds against a
     topology: :class:`RouterFaults` (switch/router endpoints),

@@ -11,7 +11,6 @@ from repro.machines.registry import (
     machine_fingerprint,
     machine_names,
     table1_row,
-    table1_rows,
 )
 from repro.machines.summit import summit_cpu, summit_gpu
 
@@ -35,5 +34,4 @@ __all__ = [
     "machine_fingerprint",
     "machine_names",
     "table1_row",
-    "table1_rows",
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "machine_fingerprint",
     "machine_names",
     "table1_row",
-    "table1_rows",
 ]
 
 # The five platform views the paper evaluates (Table I).
@@ -143,11 +142,6 @@ def table1_row(name: str) -> dict[str, str]:
             f"{k}: {v}" for k, v in sorted(m.nominal_link_specs.items())
         ),
     }
-
-
-def table1_rows() -> list[dict[str, str]]:
-    """Rows of the paper's Table I, regenerated from the machine models."""
-    return [table1_row(name) for name in machine_names()]
 
 
 def machine_fingerprint(name: str) -> str:

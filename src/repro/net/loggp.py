@@ -68,37 +68,6 @@ class LogGPParams:
         """Peak link bandwidth in bytes/second (= 1/G)."""
         return 1.0 / self.G
 
-    def time_pipelined(self, nbytes: float, msgs_per_sync: int) -> float:
-        """Time for ``msgs_per_sync`` back-to-back messages of ``nbytes``
-        each, followed by one synchronization (the paper's msg/sync batch).
-
-        Consecutive messages are spaced by ``max(o, g, B*G)`` — the sender
-        overhead, the injection gap, and the transmission time overlap with
-        each other but none can be overlapped away; the last message's
-        bytes then cross the wire, the latency ``L`` is paid once at the
-        tail (all earlier latencies are hidden under the pipeline), and the
-        synchronization overhead is paid once::
-
-            T = o + (n-1)*max(o, g, B*G) + B*G + L + o_sync
-        """
-        check_non_negative("nbytes", nbytes)
-        if msgs_per_sync < 1:
-            raise ValueError(f"msgs_per_sync must be >= 1, got {msgs_per_sync}")
-        spacing = max(self.o, self.g, nbytes * self.G)
-        return (
-            self.o
-            + (msgs_per_sync - 1) * spacing
-            + nbytes * self.G
-            + self.L
-            + self.o_sync
-        )
-
-    def bandwidth_pipelined(self, nbytes: float, msgs_per_sync: int) -> float:
-        """Achieved bandwidth (bytes/s) of the msg/sync batch above."""
-        if nbytes <= 0:
-            raise ValueError(f"nbytes must be > 0, got {nbytes}")
-        return nbytes * msgs_per_sync / self.time_pipelined(nbytes, msgs_per_sync)
-
 
 @dataclass(frozen=True)
 class LinkParams:

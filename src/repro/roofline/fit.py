@@ -17,6 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.net.loggp import LogGPParams
+from repro.roofline.model import MessageRoofline
 
 __all__ = ["FloodSample", "fit_loggp", "FitResult"]
 
@@ -39,31 +40,17 @@ class FitResult:
     residual_rms: float  # RMS of log-space residuals
     n_samples: int
 
-    @property
-    def max_relative_error(self) -> float:
-        """Worst-case multiplicative error implied by the residual RMS."""
-        return float(np.expm1(self.residual_rms))
 
-
-def _model_bandwidth(theta: np.ndarray, B: np.ndarray, n: np.ndarray) -> np.ndarray:
-    L, o, g, G = theta
-    spacing = np.maximum.reduce([np.full_like(B, o), np.full_like(B, g), B * G])
-    t = o + (n - 1) * spacing + B * G + L
-    return n * B / t
-
-
-def fit_loggp(
-    samples: Sequence[FloodSample],
-    *,
-    peak_bandwidth_hint: float | None = None,
-) -> FitResult:
+def fit_loggp(samples: Sequence[FloodSample]) -> FitResult:
     """Fit the rounded Message Roofline's ``(L, o, g, G)`` to measurements.
+
+    The residual is :meth:`MessageRoofline.bandwidth` itself, so the fit
+    reads the formula the roofline draws (with ``o_sync = 0``).
 
     Args:
         samples: at least four measurements spanning several message sizes
             and msg/sync values (a degenerate sweep cannot identify four
             parameters).
-        peak_bandwidth_hint: optional starting point for ``1/G``.
 
     Returns:
         A :class:`FitResult`; ``result.params`` plugs straight into
@@ -78,7 +65,7 @@ def fit_loggp(
     if np.any(B <= 0) or np.any(n < 1) or np.any(bw <= 0):
         raise ValueError("samples must have positive sizes/bandwidths and n >= 1")
 
-    bw_peak0 = peak_bandwidth_hint if peak_bandwidth_hint else float(bw.max()) * 1.2
+    bw_peak0 = float(bw.max()) * 1.2
     # Initial guess: latency from the smallest single-message sample.
     n1 = (n == n.min()) & (B == B.min())
     t_small = float((B[n1] * n[n1] / bw[n1]).mean()) if np.any(n1) else 3e-6
@@ -86,7 +73,8 @@ def fit_loggp(
     upper = np.array([1e-2, 1e-2, 1e-2, 1e-6])
 
     def residuals(theta: np.ndarray) -> np.ndarray:
-        return np.log(_model_bandwidth(theta, B, n)) - np.log(bw)
+        model = MessageRoofline(LogGPParams(*theta)).bandwidth(B, n)
+        return np.log(model) - np.log(bw)
 
     # The surface has local minima (L trades against o around the n=1
     # points), so run a small multi-start over latency/overhead splits.

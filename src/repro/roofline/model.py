@@ -15,12 +15,13 @@ Two variants, as in the paper's Fig. 1:
   never practically reach";
 * the **rounded** model, where per-message overhead is serial::
 
-      T(n, B) = n*o + (n-1)*max(g, B*G) + B*G + L
+      T(n, B) = o + (n-1)*max(o, g, B*G) + B*G + L + o_sync
 
-  i.e. the sender pays ``o`` per message, injections are spaced by the gap
-  or the transmission time (whichever dominates — LogGP's statement that
-  ``g`` cannot be overlapped), the last message streams out and the wire
-  latency is paid once at the tail.
+  i.e. consecutive messages are spaced by the sender overhead, the
+  injection gap or the transmission time (whichever dominates — they
+  overlap each other, but LogGP's ``g`` and ``o`` cannot be overlapped
+  away), the last message streams out, the wire latency is paid once at
+  the tail and the synchronization overhead once per batch.
 
 At ``n = 1`` the rounded model reduces to the paper's
 ``B / (o + L + B*G)`` ~= ``B / (o + max(L, B*G))`` form, and as ``n`` grows
@@ -59,32 +60,29 @@ class MessageRoofline:
 
     # -- core model ------------------------------------------------------------
 
-    def time(
-        self, nbytes, msgs_per_sync: int = 1, *, sharp: bool = False
-    ) -> np.ndarray:
-        """Time to complete one synchronization batch (vectorised in B)."""
+    def time(self, nbytes, msgs_per_sync=1, *, sharp: bool = False) -> np.ndarray:
+        """Time to complete one synchronization batch; ``nbytes`` and
+        ``msgs_per_sync`` are scalars or arrays that broadcast together."""
         B = np.asarray(nbytes, dtype=float)
         if np.any(B < 0):
             raise ValueError("message sizes must be >= 0")
-        n = int(msgs_per_sync)
-        if n < 1:
+        n = np.asarray(msgs_per_sync)
+        if not np.all(n >= 1):
             raise ValueError(f"msgs_per_sync must be >= 1, got {msgs_per_sync}")
         p = self.params
         spacing = np.maximum.reduce(
             [np.full_like(B, p.o), np.full_like(B, p.g), B * p.G]
         )
         if sharp:
-            return np.maximum(n * spacing, np.full_like(B, p.L + p.o_sync))
+            return np.maximum(n * spacing, p.L + p.o_sync)
         return p.o + (n - 1) * spacing + B * p.G + p.L + p.o_sync
 
-    def bandwidth(
-        self, nbytes, msgs_per_sync: int = 1, *, sharp: bool = False
-    ) -> np.ndarray:
+    def bandwidth(self, nbytes, msgs_per_sync=1, *, sharp: bool = False) -> np.ndarray:
         """Sustained bandwidth of the batch: ``n*B / T(n, B)``."""
         B = np.asarray(nbytes, dtype=float)
         if np.any(B <= 0):
             raise ValueError("bandwidth requires positive message sizes")
-        n = int(msgs_per_sync)
+        n = np.asarray(msgs_per_sync)
         return n * B / self.time(B, n, sharp=sharp)
 
     def latency_per_message(self, nbytes, msgs_per_sync: int = 1) -> np.ndarray:

@@ -27,12 +27,6 @@ class Series:
         self.marker = marker
 
 
-def _log_ticks(lo: float, hi: float) -> list[float]:
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
-    return [10.0**e for e in range(lo_e, hi_e + 1)]
-
-
 def ascii_loglog(
     series: Sequence[Series],
     *,

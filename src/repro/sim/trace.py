@@ -21,7 +21,7 @@ dict for ``emit`` is never built when tracing is off (the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, Protocol, runtime_checkable
 
 __all__ = [
@@ -146,18 +146,13 @@ class Tracer:
         return iter(self.sink)
 
     def filter(
-        self,
-        kind: str | None = None,
-        rank: int | None = None,
-        predicate: Callable[[TraceRecord], bool] | None = None,
+        self, kind: str | None = None, rank: int | None = None
     ) -> list[TraceRecord]:
         out: Iterable[TraceRecord] = self.records
         if kind is not None:
             out = [r for r in out if r.kind == kind]
         if rank is not None:
             out = [r for r in out if r.rank == rank]
-        if predicate is not None:
-            out = [r for r in out if predicate(r)]
         return list(out)
 
     def count(self, kind: str) -> int:

@@ -6,9 +6,7 @@ from repro.util.units import (
     GB,
     KiB,
     MiB,
-    GiB,
     GBps,
-    MBps,
     us,
     ns,
     ms,
@@ -17,16 +15,13 @@ from repro.util.units import (
     fmt_time,
     parse_size,
 )
-from repro.util.tables import Table, format_kv, format_table
+from repro.util.tables import Table, format_table
 from repro.util.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_power_of_two,
-    check_probability,
-    check_rank,
 )
-from repro.util.stats import Summary, geometric_mean, percentile, speedup, summarize
+from repro.util.stats import Summary, percentile, speedup, summarize
 
 __all__ = [
     "KB",
@@ -34,9 +29,7 @@ __all__ = [
     "GB",
     "KiB",
     "MiB",
-    "GiB",
     "GBps",
-    "MBps",
     "us",
     "ns",
     "ms",
@@ -45,16 +38,11 @@ __all__ = [
     "fmt_time",
     "parse_size",
     "Table",
-    "format_kv",
     "format_table",
     "check_in_range",
     "check_non_negative",
     "check_positive",
-    "check_power_of_two",
-    "check_probability",
-    "check_rank",
     "Summary",
-    "geometric_mean",
     "percentile",
     "speedup",
     "summarize",

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["Summary", "summarize", "geometric_mean", "percentile", "speedup"]
+__all__ = ["Summary", "summarize", "percentile", "speedup"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,6 @@ def summarize(samples: Sequence[float]) -> Summary:
         p95=float(np.percentile(arr, 95)),
         maximum=float(arr.max()),
     )
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values (speedup aggregation)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("geometric mean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))
 
 
 def percentile(values: Sequence[float], q: float) -> float:

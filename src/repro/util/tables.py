@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Any
 
-__all__ = ["format_table", "format_kv", "Table"]
+__all__ = ["format_table", "Table"]
 
 
 def _cell(value: Any) -> str:
@@ -57,16 +57,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_kv(pairs: dict[str, Any], title: str | None = None) -> str:
-    """Render a key/value mapping as an aligned two-column block."""
-    if not pairs:
-        return title or ""
-    width = max(len(k) for k in pairs)
-    lines = [title] if title else []
-    lines.extend(f"  {k.ljust(width)} : {_cell(v)}" for k, v in pairs.items())
-    return "\n".join(lines)
-
-
 class Table:
     """Incrementally built table: ``add_row`` then ``render``/``rows``."""
 
@@ -85,10 +75,6 @@ class Table:
     @property
     def rows(self) -> list[list[Any]]:
         return [list(r) for r in self._rows]
-
-    def column(self, name: str) -> list[Any]:
-        idx = self.headers.index(name)
-        return [r[idx] for r in self._rows]
 
     def render(self) -> str:
         return format_table(self.headers, self._rows, title=self.title)

@@ -22,9 +22,7 @@ __all__ = [
     "GB",
     "KiB",
     "MiB",
-    "GiB",
     "GBps",
-    "MBps",
     "us",
     "ns",
     "ms",
@@ -64,19 +62,9 @@ def MiB(x: float) -> float:
     return x * 1024.0**2
 
 
-def GiB(x: float) -> float:
-    """Binary gibibytes to bytes."""
-    return x * 1024.0**3
-
-
 def GBps(x: float) -> float:
     """GB/s to bytes/s (decimal, matching vendor link specs)."""
     return x * 1e9
-
-
-def MBps(x: float) -> float:
-    """MB/s to bytes/s."""
-    return x * 1e6
 
 
 def us(x: float) -> float:

@@ -8,16 +8,8 @@ than deep inside a simulation run.
 from __future__ import annotations
 
 import math
-from typing import Any
 
-__all__ = [
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_power_of_two",
-    "check_rank",
-    "check_probability",
-]
+__all__ = ["check_positive", "check_non_negative", "check_in_range"]
 
 
 def check_positive(name: str, value: float) -> float:
@@ -34,34 +26,8 @@ def check_non_negative(name: str, value: float) -> float:
     return value
 
 
-def check_in_range(
-    name: str, value: float, lo: float, hi: float, *, inclusive: bool = True
-) -> float:
-    """Require ``lo <= value <= hi`` (or strict if ``inclusive=False``)."""
-    ok = lo <= value <= hi if inclusive else lo < value < hi
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ValueError(
-            f"{name} must be in {bracket[0]}{lo}, {hi}{bracket[1]}, got {value!r}"
-        )
+def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
+    """Require ``lo <= value <= hi``."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return value
-
-
-def check_probability(name: str, value: float) -> float:
-    return check_in_range(name, value, 0.0, 1.0)
-
-
-def check_power_of_two(name: str, value: int) -> int:
-    """Require an integral power of two (used for grid/process decompositions)."""
-    if not isinstance(value, int) or value < 1 or value & (value - 1):
-        raise ValueError(f"{name} must be a positive power of two, got {value!r}")
-    return value
-
-
-def check_rank(name: str, rank: Any, size: int) -> int:
-    """Require a valid rank id in ``[0, size)``."""
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise TypeError(f"{name} must be an int rank id, got {type(rank).__name__}")
-    if not 0 <= rank < size:
-        raise ValueError(f"{name}={rank} out of range for communicator size {size}")
-    return rank

@@ -116,8 +116,10 @@ def run_flood(
     paths); on a multi-node cluster, ``placement="block"`` puts them on
     different nodes, measuring the switched fabric instead.
     """
-    if msgs_per_sync < 1:
-        raise ValueError(f"msgs_per_sync must be >= 1, got {msgs_per_sync}")
+    if not isinstance(msgs_per_sync, Integral) or msgs_per_sync < 1:
+        raise ValueError(
+            f"flood msgs_per_sync must be an integer >= 1, got {msgs_per_sync}"
+        )
     if not isinstance(iters, Integral) or iters < 1:
         raise ValueError(f"flood iters must be an integer >= 1, got {iters}")
     if nranks < 2:
@@ -188,8 +190,8 @@ def run_cas_flood(
     ``target_rank`` selects the victim — on Summit GPUs, a rank in the other
     island exposes the cross-socket atomic penalty (1.6 us vs 1.0 us).
     """
-    if n_ops < 1:
-        raise ValueError(f"n_ops must be >= 1, got {n_ops}")
+    if not isinstance(n_ops, Integral) or n_ops < 1:
+        raise ValueError(f"cas flood n_ops must be >= 1, got {n_ops} (an integer count)")
     if not 0 < target_rank < nranks:
         raise ValueError(f"target_rank {target_rank} out of range (1..{nranks - 1})")
     program = build_cas_flood_program(

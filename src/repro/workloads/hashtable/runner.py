@@ -31,6 +31,7 @@ inverted-at-P=2 results) rather than the prose's broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -71,12 +72,14 @@ class HashTableConfig:
     sync_window: int = 1
 
     def __post_init__(self) -> None:
-        if self.total_inserts < 1:
-            raise ValueError("total_inserts must be >= 1")
+        for name in ("total_inserts", "sync_window"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(
+                    f"hashtable {name} must be an integer >= 1, got {value}"
+                )
         if not 0 < self.load_factor <= 1:
             raise ValueError("load_factor in (0, 1]")
-        if self.sync_window < 1:
-            raise ValueError("sync_window must be >= 1")
 
 
 def generate_keys(cfg: HashTableConfig, nranks: int) -> list[np.ndarray]:

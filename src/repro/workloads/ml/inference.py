@@ -17,6 +17,7 @@ time-to-first-token path.  ``transfer_time`` isolates it;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.collectives.core import CollectiveComm
 from repro.collectives.plan import CollectiveError, plan_collective
@@ -79,10 +80,12 @@ def run_kv_transfer(
     """Simulate one prefill -> hand-off -> decode pipeline."""
     if nranks < 2:
         raise CollectiveError("run_kv_transfer needs a prefill rank and >= 1 replica")
-    if min(context_tokens, hidden, layers, decode_tokens) < 1:
-        raise CollectiveError(
-            "context_tokens, hidden, layers, decode_tokens must be >= 1"
-        )
+    for name, value in (
+        ("context_tokens", context_tokens), ("hidden", hidden),
+        ("layers", layers), ("decode_tokens", decode_tokens),
+    ):
+        if not isinstance(value, Integral) or value < 1:
+            raise CollectiveError(f"kv_transfer {name} must be an integer >= 1, got {value}")
     kv_words = 2 * layers * context_tokens * hidden  # K and V per layer
     kv_bytes = kv_words * _WORD
     params = 12.0 * layers * float(hidden) ** 2  # transformer block estimate

@@ -17,6 +17,7 @@ the experiment's checked finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.collectives.core import CollectiveComm
 from repro.collectives.plan import CollectiveError, plan_collective
@@ -74,12 +75,12 @@ def run_moe_dispatch(
     """Simulate ``iters`` MoE layers and measure one."""
     if nranks < 1:
         raise CollectiveError(f"nranks must be >= 1, got {nranks}")
-    if tokens_per_rank < nranks:
-        raise CollectiveError(
-            f"tokens_per_rank ({tokens_per_rank}) must be >= nranks ({nranks})"
-        )
-    if hidden < 1 or ffn_mult < 1:
-        raise CollectiveError("hidden and ffn_mult must be >= 1")
+    for name, value, low in (
+        ("tokens_per_rank", tokens_per_rank, nranks), ("hidden", hidden, 1),
+        ("ffn_mult", ffn_mult, 1),
+    ):
+        if not isinstance(value, Integral) or value < low:
+            raise CollectiveError(f"moe {name} must be an integer >= {low}, got {value}")
     # Equal routing: each rank sends tokens/P tokens to every expert.
     tokens_per_dest = tokens_per_rank // nranks
     block_words = tokens_per_dest * hidden  # per-destination alltoall block

@@ -18,6 +18,7 @@ the allreduce did not hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.collectives.core import CollectiveComm
 from repro.collectives.plan import CollectiveError, plan_collective
@@ -115,10 +116,9 @@ def run_training_step(
     """
     if not _WORD <= grad_bytes < float("inf"):
         raise CollectiveError(f"grad_bytes must be finite and >= {_WORD}, got {grad_bytes}")
-    if buckets < 1:
-        raise CollectiveError(f"buckets must be >= 1, got {buckets}")
-    if tokens_per_rank < 1:
-        raise CollectiveError(f"tokens_per_rank must be >= 1, got {tokens_per_rank}")
+    for name, value in (("buckets", buckets), ("tokens_per_rank", tokens_per_rank)):
+        if not isinstance(value, Integral) or value < 1:
+            raise CollectiveError(f"training {name} must be an integer >= 1, got {value}")
     params = grad_bytes / 4.0  # fp32 parameters
     flops = 6.0 * params * tokens_per_rank
     grad_words = max(int(grad_bytes // _WORD), 1)

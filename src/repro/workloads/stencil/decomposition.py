@@ -100,11 +100,6 @@ class ProcessGrid:
         x0, bx = self._split(nx, self.px, ix)
         return slice(y0, y0 + by), slice(x0, x0 + bx)
 
-    def block_shape(self, rank: int, nx: int, ny: int) -> tuple[int, int]:
-        """(bx, by): this rank's owned columns and rows."""
-        rows, cols = self.block(rank, nx, ny)
-        return cols.stop - cols.start, rows.stop - rows.start
-
     def halo_bytes(self, nx: int, ny: int, itemsize: int = 8) -> dict[str, int]:
         """Per-direction halo message sizes in bytes (largest block): a
         strip toward an x neighbour is a column, toward a y neighbour a row."""

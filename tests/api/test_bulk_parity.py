@@ -17,7 +17,8 @@ from repro.comm import Job
 from repro.experiments.ablations import _with_hw_put_signal
 from repro.ir.lower import lower_rank, run_program
 from repro.machines import get_machine
-from repro.net import CongestionConfig
+from repro.net import CongestionConfig, Fabric
+from repro.sim import NullTracer, Simulator
 from repro.workloads.flood import (
     build_cas_flood_program,
     build_flood_program,
@@ -89,13 +90,13 @@ class TestBulkParity:
 
 
 def _flood_on(fabric_options, replayable):
-    """A 2-rank shmem flood on a job-owned fabric built with
-    ``fabric_options`` (``run_flood`` cannot pass them through)."""
+    """A 2-rank shmem flood on a fabric built with ``fabric_options`` and
+    handed to the job (``run_flood`` cannot pass them through)."""
     program = build_flood_program("shmem", 65536, 256, iters=1, nranks=2)
-    job = Job(
-        get_machine("perlmutter-gpu"), 2, "shmem", placement="spread",
-        **fabric_options(),
-    )
+    machine = get_machine("perlmutter-gpu")
+    sim = Simulator()
+    fabric = Fabric(sim, machine.topology, NullTracer(), **fabric_options())
+    job = Job(machine, 2, "shmem", placement="spread", sim=sim, fabric=fabric)
     assert perf.bulk_enabled(job) == (replayable and perf.enabled())
     result = job.run(lower_rank, job.channel(program.spec), program, {})
     return result.results, result.counters, job.fabric.link_stats()

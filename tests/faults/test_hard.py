@@ -1,4 +1,4 @@
-"""Hard faults: element windows, topology resolution, victim picking."""
+"""Hard faults: element windows, topology resolution."""
 
 import math
 
@@ -13,7 +13,6 @@ from repro.faults import (
     UnknownElementError,
     element_catalog,
     elements_down_at,
-    pick_victims,
     resolve_hard_faults,
     validate_element,
 )
@@ -164,12 +163,6 @@ class TestResolveHardFaults:
         plan = FaultPlan(hard=(NodeFaults("n99", windows=((0.0, 1e-6),)),))
         assert resolve_hard_faults(plan, topo) == {}
 
-    def test_unknown_element_strict_raises(self):
-        topo = _blueprint()
-        plan = FaultPlan(hard=(NodeFaults("n99", windows=((0.0, 1e-6),)),))
-        with pytest.raises(UnknownElementError):
-            resolve_hard_faults(plan, topo, strict=True)
-
     def test_elements_down_at(self):
         plan = FaultPlan(
             hard=(
@@ -181,18 +174,3 @@ class TestResolveHardFaults:
         assert [hf.element for hf in elements_down_at(plan, 2.5e-6)] == []
         assert [hf.element for hf in elements_down_at(plan, 10.0)] == ["n0"]
 
-
-class TestPickVictims:
-    def test_deterministic(self):
-        elements = [f"g{g}r{r}" for g in range(4) for r in range(2)]
-        a = pick_victims(elements, 3, seed=7)
-        b = pick_victims(elements, 3, seed=7)
-        assert a == b and len(a) == 3
-
-    def test_seed_changes_choice(self):
-        elements = [f"g{g}r{r}" for g in range(4) for r in range(2)]
-        draws = {tuple(pick_victims(elements, 2, seed=s)) for s in range(16)}
-        assert len(draws) > 1
-
-    def test_count_clamped(self):
-        assert len(pick_victims(["a", "b"], 5)) == 2

@@ -69,13 +69,12 @@ class TestSampling:
 class TestScope:
     def test_no_ambient_plan_by_default(self):
         assert faults.current_plan() is None
-        assert faults.current_scope() is None
 
     def test_inject_installs_and_restores(self):
         plan = FaultPlan.uniform(loss=0.1)
         with faults.inject(plan) as scope:
             assert faults.current_plan() is plan
-            assert faults.current_scope() is scope
+            assert scope.plan is plan
         assert faults.current_plan() is None
 
     def test_inject_none_is_noop_scope(self):

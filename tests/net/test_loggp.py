@@ -1,8 +1,10 @@
-"""LogGP parameter objects and analytic timing identities."""
+"""LogGP parameter objects and the Message Roofline timing identities
+they feed."""
 
 import pytest
 
 from repro.net import LinkParams, LogGPParams
+from repro.roofline import MessageRoofline
 
 
 class TestLogGPParams:
@@ -20,13 +22,12 @@ class TestLogGPParams:
 
     def test_pipelined_reduces_to_single_at_n1(self):
         p = LogGPParams(L=1e-6, o=2e-7, g=1e-7, G=1e-9, o_sync=3e-7)
-        t1 = p.time_pipelined(100, 1)
+        t1 = float(MessageRoofline(p).time(100, 1))
         assert t1 == pytest.approx(2e-7 + 100e-9 + 1e-6 + 3e-7)
 
     def test_pipelined_marginal_cost_is_max_of_o_g_BG(self):
         p = LogGPParams(L=1e-6, o=2e-7, g=5e-7, G=1e-9)
-        t10 = p.time_pipelined(100, 10)
-        t11 = p.time_pipelined(100, 11)
+        t10, t11 = MessageRoofline(p).time(100, [10, 11])
         # Small message: the gap dominates o and B*G; they overlap, so the
         # marginal cost is max(o, g, B*G) = g.
         assert t11 - t10 == pytest.approx(5e-7)
@@ -34,20 +35,22 @@ class TestLogGPParams:
     def test_gap_cannot_be_overlapped(self):
         """The paper's LogGP point: g bounds message rate regardless of n."""
         p = LogGPParams(L=1e-6, o=1e-9, g=1e-6, G=1e-12)
-        bw_inf = p.bandwidth_pipelined(8, 1_000_000)
+        bw_inf = float(MessageRoofline(p).bandwidth(8, 1_000_000))
         assert bw_inf <= 8 / p.g * 1.01
 
     def test_bandwidth_monotone_in_n(self):
         p = LogGPParams(L=5e-6, o=3e-7, g=2e-7, G=1e-9, o_sync=2e-6)
-        bws = [p.bandwidth_pipelined(1024, n) for n in (1, 4, 16, 64, 256)]
+        bws = list(MessageRoofline(p).bandwidth(1024, [1, 4, 16, 64, 256]))
         assert all(b2 > b1 for b1, b2 in zip(bws, bws[1:]))
 
     def test_invalid_pipelined_args(self):
-        p = LogGPParams(L=0, o=0, g=0, G=1e-9)
+        roof = MessageRoofline(LogGPParams(L=0, o=0, g=0, G=1e-9))
         with pytest.raises(ValueError):
-            p.time_pipelined(100, 0)
+            roof.time(100, 0)
         with pytest.raises(ValueError):
-            p.bandwidth_pipelined(0, 1)
+            roof.time(100, [1, 0])
+        with pytest.raises(ValueError):
+            roof.bandwidth(0, 1)
 
 
 class TestLinkParams:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.traces import from_records, load_jsonl, message_stats
+from repro.analysis.traces import load_jsonl, message_stats
 from repro.obs.sinks import JsonlSink, RingBufferSink, record_from_json, record_to_json
 from repro.sim.trace import NULL_SINK, ListSink, NullTracer, TraceRecord, Tracer
 
@@ -114,10 +114,3 @@ class TestTracerStorage:
         assert t.total_bytes("send") == 1
         assert t.total_bytes(("put", "put_signal")) == 6
 
-    def test_from_records_wraps_survivors(self):
-        ring = RingBufferSink(2)
-        src = Tracer(sink=ring)
-        for i in range(5):
-            src.emit(float(i), "send", 0, nbytes=1)
-        wrapped = from_records(ring.records)
-        assert wrapped.count("send") == 2

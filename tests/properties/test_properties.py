@@ -80,7 +80,9 @@ class TestRooflineProperties:
     @given(params_strategy(), sizes, msgs)
     def test_time_matches_loggp_pipelined(self, p, B, n):
         r = MessageRoofline(p)
-        assert float(r.time(B, n)) == pytest.approx(p.time_pipelined(B, n))
+        spacing = max(p.o, p.g, B * p.G)
+        longhand = p.o + (n - 1) * spacing + B * p.G + p.L + p.o_sync
+        assert float(r.time(B, n)) == pytest.approx(longhand)
 
 
 class TestSplitModelProperties:

@@ -24,9 +24,9 @@ class TestTimeModel:
     def test_rounded_matches_loggp_pipelined(self, roofline):
         p = roofline.params
         for B, n in [(64, 1), (1024, 16), (1 << 20, 256)]:
-            assert float(roofline.time(B, n)) == pytest.approx(
-                p.time_pipelined(B, n)
-            )
+            spacing = max(p.o, p.g, B * p.G)
+            longhand = p.o + (n - 1) * spacing + B * p.G + p.L + p.o_sync
+            assert float(roofline.time(B, n)) == pytest.approx(longhand)
 
     def test_sharp_never_slower_than_rounded(self, roofline):
         B = np.logspace(1, 7, 30)

@@ -14,13 +14,6 @@ class TestTracer:
         assert len(t.filter(kind="send", rank=1)) == 1
         assert t.total_bytes("send") == 30
 
-    def test_predicate_filter(self):
-        t = Tracer()
-        t.emit(0.0, "send", 0, nbytes=10)
-        t.emit(0.0, "send", 0, nbytes=9000)
-        big = t.filter(predicate=lambda r: r.detail["nbytes"] > 100)
-        assert len(big) == 1
-
     def test_clear(self):
         t = Tracer()
         t.emit(0.0, "x", 0)

@@ -308,15 +308,31 @@ class TestUncacheable:
             run_sweep(_spec(), cache=ResultCache(tmp_path))
         assert "sweep.cache.uncacheable" not in session.metrics.snapshot()
 
-    def test_cli_cache_line_names_it_only_when_nonzero(self, tmp_path, capsys):
-        from repro.cli import _print_run_summary
+    def test_cli_cache_line_names_it_only_when_nonzero(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.experiments as experiments
+        from repro import ir
+        from repro.cli import main
+        from repro.experiments.report import ExperimentReport
+        from repro.sweep import run_sweep
 
-        cache = ResultCache(tmp_path)
-        _print_run_summary({"fig03": "PASS"}, cache)
-        assert capsys.readouterr().err == "[sweep] cache: hits=0 misses=0\n"
-        cache.uncacheable = 3
-        _print_run_summary({"fig03": "PASS"}, cache)
-        assert (
-            capsys.readouterr().err
-            == "[sweep] cache: hits=0 misses=0 uncacheable=3\n"
-        )
+        def experiment(npoints):
+            def run():
+                with ir.passes(self._custom_pipeline()):
+                    run_sweep(_spec(points=[{"x": i} for i in range(npoints)]))
+                return ExperimentReport(
+                    experiment="fig03", title="fig03", headers=["x"], rows=[[1]]
+                )
+
+            return run
+
+        argv = ["run", "fig03", "--cache-dir", str(tmp_path)]
+        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", {"fig03": experiment(0)})
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "[sweep] cache: hits=0 misses=0"
+        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", {"fig03": experiment(3)})
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "[sweep] cache: hits=0 misses=0 uncacheable=3"

@@ -67,7 +67,7 @@ class TestCommands:
         split = TopologySpec(name="split")
         split.add_link("a", "b", LinkParams(latency=1e-6, bandwidth=1e9))
         split.add_link("c", "d", LinkParams(latency=1e-6, bandwidth=1e9))
-        monkeypatch.setattr("repro.cli._resolve_topology", lambda name: split)
+        monkeypatch.setattr("repro.machines.registry.get_topology", lambda name: split)
         assert main(["topo", "split"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -528,3 +528,32 @@ class TestRunSurvivesCrash:
         assert "experiment exploded" in err  # traceback surfaced
         assert "alpha                PASS" in err
         assert "boom                 ERROR" in err
+
+    def test_crashing_ablation_marked_error_others_run(self, monkeypatch, capsys):
+        import repro.experiments.ablations as ablations
+
+        entries = self._experiments_with_crash()
+        monkeypatch.setattr(ablations, "ALL_ABLATIONS", entries)
+        assert main(["ablation", "all"]) == 1
+        captured = capsys.readouterr()
+        assert "alpha" in captured.out  # the entry after the crash still ran
+        assert "ablation boom raised:" in captured.err
+        assert "experiment exploded" in captured.err
+        assert "alpha                PASS" in captured.err
+        assert "boom                 ERROR" in captured.err
+        assert "1/2 ablations raised" in captured.err
+
+
+class TestIrExplain:
+    def test_report_block_printed_although_checks_fail(self, capsys):
+        """Under the default pipeline fig03's paper-shape checks fail by
+        design; `ir explain` judges nothing, so it still exits 0."""
+        from repro import ir
+        from repro.experiments import ALL_EXPERIMENTS
+
+        with ir.passes(True):
+            assert not ALL_EXPERIMENTS["fig03"]().all_expectations_met
+        assert main(["ir", "explain", "fig03"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("== fig03 ==\n")
+        assert "coalesce" in out

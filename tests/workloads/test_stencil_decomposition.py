@@ -70,13 +70,15 @@ class TestBlocks:
         g = ProcessGrid(3, 2)
         total = 0
         for r in range(6):
-            bx, by = g.block_shape(r, 10, 7)
-            total += bx * by
+            rows, cols = g.block(r, 10, 7)
+            total += (rows.stop - rows.start) * (cols.stop - cols.start)
         assert total == 70
 
     def test_uneven_split_near_equal(self):
         g = ProcessGrid(3, 1)
-        widths = [g.block_shape(r, 10, 3)[0] for r in range(3)]
+        widths = [
+            cols.stop - cols.start for _rows, cols in (g.block(r, 10, 3) for r in range(3))
+        ]
         assert sorted(widths) == [3, 3, 4]
 
     def test_too_small_grid_rejected(self):
