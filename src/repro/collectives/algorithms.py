@@ -8,6 +8,14 @@ context, or a window; the exec helper maps (peer, round) onto the
 channel's slot space and does the stats accounting identically for every
 backend (the cross-backend parity guarantee).
 
+Each schedule is declared once, by the :class:`Strategy` record its
+``@_strategy`` decorator files in :data:`STRATEGIES`: the round count the
+plan allocates slots for, the critical-path wire bytes, and which
+``(nranks, stripes)`` it runs.  The selector's Hockney cost is
+``rounds(P)·α + wire(P, m)·β`` from the same record, and a collective's
+strategies are listed in the order they appear below — its preference
+order, which breaks cost ties.
+
 Invariant every schedule keeps: **at most one logical message per
 (receiver, round)** — that is what makes a round a mailbox slot and lets
 one-sided signals accumulate per-stripe without ambiguity.
@@ -26,12 +34,88 @@ Edge cases are handled here, once, for all backends:
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.collectives.plan import _ceil_log2, _pof2
 from repro.transport.api import part_bounds
 
-__all__ = ["ALGORITHM_TABLE"]
+__all__ = ["STRATEGIES", "Strategy"]
+
+
+def _ceil_log2(n: int) -> int:
+    return max(n - 1, 0).bit_length()
+
+
+def _pof2(n: int) -> tuple[int, int]:
+    """Largest power of two <= n and the remainder (MPICH fold size)."""
+    p = 1 << (n.bit_length() - 1)
+    return p, n - p
+
+
+def _folded(P: int) -> int:
+    """Rounds of a recursive doubling/halving: log2 of the power-of-two
+    core, plus the fold-in and fold-out rounds when P is not one."""
+    pof2, rem = _pof2(P)
+    return pof2.bit_length() - 1 + (2 if rem else 0)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One collective algorithm: its schedule and everything a plan or the
+    selector needs to know about it without running it."""
+
+    coll: str
+    name: str
+    schedule: Callable
+    rounds: Callable[[int], int]  # P -> signal slots (one per round)
+    wire: Callable[[int, float], float]  # (P, m) -> critical-path bytes
+    stripeable: bool = False  # data rounds split into ``stripes`` messages
+    pof2_only: bool = False  # runs on a power-of-two nranks only
+
+    def refusal(self, nranks: int, stripes: int) -> str | None:
+        """Why this strategy cannot run ``nranks`` ranks in ``stripes``
+        stripes, or None when it can."""
+        if stripes > 1 and not self.stripeable:
+            return (f"striping is only supported for ring algorithms, not "
+                    f"{self.coll}/{self.name}")
+        if self.pof2_only and _pof2(nranks)[1]:
+            return (f"{self.name} {self.coll} needs a power-of-two nranks "
+                    f"(got {nranks})")
+        return None
+
+    def cost(self, nranks: int, m: float, alpha: float, beta: float) -> float:
+        """Hockney time of one call of ``m`` bytes on ``nranks`` ranks."""
+        return self.rounds(nranks) * alpha + self.wire(nranks, m) * beta
+
+
+# collective -> {name: Strategy}, in preference order.
+STRATEGIES: dict[str, dict[str, Strategy]] = {}
+
+
+def _strategy(coll, name, **record):
+    def declare(schedule):
+        STRATEGIES.setdefault(coll, {})[name] = Strategy(coll, name, schedule, **record)
+        return schedule
+
+    return declare
+
+
+def _allgather_doubling_wire(P: int, m: float) -> float:
+    # Core doubling moves every core's blocks once: (pof2-1) group
+    # exchanges averaging P/pof2 blocks; the fold moves one block in and
+    # the whole P-block result out.
+    pof2, rem = _pof2(P)
+    wire = (pof2 - 1) * (P / pof2) * m
+    return wire + m + P * m if rem else wire
+
+
+def _halving_wire(P: int, m: float) -> float:
+    # The fold moves the full vector in and one rank's chunk out.
+    pof2, rem = _pof2(P)
+    wire = (1 - 1 / pof2) * m
+    return wire + m + m / P if rem else wire
 
 
 def _sl(v, lo, hi):
@@ -60,6 +144,8 @@ def _rank_lo(core: int, rem: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@_strategy("allreduce", "ring", rounds=lambda P: 2 * (P - 1),
+           wire=lambda P, m: 2 * m * (P - 1) / P, stripeable=True)
 def allreduce_ring(e):
     """Bandwidth-optimal ring: reduce-scatter pass then allgather pass,
     2(P-1) rounds moving ~nelems/P words each (stripe-able)."""
@@ -90,6 +176,8 @@ def allreduce_ring(e):
     return v
 
 
+@_strategy("allreduce", "recursive_doubling", rounds=_folded,
+           wire=lambda P, m: _folded(P) * m)
 def allreduce_recursive_doubling(e):
     """Latency-optimal recursive doubling with the MPICH non-power-of-two
     fold: ceil(log2 P) full-vector exchanges (+2 fold rounds)."""
@@ -133,6 +221,8 @@ def allreduce_recursive_doubling(e):
 # ---------------------------------------------------------------------------
 
 
+@_strategy("allgather", "ring", rounds=lambda P: P - 1,
+           wire=lambda P, m: (P - 1) * m, stripeable=True)
 def allgather_ring(e):
     """P-1 rounds passing blocks around the ring (stripe-able)."""
     P, me, n = e.P, e.rank, e.nelems
@@ -154,6 +244,8 @@ def allgather_ring(e):
     return out
 
 
+@_strategy("allgather", "recursive_doubling", rounds=_folded,
+           wire=_allgather_doubling_wire)
 def allgather_recursive_doubling(e):
     """Recursive doubling of owned block *sets* (contiguous core ranges),
     with fold-in/fold-out rounds for non-power-of-two P."""
@@ -210,6 +302,8 @@ def allgather_recursive_doubling(e):
 # ---------------------------------------------------------------------------
 
 
+@_strategy("reduce_scatter", "ring", rounds=lambda P: P - 1,
+           wire=lambda P, m: (P - 1) / P * m, stripeable=True)
 def reduce_scatter_ring(e):
     """P-1 ring rounds, shifted so the final accumulated chunk is the
     rank's own (stripe-able; empty chunks are zero-word rounds)."""
@@ -232,6 +326,8 @@ def reduce_scatter_ring(e):
     return None if v is None else v[mlo:mhi].copy()
 
 
+@_strategy("reduce_scatter", "recursive_halving", rounds=_folded,
+           wire=_halving_wire)
 def reduce_scatter_recursive_halving(e):
     """Recursive halving over contiguous chunk ranges with the MPICH
     fold for non-power-of-two P."""
@@ -293,6 +389,8 @@ def reduce_scatter_recursive_halving(e):
 # ---------------------------------------------------------------------------
 
 
+@_strategy("alltoall", "pairwise", rounds=lambda P: P - 1,
+           wire=lambda P, m: (P - 1) * m, pof2_only=True)
 def alltoall_pairwise(e):
     """XOR-pairwise exchange: P-1 contention-free rounds (power-of-two
     P only; the plan validates)."""
@@ -315,6 +413,8 @@ def alltoall_pairwise(e):
     return out
 
 
+@_strategy("alltoall", "ring", rounds=lambda P: P - 1,
+           wire=lambda P, m: (P - 1) * m, stripeable=True)
 def alltoall_ring(e):
     """Shifted-ring exchange: round r sends to me+r, receives from me-r
     (any P, stripe-able)."""
@@ -342,6 +442,8 @@ def alltoall_ring(e):
 # ---------------------------------------------------------------------------
 
 
+@_strategy("broadcast", "tree", rounds=_ceil_log2,
+           wire=lambda P, m: _ceil_log2(P) * m)
 def broadcast_tree(e):
     """Binomial tree: ceil(log2 P) rounds, senders double each round."""
     P, me, n, root = e.P, e.rank, e.nelems, e.root
@@ -361,6 +463,8 @@ def broadcast_tree(e):
     return v
 
 
+@_strategy("broadcast", "ring", rounds=lambda P: P - 1,
+           wire=lambda P, m: (P - 1) * m, stripeable=True)
 def broadcast_ring(e):
     """Store-and-forward chain from the root (stripe-able): the baseline
     the tree is measured against."""
@@ -383,6 +487,8 @@ def broadcast_ring(e):
 # ---------------------------------------------------------------------------
 
 
+@_strategy("barrier", "dissemination", rounds=_ceil_log2,
+           wire=lambda P, m: 0.0)
 def barrier_dissemination(e):
     """ceil(log2 P) zero-word rounds to exponentially distant peers."""
     P, me = e.P, e.rank
@@ -394,6 +500,8 @@ def barrier_dissemination(e):
     return None
 
 
+@_strategy("barrier", "tree", rounds=lambda P: 2 * _ceil_log2(P),
+           wire=lambda P, m: 0.0)
 def barrier_tree(e):
     """Binomial gather to rank 0 then binomial release: 2 ceil(log2 P)
     rounds, half the messages of dissemination."""
@@ -414,19 +522,3 @@ def barrier_tree(e):
         elif me < (1 << (k + 1)):
             yield from e.recv(me - (1 << k), L + k, 0)
     return None
-
-
-ALGORITHM_TABLE = {
-    ("allreduce", "ring"): allreduce_ring,
-    ("allreduce", "recursive_doubling"): allreduce_recursive_doubling,
-    ("allgather", "ring"): allgather_ring,
-    ("allgather", "recursive_doubling"): allgather_recursive_doubling,
-    ("reduce_scatter", "ring"): reduce_scatter_ring,
-    ("reduce_scatter", "recursive_halving"): reduce_scatter_recursive_halving,
-    ("alltoall", "pairwise"): alltoall_pairwise,
-    ("alltoall", "ring"): alltoall_ring,
-    ("broadcast", "tree"): broadcast_tree,
-    ("broadcast", "ring"): broadcast_ring,
-    ("barrier", "dissemination"): barrier_dissemination,
-    ("barrier", "tree"): barrier_tree,
-}

@@ -14,11 +14,10 @@ LogGP selector), runs ``iters`` back-to-back collectives, and returns a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.collectives.core import CollectiveComm, CollectiveStats
-from repro.collectives.plan import _WORD, CollectiveError, plan_collective
+from repro.collectives.plan import _checked, _words, plan_collective
 from repro.collectives.selector import Selection
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
@@ -54,21 +53,14 @@ class CollectiveResult:
 
 def _program(ctx, comm, iters, values, op, root):
     ep = comm.endpoint(ctx)
-    local = None if values is None else values.resolve(ctx.rank)
+    if values is not None:  # values[rank] or a callable of the rank
+        values = values(ctx.rank) if callable(values) else values[ctx.rank]
     yield from ctx.barrier()
     t0 = ctx.sim.now
     out = None
     for _ in range(iters):
-        out = yield from ep.run(local, op=op, root=root)
+        out = yield from ep.run(values, op=op, root=root)
     return ctx.sim.now - t0, out
-
-
-def _rank_values(values, rank):
-    if values is None:
-        return None
-    if callable(values):
-        return values(rank)
-    return values[rank]
 
 
 def run_collective(
@@ -95,17 +87,8 @@ def run_collective(
     per-rank mapping (``values[rank]`` or a callable) of local inputs,
     returned reduced/gathered in ``result.results``.
     """
-    if (nelems is None) == (nbytes is None) and coll != "barrier":
-        raise CollectiveError(f"{coll} needs exactly one of nelems=/nbytes=")
-    for name, size in (("nelems", nelems), ("nbytes", nbytes)):
-        if size is not None and not math.isfinite(size):
-            raise CollectiveError(f"{name} must be finite, got {size}")
-    if nelems is None:
-        nelems = 0 if nbytes is None else int(-(-nbytes // _WORD))
-    if coll == "barrier":
-        nelems = 0
-    if iters < 1:
-        raise CollectiveError(f"iters must be >= 1, got {iters}")
+    nelems = _words(coll, nelems, nbytes)
+    iters = _checked("iters", iters, 1)
     plan, selection = plan_collective(
         coll,
         nranks=nranks,
@@ -120,16 +103,7 @@ def run_collective(
     comm = CollectiveComm(job, [plan] * iters, execute=execute)
     span_name = f"collective:{coll}:{plan.algorithm}"
     with job.spans.span(span_name):
-        res = job.run(
-            _program,
-            comm,
-            iters,
-            # Per-rank inputs resolve inside the program via ctx.rank —
-            # but job.run passes the same args to every rank, so wrap.
-            None if values is None else _PerRank(values),
-            op,
-            root,
-        )
+        res = job.run(_program, comm, iters, values, op, root)
     elapsed = max(r[0] for r in res.results)
     net = max(elapsed - job._barrier_delay, 1e-12)
     per_iter = net / iters
@@ -160,16 +134,6 @@ def run_collective(
     )
 
 
-class _PerRank:
-    """Late-bound per-rank values: the program hands ``ctx.rank`` in."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def resolve(self, rank):
-        return _rank_values(self.values, rank)
-
-
 def explain_collective(
     machine: MachineModel,
     runtime: str,
@@ -179,12 +143,10 @@ def explain_collective(
     nelems: int | None = None,
     nbytes: int | None = None,
 ) -> Selection:
-    """Model-only: which algorithm the selector picks and why."""
-    from repro.collectives.selector import select
-
-    if nelems is not None:
-        nbytes = nelems * _WORD
-    elif nbytes is None:
-        nbytes = 0
-    return select(coll, nranks=nranks, nbytes=nbytes, machine=machine,
-                  runtime=runtime)
+    """Model-only: which algorithm the selector picks and why, for the
+    size :func:`run_collective` would move."""
+    _plan, selection = plan_collective(
+        coll, nranks=nranks, nelems=_words(coll, nelems, nbytes),
+        machine=machine, runtime=runtime,
+    )
+    return selection

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.collectives.algorithms import ALGORITHM_TABLE
 from repro.collectives.plan import CollectiveError, CollectivePlan
 from repro.transport.api import MailboxSpec
 
@@ -83,7 +82,6 @@ class CollectiveComm:
         self.job = job
         self.execute = execute
         self.stats = CollectiveStats()
-        self.op_stats = [CollectiveStats() for _ in self.plans]
         self.bases: list[int] = []
         nslots = 0
         slot_offsets: list[int] = []
@@ -149,13 +147,12 @@ class CollectiveEndpoint:
         if not 0 <= root < plan.nranks:
             raise CollectiveError(f"root {root} out of range for P={plan.nranks}")
         if self.ctx.rank == 0:
-            for st in (comm.stats, comm.op_stats[idx]):
-                st.ops += 1
-                st.rounds += plan.rounds
+            comm.stats.ops += 1
+            comm.stats.rounds += plan.rounds
         v = self._prepare(plan, values, root)
-        ex = _RoundExec(comm, self.ep, self.ctx, plan, comm.bases[idx], idx,
+        ex = _RoundExec(comm, self.ep, self.ctx, plan, comm.bases[idx],
                         REDUCE_OPS[op], root, v)
-        result = yield from ALGORITHM_TABLE[(plan.coll, plan.algorithm)](ex)
+        result = yield from plan.strategy.schedule(ex)
         yield from self.ep.drain()
         return result
 
@@ -185,14 +182,14 @@ class _RoundExec:
     ``send`` / ``recv`` return the endpoint's generator for the schedule
     to ``yield from``; the stats are charged when the verb is called,
     which is when it is driven.  What they need of the comm and the
-    endpoint — the two stats records, the word size, the two verbs — is
-    bound once per collective call, not looked up per message."""
+    endpoint — the stats record, the word size, the two verbs — is bound
+    once per collective call, not looked up per message."""
 
     __slots__ = ("base", "reduce", "root", "v", "P", "rank", "nelems",
                  "stripes", "execute", "_stats", "_itemsize", "_send_round",
                  "_recv_round")
 
-    def __init__(self, comm, ep, ctx, plan, base, idx, reduce, root, v):
+    def __init__(self, comm, ep, ctx, plan, base, reduce, root, v):
         self.base = base
         self.reduce = reduce
         self.root = root
@@ -202,16 +199,14 @@ class _RoundExec:
         self.nelems = plan.nelems
         self.stripes = plan.stripes
         self.execute = comm.execute
-        self._stats = (comm.stats, comm.op_stats[idx])
+        self._stats = comm.stats
         self._itemsize = ep.spec.itemsize
         self._send_round = ep.send_round
         self._recv_round = ep.recv_round
 
     def send(self, dst, rnd, words, values=None, parts=1):
-        nbytes = words * self._itemsize
-        for st in self._stats:
-            st.messages += parts
-            st.bytes_moved += nbytes
+        self._stats.messages += parts
+        self._stats.bytes_moved += words * self._itemsize
         return self._send_round(
             dst, self.base + rnd, words=words, parts=parts, values=values
         )

@@ -22,7 +22,11 @@ barrier           ignored (always 0)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
+
+from repro.collectives.algorithms import STRATEGIES
 
 __all__ = [
     "COLLECTIVES",
@@ -33,14 +37,10 @@ __all__ = [
     "plan_collective",
 ]
 
+# Views of the strategy records (repro.collectives.algorithms).
 # collective -> its algorithm strategies, selector-preference order first.
 ALGORITHMS: dict[str, tuple[str, ...]] = {
-    "allreduce": ("ring", "recursive_doubling"),
-    "allgather": ("ring", "recursive_doubling"),
-    "reduce_scatter": ("ring", "recursive_halving"),
-    "alltoall": ("pairwise", "ring"),
-    "broadcast": ("tree", "ring"),
-    "barrier": ("dissemination", "tree"),
+    coll: tuple(strategies) for coll, strategies in STRATEGIES.items()
 }
 
 COLLECTIVES: tuple[str, ...] = tuple(ALGORITHMS)
@@ -48,13 +48,10 @@ COLLECTIVES: tuple[str, ...] = tuple(ALGORITHMS)
 # Algorithms whose data rounds split into ``stripes`` concurrent
 # sub-messages (NCCL's multi-ring: recover multi-port bandwidth).
 STRIPEABLE: frozenset[tuple[str, str]] = frozenset(
-    {
-        ("allreduce", "ring"),
-        ("reduce_scatter", "ring"),
-        ("allgather", "ring"),
-        ("alltoall", "ring"),
-        ("broadcast", "ring"),
-    }
+    (s.coll, s.name)
+    for strategies in STRATEGIES.values()
+    for s in strategies.values()
+    if s.stripeable
 )
 
 
@@ -67,21 +64,29 @@ class CollectiveError(ValueError):
     """Invalid collective plan (unknown name, bad size, bad strategy)."""
 
 
-def _ceil_log2(n: int) -> int:
-    return max(n - 1, 0).bit_length()
+def _checked(name: str, value, low: int, whole: bool = True):
+    """``value``, checked to be a finite (``whole``) number >= ``low``; the
+    error names the caller's argument."""
+    if isinstance(value, Real) and not math.isfinite(value):
+        raise CollectiveError(f"{name} must be finite, got {value}")
+    if not isinstance(value, Integral if whole else Real):
+        what = "an integer" if whole else "a number"
+        raise CollectiveError(f"{name} must be {what}, got {value!r}")
+    if value < low:
+        raise CollectiveError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def _pof2(n: int) -> tuple[int, int]:
-    """Largest power of two <= n and the remainder (MPICH fold size)."""
-    p = 1 << (n.bit_length() - 1)
-    return p, n - p
-
-
-def _check_sizes(nranks: int, nelems: int) -> None:
-    if nranks < 1:
-        raise CollectiveError(f"nranks must be >= 1, got {nranks}")
-    if nelems < 0:
-        raise CollectiveError(f"nelems must be >= 0, got {nelems}")
+def _words(coll: str, nelems, nbytes) -> int:
+    """The size a caller gave as ``nelems`` (words) or ``nbytes`` (rounded
+    up to whole words); a barrier moves none."""
+    if coll == "barrier":
+        return 0
+    if (nelems is None) == (nbytes is None):
+        raise CollectiveError(f"{coll} needs exactly one of nelems=/nbytes=")
+    if nelems is not None:
+        return _checked("nelems", nelems, 0)
+    return math.ceil(_checked("nbytes", nbytes, 0, whole=False) / _WORD)
 
 
 @dataclass(frozen=True)
@@ -105,49 +110,23 @@ class CollectivePlan:
                 f"unknown {self.coll} algorithm {self.algorithm!r}; valid: "
                 + ", ".join(ALGORITHMS[self.coll])
             )
-        _check_sizes(self.nranks, self.nelems)
-        if self.stripes < 1:
-            raise CollectiveError(f"stripes must be >= 1, got {self.stripes}")
-        if self.stripes > 1 and (self.coll, self.algorithm) not in STRIPEABLE:
-            raise CollectiveError(
-                f"striping is only supported for ring algorithms, not "
-                f"{self.coll}/{self.algorithm}"
-            )
+        _checked("nranks", self.nranks, 1)
+        _checked("nelems", self.nelems, 0)
+        _checked("stripes", self.stripes, 1)
+        if refusal := self.strategy.refusal(self.nranks, self.stripes):
+            raise CollectiveError(refusal)
         if self.coll != "barrier" and self.nelems == 0:
             raise CollectiveError(f"{self.coll} needs nelems >= 1")
-        if self.coll == "alltoall" and self.algorithm == "pairwise":
-            p, rem = _pof2(self.nranks)
-            if rem:
-                raise CollectiveError(
-                    "pairwise alltoall needs a power-of-two nranks "
-                    f"(got {self.nranks}); use algorithm='ring'"
-                )
 
-    # -- round structure ------------------------------------------------
+    @property
+    def strategy(self):
+        """The :class:`~repro.collectives.algorithms.Strategy` record."""
+        return STRATEGIES[self.coll][self.algorithm]
 
     @property
     def rounds(self) -> int:
         """Signal slots this plan consumes (one per schedule round)."""
-        P = self.nranks
-        if P == 1:
-            return 0
-        pof2, rem = _pof2(P)
-        L = pof2.bit_length() - 1
-        fold = 2 if rem else 0
-        return {
-            ("allreduce", "ring"): 2 * (P - 1),
-            ("allreduce", "recursive_doubling"): L + fold,
-            ("allgather", "ring"): P - 1,
-            ("allgather", "recursive_doubling"): L + fold,
-            ("reduce_scatter", "ring"): P - 1,
-            ("reduce_scatter", "recursive_halving"): L + fold,
-            ("alltoall", "pairwise"): P - 1,
-            ("alltoall", "ring"): P - 1,
-            ("broadcast", "tree"): _ceil_log2(P),
-            ("broadcast", "ring"): P - 1,
-            ("barrier", "dissemination"): _ceil_log2(P),
-            ("barrier", "tree"): 2 * _ceil_log2(P),
-        }[(self.coll, self.algorithm)]
+        return self.strategy.rounds(self.nranks)
 
     @property
     def slot_words(self) -> int:
@@ -181,9 +160,9 @@ def plan_collective(
     ``selection`` is the :class:`repro.collectives.selector.Selection`
     with the modeled per-algorithm costs (its ``explain()`` reports the
     choice) when the selector ran — ``algorithm="auto"`` needs ``machine``
-    and ``runtime`` — otherwise None.  Sizes are checked before selecting.
+    and ``runtime`` — otherwise None.  Sizes are checked before selecting,
+    and the selector picks among the strategies that run ``stripes``.
     """
-    _check_sizes(nranks, nelems)
     selection = None
     if algorithm == "auto":
         from repro.collectives.selector import select
@@ -192,12 +171,14 @@ def plan_collective(
             raise CollectiveError(
                 "algorithm='auto' needs machine= and runtime= to model costs"
             )
+        nelems = _checked("nelems", nelems, 0)
         selection = select(
             coll,
-            nranks=nranks,
+            nranks=_checked("nranks", nranks, 1),
             nbytes=nelems * _WORD,
             machine=machine,
             runtime=runtime,
+            stripes=stripes,
         )
         algorithm = selection.algorithm
     plan = CollectivePlan(

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives.plan import ALGORITHMS, CollectiveError, _ceil_log2, _pof2
+from repro.collectives.algorithms import STRATEGIES
+from repro.collectives.plan import ALGORITHMS, CollectiveError, _checked
 
 __all__ = ["Selection", "model_time", "select"]
 
@@ -29,51 +30,13 @@ __all__ = ["Selection", "model_time", "select"]
 def model_time(coll: str, algorithm: str, nranks: int, nbytes: float,
                alpha: float, beta: float) -> float:
     """Modeled seconds for one collective of ``nbytes`` payload (the
-    plan-module size convention) on ``nranks`` ranks."""
+    plan-module size convention) on ``nranks`` ranks:
+    ``rounds(P)·α + wire(P, m)·β`` of the strategy's record."""
     if coll not in ALGORITHMS:
         raise CollectiveError(f"unknown collective {coll!r}")
     if algorithm not in ALGORITHMS[coll]:
         raise CollectiveError(f"unknown {coll} algorithm {algorithm!r}")
-    P, m = nranks, float(nbytes)
-    if P == 1:
-        return 0.0
-    pof2, rem = _pof2(P)
-    L = pof2.bit_length() - 1
-    Lc = _ceil_log2(P)
-    if coll == "allreduce":
-        if algorithm == "ring":
-            return 2 * (P - 1) * alpha + 2 * m * (P - 1) / P * beta
-        t = L * (alpha + m * beta)
-        if rem:
-            t += 2 * (alpha + m * beta)
-        return t
-    if coll == "allgather":
-        if algorithm == "ring":
-            return (P - 1) * (alpha + m * beta)
-        # Core doubling moves every core's blocks once: (pof2-1) group
-        # exchanges averaging P/pof2 blocks of m bytes.
-        t = L * alpha + (pof2 - 1) * (P / pof2) * m * beta
-        if rem:
-            t += (alpha + m * beta) + (alpha + P * m * beta)
-        return t
-    if coll == "reduce_scatter":
-        if algorithm == "ring":
-            return (P - 1) * alpha + (P - 1) / P * m * beta
-        t = L * alpha + (1 - 1 / pof2) * m * beta
-        if rem:
-            t += (alpha + m * beta) + (alpha + m / P * beta)
-        return t
-    if coll == "alltoall":
-        # m is the per-destination block: both schedules are P-1 rounds
-        # of one block (pairwise is contention-free but cost-identical,
-        # so the preference order picks it when P is a power of two).
-        return (P - 1) * (alpha + m * beta)
-    if coll == "broadcast":
-        rounds = Lc if algorithm == "tree" else P - 1
-        return rounds * (alpha + m * beta)
-    # barrier
-    rounds = Lc if algorithm == "dissemination" else 2 * Lc
-    return rounds * alpha
+    return STRATEGIES[coll][algorithm].cost(nranks, float(nbytes), alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -110,8 +73,9 @@ class Selection:
 
 
 def select(coll: str, *, nranks: int, nbytes: float, machine,
-           runtime: str) -> Selection:
-    """Pick the cheapest algorithm for ``coll`` by the α–β model.
+           runtime: str, stripes: int = 1) -> Selection:
+    """Pick the cheapest algorithm for ``coll`` by the α–β model, among
+    the strategies that run ``nranks`` ranks in ``stripes`` stripes.
 
     ``machine`` is a :class:`repro.machines.base.Machine`; ``runtime`` a
     registered backend name — together they supply the calibrated LogGP
@@ -123,6 +87,9 @@ def select(coll: str, *, nranks: int, nbytes: float, machine,
         raise CollectiveError(
             f"unknown collective {coll!r}; valid: " + ", ".join(ALGORITHMS)
         )
+    nranks = _checked("nranks", nranks, 1)
+    m = float(_checked("nbytes", nbytes, 0, whole=False))
+    stripes = _checked("stripes", stripes, 1)
     backend = get_backend(runtime)
     if nranks >= 2:
         # Every round is one notified (round-slotted mailbox) message.
@@ -131,17 +98,18 @@ def select(coll: str, *, nranks: int, nbytes: float, machine,
         beta = params.G
     else:
         alpha = beta = 0.0
-    pof2_ok = nranks & (nranks - 1) == 0
-    costs = []
-    for alg in ALGORITHMS[coll]:
-        if coll == "alltoall" and alg == "pairwise" and not pof2_ok:
-            continue
-        costs.append((alg, model_time(coll, alg, nranks, nbytes, alpha, beta)))
+    costs = [
+        (s.name, s.cost(nranks, m, alpha, beta))
+        for s in STRATEGIES[coll].values()
+        if s.refusal(nranks, stripes) is None
+    ]
+    if not costs:
+        raise CollectiveError(f"no {coll} algorithm runs {stripes} stripes")
     best = min(costs, key=lambda c: c[1])[0]  # ties: preference order wins
     return Selection(
         coll=coll,
         nranks=nranks,
-        nbytes=float(nbytes),
+        nbytes=m,
         machine=machine.name,
         runtime=runtime,
         algorithm=best,

@@ -9,9 +9,9 @@ by a :class:`Channel` over the endpoint class the backend declares for it:
 pattern / spec          verbs (on the rank Endpoint)    used by
 ======================  ==============================  ====================
 :class:`HaloSpec`       ``begin / put / finish``        stencil (BSP halos)
-:class:`MailboxSpec`    ``expect / send / recv /        SpTRSV (notified
-                        drain``                         point-to-point)
-                        ``send_round / recv_round``     collectives (round-
+:class:`MailboxSpec`    ``send_round / drain``, then    SpTRSV (notified
+                        ``expect / recv``               point-to-point)
+                        or ``recv_round``               collectives (round-
                                                         slotted messages)
 :class:`BatchSpec`      ``send_batch / wait_batch``     flood (bandwidth)
 :class:`AtomicDomainSpec`  ``cas / faa / swap /         hashtable, CAS flood
@@ -406,10 +406,6 @@ class Endpoint:
     def expect(self, msgs: Mapping[int, MailboxMsg]) -> None:
         self._unsupported("expect")
 
-    def send(self, dst: int, slot: int, *, words: int, values=None,
-             meta=None, tag: int = 0):
-        self._unsupported("send")
-
     def recv(self):
         self._unsupported("recv")
 
@@ -418,14 +414,15 @@ class Endpoint:
 
     def send_round(self, dst: int, slot: int, *, words: int, parts: int = 1,
                    values=None):
-        """Send one *round message* into the receiver's ``slot``.
+        """Send one notified message into the receiver's ``slot`` — the
+        mailbox's only sending verb.
 
-        The round-slotted mailbox verbs carry collective algorithms: every
-        round of a collective schedule is one logical message per
-        (receiver, round), addressed by a globally agreed slot index, so
-        concurrent in-flight rounds can never be mismatched (the plain
-        ``recv`` verb matches ANY_SOURCE / scans all expected slots and is
-        only safe for one-at-a-time patterns like SpTRSV).
+        A collective schedule receives it with :meth:`recv_round`: every
+        round is one logical message per (receiver, round), addressed by a
+        globally agreed slot index, so concurrent in-flight rounds can never
+        be mismatched.  SpTRSV receives it with :meth:`recv`, which hands
+        out whichever ``expect``-announced slot lands next (ANY_SOURCE) and
+        is only safe for one-message-per-slot patterns.
 
         ``parts`` splits the payload into that many concurrent
         sub-messages over :func:`part_bounds` (collective striping, NCCL's

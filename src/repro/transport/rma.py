@@ -85,16 +85,6 @@ class _MailboxEndpoint(Endpoint):
         self._remaining = dict(msgs)
         self._hits = []
 
-    def send(self, dst, slot, *, words, values=None, meta=None, tag=0):
-        offset = self.spec.offsets[dst][slot]
-        if values is not None:
-            yield from self.h_data.put(dst, values, offset=offset)
-        else:
-            yield from self.h_data.put(dst, nelems=words, offset=offset)
-        yield from self.h_data.flush(dst)
-        yield from self.h_sig.put(dst, self._one, offset=slot)
-        yield from self.h_sig.flush(dst)
-
     def recv(self):
         ctx = self.ctx
         if not self._hits and not self._remaining:

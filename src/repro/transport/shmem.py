@@ -102,19 +102,6 @@ class _MailboxEndpoint(_FusedEndpoint):
     def expect(self, msgs):
         self._remaining = dict(msgs)
 
-    def send(self, dst, slot, *, words, values=None, meta=None, tag=0):
-        offset = self.spec.offsets[dst][slot]
-        yield from self.ctx.put_signal_nbi(
-            self.data_win,
-            dst,
-            values=values,
-            nelems=words,
-            offset=offset,
-            signal_win=self.sig_win,
-            signal_idx=slot,
-            signal_value=1,
-        )
-
     def recv(self):
         slot = yield from self.ctx.wait_until_any(
             self.sig_win, list(self._remaining), value=1, consume=True

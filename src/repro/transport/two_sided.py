@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.base import CommError
 from repro.faults.plan import FaultSemantics
 from repro.transport.api import (
     AtomicDomainSpec,
@@ -73,23 +74,19 @@ class _MailboxEndpoint(_MatchedEndpoint):
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
         self._send_reqs: list = []
+        self._meta: dict = {}  # slot -> meta of each message still expected
 
     def expect(self, msgs):
-        pass  # matching is carried by the messages themselves
-
-    def send(self, dst, slot, *, words, values=None, meta=None, tag=0):
-        r = yield from self.ctx.isend(
-            dst,
-            nbytes=words * self.spec.itemsize,
-            tag=tag,
-            payload=(meta, values),
-        )
-        self._send_reqs.append(r)
+        self._meta = {slot: m.meta for slot, m in msgs.items()}
 
     def recv(self):
-        (payload, _status) = yield from self.ctx.recv()
-        meta, data = payload
-        return meta, data
+        if not self._meta:
+            # The Recv would wait for ever and surface only as a deadlock
+            # at the end of the job.
+            raise CommError("recv needs at least one expected message")
+        (payload, status) = yield from self.ctx.recv()
+        # A message's tag is its receive slot (send_round).
+        return self._meta.pop(status.tag), payload
 
     def send_round(self, dst, slot, *, words, parts=1, values=None):
         # One Isend per part, tagged by the round slot so concurrent

@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from repro.collectives.core import CollectiveComm
-from repro.collectives.plan import CollectiveError, plan_collective
+from repro.collectives.plan import _WORD, CollectiveError, plan_collective
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
 
 __all__ = ["RecoverableTrainingSpec", "TrainingStepResult", "run_training_step"]
-
-_WORD = 8.0  # transport word (f64); grads are packed into words
 
 
 @dataclass(frozen=True)

@@ -207,14 +207,7 @@ def _solve_rank(ctx, chan, plan: CommPlan, b, execute: bool):
 
     def send_msg(kind, sn, block, dst, values, words):
         slot = plan.slot_of[dst][(kind, sn, ctx.rank, block)]
-        yield from ep.send(
-            dst,
-            slot,
-            words=words,
-            values=values if execute else None,
-            meta=(kind, sn),
-            tag=kind,
-        )
+        yield from ep.send_round(dst, slot, words=words, values=values)
 
     def send_x(J, dst, xJ):
         yield from send_msg(X_MSG, J, None, dst, xJ, plan.matrix.widths[J])

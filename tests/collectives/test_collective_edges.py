@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import CollectiveError, run_collective
+from repro.collectives import CollectiveError, explain_collective, run_collective
 from repro.collectives.plan import ALGORITHMS, COLLECTIVES, CollectivePlan, plan_collective
 from repro.machines import perlmutter_cpu, perlmutter_gpu
 from repro.transport import SHMEM, TWO_SIDED
@@ -191,6 +191,63 @@ def test_auto_checks_nranks_before_selecting(coll, nranks, monkeypatch):
     size = {} if coll == "barrier" else dict(nbytes=64)
     with pytest.raises(CollectiveError, match=f"nranks must be >= 1, got {nranks}"):
         run_collective(perlmutter_gpu(), SHMEM, coll, nranks=nranks, **size)
+
+
+NAN = float("nan")
+
+
+def _explain(**kwargs):
+    return explain_collective(perlmutter_gpu(), SHMEM, "allreduce",
+                              **{"nranks": 4, **kwargs})
+
+
+def _run(**kwargs):
+    return run_collective(PM(), TWO_SIDED, "allreduce",
+                          **{"nranks": 4, "nelems": 8, **kwargs})
+
+
+@pytest.mark.parametrize(
+    ("call", "want"),
+    [
+        # explain prices the whole words run_collective moves.
+        pytest.param(lambda: _explain(nbytes=100).nbytes, 104.0,
+                     id="explain-prices-whole-words"),
+        pytest.param(lambda: _explain(nranks=0, nbytes=64),
+                     "nranks must be >= 1, got 0", id="explain-nranks-0"),
+        pytest.param(lambda: _explain(nbytes=NAN),
+                     "nbytes must be finite, got nan", id="explain-nbytes-nan"),
+        pytest.param(lambda: _explain(nbytes=-1),
+                     "nbytes must be >= 0, got -1", id="explain-nbytes-negative"),
+        pytest.param(lambda: _run(iters=2.5),
+                     "iters must be an integer, got 2.5", id="run-iters-fraction"),
+        pytest.param(lambda: _run(iters=NAN),
+                     "iters must be finite, got nan", id="run-iters-nan"),
+        pytest.param(lambda: _run(algorithm="ring", stripes=2.5),
+                     "stripes must be an integer, got 2.5",
+                     id="run-stripes-fraction"),
+        pytest.param(lambda: _run(algorithm="ring", stripes=NAN),
+                     "stripes must be finite, got nan", id="run-stripes-nan"),
+        pytest.param(lambda: _run(nranks=2.5),
+                     "nranks must be an integer, got 2.5", id="run-nranks-fraction"),
+        pytest.param(lambda: _run(nelems=2.5),
+                     "nelems must be an integer, got 2.5", id="run-nelems-fraction"),
+        pytest.param(lambda: CollectivePlan(coll="allreduce", algorithm="ring",
+                                            nranks=2.5, nelems=8),
+                     "nranks must be an integer, got 2.5",
+                     id="plan-nranks-fraction"),
+        pytest.param(lambda: _run(nelems=None, nbytes=-8),
+                     "nbytes must be >= 0, got -8", id="run-nbytes-negative"),
+    ],
+)
+def test_one_size_path(call, want):
+    """run_collective, explain_collective and the plan check sizes on one
+    path: the size priced is the size moved, and a bad argument is a
+    CollectiveError that names it."""
+    if isinstance(want, str):
+        with pytest.raises(CollectiveError, match=want):
+            call()
+    else:
+        assert call() == want
 
 
 def test_execute_mode_validates_value_length():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.collectives import explain_collective, run_collective
-from repro.collectives.plan import ALGORITHMS
+from repro.collectives.plan import ALGORITHMS, STRIPEABLE
 from repro.collectives.selector import model_time, select
 from repro.machines import perlmutter_cpu, perlmutter_gpu
 from repro.transport import SHMEM, TWO_SIDED
@@ -108,3 +108,19 @@ def test_model_time_alpha_beta_decomposition():
     t2 = model_time("allreduce", "ring", 4, 1 << 20, 1e-6, 2e-10)
     # Doubling beta doubles only the wire term: 2(P-1) alpha stays.
     assert t2 - t1 == pytest.approx(2 * 3 / 4 * (1 << 20) * 1e-10)
+
+
+STRIPED_COLLS = sorted({coll for coll, _ in STRIPEABLE})
+
+
+@pytest.mark.parametrize("coll", STRIPED_COLLS)
+def test_auto_with_stripes_picks_among_stripeable(coll):
+    """``algorithm="auto"`` with ``stripes > 1`` runs the cheapest
+    strategy that stripes — here one the unstriped selector passes over."""
+    m = perlmutter_gpu()
+    unstriped = explain_collective(m, SHMEM, coll, nranks=4, nbytes=64)
+    assert (coll, unstriped.algorithm) not in STRIPEABLE
+    r = run_collective(m, SHMEM, coll, nranks=4, nbytes=64, stripes=2)
+    assert (coll, r.algorithm) in STRIPEABLE
+    assert all((coll, alg) in STRIPEABLE for alg, _ in r.selection.costs)
+    assert r.algorithm == min(r.selection.costs, key=lambda c: c[1])[0]

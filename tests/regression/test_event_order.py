@@ -111,7 +111,7 @@ def _two_sided_hashtable():
 
 def _sptrsv(machine, runtime, nranks):
     # The receive loop: one-sided, the Listing-1 poll parked on the signal
-    # window's writes; shmem, wait_until_any.
+    # window's writes; shmem, wait_until_any; two-sided, Recv(ANY_SOURCE).
     def run():
         matrix = generate_matrix(MatrixSpec(n_supernodes=40, seed=1))
         run_sptrsv(get_machine(machine), runtime, matrix, nranks)
@@ -195,6 +195,11 @@ EXPECTED = {
     "shmem_sptrsv": (
         275, "3d9687890bf03d5abce8ae57bf35d357df087aed02bc24ec1641ec50d8b00a12"
     ),
+    # Generated before SpTRSV sent on the round verb: its messages' tag
+    # became the receive slot and their payload the bare values.
+    "two_sided_sptrsv": (
+        486, "1251240b8ef655733b2e423c83c6d3518019ae462e0bac8823b0c8ecd9a0f027"
+    ),
     "copy_engine_put_flood": (
         62, "9272200704454eb2ab3cf572fca9d2d6fc55baa3032e621ad329c10e07a171c8"
     ),
@@ -232,6 +237,7 @@ SCENARIOS = {
     "two_sided_hashtable": _two_sided_hashtable,
     "one_sided_sptrsv": _sptrsv("perlmutter-cpu", "one_sided", 8),
     "shmem_sptrsv": _sptrsv("perlmutter-gpu", "shmem", 4),
+    "two_sided_sptrsv": _sptrsv("perlmutter-cpu", "two_sided", 8),
     "copy_engine_put_flood": _copy_engine_puts,
     "rendezvous_flood": _rendezvous_flood,
     "lossy_one_sided_hashtable": _lossy_hashtable,

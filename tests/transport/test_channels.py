@@ -137,7 +137,7 @@ class TestEndpointContract:
             t0 = ctx.sim.now
             if ctx.rank == 0:
                 ep.expect({})
-                yield from ep.send(1, 0, words=1, meta="m")
+                yield from ep.send_round(1, 0, words=1)
                 yield from ep.drain()
             else:
                 ep.expect({0: MailboxMsg(slot=0, words=1, meta="m")})
@@ -160,7 +160,7 @@ class TestOverReceive:
     not a rank parked for ever that surfaces as a deadlock at job end."""
 
     @pytest.mark.parametrize(
-        "name", [ONE_SIDED, SHMEM, ONE_SIDED_HW, STREAM_TRIGGERED]
+        "name", [TWO_SIDED, ONE_SIDED, SHMEM, ONE_SIDED_HW, STREAM_TRIGGERED]
     )
     def test_recv_with_nothing_expected_is_a_comm_error(self, name, pm_cpu, pm_gpu):
         from repro.transport import MailboxMsg
@@ -168,7 +168,7 @@ class TestOverReceive:
         def program(ctx, chan):
             ep = chan.endpoint(ctx)
             if ctx.rank == 0:
-                yield from ep.send(1, 0, words=1)
+                yield from ep.send_round(1, 0, words=1)
                 yield from ep.drain()
             else:
                 ep.expect({0: MailboxMsg(slot=0, words=1)})
@@ -176,6 +176,7 @@ class TestOverReceive:
                 yield from ep.recv()
 
         machine = {
+            TWO_SIDED: pm_cpu,
             ONE_SIDED: pm_cpu,
             ONE_SIDED_HW: _with_hw_put_signal(pm_cpu),
         }.get(name, pm_gpu)

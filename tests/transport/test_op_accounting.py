@@ -64,7 +64,7 @@ def _run(machine, rt, pattern):
         def program(ctx):
             ep = chan.endpoint(ctx)
             if ctx.rank == 0:
-                yield from ep.send(1, 0, words=WORDS)
+                yield from ep.send_round(1, 0, words=WORDS)
             else:
                 ep.expect({0: MailboxMsg(0, WORDS)})
                 yield from ep.recv()
