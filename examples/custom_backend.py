@@ -60,7 +60,6 @@ class FusedPutNic(ShmemBackend):
     """
 
     name = FUSED
-    costs_key = FUSED
     caps = BackendCaps(
         remote_atomics=True,   # NIC-side fetch-add (hashtable workload)
         gpu_initiated=False,   # host issues the verbs...

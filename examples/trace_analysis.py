@@ -9,6 +9,7 @@ lower bound vs the measured makespan).
 Run:  python examples/trace_analysis.py
 """
 
+from repro import obs
 from repro.analysis import (
     analyze_dag,
     ascii_timeline,
@@ -46,12 +47,13 @@ def main() -> None:
     )
     print(f"  latency lower bound at 3.3 us/message: {fmt_time(bound)}")
 
-    # Traced distributed solve (two-sided, simulate mode).  The program is
-    # runtime-neutral: the transport channel supplies the op sequence.
-    job = Job(perlmutter_cpu(), nranks, TWO_SIDED, placement="block",
-              trace=True)
-    chan = job.channel(_mailbox_spec(plan, nranks, False))
-    result = job.run(_solve_rank, chan, plan, None, False)
+    # Traced distributed solve (two-sided, simulate mode): the observation
+    # session gives the job its tracer.  The program is runtime-neutral:
+    # the transport channel supplies the op sequence.
+    with obs.observe(obs.Obs(trace=True)):
+        job = Job(perlmutter_cpu(), nranks, TWO_SIDED, placement="block")
+        chan = job.channel(_mailbox_spec(plan, nranks, False))
+        result = job.run(_solve_rank, chan, plan, None, False)
     makespan = max(r["time"] for r in result.results)
     print(f"  simulated solve makespan: {fmt_time(makespan)} "
           f"({makespan / bound:.1f}x the bound)")

@@ -1,9 +1,10 @@
 """Post-run analysis of traced jobs.
 
-Run any job with ``trace=True`` and feed ``job.tracer`` to the tools here
-(or stream a run to disk with :class:`repro.obs.sinks.JsonlSink` and load
-it back with :func:`load_jsonl` — the loaded tracer is analysed
-identically to an in-memory one):
+Run any job inside ``obs.observe(obs.Obs(trace=True))`` and feed
+``job.tracer`` to the tools here (or stream a run to disk with
+:class:`repro.obs.sinks.JsonlSink` and load it back with
+:func:`load_jsonl` — the loaded tracer is analysed identically to an
+in-memory one):
 
 * :func:`message_stats` — size/latency distributions of everything that
   crossed the fabric (the raw material of the paper's Fig. 6 verticals);

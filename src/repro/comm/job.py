@@ -63,7 +63,6 @@ class Job:
         runtime: str | TransportBackend,
         *,
         placement: Placement = "block",
-        trace: bool = False,
         sim: Simulator | None = None,
         fabric: Fabric | None = None,
         endpoints: list[str] | None = None,
@@ -88,27 +87,24 @@ class Job:
             )
         self.machine = machine
         self.nranks = nranks
-        # The backend registry supplies the context class, the cost-profile
-        # key, and the channel factory (repro.transport).
+        # The backend registry supplies the context class, the cost
+        # profile, and the channel factory (repro.transport).
         self.backend = (
             runtime if isinstance(runtime, TransportBackend) else get_backend(runtime)
         )
         self.runtime_name = self.backend.name
-        self.costs = machine.runtime(self.backend.resolve_costs_key())
+        self.costs = self.backend.costs(machine)
         self.placement = placement
         self.sim = sim if sim is not None else Simulator()
         # An ambient observation session (repro.obs.observe) supplies the
         # tracer, metrics registry and span tracker; outside one, the
         # zero-overhead defaults apply (NullTracer, no metrics).
         self.obs = _obs_current()
-        if trace:
-            self.tracer: Tracer = Tracer()
-        elif self.obs is not None:
-            self.tracer = self.obs.tracer_for(
-                f"{machine.name}/{self.runtime_name}/P{nranks}"
-            )
-        else:
-            self.tracer = NullTracer()
+        self.tracer: Tracer = (
+            self.obs.tracer_for(f"{machine.name}/{self.runtime_name}/P{nranks}")
+            if self.obs is not None
+            else NullTracer()
+        )
         self.metrics = self.obs.metrics if self.obs is not None else None
         self.spans: SpanTracker = (
             self.obs.spans if self.obs is not None else SpanTracker()

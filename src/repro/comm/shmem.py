@@ -27,7 +27,8 @@ import numpy as np
 from repro import perf
 from repro.comm.base import CommError
 from repro.comm.context import RankContext
-from repro.comm.window import Window, _cas, _complete, _faa
+from repro.comm.ledger import Ledger, _complete
+from repro.comm.window import Window, _cas, _faa
 from repro.perf.engine import drain_wait_until_all, issue_times
 from repro.sim.event import Event
 from repro.sim.process import InFlight, WaitList
@@ -43,7 +44,7 @@ SIGNAL_ADD = "add"
 
 class _PutSignal(InFlight):
     """One ``put_signal_nbi`` in flight; on arrival it applies data and
-    signal and counts itself landed at its origin PE."""
+    signal and counts itself landed in its origin PE's ledger."""
 
     __slots__ = ("ctx", "data_win", "target", "offset", "values", "signal_win",
                  "signal_idx", "signal_value", "signal_op", "error")
@@ -68,7 +69,8 @@ class _PutSignal(InFlight):
             else:
                 sig[idx] += self.signal_value
             signal_win._apply_write(target, idx, None)  # ring watchers
-        self.ctx._put_landed(self.error)
+        ctx, error = self.ctx, self.error
+        _complete(ctx.sim, error, ctx.ledger.landed(self.target, error))
 
 
 class ShmemContext(RankContext):
@@ -76,24 +78,8 @@ class ShmemContext(RankContext):
 
     def __init__(self, job: "Job", rank: int):
         super().__init__(job, rank)
-        # Remote completion is counted, not collected: puts issued and not
-        # yet landed, the losses a quiet must surface (fault injection),
-        # and the wait list of a quiet, armed only while one is blocked.
-        self._puts_in_flight = 0
-        self._lost_puts: list[BaseException] = []
-        self._quiet_waiter: WaitList | None = None
-
-    def _put_landed(self, error: BaseException | None) -> None:
-        """One outstanding put completed at its target (``error`` None) or
-        was lost: count it, park a loss, release a quiet it was blocking —
-        the last put in flight, or the first lost (see ``_complete``)."""
-        self._puts_in_flight -= 1
-        if error is not None:
-            self._lost_puts.append(error)
-        waiter = None
-        if self._quiet_waiter is not None and (error is not None or not self._puts_in_flight):
-            waiter, self._quiet_waiter = self._quiet_waiter, None
-        _complete(self.sim, error, waiter)
+        # Remote completion is counted, not collected: quiet drains this.
+        self.ledger = Ledger(f"PE {rank}'s quiet")
 
     # ------------------------------------------------------------------
     # put with signal
@@ -136,7 +122,7 @@ class ShmemContext(RankContext):
         record = _PutSignal(self, data_win, target, offset, values, signal_win,
                             signal_idx, signal_value, signal_op)
         self.fabric.send(self.endpoint, self.job.endpoints[target], nbytes, record)
-        self._puts_in_flight += 1
+        self.ledger.post(target)
         if self.job.tracer.enabled:
             self.job.tracer.emit(
                 self.sim.now,
@@ -211,10 +197,10 @@ class ShmemContext(RankContext):
             else:
                 sig[signal_idx] += signal_value * n
             signal_win._apply_write(target, signal_idx, None)
-            self._put_landed(None)
+            _complete(self.sim, None, self.ledger.landed(target, None))
 
         self.sim.at_time(max(deliver)).add_callback(landed)
-        self._puts_in_flight += 1
+        self.ledger.post(target)
         yield self.sim.at_time(issue[-1])
         if signal_op == SIGNAL_SET:  # only the first store can satisfy a wait
             deliver, base = deliver[:1], 0
@@ -357,13 +343,9 @@ class ShmemContext(RankContext):
         self.counter.operations += 1
         if self.costs.flush > 0:
             yield self.costs.flush
-        if self._puts_in_flight and not self._lost_puts:
-            self._quiet_waiter = WaitList(f"PE {self.rank}'s quiet")
-            yield self._quiet_waiter
-        if self._lost_puts:
-            # A lost put (fault injection) surfaces here, at the quiet — the
-            # NVSHMEM completion point — and at every later one.
-            raise self._lost_puts[0]
+        # A lost put (fault injection) surfaces here, at the quiet — the
+        # NVSHMEM completion point — and at every later one.
+        yield from self.ledger.drain()
 
     def barrier_all(self) -> Generator:
         """``nvshmem_barrier_all``: quiet + barrier."""

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro import perf
 from repro.comm.base import CommError, Request
+from repro.comm.ledger import Ledger, _complete
 from repro.perf.atomics import bulk_cas_stream
 from repro.perf.engine import bulk_visible_last, issue_times
 from repro.sim.event import Event
@@ -37,35 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.job import Job
 
 __all__ = ["Window", "WindowHandle"]
-
-
-def _complete(sim, error, waiter, done=None, value=None) -> None:
-    """Set an RMA op's completion ``done`` when its last leg lands
-    (``error`` None) or is lost.
-
-    ``done`` is a flag more than an event: nearly every reader asks
-    ``triggered`` / ``ok`` (``Request.done``, the outstanding counts), so it
-    is settled in place unless a process is parked on it.  A put has none:
-    one is built only to take the heap trip.  A loss (fault injection) is
-    one-sided semantics: the origin does not learn about it at the op — it
-    is parked on ``done`` (defused, so it never raises unhandled) and
-    surfaces at the flush / quiet / wait that gathers it.  ``waiter`` is a
-    blocked flush or quiet this completion releases: then ``done`` does take
-    the heap trip and wakes it from there — the same two hops, in the same
-    ``(time, seq)`` places, as the ``AllOf`` over every pending op that the
-    counts replace.  The woken rank finds a loss parked.
-    """
-    if done is None:
-        if waiter is None and error is None:
-            return
-        done = Event(sim)
-    if waiter is not None:
-        done.add_callback(waiter.wake)
-    if error is None:
-        done.settle(value)
-    else:
-        done.fail(error)
-        done.defuse()
 
 
 def _cas(buf, offset, compare, value):
@@ -106,7 +78,7 @@ class _AtomicOp(WaitList, InFlight):
         ctx.fabric.send(
             ctx.endpoint, ctx.job.endpoints[target], 16.0, self, atomic=True
         )
-        handle.window._track(handle.rank, target)
+        handle.window.ledgers[handle.rank].post(target)
         if apply_fn is _cas and ctx.job.tracer.enabled:
             ctx.job.tracer.emit(
                 ctx.sim.now, "cas", handle.rank, target=target, offset=offset
@@ -134,7 +106,7 @@ class _AtomicOp(WaitList, InFlight):
             self.stage = 2
             ctx.fabric.send(ctx.job.endpoints[target], ctx.endpoint, 8.0, self)
         else:  # the response landed, or a leg was lost
-            flush = win._op_done(handle.rank, target, self.error)
+            flush = win.ledgers[handle.rank].landed(target, self.error)
             self.wake()
             if flush is not None:  # another process of the origin rank
                 flush.wake()
@@ -162,7 +134,7 @@ class _Put(InFlight):
                     win.job.sim._schedule(self, delay)
                     return
             win._apply_write(target, self.offset, self.values)
-        _complete(win.job.sim, error, win._op_done(self.origin, target, error))
+        _complete(win.job.sim, error, win.ledgers[self.origin].landed(target, error))
 
 
 class _Get(InFlight):
@@ -186,7 +158,8 @@ class _Get(InFlight):
             job.fabric.send(job.endpoints[target], job.endpoints[self.origin],
                             self.nelems * win.dtype.itemsize, self)
             return
-        _complete(job.sim, error, win._op_done(self.origin, target, error), self.done, self.data)
+        _complete(job.sim, error, win.ledgers[self.origin].landed(target, error),
+                  self.done, self.data)
 
 
 class Window:
@@ -206,17 +179,8 @@ class Window:
             else np.full(count, fill, dtype=self.dtype)
             for _ in range(job.nranks)
         ]
-        # Remote completion is counted, not collected: ops in flight per
-        # (origin, target) and per origin, the losses a flush must surface
-        # (fault injection), per origin the target of a flush that is
-        # blocked right now, and where that flush parks.
-        self._in_flight: dict[tuple[int, int], int] = {}
-        self._in_flight_from = [0] * job.nranks
-        self._lost: list[list[tuple[int, BaseException]]] = [
-            [] for _ in range(job.nranks)
-        ]
-        self._flush_waiter: dict[int, int | None] = {}
-        self._flushing = [WaitList(f"rank {r}'s flush") for r in range(job.nranks)]
+        # Remote completion is counted, not collected: one ledger per origin.
+        self.ledgers = [Ledger(f"rank {r}'s flush") for r in range(job.nranks)]
         # Serialisation point for atomics at each target.
         self._atomic_next_free: list[float] = [0.0] * job.nranks
         # Write watchers, per target rank.
@@ -267,48 +231,6 @@ class Window:
         if not queue:
             del self._schedules[key]
         return record
-
-    def _track(self, origin: int, target: int) -> None:
-        key = (origin, target)
-        self._in_flight[key] = self._in_flight.get(key, 0) + 1
-        self._in_flight_from[origin] += 1
-
-    def _busy(self, origin: int, target: int | None) -> int:
-        if target is None:
-            return self._in_flight_from[origin]
-        return self._in_flight.get((origin, target), 0)
-
-    def _op_done(self, origin: int, target: int, error: BaseException | None) -> WaitList | None:
-        """``origin``'s op on ``target`` completed remotely (``error`` None)
-        or was lost: count it, park a loss, and return the blocked flush it
-        releases — the last op in flight, or a loss — if any."""
-        self._in_flight[origin, target] -= 1
-        self._in_flight_from[origin] -= 1
-        ok = error is None
-        if not ok:
-            self._lost[origin].append((target, error))
-        if self._flush_waiter:
-            blocked = self._flush_waiter.get(origin, -1)
-            if blocked in (None, target) and (not ok or not self._busy(origin, blocked)):
-                del self._flush_waiter[origin]
-                return self._flushing[origin]
-        return None
-
-    def _drain(self, origin: int, target: int | None) -> Generator:
-        """Block until ``origin`` has nothing in flight to ``target`` (None:
-        to anyone).  A lost op stays parked: it surfaces here, at the
-        synchronisation point — on entry, or once the loss has woken a
-        blocked flush — and at every later one."""
-        for parked in (False, True):  # on entry, then once woken
-            for t, exc in self._lost[origin]:
-                if target is None or t == target:
-                    raise exc
-            if parked or not self._busy(origin, target):
-                return
-            if origin in self._flush_waiter:
-                raise CommError(f"rank {origin} is already blocked in a flush")
-            self._flush_waiter[origin] = target
-            yield self._flushing[origin]
 
     def handle(self, ctx: "RankContext") -> "WindowHandle":
         """This rank's verb interface to the window."""
@@ -361,7 +283,7 @@ class WindowHandle:
         yield ctx.costs.put
         record = _Put(win, self.rank, target, offset, values, nbytes)
         ctx.fabric.send(ctx.endpoint, ctx.job.endpoints[target], nbytes, record)
-        win._track(self.rank, target)
+        win.ledgers[self.rank].post(target)
         if ctx.job.tracer.enabled:
             ctx.job.tracer.emit(
                 ctx.sim.now,
@@ -404,10 +326,10 @@ class WindowHandle:
 
         def visible(_ev: Event) -> None:
             win._apply_write(target, offset, None)
-            _complete(ctx.sim, None, win._op_done(self.rank, target, None))
+            _complete(ctx.sim, None, win.ledgers[self.rank].landed(target, None))
 
         ctx.sim.at_time(last).add_callback(visible)
-        win._track(self.rank, target)
+        win.ledgers[self.rank].post(target)
         yield ctx.sim.at_time(issue[-1])
 
     def get(
@@ -424,7 +346,7 @@ class WindowHandle:
         done = Event(ctx.sim)
         record = _Get(win, self.rank, target, offset, nelems, done)
         ctx.fabric.send(ctx.endpoint, ctx.job.endpoints[target], 8.0, record)
-        win._track(self.rank, target)
+        win.ledgers[self.rank].post(target)
         return Request(done, "get", nelems * win.dtype.itemsize)
 
     # -- completion ------------------------------------------------------------
@@ -437,7 +359,7 @@ class WindowHandle:
         ctx.counter.operations += 1
         ctx.counter.syncs += 1
         yield ctx.costs.flush
-        yield from win._drain(self.rank, target)
+        yield from win.ledgers[self.rank].drain(target)
         # Remote-completion acknowledgement: over RDMA a flush is realised
         # as a zero-byte read after the writes — a full round trip to the
         # (furthest) flushed target.
@@ -455,7 +377,7 @@ class WindowHandle:
         ctx.counter.operations += 1
         ctx.counter.syncs += 1
         yield ctx.costs.flush
-        yield from win._drain(self.rank, target)
+        yield from win.ledgers[self.rank].drain(target)
 
     def fence(self) -> Generator:
         """``MPI_Win_fence``: close the epoch — complete all outstanding ops
@@ -463,7 +385,7 @@ class WindowHandle:
         ctx, win = self.ctx, self.window
         ctx.counter.operations += 1
         yield ctx.costs.fence
-        yield from win._drain(self.rank, None)
+        yield from win.ledgers[self.rank].drain()
         yield from ctx.barrier()
 
     # -- atomics ------------------------------------------------------------------

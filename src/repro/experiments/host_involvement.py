@@ -51,7 +51,7 @@ def _gpu_machine_all_runtimes():
     profiles; the one-sided 4-op emulation gets the CPU machine's
     calibrated costs (the emulation is host software — its op costs do
     not depend on the accelerator).  ``stream_triggered`` needs no entry:
-    its profile derives lazily from the others.
+    its backend derives its profile from the others.
     """
     m = get_machine("perlmutter-gpu")
     cpu = get_machine("perlmutter-cpu")
@@ -85,7 +85,7 @@ def host_overhead(machine, runtime: str, *, messages: float, syncs: float,
     if caps.gpu_initiated:
         launch = machine.gpu.kernel_launch if machine.gpu is not None else 0.0
         return launch * ranks
-    costs = machine.runtime(backend.resolve_costs_key())
+    costs = backend.costs(machine)
     per_msg = op_seconds(costs, backend.ops("mailbox")[0])
     per_sync = op_seconds(costs, backend.ops("batch")[1])
     return messages * per_msg + syncs * per_sync + atomics * costs.fetch_op

@@ -10,7 +10,7 @@ what does each layer of the resilience story buy?**  Two sweeps on one
 
 * **victim** — a 2-rank latency probe pinned across the fabric
   (``n2 -> n6``) while router ``g1r0`` on its minimal path dies mid-run.
-  Under :class:`~repro.net.MinimalRouting` the probe's transfers retry
+  Under minimal routing the probe's transfers retry
   into the dead link until the retry budget exhausts and the job dies
   with a :class:`~repro.faults.FaultError`; under
   :class:`~repro.net.FailoverRouting` the detector confirms the link

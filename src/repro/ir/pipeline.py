@@ -396,10 +396,8 @@ class AutoBackendPass(Pass):
         for name in backend_names():
             backend = get_backend(name)
             try:
-                # Derived profiles (stream_triggered) resolve here even
-                # though they are absent from machine.runtimes.
-                machine.runtime(backend.resolve_costs_key())
-            except KeyError:
+                backend.costs(machine)
+            except KeyError:  # no cost profile on this machine
                 continue
             costs.append((name, program_cost(
                 program, machine, runtime=name

@@ -197,42 +197,10 @@ class MachineModel:
         try:
             return self.runtimes[kind]
         except KeyError:
-            pass
-        derived = self._derived_runtime(kind)
-        if derived is not None:
-            return derived
-        raise KeyError(
-            f"machine {self.name!r} has no runtime {kind!r}; "
-            f"available: {sorted(self.runtimes)}"
-        )
-
-    def _derived_runtime(self, kind: str) -> CommCosts | None:
-        """Profiles computed from the calibrated ones on demand.
-
-        ``stream_triggered`` needs no per-machine calibration — its costs
-        derive from the cheapest demonstrated host-driven issue path (see
-        :func:`repro.comm.stream.derive_stream_costs`).  Derived profiles
-        are cached privately and never added to ``self.runtimes``, so
-        Table I, :meth:`describe` and the machine fingerprint only ever
-        see calibrated entries.
-        """
-        cache: dict[str, CommCosts] | None = getattr(
-            self, "_derived_cache", None
-        )
-        if cache is not None and kind in cache:
-            return cache[kind]
-        from repro.transport.registry import STREAM_TRIGGERED
-
-        if kind != STREAM_TRIGGERED:
-            return None
-        from repro.comm.stream import derive_stream_costs
-
-        costs = derive_stream_costs(self)
-        if cache is None:
-            cache = {}
-            self._derived_cache = cache
-        cache[kind] = costs
-        return costs
+            raise KeyError(
+                f"machine {self.name!r} has no runtime {kind!r}; "
+                f"available: {sorted(self.runtimes)}"
+            ) from None
 
     # -- rank placement --------------------------------------------------------
 

@@ -7,7 +7,6 @@ from repro.net.loggp import LinkParams, LogGPParams
 from repro.net.routing import (
     AdaptiveRouting,
     FailoverRouting,
-    MinimalRouting,
     RoutingPolicy,
     get_routing,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Link",
     "LinkParams",
     "LogGPParams",
-    "MinimalRouting",
     "Route",
     "RoutingPolicy",
     "TopologySpec",

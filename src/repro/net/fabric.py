@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from repro.faults.plan import FaultError
 from repro.net.congestion import CongestionConfig, CongestionControl
 from repro.net.link import Channel, Link
-from repro.net.routing import MinimalRouting, get_routing
+from repro.net.routing import get_routing
 from repro.net.topology import Route, TopologySpec
 from repro.sim.event import _NO_CALLBACKS, Event
 from repro.sim.trace import NullTracer, Tracer
@@ -153,14 +153,14 @@ class Fabric:
         #: (None: they may).  Replay needs every transfer to be a pure
         #: function of port state: fault draws are per message, congestion
         #: control feeds each transfer's wait back into the next one's
-        #: injection, and a non-minimal policy may pick a different path
+        #: injection, and a routing policy may pick a different path
         #: per decision.
         self.not_replayable: str | None = None
         if faults is not None:
             self.not_replayable = "faults"
         elif self.cc is not None:
             self.not_replayable = "congestion"
-        elif not (self.routing is None or isinstance(self.routing, MinimalRouting)):
+        elif self.routing is not None:
             self.not_replayable = "routing"
         self.replayable: bool = self.not_replayable is None
         # Link key -> merged hard-outage windows (filled by

@@ -4,10 +4,9 @@ The fabric asks its policy for a :class:`~repro.net.topology.Route` on
 *every* transfer (a routing decision), so policies may pick different paths
 for the same (src, dst) pair over time:
 
-* :class:`MinimalRouting` — the static minimum-latency path.  This is the
-  default and is byte-identical to the pre-policy behaviour: it returns the
-  exact cached :meth:`TopologySpec.route` object, so every committed golden
-  is unchanged.
+* ``"minimal"`` — the static minimum-latency path.  This is the default
+  and no policy object: :func:`get_routing` maps it to None, the fabric's
+  built-in path over the cached :meth:`TopologySpec.route` objects.
 * :class:`AdaptiveRouting` — UGAL-style: at decision time, compare the
   minimal path against Valiant detours through deterministic intermediate
   candidates, estimating each path's head-arrival time from the current
@@ -34,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "RoutingPolicy",
-    "MinimalRouting",
     "AdaptiveRouting",
     "FailoverRouting",
     "get_routing",
@@ -57,20 +55,6 @@ class RoutingPolicy(Protocol):
     ) -> Route:
         """Pick the path for one transfer of ``nbytes`` at time ``now``."""
         ...
-
-
-class MinimalRouting:
-    """Static minimum-latency routing (the golden-pinned default)."""
-
-    name = "minimal"
-
-    def route(
-        self, fabric: "Fabric", src: str, dst: str, nbytes: float, now: float
-    ) -> Route:
-        return fabric.topology.route(src, dst)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "MinimalRouting()"
 
 
 class AdaptiveRouting:
@@ -341,21 +325,22 @@ class FailoverRouting:
 
 
 _POLICIES = {
-    "minimal": MinimalRouting,
+    "minimal": None,
     "adaptive": AdaptiveRouting,
     "failover": FailoverRouting,
 }
 
 
 def get_routing(policy: "str | RoutingPolicy | None") -> "RoutingPolicy | None":
-    """Resolve a policy name (``"minimal"``/``"adaptive"``/``"failover"``),
-    pass through a policy instance, and map ``None`` to ``None`` (the
-    fabric's built-in minimal fast path)."""
+    """Resolve a policy name (``"adaptive"``/``"failover"``) and pass
+    through a policy instance; ``None`` and ``"minimal"`` are ``None`` (the
+    fabric's built-in minimal path)."""
     if policy is None or not isinstance(policy, str):
         return policy
     try:
-        return _POLICIES[policy]()
+        policy_cls = _POLICIES[policy]
     except KeyError:
         raise ValueError(
             f"unknown routing policy {policy!r}; valid: {sorted(_POLICIES)}"
         ) from None
+    return None if policy_cls is None else policy_cls()

@@ -70,7 +70,7 @@ class SplitModel:
         link = machine.topology.link_params(src, dst)
         inj = machine.topology.injection.get(src)
         backend = get_backend(runtime)
-        costs = machine.runtime(backend.resolve_costs_key())
+        costs = backend.costs(machine)
         # Capability branch, not a name check: fused single-op runtimes
         # (put-with-signal families) issue via put_signal, two-sided and
         # 4-op one-sided emulations via isend.

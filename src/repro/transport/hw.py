@@ -24,7 +24,6 @@ __all__ = ["HwPutSignalBackend"]
 
 class HwPutSignalBackend(ShmemBackend):
     name = ONE_SIDED_HW
-    costs_key = ONE_SIDED_HW
     caps = BackendCaps(remote_atomics=True, gpu_initiated=False)
     description = (
         "hypothetical CrayMPI with hardware put-with-signal (DESIGN.md "

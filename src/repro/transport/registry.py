@@ -7,9 +7,10 @@ registered here under its name.  ``Job`` resolves the name through
 exactly one place — import the constants instead of spelling them out.
 
 Adding a runtime is a single file: subclass :class:`TransportBackend`
-(usually one of the built-in adapters), give it a ``name``, a
-``costs_key`` and — where its op sequences differ — entries of the
-``endpoints`` table, and call :func:`register_backend`.  No workload code
+(usually one of the built-in adapters), give it a ``name`` — the
+machine's cost profile it charges, unless it overrides
+:meth:`TransportBackend.costs` — and, where its op sequences differ,
+entries of the ``endpoints`` table, and call :func:`register_backend`.  No workload code
 changes — see ``examples/custom_backend.py``.
 
 The paper's 2 / 4 / 1 op accounting is each endpoint class's ``ops``;
@@ -99,9 +100,8 @@ class TransportBackend:
 
     Class attributes:
 
-    * ``name`` — registry key and ``--runtime`` value;
-    * ``costs_key`` — the machine's :class:`CommCosts` entry to charge
-      (defaults to ``name``);
+    * ``name`` — registry key, ``--runtime`` value and the machine's
+      :class:`CommCosts` entry :meth:`costs` charges;
     * ``caps`` — :class:`BackendCaps` programs may branch on
       (``ops_per_message`` is derived at registration);
     * ``endpoints`` — ``{spec class: endpoint class}``, one entry per
@@ -114,7 +114,6 @@ class TransportBackend:
     """
 
     name: str = ""
-    costs_key: str | None = None
     caps: BackendCaps = BackendCaps()
     description: str = ""
     fault_semantics: FaultSemantics = FaultSemantics()
@@ -126,8 +125,10 @@ class TransportBackend:
 
         return RankContext
 
-    def resolve_costs_key(self) -> str:
-        return self.costs_key if self.costs_key is not None else self.name
+    def costs(self, machine):
+        """The :class:`CommCosts` this runtime charges on ``machine``: its
+        calibrated profile under ``name`` (a KeyError when it has none)."""
+        return machine.runtime(self.name)
 
     # -- channel factory -----------------------------------------------
 
@@ -165,7 +166,7 @@ class TransportBackend:
         carries it and ``o_sync`` when the synchronisation does.
         """
         per_msg, per_sync = self.ops(pattern)
-        costs = machine.runtime(self.resolve_costs_key())
+        costs = self.costs(machine)
         route = machine.topology.route(
             machine.endpoint_of_rank(src, nranks, placement),
             machine.endpoint_of_rank(dst, nranks, placement),

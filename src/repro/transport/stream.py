@@ -6,9 +6,10 @@ fused NVSHMEM ones (:class:`ShmemBackend` channels and its
 ``stream_triggered`` cost profile — cheapest demonstrated issue path
 plus a device-initiation term, zero host-side overhead anywhere (see
 :func:`repro.comm.stream.derive_stream_costs`).  No machine needs a
-calibrated ``stream_triggered`` entry: :meth:`MachineModel.runtime`
-derives one on demand, so every workload, collective and IR program
-runs on this backend on every machine with zero per-workload code.
+calibrated ``stream_triggered`` entry: :meth:`StreamBackend.costs`
+derives one from the machine's current profiles, so every workload,
+collective and IR program runs on this backend on every machine with
+zero per-workload code.
 
 The halo endpoint differs from shmem's in one load-bearing way: its
 iteration counter advances at ``finish``, not only at ``begin``.  On a
@@ -20,6 +21,7 @@ because ``finish`` keeps the double-buffer parity counter moving.
 
 from __future__ import annotations
 
+from repro.comm.stream import derive_stream_costs
 from repro.faults.plan import FaultSemantics
 from repro.transport.api import BackendCaps, HaloSpec
 from repro.transport.registry import STREAM_TRIGGERED, register_backend
@@ -41,7 +43,6 @@ class _StreamHaloEndpoint(_HaloEndpoint):
 
 class StreamBackend(ShmemBackend):
     name = STREAM_TRIGGERED
-    costs_key = STREAM_TRIGGERED
     caps = BackendCaps(
         remote_atomics=True,
         gpu_initiated=True,
@@ -58,6 +59,10 @@ class StreamBackend(ShmemBackend):
     fault_semantics = FaultSemantics(mode="surface", detect_scale=0.5)
 
     endpoints = {**ShmemBackend.endpoints, HaloSpec: _StreamHaloEndpoint}
+
+    def costs(self, machine):
+        """Derived, never calibrated: no machine carries this profile."""
+        return derive_stream_costs(machine)
 
 
 register_backend(StreamBackend())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis import (
     analyze_dag,
     ascii_timeline,
@@ -18,8 +19,6 @@ from repro.workloads.sptrsv import MatrixSpec, generate_matrix
 
 
 def _traced_flood(n=8, nbytes=4096):
-    job = Job(perlmutter_cpu(), 2, "two_sided", placement="spread", trace=True)
-
     def program(ctx):
         if ctx.rank == 0:
             reqs = []
@@ -31,7 +30,9 @@ def _traced_flood(n=8, nbytes=4096):
             for _ in range(n):
                 yield from ctx.recv(source=0)
 
-    job.run(program)
+    with obs.observe(obs.Obs(trace=True)):
+        job = Job(perlmutter_cpu(), 2, "two_sided", placement="spread")
+        job.run(program)
     return job.tracer
 
 
@@ -106,9 +107,6 @@ class TestRankViews:
         assert m[0, 0] == 0
 
     def test_comm_matrix_one_sided(self):
-        job = Job(perlmutter_cpu(), 2, "one_sided", placement="spread", trace=True)
-        win = job.window(8)
-
         def program(ctx):
             h = win.handle(ctx)
             if ctx.rank == 0:
@@ -117,7 +115,10 @@ class TestRankViews:
             else:
                 yield from ctx.compute(seconds=0)
 
-        job.run(program)
+        with obs.observe(obs.Obs(trace=True)):
+            job = Job(perlmutter_cpu(), 2, "one_sided", placement="spread")
+            win = job.window(8)
+            job.run(program)
         m = comm_matrix(job.tracer, 2)
         assert m[0, 1] == 32.0
 

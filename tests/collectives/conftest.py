@@ -8,8 +8,8 @@ shmem); the fixture equips perlmutter-cpu with synthetic ``shmem`` and
 :class:`~repro.collectives.core.CollectiveStats` accounting under test
 is backend-independent, so the cost numbers themselves are irrelevant,
 they only have to exist for the job to build.  ``stream_triggered``
-needs no entry at all: its profile derives lazily from the calibrated
-ones (see :func:`repro.comm.stream.derive_stream_costs`).
+needs no entry at all: its backend derives the profile from the
+calibrated ones (see :func:`repro.comm.stream.derive_stream_costs`).
 """
 
 from __future__ import annotations

@@ -249,9 +249,10 @@ class TestCountedCompletion:
                 yield from h.put(2, nelems=1 << 16)  # long: 512 KiB
                 yield from h.put(1, nelems=1)
                 yield from h.flush(1)
-                after_one = win._busy(0, 1), win._busy(0, 2), win._busy(0, None)
+                ledger = win.ledgers[0]
+                after_one = ledger.pending(1), ledger.pending(2), ledger.pending()
                 yield from h.flush()
-                return after_one, win._busy(0, None)
+                return after_one, ledger.pending()
             yield from ctx.compute(seconds=0)
 
         after_one, after_all = job.run(program).results[0]
@@ -271,9 +272,9 @@ class TestCountedCompletion:
                 if ctx.rank == 0:
                     for _ in range(n):
                         yield from h.put(1, nelems=1)
-                    assert win._busy(0, 1) > 0
+                    assert win.ledgers[0].pending(1) > 0
                     yield from h.flush(1)
-                    assert win._busy(0, None) == 0
+                    assert win.ledgers[0].pending() == 0
                 yield from ctx.barrier()
 
             return job.run(program).events_processed
@@ -295,7 +296,7 @@ class TestCountedCompletion:
                     yield from ctx.compute(seconds=0)
                     return None
                 returned = yield from h.put(1, nelems=1)
-                in_flight = win._busy(0, 1)
+                in_flight = win.ledgers[0].pending(1)
                 raised = []
                 for target in (1, 2, None, 1):
                     try:
@@ -309,5 +310,5 @@ class TestCountedCompletion:
         assert in_flight == 1
         assert [t for t, _ in raised] == [1, None, 1]  # never target 2's flush
         assert len({id(exc) for _, exc in raised}) == 1
-        assert win._busy(0, None) == 0
-        assert win._lost[0] == [(1, raised[0][1])]  # parked once, kept
+        assert win.ledgers[0].pending() == 0
+        assert win.ledgers[0].lost == [(1, raised[0][1])]  # parked once, kept

@@ -192,7 +192,7 @@ class TestQuiet:
                         data, 1, nelems=1, signal_win=sig, signal_idx=0,
                         signal_op="add",
                     )))
-                    peak.append(ctx._puts_in_flight)
+                    peak.append(ctx.ledger.busy)
                 return returned
             yield from ctx.wait_until_all(sig, [0], value=n)
 
@@ -200,8 +200,9 @@ class TestQuiet:
         origin = job.contexts[0]
         assert res.results[0] == {None}  # completion is counted, not handed out
         assert sig.local(1)[0] == n
-        assert origin._puts_in_flight == 0 and origin._lost_puts == []
-        assert origin._quiet_waiter is None
+        ledger = origin.ledger
+        assert ledger.busy == 0 and ledger.lost == []
+        assert ledger.draining == -1 and not ledger  # no quiet blocked
         assert 0 < max(peak) < 100  # bounded by the wire, not by the program
         # Nothing per-put survives on the context.
         assert not any(
@@ -221,9 +222,9 @@ class TestQuiet:
                         data, 1, values=np.array([float(i + 1)]), offset=i,
                         signal_win=sig, signal_idx=0, signal_op="add",
                     )
-                in_flight = ctx._puts_in_flight
+                in_flight = ctx.ledger.busy
                 yield from ctx.quiet()
-                return in_flight, ctx._puts_in_flight, data.local(1).tolist()
+                return in_flight, ctx.ledger.busy, data.local(1).tolist()
             yield from ctx.compute(seconds=0)
 
         in_flight, after, landed = job.run(program).results[0]
@@ -246,21 +247,42 @@ class TestQuiet:
                 returned = yield from ctx.put_signal_nbi(
                     data, 1, nelems=1, signal_win=sig, signal_idx=0
                 )
-                issued = ctx._puts_in_flight
+                issued = ctx.ledger.busy
                 raised = []
                 for _ in range(2):  # blocked when it is lost; lost on entry
                     try:
                         yield from ctx.quiet()
                     except faults.FaultError as exc:
                         raised.append(exc)
-                return returned, issued, raised, ctx._puts_in_flight
+                return returned, issued, raised, ctx.ledger.busy
 
             returned, issued, raised, in_flight = job.run(program).results[0]
         assert returned is None and issued == 1
         assert len(raised) == 2 and raised[0] is raised[1]
         assert in_flight == 0
-        assert job.contexts[0]._lost_puts == [raised[0]]  # parked once, kept
+        assert job.contexts[0].ledger.lost == [(1, raised[0])]  # parked once, kept
         assert sig.local(1)[0] == 0  # a lost put applies nothing
+
+    def test_second_concurrent_quiet_on_one_pe_is_an_error(self, pm_gpu):
+        """Two processes of one PE blocked in quiet at once: the second is a
+        CommError at the call, not an orphaned first waiter."""
+        job = gjob(pm_gpu)
+        data = job.window(1 << 16)
+        sig = job.window(1, dtype=np.uint64)
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield from ctx.put_signal_nbi(
+                    data, 1, nelems=1 << 16, signal_win=sig, signal_idx=0
+                )
+                other = ctx.sim.process(ctx.quiet(), name="second quiet")
+                yield from ctx.quiet()
+                yield other
+            else:
+                yield from ctx.compute(seconds=0)
+
+        with pytest.raises(CommError, match="PE 0's quiet is already blocked"):
+            job.run(program)
 
     def test_barrier_all(self, pm_gpu):
         job = gjob(pm_gpu, n=4)

@@ -7,7 +7,6 @@ from repro.net import (
     CongestionConfig,
     Fabric,
     FailoverRouting,
-    MinimalRouting,
     dragonfly,
     fat_tree,
     get_routing,
@@ -30,7 +29,7 @@ class TestResolver:
         assert get_routing(None) is None
 
     def test_names_resolve(self):
-        assert isinstance(get_routing("minimal"), MinimalRouting)
+        assert get_routing("minimal") is None  # the fabric's built-in path
         assert isinstance(get_routing("adaptive"), AdaptiveRouting)
 
     def test_instance_passthrough(self):
@@ -55,11 +54,12 @@ class TestResolver:
 
 class TestMinimal:
     def test_returns_cached_route_object(self, sim):
-        """Byte-identity with the no-policy default: the exact cached
-        Route object, not an equal copy."""
+        """"minimal" is the no-policy default: a transfer takes the exact
+        cached Route object, not an equal copy."""
         f = _df_fabric(sim, routing="minimal")
-        route = f.routing.route(f, "g0r0", "g1r1", 1024, 0.0)
-        assert route is f.topology.route("g0r0", "g1r1")
+        assert f.routing is None and f.replayable
+        f.transfer("g0r0", "g1r1", 1024)
+        assert f._pairs["g0r0", "g1r1"][0] is f.topology.route("g0r0", "g1r1")
 
     def test_fabric_arrivals_match_default(self, loaded_schedule):
         f_default = _df_fabric(Simulator())

@@ -182,11 +182,6 @@ class TestTracingSessions:
         loaded = load_jsonl(paths[0])
         assert loaded.count("send") == 8
 
-    def test_explicit_trace_arg_still_wins(self, pm_cpu):
-        with obs.observe(obs.Obs(trace=False)):
-            job = Job(pm_cpu, 2, "two_sided", trace=True)
-        assert not isinstance(job.tracer, NullTracer)
-
     def test_spans_record_job_phases(self, pm_cpu):
         with obs.observe(obs.Obs()) as session:
             Job(pm_cpu, 2, "two_sided", placement="spread").run(_flood)

@@ -28,7 +28,7 @@ from repro.workloads.stencil.decomposition import ProcessGrid
 from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 
 # Machines whose calibrated tables host the one-sided emulation; the
-# stream profile needs no entry anywhere (it derives lazily).
+# stream profile needs no entry anywhere (its backend derives it).
 MACHINES = ("perlmutter-cpu", "summit-cpu", "frontier-cpu")
 
 

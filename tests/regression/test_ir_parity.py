@@ -41,8 +41,8 @@ def _hw_machine():
 
 def _machine_for(backend: str):
     if backend in ("shmem", "stream_triggered"):
-        # stream_triggered needs no calibrated profile: its costs derive
-        # lazily from the machine's host-driven ones.
+        # stream_triggered needs no calibrated profile: its backend derives
+        # the costs from the machine's host-driven ones.
         return get_machine("perlmutter-gpu")
     if backend == "one_sided_hw":
         return _hw_machine()

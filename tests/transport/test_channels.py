@@ -85,8 +85,10 @@ class TestSpecDispatch:
 
         class Counting(ShmemBackend):
             name = "counting_shmem"
-            costs_key = SHMEM
             endpoints = {**ShmemBackend.endpoints, BatchSpec: CountingBatch}
+
+            def costs(self, machine):
+                return machine.runtime(SHMEM)
 
         r = run_flood(pm_gpu, Counting(), 4096, 8, iters=2)
         assert batches == [8, 8]

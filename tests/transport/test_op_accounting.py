@@ -38,7 +38,7 @@ NBYTES, N = 4096, 16  # one batch: 16 x 4 KiB, then one synchronisation
 def _hosts(mname, rt):
     """Does the machine calibrate or derive a cost table for the backend?"""
     try:
-        get_machine(mname).runtime(get_backend(rt).resolve_costs_key())
+        get_backend(rt).costs(get_machine(mname))
     except KeyError:
         return False
     return True
@@ -84,7 +84,7 @@ def _run(machine, rt, pattern):
 def _residual(machine, backend, pattern, B, n):
     """What the simulator charges beyond (or short of) the closed form,
     as arithmetic over the cost table and the route."""
-    c = machine.runtime(backend.resolve_costs_key())
+    c = backend.costs(machine)
     route = machine.topology.route(*machine.compute_endpoints[:2])
     L, G = route.latency, route.G + c.copy_per_byte
     per_msg, _ = backend.ops(pattern)
@@ -195,7 +195,7 @@ def _switch(costs, route, sided, ops):
 ])
 def test_same_floats_as_the_switch(mname, rt, sided, ops, pattern):
     machine, backend = get_machine(mname), get_backend(rt)
-    costs = machine.runtime(backend.resolve_costs_key())
+    costs = backend.costs(machine)
     route = machine.topology.route(*machine.compute_endpoints[:2])
     p = backend.loggp(machine, pattern)
     assert (p.L, p.o, p.o_sync) == _switch(costs, route, sided, ops)

@@ -40,8 +40,12 @@ class TestResolution:
             get_backend("mystery")
 
     def test_costs_key_defaults_to_name(self):
-        assert get_backend(TWO_SIDED).resolve_costs_key() == TWO_SIDED
-        assert get_backend(ONE_SIDED_HW).resolve_costs_key() == ONE_SIDED_HW
+        """A backend charges the profile named after it."""
+        from repro.machines import get_machine
+
+        m = get_machine("perlmutter-cpu")
+        assert get_backend(TWO_SIDED).costs(m) is m.runtimes[TWO_SIDED]
+        assert get_backend(ONE_SIDED).costs(m) is m.runtimes[ONE_SIDED]
 
 
 class TestCaps:
@@ -110,7 +114,6 @@ class TestRegistration:
     def test_custom_backend_roundtrip(self):
         class Quiet(TransportBackend):
             name = "quiet-test-backend"
-            costs_key = TWO_SIDED
             caps = BackendCaps(remote_atomics=False, ops_per_message=2)
 
         try:
@@ -146,7 +149,6 @@ class TestJobIntegration:
 
         class FusedNic(ShmemBackend):
             name = "fused-nic-test"
-            costs_key = "fused-nic-test"
             sided = "shmem"
             caps = BackendCaps(remote_atomics=True, ops_per_message=1)
 
@@ -163,6 +165,23 @@ class TestJobIntegration:
             from repro.transport import registry
 
             registry._REGISTRY.pop("fused-nic-test", None)
+
+    def test_stream_costs_follow_an_edited_profile(self, pm_cpu):
+        """The derived profile is derived per job, not remembered: after a
+        host profile changes, the next stream-triggered job charges the
+        fresh derivation."""
+        import dataclasses
+
+        from repro.comm.stream import STREAM_DEVICE_INITIATION
+        from repro.transport import STREAM_TRIGGERED
+
+        assert Job(pm_cpu, 2, STREAM_TRIGGERED).costs.put == pytest.approx(4e-7)
+        pm_cpu.runtimes[ONE_SIDED] = dataclasses.replace(
+            pm_cpu.runtimes[ONE_SIDED], put=1e-8
+        )
+        assert Job(pm_cpu, 2, STREAM_TRIGGERED).costs.put == pytest.approx(
+            1e-8 + STREAM_DEVICE_INITIATION
+        )
 
 
 class TestCapabilitiesTable:
@@ -262,7 +281,6 @@ class TestDiagnostics:
     def test_collision_with_different_class_says_shadow(self):
         class Imposter(TransportBackend):
             name = SHMEM
-            costs_key = SHMEM
             caps = BackendCaps()
 
         with pytest.raises(ValueError, match="shadow"):
