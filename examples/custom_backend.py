@@ -14,9 +14,10 @@ put-with-signal.  This example builds that NIC as a *user* backend:
 3. run the unchanged flood workload under the new name.
 
 Every workload in the repo (stencil, SpTRSV, hashtable, flood) would
-accept ``FUSED`` as its ``runtime`` argument — the runners emit
-:class:`repro.ir.IRProgram` values lowered through
-:func:`repro.ir.run_program` and never see the backend.  The declared
+accept ``FUSED`` as its ``runtime`` argument — the flood and stencil
+runners emit :class:`repro.ir.IRProgram` values lowered through
+:func:`repro.ir.run_program`, SpTRSV and the hashtable are rank programs
+over the endpoint verbs, and none of them sees the backend.  The declared
 :class:`BackendCaps` is the backend's *entire* behavioural contract with
 the rest of the repo: capability-driven consumers — the IR pass gates,
 ``Selection.explain``, :func:`repro.transport.require` selection, the

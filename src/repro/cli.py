@@ -367,11 +367,7 @@ def _run_reports(args: argparse.Namespace, names, catalogue, what: str, emit) ->
         print(f"  {'; '.join(parts) or f'all {total} {what}s passed'}", file=sys.stderr)
     if cache is not None:
         s = cache.stats()
-        unkeyed = f" uncacheable={cache.uncacheable}" if cache.uncacheable else ""
-        print(
-            f"[sweep] cache: hits={s['hits']} misses={s['misses']}{unkeyed}",
-            file=sys.stderr,
-        )
+        print(f"[sweep] cache: hits={s['hits']} misses={s['misses']}", file=sys.stderr)
     return 0 if all(s == "PASS" for s in statuses.values()) else 1
 
 

@@ -114,7 +114,6 @@ class RankContext:
         self.costs = job.costs
         self.endpoint = job.endpoints[rank]
         self.sharing = job.sharing[self.endpoint]
-        self.on_gpu = job.machine.is_gpu_machine
         self.counter = OpCounter()
         self.engine = MatchingEngine(job.sim, rank, delay_fn=self._recv_delay)
         # Receiver-side copy engine: serialises the runtime's per-byte copy
@@ -133,9 +132,7 @@ class RankContext:
         t = (
             seconds
             if seconds is not None
-            else self.machine.compute_time(
-                nbytes, flops, sharing=self.sharing, on_gpu=self.on_gpu
-            )
+            else self.machine.compute_time(nbytes, flops, sharing=self.sharing)
         )
         if t > 0:
             yield t if isinstance(t, float) else float(t)  # a sleep is a float

@@ -35,6 +35,7 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 __all__ = [
     "FaultError",
@@ -185,8 +186,8 @@ class RetransmitPolicy:
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if not 1.0 <= self.backoff < math.inf:
             raise ValueError(f"backoff must be finite and >= 1, got {self.backoff}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not isinstance(self.max_retries, Integral) or self.max_retries < 0:
+            raise ValueError(f"max_retries must be an integer >= 0, got {self.max_retries}")
 
 
 @dataclass(frozen=True)

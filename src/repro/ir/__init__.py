@@ -1,14 +1,15 @@
 """``repro.ir`` — a typed communication-pattern IR with verified passes.
 
-ROADMAP item 4: the transport specs (HaloSpec/MailboxSpec/BatchSpec/
-AtomicDomainSpec) promoted from passive dataclasses to a small program
-representation — ops grouped into per-iteration regions — plus a pass
+ROADMAP item 4: the two transport patterns a pass can rewrite — the halo
+exchange (HaloSpec) and the batch flood (BatchSpec) — promoted from
+passive specs to a small program representation (ops grouped into
+per-iteration regions), plus a pass
 pipeline whose rewrites are grounded in the paper's central finding
 (the *same* pattern costs very differently per runtime, so the wins
 live in pattern-level rewrites):
 
-* **coalesce** — merge homogeneous small puts/sends into one bulk
-  message (hits the ``repro.perf`` engine);
+* **coalesce** — merge a flood's small messages into one bulk message
+  (hits the ``repro.perf`` engine);
 * **overlap** — schedule halo-independent compute against in-flight
   transfers;
 * **sync-elide** — drop epoch fences provably redundant under the
@@ -16,8 +17,8 @@ live in pattern-level rewrites):
 * **auto-backend** — per-machine backend selection via the same
   Hockney grounding as :mod:`repro.collectives.selector`.
 
-All passes are off by default: the workload runners emit IR and lower
-it through :func:`run_program`, and with the empty pipeline the lowering
+All passes are off by default: the flood and stencil runners emit IR and
+lower it through :func:`run_program`, and with the empty pipeline the lowering
 is byte-identical to the pre-IR hand-written runners (pinned by
 ``tests/regression/test_ir_parity.py``).  Opt in per scope::
 
@@ -31,7 +32,9 @@ is byte-identical to the pre-IR hand-written runners (pinned by
     print(reports[0].explain())
 
 or through the facade (``Session(passes=True)``) and the CLI
-(``repro ir explain <exp>``).  See docs/IR.md.
+(``repro ir explain <exp>``).  A pipeline is a set of pass names; the
+passes always run in one order (coalesce, overlap, auto-backend,
+sync-elide).  See docs/IR.md.
 """
 
 from repro.ir import ops
@@ -49,7 +52,7 @@ from repro.ir.pipeline import (
     SyncElidePass,
     build_pipeline,
 )
-from repro.ir.program import IRProgram, Region, region_for_all, static_program
+from repro.ir.program import IRProgram, Region, region_for_all
 
 __all__ = [
     "ops",
@@ -74,5 +77,4 @@ __all__ = [
     "program_cost",
     "region_for_all",
     "run_program",
-    "static_program",
 ]

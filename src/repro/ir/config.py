@@ -25,7 +25,7 @@ from repro.scope import Scope
 
 __all__ = ["passes", "current_pipeline", "collect", "record_report"]
 
-_PIPELINE = Scope("repro.ir.passes", PassPipeline(()), carried=True)
+_PIPELINE = Scope("repro.ir.passes", PassPipeline(), carried=True)
 _REPORTS = Scope("repro.ir.collect")
 
 
@@ -39,8 +39,9 @@ def passes(pipeline=True) -> AbstractContextManager[PassPipeline]:
 
     ``pipeline`` may be a :class:`repro.ir.pipeline.PassPipeline`, ``True``
     (the default pipeline: coalesce, overlap, sync-elide), ``False`` /
-    ``None`` (explicitly all-off), or a sequence of pass names —
-    see :func:`repro.ir.pipeline.build_pipeline`.
+    ``None`` (explicitly all-off), or a collection of built-in pass names
+    (a set: order and repeats do not matter) — see
+    :func:`repro.ir.pipeline.build_pipeline`.
     """
     return _PIPELINE.push(build_pipeline(pipeline))
 

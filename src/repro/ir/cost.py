@@ -11,7 +11,7 @@ a two-clock walk so that *overlap* is representable:
 
 Puts advance ``cpu`` by the per-message overhead ``o`` (the pattern's
 per-message ops already summed, the paper's Table I) and push ``net``;
-synchronising ops (commit/fence/wait/drain) join the clocks.
+synchronising ops (commit/fence/wait) join the clocks.
 Region cost is the max across ranks (the trailing barrier aligns
 everyone), so the model is monotone under each pass by construction:
 coalescing drops per-message overheads while keeping bytes, overlap
@@ -71,10 +71,7 @@ class CostModel:
     def compute_seconds(self, op: O.Compute) -> float:
         if op.seconds is not None:
             return op.seconds
-        return self.machine.compute_time(
-            op.nbytes, op.flops, sharing=1,
-            on_gpu=self.machine.is_gpu_machine,
-        )
+        return self.machine.compute_time(op.nbytes, op.flops, sharing=1)
 
 
 def _rank_cost(ops, spec, m: CostModel) -> float:
@@ -95,26 +92,17 @@ def _rank_cost(ops, spec, m: CostModel) -> float:
             for _ in range(op.n):
                 send(float(spec.nbytes))
             join()
-        elif isinstance(op, (O.BatchWait, O.MsgDrain)):
+        elif isinstance(op, O.BatchWait):
             join()
         elif isinstance(op, O.HaloPut):
             send(float(spec.landing[op.dst][op.seg][3]) * spec.itemsize)
         elif isinstance(op, (O.HaloBegin, O.HaloFinish)):
             join()
             cpu += m.barrier  # fences are collective in every backend
-        elif isinstance(op, (O.TripletSend, O.TripletSendAgg)):
-            send(float(op.nbytes))
-        elif isinstance(op, (O.TripletRecv, O.TripletRecvAgg)):
-            join()
-        elif isinstance(op, O.AtomicStream):
-            # Blocking: every atomic is a round trip and its own sync.
-            cpu += op.n * (2.0 * m.L + m.message_overhead() + m.o_sync + 8.0 * m.G)
         elif isinstance(op, O.Compute):
             cpu += m.compute_seconds(op)
         elif isinstance(op, O.Barrier):
             cpu = max(cpu, net) + m.barrier
-        elif isinstance(op, O.AllreduceSum):
-            cpu = max(cpu, net) + 2.0 * m.barrier
         else:  # pragma: no cover - future ops default to a sync
             join()
     return max(cpu, net)
@@ -130,10 +118,7 @@ def program_cost(
         machine, runtime or program.runtime, program.nranks,
         pattern_of(program.spec),
     )
-    total = 0.0
-    for part in (program.prologue, program.epilogue):
-        if any(part):
-            total += max(_rank_cost(ops, program.spec, m) for ops in part)
+    total = m.barrier  # the opening barrier every program starts with
     for region in program.regions:
         total += max(_rank_cost(ops, program.spec, m) for ops in region.body)
     if not math.isfinite(total):

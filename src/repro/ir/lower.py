@@ -1,24 +1,23 @@
 """Lowering: interpret IR ops onto the transport Channel/Endpoint verbs.
 
-:func:`run_program` is the single entry point the refactored runners
+:func:`run_program` is the single entry point the halo and batch runners
 call — it applies the ambient pass pipeline (unless faults force the
 scalar/no-elide path, as they make ``Fabric.replayable`` false), opens the
 program's channel on a fresh :class:`repro.comm.job.Job`, and lowers
 each rank's ops through :data:`LOWERINGS`, one function per op class that
 maps the op onto exactly the endpoint calls the hand-written runners used
-to make.  With the
-empty pipeline the lowering of a builder-produced program is
-byte-identical to the pre-IR runner — the golden-parity lane pins this
-across all four backends.
+to make.  With the empty pipeline the lowering of a builder-produced
+program is byte-identical to the pre-IR runner — the golden-parity lane
+pins this across all five backends.
 
-A workload whose op stream is data-dependent (SpTRSV wavefronts, CAS
-collision handling) is not a program here: no pass or cost model could
-read it, so it is a plain rank program over the endpoint verbs
-(``repro.workloads.sptrsv`` / ``.hashtable``).
+A workload whose op stream no pass or cost model could read is not a
+program here: it is a plain rank program over the endpoint verbs
+(``repro.workloads.sptrsv``, ``.hashtable``, ``.flood.run_cas_flood``).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,15 +30,11 @@ from repro.ir.program import IRProgram
 __all__ = ["IRRun", "run_program", "lower_rank"]
 
 
-def _resolve(value, state):
-    return value(state) if callable(value) else value
-
-
 # One lowering per op class: ``fn(op, ep, ctx, state)`` returns something to
 # ``yield from`` whose value is the verb's value.  Where the op is exactly
 # one endpoint / context verb, that is the verb's own generator — lowering
-# adds no frame of its own under it; only ops that post-process the verb's
-# result (``on_done`` / ``on_payload`` / ``out``) are generators themselves.
+# adds no frame of its own under it; only ``HaloFinish``, which hands the
+# received halos to ``on_done``, is a generator itself.
 
 
 def _compute(op, ep, ctx, state):
@@ -57,28 +52,6 @@ def _halo_finish(op, ep, ctx, state):
     return received
 
 
-def _triplet_recv(op, ep, ctx, state):
-    payload = yield from ep.recv_msg_poll(tag=op.tag)
-    if op.on_payload is not None:
-        op.on_payload(state, payload)
-    return payload
-
-
-def _triplet_recv_agg(op, ep, ctx, state):
-    payloads = yield from ep.recv_msg_poll(tag=op.tag)
-    if op.on_payload is not None:
-        for payload in payloads:
-            op.on_payload(state, payload)
-    return payloads
-
-
-def _atomic_stream(op, ep, ctx, state):
-    out = yield from ep.cas_stream(op.space, op.dst, op.offset, list(op.ops))
-    if op.out is not None:
-        state[op.out] = out
-    return out
-
-
 LOWERINGS = {
     O.Barrier: lambda op, ep, ctx, state: ctx.barrier(),
     O.Compute: _compute,
@@ -86,22 +59,9 @@ LOWERINGS = {
     O.BatchWait: lambda op, ep, ctx, state: ep.wait_batch(op.src, op.it, op.n),
     O.HaloBegin: lambda op, ep, ctx, state: ep.begin(op.it),
     O.HaloPut: lambda op, ep, ctx, state: ep.put(
-        op.seg, op.dst, values=_resolve(op.values, state)
+        op.seg, op.dst, values=None if op.values is None else op.values(state)
     ),
     O.HaloFinish: _halo_finish,
-    O.TripletSend: lambda op, ep, ctx, state: ep.post_msg(
-        op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payload
-    ),
-    O.TripletSendAgg: lambda op, ep, ctx, state: ep.post_msg(
-        op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payloads
-    ),
-    O.TripletRecv: _triplet_recv,
-    O.TripletRecvAgg: _triplet_recv_agg,
-    O.MsgDrain: lambda op, ep, ctx, state: ep.drain(),
-    O.AtomicStream: _atomic_stream,
-    O.AllreduceSum: lambda op, ep, ctx, state: ctx.allreduce_sum(
-        _resolve(op.value, state)
-    ),
 }
 
 
@@ -129,15 +89,12 @@ def lower_rank(ctx, chan, program: IRProgram, counts: dict):
         return [(lowering_of(op), op) for op in ops]
 
     rank = ctx.rank
-    for lower, op in bind(program.prologue[rank]):
-        yield from lower(op, ep, ctx, state)
+    yield from ctx.barrier()
     t0 = ctx.sim.now
     for region in program.regions:
         for lower, op in bind(region.body[rank]):
             yield from lower(op, ep, ctx, state)
     elapsed = ctx.sim.now - t0
-    for lower, op in bind(program.epilogue[rank]):
-        yield from lower(op, ep, ctx, state)
     if program.finalize is not None:
         return program.finalize(ctx, state, elapsed)
     return elapsed
@@ -184,13 +141,8 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread",
     rewrites = ()
     before = after = None
     if pipe.enabled:
-        span = session.span(f"ir.pipeline.{program.name}") if session else None
-        if span is not None:
-            with span:
-                before = program_cost(program, machine)
-                program, rewrites = pipe.run(program, machine)
-                after = program_cost(program, machine)
-        else:
+        span = session.span(f"ir.pipeline.{program.name}") if session else nullcontext()
+        with span:
             before = program_cost(program, machine)
             program, rewrites = pipe.run(program, machine)
             after = program_cost(program, machine)

@@ -1,11 +1,12 @@
 """The communication-pattern op vocabulary (ROADMAP item 4).
 
 Every op is a frozen dataclass naming one transport verb (or one unit of
-local work) over the existing spec vocabulary — :class:`HaloSpec`,
-:class:`BatchSpec`, :class:`AtomicDomainSpec`.  An op exists for what a
-builder constructs and a pass or :mod:`repro.ir.cost` reads; the mailbox
-and single-atomic verbs only data-dependent rank programs issue (SpTRSV,
-the atomics hashtable) are endpoint calls, never ops.
+local work) over the two patterns a pass rewrites: the halo exchange
+(:class:`HaloSpec`) and the batch flood (:class:`BatchSpec`).  An op
+exists for what a builder constructs and a pass or :mod:`repro.ir.cost`
+reads; the verbs of a program no pass can rewrite (SpTRSV, the
+hashtable, the CAS flood, the collectives) are endpoint calls in a plain
+rank program, never ops.
 Programs (:mod:`repro.ir.program`) group ops into per-iteration regions;
 the interpreter (:mod:`repro.ir.lower`) maps each op onto exactly the
 endpoint-verb calls the hand-written runners used to make, so a lowering
@@ -13,7 +14,7 @@ with no passes applied is byte-identical to the pre-IR runners.
 
 Value/callback fields are ``compare=False``: two ops are equal when they
 describe the same *pattern*, regardless of which closures carry the
-payload.  Callables in ``values``/``payload`` positions are resolved at
+payload.  A callable in a ``values`` position is resolved at
 lowering time against the per-rank ``state`` dict, which is how
 execute-mode programs read arrays that only exist once the job runs.
 """
@@ -30,15 +31,8 @@ __all__ = [
     "HaloFinish",
     "BatchSend",
     "BatchWait",
-    "TripletSend",
-    "TripletSendAgg",
-    "TripletRecv",
-    "TripletRecvAgg",
-    "MsgDrain",
-    "AtomicStream",
     "Compute",
     "Barrier",
-    "AllreduceSum",
 ]
 
 
@@ -108,79 +102,6 @@ class BatchWait(Op):
 
 
 # ---------------------------------------------------------------------------
-# tagged small messages (AtomicDomainSpec post_msg/recv_msg_poll)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TripletSend(Op):
-    """One tagged ``post_msg`` carrying a small tuple payload."""
-
-    dst: int
-    nbytes: float
-    tag: int
-    payload: Any = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class TripletSendAgg(Op):
-    """Coalesced form: ``count`` triplets to ``dst`` in one message.
-
-    ``payloads`` is a tuple of the original payload tuples; the receiver's
-    :class:`TripletRecvAgg` hands them to the handler one at a time, so
-    per-payload semantics are unchanged — only the message count drops.
-    """
-
-    dst: int
-    nbytes: float
-    tag: int
-    count: int
-    payloads: tuple = field(default=(), compare=False)
-
-
-@dataclass(frozen=True)
-class TripletRecv(Op):
-    """Poll-receive one tagged message; ``on_payload(state, payload)``."""
-
-    tag: int
-    on_payload: Callable[[dict, Any], None] | None = field(
-        default=None, compare=False
-    )
-
-
-@dataclass(frozen=True)
-class TripletRecvAgg(Op):
-    """Receive one coalesced message and unpack every inner payload."""
-
-    tag: int
-    on_payload: Callable[[dict, Any], None] | None = field(
-        default=None, compare=False
-    )
-
-
-@dataclass(frozen=True)
-class MsgDrain(Op):
-    """Complete all outstanding sends on the endpoint (``ep.drain``)."""
-
-
-# ---------------------------------------------------------------------------
-# atomics (AtomicDomainSpec)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AtomicStream(Op):
-    """Back-to-back CAS stream on one remote location (``ep.cas_stream``)."""
-
-    space: str
-    dst: int
-    offset: int
-    n: int
-    ops: tuple = field(default=(), compare=False)
-    out: str | None = None  # state key for the returned old-value list
-
-
-# ---------------------------------------------------------------------------
 # local work and job-wide sync
 # ---------------------------------------------------------------------------
 
@@ -206,10 +127,3 @@ class Compute(Op):
 @dataclass(frozen=True)
 class Barrier(Op):
     """Job-wide barrier (``ctx.barrier()``)."""
-
-
-@dataclass(frozen=True)
-class AllreduceSum(Op):
-    """Job-wide sum; ``value(state) -> float`` resolved at lowering time."""
-
-    value: Callable[[dict], float] | None = field(default=None, compare=False)

@@ -82,50 +82,26 @@ def _map_regions(program: IRProgram, fn) -> IRProgram:
 
 
 class CoalescePass(Pass):
-    """Merge homogeneous small messages into one bulk-engine message.
+    """Merge a flood's small messages into one bulk-engine message.
 
-    Two shapes:
-
-    * **batch**: ``BatchSend(dst, it, n)`` against ``BatchWait(src, it,
-      n)`` becomes a batch of one ``n * nbytes`` message (``n=1`` on both
-      ops, the spec itself rewritten), which every backend's batch
-      channel already handles.  Fires only when n is uniform across the
-      program (the spec is global), n >= 2, and the merged message stays
-      under 4 MiB.
-    * **triplet**: k same-``(src, dst, tag)`` ``TripletSend`` ops in one
-      region become a single ``TripletSendAgg`` carrying every payload;
-      the receiver's k ``TripletRecv`` ops become one ``TripletRecvAgg``
-      per aggregated sender, applied through the *same* per-payload
-      handler — values and collision counts are order-independent, so
-      execute-mode results are unchanged.
+    ``BatchSend(dst, it, n)`` against ``BatchWait(src, it, n)`` becomes a
+    batch of one ``n * nbytes`` message (``n=1`` on both ops, the spec
+    itself rewritten), which every backend's batch channel already
+    handles.  Fires only when n is uniform across the program (the spec
+    is global), n >= 2, and the merged message stays under 4 MiB.
     """
 
     name = "coalesce"
 
     def run(self, program, machine):
-        rewrites = []
         p2 = self._batch(program)
-        if p2 is not None:
-            rewrites.append(self._record(
-                program, p2, machine, "batch",
-                count=sum(1 for _ in p2.regions),
-                detail=(
-                    f"{program.spec.nbytes} B x n -> "
-                    f"{p2.spec.nbytes} B x 1 per sync"
-                ),
-            ))
-            program = p2
-        p3, merged = self._triplets(program)
-        if merged:
-            rewrites.append(self._record(
-                program, p3, machine, "triplet",
-                count=merged,
-                detail=f"{merged} tagged sends aggregated per (src, dst)",
-            ))
-            program = p3
-        return program, rewrites
-
-    # -- batch shape --------------------------------------------------
+        if p2 is None:
+            return program, []
+        return p2, [self._record(
+            program, p2, machine, "batch",
+            count=len(p2.regions),
+            detail=f"{program.spec.nbytes} B x n -> {p2.spec.nbytes} B x 1 per sync",
+        )]
 
     def _batch(self, program):
         spec = program.spec
@@ -158,82 +134,6 @@ class CoalescePass(Pass):
         return p2.with_(
             spec=dataclasses.replace(spec, nbytes=n * spec.nbytes)
         )
-
-    # -- triplet shape ------------------------------------------------
-
-    def _triplets(self, program):
-        merged_total = 0
-        new_regions = []
-        for region in program.regions:
-            # sends per (src, dst, tag) and recv counts per (rank, tag)
-            groups: dict[tuple[int, int, int], list[O.TripletSend]] = {}
-            for src, ops in enumerate(region.body):
-                for op in ops:
-                    if isinstance(op, O.TripletSend):
-                        groups.setdefault((src, op.dst, op.tag), []).append(op)
-            hot_tags = {
-                tag for (_, _, tag), sends in groups.items()
-                if len(sends) >= 2
-            }
-            if not hot_tags:
-                new_regions.append(region)
-                continue
-            senders_to: dict[tuple[int, int], int] = {}
-            for (src, dst, tag), sends in groups.items():
-                if tag in hot_tags:
-                    senders_to[(dst, tag)] = senders_to.get((dst, tag), 0) + 1
-                    merged_total += len(sends)
-            body = []
-            for rank, ops in enumerate(region.body):
-                out: list[O.Op] = []
-                last_send: dict[tuple[int, int], int] = {}
-                for op in ops:
-                    if isinstance(op, O.TripletSend) and op.tag in hot_tags:
-                        last_send[(op.dst, op.tag)] = len(out)
-                        out.append(op)  # placeholder; replaced below
-                    else:
-                        out.append(op)
-                # Replace each group's last send with the aggregate and
-                # drop the rest (the aggregate carries every payload, so
-                # batching completes where the last original send sat).
-                for (dst, tag), pos in sorted(
-                    last_send.items(), key=lambda kv: kv[1]
-                ):
-                    sends = groups[(rank, dst, tag)]
-                    out[pos] = O.TripletSendAgg(
-                        dst=dst,
-                        nbytes=float(sum(s.nbytes for s in sends)),
-                        tag=tag,
-                        count=len(sends),
-                        payloads=tuple(s.payload for s in sends),
-                    )
-                out = [
-                    op for i, op in enumerate(out)
-                    if not (isinstance(op, O.TripletSend)
-                            and op.tag in hot_tags)
-                ]
-                # Fold the recv side: k polls become one per agg sender.
-                for tag in sorted(hot_tags):
-                    tagged = [
-                        (i, op) for i, op in enumerate(out)
-                        if isinstance(op, O.TripletRecv) and op.tag == tag
-                    ]
-                    if not tagged:
-                        continue
-                    first_i, first_op = tagged[0]
-                    n_agg = senders_to.get((rank, tag), 0)
-                    drop = {i for i, _ in tagged}
-                    out = [op for i, op in enumerate(out) if i not in drop]
-                    aggs = [
-                        O.TripletRecvAgg(tag=tag, on_payload=first_op.on_payload)
-                        for _ in range(n_agg)
-                    ]
-                    out[first_i:first_i] = aggs
-                body.append(tuple(out))
-            new_regions.append(Region(region.name, tuple(body)))
-        if not merged_total:
-            return program, 0
-        return program.with_(regions=tuple(new_regions)), merged_total
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +276,14 @@ class SyncElidePass(Pass):
 
 
 class AutoBackendPass(Pass):
-    """Retarget a portable program to the cheapest backend on this machine.
+    """Retarget a program to the cheapest backend on this machine.
 
     Reuses the collectives selector's Hockney grounding: every
     registered backend whose cost profile exists in
     ``machine.runtimes`` is scored with :func:`program_cost`; the argmin
-    wins, with ties going to the incumbent.  Fires only on programs the
-    builder marked ``portable`` (backend-agnostic op vocabulary).
+    wins, with ties going to the incumbent.  Both patterns are written
+    once against the transport specs, with no backend-specific branch
+    baked in, so every program may be retargeted.
     """
 
     name = "auto-backend"
@@ -390,8 +291,6 @@ class AutoBackendPass(Pass):
     def run(self, program, machine):
         from repro.transport.registry import backend_names, get_backend
 
-        if not program.portable:
-            return program, []
         costs = []
         for name in backend_names():
             backend = get_backend(name)
@@ -423,11 +322,15 @@ class AutoBackendPass(Pass):
 # pipeline
 # ---------------------------------------------------------------------------
 
+# The registry, in the one order every pipeline runs its passes.
+# auto-backend precedes sync-elide: sync-elide branches on the *runtime's*
+# declared caps, so eliding after the retarget is what keeps a pipeline
+# idempotent (running it twice equals running it once).
 _PASSES = {
     "coalesce": CoalescePass,
     "overlap": OverlapPass,
-    "sync-elide": SyncElidePass,
     "auto-backend": AutoBackendPass,
+    "sync-elide": SyncElidePass,
 }
 
 DEFAULT_PASSES = ("coalesce", "overlap", "sync-elide")
@@ -435,63 +338,48 @@ DEFAULT_PASSES = ("coalesce", "overlap", "sync-elide")
 
 @dataclass(frozen=True)
 class PassPipeline:
-    """An ordered tuple of passes applied to every lowered program."""
+    """A set of built-in pass names, held (and run) in :data:`_PASSES` order."""
 
-    passes: tuple[Pass, ...]
+    passes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        unknown = [p for p in self.passes if p not in _PASSES]
+        if unknown:
+            raise ValueError(
+                f"unknown IR pass {unknown[0]!r}; valid: " + ", ".join(_PASSES)
+            )
+        object.__setattr__(
+            self, "passes", tuple(p for p in _PASSES if p in self.passes)
+        )
 
     @property
     def enabled(self) -> bool:
         return bool(self.passes)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.passes)
+        return self.passes
 
-    def fingerprint(self) -> list[str] | None:
-        """What a cache key says of this pipeline: its pass names — or None
-        (uncacheable) when a pass is not the built-in its name is registered to."""
-        if any(type(p) is not _PASSES.get(p.name) for p in self.passes):
-            return None
-        return list(self.names())
+    def fingerprint(self) -> list[str]:
+        """What a cache key says of this pipeline: its pass names."""
+        return list(self.passes)
 
     def run(self, program: IRProgram, machine):
         """Apply every pass in order; returns (program, rewrites)."""
         rewrites: list[Rewrite] = []
-        for p in self.passes:
-            program, rws = p.run(program, machine)
+        for name in self.passes:
+            program, rws = _PASSES[name]().run(program, machine)
             rewrites.extend(rws)
         return program, rewrites
 
 
 def build_pipeline(spec=True) -> PassPipeline:
-    """Normalise a pipeline spec: PassPipeline | bool | None | names.
+    """Normalise a pipeline spec: PassPipeline | bool | None | pass names.
 
-    One ordering constraint is enforced: ``auto-backend`` runs before
-    ``sync-elide`` whenever both are requested.  Retargeting changes the
-    program's runtime, and sync-elide branches on the *runtime's*
-    declared caps — eliding after the retarget is what keeps a pipeline
-    idempotent (running it twice equals running it once) now that
-    auto-backend can select caps-richer runtimes like
-    ``stream_triggered``.
+    ``True`` is :data:`DEFAULT_PASSES`; ``False`` / ``None`` the empty
+    pipeline.  Names are a set: their order and repeats do not matter.
     """
     if isinstance(spec, PassPipeline):
         return spec
     if spec is None or spec is False:
-        return PassPipeline(())
-    if spec is True:
-        spec = DEFAULT_PASSES
-    passes = []
-    for name in spec:
-        if isinstance(name, Pass):
-            passes.append(name)
-            continue
-        if name not in _PASSES:
-            raise ValueError(
-                f"unknown IR pass {name!r}; valid: " + ", ".join(_PASSES)
-            )
-        passes.append(_PASSES[name]())
-    names = [p.name for p in passes]
-    if "auto-backend" in names and "sync-elide" in names:
-        ab, se = names.index("auto-backend"), names.index("sync-elide")
-        if se < ab:
-            passes.insert(se, passes.pop(ab))
-    return PassPipeline(tuple(passes))
+        return PassPipeline()
+    return PassPipeline(tuple(DEFAULT_PASSES if spec is True else spec))

@@ -244,22 +244,20 @@ class MachineModel:
         flops: float = 0.0,
         *,
         sharing: int = 1,
-        on_gpu: bool = False,
     ) -> float:
         """Modelled time for local work touching ``nbytes`` of memory and
         executing ``flops`` floating-point operations.
 
-        ``sharing`` is how many ranks concurrently share the endpoint's
-        memory bandwidth (CPU ranks on one socket).  GPU ranks own their
-        device.  The model is roofline-style: ``max(bytes/bw, flops/rate)``.
+        A GPU machine computes on its devices (each rank owns one); a CPU
+        machine on cores, ``sharing`` of which concurrently share the
+        endpoint's memory bandwidth (CPU ranks on one socket).  The model
+        is roofline-style: ``max(bytes/bw, flops/rate)``.
         """
         check_non_negative("nbytes", nbytes)
         check_non_negative("flops", flops)
         if sharing < 1:
             raise ValueError(f"sharing must be >= 1, got {sharing}")
-        if on_gpu:
-            if self.gpu is None:
-                raise ValueError(f"machine {self.name!r} has no GPU spec")
+        if self.gpu is not None:
             bw = self.gpu.mem_bandwidth
             rate = self.gpu.flop_rate
         else:

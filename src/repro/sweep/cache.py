@@ -13,8 +13,9 @@ result:
 * every *carried* ambient scope that left its default
   (:func:`repro.scope.carried`: fault plan, pass pipeline, bulk switch),
   as its ``fingerprint()`` or, for a JSON scalar, itself.  Nothing ambient:
-  no entry, and the key older versions wrote; a value with no fingerprint:
-  no key (:meth:`ResultCache.key_for` returns None, the point is uncacheable).
+  no entry, and the key older versions wrote.  Every carried value has a
+  canonical fingerprint (a pass pipeline is a set of built-in names), so
+  every point has a key.
 
 Entries are one JSON file each under ``<root>/<key[:2]>/<key>.json``
 (git-friendly two-level fan-out).  Reads tolerate corrupt or truncated
@@ -52,12 +53,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.write_errors = 0
-        self.uncacheable = 0
         self._warned_write = False
 
-    def key_for(self, spec: SweepSpec, point: SweepPoint) -> str | None:
-        """The point's key under the current ambient state; None (counted in
-        ``uncacheable``) when a carried value has no canonical fingerprint."""
+    def key_for(self, spec: SweepSpec, point: SweepPoint) -> str:
+        """The point's key under the current ambient state."""
         payload = {
             "repro": __version__,
             "sweep": spec.name,
@@ -73,9 +72,6 @@ class ResultCache:
             name: value.fingerprint() if hasattr(value, "fingerprint") else value
             for name, value in scope.carried().items()
         }
-        if None in ambient.values():
-            self.uncacheable += 1
-            return None
         if ambient:
             payload["ambient"] = ambient
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

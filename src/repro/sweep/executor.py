@@ -215,7 +215,7 @@ def run_sweep(
         with span:
             for i, pt in enumerate(points):
                 key = cache.key_for(spec, pt) if cache is not None else None
-                if key is not None:  # no cache, or an uncacheable point
+                if key is not None:  # None: no cache
                     value = cache.get(key)
                     if value is not None:
                         results[i] = SweepResult(
@@ -255,8 +255,6 @@ def run_sweep(
         m.counter("sweep.points.completed").inc(len(points))
         m.counter("sweep.cache.hits").inc(hits)
         m.counter("sweep.cache.misses").inc(len(pending))
-        if cache is not None and (unkeyed := sum(k is None for _, _, k in pending)):
-            m.counter("sweep.cache.uncacheable").inc(unkeyed)
         m.gauge(f"sweep.{spec.name}.wall_seconds").set(wall)
         m.gauge(f"sweep.{spec.name}.utilization").set(stats.utilization)
         hist = m.histogram("sweep.point.seconds", _POINT_SECONDS_EDGES)
@@ -277,7 +275,7 @@ def _store(
     value: dict[str, Any],
     duration: float,
 ) -> None:
-    if cache is not None and key is not None:
+    if cache is not None:
         cache.put(key, value)
     results[i] = SweepResult(pt, value, cached=False, duration=duration)
 

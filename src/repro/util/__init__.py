@@ -1,4 +1,4 @@
-"""Shared utilities: units, table rendering, validation, statistics."""
+"""Shared utilities: units, table rendering, validation."""
 
 from repro.util.units import (
     KB,
@@ -21,7 +21,6 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
 )
-from repro.util.stats import Summary, percentile, speedup, summarize
 
 __all__ = [
     "KB",
@@ -42,8 +41,4 @@ __all__ = [
     "check_in_range",
     "check_non_negative",
     "check_positive",
-    "Summary",
-    "percentile",
-    "speedup",
-    "summarize",
 ]

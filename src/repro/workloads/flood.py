@@ -20,7 +20,9 @@ messages into one ``n * nbytes`` message per sync, and auto-backend may
 retarget the whole program.  With passes off the lowering is
 byte-identical to the pre-IR hand-written generator.
 
-There is also an atomic-CAS flood for the Fig. 4 compare-and-swap series.
+There is also an atomic-CAS flood for the Fig. 4 compare-and-swap series:
+one back-to-back ``cas_stream`` from rank 0, a plain rank program (no pass
+rewrites a single stream, so it is not IR).
 
 Bandwidth is measured at the *receiver* (time from batch start to the data
 being usable), which is what the paper's sustained-bandwidth plots show.
@@ -33,9 +35,10 @@ from numbers import Integral
 
 import numpy as np
 
+from repro.comm.job import Job
 from repro.ir import ops as O
 from repro.ir.lower import run_program
-from repro.ir.program import IRProgram, region_for_all, static_program
+from repro.ir.program import IRProgram, region_for_all
 from repro.machines.base import MachineModel
 from repro.roofline.fit import FloodSample
 from repro.transport import AtomicDomainSpec, BatchSpec, SpaceSpec
@@ -43,7 +46,6 @@ from repro.transport import AtomicDomainSpec, BatchSpec, SpaceSpec
 __all__ = [
     "FloodResult",
     "build_flood_program",
-    "build_cas_flood_program",
     "run_flood",
     "run_cas_flood",
 ]
@@ -88,16 +90,7 @@ def build_flood_program(
         region_for_all(f"iter{it}", nranks, lambda r, it=it: per_rank(r, it))
         for it in range(iters)
     ]
-    return static_program(
-        "flood",
-        BatchSpec(nbytes=nbytes),
-        nranks,
-        runtime,
-        prologue=[O.Barrier()],
-        regions=regions,
-        portable=True,
-        meta={"nbytes": nbytes, "msgs_per_sync": n, "iters": iters},
-    )
+    return IRProgram("flood", BatchSpec(nbytes=nbytes), nranks, runtime, tuple(regions))
 
 
 def run_flood(
@@ -122,8 +115,8 @@ def run_flood(
         )
     if not isinstance(iters, Integral) or iters < 1:
         raise ValueError(f"flood iters must be an integer >= 1, got {iters}")
-    if nranks < 2:
-        raise ValueError(f"flood nranks must be >= 2, got {nranks}")
+    if not isinstance(nranks, Integral) or nranks < 2:
+        raise ValueError(f"flood nranks must be an integer >= 2, got {nranks}")
     program = build_flood_program(
         runtime, nbytes, msgs_per_sync, iters=iters, nranks=nranks
     )
@@ -149,32 +142,20 @@ def run_flood(
     )
 
 
-def build_cas_flood_program(
-    runtime: str, *, n_ops: int, target_rank: int, nranks: int = 2,
-) -> IRProgram:
-    """Back-to-back remote CAS stream, rank 0 -> target (Fig. 4 series)."""
-    ops = tuple((i, i + 1) for i in range(n_ops))
+# The CAS flood's one remote location: a single int64 counter per rank.
+_CAS_SPEC = AtomicDomainSpec(spaces={"ctr": SpaceSpec(8, dtype=np.int64, fill=0)})
 
-    def per_rank(rank: int):
-        if rank == 0:
-            return [O.AtomicStream(
-                "ctr", target_rank, 0, n=n_ops, ops=ops
-            )]
-        return []  # target rank is passive
 
-    def finalize(ctx, state, elapsed):
-        return elapsed if ctx.rank == 0 else 0.0
-
-    return static_program(
-        "cas_flood",
-        AtomicDomainSpec(spaces={"ctr": SpaceSpec(8, dtype=np.int64, fill=0)}),
-        nranks,
-        runtime,
-        prologue=[O.Barrier()],
-        regions=[region_for_all("stream", nranks, per_rank)],
-        finalize=finalize,
-        meta={"n_ops": n_ops, "target_rank": target_rank},
-    )
+def _cas_stream_rank(ctx, chan, target_rank: int, n_ops: int):
+    """Back-to-back remote CAS stream, rank 0 -> target (Fig. 4 series);
+    every other rank only joins the opening barrier."""
+    ep = chan.endpoint(ctx)
+    yield from ctx.barrier()
+    if ctx.rank != 0:
+        return 0.0
+    t0 = ctx.sim.now
+    yield from ep.cas_stream("ctr", target_rank, 0, [(i, i + 1) for i in range(n_ops)])
+    return ctx.sim.now - t0
 
 
 def run_cas_flood(
@@ -192,16 +173,16 @@ def run_cas_flood(
     """
     if not isinstance(n_ops, Integral) or n_ops < 1:
         raise ValueError(f"cas flood n_ops must be >= 1, got {n_ops} (an integer count)")
+    if not isinstance(nranks, Integral) or nranks < 2:
+        raise ValueError(f"cas flood nranks must be an integer >= 2, got {nranks}")
     if not 0 < target_rank < nranks:
         raise ValueError(f"target_rank {target_rank} out of range (1..{nranks - 1})")
-    program = build_cas_flood_program(
-        runtime, n_ops=n_ops, target_rank=target_rank, nranks=nranks
-    )
-    run = run_program(machine, program, placement="spread")
-    elapsed = run.result.results[0]
+    job = Job(machine, nranks, runtime, placement="spread")
+    result = job.run(_cas_stream_rank, job.channel(_CAS_SPEC), target_rank, n_ops)
+    elapsed = result.results[0]
     return {
         "machine": machine.name,
-        "runtime": run.job.runtime_name,
+        "runtime": job.runtime_name,
         "ops": n_ops,
         "time": elapsed,
         "latency_per_cas": elapsed / n_ops,

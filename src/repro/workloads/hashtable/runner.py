@@ -15,7 +15,8 @@ sequence — see docs/TRANSPORT.md):
   insert count.
 * **without** (two-sided): each insert travels as a ``(ID, elem, pos)``
   triplet (3 words, per Table II) to its owner, which applies it locally;
-  ranks synchronise every P inserts (Table II's P messages per sync), so
+  ranks synchronise after every insert round, one insert per rank (Table
+  II's P messages per sync), so
   each round costs a ~log2(P) termination exchange on top of the messages —
   this is the log-P per-insert growth the paper's §III-C analysis assigns
   to the two-sided design, and why one-sided wins at scale but loses at
@@ -36,12 +37,8 @@ from numbers import Integral
 import numpy as np
 
 from repro.comm.job import Job
-from repro.ir import ops as O
-from repro.ir.lower import run_program
-from repro.ir.program import IRProgram, Region, static_program
 from repro.machines.base import MachineModel
 from repro.transport import AtomicDomainSpec, SpaceSpec
-from repro.transport.registry import get_backend
 from repro.workloads.base import WorkloadResult
 from repro.workloads.hashtable.table import (
     EMPTY,
@@ -52,7 +49,6 @@ from repro.workloads.hashtable.table import (
 
 __all__ = [
     "HashTableConfig",
-    "build_hashtable_program",
     "generate_keys",
     "run_hashtable",
 ]
@@ -65,19 +61,12 @@ class HashTableConfig:
     total_inserts: int = 20_000
     load_factor: float = 0.6
     seed: int = 0
-    # Two-sided: inserts per rank between synchronisation rounds.  One
-    # insert per rank per round matches Table II (P messages per sync
-    # globally) and makes the log2(P) round-synchronisation cost dominate
-    # at high P — the paper's two-sided scaling penalty.
-    sync_window: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("total_inserts", "sync_window"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
-                raise ValueError(
-                    f"hashtable {name} must be an integer >= 1, got {value}"
-                )
+        if not isinstance(self.total_inserts, Integral) or self.total_inserts < 1:
+            raise ValueError(
+                f"hashtable total_inserts must be an integer >= 1, got {self.total_inserts}"
+            )
         if not 0 < self.load_factor <= 1:
             raise ValueError("load_factor in (0, 1]")
 
@@ -106,7 +95,7 @@ def generate_keys(cfg: HashTableConfig, nranks: int) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the one program (runtime comes from the channel's backend)
+# the two algorithms (the channel's backend picks one)
 # ---------------------------------------------------------------------------
 
 
@@ -124,10 +113,9 @@ def _domain_spec(geom: TableGeometry) -> AtomicDomainSpec:
 def _atomics_rank(ctx, chan, geom: TableGeometry, keys_by_rank, homes):
     """Sender's-control inserts: CAS / increment / second-atomic.
 
-    A rank program over the atomic endpoint's verbs, not an
-    :class:`IRProgram` — the CAS result steers collision handling, so the
-    op stream only exists at run time and no pass or cost model could
-    read it."""
+    A rank program over the atomic endpoint's verbs, not an IR program —
+    the CAS result steers collision handling, so the op stream only
+    exists at run time and no pass or cost model could read it."""
     ep = chan.endpoint(ctx)
     owners, slots = homes[ctx.rank]
     inserts = zip(keys_by_rank[ctx.rank].tolist(), owners.tolist(), slots.tolist())
@@ -153,106 +141,57 @@ def _atomics_rank(ctx, chan, geom: TableGeometry, keys_by_rank, homes):
     return {"time": insert_time, "collisions": collisions}
 
 
-def _insert_fn(key: int, s: int):
-    return lambda st: local_insert(
-        key, s, st["table"], st["chain"], st["heap"], st["meta"]
-    )
+def _owner_routed_rank(ctx, chan, keys_by_rank, homes, incoming):
+    """Owner-routed inserts, the algorithm of a backend without remote
+    atomics: per round, this rank's next key is inserted locally or sent
+    to its owner as a ``(ID, elem, pos)`` triplet; then the round's
+    ``incoming`` triplets are polled in and applied (GUPS-style codes poll
+    ``MPI_Recv`` in a tight loop rather than descheduling per message),
+    and the round closes with a termination allreduce.  Sends drain inside
+    the timed window; the trailing barrier is outside it."""
+    ep = chan.endpoint(ctx)
+    spaces = [ep.local(space) for space in ("table", "chain", "heap", "meta")]
+    rank = ctx.rank
+    owners, slots = homes[rank]
+    inserts = list(zip(keys_by_rank[rank].tolist(), owners.tolist(), slots.tolist()))
+    yield from ctx.barrier()
+    t0 = ctx.sim.now
+    for rnd, expected in enumerate(incoming[rank]):
+        if rnd < len(inserts):
+            key, r, s = inserts[rnd]
+            if r == rank:
+                local_insert(key, s, *spaces)
+                yield from ctx.compute(nbytes=64.0)
+            else:
+                yield from ep.post_msg(r, nbytes=24.0, tag=1, payload=(r, key, s))
+        for _ in range(expected):
+            rid, key, s = yield from ep.recv_msg_poll(tag=1)
+            if rid != rank:
+                raise RuntimeError("triplet routed to the wrong owner")
+            local_insert(key, s, *spaces)
+            yield from ctx.compute(nbytes=64.0)
+        # Round synchronisation: termination/quiescence exchange.
+        yield from ctx.allreduce_sum(float(expected))
+    yield from ep.drain()
+    insert_time = ctx.sim.now - t0
+    yield from ctx.barrier()
+    return {"time": insert_time, "collisions": 0}
 
 
-def _recv_handler(state: dict, payload) -> None:
-    rid, key, s = payload
-    if rid != state["ctx"].rank:
-        raise RuntimeError("triplet routed to the wrong owner")
-    local_insert(key, s, state["table"], state["chain"], state["heap"],
-                 state["meta"])
-
-
-def build_hashtable_program(
-    runtime: str, geom: TableGeometry, keys_by_rank, window: int, nranks: int,
-) -> IRProgram:
-    """Emit the owner-routed insert pattern — the algorithm of a backend
-    without remote atomics — as IR: triplets with per-round
-    synchronisation, one region per round, then a drain region (inside the
-    timed window) and the trailing barrier in the epilogue (outside it),
-    matching the hand-written measurement exactly.
-
-    Every key is hashed here, once: the ``(keys, owners, slots)`` lists per
-    inserting rank are the triplets, the owner arrays the round plan."""
-    spec = _domain_spec(geom)
-    meta = {"total_keys": sum(len(k) for k in keys_by_rank), "window": window}
-    homes = [geom.locate_many(keys) for keys in keys_by_rank]
-    triplets = [
-        (keys.tolist(), owners.tolist(), slots.tolist())
-        for keys, (owners, slots) in zip(keys_by_rank, homes)
-    ]
-
-    def setup(ctx, chan, ep, state):
-        for space in ("table", "chain", "heap", "meta"):
-            state[space] = ep.local(space)
-
-    incoming_per_round = _plan_rounds(
-        [owners for owners, _slots in homes], nranks, window
-    )
-    nrounds = len(incoming_per_round[0]) if nranks else 0
-    # Hot-loop receive: GUPS-style codes poll MPI_Recv in a tight loop
-    # rather than descheduling per message.  The pair is the same for every
-    # incoming triplet (ops are frozen), so it is built once.
-    take_one = (O.TripletRecv(1, on_payload=_recv_handler), O.Compute(nbytes=64.0))
-    regions = []
-    for rnd in range(nrounds):
-        body = []
-        lo, hi = rnd * window, (rnd + 1) * window
-        for rank in range(nranks):
-            my_keys, owners, slots = triplets[rank]
-            ops: list[O.Op] = []
-            for key, r, s in zip(my_keys[lo:hi], owners[lo:hi], slots[lo:hi]):
-                if r == rank:
-                    ops.append(O.Compute(nbytes=64.0, fn=_insert_fn(key, s)))
-                else:
-                    ops.append(O.TripletSend(r, 24.0, 1, payload=(r, key, s)))
-            expected = incoming_per_round[rank][rnd]
-            ops.extend(take_one * expected)
-            # Round synchronisation: termination/quiescence exchange.
-            ops.append(O.AllreduceSum(float(expected)))
-            body.append(tuple(ops))
-        regions.append(Region(f"round{rnd}", tuple(body)))
-    regions.append(Region("drain", tuple((O.MsgDrain(),) for _ in range(nranks))))
-
-    def finalize(ctx, state, elapsed):
-        return {"time": elapsed, "collisions": 0}
-
-    return static_program(
-        "hashtable",
-        spec,
-        nranks,
-        runtime,
-        prologue=[O.Barrier()],
-        regions=regions,
-        epilogue=[O.Barrier()],
-        setup=setup,
-        finalize=finalize,
-        meta=meta,
-    )
-
-
-def _plan_rounds(
-    owners_by_rank: list[np.ndarray], nranks: int, window: int
-) -> list[list[int]]:
-    """Per-rank, per-round incoming message counts (static schedule), from
-    the owner rank of each sender's keys in insert order.
+def _incoming_per_round(homes, nranks: int) -> list[list[int]]:
+    """Per-rank, per-round incoming triplet counts (static schedule), from
+    the owner rank of each sender's keys in insert order, one insert per
+    rank per round.
 
     Receivers must know how many triplets to expect each round; computing
     the counts up front models the counting handshake real codes do without
     simulating a termination-detection protocol.
     """
-    nrounds = max(
-        ((len(owners) + window - 1) // window for owners in owners_by_rank),
-        default=0,
-    )
+    nrounds = max((len(owners) for owners, _slots in homes), default=0)
     counts = np.zeros((nranks, nrounds), dtype=np.int64)
-    for src, owners in enumerate(owners_by_rank):
+    for src, (owners, _slots) in enumerate(homes):
         remote = np.flatnonzero(owners != src)
-        np.add.at(counts, (owners[remote], remote // window), 1)
+        np.add.at(counts, (owners[remote], remote), 1)
     return counts.tolist()
 
 
@@ -283,19 +222,18 @@ def run_hashtable(
     keys_by_rank = generate_keys(cfg, nranks)
     if placement is None:
         placement = "spread" if machine.is_gpu_machine else "block"
-    # The algorithm is the backend's capability, not an op sequence: remote
-    # atomics insert from the sender, anything else routes to the owner.
-    if get_backend(runtime).caps.remote_atomics:
-        job = Job(machine, nranks, runtime, placement=placement)
-        chan = job.channel(_domain_spec(geom))
-        homes = [geom.locate_many(keys) for keys in keys_by_rank]
+    job = Job(machine, nranks, runtime, placement=placement)
+    chan = job.channel(_domain_spec(geom))
+    # Every key is hashed here, once: ``homes`` holds each inserting rank's
+    # (owners, slots).  The algorithm is the backend's capability, not an
+    # op sequence: remote atomics insert from the sender, anything else
+    # routes to the owner.
+    homes = [geom.locate_many(keys) for keys in keys_by_rank]
+    if chan.caps.remote_atomics:
         result = job.run(_atomics_rank, chan, geom, keys_by_rank, homes)
     else:
-        program = build_hashtable_program(
-            runtime, geom, keys_by_rank, cfg.sync_window, nranks
-        )
-        run = run_program(machine, program, placement=placement)
-        job, chan, result = run.job, run.chan, run.result
+        incoming = _incoming_per_round(homes, nranks)
+        result = job.run(_owner_routed_rank, chan, keys_by_rank, homes, incoming)
     tables = [chan.array("table", r) for r in range(nranks)]
     chains = [chan.array("chain", r) for r in range(nranks)]
     heaps = [chan.array("heap", r) for r in range(nranks)]

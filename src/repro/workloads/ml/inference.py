@@ -95,11 +95,10 @@ def run_kv_transfer(
     )
     job = Job(machine, nranks, runtime, placement=placement)
     comm = CollectiveComm(job, [plan])
-    on_gpu = machine.is_gpu_machine
-    t_prefill = machine.compute_time(0.0, flops_prefill, on_gpu=on_gpu)
+    t_prefill = machine.compute_time(0.0, flops_prefill)
     # Decode re-reads the whole cache each step: the bytes term competes
     # with the matmul term in the roofline max().
-    t_decode_step = machine.compute_time(kv_bytes, flops_decode, on_gpu=on_gpu)
+    t_decode_step = machine.compute_time(kv_bytes, flops_decode)
     with job.spans.span("ml:kv_transfer"):
         res = job.run(_program, comm, t_prefill, t_decode_step, decode_tokens)
     barrier = job._barrier_delay

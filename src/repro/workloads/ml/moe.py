@@ -75,7 +75,7 @@ def run_moe_dispatch(
         raise CollectiveError(f"nranks must be >= 1, got {nranks}")
     for name, value, low in (
         ("tokens_per_rank", tokens_per_rank, nranks), ("hidden", hidden, 1),
-        ("ffn_mult", ffn_mult, 1),
+        ("ffn_mult", ffn_mult, 1), ("iters", iters, 1),
     ):
         if not isinstance(value, Integral) or value < low:
             raise CollectiveError(f"moe {name} must be an integer >= {low}, got {value}")
@@ -95,7 +95,7 @@ def run_moe_dispatch(
         resolved = plan.algorithm if resolved is None else resolved
     job = Job(machine, nranks, runtime, placement=placement)
     comm = CollectiveComm(job, plans)
-    t_expert = machine.compute_time(0.0, flops, on_gpu=machine.is_gpu_machine)
+    t_expert = machine.compute_time(0.0, flops)
     with job.spans.span("ml:moe_dispatch"):
         res = job.run(_program, comm, iters, t_expert)
     elapsed = max(res.results)

@@ -114,7 +114,9 @@ def run_training_step(
     """
     if not _WORD <= grad_bytes < float("inf"):
         raise CollectiveError(f"grad_bytes must be finite and >= {_WORD}, got {grad_bytes}")
-    for name, value in (("buckets", buckets), ("tokens_per_rank", tokens_per_rank)):
+    for name, value in (
+        ("buckets", buckets), ("tokens_per_rank", tokens_per_rank), ("iters", iters),
+    ):
         if not isinstance(value, Integral) or value < 1:
             raise CollectiveError(f"training {name} must be an integer >= 1, got {value}")
     params = grad_bytes / 4.0  # fp32 parameters
@@ -139,8 +141,8 @@ def run_training_step(
     job = Job(machine, nranks, runtime, placement=placement)
     comm = CollectiveComm(job, plans)
     # All replicas are symmetric: charge fwd (2/6) and bwd (4/6) once.
-    t_fwd = machine.compute_time(0.0, flops / 3.0, on_gpu=machine.is_gpu_machine)
-    t_bwd = machine.compute_time(0.0, 2.0 * flops / 3.0, on_gpu=machine.is_gpu_machine)
+    t_fwd = machine.compute_time(0.0, flops / 3.0)
+    t_bwd = machine.compute_time(0.0, 2.0 * flops / 3.0)
     with job.spans.span("ml:training_step"):
         res = job.run(_program, comm, iters, buckets, t_fwd, t_bwd)
     elapsed = max(res.results)

@@ -17,9 +17,11 @@ pipeline we cannot rerun, so this module generates matrices with the same
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -49,14 +51,18 @@ class MatrixSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_supernodes < 2:
-            raise ValueError("need at least 2 supernodes")
-        if not 1 <= self.width_lo <= self.width_hi:
+        for name, low in (("n_supernodes", 2), ("width_lo", 1), ("width_hi", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(f"matrix {name} must be an integer >= {low}, got {value}")
+        if self.width_lo > self.width_hi:
             raise ValueError(f"bad width range [{self.width_lo}, {self.width_hi}]")
         if not 0 < self.block_density <= 1:
             raise ValueError(f"block_density must be in (0, 1], got {self.block_density}")
-        if self.density_range <= 0:
-            raise ValueError("density_range must be positive")
+        if not 0 < self.density_range < math.inf:
+            raise ValueError(
+                f"matrix density_range must be finite and > 0, got {self.density_range}"
+            )
 
 
 @dataclass

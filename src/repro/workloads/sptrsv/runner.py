@@ -84,7 +84,7 @@ class _SolveState:
         self.m = plan.matrix
         self.execute = execute
         self.b = b
-        self.eff_bw = SPARSE_GPU_BW if ctx.on_gpu else SPARSE_CPU_BW
+        self.eff_bw = SPARSE_GPU_BW if ctx.machine.is_gpu_machine else SPARSE_CPU_BW
         self.x: dict[int, np.ndarray | None] = {}
         self.acc: dict[int, np.ndarray | None] = {}
         self.count: dict[int, int] = {}

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.ir import ops as O
 from repro.ir.lower import run_program
-from repro.ir.program import IRProgram, Region, static_program
+from repro.ir.program import IRProgram, Region
 from repro.machines.base import MachineModel
 from repro.transport import HaloSpec
 from repro.workloads.base import WorkloadResult
@@ -255,18 +255,9 @@ def build_stencil_program(
             "block": local[1:-1, 1:-1] if local is not None else None,
         }
 
-    return static_program(
-        "stencil",
-        spec,
-        nranks,
-        runtime,
-        prologue=[O.Barrier()],
-        regions=regions,
-        setup=setup,
-        finalize=finalize,
-        portable=True,
-        meta={"execute": execute, "iters": cfg.iters,
-              "grid": f"{grid.px}x{grid.py}"},
+    return IRProgram(
+        "stencil", spec, nranks, runtime, tuple(regions),
+        setup=setup, finalize=finalize,
     )
 
 
@@ -285,6 +276,8 @@ def run_stencil(
     mode the assembled global field is returned in ``extras["field"]`` for
     verification.
     """
+    if not isinstance(nranks, Integral) or nranks < 1:
+        raise ValueError(f"stencil nranks must be an integer >= 1, got {nranks}")
     grid = grid if grid is not None else ProcessGrid.square_ish(nranks)
     if grid.nranks != nranks:
         raise ValueError(f"grid {grid.px}x{grid.py} != nranks {nranks}")

@@ -20,7 +20,8 @@ from repro.machines import get_machine
 from repro.net import CongestionConfig, Fabric
 from repro.sim import NullTracer, Simulator
 from repro.workloads.flood import (
-    build_cas_flood_program,
+    _CAS_SPEC,
+    _cas_stream_rank,
     build_flood_program,
     run_cas_flood,
     run_flood,
@@ -117,25 +118,31 @@ def test_flood_parity_across_fabric_options(fabric_options, replayable):
     assert scalar == vector
 
 
+def _flood_events(machine, runtime):
+    def events(n):
+        program = build_flood_program(runtime, 64, n, iters=1)
+        return run_program(get_machine(machine), program).result.events_processed
+
+    return events
+
+
+def _cas_events(n):
+    """The CAS flood's rank program (one stream of ``n``) on a bare Job."""
+    job = Job(get_machine("perlmutter-cpu"), 2, "one_sided", placement="spread")
+    return job.run(_cas_stream_rank, job.channel(_CAS_SPEC), 1, n).events_processed
+
+
 @pytest.mark.parametrize(
-    "machine,build",
-    [
-        ("perlmutter-gpu", lambda n: build_flood_program("shmem", 64, n, iters=1)),
-        ("perlmutter-cpu", lambda n: build_flood_program("one_sided", 64, n, iters=1)),
-        (
-            "perlmutter-cpu",
-            lambda n: build_cas_flood_program("one_sided", n_ops=n, target_rank=1),
-        ),
-    ],
+    "events",
+    [_flood_events("perlmutter-gpu", "shmem"),
+     _flood_events("perlmutter-cpu", "one_sided"),
+     _cas_events],
     ids=["shmem-flood", "one_sided-flood", "one_sided-cas"],
 )
-def test_bulk_event_count_is_independent_of_batch_length(machine, build):
+def test_bulk_event_count_is_independent_of_batch_length(events):
     """What the engine buys, counted in simulator events instead of host
     seconds: a batch costs the same few events at any length, where the
     scalar chain pays at least one event per message."""
-
-    def events(n):
-        return run_program(get_machine(machine), build(n)).result.events_processed
 
     with perf.vectorized(True):
         assert events(256) == events(4096)

@@ -11,16 +11,10 @@ import pytest
 from repro import ir, obs
 from repro.ir import ops as O
 from repro.ir.cost import CostModel, program_cost
-from repro.ir.program import Region, region_for_all, static_program
+from repro.ir.program import IRProgram, Region, region_for_all
 from repro.machines.registry import get_machine
 from repro.workloads.flood import build_flood_program, run_flood
-from repro.workloads.hashtable.runner import (
-    HashTableConfig,
-    build_hashtable_program,
-    generate_keys,
-    run_hashtable,
-)
-from repro.workloads.hashtable.table import TableGeometry
+from repro.workloads.hashtable.runner import HashTableConfig, run_hashtable
 from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
 from repro.workloads.stencil.decomposition import ProcessGrid
 from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
@@ -28,29 +22,46 @@ from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 M = get_machine("perlmutter-cpu")
 
 
+def _callers() -> dict[str, set[str]]:
+    """Called name -> the ``src/repro`` files (relative paths) calling it."""
+    src = Path(ir.__file__).parents[1]
+    found: dict[str, set[str]] = {}
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                found.setdefault(called, set()).add(path.relative_to(src).as_posix())
+    return found
+
+
 class TestProgram:
     def test_flood_program_shape(self):
         p = build_flood_program("one_sided", 4096, 8, iters=2)
-        assert p.portable
         assert len(p.regions) == 2
-        r0 = p.regions[0].rank_ops(0)
-        assert r0 == (O.BatchSend(1, 0, 8), O.Barrier())
-        assert p.regions[1].rank_ops(1) == (O.BatchWait(0, 1, 8), O.Barrier())
-
-    def test_static_program_replicates_shared_prologue(self):
-        p = static_program(
-            "t", None, 3, "two_sided", prologue=[O.Barrier()], regions=[]
-        )
-        assert len(p.prologue) == 3
-        assert all(len(ops) == 1 for ops in p.prologue)
+        assert p.regions[0].body[0] == (O.BatchSend(1, 0, 8), O.Barrier())
+        assert p.regions[1].body[1] == (O.BatchWait(0, 1, 8), O.Barrier())
 
     def test_region_for_all(self):
         r = region_for_all("r", 2, lambda rank: [O.Barrier()])
         assert isinstance(r, Region) and len(r.body) == 2
 
-    def test_op_count(self):
-        p = build_flood_program("one_sided", 64, 4, iters=1)
-        assert p.op_count() > 0
+    def test_a_program_is_seven_fields(self):
+        """No per-rank prologue / epilogue, no notes, no portability flag:
+        the opening barrier is the lowering's, and every program may be
+        retargeted."""
+        assert [f.name for f in dataclasses.fields(IRProgram)] == [
+            "name", "spec", "nranks", "runtime", "regions", "setup", "finalize",
+        ]
+
+    def test_only_the_halo_and_batch_builders_build_programs(self):
+        assert _callers()["IRProgram"] == {
+            "workloads/flood.py", "workloads/stencil/runner.py",
+        }
+
+
+def _sweep_point(params, seed):
+    return {"v": params["x"]}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,7 +77,7 @@ class TestLoweringTable:
         from repro.ir.lower import LOWERINGS
 
         vocabulary = {getattr(O, name) for name in O.__all__} - {O.Op}
-        assert len(vocabulary) == 14
+        assert len(vocabulary) == 7
         assert vocabulary == set(LOWERINGS)
         assert all(callable(fn) for fn in LOWERINGS.values())
 
@@ -74,17 +85,9 @@ class TestLoweringTable:
         """An op exists for what a builder constructs and a pass or the
         cost model reads: a class only ``lower.py`` ever instantiates is a
         layer that forwards, not vocabulary."""
-        src = Path(ir.__file__).parents[1]
-        built = set()
-        for path in src.rglob("*.py"):
-            if path.name == "lower.py" and path.parent.name == "ir":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    fn = node.func
-                    built.add(fn.attr if isinstance(fn, ast.Attribute)
-                              else getattr(fn, "id", None))
-        assert set(O.__all__) - {"Op"} <= built
+        callers = _callers()
+        for name in set(O.__all__) - {"Op"}:
+            assert callers.get(name, set()) - {"ir/lower.py"}, name
 
     def test_unknown_op_raises_type_error(self):
         from repro.ir.lower import lowering_of
@@ -94,7 +97,7 @@ class TestLoweringTable:
 
     def test_static_program_with_unknown_op_fails_the_run(self):
         base = build_flood_program("two_sided", 64, 2, iters=1)
-        bad = base.with_(prologue=tuple((Teleport(),) for _ in range(base.nranks)))
+        bad = base.with_(regions=(region_for_all("bad", base.nranks, lambda r: [Teleport()]),))
         with pytest.raises(TypeError, match="no lowering for op Teleport"):
             ir.run_program(get_machine("perlmutter-cpu"), bad)
 
@@ -108,6 +111,29 @@ class TestPipeline:
         assert not ir.build_pipeline(False).enabled
         assert not ir.build_pipeline(None).enabled
         assert ir.build_pipeline(True).names() == ir.DEFAULT_PASSES
+
+    def test_pipeline_is_a_set(self, tmp_path):
+        """Names in any order (or repeated) are one pipeline, run in the one
+        canonical order, so a warm cache serves every spelling."""
+        from repro.sweep import ResultCache, SweepSpec, run_sweep
+
+        a = ir.build_pipeline(["overlap", "coalesce"])
+        b = ir.build_pipeline(["coalesce", "overlap", "coalesce"])
+        assert a == b and a.names() == ("coalesce", "overlap")
+        assert a.fingerprint() == b.fingerprint() == ["coalesce", "overlap"]
+        assert ir.build_pipeline(["sync-elide", "auto-backend"]) == ir.build_pipeline(
+            ["auto-backend", "sync-elide"]
+        )
+        spec = SweepSpec(
+            name="pipeline-set", runner=_sweep_point, points=[{"x": 1}, {"x": 2}]
+        )
+        cache = ResultCache(tmp_path)
+        with ir.passes(["overlap", "coalesce"]):
+            run_sweep(spec, cache=cache)
+        with ir.passes(["coalesce", "overlap"]):
+            warm = run_sweep(spec, cache=cache)
+        assert all(r.cached for r in warm)
+        assert (cache.hits, cache.misses) == (2, 2)
 
     def test_coalesce_respects_byte_cap(self):
         from repro.ir.pipeline import _COALESCE_BYTE_CAP
@@ -131,33 +157,39 @@ class TestPipeline:
         assert not_fired == []
 
     def test_coalesce_and_overlap_cut_modeled_cost(self):
-        """The message-aggregation win, >= 1.2x modeled: small puts under
-        one sync (one-sided flood) and owner-routed triplets under a
-        window wide enough to hold same-owner groups (two-sided
-        hashtable); the simulated flood follows the model down."""
-        cfg = HashTableConfig(total_inserts=2000, sync_window=16)
-        geom = TableGeometry.for_inserts(4, 2000, load_factor=cfg.load_factor)
-        keys = generate_keys(cfg, 4)
-        programs = [
-            build_flood_program("one_sided", 4096, 64, iters=3),
-            build_hashtable_program("two_sided", geom, keys, 16, 4),
-        ]
+        """The message-aggregation win, >= 1.2x modeled for small puts
+        under one sync (one-sided flood); overlap hides a stencil's
+        interior sweep behind its halos.  The simulated flood follows the
+        model down."""
         pipe = ir.build_pipeline(["coalesce", "overlap"])
-        for program in programs:
-            rewritten, _ = pipe.run(program, M)
-            assert program_cost(program, M) >= 1.2 * program_cost(rewritten, M)
+        flood = build_flood_program("one_sided", 4096, 64, iters=3)
+        rewritten, _ = pipe.run(flood, M)
+        assert program_cost(flood, M) >= 1.2 * program_cost(rewritten, M)
+        stencil = build_stencil_program(
+            "two_sided", StencilConfig(nx=64, ny=64, iters=3), ProcessGrid.square_ish(4), 4
+        )
+        rewritten, (rewrite,) = pipe.run(stencil, M)
+        assert rewrite.pass_name == "overlap"
+        assert program_cost(rewritten, M) < program_cost(stencil, M)
         base = run_flood(M, "one_sided", 4096, 64, iters=3)
         with ir.passes(["coalesce", "overlap"]):
             assert run_flood(M, "one_sided", 4096, 64, iters=3).time_total < (
                 base.time_total
             )
 
-    def test_auto_backend_requires_portable(self):
-        p = build_flood_program("one_sided", 65536, 64, iters=1)
-        assert p.portable
+    def test_auto_backend_retargets_every_program(self):
+        """Both patterns are written once against the transport specs, so
+        auto-backend may retarget any program to the cheapest backend."""
+        grid = ProcessGrid.square_ish(4)
         pipe = ir.build_pipeline(["auto-backend"])
-        rewritten, _ = pipe.run(p.with_(portable=False), M)
-        assert rewritten.runtime == "one_sided"
+        for p in (
+            build_flood_program("one_sided", 65536, 64, iters=1),
+            build_stencil_program("two_sided", StencilConfig(nx=64, ny=64), grid, 4),
+        ):
+            rewritten, (rewrite,) = pipe.run(p, M)
+            assert rewrite.kind == "retarget"
+            assert rewritten.runtime != p.runtime
+            assert program_cost(rewritten, M) < program_cost(p, M)
 
 
 class TestCostModel:
@@ -198,7 +230,7 @@ class TestScopes:
 
         plan = faults.FaultPlan.uniform(loss=0.2, seed=1)
         with faults.inject(plan), ir.passes(True), ir.collect() as reports:
-            run_hashtable(M, "two_sided", HashTableConfig(total_inserts=64), 2)
+            run_flood(M, "one_sided", 4096, 64, iters=2)
         (rep,) = reports
         assert rep.passes == ()
         assert any("faults active" in n for n in rep.notes)
@@ -208,7 +240,7 @@ class TestObsIntegration:
     def test_counters_and_span(self):
         session = obs.Obs()
         with obs.observe(session), ir.passes(True):
-            run_hashtable(M, "two_sided", HashTableConfig(total_inserts=64), 2)
+            run_flood(M, "one_sided", 4096, 64, iters=2)
         snap = session.snapshot()
         assert snap["ir.programs.lowered"] >= 1
         assert snap["ir.ops.lowered"] > 0
@@ -231,12 +263,14 @@ class TestObsIntegration:
             lambda rt: run_hashtable(
                 M, rt, HashTableConfig(total_inserts=64), 2
             ),
-            # 64 CAS + 21 FAA + 21 swap; one publish per collision.
-            {"one_sided": {"atomics": 106, "messages": 21, "collisions": 21}},
+            # 64 CAS + 21 FAA + 21 swap; one publish per collision.  The
+            # owner-routed inserts: one triplet per remote key.
+            {"one_sided": {"atomics": 106, "messages": 21, "collisions": 21},
+             "two_sided": {"messages": 32, "recv_messages": 32, "atomics": 0}},
         ),
     ], ids=["sptrsv", "hashtable"])
     def test_dynamic_programs_count_every_verb(self, run, expected):
-        """The op streams of the two data-dependent workloads, pinned where
+        """The op streams of the workloads no pass rewrites, pinned where
         they are counted now: they are rank programs over the endpoint
         verbs, so ``WorkloadResult.counters`` sees every message and atomic
         and nothing is lowered (no ``ir.*`` count, no IR report)."""

@@ -96,14 +96,12 @@ class TestComputeModel:
         m = _tiny_machine(flop_rate_per_core=1e9)
         assert m.compute_time(0.0, flops=2e9, sharing=1) == pytest.approx(2.0)
 
-    def test_gpu_compute_requires_gpu(self):
-        with pytest.raises(ValueError, match="no GPU"):
-            _tiny_machine().compute_time(1e9, on_gpu=True)
-
     def test_gpu_compute_uses_hbm(self):
+        """A GPU machine computes on its device, whatever the sharing."""
         gpu = GpuSpec(mem_bandwidth=1e12, thread_blocks=80, flop_rate=1e13)
         m = _tiny_machine(gpu=gpu)
-        assert m.compute_time(1e12, on_gpu=True) == pytest.approx(1.0)
+        assert m.compute_time(1e12) == pytest.approx(1.0)
+        assert m.compute_time(1e12, sharing=10) == pytest.approx(1.0)
 
     def test_sharing_validation(self):
         with pytest.raises(ValueError):

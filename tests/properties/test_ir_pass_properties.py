@@ -17,19 +17,12 @@ backend) triples:
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import build_pipeline, program_cost
 from repro.machines.registry import get_machine
-from repro.transport.registry import get_backend
-from repro.workloads.flood import build_cas_flood_program, build_flood_program
-from repro.workloads.hashtable.runner import (
-    HashTableConfig,
-    build_hashtable_program,
-    generate_keys,
-)
-from repro.workloads.hashtable.table import TableGeometry
+from repro.workloads.flood import build_flood_program
 from repro.workloads.stencil.decomposition import ProcessGrid
 from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 
@@ -44,10 +37,10 @@ def _backends_for(machine):
 
 @st.composite
 def programs(draw):
-    """A static program from a real workload builder, on a real machine."""
+    """A program from one of the two IR builders, on a real machine."""
     machine = get_machine(draw(st.sampled_from(MACHINES)))
     runtime = draw(st.sampled_from(_backends_for(machine)))
-    kind = draw(st.sampled_from(("flood", "cas_flood", "stencil", "hashtable")))
+    kind = draw(st.sampled_from(("flood", "stencil")))
     if kind == "flood":
         program = build_flood_program(
             runtime,
@@ -55,11 +48,7 @@ def programs(draw):
             draw(st.sampled_from((1, 4, 64))),
             iters=draw(st.integers(1, 3)),
         )
-    elif kind == "cas_flood":
-        program = build_cas_flood_program(
-            runtime, n_ops=draw(st.integers(1, 64)), target_rank=1
-        )
-    elif kind == "stencil":
+    else:
         nranks = draw(st.sampled_from((1, 2, 4)))
         n = draw(st.sampled_from((16, 32)))
         cfg = StencilConfig(
@@ -67,19 +56,6 @@ def programs(draw):
         )
         program = build_stencil_program(
             runtime, cfg, ProcessGrid.square_ish(nranks), nranks
-        )
-    else:
-        # The IR program is the owner-routed insert; a backend with remote
-        # atomics inserts from a plain rank program and lowers nothing.
-        assume(not get_backend(runtime).caps.remote_atomics)
-        nranks = draw(st.sampled_from((2, 4)))
-        cfg = HashTableConfig(total_inserts=draw(st.sampled_from((32, 128))))
-        geom = TableGeometry.for_inserts(
-            nranks, cfg.total_inserts, load_factor=cfg.load_factor
-        )
-        keys = generate_keys(cfg, nranks)
-        program = build_hashtable_program(
-            runtime, geom, keys, cfg.sync_window, nranks
         )
     return program, machine
 

@@ -19,11 +19,7 @@ from repro.experiments.ablations import _with_hw_put_signal
 from repro.ir import program_cost
 from repro.machines.registry import get_machine
 from repro.transport import ONE_SIDED, ONE_SIDED_HW, STREAM_TRIGGERED
-from repro.workloads.flood import (
-    build_cas_flood_program,
-    build_flood_program,
-    run_flood,
-)
+from repro.workloads.flood import build_flood_program, run_flood
 from repro.workloads.stencil.decomposition import ProcessGrid
 from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 
@@ -36,17 +32,12 @@ MACHINES = ("perlmutter-cpu", "summit-cpu", "frontier-cpu")
 def program_pairs(draw):
     """The same workload shape lowered for one_sided and stream."""
     machine = get_machine(draw(st.sampled_from(MACHINES)))
-    kind = draw(st.sampled_from(("flood", "cas_flood", "stencil")))
+    kind = draw(st.sampled_from(("flood", "stencil")))
     if kind == "flood":
         nbytes = draw(st.sampled_from((64, 1024, 4096, 65536)))
         n = draw(st.sampled_from((1, 4, 64)))
         iters = draw(st.integers(1, 3))
         build = lambda rt: build_flood_program(rt, nbytes, n, iters=iters)
-    elif kind == "cas_flood":
-        n_ops = draw(st.integers(1, 64))
-        build = lambda rt: build_cas_flood_program(
-            rt, n_ops=n_ops, target_rank=1
-        )
     else:
         nranks = draw(st.sampled_from((1, 2, 4)))
         n = draw(st.sampled_from((16, 32)))

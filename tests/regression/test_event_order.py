@@ -27,7 +27,7 @@ from repro import faults, perf
 from repro.collectives import run_collective
 from repro.machines import get_machine
 from repro.sim import Simulator
-from repro.workloads.flood import run_flood
+from repro.workloads.flood import run_cas_flood, run_flood
 from repro.workloads.hashtable import HashTableConfig, run_hashtable
 from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
 from repro.workloads.stencil import ProcessGrid, StencilConfig, run_stencil
@@ -154,6 +154,15 @@ def _uneven_stencil(machine, runtime):
     return run
 
 
+def _cas_flood(machine, runtime):
+    # Rank 0's back-to-back CAS stream on one remote counter, scalar chain.
+    def run():
+        with perf.vectorized(False):
+            run_cas_flood(get_machine(machine), runtime, n_ops=16)
+
+    return run
+
+
 def _striped_round():
     # Four equal stripes per round message on an all-to-all NVLink node:
     # each stripe is its own put_signal_nbi, whatever the engine setting.
@@ -224,6 +233,14 @@ EXPECTED = {
     "striped_round": (
         328, "8adcbfcafeb7125e94d06c86982514b858ecdc14049f8bb1673be44b83b1ce7c"
     ),
+    # Generated before the CAS flood became a rank program (it was an IR
+    # program with one AtomicStream op).
+    "one_sided_cas_flood": (
+        54, "ec5aa7c1a044b8b8175302326d1fa8516137846998491cc3868cd083e31d6111"
+    ),
+    "shmem_cas_flood": (
+        38, "e5b71c962a0c87293bb086ae3b1d90ee8b30a5174ad25f8382a06af53699ba90"
+    ),
 }
 SCENARIOS = {
     "shmem_ring_allreduce": _ring_allreduce,
@@ -245,6 +262,8 @@ SCENARIOS = {
     "one_sided_uneven_stencil": _uneven_stencil("perlmutter-cpu", "one_sided"),
     "shmem_uneven_stencil": _uneven_stencil("summit-gpu", "shmem"),
     "striped_round": _striped_round,
+    "one_sided_cas_flood": _cas_flood("perlmutter-cpu", "one_sided"),
+    "shmem_cas_flood": _cas_flood("perlmutter-gpu", "shmem"),
 }
 
 

@@ -109,18 +109,6 @@ class TestPassesOnAccuracy:
         assert np.array_equal(on.extras["field"], base.extras["field"])
         assert on.time <= base.time  # rewrites only remove modeled work
 
-    def test_hashtable_values_unchanged(self):
-        m = get_machine("perlmutter-cpu")
-        # Window 1 leaves the coalescer nothing to fold; window 16 holds
-        # same-owner triplet groups, so a rewrite really fires.
-        for window, fired in ((1, 0), (16, 1)):
-            cfg = HashTableConfig(total_inserts=256, sync_window=window)
-            base = run_hashtable(m, "two_sided", cfg, 4)
-            with ir.passes(True), ir.collect() as reports:
-                on = run_hashtable(m, "two_sided", cfg, 4)
-            assert len(reports[0].rewrites) == fired
-            assert sorted(on.extras["values"]) == sorted(base.extras["values"])
-
     def test_flood_payload_equivalent_and_faster(self):
         m = get_machine("perlmutter-cpu")
         base = run_flood(m, "one_sided", 4096, 64, iters=2)

@@ -262,43 +262,40 @@ class TestAmbientKeys:
 
 
 class TestUncacheable:
-    """A carried value with no canonical fingerprint: run, never stored,
-    counted — not guessed at."""
+    """There is no uncacheable point: every carried value has a canonical
+    fingerprint, and a pass pipeline is a set of built-in names."""
 
-    def _custom_pipeline(self):
-        from repro.ir.pipeline import Pass
+    def test_custom_pass_has_no_key(self, tmp_path):
+        """A pass instance never reaches a key: a pipeline holds built-in
+        names only, so not even the built-in class's own instance enters."""
+        from repro import ir
+        from repro.ir.pipeline import CoalescePass, Pass
 
         class Noop(Pass):
             name = "noop"
 
-        return [Noop()]
+        for custom in (Noop(), CoalescePass(), type("Mine", (CoalescePass,), {})()):
+            with pytest.raises(ValueError, match="unknown IR pass"):
+                ir.passes([custom])
 
-    def test_custom_pass_has_no_key(self, tmp_path):
+    def test_key_for_returns_a_key_under_every_passes_spelling(self, tmp_path):
         from repro import ir
-        from repro.ir.pipeline import CoalescePass
 
         c = ResultCache(tmp_path)
-        with ir.passes(self._custom_pipeline()):
-            assert _one_key(c, _spec()) is None
-        with ir.passes([type("Mine", (CoalescePass,), {})()]):  # not *the* built-in
-            assert _one_key(c, _spec()) is None
-        assert c.uncacheable == 2
-
-    def test_points_run_are_not_stored_and_are_counted(self, tmp_path):
-        from repro import ir, obs
-        from repro.sweep import run_sweep
-
-        cache = ResultCache(tmp_path)
-        spec = _spec(points=[{"x": 1}, {"x": 2}])
-        with obs.observe() as session, ir.passes(self._custom_pipeline()):
-            first = run_sweep(spec, cache=cache)
-            second = run_sweep(spec, cache=cache)
-        assert [r.value for r in first + second] == [{"v": 1}, {"v": 2}] * 2
-        assert not any(r.cached for r in first + second)
-        assert not list(tmp_path.rglob("*.json"))
-        assert cache.uncacheable == 4
-        assert cache.stats() == {"hits": 0, "misses": 0, "write_errors": 0}
-        assert session.metrics.snapshot()["sweep.cache.uncacheable"] == 4.0
+        spellings = (
+            (), (True,), (False,), (None,), ([],), (["coalesce"],),
+            (("sync-elide", "auto-backend", "sync-elide"),), ({"overlap"},),
+            (ir.PassPipeline(("overlap", "coalesce")),), (ir.build_pipeline(True),),
+        )
+        keys = set()
+        for args in spellings:
+            with ir.passes(*args):
+                key = _one_key(c, _spec())
+            assert isinstance(key, str) and len(key) == 64
+            keys.add(key)
+        # bare (False / None / []), default (() / True / build_pipeline(True)),
+        # coalesce, auto-backend + sync-elide, overlap, coalesce + overlap
+        assert len(keys) == 6
 
     def test_counter_absent_when_everything_has_a_key(self, tmp_path):
         from repro import obs
@@ -307,32 +304,3 @@ class TestUncacheable:
         with obs.observe() as session:
             run_sweep(_spec(), cache=ResultCache(tmp_path))
         assert "sweep.cache.uncacheable" not in session.metrics.snapshot()
-
-    def test_cli_cache_line_names_it_only_when_nonzero(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import repro.experiments as experiments
-        from repro import ir
-        from repro.cli import main
-        from repro.experiments.report import ExperimentReport
-        from repro.sweep import run_sweep
-
-        def experiment(npoints):
-            def run():
-                with ir.passes(self._custom_pipeline()):
-                    run_sweep(_spec(points=[{"x": i} for i in range(npoints)]))
-                return ExperimentReport(
-                    experiment="fig03", title="fig03", headers=["x"], rows=[[1]]
-                )
-
-            return run
-
-        argv = ["run", "fig03", "--cache-dir", str(tmp_path)]
-        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", {"fig03": experiment(0)})
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "[sweep] cache: hits=0 misses=0"
-        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", {"fig03": experiment(3)})
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "[sweep] cache: hits=0 misses=0 uncacheable=3"

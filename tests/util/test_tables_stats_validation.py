@@ -1,4 +1,4 @@
-"""Table rendering, statistics helpers, argument validation."""
+"""Table rendering and argument validation."""
 
 import pytest
 
@@ -8,9 +8,6 @@ from repro.util import (
     check_non_negative,
     check_positive,
     format_table,
-    percentile,
-    speedup,
-    summarize,
 )
 
 
@@ -44,36 +41,6 @@ class TestFormatTable:
         assert "T" in t.render()
         with pytest.raises(ValueError):
             t.add_row("only-one-cell")
-
-
-class TestStats:
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == 2.5
-        assert s.minimum == 1.0 and s.maximum == 4.0
-        assert s.p50 == 2.5
-
-    def test_summarize_singleton_has_zero_std(self):
-        assert summarize([5.0]).std == 0.0
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_summarize_nan_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([1.0, float("nan")])
-
-    def test_percentile(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
 
 
 class TestValidation:

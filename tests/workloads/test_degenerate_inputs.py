@@ -2,18 +2,22 @@
 
 ``nan`` slips past every ``x < 1`` check and a fraction is no count; each
 row below used to surface as a ``TypeError`` from building the program, a
-float conversion error, or a ``flops`` complaint about an argument the
-caller never passed.
+float conversion error, a ``flops`` complaint about an argument the
+caller never passed, an ``OverflowError`` deep in a retry loop, or no
+error at all.
 """
 
 import pytest
 
+from repro.faults import RetransmitPolicy
 from repro.machines import perlmutter_cpu, perlmutter_gpu
 from repro.workloads.flood import run_cas_flood, run_flood
 from repro.workloads.hashtable.runner import HashTableConfig, run_hashtable
 from repro.workloads.ml import run_kv_transfer, run_moe_dispatch, run_training_step
+from repro.workloads.sptrsv import MatrixSpec
+from repro.workloads.stencil import StencilConfig, run_stencil
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 CPU, GPU = perlmutter_cpu, perlmutter_gpu
 
 CASES = {
@@ -46,6 +50,60 @@ CASES = {
             GPU(), "shmem", nranks=2, grad_bytes=1024.0, tokens_per_rank=NAN
         ),
         r"training tokens_per_rank must be an integer >= 1, got nan",
+    ),
+    # An infinite retry budget against a dead element used to retry until
+    # ``backoff ** attempts`` overflowed; a fraction silently truncated.
+    "retransmit-max_retries-nan": (
+        lambda: RetransmitPolicy(max_retries=NAN),
+        r"max_retries must be an integer >= 0, got nan",
+    ),
+    "retransmit-max_retries-inf": (
+        lambda: RetransmitPolicy(max_retries=INF),
+        r"max_retries must be an integer >= 0, got inf",
+    ),
+    "retransmit-max_retries-fraction": (
+        lambda: RetransmitPolicy(max_retries=2.5),
+        r"max_retries must be an integer >= 0, got 2\.5",
+    ),
+    "matrix-density_range-nan": (
+        lambda: MatrixSpec(density_range=NAN),
+        r"matrix density_range must be finite and > 0, got nan",
+    ),
+    "matrix-n_supernodes-fraction": (
+        lambda: MatrixSpec(n_supernodes=2.5),
+        r"matrix n_supernodes must be an integer >= 2, got 2\.5",
+    ),
+    "matrix-width_hi-fraction": (
+        lambda: MatrixSpec(width_hi=4.5),
+        r"matrix width_hi must be an integer >= 1, got 4\.5",
+    ),
+    "flood-nranks-fraction": (
+        lambda: run_flood(CPU(), "one_sided", 64, 4, nranks=2.5),
+        r"flood nranks must be an integer >= 2, got 2\.5",
+    ),
+    "cas-nranks-fraction": (
+        lambda: run_cas_flood(CPU(), "one_sided", nranks=2.5),
+        r"cas flood nranks must be an integer >= 2, got 2\.5",
+    ),
+    "stencil-nranks-fraction": (
+        lambda: run_stencil(CPU(), "one_sided", StencilConfig(nx=16, ny=16), 2.5),
+        r"stencil nranks must be an integer >= 1, got 2\.5",
+    ),
+    "training-iters-zero": (
+        lambda: run_training_step(GPU(), "shmem", nranks=2, grad_bytes=1024.0, iters=0),
+        r"training iters must be an integer >= 1, got 0",
+    ),
+    "training-iters-fraction": (
+        lambda: run_training_step(GPU(), "shmem", nranks=2, grad_bytes=1024.0, iters=2.5),
+        r"training iters must be an integer >= 1, got 2\.5",
+    ),
+    "moe-iters-zero": (
+        lambda: run_moe_dispatch(GPU(), "shmem", nranks=2, iters=0),
+        r"moe iters must be an integer >= 1, got 0",
+    ),
+    "moe-iters-fraction": (
+        lambda: run_moe_dispatch(GPU(), "shmem", nranks=2, iters=2.5),
+        r"moe iters must be an integer >= 1, got 2\.5",
     ),
 }
 

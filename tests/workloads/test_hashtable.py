@@ -185,8 +185,6 @@ class TestDistributedBehaviour:
             HashTableConfig(total_inserts=0)
         with pytest.raises(ValueError):
             HashTableConfig(load_factor=1.5)
-        with pytest.raises(ValueError):
-            HashTableConfig(sync_window=0)
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises((ValueError, KeyError)):
