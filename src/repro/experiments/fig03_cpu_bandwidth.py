@@ -120,10 +120,11 @@ def run_fig03(
     notes = []
     for (mname, runtime), s in samples.items():
         fit = fit_loggp(s)
+        p = fit.params  # the data identifies L+o, the spacing max(o, g) and G
         notes.append(
-            f"fitted {mname}/{runtime}: L={fit.params.L * 1e6:.2f} us, "
-            f"o={fit.params.o * 1e6:.2f} us, g={fit.params.g * 1e6:.2f} us, "
-            f"peak={fit.params.peak_bandwidth / 1e9:.1f} GB/s "
+            f"fitted {mname}/{runtime}: L+o={(p.L + p.o) * 1e6:.2f} us, "
+            f"spacing={max(p.o, p.g) * 1e6:.2f} us, "
+            f"peak={p.peak_bandwidth / 1e9:.1f} GB/s "
             f"(rms log-resid {fit.residual_rms:.3f})"
         )
     return ExperimentReport(

@@ -17,10 +17,11 @@ pipeline we cannot rerun, so this module generates matrices with the same
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -70,35 +71,44 @@ class SupernodalMatrix:
     """A lower-triangular matrix stored as dense supernodal blocks.
 
     Attributes:
+        spec: the generator parameters the matrix was drawn from.
         widths: supernode widths (columns per supernode).
         offsets: prefix sums — supernode ``J`` covers rows/cols
             ``offsets[J]:offsets[J+1]``.
-        blocks: ``(I, J) -> dense block`` for ``I >= J``; the diagonal
-            blocks ``(J, J)`` are unit lower triangular.
+        shapes: ``(I, J) -> (rows, cols)`` for ``I >= J``: all a simulated
+            solve reads.
+        blocks: ``(I, J) -> dense block``, drawn on first read by replaying
+            ``spec``; the diagonal blocks ``(J, J)`` are unit lower triangular.
 
     Immutable once built: :func:`generate_matrix` hands the same object to
     every caller with the same spec, so ``widths`` / ``offsets`` are tuples,
-    ``blocks`` is a read-only mapping of read-only arrays, and the
-    sub-diagonal structure is indexed by column and by row here, once.
+    ``shapes`` / ``blocks`` are read-only mappings (of read-only arrays), and
+    the sub-diagonal structure is indexed by column and by row here, once.
     """
 
+    spec: MatrixSpec
     widths: tuple[int, ...]
-    offsets: tuple[int, ...]
-    blocks: Mapping[tuple[int, int], np.ndarray] = field(repr=False, default_factory=dict)
+    shapes: Mapping[tuple[int, int], tuple[int, int]] = field(repr=False)
 
     def __post_init__(self) -> None:
         self.widths = tuple(self.widths)
-        self.offsets = tuple(self.offsets)
-        self.blocks = MappingProxyType(dict(self.blocks))
+        self.offsets = tuple(itertools.accumulate(self.widths, initial=0))
+        self.shapes = MappingProxyType(dict(self.shapes))
         below: list[list[int]] = [[] for _ in self.widths]
         left: list[list[int]] = [[] for _ in self.widths]
-        for I, J in sorted(self.blocks):  # I-major: both lists come out sorted
-            self.blocks[I, J].setflags(write=False)
+        for I, J in sorted(self.shapes):  # I-major: both lists come out sorted
             if I > J:
                 below[J].append(I)
                 left[I].append(J)
         self._below = tuple(map(tuple, below))
         self._left = tuple(map(tuple, left))
+
+    @cached_property
+    def blocks(self) -> Mapping[tuple[int, int], np.ndarray]:
+        _, blocks = _draw(self.spec, values=True)
+        for block in blocks.values():
+            block.setflags(write=False)
+        return MappingProxyType(blocks)
 
     @property
     def n(self) -> int:
@@ -110,7 +120,7 @@ class SupernodalMatrix:
 
     @property
     def nnz(self) -> int:
-        return int(sum(b.size for b in self.blocks.values()))
+        return sum(rows * cols for rows, cols in self.shapes.values())
 
     def sn_range(self, j: int) -> tuple[int, int]:
         return self.offsets[j], self.offsets[j + 1]
@@ -153,7 +163,7 @@ class SupernodalMatrix:
 
     def dag_edges(self) -> list[tuple[int, int]]:
         """Supernode dependency edges J -> I (x_J feeds the solve of x_I)."""
-        return sorted((J, I) for (I, J) in self.blocks if I > J)
+        return sorted((J, I) for (I, J) in self.shapes if I > J)
 
     def critical_path_length(self) -> int:
         """Longest chain in the supernodal DAG (solver's serial depth)."""
@@ -167,40 +177,52 @@ class SupernodalMatrix:
 def generate_matrix(spec: MatrixSpec = MatrixSpec()) -> SupernodalMatrix:
     """The well-conditioned supernodal lower-triangular matrix of ``spec``.
 
-    Remembers the last spec built: the points of a sweep (fig08's 20) ask
-    for one matrix, and it is immutable, so they share it.  One entry only —
-    a paper-scale matrix is tens of MiB.
+    Built as its structure (~1 MiB for fig08's); the values, tens of MiB at
+    paper scale, are drawn when something reads ``blocks``.  Remembers the
+    last spec built: the points of a sweep (fig08's 20) ask for one matrix,
+    and it is immutable, so they share it.  One entry only.
     """
     return _build_matrix(spec)
 
 
 def _build_matrix(spec: MatrixSpec) -> SupernodalMatrix:
-    rng = np.random.default_rng(spec.seed)
-    widths = rng.integers(spec.width_lo, spec.width_hi + 1, spec.n_supernodes)
-    widths = [int(w) for w in widths]
-    offsets = [0]
-    for w in widths:
-        offsets.append(offsets[-1] + w)
+    return SupernodalMatrix(spec, *_draw(spec, values=False))
 
-    blocks: dict[tuple[int, int], np.ndarray] = {}
+
+def _draw(spec: MatrixSpec, *, values: bool):
+    """The widths and ``(I, J) -> block`` (or ``-> shape`` without values).
+
+    Both passes take the same draws: a block not kept is drawn into a scratch
+    buffer (one double per element, as ``rng.uniform`` takes), so every
+    structure decision reads the same stream position.
+    """
+    rng = np.random.default_rng(spec.seed)
+    widths = rng.integers(spec.width_lo, spec.width_hi + 1, spec.n_supernodes).tolist()
+    scratch = np.empty(max(widths) ** 2)
+
+    def block(scale: float, rows: int, cols: int):
+        if values:
+            return rng.uniform(-scale, scale, (rows, cols))
+        rng.random(out=scratch[: rows * cols])
+        return rows, cols
+
+    blocks: dict[tuple[int, int], np.ndarray | tuple[int, int]] = {}
     for J in range(spec.n_supernodes):
         w = widths[J]
         # Unit lower-triangular diagonal block with small off-diagonals
         # (LU's L is unit triangular; small entries keep solves stable).
-        diag = np.tril(rng.uniform(-0.4, 0.4, (w, w)), k=-1)
-        np.fill_diagonal(diag, 1.0)
+        diag = block(0.4, w, w)
+        if values:
+            diag = np.tril(diag, k=-1)
+            np.fill_diagonal(diag, 1.0)
         blocks[(J, J)] = diag
         for I in range(J + 1, spec.n_supernodes):
             p = spec.block_density * np.exp(-(I - J - 1) / spec.density_range)
             if rng.random() < p:
-                scale = 0.5 / max(widths[J], 1)
-                blocks[(I, J)] = rng.uniform(-scale, scale, (widths[I], w))
+                blocks[(I, J)] = block(0.5 / max(widths[J], 1), widths[I], w)
     # Guarantee the DAG is connected enough to exercise communication: every
     # supernode after the first depends on at least its predecessor.
     for I in range(1, spec.n_supernodes):
         if not any((I, J) in blocks for J in range(I)):
-            scale = 0.5 / max(widths[I - 1], 1)
-            blocks[(I, I - 1)] = rng.uniform(
-                -scale, scale, (widths[I], widths[I - 1])
-            )
-    return SupernodalMatrix(widths=widths, offsets=offsets, blocks=blocks)
+            blocks[(I, I - 1)] = block(0.5 / max(widths[I - 1], 1), widths[I], widths[I - 1])
+    return widths, blocks

@@ -27,18 +27,18 @@ NS = (1, 8, 64, 512)
 
 class TestRecovery:
     def test_exact_recovery_from_clean_data(self):
-        """Identifiable quantities recover: G exactly; the small-message
+        """Identifiable quantities recover exactly: G; the small-message
         spacing max(o, g) (o and g trade off inside the max); and the
         n=1 fixed cost L + o."""
         fit = fit_loggp(_synthetic_samples(TRUE, SIZES, NS))
-        assert fit.params.G == pytest.approx(TRUE.G, rel=0.05)
+        assert fit.params.G == pytest.approx(TRUE.G, rel=1e-9)
         assert max(fit.params.o, fit.params.g) == pytest.approx(
-            max(TRUE.o, TRUE.g), rel=0.1
+            max(TRUE.o, TRUE.g), rel=1e-9
         )
         assert fit.params.L + fit.params.o == pytest.approx(
-            TRUE.L + TRUE.o, rel=0.1
+            TRUE.L + TRUE.o, rel=1e-9
         )
-        assert fit.residual_rms < 0.02
+        assert fit.residual_rms < 1e-9
 
     def test_peak_bandwidth_recovered(self):
         fit = fit_loggp(_synthetic_samples(TRUE, SIZES, NS))
@@ -78,6 +78,20 @@ class TestRecovery:
         # Peak near the 32 GB/s IF link; worst-case point error bounded.
         assert 28e9 < fit.params.peak_bandwidth < 36e9
         assert fit.residual_rms < 0.35
+
+    def test_simulated_one_sided_flood_fits_exactly(self, pm_cpu):
+        """A one-sided flood is a rounded roofline (its per-sync cost folds
+        into L), so the fit reproduces every measured point."""
+        from repro.workloads.flood import run_flood
+
+        samples = [
+            run_flood(pm_cpu, "one_sided", B, n, iters=2).as_sample()
+            for n in (1, 16, 256)
+            for B in (64, 4096, 262144, 4194304)
+        ]
+        fit = fit_loggp(samples)
+        assert fit.residual_rms < 1e-6
+        assert fit.params.peak_bandwidth == pytest.approx(32e9, rel=1e-9)
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults import RetransmitPolicy
 from repro.machines import perlmutter_cpu, perlmutter_gpu
+from repro.roofline import FloodSample, fit_loggp
 from repro.workloads.flood import run_cas_flood, run_flood
 from repro.workloads.hashtable.runner import HashTableConfig, run_hashtable
 from repro.workloads.ml import run_kv_transfer, run_moe_dispatch, run_training_step
@@ -19,6 +20,13 @@ from repro.workloads.stencil import StencilConfig, run_stencil
 
 NAN, INF = float("nan"), float("inf")
 CPU, GPU = perlmutter_cpu, perlmutter_gpu
+
+
+def _fit_with(**bad):
+    """Fit four clean samples and one with ``bad`` fields."""
+    clean = FloodSample(nbytes=64.0, msgs_per_sync=1, bandwidth=1e9)
+    return fit_loggp([clean] * 4 + [FloodSample(**{**vars(clean), **bad})])
+
 
 CASES = {
     "flood-msgs-nan": (
@@ -104,6 +112,24 @@ CASES = {
     "moe-iters-fraction": (
         lambda: run_moe_dispatch(GPU(), "shmem", nranks=2, iters=2.5),
         r"moe iters must be an integer >= 1, got 2\.5",
+    ),
+    # The fit used to stop inside its solver ("Initial guess is outside of
+    # provided bounds", "Residuals are not finite") or fit a fraction.
+    "fit-bandwidth-nan": (
+        lambda: _fit_with(bandwidth=NAN),
+        r"fit sample bandwidth must be a positive finite number, got nan",
+    ),
+    "fit-nbytes-inf": (
+        lambda: _fit_with(nbytes=INF),
+        r"fit sample nbytes must be a positive finite number, got inf",
+    ),
+    "fit-bandwidth-inf": (
+        lambda: _fit_with(bandwidth=INF),
+        r"fit sample bandwidth must be a positive finite number, got inf",
+    ),
+    "fit-msgs_per_sync-fraction": (
+        lambda: _fit_with(msgs_per_sync=2.5),
+        r"fit sample msgs_per_sync must be an integer >= 1, got 2\.5",
     ),
 }
 

@@ -39,6 +39,16 @@ def test_block_index_equals_the_scan_of_blocks(spec):
         assert k == 0 or m.row_blocks(k)  # the connectivity guarantee
 
 
+@settings(max_examples=60, deadline=None)
+@given(specs)
+def test_the_structure_is_the_shapes_of_the_drawn_blocks(spec):
+    m = matrix_mod._build_matrix(spec)
+    structure = dict(m.shapes)
+    assert {key: block.shape for key, block in m.blocks.items()} == structure
+    assert list(m.blocks) == list(structure)  # same draw order
+    assert m.nnz == sum(block.size for block in m.blocks.values())
+
+
 geometries = st.builds(
     TableGeometry,
     nranks=st.integers(1, 130),

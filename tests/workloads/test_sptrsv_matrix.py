@@ -1,10 +1,15 @@
 """Synthetic supernodal matrix generation and structure."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.workloads.sptrsv import MatrixSpec, generate_matrix
+from repro.machines import perlmutter_cpu
+from repro.workloads.sptrsv import MatrixSpec, generate_matrix, run_sptrsv
+from repro.workloads.sptrsv import matrix as matrix_mod
 
 
 class TestSpec:
@@ -109,3 +114,47 @@ class TestDag:
     def test_critical_path_bounds(self, small_matrix):
         cp = small_matrix.critical_path_length()
         assert 2 <= cp <= small_matrix.n_supernodes
+
+
+class TestStructureFirst:
+    """A matrix is its structure until something reads a value: the
+    structure is drawn without values, the values by replaying the same
+    draws.  Hashes recorded when the generator built every value block up
+    front, for fig08's, the ablations' and host_involvement's specs."""
+
+    HASHES = {
+        (220, 2): (
+            "6f92f408499e7b05a77b750801572f6f878f74e3f7d60daec91ce4b10a771bbf",
+            "647033818c4500bc27c07de428b2dd322c783b4952081d45fec60a6201e2198b",
+        ),
+        (120, 4): (
+            "69d86a735c11b328e8b94aa8d53b9a9889444dcf92de6c112ef6aee325d11760",
+            "5b41e947acb516b9cf4ea7b26415c8a8fd4b04b93936672e6be0a288475d82c3",
+        ),
+        (48, 4): (
+            "ae20891c7c7224b01cd62e8bc0f70d0e066571f9248295b04ce6a44f16f054c6",
+            "4584ff94c74c778f41e38394003ad32f4eaea8fa4dcc766245afc634171c02e9",
+        ),
+    }
+
+    @pytest.mark.parametrize("n_supernodes, seed", list(HASHES))
+    def test_structure_and_values_equal_the_recorded_hashes(self, n_supernodes, seed):
+        m = matrix_mod._build_matrix(MatrixSpec(n_supernodes=n_supernodes, seed=seed))
+        keys = sorted(m.shapes)
+        structure = json.dumps(
+            {"widths": list(m.widths), "blocks": [[I, J, *m.shapes[I, J]] for I, J in keys]}
+        )
+        assert "blocks" not in vars(m)  # the structure alone draws no values
+        values = hashlib.sha256()
+        for key in keys:
+            values.update(m.blocks[key].tobytes())
+        assert (
+            hashlib.sha256(structure.encode()).hexdigest(),
+            values.hexdigest(),
+        ) == self.HASHES[n_supernodes, seed]
+
+    def test_a_simulated_solve_leaves_the_values_undrawn(self):
+        m = matrix_mod._build_matrix(MatrixSpec(n_supernodes=24, seed=2))
+        res = run_sptrsv(perlmutter_cpu(), "one_sided", m, 4)
+        assert res.time > 0 and res.extras["nnz"] == m.nnz
+        assert "blocks" not in vars(m)
