@@ -33,7 +33,19 @@ from repro.sim.event import Event
 from repro.sim.trace import NullTracer, Tracer
 from repro.transport.registry import TransportBackend, get_backend
 
-__all__ = ["Job", "JobResult"]
+__all__ = ["Job", "JobResult", "barrier_delay"]
+
+
+def barrier_delay(machine: MachineModel, costs, endpoints: list[str]) -> float:
+    """Per-rank cost of one dissemination barrier/allreduce release among
+    ranks on ``endpoints`` (one entry per rank) under ``costs``:
+    ``ceil(log2 P)`` rounds of small-message exchange over the worst route."""
+    if len(endpoints) == 1:
+        return 0.0
+    rounds = math.ceil(math.log2(len(endpoints)))
+    eps = sorted(set(endpoints))
+    worst = max(machine.topology.route(a, b).latency for a in eps for b in eps)
+    return rounds * (max(costs.isend, costs.put, costs.put_signal) + worst)
 
 
 @dataclass
@@ -146,7 +158,7 @@ class Job:
         self._barrier_gen = 0
         self._barrier_count = 0
         self._barrier_event: Event | None = None
-        self._barrier_delay = self._collective_delay()
+        self._barrier_delay = barrier_delay(machine, self.costs, self.endpoints)
         # Allreduce state.
         self._allreduce_count = 0
         self._allreduce_event: Event | None = None
@@ -165,21 +177,6 @@ class Job:
         src = self.endpoints[rank]
         eps = set(self.endpoints)
         return max(self.machine.topology.route(src, dst).latency for dst in eps)
-
-    def _collective_delay(self) -> float:
-        """Per-rank cost of one dissemination barrier/allreduce release:
-        ``ceil(log2 P)`` rounds of small-message exchange."""
-        if self.nranks == 1:
-            return 0.0
-        rounds = math.ceil(math.log2(self.nranks))
-        eps = sorted(set(self.endpoints))
-        worst = max(
-            self.machine.topology.route(a, b).latency for a in eps for b in eps
-        )
-        per_round = (
-            max(self.costs.isend, self.costs.put, self.costs.put_signal) + worst
-        )
-        return rounds * per_round
 
     # ------------------------------------------------------------------
     # collectives (rendezvous machinery used by the contexts)

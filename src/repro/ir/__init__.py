@@ -39,7 +39,7 @@ sync-elide).  See docs/IR.md.
 
 from repro.ir import ops
 from repro.ir.config import collect, current_pipeline, passes
-from repro.ir.cost import CostModel, program_cost
+from repro.ir.cost import program_cost
 from repro.ir.explain import IRReport, explain_all
 from repro.ir.lower import IRRun, lower_rank, run_program
 from repro.ir.pipeline import (
@@ -58,7 +58,6 @@ __all__ = [
     "ops",
     "AutoBackendPass",
     "CoalescePass",
-    "CostModel",
     "DEFAULT_PASSES",
     "IRProgram",
     "IRReport",

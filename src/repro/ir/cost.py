@@ -1,91 +1,50 @@
-"""Analytic cost model for IR programs (the passes' currency).
+"""Analytic cost of an IR program (the passes' currency).
 
-Same Hockney grounding as :mod:`repro.collectives.selector` — per-round
-latency ``alpha = L + o + o_sync`` and per-byte ``beta = G`` from the
-backend's LogGP on this machine, under the op accounting of the endpoint
-that serves the program's pattern (its spec) — but evaluated per op with
-a two-clock walk so that *overlap* is representable:
+Each price is the one the simulation charges, from the module that
+charges it: a message from ``get_backend(runtime).loggp(machine,
+pattern)`` (the pattern read off ``program.spec``), a barrier from
+:func:`repro.comm.job.barrier_delay` over the ranks' ``"spread"``
+endpoints (those ``loggp`` routes between).  A halo ``begin`` /
+``finish`` pays that barrier only where the backend's caps declare
+``fence_epochs``: RMA's ``Win_fence`` is the only epoch op that runs one.
 
-* ``cpu`` — the rank's issue clock (message overheads, compute);
-* ``net`` — when the last injected byte lands.
-
-Puts advance ``cpu`` by the per-message overhead ``o`` (the pattern's
-per-message ops already summed, the paper's Table I) and push ``net``;
-synchronising ops (commit/fence/wait) join the clocks.
-Region cost is the max across ranks (the trailing barrier aligns
-everyone), so the model is monotone under each pass by construction:
-coalescing drops per-message overheads while keeping bytes, overlap
-moves compute under ``net``'s shadow, sync-elide removes a join, and
-auto-backend takes an argmin that includes the incumbent.
-
-Like the selector's, this model *ranks* rewrites — it does not predict
-simulated time.
+Each rank's ops are walked on two clocks: ``cpu`` issues (``o`` per
+send, compute) and ``net`` lands bytes (``max(net, cpu + L) + B*G``); a
+sync joins them and adds ``o_sync``.  A batch of ``n`` ``B``-byte
+messages is so the rounded roofline
+``MessageRoofline(loggp(machine, "batch")).time(B, n)`` (the injection
+gap ``g`` stays under ``o`` on every calibrated machine); the walk adds
+what one ``time(B, n)`` cannot say — halo sets of mixed sizes and compute
+under the network's shadow.  Region cost is the max across ranks.  At
+P=1 nothing crosses a network: only compute is priced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
+from repro.comm.job import barrier_delay
 from repro.ir import ops as O
 from repro.ir.program import IRProgram
 
-__all__ = ["CostModel", "program_cost"]
+__all__ = ["program_cost"]
+
+_LOCAL = SimpleNamespace(L=0.0, o=0.0, G=0.0, o_sync=0.0)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """LogGP-derived per-op costs for one (machine, backend, pattern)."""
-
-    L: float
-    o: float
-    o_sync: float
-    G: float
-    nranks: int
-    machine: object
-
-    @classmethod
-    def for_(cls, machine, runtime: str, nranks: int,
-             pattern: str = "mailbox") -> "CostModel":
-        from repro.transport.registry import get_backend
-
-        backend = get_backend(runtime)
-        if nranks >= 2:
-            p = backend.loggp(machine, pattern)
-            L, o, o_sync, G = p.L, p.o, p.o_sync, p.G
-        else:
-            L = o = o_sync = G = 0.0
-        return cls(L=L, o=o, o_sync=o_sync, G=G, nranks=nranks, machine=machine)
-
-    @property
-    def alpha(self) -> float:
-        return self.L + self.o + self.o_sync
-
-    @property
-    def barrier(self) -> float:
-        return max(self.nranks - 1, 0).bit_length() * self.alpha
-
-    def message_overhead(self) -> float:
-        return self.o
-
-    def compute_seconds(self, op: O.Compute) -> float:
-        if op.seconds is not None:
-            return op.seconds
-        return self.machine.compute_time(op.nbytes, op.flops, sharing=1)
-
-
-def _rank_cost(ops, spec, m: CostModel) -> float:
+def _rank_cost(ops, spec, machine, p, barrier: float, fence: float) -> float:
     cpu = 0.0
     net = 0.0
 
     def send(nbytes: float) -> None:
         nonlocal cpu, net
-        cpu += m.message_overhead()
-        net = max(net, cpu + m.L) + nbytes * m.G
+        cpu += p.o
+        net = max(net, cpu + p.L) + nbytes * p.G
 
     def join() -> None:
         nonlocal cpu
-        cpu = max(cpu, net) + m.o_sync
+        cpu = max(cpu, net) + p.o_sync
 
     for op in ops:
         if isinstance(op, O.BatchSend):
@@ -98,13 +57,16 @@ def _rank_cost(ops, spec, m: CostModel) -> float:
             send(float(spec.landing[op.dst][op.seg][3]) * spec.itemsize)
         elif isinstance(op, (O.HaloBegin, O.HaloFinish)):
             join()
-            cpu += m.barrier  # fences are collective in every backend
+            cpu += fence
         elif isinstance(op, O.Compute):
-            cpu += m.compute_seconds(op)
+            cpu += (op.seconds if op.seconds is not None
+                    else machine.compute_time(op.nbytes, op.flops, sharing=1))
         elif isinstance(op, O.Barrier):
-            cpu = max(cpu, net) + m.barrier
-        else:  # pragma: no cover - future ops default to a sync
-            join()
+            cpu = max(cpu, net) + barrier
+        else:  # outside the vocabulary: the lowering's TypeError
+            from repro.ir.lower import lowering_of
+
+            lowering_of(op)
     return max(cpu, net)
 
 
@@ -112,15 +74,22 @@ def program_cost(
     program: IRProgram, machine, *, runtime: str | None = None
 ) -> float:
     """Modeled seconds for one run of ``program``."""
-    from repro.transport.registry import pattern_of
+    from repro.transport.registry import get_backend, pattern_of
 
-    m = CostModel.for_(
-        machine, runtime or program.runtime, program.nranks,
-        pattern_of(program.spec),
+    backend = get_backend(runtime or program.runtime)
+    P = program.nranks
+    p = backend.loggp(machine, pattern_of(program.spec)) if P >= 2 else _LOCAL
+    barrier = barrier_delay(
+        machine, backend.costs(machine),
+        [machine.endpoint_of_rank(r, P, "spread") for r in range(P)],
     )
-    total = m.barrier  # the opening barrier every program starts with
+    fence = barrier if backend.caps.fence_epochs else 0.0
+    total = barrier  # the opening barrier every program starts with
     for region in program.regions:
-        total += max(_rank_cost(ops, program.spec, m) for ops in region.body)
+        total += max(
+            _rank_cost(ops, program.spec, machine, p, barrier, fence)
+            for ops in region.body
+        )
     if not math.isfinite(total):
         raise ValueError(f"non-finite modeled cost for {program.name!r}")
     return total

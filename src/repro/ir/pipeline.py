@@ -5,8 +5,9 @@ plus :class:`Rewrite` records (kind, how many sites merged/moved/
 elided, and the modeled before/after cost around the application).
 Passes fire only when the rewrite is provably semantics-preserving for
 the lowering in :mod:`repro.ir.lower` — the conditions are documented
-per pass and pinned by the property suite (cost never increases;
-running a pipeline twice equals running it once).
+per pass — and :class:`PassPipeline` keeps a rewrite only where it wins,
+pinned by the property suite (cost never increases; running a pipeline
+twice equals running it once).
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ __all__ = [
     "DEFAULT_PASSES",
     "build_pipeline",
 ]
-
-# Coalesced batches above this stop being "small messages" — the bulk
-# engine's win flattens out and pinning the cap keeps the rewrite inside
-# the span of the paper's bandwidth plots.
-_COALESCE_BYTE_CAP = 4 * 1024 * 1024
-
 
 @dataclass(frozen=True)
 class Rewrite:
@@ -87,8 +82,9 @@ class CoalescePass(Pass):
     ``BatchSend(dst, it, n)`` against ``BatchWait(src, it, n)`` becomes a
     batch of one ``n * nbytes`` message (``n=1`` on both ops, the spec
     itself rewritten), which every backend's batch channel already
-    handles.  Fires only when n is uniform across the program (the spec
-    is global), n >= 2, and the merged message stays under 4 MiB.
+    handles.  Applies only when n is uniform across the program (the spec
+    is global) and n >= 2; kept only where the model says it wins (a
+    bandwidth-bound batch, ``B*G >= o``, gains nothing by merging).
     """
 
     name = "coalesce"
@@ -118,7 +114,7 @@ class CoalescePass(Pass):
         if len(counts) != 1:
             return None
         n = counts.pop()
-        if n < 2 or n * spec.nbytes > _COALESCE_BYTE_CAP:
+        if n < 2:
             return None
 
         def rewrite(region: Region) -> Region:
@@ -229,11 +225,9 @@ class SyncElidePass(Pass):
     touches a region containing ``HaloBegin(it=0)``, the epoch that
     first exposes the windows.
 
-    Backends whose caps declare ``stream_ordered`` qualify too: their
-    epoch-open is a device-side no-op (stream ordering already sequences
-    the next iteration's puts behind the previous wait), so dropping it
-    is exact as long as the endpoint's iteration counter advances at
-    ``finish`` — the stream halo endpoint guarantees that.
+    No other backend's ``begin`` runs a fence: a stream-ordered or
+    signal-driven epoch-open is already free, so there is nothing to
+    elide.
     """
 
     name = "sync-elide"
@@ -242,7 +236,7 @@ class SyncElidePass(Pass):
         from repro.transport.registry import get_backend
 
         caps = get_backend(program.runtime).caps
-        if not (caps.fence_epochs or caps.stream_ordered):
+        if not caps.fence_epochs:
             return program, []
         elided = 0
 
@@ -278,10 +272,10 @@ class SyncElidePass(Pass):
 class AutoBackendPass(Pass):
     """Retarget a program to the cheapest backend on this machine.
 
-    Reuses the collectives selector's Hockney grounding: every
-    registered backend whose cost profile exists in
-    ``machine.runtimes`` is scored with :func:`program_cost`; the argmin
-    wins, with ties going to the incumbent.  Both patterns are written
+    Every registered backend whose cost profile exists on ``machine`` is
+    scored with :func:`program_cost`; the argmin wins.  An incumbent that
+    ties it (or has no profile to win against) is no win, so the
+    pipeline keeps the program where it is.  Both patterns are written
     once against the transport specs, with no backend-specific branch
     baked in, so every program may be retargeted.
     """
@@ -303,17 +297,13 @@ class AutoBackendPass(Pass):
             )))
         if not costs:
             return program, []
-        incumbent = dict(costs).get(program.runtime)
         best_name, best = min(costs, key=lambda c: c[1])
-        if incumbent is not None and incumbent <= best:
-            return program, []
-        p2 = program.with_(runtime=best_name)
-        return p2, [Rewrite(
+        return program.with_(runtime=best_name), [Rewrite(
             pass_name=self.name,
             kind="retarget",
             count=1,
             detail=f"{program.runtime} -> {best_name}",
-            before=incumbent if incumbent is not None else best,
+            before=dict(costs).get(program.runtime, best),
             after=best,
         )]
 
@@ -364,11 +354,21 @@ class PassPipeline:
         return list(self.passes)
 
     def run(self, program: IRProgram, machine):
-        """Apply every pass in order; returns (program, rewrites)."""
+        """Apply every pass in order; returns (program, rewrites).
+
+        A rewrite is kept only if it wins by more than 1e-9 of the cost
+        (less is rounding).  The passes repeat until none is kept (a
+        retarget can make an earlier pass win): the result is a fixed point.
+        """
         rewrites: list[Rewrite] = []
-        for name in self.passes:
-            program, rws = _PASSES[name]().run(program, machine)
-            rewrites.extend(rws)
+        kept = True
+        while kept:
+            kept = False
+            for name in self.passes:
+                p2, rws = _PASSES[name]().run(program, machine)
+                if any(rw.win > 1e-9 * rw.before for rw in rws):
+                    program, kept = p2, True
+                    rewrites.extend(rws)
         return program, rewrites
 
 

@@ -41,6 +41,24 @@ from repro.net.loggp import LogGPParams
 __all__ = ["MessageRoofline", "RooflineSeries"]
 
 
+def _checked(nbytes, msgs_per_sync=1, *, positive: bool = False):
+    """``(B, n)`` as arrays, or a ValueError naming the argument: sizes
+    finite and >= 0 (> 0 where a bandwidth divides by them), counts whole
+    and >= 1 — ``nan`` fails every comparison, so it fails here."""
+    B = np.asarray(nbytes, dtype=float)
+    if not np.all(np.isfinite(B) & ((B > 0) if positive else (B >= 0))):
+        raise ValueError(
+            f"roofline nbytes must be a finite number {'>' if positive else '>='} 0, "
+            f"got {nbytes}"
+        )
+    n = np.asarray(msgs_per_sync)
+    if not np.all(np.isfinite(n) & (n >= 1) & (np.floor(n) == n)):
+        raise ValueError(
+            f"roofline msgs_per_sync must be an integer >= 1, got {msgs_per_sync}"
+        )
+    return B, n
+
+
 @dataclass(frozen=True)
 class RooflineSeries:
     """One plotted curve: bandwidth vs message size at fixed msg/sync."""
@@ -63,12 +81,7 @@ class MessageRoofline:
     def time(self, nbytes, msgs_per_sync=1, *, sharp: bool = False) -> np.ndarray:
         """Time to complete one synchronization batch; ``nbytes`` and
         ``msgs_per_sync`` are scalars or arrays that broadcast together."""
-        B = np.asarray(nbytes, dtype=float)
-        if np.any(B < 0):
-            raise ValueError("message sizes must be >= 0")
-        n = np.asarray(msgs_per_sync)
-        if not np.all(n >= 1):
-            raise ValueError(f"msgs_per_sync must be >= 1, got {msgs_per_sync}")
+        B, n = _checked(nbytes, msgs_per_sync)
         p = self.params
         spacing = np.maximum.reduce(
             [np.full_like(B, p.o), np.full_like(B, p.g), B * p.G]
@@ -79,17 +92,13 @@ class MessageRoofline:
 
     def bandwidth(self, nbytes, msgs_per_sync=1, *, sharp: bool = False) -> np.ndarray:
         """Sustained bandwidth of the batch: ``n*B / T(n, B)``."""
-        B = np.asarray(nbytes, dtype=float)
-        if np.any(B <= 0):
-            raise ValueError("bandwidth requires positive message sizes")
-        n = np.asarray(msgs_per_sync)
+        B, n = _checked(nbytes, msgs_per_sync, positive=True)
         return n * B / self.time(B, n, sharp=sharp)
 
     def latency_per_message(self, nbytes, msgs_per_sync: int = 1) -> np.ndarray:
         """Effective per-message latency ``T / n`` (the paper's Fig. 7 metric:
         more messages per sync => lower effective latency)."""
-        n = int(msgs_per_sync)
-        return self.time(nbytes, n) / n
+        return self.time(nbytes, msgs_per_sync) / msgs_per_sync
 
     # -- ceilings ----------------------------------------------------------------
 
@@ -102,7 +111,7 @@ class MessageRoofline:
         """Large-``n`` limit: ``B / max(o, g, B*G)`` — what infinite message
         concurrency buys; the gap/overhead term is the part that can never
         be overlapped."""
-        B = np.asarray(nbytes, dtype=float)
+        B, _ = _checked(nbytes)
         p = self.params
         return B / np.maximum.reduce(
             [np.full_like(B, p.o), np.full_like(B, p.g), B * p.G]
@@ -112,7 +121,7 @@ class MessageRoofline:
         """Message size where the diagonal (latency) ceiling of the sharp
         model meets the horizontal (bandwidth) ceiling:
         ``n * B * G = max(n*o, n*g, L + o_sync)``."""
-        n = int(msgs_per_sync)
+        n = int(_checked(0, msgs_per_sync)[1])
         p = self.params
         return max(n * p.o, n * p.g, p.L + p.o_sync) / (n * p.G)
 
@@ -139,8 +148,7 @@ class MessageRoofline:
             raise ValueError(
                 f"target_fraction must be in (0, 1], got {target_fraction}"
             )
-        if nbytes <= 0:
-            raise ValueError("nbytes must be positive")
+        _checked(nbytes, positive=True)
         target = target_fraction * float(self.saturation_bandwidth(nbytes))
         if float(self.bandwidth(nbytes, 1)) >= target:
             return 1
@@ -157,7 +165,7 @@ class MessageRoofline:
 
     def max_overlap_gain(self, nbytes) -> np.ndarray:
         """The ``n -> inf`` limit of :meth:`overlap_gain`."""
-        B = np.asarray(nbytes, dtype=float)
+        B, _ = _checked(nbytes)
         p = self.params
         t1 = p.o + B * p.G + p.L + p.o_sync
         tinf = np.maximum.reduce(

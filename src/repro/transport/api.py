@@ -139,10 +139,9 @@ class BackendCaps:
     # Completion is consumed on the device with no host synchronisation
     # call at all (no ``o_sync`` host term): the stream-triggered family.
     host_bypass: bool = False
-    # Communication ops are enqueued on an ordered stream behind kernels;
-    # epoch-open fences carry no ordering beyond what the stream already
-    # guarantees, so sync-elide may drop them (the stream-ordered analogue
-    # of ``fence_epochs``).
+    # Communication ops are enqueued on an ordered stream behind kernels:
+    # the stream orders an epoch's puts behind the previous wait, so the
+    # epoch-open runs no fence (nothing for sync-elide to drop).
     stream_ordered: bool = False
 
     def matches(self, **flags: Any) -> bool:

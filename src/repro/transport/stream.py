@@ -11,34 +11,19 @@ derives one from the machine's current profiles, so every workload,
 collective and IR program runs on this backend on every machine with
 zero per-workload code.
 
-The halo endpoint differs from shmem's in one load-bearing way: its
-iteration counter advances at ``finish``, not only at ``begin``.  On a
-stream-ordered queue the epoch-open is a no-op (ordering already
-sequences iteration k+1's puts behind iteration k's wait), which is what
-licenses ``SyncElidePass`` to drop ``HaloBegin`` entirely — exact only
-because ``finish`` keeps the double-buffer parity counter moving.
+The endpoints are shmem's, the halo one included: a stream-ordered
+epoch-open runs no fence, so ``SyncElidePass`` has nothing to drop here.
 """
 
 from __future__ import annotations
 
 from repro.comm.stream import derive_stream_costs
 from repro.faults.plan import FaultSemantics
-from repro.transport.api import BackendCaps, HaloSpec
+from repro.transport.api import BackendCaps
 from repro.transport.registry import STREAM_TRIGGERED, register_backend
-from repro.transport.shmem import ShmemBackend, _HaloEndpoint
+from repro.transport.shmem import ShmemBackend
 
 __all__ = ["StreamBackend"]
-
-
-class _StreamHaloEndpoint(_HaloEndpoint):
-    """Shmem halo endpoint whose ``_it`` survives epoch-open elision."""
-
-    def finish(self, it):
-        received = yield from super().finish(it)
-        # Stream ordering opens the next epoch implicitly; advance the
-        # parity/signal counter here so an elided begin(it+1) is exact.
-        self._it = it + 1
-        return received
 
 
 class StreamBackend(ShmemBackend):
@@ -57,8 +42,6 @@ class StreamBackend(ShmemBackend):
     # Device-side triggering detects loss as fast as NVSHMEM's NIC path,
     # and stream ordering replays without any host re-sync.
     fault_semantics = FaultSemantics(mode="surface", detect_scale=0.5)
-
-    endpoints = {**ShmemBackend.endpoints, HaloSpec: _StreamHaloEndpoint}
 
     def costs(self, machine):
         """Derived, never calibrated: no machine carries this profile."""

@@ -11,7 +11,8 @@ import pytest
 
 from repro.faults import RetransmitPolicy
 from repro.machines import perlmutter_cpu, perlmutter_gpu
-from repro.roofline import FloodSample, fit_loggp
+from repro.net.loggp import LogGPParams
+from repro.roofline import FloodSample, MessageRoofline, fit_loggp
 from repro.workloads.flood import run_cas_flood, run_flood
 from repro.workloads.hashtable.runner import HashTableConfig, run_hashtable
 from repro.workloads.ml import run_kv_transfer, run_moe_dispatch, run_training_step
@@ -26,6 +27,9 @@ def _fit_with(**bad):
     """Fit four clean samples and one with ``bad`` fields."""
     clean = FloodSample(nbytes=64.0, msgs_per_sync=1, bandwidth=1e9)
     return fit_loggp([clean] * 4 + [FloodSample(**{**vars(clean), **bad})])
+
+
+ROOF = MessageRoofline(LogGPParams(L=1e-6, o=2e-7, g=2e-8, G=4e-11, o_sync=5e-7))
 
 
 CASES = {
@@ -130,6 +134,44 @@ CASES = {
     "fit-msgs_per_sync-fraction": (
         lambda: _fit_with(msgs_per_sync=2.5),
         r"fit sample msgs_per_sync must be an integer >= 1, got 2\.5",
+    ),
+    # The Message Roofline used to answer nan, accept a fractional count,
+    # divide by zero, fail a float conversion, or price a negative size.
+    "roofline-time-nbytes-nan": (
+        lambda: ROOF.time(NAN),
+        r"roofline nbytes must be a finite number >= 0, got nan",
+    ),
+    "roofline-time-nbytes-inf": (
+        lambda: ROOF.time(INF, 4),
+        r"roofline nbytes must be a finite number >= 0, got inf",
+    ),
+    "roofline-bandwidth-nbytes-nan": (
+        lambda: ROOF.bandwidth(NAN),
+        r"roofline nbytes must be a finite number > 0, got nan",
+    ),
+    "roofline-bandwidth-nbytes-inf": (
+        lambda: ROOF.bandwidth(INF, 4),
+        r"roofline nbytes must be a finite number > 0, got inf",
+    ),
+    "roofline-bound-nbytes-nan": (
+        lambda: ROOF.bound(NAN),
+        r"roofline nbytes must be a finite number > 0, got nan",
+    ),
+    "roofline-time-msgs_per_sync-fraction": (
+        lambda: ROOF.time(64, 2.5),
+        r"roofline msgs_per_sync must be an integer >= 1, got 2\.5",
+    ),
+    "roofline-knee_size-msgs_per_sync-zero": (
+        lambda: ROOF.knee_size(0),
+        r"roofline msgs_per_sync must be an integer >= 1, got 0",
+    ),
+    "roofline-required_msgs_per_sync-nbytes-nan": (
+        lambda: ROOF.required_msgs_per_sync(NAN, 0.5),
+        r"roofline nbytes must be a finite number > 0, got nan",
+    ),
+    "roofline-max_overlap_gain-nbytes-negative": (
+        lambda: ROOF.max_overlap_gain(-1),
+        r"roofline nbytes must be a finite number >= 0, got -1",
     ),
 }
 
