@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.validation import check_count, check_non_negative
 from repro.workloads.sptrsv.matrix import SupernodalMatrix
 
 __all__ = ["DagProfile", "analyze_dag", "latency_lower_bound"]
@@ -76,10 +77,9 @@ def latency_lower_bound(
     the chain is hundreds of levels deep, and 5 us vs 4 us per level is
     the whole Perlmutter-vs-Summit story.
     """
-    if per_message_latency < 0 or compute_time_total < 0:
-        raise ValueError("latency/compute must be non-negative")
-    if nranks < 1:
-        raise ValueError("nranks must be >= 1")
+    check_non_negative("per_message_latency", per_message_latency)
+    check_non_negative("compute_time_total", compute_time_total)
+    check_count("nranks", nranks)
     profile = analyze_dag(matrix)
     chain = max(profile.critical_path - 1, 0)
     comm = chain * per_message_latency if nranks > 1 else 0.0

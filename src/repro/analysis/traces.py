@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.sim.trace import Tracer
+from repro.util.validation import check_count
 
 __all__ = [
     "MessageStats",
@@ -108,8 +109,7 @@ def bandwidth_timeline(
     recs = _transfers(tracer)
     if not recs:
         raise ValueError("trace contains no fabric transfers")
-    if nbins < 1:
-        raise ValueError(f"nbins must be >= 1, got {nbins}")
+    check_count("nbins", nbins)
     arrivals = np.array([r.detail["arrival"] for r in recs], dtype=float)
     sizes = np.array([r.detail["nbytes"] for r in recs], dtype=float)
     t_end = float(arrivals.max())
@@ -148,8 +148,7 @@ def comm_matrix(tracer: Tracer, nranks: int) -> np.ndarray:
     endpoint names rather than ranks, so this uses the runtime-level
     events, which know both parties.
     """
-    if nranks < 1:
-        raise ValueError("nranks must be >= 1")
+    check_count("nranks", nranks)
     m = np.zeros((nranks, nranks))
     for rec in tracer:
         if rec.kind == "send":

@@ -28,11 +28,13 @@ placement x routing on exactly this runner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.faults.hard import elements_down_at
 from repro.faults.plan import _NODE_PREFIX, FaultError
+from repro.util.validation import check_count, check_in_range, check_non_negative
 from repro.workloads.ml.training import RecoverableTrainingSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,19 +55,11 @@ class RecoveryConfig:
     max_restarts: int = 4  # recovery events before giving up
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
-            )
+        check_count("checkpoint_interval", self.checkpoint_interval)
         for name in ("checkpoint_cost", "detect_timeout", "restart_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.straggler_factor < 1.0:
-            raise ValueError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
-            )
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
+            check_non_negative(name, getattr(self, name))
+        check_in_range("straggler_factor", self.straggler_factor, 1, math.inf)
+        check_count("max_restarts", self.max_restarts, 0)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from repro.net.fabric import Fabric
 from repro.obs.session import current as _obs_current
 from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, Tracer
+from repro.util.validation import check_count
 
 __all__ = ["Cluster", "PLACEMENTS", "place_ranks"]
 
@@ -142,6 +143,7 @@ def place_ranks(
     (resilience experiments pin victims to known routers; recovery
     respawns ranks onto chosen spares) — the nodes must exist and be free.
     """
+    check_count("nranks", nranks)
     if policy not in PLACEMENTS:
         raise ValueError(f"unknown placement {policy!r}; valid: {PLACEMENTS}")
     if ledger is None:

@@ -21,6 +21,7 @@ import math
 from collections.abc import Callable, Generator
 
 from repro.comm.job import Job
+from repro.util.validation import check_in_range
 
 __all__ = ["attach_victim", "attach_bully", "sample_quantile"]
 
@@ -99,8 +100,7 @@ def attach_bully(
 
 def sample_quantile(samples: list[float], p: float) -> float:
     """Exact nearest-rank quantile of raw samples (NaN when empty)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_in_range("p", p, 0, 1)
     if not samples:
         return float("nan")
     ordered = sorted(samples)

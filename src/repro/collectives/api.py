@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.collectives.core import CollectiveComm, CollectiveStats
-from repro.collectives.plan import _checked, _words, plan_collective
+from repro.collectives.plan import CollectiveError, _words, plan_collective
 from repro.collectives.selector import Selection
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
+from repro.util.validation import check_count
 
 __all__ = ["CollectiveResult", "run_collective", "explain_collective"]
 
@@ -88,7 +89,7 @@ def run_collective(
     returned reduced/gathered in ``result.results``.
     """
     nelems = _words(coll, nelems, nbytes)
-    iters = _checked("iters", iters, 1)
+    iters = check_count("iters", iters, 1, CollectiveError)
     plan, selection = plan_collective(
         coll,
         nranks=nranks,

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 from repro.collectives.algorithms import STRATEGIES
+from repro.util.validation import check_count, check_non_negative
 
 __all__ = [
     "COLLECTIVES",
@@ -64,19 +64,6 @@ class CollectiveError(ValueError):
     """Invalid collective plan (unknown name, bad size, bad strategy)."""
 
 
-def _checked(name: str, value, low: int, whole: bool = True):
-    """``value``, checked to be a finite (``whole``) number >= ``low``; the
-    error names the caller's argument."""
-    if isinstance(value, Real) and not math.isfinite(value):
-        raise CollectiveError(f"{name} must be finite, got {value}")
-    if not isinstance(value, Integral if whole else Real):
-        what = "an integer" if whole else "a number"
-        raise CollectiveError(f"{name} must be {what}, got {value!r}")
-    if value < low:
-        raise CollectiveError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
 def _words(coll: str, nelems, nbytes) -> int:
     """The size a caller gave as ``nelems`` (words) or ``nbytes`` (rounded
     up to whole words); a barrier moves none."""
@@ -85,8 +72,8 @@ def _words(coll: str, nelems, nbytes) -> int:
     if (nelems is None) == (nbytes is None):
         raise CollectiveError(f"{coll} needs exactly one of nelems=/nbytes=")
     if nelems is not None:
-        return _checked("nelems", nelems, 0)
-    return math.ceil(_checked("nbytes", nbytes, 0, whole=False) / _WORD)
+        return check_count("nelems", nelems, 0, CollectiveError)
+    return math.ceil(check_non_negative("nbytes", nbytes, CollectiveError) / _WORD)
 
 
 @dataclass(frozen=True)
@@ -110,9 +97,9 @@ class CollectivePlan:
                 f"unknown {self.coll} algorithm {self.algorithm!r}; valid: "
                 + ", ".join(ALGORITHMS[self.coll])
             )
-        _checked("nranks", self.nranks, 1)
-        _checked("nelems", self.nelems, 0)
-        _checked("stripes", self.stripes, 1)
+        check_count("nranks", self.nranks, 1, CollectiveError)
+        check_count("nelems", self.nelems, 0, CollectiveError)
+        check_count("stripes", self.stripes, 1, CollectiveError)
         if refusal := self.strategy.refusal(self.nranks, self.stripes):
             raise CollectiveError(refusal)
         if self.coll != "barrier" and self.nelems == 0:
@@ -171,10 +158,10 @@ def plan_collective(
             raise CollectiveError(
                 "algorithm='auto' needs machine= and runtime= to model costs"
             )
-        nelems = _checked("nelems", nelems, 0)
+        nelems = check_count("nelems", nelems, 0, CollectiveError)
         selection = select(
             coll,
-            nranks=_checked("nranks", nranks, 1),
+            nranks=check_count("nranks", nranks, 1, CollectiveError),
             nbytes=nelems * _WORD,
             machine=machine,
             runtime=runtime,

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.collectives.algorithms import STRATEGIES
-from repro.collectives.plan import ALGORITHMS, CollectiveError, _checked
+from repro.collectives.plan import ALGORITHMS, CollectiveError
+from repro.util.validation import check_count, check_non_negative
 
 __all__ = ["Selection", "model_time", "select"]
 
@@ -87,9 +88,9 @@ def select(coll: str, *, nranks: int, nbytes: float, machine,
         raise CollectiveError(
             f"unknown collective {coll!r}; valid: " + ", ".join(ALGORITHMS)
         )
-    nranks = _checked("nranks", nranks, 1)
-    m = float(_checked("nbytes", nbytes, 0, whole=False))
-    stripes = _checked("stripes", stripes, 1)
+    nranks = check_count("nranks", nranks, 1, CollectiveError)
+    m = float(check_non_negative("nbytes", nbytes, CollectiveError))
+    stripes = check_count("stripes", stripes, 1, CollectiveError)
     backend = get_backend(runtime)
     if nranks >= 2:
         # Every round is one notified (round-slotted mailbox) message.

@@ -8,8 +8,7 @@ semantics in ``context``/``matching``), the one-sided window layer
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,16 +41,14 @@ class Status:
     nbytes: float
 
 
-_msg_seq = itertools.count()
-
-
 @dataclass
 class Message:
     """An in-flight two-sided message (envelope + optional payload).
 
     ``on_match`` hooks the matching engine for protocol messages: when set,
     matching calls ``on_match(posted, msg)`` instead of completing the
-    posted receive directly (used for the rendezvous RTS phase).
+    posted receive directly (used for the rendezvous RTS phase).  ``seq``
+    is the message's place in its sender's stream to ``dst``.
     """
 
     src: int
@@ -60,7 +57,7 @@ class Message:
     nbytes: float
     payload: Any = None
     on_match: Any = None
-    seq: int = field(default_factory=lambda: next(_msg_seq))
+    seq: int = 0
 
     def matches(self, source: int, tag: int) -> bool:
         """Envelope match against a posted receive's (source, tag) pattern."""

@@ -116,6 +116,10 @@ class RankContext:
         self.sharing = job.sharing[self.endpoint]
         self.counter = OpCounter()
         self.engine = MatchingEngine(job.sim, rank, delay_fn=self._recv_delay)
+        # Per-pair send order, which the fabric may not keep (see _deliver).
+        self._sent: dict[int, int] = {}  # dest -> next seq to stamp
+        self._next: dict[int, int] = {}  # source -> next seq to match
+        self._held: dict[tuple[int, int], Message] = {}  # (source, seq) -> early msg
         # Receiver-side copy engine: serialises the runtime's per-byte copy
         # work (Spectrum MPI's extra copy caps achieved X-Bus bandwidth near
         # 25 GB/s in the paper's Fig. 3c).  Zero-cost when copy_per_byte=0.
@@ -177,7 +181,9 @@ class RankContext:
         self.counter.messages += 1
         self.counter.bytes_sent += nbytes
         yield self.costs.isend
-        msg = Message(src=self.rank, dst=dest, tag=tag, nbytes=nbytes, payload=payload)
+        seq = self._sent.get(dest, 0)
+        self._sent[dest] = seq + 1
+        msg = Message(self.rank, dest, tag, nbytes, payload, seq=seq)
         dst_ctx = self.job.contexts[dest]
         send_done = self.sim.event()
         if self.job.tracer.enabled:
@@ -197,19 +203,23 @@ class RankContext:
         return Request(send_done, "isend", nbytes)
 
     def _deliver(self, msg: Message) -> None:
-        """Fabric callback: a message has arrived at this rank."""
-        self.counter.recv_messages += 1
-        self.counter.bytes_received += msg.nbytes
-        if self.job.tracer.enabled:
-            self.job.tracer.emit(
-                self.sim.now,
-                "arrive",
-                self.rank,
-                src=msg.src,
-                tag=msg.tag,
-                nbytes=msg.nbytes,
-            )
-        self.engine.deliver(msg)
+        """Fabric callback: a message has arrived at this rank.  It enters
+        the matching engine in its sender's order: one that overtook an
+        earlier message of the pair waits here for it."""
+        src = msg.src
+        if msg.seq != self._next.get(src, 0):
+            self._held[src, msg.seq] = msg
+            return
+        while msg is not None:
+            self._next[src] = msg.seq + 1
+            self.counter.recv_messages += 1
+            self.counter.bytes_received += msg.nbytes
+            if self.job.tracer.enabled:
+                self.job.tracer.emit(
+                    self.sim.now, "arrive", self.rank, src=src, tag=msg.tag, nbytes=msg.nbytes
+                )
+            self.engine.deliver(msg)
+            msg = self._held.pop((src, msg.seq + 1), None) if self._held else None
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Post a non-blocking receive; returns a :class:`Request` whose

@@ -32,6 +32,7 @@ from repro.sim.engine import Simulator
 from repro.sim.event import Event
 from repro.sim.trace import NullTracer, Tracer
 from repro.transport.registry import TransportBackend, get_backend
+from repro.util.validation import check_count
 
 __all__ = ["Job", "JobResult", "barrier_delay"]
 
@@ -87,8 +88,7 @@ class Job:
         job-owned fabric takes the ambient fault plan
         (:func:`repro.faults.inject`).
         """
-        if nranks < 1:
-            raise ValueError(f"nranks must be >= 1, got {nranks}")
+        check_count("nranks", nranks)
         if endpoints is None and nranks > machine.max_ranks:
             raise ValueError(
                 f"{nranks} ranks exceed {machine.name!r} capacity {machine.max_ranks}"

@@ -7,9 +7,12 @@ Implements standard MPI matching semantics per receiving rank:
 * an arriving message matches the *oldest* posted receive whose pattern it
   satisfies; if none, it joins the unexpected queue;
 * a newly posted receive first scans the unexpected queue in arrival order
-  (non-overtaking: messages from one sender match in the order sent —
-  guaranteed here because the fabric preserves per-pair ordering and the
-  queues are FIFO).
+  (non-overtaking: messages from one sender match in the order sent).  The
+  fabric may reorder a pair — NVLink sub-channels, a fast hop after a slow
+  one, link jitter — so :meth:`RankContext._deliver
+  <repro.comm.context.RankContext._deliver>` hands messages to the engine
+  in per-pair send order, by the sequence number ``isend`` stamps, and the
+  FIFO queues keep that order.
 """
 
 from __future__ import annotations

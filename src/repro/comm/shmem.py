@@ -32,6 +32,7 @@ from repro.comm.window import Window, _cas, _faa
 from repro.perf.engine import drain_wait_until_all, issue_times
 from repro.sim.event import Event
 from repro.sim.process import InFlight, WaitList
+from repro.util.validation import check_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.job import Job
@@ -159,8 +160,7 @@ class ShmemContext(RankContext):
         :meth:`wait_signal_batch`, which takes the same verdict on the same
         job.  Otherwise: the scalar loop.
         """
-        if n < 1:
-            raise CommError(f"put_signal_batch needs n >= 1, got {n}")
+        check_count("put_signal_batch n", n, 1, CommError)
         if not 0 <= target < self.size:
             raise CommError(f"put_signal target {target} out of range")
         if signal_op not in (SIGNAL_SET, SIGNAL_ADD):

@@ -32,6 +32,7 @@ from repro.perf.atomics import bulk_cas_stream
 from repro.perf.engine import bulk_visible_last, issue_times
 from repro.sim.event import Event
 from repro.sim.process import InFlight, WaitList
+from repro.util.validation import check_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
@@ -166,8 +167,7 @@ class Window:
     """A symmetric RMA window: ``count`` elements of ``dtype`` on each rank."""
 
     def __init__(self, job: "Job", count: int, dtype=np.float64, fill: Any = 0):
-        if count < 1:
-            raise ValueError(f"window count must be >= 1, got {count}")
+        check_count("window count", count)
         self.job = job
         self.count = count
         self.dtype = np.dtype(dtype)
@@ -309,8 +309,7 @@ class WindowHandle:
         whole batch as one pending event.
         """
         ctx, win = self.ctx, self.window
-        if n < 1:
-            raise CommError(f"put_batch needs n >= 1, got {n}")
+        check_count("put_batch n", n, 1, CommError)
         if not 0 <= target < ctx.size:
             raise CommError(f"put target {target} out of range")
         if not perf.bulk_verdict(ctx.job):

@@ -35,7 +35,8 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
+
+from repro.util.validation import check_count, check_non_negative, check_positive
 
 __all__ = [
     "FaultError",
@@ -78,8 +79,7 @@ class LinkFaults:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {self.loss}")
-        if not 0.0 <= self.jitter < math.inf:
-            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
+        check_non_negative("jitter", self.jitter)
         if not 1.0 <= self.degrade < math.inf:
             raise ValueError(f"degrade must be finite and >= 1, got {self.degrade}")
         windows = tuple(sorted((float(a), float(b)) for a, b in self.down))
@@ -182,12 +182,10 @@ class RetransmitPolicy:
     max_retries: int = 8  # retries after the first attempt
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        check_positive("timeout", self.timeout)
         if not 1.0 <= self.backoff < math.inf:
             raise ValueError(f"backoff must be finite and >= 1, got {self.backoff}")
-        if not isinstance(self.max_retries, Integral) or self.max_retries < 0:
-            raise ValueError(f"max_retries must be an integer >= 0, got {self.max_retries}")
+        check_count("max_retries", self.max_retries, 0)
 
 
 @dataclass(frozen=True)
@@ -217,10 +215,7 @@ class FaultSemantics:
     def __post_init__(self) -> None:
         if self.mode not in ("abort", "surface"):
             raise ValueError(f"mode must be 'abort' or 'surface', got {self.mode!r}")
-        if not 0.0 < self.detect_scale < math.inf:
-            raise ValueError(
-                f"detect_scale must be finite and > 0, got {self.detect_scale}"
-            )
+        check_positive("detect_scale", self.detect_scale)
 
 
 def _normalize_links(
@@ -260,8 +255,7 @@ class FaultPlan:
     hard: tuple[HardFaults, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
+        check_count("seed", self.seed, 0)
         object.__setattr__(self, "links", _normalize_links(dict(self.links)))
         hard = tuple(self.hard)
         seen: set[tuple[str, str]] = set()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.net.topology import TopologySpec
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_count, check_non_negative, check_positive
 
 __all__ = ["CommCosts", "GpuSpec", "MachineModel", "Placement"]
 
@@ -139,8 +139,7 @@ class GpuSpec:
         check_positive("mem_bandwidth", self.mem_bandwidth)
         check_positive("flop_rate", self.flop_rate)
         check_non_negative("kernel_launch", self.kernel_launch)
-        if self.thread_blocks < 1:
-            raise ValueError(f"thread_blocks must be >= 1, got {self.thread_blocks}")
+        check_count("thread_blocks", self.thread_blocks)
 
 
 Placement = str  # "spread" (round-robin over endpoints) or "block"
@@ -175,10 +174,7 @@ class MachineModel:
         if not self.runtimes:
             raise ValueError(f"machine {self.name!r} defines no runtimes")
         check_positive("mem_bandwidth_per_endpoint", self.mem_bandwidth_per_endpoint)
-        if self.cores_per_endpoint < 1:
-            raise ValueError(
-                f"cores_per_endpoint must be >= 1, got {self.cores_per_endpoint}"
-            )
+        check_count("cores_per_endpoint", self.cores_per_endpoint)
 
     # -- capacity ------------------------------------------------------------
 
@@ -255,8 +251,7 @@ class MachineModel:
         """
         check_non_negative("nbytes", nbytes)
         check_non_negative("flops", flops)
-        if sharing < 1:
-            raise ValueError(f"sharing must be >= 1, got {sharing}")
+        check_count("sharing", sharing)
         if self.gpu is not None:
             bw = self.gpu.mem_bandwidth
             rate = self.gpu.flop_rate

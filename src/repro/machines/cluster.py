@@ -21,6 +21,7 @@ from repro.machines.base import MachineModel
 from repro.net.loggp import LinkParams
 from repro.net.topology import FabricBlueprint, TopologySpec
 from repro.util.units import GBps, us
+from repro.util.validation import check_count
 
 __all__ = ["make_cluster", "FABRICS", "SLINGSHOT11", "INFINIBAND_EDR"]
 
@@ -66,8 +67,7 @@ def make_cluster(
     and compute rates carry over unchanged, so all workloads and experiments
     run on clusters exactly as they do on single nodes.
     """
-    if nnodes < 1:
-        raise ValueError(f"nnodes must be >= 1, got {nnodes}")
+    check_count("nnodes", nnodes)
     if fabric is not None and nnodes > fabric.max_nodes:
         raise ValueError(
             f"{nnodes} nodes exceed the {fabric.max_nodes} node ports of "

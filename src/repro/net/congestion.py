@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.validation import check_non_negative
+
 __all__ = ["CongestionConfig", "CongestionControl"]
 
 
@@ -48,12 +50,10 @@ class CongestionConfig:
     min_rate: float = 0.125
 
     def __post_init__(self) -> None:
-        if self.ecn_threshold < 0:
-            raise ValueError(f"ecn_threshold must be >= 0, got {self.ecn_threshold}")
+        check_non_negative("ecn_threshold", self.ecn_threshold)
         if not 0.0 < self.decrease < 1.0:
             raise ValueError(f"decrease must be in (0, 1), got {self.decrease}")
-        if self.recover < 0:
-            raise ValueError(f"recover must be >= 0, got {self.recover}")
+        check_non_negative("recover", self.recover)
         if not 0.0 < self.min_rate <= 1.0:
             raise ValueError(f"min_rate must be in (0, 1], got {self.min_rate}")
 

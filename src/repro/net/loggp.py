@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_count, check_non_negative, check_positive
 
 __all__ = ["LogGPParams", "LinkParams"]
 
@@ -105,8 +105,7 @@ class LinkParams:
         check_non_negative("gap", self.gap)
         if self.atomic_gap is not None:
             check_non_negative("atomic_gap", self.atomic_gap)
-        if not isinstance(self.channels, int) or self.channels < 1:
-            raise ValueError(f"channels must be a positive int, got {self.channels!r}")
+        check_count("channels", self.channels)
 
     @property
     def effective_atomic_gap(self) -> float:

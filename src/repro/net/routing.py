@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.faults.plan import FaultError
 from repro.net.topology import Route
+from repro.util.validation import check_count, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Fabric
@@ -78,8 +79,7 @@ class AdaptiveRouting:
     name = "adaptive"
 
     def __init__(self, candidates: int = 2):
-        if type(candidates) is not int or candidates < 1:
-            raise ValueError(f"candidates must be an int >= 1, got {candidates!r}")
+        check_count("candidates", candidates)
         self.candidates = candidates
 
     def route(
@@ -221,12 +221,9 @@ class FailoverRouting:
     reroutes = True
 
     def __init__(self, suspect_after: int = 2, probe_interval: float | None = None):
-        if suspect_after < 1:
-            raise ValueError(f"suspect_after must be >= 1, got {suspect_after}")
-        if probe_interval is not None and probe_interval <= 0:
-            raise ValueError(
-                f"probe_interval must be > 0 or None, got {probe_interval}"
-            )
+        check_count("suspect_after", suspect_after)
+        if probe_interval is not None:
+            check_positive("probe_interval", probe_interval)
         self.suspect_after = suspect_after
         self.probe_interval = probe_interval
         self.dead: dict[frozenset[str], float] = {}  # link key -> detection time

@@ -25,6 +25,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from repro.net.loggp import LinkParams
+from repro.util.validation import check_count
 
 __all__ = [
     "TopologySpec",
@@ -436,10 +437,9 @@ def dragonfly(
     (UGAL) routing detours through a third group when that link queues —
     the Slingshot behaviour RAMC measures at scale.
     """
-    if groups < 2:
-        raise ValueError(f"dragonfly needs >= 2 groups, got {groups}")
-    if routers_per_group < 1 or nodes_per_router < 1:
-        raise ValueError("routers_per_group and nodes_per_router must be >= 1")
+    check_count("dragonfly groups", groups, 2)
+    check_count("routers_per_group", routers_per_group)
+    check_count("nodes_per_router", nodes_per_router)
     topo = TopologySpec(name=f"dragonfly-{groups}g{routers_per_group}r")
     names = [
         [f"g{g}r{r}" for r in range(routers_per_group)] for g in range(groups)
@@ -523,9 +523,9 @@ def torus(
     """A wraparound d-dimensional torus of routers, one node port each
     (``nodes_per_router`` to widen).  Rings of length 2 collapse the two
     wraparound directions into one link."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"torus dims must all be >= 2, got {list(dims)}")
+    dims = tuple(check_count("torus dim", d, 2) for d in dims)
+    if not dims:
+        raise ValueError("torus needs at least one dimension")
     shape = "x".join(str(d) for d in dims)
     topo = TopologySpec(name=f"torus-{shape}")
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 
+from repro.util.validation import check_in_range, check_positive
+
 __all__ = ["Counter", "Gauge", "Histogram", "Timeline", "MetricsRegistry"]
 
 
@@ -99,8 +101,7 @@ class Histogram:
         buckets — so p99/p999 tail estimates stay finite and within the
         observed range.  NaN with no observations.
         """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"quantile p must be in [0, 1], got {p}")
+        check_in_range("quantile p", p, 0, 1)
         if self.count == 0:
             return float("nan")
         target = p * self.count
@@ -148,8 +149,7 @@ class Timeline:
     __slots__ = ("name", "bin_width", "bins")
 
     def __init__(self, name: str, bin_width: float):
-        if bin_width <= 0:
-            raise ValueError(f"timeline {name!r} bin_width must be > 0")
+        check_positive(f"timeline {name!r} bin_width", bin_width)
         self.name = name
         self.bin_width = float(bin_width)
         self.bins: dict[int, float] = {}

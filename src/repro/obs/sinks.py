@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from repro.sim.trace import TraceRecord
+from repro.util.validation import check_count
 
 __all__ = ["RingBufferSink", "JsonlSink", "record_to_json", "record_from_json"]
 
@@ -53,9 +54,7 @@ class RingBufferSink:
     __slots__ = ("capacity", "_ring", "dropped")
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = check_count("ring capacity", capacity)
         self._ring: deque[TraceRecord] = deque(maxlen=capacity)
         self.dropped = 0  # evicted-record count (so truncation is visible)
 

@@ -15,6 +15,7 @@ import numpy as np
 from repro.machines.base import MachineModel
 from repro.roofline.model import MessageRoofline
 from repro.transport.registry import get_backend
+from repro.util.validation import check_count, check_positive
 
 __all__ = ["WorkloadProfile", "WorkloadBound", "bound_workload"]
 
@@ -25,16 +26,15 @@ class WorkloadProfile:
 
     name: str
     message_sizes: tuple[float, ...]  # bytes, the tested sizes (Fig. 6 verticals)
-    msgs_per_sync: float
+    msgs_per_sync: int
     pattern: str  # halo | mailbox | batch | atomic: whose op accounting applies
 
     def __post_init__(self) -> None:
         if not self.message_sizes:
             raise ValueError("profile needs at least one message size")
-        if any(b <= 0 for b in self.message_sizes):
-            raise ValueError("message sizes must be positive")
-        if self.msgs_per_sync < 1:
-            raise ValueError("msgs_per_sync must be >= 1")
+        for nbytes in self.message_sizes:
+            check_positive("message size", nbytes)
+        check_count("msgs_per_sync", self.msgs_per_sync)
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,13 @@ class WorkloadBound:
 
     def rows(self) -> list[dict[str, float]]:
         out = []
-        n = max(int(round(self.profile.msgs_per_sync)), 1)
         for B, bw, t in zip(
             self.profile.message_sizes, self.bound_bandwidth, self.time_per_sync
         ):
             out.append(
                 {
                     "message_size_B": B,
-                    "msgs_per_sync": n,
+                    "msgs_per_sync": self.profile.msgs_per_sync,
                     "bound_GBps": bw / 1e9,
                     "time_per_sync_us": t * 1e6,
                     "fraction_of_peak": bw / self.peak_bandwidth,
@@ -87,10 +86,9 @@ def bound_workload(
         machine, profile.pattern, src, dst, nranks=nranks
     )
     roofline = MessageRoofline(params, name=f"{machine.name}/{runtime}")
-    n = max(int(round(profile.msgs_per_sync)), 1)
     sizes = np.asarray(profile.message_sizes, dtype=float)
-    bw = roofline.bandwidth(sizes, n)
-    t = roofline.time(sizes, n)
+    bw = roofline.bandwidth(sizes, profile.msgs_per_sync)
+    t = roofline.time(sizes, profile.msgs_per_sync)
     return WorkloadBound(
         profile=profile,
         machine=machine.name,

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from numbers import Integral
 
 import numpy as np
 
 from repro.net.loggp import LogGPParams
 from repro.roofline.model import MessageRoofline
-from repro.util.validation import check_positive
+from repro.util.validation import check_count, check_positive
 
 __all__ = ["FloodSample", "fit_loggp", "FitResult"]
 
@@ -65,10 +64,7 @@ def fit_loggp(samples: Sequence[FloodSample]) -> FitResult:
     for s in samples:
         check_positive("fit sample nbytes", s.nbytes)
         check_positive("fit sample bandwidth", s.bandwidth)
-        if not isinstance(s.msgs_per_sync, Integral) or s.msgs_per_sync < 1:
-            raise ValueError(
-                f"fit sample msgs_per_sync must be an integer >= 1, got {s.msgs_per_sync}"
-            )
+        check_count("fit sample msgs_per_sync", s.msgs_per_sync)
     B = np.array([s.nbytes for s in samples], dtype=float)
     n = np.array([s.msgs_per_sync for s in samples], dtype=float)
     bw = np.array([s.bandwidth for s in samples], dtype=float)

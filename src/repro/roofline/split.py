@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.transport import SHMEM
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_count, check_non_negative, check_positive
 
 __all__ = ["SplitModel"]
 
@@ -59,8 +59,7 @@ class SplitModel:
         check_positive("channel_bandwidth", self.channel_bandwidth)
         check_positive("injection_bandwidth", self.injection_bandwidth)
         check_non_negative("wait_poll", self.wait_poll)
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        check_count("channels", self.channels)
 
     @classmethod
     def from_machine(cls, machine, src: str, dst: str, runtime: str = SHMEM) -> "SplitModel":
@@ -89,10 +88,9 @@ class SplitModel:
     def time(self, volume, k: int = 1) -> np.ndarray:
         """Time to move ``volume`` bytes as ``k`` concurrent messages."""
         V = np.asarray(volume, dtype=float)
-        if np.any(V < 0):
+        if not np.all(V >= 0):  # a nan volume fails too
             raise ValueError("volume must be >= 0")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        check_count("k", k)
         width = min(k, self.channels)
         chunk = V / k
         g_inj = 1.0 / self.injection_bandwidth
@@ -131,7 +129,7 @@ class SplitModel:
         With injection spacing dominating: ``T(k) -> V*((k-1)/k*G_inj +
         G_chan/k)`` against ``T(1) -> V*G_chan``.
         """
-        width = min(k, self.channels)
+        width = min(check_count("k", k), self.channels)
         g_inj = 1.0 / self.injection_bandwidth
         g_chan = 1.0 / self.channel_bandwidth
         per_byte_split = max(

@@ -26,6 +26,7 @@ from repro.sim.event import (
     Timeout,
 )
 from repro.sim.process import InFlight, Process
+from repro.util.validation import check_count
 
 __all__ = ["Simulator"]
 
@@ -179,8 +180,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if max_events is not None and max_events < 1:
-            raise SimulationError(f"max_events must be >= 1, got {max_events}")
+        if max_events is not None:
+            check_count("max_events", max_events, 1, SimulationError)
         # The budget is a count to stop at, compared inline and only when
         # one was given; heap and step are looked up once, not per event.
         limit = None if max_events is None else self.event_count + max_events

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro import scope
 from repro.sweep.cache import ResultCache
+from repro.util.validation import check_count
 
 __all__ = ["ExecutionConfig", "current_execution", "execution"]
 
@@ -45,8 +46,7 @@ class ExecutionConfig:
     _pool: ProcessPoolExecutor | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        check_count("jobs", self.jobs)
 
     def pool(self) -> ProcessPoolExecutor:
         """The shared process pool (created lazily on first parallel sweep)."""

@@ -17,6 +17,7 @@ from repro.util.units import (
 )
 from repro.util.tables import Table, format_table
 from repro.util.validation import (
+    check_count,
     check_in_range,
     check_non_negative,
     check_positive,
@@ -38,6 +39,7 @@ __all__ = [
     "parse_size",
     "Table",
     "format_table",
+    "check_count",
     "check_in_range",
     "check_non_negative",
     "check_positive",

@@ -31,7 +31,6 @@ being usable), which is what the paper's sustained-bandwidth plots show.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from repro.ir.program import IRProgram, region_for_all
 from repro.machines.base import MachineModel
 from repro.roofline.fit import FloodSample
 from repro.transport import AtomicDomainSpec, BatchSpec, SpaceSpec
+from repro.util.validation import check_count
 
 __all__ = [
     "FloodResult",
@@ -109,14 +109,9 @@ def run_flood(
     paths); on a multi-node cluster, ``placement="block"`` puts them on
     different nodes, measuring the switched fabric instead.
     """
-    if not isinstance(msgs_per_sync, Integral) or msgs_per_sync < 1:
-        raise ValueError(
-            f"flood msgs_per_sync must be an integer >= 1, got {msgs_per_sync}"
-        )
-    if not isinstance(iters, Integral) or iters < 1:
-        raise ValueError(f"flood iters must be an integer >= 1, got {iters}")
-    if not isinstance(nranks, Integral) or nranks < 2:
-        raise ValueError(f"flood nranks must be an integer >= 2, got {nranks}")
+    check_count("flood msgs_per_sync", msgs_per_sync)
+    check_count("flood iters", iters)
+    check_count("flood nranks", nranks, 2)
     program = build_flood_program(
         runtime, nbytes, msgs_per_sync, iters=iters, nranks=nranks
     )
@@ -171,10 +166,8 @@ def run_cas_flood(
     ``target_rank`` selects the victim — on Summit GPUs, a rank in the other
     island exposes the cross-socket atomic penalty (1.6 us vs 1.0 us).
     """
-    if not isinstance(n_ops, Integral) or n_ops < 1:
-        raise ValueError(f"cas flood n_ops must be >= 1, got {n_ops} (an integer count)")
-    if not isinstance(nranks, Integral) or nranks < 2:
-        raise ValueError(f"cas flood nranks must be an integer >= 2, got {nranks}")
+    check_count("cas flood n_ops", n_ops)
+    check_count("cas flood nranks", nranks, 2)
     if not 0 < target_rank < nranks:
         raise ValueError(f"target_rank {target_rank} out of range (1..{nranks - 1})")
     job = Job(machine, nranks, runtime, placement="spread")

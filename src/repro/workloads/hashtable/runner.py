@@ -32,13 +32,13 @@ inverted-at-P=2 results) rather than the prose's broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
 from repro.transport import AtomicDomainSpec, SpaceSpec
+from repro.util.validation import check_count
 from repro.workloads.base import WorkloadResult
 from repro.workloads.hashtable.table import (
     EMPTY,
@@ -63,10 +63,7 @@ class HashTableConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.total_inserts, Integral) or self.total_inserts < 1:
-            raise ValueError(
-                f"hashtable total_inserts must be an integer >= 1, got {self.total_inserts}"
-            )
+        check_count("hashtable total_inserts", self.total_inserts)
         if not 0 < self.load_factor <= 1:
             raise ValueError("load_factor in (0, 1]")
 
@@ -214,8 +211,6 @@ def run_hashtable(
     Execute-mode verification data (all stored values) is returned in
     ``extras["values"]``; ``extras["gups"]`` holds giga-updates/s.
     """
-    if nranks < 1:
-        raise ValueError(f"nranks must be >= 1, got {nranks}")
     geom = TableGeometry.for_inserts(
         nranks, cfg.total_inserts, load_factor=cfg.load_factor
     )

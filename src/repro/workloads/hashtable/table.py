@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.validation import check_count
+
 __all__ = ["TableGeometry", "local_insert", "collect_values", "chain_lengths"]
 
 EMPTY = 0
@@ -33,12 +35,8 @@ class TableGeometry:
     heap_per_rank: int
 
     def __post_init__(self) -> None:
-        if self.nranks < 1:
-            raise ValueError("nranks must be >= 1")
-        if self.slots_per_rank < 1:
-            raise ValueError("slots_per_rank must be >= 1")
-        if self.heap_per_rank < 1:
-            raise ValueError("heap_per_rank must be >= 1")
+        for name in ("nranks", "slots_per_rank", "heap_per_rank"):
+            check_count(name, getattr(self, name))
 
     @property
     def total_slots(self) -> int:
@@ -76,8 +74,8 @@ class TableGeometry:
         cls, nranks: int, total_inserts: int, *, load_factor: float = 0.6
     ) -> "TableGeometry":
         """Geometry sized so the table ends up ~``load_factor`` full."""
-        if total_inserts < 1:
-            raise ValueError("total_inserts must be >= 1")
+        check_count("nranks", nranks)
+        check_count("total_inserts", total_inserts)
         if not 0 < load_factor <= 1:
             raise ValueError("load_factor must be in (0, 1]")
         slots = max(int(total_inserts / load_factor / nranks) + 1, 4)

@@ -17,12 +17,12 @@ time-to-first-token path.  ``transfer_time`` isolates it;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 from repro.collectives.core import CollectiveComm
 from repro.collectives.plan import _WORD, CollectiveError, plan_collective
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
+from repro.util.validation import check_count
 
 __all__ = ["KvTransferResult", "run_kv_transfer"]
 
@@ -76,14 +76,14 @@ def run_kv_transfer(
     placement: str = "spread",
 ) -> KvTransferResult:
     """Simulate one prefill -> hand-off -> decode pipeline."""
-    if nranks < 2:
-        raise CollectiveError("run_kv_transfer needs a prefill rank and >= 1 replica")
+    check_count(
+        "kv_transfer nranks (a prefill rank and >= 1 replica)", nranks, 2, CollectiveError
+    )
     for name, value in (
         ("context_tokens", context_tokens), ("hidden", hidden),
         ("layers", layers), ("decode_tokens", decode_tokens),
     ):
-        if not isinstance(value, Integral) or value < 1:
-            raise CollectiveError(f"kv_transfer {name} must be an integer >= 1, got {value}")
+        check_count(f"kv_transfer {name}", value, 1, CollectiveError)
     kv_words = 2 * layers * context_tokens * hidden  # K and V per layer
     kv_bytes = kv_words * _WORD
     params = 12.0 * layers * float(hidden) ** 2  # transformer block estimate

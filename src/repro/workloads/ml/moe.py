@@ -17,12 +17,12 @@ the experiment's checked finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 from repro.collectives.core import CollectiveComm
 from repro.collectives.plan import _WORD, CollectiveError, plan_collective
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
+from repro.util.validation import check_count
 
 __all__ = ["MoeDispatchResult", "run_moe_dispatch"]
 
@@ -71,14 +71,11 @@ def run_moe_dispatch(
     placement: str = "spread",
 ) -> MoeDispatchResult:
     """Simulate ``iters`` MoE layers and measure one."""
-    if nranks < 1:
-        raise CollectiveError(f"nranks must be >= 1, got {nranks}")
     for name, value, low in (
-        ("tokens_per_rank", tokens_per_rank, nranks), ("hidden", hidden, 1),
-        ("ffn_mult", ffn_mult, 1), ("iters", iters, 1),
+        ("nranks", nranks, 1), ("tokens_per_rank", tokens_per_rank, nranks),
+        ("hidden", hidden, 1), ("ffn_mult", ffn_mult, 1), ("iters", iters, 1),
     ):
-        if not isinstance(value, Integral) or value < low:
-            raise CollectiveError(f"moe {name} must be an integer >= {low}, got {value}")
+        check_count(f"moe {name}", value, low, CollectiveError)
     # Equal routing: each rank sends tokens/P tokens to every expert.
     tokens_per_dest = tokens_per_rank // nranks
     block_words = tokens_per_dest * hidden  # per-destination alltoall block

@@ -18,12 +18,12 @@ the allreduce did not hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 from repro.collectives.core import CollectiveComm
 from repro.collectives.plan import _WORD, CollectiveError, plan_collective
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
+from repro.util.validation import check_count, check_non_negative
 
 __all__ = ["RecoverableTrainingSpec", "TrainingStepResult", "run_training_step"]
 
@@ -47,14 +47,9 @@ class RecoverableTrainingSpec:
     compute_seconds: float = 50e-6
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.grad_bytes < 0:
-            raise ValueError(f"grad_bytes must be >= 0, got {self.grad_bytes}")
-        if self.compute_seconds < 0:
-            raise ValueError(
-                f"compute_seconds must be >= 0, got {self.compute_seconds}"
-            )
+        check_count("steps", self.steps)
+        check_non_negative("grad_bytes", self.grad_bytes)
+        check_non_negative("compute_seconds", self.compute_seconds)
 
     def shard_bytes(self, nranks: int) -> float:
         """Bytes each rank moves per ring neighbour exchange."""
@@ -117,8 +112,7 @@ def run_training_step(
     for name, value in (
         ("buckets", buckets), ("tokens_per_rank", tokens_per_rank), ("iters", iters),
     ):
-        if not isinstance(value, Integral) or value < 1:
-            raise CollectiveError(f"training {name} must be an integer >= 1, got {value}")
+        check_count(f"training {name}", value, 1, CollectiveError)
     params = grad_bytes / 4.0  # fp32 parameters
     flops = 6.0 * params * tokens_per_rank
     grad_words = max(int(grad_bytes // _WORD), 1)

@@ -18,15 +18,15 @@ pipeline we cannot rerun, so this module generates matrices with the same
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from numbers import Integral
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.util.validation import check_count, check_positive
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -53,17 +53,12 @@ class MatrixSpec:
 
     def __post_init__(self) -> None:
         for name, low in (("n_supernodes", 2), ("width_lo", 1), ("width_hi", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < low:
-                raise ValueError(f"matrix {name} must be an integer >= {low}, got {value}")
+            check_count(f"matrix {name}", getattr(self, name), low)
         if self.width_lo > self.width_hi:
             raise ValueError(f"bad width range [{self.width_lo}, {self.width_hi}]")
         if not 0 < self.block_density <= 1:
             raise ValueError(f"block_density must be in (0, 1], got {self.block_density}")
-        if not 0 < self.density_range < math.inf:
-            raise ValueError(
-                f"matrix density_range must be finite and > 0, got {self.density_range}"
-            )
+        check_positive("matrix density_range", self.density_range)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.util.validation import check_count
 from repro.workloads.sptrsv.matrix import SupernodalMatrix
 
 __all__ = ["BlockCyclicLayout", "CommPlan", "ExpectedMsg"]
@@ -31,11 +32,12 @@ class BlockCyclicLayout:
     pc: int
 
     def __post_init__(self) -> None:
-        if self.pr < 1 or self.pc < 1:
-            raise ValueError(f"process grid must be positive, got {self.pr}x{self.pc}")
+        check_count("pr", self.pr)
+        check_count("pc", self.pc)
 
     @classmethod
     def square_ish(cls, nranks: int) -> "BlockCyclicLayout":
+        check_count("nranks", nranks)
         pr = int(math.isqrt(nranks))
         while nranks % pr:
             pr -= 1

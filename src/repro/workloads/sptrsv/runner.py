@@ -31,6 +31,7 @@ import numpy as np
 from repro.comm.job import Job
 from repro.machines.base import MachineModel
 from repro.transport import MailboxMsg, MailboxSpec
+from repro.util.validation import check_count
 from repro.workloads.base import WorkloadResult
 from repro.workloads.sptrsv.matrix import SupernodalMatrix
 from repro.workloads.sptrsv.plan import (
@@ -256,8 +257,7 @@ def run_sptrsv(
     placement: str | None = None,
 ) -> WorkloadResult:
     """Run the distributed solve; execute mode returns ``extras["x"]``."""
-    if nranks < 1:
-        raise ValueError(f"nranks must be >= 1, got {nranks}")
+    check_count("nranks", nranks)
     layout = layout if layout is not None else BlockCyclicLayout.square_ish(nranks)
     if layout.nranks != nranks:
         raise ValueError(f"layout {layout.pr}x{layout.pc} != nranks {nranks}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.util.validation import check_count
+
 __all__ = ["ProcessGrid", "DIRECTIONS"]
 
 # Direction name -> (dx, dy) in process-grid coordinates, in exchange
@@ -33,15 +35,14 @@ class ProcessGrid:
     py: int
 
     def __post_init__(self) -> None:
-        if self.px < 1 or self.py < 1:
-            raise ValueError(f"process grid must be positive, got {self.px}x{self.py}")
+        check_count("px", self.px)
+        check_count("py", self.py)
 
     @classmethod
     def square_ish(cls, nranks: int) -> "ProcessGrid":
         """The most-square factorisation with ``px >= py`` (paper's shapes:
         4 -> 2x2, 8 -> 4x2, ..., 128 -> 16x8)."""
-        if nranks < 1:
-            raise ValueError(f"nranks must be >= 1, got {nranks}")
+        check_count("nranks", nranks)
         py = int(math.isqrt(nranks))
         while nranks % py:
             py -= 1

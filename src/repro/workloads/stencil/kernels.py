@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.validation import check_count
+
 __all__ = [
     "jacobi_step",
     "jacobi_reference",
@@ -25,8 +27,8 @@ def initial_grid(nx: int, ny: int, *, hot_edge: float = 1.0) -> np.ndarray:
     Deterministic, so distributed runs can be verified bit-for-bit against
     the serial reference.
     """
-    if nx < 3 or ny < 3:
-        raise ValueError(f"grid must be at least 3x3, got {nx}x{ny}")
+    check_count("nx", nx, 3)
+    check_count("ny", ny, 3)
     u = np.zeros((ny, nx), dtype=np.float64)
     u[0, :] = hot_edge
     return u
@@ -52,8 +54,7 @@ def jacobi_step(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def jacobi_reference(u0: np.ndarray, iters: int) -> np.ndarray:
     """Serial reference: ``iters`` Jacobi sweeps with fixed boundaries."""
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    check_count("iters", iters, 0)
     u = u0.copy()
     scratch = u.copy()
     for _ in range(iters):
@@ -107,8 +108,7 @@ def heat_reference(
 ) -> np.ndarray:
     """Serial reference for the heat/energy stencil on a zero field with
     zero (cold) boundaries."""
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    check_count("iters", iters, 0)
     u = np.zeros((ny, nx), dtype=np.float64)
     scratch = u.copy()
     for _ in range(iters):

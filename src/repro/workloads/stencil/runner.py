@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from repro.ir.lower import run_program
 from repro.ir.program import IRProgram, Region
 from repro.machines.base import MachineModel
 from repro.transport import HaloSpec
+from repro.util.validation import check_count
 from repro.workloads.base import WorkloadResult
 from repro.workloads.stencil.decomposition import DIRECTIONS, ProcessGrid
 from repro.workloads.stencil.kernels import (
@@ -64,11 +64,7 @@ class StencilConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("nx", 3), ("ny", 3), ("iters", 1), ("nsources", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < low:
-                raise ValueError(
-                    f"stencil {name} must be an integer >= {low}, got {value}"
-                )
+            check_count(f"stencil {name}", getattr(self, name), low)
         if not math.isfinite(self.energy):
             raise ValueError(f"stencil energy must be finite, got {self.energy}")
         if self.mode not in ("simulate", "execute"):
@@ -276,8 +272,7 @@ def run_stencil(
     mode the assembled global field is returned in ``extras["field"]`` for
     verification.
     """
-    if not isinstance(nranks, Integral) or nranks < 1:
-        raise ValueError(f"stencil nranks must be an integer >= 1, got {nranks}")
+    check_count("stencil nranks", nranks)
     grid = grid if grid is not None else ProcessGrid.square_ish(nranks)
     if grid.nranks != nranks:
         raise ValueError(f"grid {grid.px}x{grid.py} != nranks {nranks}")

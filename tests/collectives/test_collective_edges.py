@@ -163,8 +163,10 @@ def test_nbytes_rounds_up_to_whole_words():
         (dict(coll="allreduce", nbytes=0), "nelems >= 1"),
         (dict(coll="allreduce", nbytes=float("nan")), "nbytes must be finite"),
         (dict(coll="allreduce", nbytes=float("inf")), "nbytes must be finite"),
-        (dict(coll="allreduce", nelems=float("nan")), "nelems must be finite"),
-        (dict(coll="allreduce", nelems=float("inf")), "nelems must be finite"),
+        (dict(coll="allreduce", nelems=float("nan")),
+         "nelems must be an integer >= 0, got nan"),
+        (dict(coll="allreduce", nelems=float("inf")),
+         "nelems must be an integer >= 0, got inf"),
     ],
 )
 def test_invalid_requests_raise(kwargs, match):
@@ -189,7 +191,7 @@ def test_auto_checks_nranks_before_selecting(coll, nranks, monkeypatch):
 
     monkeypatch.setattr(selector, "select", select)
     size = {} if coll == "barrier" else dict(nbytes=64)
-    with pytest.raises(CollectiveError, match=f"nranks must be >= 1, got {nranks}"):
+    with pytest.raises(CollectiveError, match=f"nranks must be an integer >= 1, got {nranks}"):
         run_collective(perlmutter_gpu(), SHMEM, coll, nranks=nranks, **size)
 
 
@@ -213,30 +215,30 @@ def _run(**kwargs):
         pytest.param(lambda: _explain(nbytes=100).nbytes, 104.0,
                      id="explain-prices-whole-words"),
         pytest.param(lambda: _explain(nranks=0, nbytes=64),
-                     "nranks must be >= 1, got 0", id="explain-nranks-0"),
+                     "nranks must be an integer >= 1, got 0", id="explain-nranks-0"),
         pytest.param(lambda: _explain(nbytes=NAN),
-                     "nbytes must be finite, got nan", id="explain-nbytes-nan"),
+                     "nbytes must be finite and >= 0, got nan", id="explain-nbytes-nan"),
         pytest.param(lambda: _explain(nbytes=-1),
-                     "nbytes must be >= 0, got -1", id="explain-nbytes-negative"),
+                     "nbytes must be finite and >= 0, got -1", id="explain-nbytes-negative"),
         pytest.param(lambda: _run(iters=2.5),
-                     "iters must be an integer, got 2.5", id="run-iters-fraction"),
+                     "iters must be an integer >= 1, got 2.5", id="run-iters-fraction"),
         pytest.param(lambda: _run(iters=NAN),
-                     "iters must be finite, got nan", id="run-iters-nan"),
+                     "iters must be an integer >= 1, got nan", id="run-iters-nan"),
         pytest.param(lambda: _run(algorithm="ring", stripes=2.5),
-                     "stripes must be an integer, got 2.5",
+                     "stripes must be an integer >= 1, got 2.5",
                      id="run-stripes-fraction"),
         pytest.param(lambda: _run(algorithm="ring", stripes=NAN),
-                     "stripes must be finite, got nan", id="run-stripes-nan"),
+                     "stripes must be an integer >= 1, got nan", id="run-stripes-nan"),
         pytest.param(lambda: _run(nranks=2.5),
-                     "nranks must be an integer, got 2.5", id="run-nranks-fraction"),
+                     "nranks must be an integer >= 1, got 2.5", id="run-nranks-fraction"),
         pytest.param(lambda: _run(nelems=2.5),
-                     "nelems must be an integer, got 2.5", id="run-nelems-fraction"),
+                     "nelems must be an integer >= 0, got 2.5", id="run-nelems-fraction"),
         pytest.param(lambda: CollectivePlan(coll="allreduce", algorithm="ring",
                                             nranks=2.5, nelems=8),
-                     "nranks must be an integer, got 2.5",
+                     "nranks must be an integer >= 1, got 2.5",
                      id="plan-nranks-fraction"),
         pytest.param(lambda: _run(nelems=None, nbytes=-8),
-                     "nbytes must be >= 0, got -8", id="run-nbytes-negative"),
+                     "nbytes must be finite and >= 0, got -8", id="run-nbytes-negative"),
     ],
 )
 def test_one_size_path(call, want):

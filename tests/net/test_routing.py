@@ -48,7 +48,7 @@ class TestResolver:
     def test_candidates_must_be_an_int(self, candidates):
         """1.5 and True used to construct and run; "2" died in the
         comparison with a TypeError instead of naming the argument."""
-        with pytest.raises(ValueError, match="candidates must be an int >= 1"):
+        with pytest.raises(ValueError, match="candidates must be an integer >= 1"):
             AdaptiveRouting(candidates=candidates)
 
 

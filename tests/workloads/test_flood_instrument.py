@@ -96,7 +96,7 @@ class TestCasFlood:
         with pytest.raises(ValueError):
             run_cas_flood(perlmutter_cpu(), "one_sided", nranks=2, target_rank=2)
         for n_ops in (0, -3):
-            with pytest.raises(ValueError, match="n_ops must be >= 1, got"):
+            with pytest.raises(ValueError, match="n_ops must be an integer >= 1, got"):
                 run_cas_flood(perlmutter_cpu(), "one_sided", n_ops=n_ops)
 
 

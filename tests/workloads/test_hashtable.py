@@ -52,7 +52,7 @@ class TestGeometry:
     @pytest.mark.parametrize("runtime", ["one_sided", "two_sided"])
     @pytest.mark.parametrize("nranks", [0, -1])
     def test_runner_rejects_fewer_than_one_rank(self, runtime, nranks):
-        with pytest.raises(ValueError, match=f"nranks must be >= 1, got {nranks}"):
+        with pytest.raises(ValueError, match=f"nranks must be an integer >= 1, got {nranks}"):
             run_hashtable(perlmutter_cpu(), runtime, HashTableConfig(total_inserts=100), nranks)
 
 

@@ -96,7 +96,7 @@ class TestTrainingStep:
     @pytest.mark.parametrize(
         ("kwargs", "match"),
         [
-            (dict(nranks=0, grad_bytes=1024.0), "nranks must be >= 1, got 0"),
+            (dict(nranks=0, grad_bytes=1024.0), "nranks must be an integer >= 1, got 0"),
             (dict(nranks=4, grad_bytes=float("nan")), "grad_bytes must be finite"),
             (dict(nranks=4, grad_bytes=float("inf")), "grad_bytes must be finite"),
         ],
@@ -154,7 +154,7 @@ class TestMoeDispatch:
 
     def test_zero_ranks_is_typed(self):
         """Not ``ZeroDivisionError`` from the per-expert token split."""
-        with pytest.raises(CollectiveError, match="nranks must be >= 1, got 0"):
+        with pytest.raises(CollectiveError, match="moe nranks must be an integer >= 1, got 0"):
             run_moe_dispatch(PM(), "shmem", nranks=0, tokens_per_rank=8, hidden=64)
 
 

@@ -77,7 +77,7 @@ class TestCorrectnessVariants:
     @pytest.mark.parametrize("runtime", ["one_sided", "two_sided"])
     @pytest.mark.parametrize("nranks", [0, -1])
     def test_fewer_than_one_rank_rejected(self, small_matrix, runtime, nranks):
-        with pytest.raises(ValueError, match=f"nranks must be >= 1, got {nranks}"):
+        with pytest.raises(ValueError, match=f"nranks must be an integer >= 1, got {nranks}"):
             run_sptrsv(perlmutter_cpu(), runtime, small_matrix, nranks)
 
     def test_unknown_runtime_rejected(self, small_matrix):
