@@ -103,15 +103,17 @@ def main() -> None:
     print()
 
     # The caps table now carries the user backend next to the built-ins,
-    # and capability-predicate selection finds it without naming it:
-    # require() returns every backend whose declared caps match.
+    # and capability selection finds it without naming it: every backend
+    # whose declared caps match, and require()'s pick among them.
     print("capabilities():")
     for name, caps in sorted(capabilities().items()):
         print(f"  {name:>16}: {caps.summary()}")
     assert capabilities()[FUSED].ops_per_message == 1  # derived, never declared
-    host_nic = require(gpu_initiated=False, fence_epochs=False, remote_atomics=True)
-    print(f"{host_nic}.candidates() = {host_nic.candidates()}")
-    assert FUSED in host_nic.candidates()
+    host_nic = {"gpu_initiated": False, "fence_epochs": False, "remote_atomics": True}
+    candidates = [n for n, c in capabilities().items() if c.matches(**host_nic)]
+    print(f"qualifying {host_nic}: {candidates}")
+    print(f"require(**host_nic) = {require(**host_nic)!r}")
+    assert FUSED in candidates
     print()
 
     # Small-message flood: sweep messages-per-sync and watch the

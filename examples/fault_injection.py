@@ -11,7 +11,7 @@ hardware.  This example sweeps the loss rate for all three and prints the
 resulting "robustness roofline".
 
 Run:  python examples/fault_injection.py
-CLI:  repro fault perlmutter-cpu one_sided --loss 0.08
+CLI:  repro flood perlmutter-cpu one_sided --loss 0.08
       repro run degradation
 """
 

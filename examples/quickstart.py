@@ -4,7 +4,8 @@
 Builds the Perlmutter CPU model, runs a two-rank ping-pong and a flood
 benchmark over the simulated Infinity Fabric, and places the measured
 bandwidth on the Message Roofline.  Uses the stable ``repro`` facade
-(``repro.Session``) — see ``docs/API.md`` for the full surface.
+(``repro.Session`` scopes around module runners) — see ``docs/API.md``
+for the full surface.
 
 Run:  python examples/quickstart.py
 """
@@ -14,6 +15,7 @@ from repro.comm import Job
 from repro.roofline import MessageRoofline
 from repro.transport import get_backend
 from repro.util import fmt_bw, fmt_time
+from repro.workloads.flood import run_flood
 
 
 def pingpong(ctx):
@@ -42,12 +44,13 @@ def main() -> None:
     print()
 
     # 2. Flood: n messages per synchronization -> sustained bandwidth.
-    #    A Session pins the machine + backend once for every runner inside.
+    #    A Session's scopes (here: metrics) cover every runner inside it.
     print("flood bandwidth vs messages-per-sync (64 KiB messages):")
-    with repro.Session(machine="perlmutter-cpu", backend=repro.TWO_SIDED) as s:
+    with repro.Session(obs=True) as s:
         for n in (1, 16, 256):
-            r = s.run_flood(nbytes=65536, msgs_per_sync=n, iters=3)
+            r = run_flood(machine, repro.TWO_SIDED, 65536, n, iters=3)
             print(f"  n={n:4d}  {fmt_bw(r.bandwidth)}")
+    print(f"  ({s.obs.snapshot()['net.fabric.messages']:.0f} fabric messages)")
     print()
 
     # 3. The analytic Message Roofline bound for the same operating points.

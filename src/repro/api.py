@@ -9,14 +9,18 @@ hand means three nested ``with`` blocks in the right order.
 :class:`Session` is that composition as one object::
 
     import repro
+    from repro.workloads.flood import run_flood
 
     plan = repro.faults.FaultPlan.uniform(loss=0.01, seed=7)
-    with repro.Session(machine="perlmutter-gpu", backend=repro.SHMEM,
-                       faults=plan, obs=True, jobs=4) as s:
-        report = s.run_experiment("fig09")
-        flood = s.run_flood(nbytes=4096, msgs_per_sync=64)
+    with repro.Session(faults=plan, obs=True, jobs=4) as s:
+        report = repro.run_experiment("fig09")
+        flood = run_flood(repro.get_machine("perlmutter-gpu"), repro.SHMEM,
+                          4096, 64)
     print(s.obs.snapshot())      # metrics + span timings
     print(s.fault_stats())       # drops / retransmits / ...
+
+A session holds scopes only: every runner is the module function, called
+inside the ``with`` block, where it honours the scopes.
 
 Everything here is re-exported from the top-level :mod:`repro` package:
 ``Session``, :func:`run_experiment`, :func:`run_sweep`,
@@ -34,14 +38,13 @@ from repro import ir as _ir
 from repro import obs as _obs
 from repro import sweep as _sweep
 from repro.experiments import ALL_EXPERIMENTS
-from repro.machines import MACHINES, PROJECTIONS, MachineModel, get_machine
+from repro.machines import MACHINES, PROJECTIONS, get_machine
 from repro.transport import (
     ONE_SIDED,
     ONE_SIDED_HW,
     SHMEM,
     STREAM_TRIGGERED,
     TWO_SIDED,
-    CapsPredicate,
     backend_names,
     capabilities,
     require,
@@ -91,20 +94,9 @@ def run_experiment(name: str, **kwargs: Any):
 
 
 class Session:
-    """One experiment session: machine + backend defaults, ambient scopes.
+    """One experiment session: the ambient scopes as one object.
 
     Args:
-        machine: machine model name (``"perlmutter-gpu"``, ...) or a
-            pre-built :class:`~repro.machines.base.MachineModel`; resolved
-            eagerly so typos fail at construction.
-        backend: default runtime backend for the convenience runners — a
-            registered name (:data:`TWO_SIDED` / :data:`ONE_SIDED` /
-            :data:`SHMEM` / :data:`ONE_SIDED_HW` /
-            :data:`STREAM_TRIGGERED`) or a capability predicate built
-            with :func:`repro.transport.require`
-            (``backend=require(gpu_initiated=True)`` resolves to the
-            first qualifying backend; no qualifier raises an error
-            listing the full capability table).  Validated eagerly.
         faults: a :class:`~repro.faults.FaultPlan` installed via
             :func:`repro.faults.inject` for the session's duration.
         obs: ``True`` for a fresh metrics+spans session, or a pre-built
@@ -112,9 +104,6 @@ class Session:
         jobs: sweep parallelism (installed via :func:`repro.sweep.execution`).
         cache: a :class:`~repro.sweep.ResultCache` (or a path for one) for
             sweep result caching.
-        placement: default co-scheduling placement policy (``"packed"`` /
-            ``"scattered"`` / ``"random"``) for clusters built via
-            :meth:`cluster`, validated eagerly.
         passes: IR pass pipeline for every program lowered in the session
             (installed via :func:`repro.ir.passes`).  ``True`` enables the
             default pipeline (coalesce, overlap, sync-elide); a sequence of
@@ -126,38 +115,20 @@ class Session:
 
     The scopes nest obs -> faults -> passes -> execution, so worker
     processes and fault draws happen *inside* the observed region, exactly
-    as the hand-written ``with`` blocks would.
+    as the hand-written ``with`` blocks would.  A runner called inside the
+    block (:func:`run_experiment`, :func:`repro.sweep.run_sweep`,
+    :func:`repro.workloads.flood.run_flood`, ...) honours all of them.
     """
 
     def __init__(
         self,
         *,
-        machine: str | MachineModel | None = None,
-        backend: str | CapsPredicate | None = None,
         faults: "_faults.FaultPlan | None" = None,
         obs: "bool | _obs.Obs" = False,
         jobs: int = 1,
         cache: "_sweep.ResultCache | str | None" = None,
         passes=False,
-        placement: str = "packed",
     ):
-        from repro.cluster import PLACEMENTS
-
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; valid: {PLACEMENTS}"
-            )
-        self.placement = placement
-        self.machine = get_machine(machine) if isinstance(machine, str) else machine
-        if isinstance(backend, CapsPredicate):
-            # Resolve eagerly: an unsatisfiable predicate fails at
-            # construction with the full capability table.
-            backend = backend.resolve()
-        elif backend is not None and backend not in backend_names():
-            raise ValueError(
-                f"unknown backend {backend!r}; valid: {', '.join(backend_names())}"
-            )
-        self.backend = backend
         self.fault_plan = faults
         self.jobs = _sweep.ExecutionConfig(jobs).jobs  # validated by its owner, eagerly
         self.cache = _sweep.ResultCache(cache) if isinstance(cache, str) else cache
@@ -217,114 +188,8 @@ class Session:
             )
         return "(no IR programs lowered in this session)"
 
-    # -- conveniences ---------------------------------------------------
-
-    def _machine(self) -> MachineModel:
-        if self.machine is None:
-            raise ValueError("Session has no machine= configured")
-        return self.machine
-
-    def _backend(self) -> str:
-        if self.backend is None:
-            raise ValueError("Session has no backend= configured")
-        return self.backend
-
-    def run_experiment(self, name: str, **kwargs: Any):
-        """:func:`run_experiment` under this session's scopes."""
-        return run_experiment(name, **kwargs)
-
-    def run_sweep(self, spec, **kwargs):
-        """:func:`repro.sweep.run_sweep` under this session's scopes."""
-        return _sweep.run_sweep(spec, **kwargs)
-
-    def run_flood(self, *, nbytes: int, msgs_per_sync: int, **kwargs: Any):
-        """One flood point on the session's machine/backend."""
-        from repro.workloads.flood import run_flood
-
-        return run_flood(
-            self._machine(), self._backend(), nbytes, msgs_per_sync, **kwargs
-        )
-
-    def run_cas_flood(self, **kwargs: Any):
-        """One CAS-flood measurement on the session's machine/backend."""
-        from repro.workloads.flood import run_cas_flood
-
-        return run_cas_flood(self._machine(), self._backend(), **kwargs)
-
-    def run_collective(self, coll: str, *, nranks: int, **kwargs: Any):
-        """One collective (:func:`repro.collectives.run_collective`) on
-        the session's machine/backend."""
-        from repro.collectives import run_collective
-
-        return run_collective(
-            self._machine(), self._backend(), coll, nranks=nranks, **kwargs
-        )
-
-    def explain_collective(self, coll: str, *, nranks: int, **kwargs: Any):
-        """The algorithm selector's verdict + cost table (model only)."""
-        from repro.collectives import explain_collective
-
-        return explain_collective(
-            self._machine(), self._backend(), coll, nranks=nranks, **kwargs
-        )
-
-    def run_training_step(self, *, nranks: int, grad_bytes: float, **kwargs: Any):
-        """A data-parallel training step (ML traffic; see repro.workloads.ml)."""
-        from repro.workloads.ml import run_training_step
-
-        return run_training_step(
-            self._machine(), self._backend(), nranks=nranks,
-            grad_bytes=grad_bytes, **kwargs,
-        )
-
-    def run_moe_dispatch(self, *, nranks: int, **kwargs: Any):
-        """An expert-parallel MoE layer (alltoall dispatch + combine)."""
-        from repro.workloads.ml import run_moe_dispatch
-
-        return run_moe_dispatch(
-            self._machine(), self._backend(), nranks=nranks, **kwargs
-        )
-
-    def cluster(self, machine: "str | MachineModel | None" = None, **kwargs: Any):
-        """A :class:`repro.cluster.Cluster` on the session's machine (or an
-        explicit one), defaulting to the session's ``placement`` policy.
-        Accepts the Cluster keywords (``routing=``, ``congestion=``,
-        ``seed=``, ``faults=``)."""
-        from repro.cluster import Cluster
-
-        if machine is None:
-            machine = self._machine()
-        kwargs.setdefault("placement", self.placement)
-        return Cluster(machine, **kwargs)
-
-    def run_recoverable_training(
-        self, spec=None, *, nranks: int, cluster=None, **kwargs: Any
-    ):
-        """A checkpoint/restart training job
-        (:func:`repro.cluster.run_recoverable_training`) on ``cluster``,
-        or on a fresh :meth:`cluster` of the session's machine — which
-        picks up the session's fault plan, so hard faults configured via
-        ``Session(faults=...)`` fail and recover the job."""
-        from repro.cluster import run_recoverable_training
-
-        if cluster is None:
-            cluster = self.cluster()
-        return run_recoverable_training(cluster, spec, nranks=nranks, **kwargs)
-
-    def run_kv_transfer(self, *, nranks: int, **kwargs: Any):
-        """A prefill -> KV-cache hand-off -> decode pipeline."""
-        from repro.workloads.ml import run_kv_transfer
-
-        return run_kv_transfer(
-            self._machine(), self._backend(), nranks=nranks, **kwargs
-        )
-
     def __repr__(self) -> str:
         bits = []
-        if self.machine is not None:
-            bits.append(f"machine={self.machine.name!r}")
-        if self.backend is not None:
-            bits.append(f"backend={self.backend!r}")
         if self.fault_plan is not None:
             bits.append("faults=...")
         if self.obs is not None:

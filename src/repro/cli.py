@@ -9,8 +9,10 @@ Usage (also via ``python -m repro``):
     repro ablation polling          # run one ablation (or 'all')
     repro machines                  # platform inventory (Table I detail)
     repro flood perlmutter-cpu two_sided --nbytes 64KiB --msgs-per-sync 256
+    repro flood perlmutter-cpu one_sided --loss 0.05   # faulty vs clean
     repro roofline frontier-cpu one_sided --nbytes 4KiB --msgs-per-sync 100
     repro run fig09 --metrics       # embed the obs metrics snapshot
+    repro run table2,fig03 --out reports     # <name>.json + <name>.txt files
     repro trace fig09 --out run.trace.json   # chrome://tracing export
 """
 
@@ -25,8 +27,15 @@ from repro.faults import NicFaults, NodeFaults, RouterFaults
 
 __all__ = ["main", "build_parser"]
 
-# The hard-fault kinds ``repro fault`` takes as ``--fail-<kind>``.
+# The hard-fault kinds ``repro flood`` takes as ``--fail-<kind>``.
 _HARD_FAULTS = (RouterFaults, NodeFaults, NicFaults)
+# ``repro flood``'s fault flags and their defaults: given any one, the point
+# also runs under the fault plan they build and is compared to clean.
+_FAULT_FLAGS = {
+    "loss": 0.0, "jitter_us": 0.0, "degrade": 1.0, "down": (),
+    **{f"fail_{cls.kind}": () for cls in _HARD_FAULTS},
+    "seed": 0, "timeout_us": 20.0, "max_retries": 8,
+}
 
 
 def _positive_int(text: str) -> int:
@@ -87,6 +96,7 @@ def _writable(flag: str, text: str, *, directory: bool) -> bool:
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.ablations import ALL_ABLATIONS
     from repro.ir.pipeline import _PASSES, DEFAULT_PASSES
+    from repro.sweep import DEFAULT_CACHE_DIR
     from repro.transport import backend_names
 
     p = argparse.ArgumentParser(
@@ -102,11 +112,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments, ablations and machines")
 
     runp = sub.add_parser("run", help="run a figure/table experiment")
-    runp.add_argument("experiment", help="e.g. fig08, table2, or 'all'")
     runp.add_argument(
+        "experiment", help="e.g. fig08, table2, a comma list, or 'all'"
+    )
+    shape = runp.add_mutually_exclusive_group()
+    shape.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-    _add_report_args(runp)
+    shape.add_argument(
+        "--out", metavar="DIR",
+        help="write <name>.json and <name>.txt per experiment into DIR "
+        "(created if missing) and print one status line each",
+    )
+    runp.add_argument(
+        "--metrics",
+        action="store_true",
+        help="collect the repro.obs metrics snapshot and embed it in each report",
+    )
+    runp.add_argument(
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="worker processes for sweep points (default 1 = serial; "
+        "results are identical to serial at any N)",
+    )
+    runp.add_argument(
+        "--no-cache", action="store_true",
+        help="ignore and do not write the on-disk sweep result cache",
+    )
+    runp.add_argument(
+        "--cache-dir", type=_cache_dir, default=DEFAULT_CACHE_DIR, metavar="DIR",
+        help=f"sweep result cache directory (default {DEFAULT_CACHE_DIR!r})",
+    )
 
     tp = sub.add_parser(
         "trace",
@@ -152,65 +187,59 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the topology as Graphviz DOT on stdout instead",
     )
 
-    fp = sub.add_parser("flood", help="run a flood bandwidth point")
-    _add_point_args(fp, iters=3)
-
-    fap = sub.add_parser(
-        "fault",
-        help="run a flood point under fault injection; compare to clean",
+    fp = sub.add_parser(
+        "flood",
+        help="run a flood bandwidth point; given a fault flag, also under "
+        "that fault plan, compared to clean",
     )
-    _add_point_args(fap, iters=2)
-    fap.add_argument(
-        "--loss", type=float, default=0.05,
-        help="per-traversal link loss probability in [0, 1) (default 0.05)",
-    )
-    fap.add_argument(
-        "--jitter-us", type=float, default=0.0,
-        help="max extra per-traversal latency, microseconds",
-    )
-    fap.add_argument(
-        "--degrade", type=float, default=1.0,
-        help="per-byte time multiplier on every link (>= 1)",
-    )
-    fap.add_argument(
-        "--down", action="append", default=[], metavar="START:END",
-        help="link outage window in simulated microseconds (repeatable)",
-    )
-    for cls in _HARD_FAULTS:
-        fap.add_argument(
-            f"--fail-{cls.kind}", action="append", default=[],
-            metavar="NAME[:START:END]",
-            help=f"hard-fail a {cls.kind}, taking down its links (outage "
-            "window in simulated microseconds, END may be 'inf'; bare NAME "
-            "means dead for the whole run; repeatable)",
-        )
-    fap.add_argument(
+    _add_point_args(fp)
+    fp.add_argument("--iters", type=int, default=3)
+    fp.add_argument(
         "--placement", choices=["spread", "block"], default="spread",
         help="rank placement: 'spread' keeps the flood on-node, 'block' "
              "crosses the switched fabric (where hard faults live)",
     )
-    fap.add_argument("--seed", type=int, default=0, help="fault plan seed")
-    fap.add_argument(
-        "--timeout-us", type=float, default=20.0,
-        help="base retransmission detection timeout, microseconds",
+    fault_flags = fp.add_argument_group(
+        "fault flags", "any one runs the point clean and under the plan"
     )
-    fap.add_argument(
-        "--max-retries", type=int, default=8,
-        help="retries per message before the transfer fails",
+    # No argparse default: a flag is a fault flag only when given.
+    quiet = {"default": argparse.SUPPRESS}
+    fault_flags.add_argument(
+        "--loss", type=float, **quiet,
+        help="per-traversal link loss probability in [0, 1) (default 0)",
     )
-
-    ep = sub.add_parser(
-        "export", help="run experiments and write JSON reports to a directory"
+    fault_flags.add_argument(
+        "--jitter-us", type=float, **quiet,
+        help="max extra per-traversal latency, microseconds",
     )
-    ep.add_argument("outdir", help="output directory (created if missing)")
-    ep.add_argument(
-        "--experiments", default="all",
-        help="comma-separated names, or 'all' (default)",
+    fault_flags.add_argument(
+        "--degrade", type=float, **quiet,
+        help="per-byte time multiplier on every link (>= 1)",
     )
-    _add_report_args(ep)
+    fault_flags.add_argument(
+        "--down", action="append", metavar="START:END", **quiet,
+        help="link outage window in simulated microseconds (repeatable)",
+    )
+    for cls in _HARD_FAULTS:
+        fault_flags.add_argument(
+            f"--fail-{cls.kind}", action="append", metavar="NAME[:START:END]",
+            **quiet,
+            help=f"hard-fail a {cls.kind}, taking down its links (outage "
+            "window in simulated microseconds, END may be 'inf'; bare NAME "
+            "means dead for the whole run; repeatable)",
+        )
+    fault_flags.add_argument("--seed", type=int, **quiet, help="fault plan seed")
+    fault_flags.add_argument(
+        "--timeout-us", type=float, **quiet,
+        help="base retransmission detection timeout, microseconds (default 20)",
+    )
+    fault_flags.add_argument(
+        "--max-retries", type=int, **quiet,
+        help="retries per message before the transfer fails (default 8)",
+    )
 
     rp = sub.add_parser("roofline", help="query the analytic bound")
-    _add_point_args(rp, iters=None)
+    _add_point_args(rp)
 
     from repro.collectives.plan import ALGORITHMS
 
@@ -256,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _add_point_args(p: argparse.ArgumentParser, *, iters: int | None) -> None:
+def _add_point_args(p: argparse.ArgumentParser) -> None:
     """``machine runtime`` and the message-shape flags of ``flood`` /
-    ``fault`` / ``roofline``."""
+    ``roofline``."""
     from repro.transport import backend_names
 
     p.add_argument("machine")
@@ -266,32 +295,6 @@ def _add_point_args(p: argparse.ArgumentParser, *, iters: int | None) -> None:
     p.add_argument("--nbytes", default="64KiB", help="message size (e.g. 4KiB)")
     p.add_argument(
         "--msgs-per-sync", type=int, default=64, help="messages per sync",
-    )
-    if iters is not None:
-        p.add_argument("--iters", type=int, default=iters)
-
-
-def _add_report_args(p: argparse.ArgumentParser) -> None:
-    """``--metrics`` and the sweep-execution flags of ``run`` / ``export``."""
-    from repro.sweep import DEFAULT_CACHE_DIR
-
-    p.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect the repro.obs metrics snapshot and embed it in each report",
-    )
-    p.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for sweep points (default 1 = serial; "
-        "results are identical to serial at any N)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the on-disk sweep result cache",
-    )
-    p.add_argument(
-        "--cache-dir", type=_cache_dir, default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"sweep result cache directory (default {DEFAULT_CACHE_DIR!r})",
     )
 
 
@@ -319,9 +322,9 @@ def _run_reports(args: argparse.Namespace, names, catalogue, what: str, emit) ->
     """Run each of ``names`` in ``catalogue`` (experiments or ablations) and
     ``emit(name, report)`` it; exit code 1 unless every entry passed.
 
-    An entry that raises is marked ERROR and the rest still run.  ``run`` /
-    ``export`` run inside a :func:`repro.sweep.execution` block configured
-    from their flags.  Progress, the PASS/FAIL/ERROR summary (more than one
+    An entry that raises is marked ERROR and the rest still run.  ``run``
+    runs inside a :func:`repro.sweep.execution` block configured from its
+    flags.  Progress, the PASS/FAIL/ERROR summary (more than one
     entry) and the cache line (a cached run) go to stderr, so ``--json``
     stdout stays parseable.
     """
@@ -383,14 +386,25 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import pathlib
+
     from repro.experiments import ALL_EXPERIMENTS
 
     names = _resolve_names(args.experiment, ALL_EXPERIMENTS, "experiment")
     if names is None:
         return 2
+    if args.out is not None and not _writable("--out", args.out, directory=True):
+        return 2
 
-    def emit(_name, report):
-        print(report.to_json() if args.json else report.render() + "\n")
+    def emit(n, report):
+        if args.out is None:
+            print(report.to_json() if args.json else report.render() + "\n")
+            return
+        out = pathlib.Path(args.out)
+        (out / f"{n}.json").write_text(report.to_json() + "\n")
+        (out / f"{n}.txt").write_text(report.render() + "\n")
+        status = "ok" if report.all_expectations_met else "CHECKS FAILED"
+        print(f"  {n}: {status} -> {out / n}.{{json,txt}}")
 
     return _run_reports(args, names, ALL_EXPERIMENTS, "experiment", emit)
 
@@ -462,25 +476,6 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.experiments import ALL_EXPERIMENTS
-
-    names = _resolve_names(args.experiments, ALL_EXPERIMENTS, "experiment")
-    if names is None or not _writable("outdir", args.outdir, directory=True):
-        return 2
-    out = pathlib.Path(args.outdir)
-
-    def emit(n, report):
-        (out / f"{n}.json").write_text(report.to_json() + "\n")
-        (out / f"{n}.txt").write_text(report.render() + "\n")
-        status = "ok" if report.all_expectations_met else "CHECKS FAILED"
-        print(f"  {n}: {status} -> {out / n}.{{json,txt}}")
-
-    return _run_reports(args, names, ALL_EXPERIMENTS, "experiment", emit)
-
-
 def _cmd_machines(_args) -> int:
     from repro.machines import get_machine, machine_names
 
@@ -515,23 +510,6 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_flood(args: argparse.Namespace) -> int:
-    from repro.machines import get_machine
-    from repro.util import fmt_bw, fmt_time, parse_size
-    from repro.workloads.flood import run_flood
-
-    machine = get_machine(args.machine)
-    r = run_flood(
-        machine, args.runtime, parse_size(args.nbytes), args.msgs_per_sync,
-        iters=args.iters,
-    )
-    print(f"machine   : {r.machine} / {r.runtime}")
-    print(f"message   : {args.nbytes} x {args.msgs_per_sync}/sync x {args.iters} iters")
-    print(f"bandwidth : {fmt_bw(r.bandwidth)}")
-    print(f"latency   : {fmt_time(r.latency_per_message)} per message")
-    return 0
-
-
 def _us_window(bounds: list[str], complaint: str) -> tuple[float, float]:
     """``[START, END]`` in microseconds -> seconds; anything else is a
     ``ValueError(complaint)``, which :func:`main` reports with exit code 2."""
@@ -542,13 +520,15 @@ def _us_window(bounds: list[str], complaint: str) -> tuple[float, float]:
         raise ValueError(complaint) from None
 
 
-def _cmd_fault(args: argparse.Namespace) -> int:
+def _cmd_flood(args: argparse.Namespace) -> int:
     from repro import faults
     from repro.machines import get_machine
-    from repro.util import fmt_bw, parse_size
+    from repro.util import fmt_bw, fmt_time, parse_size
     from repro.workloads.flood import run_flood
 
     machine = get_machine(args.machine)
+    faulty_run = any(flag in args for flag in _FAULT_FLAGS)
+    args = argparse.Namespace(**{**_FAULT_FLAGS, **vars(args)})
     down = [
         _us_window(spec.split(":"),
                    f"--down expects START:END in microseconds, got {spec!r}")
@@ -581,6 +561,13 @@ def _cmd_fault(args: argparse.Namespace) -> int:
     )
     point = (machine, args.runtime, parse_size(args.nbytes), args.msgs_per_sync)
     clean = run_flood(*point, iters=args.iters, placement=args.placement)
+    message = f"message   : {args.nbytes} x {args.msgs_per_sync}/sync x {args.iters} iters"
+    if not faulty_run:
+        print(f"machine   : {clean.machine} / {clean.runtime}")
+        print(message)
+        print(f"bandwidth : {fmt_bw(clean.bandwidth)}")
+        print(f"latency   : {fmt_time(clean.latency_per_message)} per message")
+        return 0
     try:
         with faults.inject(plan) as scope:
             faulty = run_flood(*point, iters=args.iters, placement=args.placement)
@@ -593,7 +580,7 @@ def _cmd_fault(args: argparse.Namespace) -> int:
         return 1
     s = scope.stats()
     print(f"machine   : {machine.name} / {args.runtime}")
-    print(f"message   : {args.nbytes} x {args.msgs_per_sync}/sync x {args.iters} iters")
+    print(message)
     print(f"plan      : loss={args.loss} jitter={args.jitter_us}us "
           f"degrade={args.degrade} down={len(down)} window(s) "
           f"hard={len(hard)} element(s) seed={args.seed}")
@@ -714,8 +701,6 @@ _COMMANDS = {
     "machines": _cmd_machines,
     "topo": _cmd_topo,
     "flood": _cmd_flood,
-    "fault": _cmd_fault,
-    "export": _cmd_export,
     "roofline": _cmd_roofline,
     "collective": _cmd_collective,
     "ir": _cmd_ir,

@@ -114,7 +114,7 @@ class OpCounter:
     recv_messages: int = 0
     bytes_received: float = 0.0
 
-    def msg_per_sync(self) -> float:
+    def msgs_per_sync(self) -> float:
         return self.messages / self.syncs if self.syncs else float("nan")
 
     def ops_per_message(self) -> float:

@@ -239,20 +239,18 @@ class RankContext:
         value = yield from self.wait(req)
         return value
 
-    def recv_poll(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, poll_cost: float = 1e-7
-    ) -> Generator:
+    def recv_poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Hot-loop blocking receive (probe-and-take polling).
 
         A tight ``Iprobe``/``Recv`` loop, the receive idiom of
         message-rate-bound codes like GUPS: when the message is already
         queued only the matching/copy cost is paid; otherwise the rank
-        spins, paying ``poll_cost`` per wake instead of the full
-        ``sync_enter`` wake-up of a descheduling wait.
+        spins, paying the profile's ``wait_poll`` per wake instead of the
+        full ``sync_enter`` wake-up of a descheduling wait.
         """
         self.counter.operations += 1
         self.counter.syncs += 1
-        poll_cost = float(poll_cost)
+        poll_cost = self.costs.wait_poll
         while True:
             msg = self.engine.take(source, tag)
             if msg is not None:

@@ -7,7 +7,7 @@ instrumentation::
 
     job = Job(perlmutter_cpu(), nranks=4, runtime="two_sided")
     result = job.run(my_program, some_arg)
-    print(result.time, result.counters.msg_per_sync())
+    print(result.time, result.counters.msgs_per_sync())
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ module bridges the two:
   included), a dead NIC kills just that endpoint's links;
 * :func:`validate_element` raises :class:`UnknownElementError` (listing
   the valid names, mirroring ``UnknownBackendError``) — the eager check
-  the ``repro fault`` CLI runs before building a plan.  Resolution
+  the ``repro flood`` fault flags run before building a plan.  Resolution
   itself is lenient by default so one plan can span machines of
   different scales (an element absent from a topology does not bind
   there, exactly like a ``links`` override for a link that machine

@@ -80,11 +80,11 @@ class CommCosts:
     put_signal: float = 0.0
     wait_wakeup: float = 0.0
     poll_slot: float = 0.0
-    # Fixed cost of one wake-and-recheck pass inside a device-side
-    # ``wait_until``; charged per signal arrival while waiting (plus
-    # ``poll_slot`` per watched slot).  On V100-class hardware this signal
-    # polling is markedly slower than on A100 — one of the reasons SpTRSV
-    # stops scaling on Summit GPUs (Fig. 8).
+    # Fixed cost of one wake-and-recheck pass while polling: per signal
+    # arrival inside a device-side ``wait_until`` (plus ``poll_slot`` per
+    # watched slot), per arrival in a two-sided ``recv_poll`` loop.  On
+    # V100-class hardware signal polling is markedly slower than on A100 —
+    # one of the reasons SpTRSV stops scaling on Summit GPUs (Fig. 8).
     wait_poll: float = 0.0
     copy_per_byte: float = 0.0
     eager_threshold: float = 16 * 1024.0

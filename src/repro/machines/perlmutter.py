@@ -39,6 +39,7 @@ CRAYMPI_TWO_SIDED = CommCosts(
     recv_match=us(0.20),
     sync_enter=us(2.00),
     wait_per_req=us(0.05),
+    wait_poll=us(0.1),
     eager_threshold=16 * 1024.0,
 )
 
@@ -115,6 +116,7 @@ CUDA_AWARE_TWO_SIDED = CommCosts(
     recv_match=us(0.25),
     sync_enter=us(12.0),
     wait_per_req=us(0.05),
+    wait_poll=us(0.1),
     eager_threshold=16 * 1024.0,
 )
 

@@ -39,6 +39,7 @@ SPECTRUM_TWO_SIDED = CommCosts(
     recv_match=us(0.30),
     sync_enter=us(2.00),
     wait_per_req=us(0.05),
+    wait_poll=us(0.1),
     copy_per_byte=_SPECTRUM_COPY,
     eager_threshold=16 * 1024.0,
 )
@@ -74,6 +75,7 @@ CUDA_AWARE_TWO_SIDED_SUMMIT = CommCosts(
     recv_match=us(0.30),
     sync_enter=us(14.0),
     wait_per_req=us(0.05),
+    wait_poll=us(0.1),
     eager_threshold=16 * 1024.0,
 )
 

@@ -193,7 +193,8 @@ class FailoverRouting:
     is reported through :meth:`on_drop` (mirroring how UGAL reads live
     queue state), and a link whose consecutive-drop count reaches
     ``suspect_after`` is declared dead at that detection time.  The
-    policy then invalidates the topology's route/path caches and serves
+    policy then drops its own dead-aware route cache (the topology's
+    caches are functions of the static graph and stay) and serves
     paths computed on the live subgraph via
     :meth:`~repro.net.topology.TopologySpec.shortest_path_avoiding` +
     :meth:`~repro.net.topology.TopologySpec.route_via`.  When the dead
@@ -244,9 +245,8 @@ class FailoverRouting:
             self.dead[link_key] = now
             self.detections += 1
             self._cache.clear()
-            fabric.topology.invalidate_routes()
 
-    def _probe(self, fabric: "Fabric", now: float) -> None:
+    def _probe(self, now: float) -> None:
         revived = [
             key
             for key, t in self.dead.items()
@@ -258,7 +258,6 @@ class FailoverRouting:
                 self.drop_counts[key] = 0
             self.probes += len(revived)
             self._cache.clear()
-            fabric.topology.invalidate_routes()
 
     # -- routing decisions ----------------------------------------------
 
@@ -266,7 +265,7 @@ class FailoverRouting:
         self, fabric: "Fabric", src: str, dst: str, nbytes: float, now: float
     ) -> Route:
         if self.probe_interval is not None and self.dead:
-            self._probe(fabric, now)
+            self._probe(now)
         topo = fabric.topology
         if not self.dead:
             # Fault-free fast path: the exact cached minimal Route

@@ -276,14 +276,12 @@ class TopologySpec:
         )
 
     def invalidate_routes(self) -> None:
-        """Drop every cached route and path.
+        """Drop every cached route and path (:meth:`add_link` does).
 
-        Minimal paths are static, so the caches normally live forever;
-        failure-aware policies (:class:`repro.net.routing.FailoverRouting`)
-        call this when their dead-element view changes so that nothing
-        downstream keeps serving a path computed under a different
-        liveness picture.  Recomputation is a pure function of the graph,
-        so invalidation never changes any zero-fault result.
+        Every entry is a pure function of the static graph, so only a graph
+        edit invalidates it.  Liveness is not part of the graph: a
+        failure-aware policy (:class:`repro.net.routing.FailoverRouting`)
+        keeps its dead-aware routes in its own cache.
         """
         self._route_cache.clear()
         self._path_cache.clear()

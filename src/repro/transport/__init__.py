@@ -24,7 +24,6 @@ from repro.transport.registry import (
     SHMEM,
     STREAM_TRIGGERED,
     TWO_SIDED,
-    CapsPredicate,
     TransportBackend,
     backend_names,
     capabilities,
@@ -48,7 +47,6 @@ __all__ = [
     "backend_names",
     "capabilities",
     "require",
-    "CapsPredicate",
     "TransportError",
     "UnknownBackendError",
     "UnsupportedTransportOp",

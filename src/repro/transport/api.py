@@ -147,12 +147,10 @@ class BackendCaps:
     def matches(self, **flags: Any) -> bool:
         """True when every keyword equals the corresponding cap field
         (the predicate primitive behind :func:`repro.transport.require`)."""
-        for key, want in flags.items():
+        for key in flags:
             if not hasattr(self, key):
                 raise TypeError(f"BackendCaps has no capability {key!r}")
-            if getattr(self, key) != want:
-                return False
-        return True
+        return all(getattr(self, key) == want for key, want in flags.items())
 
     def summary(self) -> str:
         """One-line rendering for explain reports and the caps table."""

@@ -32,6 +32,7 @@ from repro.transport.api import (
     Channel,
     HaloSpec,
     MailboxSpec,
+    TransportError,
     UnknownBackendError,
 )
 
@@ -49,7 +50,6 @@ __all__ = [
     "backend_names",
     "capabilities",
     "require",
-    "CapsPredicate",
 ]
 
 # Canonical runtime names (the CommCosts keys machines are calibrated
@@ -263,60 +263,26 @@ def capabilities() -> dict[str, BackendCaps]:
     return {name: backend.caps for name, backend in _REGISTRY.items()}
 
 
-class CapsPredicate:
-    """A capability requirement usable wherever a backend name is taken
-    (e.g. ``Session(backend=require(gpu_initiated=True))``).
+def require(**flags) -> str:
+    """The first registered backend whose caps match every flag, e.g.
+    ``require(gpu_initiated=True, host_bypass=True) == STREAM_TRIGGERED`` —
+    a name, so it goes wherever a runtime name is taken.  Every qualifying
+    backend is ``[n for n, c in capabilities().items() if c.matches(**flags)]``.
 
-    Calling :meth:`resolve` picks the first registered backend whose caps
-    match every flag; :class:`UnknownBackendError`-style failure lists the
-    qualifying set (empty) alongside what *was* required.
+    An unknown flag is a ``TypeError``, no flag a ``ValueError``, and no
+    qualifier a :class:`TransportError` listing the capability table.
     """
-
-    def __init__(self, **flags):
-        if not flags:
-            raise ValueError("require() needs at least one capability flag")
-        schema = BackendCaps()
-        for key in flags:
-            if not hasattr(schema, key):
-                raise TypeError(f"BackendCaps has no capability {key!r}")
-        self.flags = dict(flags)
-
-    def candidates(self) -> tuple[str, ...]:
-        """Every registered backend satisfying the predicate, in
-        registration order."""
-        return tuple(
-            name for name, caps in capabilities().items()
-            if caps.matches(**self.flags)
-        )
-
-    def resolve(self) -> str:
-        names = self.candidates()
-        if not names:
-            from repro.transport.api import TransportError
-
-            want = ", ".join(f"{k}={v!r}" for k, v in self.flags.items())
-            table = "; ".join(
-                f"{n}: " + ", ".join(
-                    f"{k}={getattr(c, k)!r}" for k in self.flags
-                )
-                for n, c in capabilities().items()
-            )
-            raise TransportError(
-                f"no registered backend satisfies require({want}); "
-                f"capabilities: {table}"
-            )
-        return names[0]
-
-    def __repr__(self) -> str:
-        flags = ", ".join(f"{k}={v!r}" for k, v in self.flags.items())
-        return f"require({flags})"
-
-
-def require(**flags) -> CapsPredicate:
-    """A caps predicate: ``require(gpu_initiated=True, host_bypass=True)``.
-
-    Accepted by ``Session(backend=...)`` and resolvable to a backend name
-    via :meth:`CapsPredicate.resolve`; raises with the full capability
-    table when nothing qualifies.
-    """
-    return CapsPredicate(**flags)
+    if not flags:
+        raise ValueError("require() needs at least one capability flag")
+    table = capabilities()
+    for name, caps in table.items():
+        if caps.matches(**flags):
+            return name
+    want = ", ".join(f"{k}={v!r}" for k, v in flags.items())
+    listing = "; ".join(
+        f"{n}: " + ", ".join(f"{k}={getattr(c, k)!r}" for k in flags)
+        for n, c in table.items()
+    )
+    raise TransportError(
+        f"no registered backend satisfies require({want}); capabilities: {listing}"
+    )

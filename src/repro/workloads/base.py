@@ -28,28 +28,3 @@ class WorkloadResult:
     counters: OpCounter  # merged across ranks
     per_rank: list[OpCounter]
     extras: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def msgs_per_sync(self) -> float:
-        return self.counters.msg_per_sync()
-
-    @property
-    def ops_per_message(self) -> float:
-        return self.counters.ops_per_message()
-
-    @property
-    def words_per_message(self) -> float:
-        return self.counters.words_per_message()
-
-    def row(self) -> dict[str, Any]:
-        """Flat summary row for report tables."""
-        return {
-            "workload": self.workload,
-            "machine": self.machine,
-            "variant": self.variant,
-            "P": self.nranks,
-            "time_ms": self.time * 1e3,
-            "msg/sync": round(self.msgs_per_sync, 2),
-            "ops/msg": round(self.ops_per_message, 2),
-            "words/msg": round(self.words_per_message, 1),
-        }

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+import inspect
+
 import repro
 from repro import faults, obs, sweep
 from repro.sweep import SweepSpec
+from repro.workloads.flood import run_flood
 
 
 def _double(params, seed):
@@ -16,13 +19,7 @@ def _double(params, seed):
 class TestSessionScopes:
     def test_composes_obs_faults_and_parallel_sweep(self):
         plan = faults.FaultPlan.uniform(loss=0.2, seed=3)
-        with repro.Session(
-            machine="perlmutter-cpu",
-            backend=repro.ONE_SIDED,
-            faults=plan,
-            obs=True,
-            jobs=2,
-        ) as s:
+        with repro.Session(faults=plan, obs=True, jobs=2) as s:
             # All three ambient scopes are active inside the block.
             assert obs.current() is s.obs
             assert faults.current_plan() is plan
@@ -30,7 +27,9 @@ class TestSessionScopes:
             # A parallel sweep and a fault-injected workload in one scope.
             spec = SweepSpec(name="t", runner=_double, axes={"x": [1, 2, 3, 4]})
             results = sweep.run_sweep(spec)
-            flood = s.run_flood(nbytes=4096, msgs_per_sync=32)
+            flood = run_flood(
+                repro.get_machine("perlmutter-cpu"), repro.ONE_SIDED, 4096, 32
+            )
         assert [r.value["value"] for r in results] == [2, 4, 6, 8]
         assert flood.bandwidth > 0
         # The scopes produced their artefacts.
@@ -53,7 +52,7 @@ class TestSessionScopes:
 
     def test_run_experiment_inside_session(self):
         with repro.Session(jobs=1) as s:
-            report = s.run_experiment("fig02")
+            report = repro.run_experiment("fig02")
         assert report.rows
 
     def test_not_reentrant(self):
@@ -67,25 +66,18 @@ class TestSessionScopes:
 
 
 class TestSessionValidation:
-    def test_unknown_backend_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            repro.Session(backend="mpi3")
-
-    def test_unknown_machine_rejected_eagerly(self):
-        with pytest.raises(KeyError):
-            repro.Session(machine="cray-1")
-
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             repro.Session(jobs=0)
 
-    def test_runners_need_machine_and_backend(self):
-        with repro.Session() as s:
-            with pytest.raises(ValueError, match="machine"):
-                s.run_flood(nbytes=64, msgs_per_sync=1)
-        with repro.Session(machine="perlmutter-cpu") as s:
-            with pytest.raises(ValueError, match="backend"):
-                s.run_cas_flood(n_ops=1)
+    def test_keywords_are_the_five_scopes(self):
+        params = inspect.signature(repro.Session).parameters
+        assert list(params) == ["faults", "obs", "jobs", "cache", "passes"]
+        assert all(p.kind is p.KEYWORD_ONLY for p in params.values())
+
+    def test_no_method_runs_a_workload(self):
+        public = {n for n in vars(repro.Session) if not n.startswith("_")}
+        assert public == {"fault_stats", "explain_ir"}
 
 
 class TestTopLevelSurface:

@@ -218,7 +218,7 @@ class TestInstrumentation:
         assert sender.messages == 4
         assert sender.bytes_sent == 256
         assert sender.syncs == 1
-        assert sender.msg_per_sync() == pytest.approx(4.0)
+        assert sender.msgs_per_sync() == pytest.approx(4.0)
         receiver = res.per_rank[1]
         assert receiver.recv_messages == 4
         assert receiver.syncs == 4

@@ -136,13 +136,24 @@ class TestDetector:
         assert f.routing.detections == 1
 
     def test_dead_set_change_drops_memoised_costings(self):
+        """A detection drops the policy's dead-aware routes; the topology's
+        costings are functions of the static graph and stay memoised."""
         f = _fabric(routing=FailoverRouting(suspect_after=1))
-        path = f.topology.shortest_path("g0r0", "g1r1")
-        before = f.topology.route_via(path)
-        assert f.topology.route_via(path) is before
+        topo = f.topology
+        path = topo.shortest_path("g0r0", "g1r1")
+        before = topo.route_via(path)
+        minimal = topo.route("g0r0", "g1r1")
         f.routing.on_drop(f, frozenset(path[:2]), 1e-6)
-        after = f.topology.route_via(path)
-        assert after is not before and after == before
+        assert f.routing.route(f, "g0r0", "g1r1", 1024, 2e-6) is not minimal
+        assert ("g0r0", "g1r1") in f.routing._cache
+        other = next(key for key in topo.links if key != frozenset(path[:2]))
+        f.routing.on_drop(f, other, 3e-6)
+        assert not f.routing._cache
+        assert topo.route_via(path) is before
+        assert topo.route("g0r0", "g1r1") is minimal
+        fresh = dragonfly(4, 2, 2).topology
+        assert fresh.route_via(path) == before
+        assert fresh.route("g0r0", "g1r1") == minimal
 
     def test_probe_revives_after_interval(self):
         f = _fabric(routing=FailoverRouting(suspect_after=1, probe_interval=10e-6))

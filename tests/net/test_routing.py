@@ -171,7 +171,7 @@ class TestAdaptive:
     def test_decision_memo_follows_topology_edits(self):
         """What a decision remembers per pair (minimal route, candidate
         pool, detours) is dropped by every call that can change it — on a
-        topology that fabrics and policies share."""
+        topology that fabrics and policies share — and by nothing else."""
         topo = dragonfly(3, 2, 1).topology
         attach = dragonfly(3, 2, 1).attach_link
         policy = AdaptiveRouting(candidates=4)
@@ -196,14 +196,15 @@ class TestAdaptive:
         topo.set_injection("extra", attach)
         assert not memo
         assert "extra" not in pool()
-        # invalidate_routes, as FailoverRouting calls it on a detection.
-        stale = topo.route("g0r0", "g1r1")
+        # A FailoverRouting detection is no topology edit: the memo stays,
+        # equal to what a rebuild computes.
+        kept = memo["g0r0", "g1r1"]
         failover = FailoverRouting(suspect_after=1)
         fabric = Fabric(Simulator(), topo, routing=failover)
         failover.on_drop(fabric, frozenset(("g2r0", "g2r1")), 0.0)
-        assert not memo
-        pool()
-        assert memo["g0r0", "g1r1"][0] is not stale  # rebuilt on live routes
+        assert failover.dead and memo["g0r0", "g1r1"] is kept
+        topo.invalidate_routes()
+        assert pool() == kept[1] and memo["g0r0", "g1r1"] == kept
 
     def test_deterministic_replay(self, loaded_schedule):
         """Same transfer sequence, fresh fabrics: bit-identical schedules."""

@@ -32,8 +32,8 @@ def main() -> None:
         name, kwargs, state = "fig05", {}, {"passes": True}
 
     def rows(**session):
-        with repro.Session(**session) as s:
-            return s.run_experiment(name, **kwargs).rows
+        with repro.Session(**session):
+            return repro.run_experiment(name, **kwargs).rows
 
     plain, serial = rows(), rows(**state)
     pooled = rows(**state, jobs=2, cache=args.cache_dir)

@@ -103,12 +103,12 @@ class TestWorkerScopes:
 class TestNotSilentUnderJobs:
     def test_explain_ir_says_where_the_reports_went(self):
         with repro.Session(passes=True, jobs=2) as s:
-            s.run_experiment("fig05")
+            repro.run_experiment("fig05")
             text = s.explain_ir()
         assert "worker processes" in text and "jobs=1" in text
         with repro.Session(passes=True) as s:
             assert s.explain_ir() == "(no IR programs lowered in this session)"
-            s.run_experiment("fig05")
+            repro.run_experiment("fig05")
             assert "coalesce" in s.explain_ir()
 
     def test_fault_stats_docstring_says_the_same(self):

@@ -168,8 +168,8 @@ _FIG03 = dict(machines=("perlmutter-cpu",), iters=1)
 def _rows(name, kwargs=None, **session):
     import repro
 
-    with repro.Session(**session) as s:
-        report = s.run_experiment(name, **(kwargs or {}))
+    with repro.Session(**session):
+        report = repro.run_experiment(name, **(kwargs or {}))
     return report.rows
 
 

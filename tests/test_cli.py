@@ -23,6 +23,16 @@ class TestParsing:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
 
+    def test_ten_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        out = capsys.readouterr().out
+        commands = out.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert commands == [
+            "list", "run", "trace", "ablation", "machines", "topo", "flood",
+            "roofline", "collective", "ir",
+        ]
+
     def test_flood_defaults(self):
         args = build_parser().parse_args(["flood", "perlmutter-cpu", "two_sided"])
         assert args.nbytes == "64KiB" and args.msgs_per_sync == 64
@@ -111,14 +121,14 @@ class TestCommands:
             (["flood", "--nbytes", "banana"], "size string"),
             (["flood", "--msgs-per-sync", "0"], "msgs_per_sync"),
             (["flood", "--iters", "0"], "iters"),
-            (["fault", "--nbytes", "banana"], "size string"),
-            (["fault", "--msgs-per-sync", "0"], "msgs_per_sync"),
+            (["flood", "--loss", "0.05", "--nbytes", "banana"], "size string"),
+            (["flood", "--loss", "0.05", "--msgs-per-sync", "0"], "msgs_per_sync"),
             (["roofline", "--nbytes", "banana"], "size string"),
             (["roofline", "--msgs-per-sync", "0"], "msgs_per_sync"),
             (["collective", "--nbytes", "banana"], "size string"),
             (["flood", "perlmutter-cpu", "shmem"], "has no runtime 'shmem'"),
             (["roofline", "summit-cpu", "shmem"], "has no runtime 'shmem'"),
-            (["fault", "perlmutter-cpu", "shmem"], "has no runtime 'shmem'"),
+            (["flood", "perlmutter-cpu", "shmem", "--loss", "0.05"], "has no runtime 'shmem'"),
             (
                 ["collective", "perlmutter-cpu", "shmem", "allreduce"],
                 "has no runtime 'shmem'",
@@ -265,7 +275,7 @@ class TestMetricsFlag:
     def test_export_metrics(self, tmp_path, capsys):
         import json
 
-        rc = main(["export", str(tmp_path), "--experiments", "table2", "--metrics"])
+        rc = main(["run", "table2", "--out", str(tmp_path), "--metrics"])
         assert rc == 0
         d = json.loads((tmp_path / "table2.json").read_text())
         assert d["metrics"]["net.fabric.messages"] > 0
@@ -372,7 +382,7 @@ class TestSweepExecutionFlags:
 
 class TestExport:
     def test_export_writes_json_and_txt(self, tmp_path, capsys):
-        rc = main(["export", str(tmp_path), "--experiments", "table1"])
+        rc = main(["run", "table1", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "table1.json").exists()
         assert (tmp_path / "table1.txt").exists()
@@ -381,8 +391,27 @@ class TestExport:
         d = json.loads((tmp_path / "table1.json").read_text())
         assert d["experiment"] == "table1"
 
+    def test_out_files_are_the_reports(self, tmp_path, capsys):
+        import hashlib
+        import pathlib
+
+        golden = pathlib.Path(__file__).parents[1] / "benchmarks" / "output"
+        assert main(["run", "table2", "--out", str(tmp_path), "--no-cache"]) == 0
+        assert capsys.readouterr().out == f"  table2: ok -> {tmp_path / 'table2'}.{{json,txt}}\n"
+        assert (tmp_path / "table2.txt").read_text() == (golden / "table2.txt").read_text()
+        # sha256 of the file ``repro export`` wrote before it folded into ``run``.
+        assert hashlib.sha256((tmp_path / "table2.json").read_bytes()).hexdigest() == (
+            "6a341081ec8b9726e53dc1c2b76e70f1b1a127807a14f5685cac5ce5900e6991"
+        )
+
+    def test_out_and_json_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "table1", "--json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_export_unknown_experiment(self, tmp_path, capsys):
-        rc = main(["export", str(tmp_path), "--experiments", "fig99"])
+        rc = main(["run", "fig99", "--out", str(tmp_path)])
         assert rc == 2
 
     def test_export_into_an_existing_file_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -391,15 +420,65 @@ class TestExport:
         monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", _never_run("table1"))
         f = tmp_path / "not-a-dir"
         f.write_text("x")
-        assert main(["export", str(f), "--experiments", "table1"]) == 2
+        assert main(["run", "table1", "--out", str(f)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "outdir" in err and str(f) in err
+        assert err.count("\n") == 1 and "--out" in err and str(f) in err
+
+
+# What ``repro fault`` printed before it folded into ``repro flood`` (its
+# --loss defaulted to 0.05 and its --iters to 2).
+_CLUSTER = "perlmutter-cpu-x8@dragonfly(4,2,2)"
+_RETIRED_FAULT_STDOUT = [
+    (
+        ["perlmutter-cpu", "one_sided", "--loss", "0.08", "--iters", "2"],
+        0,
+        "machine   : perlmutter-cpu / one_sided\n"
+        "message   : 64KiB x 64/sync x 2 iters\n"
+        "plan      : loss=0.08 jitter=0.0us degrade=1.0 down=0 window(s) "
+        "hard=0 element(s) seed=0\n"
+        "clean     : 30.85 GB/s\n"
+        "faulty    : 12.36 GB/s (40.1% of clean)\n"
+        "recovery  : 5 drops (0 at dead elements), 5 retransmits, 0 exhausted\n",
+    ),
+    (
+        [_CLUSTER, "one_sided", "--fail-router", "g0r0", "--placement", "block",
+         "--msgs-per-sync", "16", "--iters", "1"],
+        1,
+        f"machine   : {_CLUSTER} / one_sided\n"
+        "plan      : loss=0.0 jitter=0.0us degrade=1.0 hard=1 element(s) seed=0\n"
+        "aborted   : transfer n0.cpu0->n4.cpu0 (65536 B) lost on g0r0<->n0.nic0 "
+        "after 9 attempts\n",
+    ),
+    (
+        [_CLUSTER, "one_sided", "--loss", "0.05", "--fail-router", "g0r0:100:160",
+         "--placement", "block", "--msgs-per-sync", "16", "--iters", "1"],
+        0,
+        f"machine   : {_CLUSTER} / one_sided\n"
+        "message   : 64KiB x 16/sync x 1 iters\n"
+        "plan      : loss=0.05 jitter=0.0us degrade=1.0 down=0 window(s) "
+        "hard=1 element(s) seed=0\n"
+        "clean     : 15.32 GB/s\n"
+        "faulty    : 187.43 MB/s (1.2% of clean)\n"
+        "recovery  : 10 drops (1 at dead elements), 10 retransmits, 0 exhausted\n",
+    ),
+]
 
 
 class TestFaultCommand:
+    @pytest.mark.parametrize("argv, rc, stdout", _RETIRED_FAULT_STDOUT)
+    def test_fault_flags_print_the_retired_fault_report(self, capsys, argv, rc, stdout):
+        assert main(["flood", *argv]) == rc
+        assert capsys.readouterr().out == stdout
+
+    def test_no_fault_flag_is_the_plain_flood(self, capsys):
+        argv = ["flood", "perlmutter-cpu", "one_sided", "--placement", "spread"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "bandwidth :" in out and "plan" not in out and "clean" not in out
+
     def test_fault_reports_degradation(self, capsys):
         rc = main(
-            ["fault", "perlmutter-cpu", "one_sided", "--loss", "0.08",
+            ["flood", "perlmutter-cpu", "one_sided", "--loss", "0.08",
              "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 0
@@ -410,7 +489,7 @@ class TestFaultCommand:
 
     def test_fault_zero_loss_matches_clean(self, capsys):
         rc = main(
-            ["fault", "perlmutter-cpu", "two_sided", "--loss", "0",
+            ["flood", "perlmutter-cpu", "two_sided", "--loss", "0",
              "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 0
@@ -418,7 +497,7 @@ class TestFaultCommand:
 
     def test_fault_down_window(self, capsys):
         rc = main(
-            ["fault", "perlmutter-cpu", "two_sided", "--loss", "0",
+            ["flood", "perlmutter-cpu", "two_sided", "--loss", "0",
              "--down", "0:100", "--msgs-per-sync", "16", "--iters", "1"]
         )
         assert rc == 0
@@ -426,13 +505,13 @@ class TestFaultCommand:
 
     def test_fault_bad_down_spec(self, capsys):
         rc = main(
-            ["fault", "perlmutter-cpu", "two_sided", "--down", "oops"]
+            ["flood", "perlmutter-cpu", "two_sided", "--down", "oops"]
         )
         assert rc == 2
         assert "START:END" in capsys.readouterr().err
 
     def test_fault_bad_loss(self, capsys):
-        rc = main(["fault", "perlmutter-cpu", "two_sided", "--loss", "1.5"])
+        rc = main(["flood", "perlmutter-cpu", "two_sided", "--loss", "1.5"])
         assert rc == 2
         assert "loss" in capsys.readouterr().err
 
@@ -440,18 +519,18 @@ class TestFaultCommand:
         "flag, field", [("--degrade", "degrade"), ("--timeout-us", "timeout")]
     )
     def test_fault_nan_knob_exits_2(self, capsys, flag, field):
-        rc = main(["fault", "perlmutter-cpu", "one_sided", flag, "nan"])
+        rc = main(["flood", "perlmutter-cpu", "one_sided", flag, "nan"])
         assert rc == 2
         assert f"{field} must be finite" in capsys.readouterr().err
 
     def test_fault_unknown_machine(self, capsys):
-        assert main(["fault", "elcap", "two_sided"]) == 2
+        assert main(["flood", "elcap", "two_sided"]) == 2
 
     CLUSTER = "perlmutter-cpu-x8@dragonfly(4,2,2)"
 
     def test_fault_unknown_router_lists_valid_names(self, capsys):
         rc = main(
-            ["fault", self.CLUSTER, "one_sided", "--fail-router", "bogus"]
+            ["flood", self.CLUSTER, "one_sided", "--fail-router", "bogus"]
         )
         assert rc == 2
         err = capsys.readouterr().err
@@ -459,7 +538,7 @@ class TestFaultCommand:
         assert "valid routers" in err and "g0r0" in err and "g3r1" in err
 
     def test_fault_unknown_node_rejected_eagerly(self, capsys):
-        rc = main(["fault", self.CLUSTER, "one_sided", "--fail-node", "n99"])
+        rc = main(["flood", self.CLUSTER, "one_sided", "--fail-node", "n99"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "unknown node 'n99'" in err and "n7" in err
@@ -467,21 +546,21 @@ class TestFaultCommand:
     def test_fault_router_on_bare_machine_rejected(self, capsys):
         # A single-node machine has no routers at all; the error says so.
         rc = main(
-            ["fault", "perlmutter-cpu", "one_sided", "--fail-router", "g0r0"]
+            ["flood", "perlmutter-cpu", "one_sided", "--fail-router", "g0r0"]
         )
         assert rc == 2
         assert "no router elements" in capsys.readouterr().err
 
     def test_fail_bad_window_spec(self, capsys):
         rc = main(
-            ["fault", self.CLUSTER, "one_sided", "--fail-router", "g0r0:oops:2"]
+            ["flood", self.CLUSTER, "one_sided", "--fail-router", "g0r0:oops:2"]
         )
         assert rc == 2
         assert "NAME:START:END" in capsys.readouterr().err
 
     def test_fail_nic_window_degrades_block_flood(self, capsys):
         rc = main(
-            ["fault", self.CLUSTER, "one_sided", "--loss", "0",
+            ["flood", self.CLUSTER, "one_sided", "--loss", "0",
              "--fail-nic", "n0.nic0:100:160", "--placement", "block",
              "--msgs-per-sync", "16", "--iters", "1"]
         )
@@ -492,7 +571,7 @@ class TestFaultCommand:
 
     def test_fail_router_forever_aborts_block_flood(self, capsys):
         rc = main(
-            ["fault", self.CLUSTER, "one_sided", "--loss", "0",
+            ["flood", self.CLUSTER, "one_sided", "--loss", "0",
              "--fail-router", "g0r0", "--placement", "block",
              "--msgs-per-sync", "16", "--iters", "1"]
         )

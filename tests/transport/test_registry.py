@@ -217,23 +217,28 @@ class TestCapabilitiesTable:
 
 class TestRequire:
     def test_candidates_filter_on_declared_caps(self):
-        from repro.transport import STREAM_TRIGGERED, require
+        from repro.transport import STREAM_TRIGGERED, capabilities
 
-        assert require(host_bypass=True).candidates() == (STREAM_TRIGGERED,)
-        fused = require(ops_per_message=1).candidates()
+        def candidates(**flags):
+            return [n for n, c in capabilities().items() if c.matches(**flags)]
+
+        assert candidates(host_bypass=True) == [STREAM_TRIGGERED]
+        fused = candidates(ops_per_message=1)
         assert SHMEM in fused and ONE_SIDED_HW in fused
         assert TWO_SIDED not in fused
 
     def test_resolve_returns_first_qualifier(self):
-        from repro.transport import require
+        from repro.transport import STREAM_TRIGGERED, require
 
-        assert require(gpu_initiated=True).resolve() == SHMEM
+        assert require(gpu_initiated=True) == SHMEM
+        assert require(host_bypass=True) == STREAM_TRIGGERED
+        assert require(ops_per_message=2) == TWO_SIDED
 
     def test_unsatisfiable_predicate_lists_caps_table(self):
         from repro.transport import TransportError, require
 
         with pytest.raises(TransportError) as exc:
-            require(gpu_initiated=True, remote_atomics=False).resolve()
+            require(gpu_initiated=True, remote_atomics=False)
         msg = str(exc.value)
         assert "no registered backend satisfies" in msg
         for name in (TWO_SIDED, SHMEM):
@@ -244,6 +249,9 @@ class TestRequire:
 
         with pytest.raises(TypeError, match="no capability"):
             require(telepathy=True)
+        # Even behind a flag no backend matches.
+        with pytest.raises(TypeError, match="no capability"):
+            require(gpu_initiated="maybe", telepathy=True)
 
     def test_empty_predicate_rejected(self):
         from repro.transport import require
@@ -251,12 +259,15 @@ class TestRequire:
         with pytest.raises(ValueError, match="at least one"):
             require()
 
-    def test_session_accepts_predicate(self):
-        from repro import Session
+    def test_required_name_runs_a_flood(self):
+        from repro.machines import get_machine
         from repro.transport import STREAM_TRIGGERED, require
+        from repro.workloads.flood import run_flood
 
-        s = Session(machine="perlmutter-gpu", backend=require(host_bypass=True))
-        assert s.backend == STREAM_TRIGGERED
+        name = require(host_bypass=True)
+        assert name == STREAM_TRIGGERED
+        r = run_flood(get_machine("perlmutter-gpu"), name, 4096, 8, iters=1)
+        assert r.runtime == STREAM_TRIGGERED and r.bandwidth > 0
 
 
 class TestDiagnostics:

@@ -1,5 +1,7 @@
 """Distributed hashtable: local structures, both variants, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,17 @@ class TestDistributedBehaviour:
                 t[(rt, P)] = run_hashtable(perlmutter_cpu(), rt, cfg, P).time
         assert t[("two_sided", 2)] < t[("one_sided", 2)]
         assert t[("one_sided", 32)] < t[("two_sided", 32)]
+
+    def test_two_sided_poll_is_the_profiles_wait_poll(self):
+        """The two-sided insert loop's ``recv_poll`` charges the profile's
+        ``wait_poll`` per wake: editing it moves the hashtable time."""
+        cfg = HashTableConfig(total_inserts=500, seed=2)
+        slow = perlmutter_cpu()
+        slow.runtimes["two_sided"] = dataclasses.replace(
+            slow.runtimes["two_sided"], wait_poll=1e-6
+        )
+        base = run_hashtable(perlmutter_cpu(), "two_sided", cfg, 4).time
+        assert run_hashtable(slow, "two_sided", cfg, 4).time > base
 
     def test_summit_cross_socket_atomics_hurt(self):
         """Paper Fig. 9: Summit GPUs stop scaling past one island."""

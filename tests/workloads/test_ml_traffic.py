@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Session
-from repro.collectives import CollectiveError
+from repro.collectives import CollectiveError, explain_collective, run_collective
 from repro.machines import perlmutter_gpu
 from repro.transport import SHMEM, TWO_SIDED
 from repro.workloads.ml import (
@@ -213,11 +213,11 @@ class TestKvTransfer:
 
 class TestSessionIntegration:
     def test_session_runners_and_metrics(self):
-        with Session(machine="perlmutter-gpu", backend=SHMEM, obs=True) as s:
-            tr = s.run_training_step(nranks=4, grad_bytes=1 << 18)
-            moe = s.run_moe_dispatch(nranks=4, tokens_per_rank=64, hidden=16)
-            kv = s.run_kv_transfer(nranks=4, context_tokens=128)
-            coll = s.run_collective("allreduce", nranks=4, nelems=64)
+        with Session(obs=True) as s:
+            tr = run_training_step(PM(), SHMEM, nranks=4, grad_bytes=1 << 18)
+            moe = run_moe_dispatch(PM(), SHMEM, nranks=4, tokens_per_rank=64, hidden=16)
+            kv = run_kv_transfer(PM(), SHMEM, nranks=4, context_tokens=128)
+            coll = run_collective(PM(), SHMEM, "allreduce", nranks=4, nelems=64)
         assert tr.time > 0 and moe.time > 0 and kv.time > 0 and coll.time > 0
         snap = s.obs.snapshot()
         assert snap["ml.training.steps"] == 1
@@ -230,6 +230,6 @@ class TestSessionIntegration:
         assert any(k.startswith("span.collective:allreduce:") for k in snap)
 
     def test_session_explain(self):
-        with Session(machine="perlmutter-gpu", backend=SHMEM) as s:
-            sel = s.explain_collective("allreduce", nranks=4, nbytes=1 << 20)
+        with Session():
+            sel = explain_collective(PM(), SHMEM, "allreduce", nranks=4, nbytes=1 << 20)
         assert "<- selected" in sel.explain()

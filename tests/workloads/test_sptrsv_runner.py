@@ -90,7 +90,7 @@ class TestPaperShapes:
         res = run_sptrsv(perlmutter_cpu(), "two_sided", medium_matrix, 4)
         # Sends are fire-and-forget; each expected message is a blocking
         # recv (its own sync) — msg/sync ~ 1 by design.
-        assert res.msgs_per_sync == pytest.approx(1.0, abs=0.5)
+        assert res.counters.msgs_per_sync() == pytest.approx(1.0, abs=0.5)
 
     def test_one_sided_uses_4x_operations(self, medium_matrix):
         two = run_sptrsv(perlmutter_cpu(), "two_sided", medium_matrix, 4)
