@@ -195,7 +195,7 @@ class Session:
         if self.obs is not None:
             bits.append("obs=on")
         if self.passes.enabled:
-            bits.append(f"passes={','.join(self.passes.names())}")
+            bits.append(f"passes={','.join(self.passes.passes)}")
         bits.append(f"jobs={self.jobs}")
         state = "active" if self._stack is not None else "idle"
         return f"<Session {' '.join(bits)} [{state}]>"

@@ -671,7 +671,7 @@ def _cmd_ir(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as e:
         print(f"bad --passes: {e}", file=sys.stderr)
         return 2
-    print(f"[ir] passes: {', '.join(pipeline.names()) or '(none)'}",
+    print(f"[ir] passes: {', '.join(pipeline.passes) or '(none)'}",
           file=sys.stderr)
     status = 0
     for n in names:

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.faults.hard import elements_down_at
-from repro.faults.plan import _NODE_PREFIX, FaultError
+from repro.faults.plan import FaultError
+from repro.net.topology import node_of
 from repro.util.validation import check_count, check_in_range, check_non_negative
 from repro.workloads.ml.training import RecoverableTrainingSpec
 
@@ -88,9 +89,9 @@ def _dead_job_nodes(plan, ledger: "PlacementLedger", t: float) -> set[str]:
         if hf.kind == "node":
             dead.add(hf.element)
         elif hf.kind == "nic":
-            m = _NODE_PREFIX.match(hf.element)
-            if m is not None:
-                dead.add(m.group(1))
+            node = node_of(hf.element)
+            if node != hf.element:
+                dead.add(node)
         elif hf.kind == "router":
             for node, router in ledger.router.items():
                 if router == hf.element:
@@ -121,7 +122,7 @@ def run_recoverable_training(
     a transfer dies) is re-raised: soft-loss exhaustion is a fabric
     problem, not something respawning a node can fix.
     """
-    from repro.cluster.scheduler import _node_of, place_ranks
+    from repro.cluster.scheduler import place_ranks
 
     spec = spec if spec is not None else RecoverableTrainingSpec()
     config = config if config is not None else RecoveryConfig()
@@ -150,7 +151,7 @@ def run_recoverable_training(
         # immediately: the health checks that confirmed this failure
         # exclude them too.
         unusable = _dead_job_nodes(plan, ledger, now) if plan is not None else set()
-        alive = {_node_of(ep) for ep in endpoints} - set(dead_nodes)
+        alive = {node_of(ep) for ep in endpoints} - set(dead_nodes)
         spares = [s for s in ledger.spares() if s not in alive and s not in unusable]
         if len(spares) < len(dead_nodes):
             result.events.append(
@@ -162,7 +163,7 @@ def run_recoverable_training(
         ledger.take(chosen)
         for dead, spare in zip(sorted(dead_nodes), chosen):
             for r, ep in enumerate(endpoints):
-                if _node_of(ep) != dead:
+                if node_of(ep) != dead:
                     continue
                 slot = ledger.node_eps[dead].index(ep)
                 new_ep = ledger.node_eps[spare][slot]
@@ -206,11 +207,11 @@ def run_recoverable_training(
                 dead = sorted(
                     _dead_job_nodes(plan, ledger, sim.now) if plan is not None else ()
                 )
-                dead = [d for d in dead if d in {_node_of(ep) for ep in endpoints}]
+                dead = [d for d in dead if d in {node_of(ep) for ep in endpoints}]
                 if not dead:
                     raise  # unexplained: not a hard element failure
                 result.failures += 1
-                lost_ranks = sum(1 for ep in endpoints if _node_of(ep) in set(dead))
+                lost_ranks = sum(1 for ep in endpoints if node_of(ep) in set(dead))
                 result.blast_radius = max(result.blast_radius, lost_ranks)
                 if result.failures > config.max_restarts or not _respawn(
                     dead, sim.now
@@ -245,7 +246,7 @@ def run_recoverable_training(
     proc = sim.process(manager(), name=f"recovery/{name}")
     sim.run(until=proc)
     result.makespan = sim.now
-    result.nodes = sorted({_node_of(ep) for ep in endpoints})
+    result.nodes = sorted({node_of(ep) for ep in endpoints})
     metrics = cluster.metrics
     if metrics is not None:
         metrics.counter("cluster.recovery.failures").inc(result.failures)

@@ -33,6 +33,7 @@ from repro.machines.base import MachineModel
 from repro.machines.registry import get_machine
 from repro.net.congestion import CongestionConfig
 from repro.net.fabric import Fabric
+from repro.net.topology import node_of
 from repro.obs.session import current as _obs_current
 from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, Tracer
@@ -41,12 +42,6 @@ from repro.util.validation import check_count
 __all__ = ["Cluster", "PLACEMENTS", "place_ranks"]
 
 PLACEMENTS = ("packed", "scattered", "random")
-
-
-def _node_of(endpoint: str) -> str:
-    """The node prefix of a cluster endpoint (the endpoint itself when the
-    machine is a bare node)."""
-    return endpoint.split(".", 1)[0] if "." in endpoint else endpoint
 
 
 def _attach_router(machine: MachineModel, node: str, eps: list[str]) -> str:
@@ -99,7 +94,7 @@ class PlacementLedger:
         self.cap = 1 if machine.is_gpu_machine else machine.cores_per_endpoint
         self.node_eps: dict[str, list[str]] = {}
         for ep in machine.compute_endpoints:
-            self.node_eps.setdefault(_node_of(ep), []).append(ep)
+            self.node_eps.setdefault(node_of(ep), []).append(ep)
         self.free_nodes: list[str] = list(self.node_eps)
         self.router = {
             node: _attach_router(machine, node, eps)

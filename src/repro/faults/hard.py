@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.faults.plan import _NODE_PREFIX, FaultPlan, HardFaults
+from repro.faults.plan import FaultPlan, HardFaults
+from repro.net.topology import is_nic, node_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.topology import TopologySpec
@@ -54,10 +55,6 @@ class UnknownElementError(ValueError):
         super().__init__(f"unknown {kind} {name!r}; {hint}")
 
 
-def _is_nic_name(base: str) -> bool:
-    return base.startswith("nic")
-
-
 def element_catalog(
     topology: "TopologySpec", *, compute: tuple[str, ...] = ()
 ) -> dict[str, tuple[str, ...]]:
@@ -73,13 +70,12 @@ def element_catalog(
     nodes: set[str] = set()
     nics: list[str] = []
     for ep in topology.endpoints:
-        m = _NODE_PREFIX.match(ep)
-        base = ep[m.end():] if m is not None else ep
-        if m is not None:
-            nodes.add(m.group(1))
-        if _is_nic_name(base):
+        node = node_of(ep)
+        if node != ep:
+            nodes.add(node)
+        if is_nic(ep):
             nics.append(ep)
-        elif m is None and ep not in compute_set:
+        elif node == ep and ep not in compute_set:
             routers.append(ep)
     return {
         "router": tuple(sorted(routers)),

@@ -32,7 +32,6 @@ degradation shapes in ``repro run degradation``.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
@@ -50,12 +49,6 @@ __all__ = [
     "FaultPlan",
     "NO_FAULTS",
 ]
-
-# The namespaced-cluster endpoint prefix (`n{i}.`) that
-# :func:`repro.machines.cluster.make_cluster` prepends to every
-# node-internal endpoint.
-_NODE_PREFIX = re.compile(r"^(n\d+)\.")
-
 
 class FaultError(RuntimeError):
     """A message could not be delivered within the retransmission budget.
@@ -323,11 +316,12 @@ class FaultPlan:
         if lf is not None:
             return lf
         if self.links:
-            ma, mb = _NODE_PREFIX.match(a), _NODE_PREFIX.match(b)
-            if ma is not None and mb is not None and ma.group(1) == mb.group(1):
-                lf = self.links.get(
-                    frozenset((a[ma.end():], b[mb.end():]))
-                )
+            from repro.net.topology import node_of  # repro.net imports this module
+
+            node = node_of(a)
+            if node != a and node_of(b) == node != b:
+                cut = len(node) + 1
+                lf = self.links.get(frozenset((a[cut:], b[cut:])))
                 if lf is not None:
                     return lf
         return self.default

@@ -13,9 +13,7 @@ live in pattern-level rewrites):
 * **overlap** — schedule halo-independent compute against in-flight
   transfers;
 * **sync-elide** — drop epoch fences provably redundant under the
-  backend's :class:`~repro.transport.api.BackendCaps`;
-* **auto-backend** — per-machine backend selection via the same
-  Hockney grounding as :mod:`repro.collectives.selector`.
+  backend's :class:`~repro.transport.api.BackendCaps`.
 
 All passes are off by default: the flood and stencil runners emit IR and
 lower it through :func:`run_program`, and with the empty pipeline the lowering
@@ -33,8 +31,8 @@ is byte-identical to the pre-IR hand-written runners (pinned by
 
 or through the facade (``Session(passes=True)``) and the CLI
 (``repro ir explain <exp>``).  A pipeline is a set of pass names; the
-passes always run in one order (coalesce, overlap, auto-backend,
-sync-elide).  See docs/IR.md.
+passes run once, in one order (coalesce, overlap, sync-elide).  See
+docs/IR.md.
 """
 
 from repro.ir import ops
@@ -44,29 +42,21 @@ from repro.ir.explain import IRReport, explain_all
 from repro.ir.lower import IRRun, lower_rank, run_program
 from repro.ir.pipeline import (
     DEFAULT_PASSES,
-    AutoBackendPass,
-    CoalescePass,
-    OverlapPass,
     PassPipeline,
     Rewrite,
-    SyncElidePass,
     build_pipeline,
 )
 from repro.ir.program import IRProgram, Region, region_for_all
 
 __all__ = [
     "ops",
-    "AutoBackendPass",
-    "CoalescePass",
     "DEFAULT_PASSES",
     "IRProgram",
     "IRReport",
     "IRRun",
-    "OverlapPass",
     "PassPipeline",
     "Region",
     "Rewrite",
-    "SyncElidePass",
     "build_pipeline",
     "collect",
     "current_pipeline",

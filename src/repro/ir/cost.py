@@ -70,13 +70,11 @@ def _rank_cost(ops, spec, machine, p, barrier: float, fence: float) -> float:
     return max(cpu, net)
 
 
-def program_cost(
-    program: IRProgram, machine, *, runtime: str | None = None
-) -> float:
+def program_cost(program: IRProgram, machine) -> float:
     """Modeled seconds for one run of ``program``."""
     from repro.transport.registry import get_backend, pattern_of
 
-    backend = get_backend(runtime or program.runtime)
+    backend = get_backend(program.runtime)
     P = program.nranks
     p = backend.loggp(machine, pattern_of(program.spec)) if P >= 2 else _LOCAL
     barrier = barrier_delay(

@@ -21,7 +21,6 @@ class IRReport:
     program: str
     machine: str
     runtime: str
-    original_runtime: str
     nranks: int
     passes: tuple[str, ...]
     rewrites: tuple  # of repro.ir.pipeline.Rewrite
@@ -30,12 +29,9 @@ class IRReport:
     notes: tuple[str, ...] = ()
 
     def explain(self) -> str:
-        target = self.runtime
-        if self.runtime != self.original_runtime:
-            target = f"{self.original_runtime} -> {self.runtime}"
         head = (
             f"ir: {self.program}(P={self.nranks}) on "
-            f"{self.machine}/{target}"
+            f"{self.machine}/{self.runtime}"
         )
         caps_line = None
         try:

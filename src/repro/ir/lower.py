@@ -25,6 +25,7 @@ from repro.comm.job import Job
 from repro.ir import ops as O
 from repro.ir.config import current_pipeline, record_report
 from repro.ir.explain import IRReport
+from repro.ir.pipeline import PassPipeline
 from repro.ir.program import IRProgram
 
 __all__ = ["IRRun", "run_program", "lower_rank"]
@@ -102,21 +103,16 @@ def lower_rank(ctx, chan, program: IRProgram, counts: dict):
 
 @dataclass
 class IRRun:
-    """Everything a runner needs back: the job, channel, rank results,
-    the (possibly rewritten) program, and the explain report."""
+    """What a runner reads back: the job and its rank results."""
 
-    program: IRProgram
     job: Job
-    chan: Any
     result: Any  # repro.comm.job.JobResult
-    report: IRReport
 
 
-def run_program(machine, program: IRProgram, *, placement: str = "spread",
-                pipeline=None) -> IRRun:
-    """Optimise (ambient pipeline), lower, and run ``program``.
+def run_program(machine, program: IRProgram, *, placement: str = "spread") -> IRRun:
+    """Optimise (ambient :func:`repro.ir.passes` pipeline), lower, and run
+    ``program``.
 
-    ``pipeline`` overrides the ambient :func:`repro.ir.passes` scope.
     A non-clean ambient fault plan forces the empty pipeline regardless
     (noted in the report): loss/jitter draws are per-message, so rewrites
     that change message counts would change the fault stream (the same
@@ -126,18 +122,14 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread",
     from repro.faults.inject import current_plan
     from repro.ir.cost import program_cost
 
-    pipe = pipeline if pipeline is not None else current_pipeline()
-    from repro.ir.pipeline import build_pipeline
-
-    pipe = build_pipeline(pipe)
+    pipe = current_pipeline()
     notes: list[str] = []
     plan = current_plan()
     if pipe.enabled and plan is not None and not plan.clean:
         notes.append("faults active: scalar/no-elide pipeline forced")
-        pipe = build_pipeline(False)
+        pipe = PassPipeline()
 
     session = obs.current()
-    original_runtime = program.runtime
     rewrites = ()
     before = after = None
     if pipe.enabled:
@@ -156,9 +148,8 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread",
         program=program.name,
         machine=machine.name,
         runtime=job.runtime_name,
-        original_runtime=original_runtime,
         nranks=program.nranks,
-        passes=pipe.names(),
+        passes=pipe.passes,
         rewrites=tuple(rewrites),
         before=before,
         after=after,
@@ -173,5 +164,4 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread",
             m.counter(f"ir.ops.{kind}").inc(n)
         for rw in rewrites:
             m.counter(f"ir.pass.{rw.pass_name}.{rw.kind}.rewrites").inc(rw.count)
-    return IRRun(program=program, job=job, chan=chan, result=result,
-                 report=report)
+    return IRRun(job=job, result=result)

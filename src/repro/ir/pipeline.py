@@ -1,18 +1,20 @@
-"""The pass catalog: coalesce, overlap, sync-elide, auto-backend.
+"""The pass catalog: coalesce, overlap, sync-elide.
 
-Every pass maps an :class:`IRProgram` to a rewritten program
-plus :class:`Rewrite` records (kind, how many sites merged/moved/
-elided, and the modeled before/after cost around the application).
-Passes fire only when the rewrite is provably semantics-preserving for
-the lowering in :mod:`repro.ir.lower` — the conditions are documented
-per pass — and :class:`PassPipeline` keeps a rewrite only where it wins,
-pinned by the property suite (cost never increases; running a pipeline
-twice equals running it once).
+Every pass is a function ``(program, machine)`` that rewrites one
+pattern and returns ``(rewritten, kind, count, detail)`` — what kind of
+rewrite, how many sites merged/moved/elided — or ``None`` when it does
+not apply.  Passes fire only when the rewrite is provably
+semantics-preserving for the lowering in :mod:`repro.ir.lower` — the
+conditions are documented per pass — and :class:`PassPipeline` prices
+every rewrite and keeps it only where it wins, pinned by the property
+suite (cost never increases; running a pipeline twice equals running it
+once).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.ir import ops as O
@@ -22,11 +24,6 @@ from repro.transport.api import BatchSpec
 
 __all__ = [
     "Rewrite",
-    "Pass",
-    "CoalescePass",
-    "OverlapPass",
-    "SyncElidePass",
-    "AutoBackendPass",
     "PassPipeline",
     "DEFAULT_PASSES",
     "build_pipeline",
@@ -48,35 +45,11 @@ class Rewrite:
         return self.before - self.after
 
 
-class Pass:
-    """Base: ``run`` returns ``(program, rewrites)``; no-op by default."""
-
-    name = "pass"
-
-    def run(self, program: IRProgram, machine):  # pragma: no cover
-        return program, []
-
-    def _record(self, program, rewritten, machine, kind, count, detail):
-        return Rewrite(
-            pass_name=self.name,
-            kind=kind,
-            count=count,
-            detail=detail,
-            before=program_cost(program, machine),
-            after=program_cost(rewritten, machine),
-        )
-
-
 def _map_regions(program: IRProgram, fn) -> IRProgram:
     return program.with_(regions=tuple(fn(r) for r in program.regions))
 
 
-# ---------------------------------------------------------------------------
-# coalesce
-# ---------------------------------------------------------------------------
-
-
-class CoalescePass(Pass):
+def coalesce(program: IRProgram, machine):
     """Merge a flood's small messages into one bulk-engine message.
 
     ``BatchSend(dst, it, n)`` against ``BatchWait(src, it, n)`` becomes a
@@ -86,58 +59,40 @@ class CoalescePass(Pass):
     is global) and n >= 2; kept only where the model says it wins (a
     bandwidth-bound batch, ``B*G >= o``, gains nothing by merging).
     """
+    spec = program.spec
+    if not isinstance(spec, BatchSpec):
+        return None
+    kinds = (O.BatchSend, O.BatchWait)
+    counts = {
+        op.n
+        for region in program.regions
+        for ops in region.body
+        for op in ops
+        if isinstance(op, kinds)
+    }
+    if len(counts) != 1:
+        return None
+    n = counts.pop()
+    if n < 2:
+        return None
 
-    name = "coalesce"
-
-    def run(self, program, machine):
-        p2 = self._batch(program)
-        if p2 is None:
-            return program, []
-        return p2, [self._record(
-            program, p2, machine, "batch",
-            count=len(p2.regions),
-            detail=f"{program.spec.nbytes} B x n -> {p2.spec.nbytes} B x 1 per sync",
-        )]
-
-    def _batch(self, program):
-        spec = program.spec
-        if not isinstance(spec, BatchSpec):
-            return None
-        kinds = (O.BatchSend, O.BatchWait)
-        counts = {
-            op.n
-            for region in program.regions
+    def rewrite(region: Region) -> Region:
+        return Region(region.name, tuple(
+            tuple(
+                dataclasses.replace(op, n=1) if isinstance(op, kinds) else op
+                for op in ops
+            )
             for ops in region.body
-            for op in ops
-            if isinstance(op, kinds)
-        }
-        if len(counts) != 1:
-            return None
-        n = counts.pop()
-        if n < 2:
-            return None
+        ))
 
-        def rewrite(region: Region) -> Region:
-            return Region(region.name, tuple(
-                tuple(
-                    dataclasses.replace(op, n=1) if isinstance(op, kinds) else op
-                    for op in ops
-                )
-                for ops in region.body
-            ))
-
-        p2 = _map_regions(program, rewrite)
-        return p2.with_(
-            spec=dataclasses.replace(spec, nbytes=n * spec.nbytes)
-        )
+    p2 = _map_regions(program, rewrite).with_(
+        spec=dataclasses.replace(spec, nbytes=n * spec.nbytes)
+    )
+    return (p2, "batch", len(p2.regions),
+            f"{spec.nbytes} B x n -> {p2.spec.nbytes} B x 1 per sync")
 
 
-# ---------------------------------------------------------------------------
-# overlap
-# ---------------------------------------------------------------------------
-
-
-class OverlapPass(Pass):
+def overlap(program: IRProgram, machine):
     """Schedule halo-independent compute against in-flight transfers.
 
     A ``Compute`` carrying ``interior_frac=f`` declares that fraction of
@@ -149,68 +104,56 @@ class OverlapPass(Pass):
     only the modeled clock overlaps.  The split ops carry no
     ``interior_frac``, so the pass is idempotent.
     """
+    moved = 0
 
-    name = "overlap"
-
-    def run(self, program, machine):
-        moved = 0
-
-        def rewrite(region: Region) -> Region:
-            nonlocal moved
-            body = []
-            for ops in region.body:
-                ops = list(ops)
-                ci = next(
-                    (i for i, op in enumerate(ops)
-                     if isinstance(op, O.Compute)
-                     and op.interior_frac is not None
-                     and 0.0 < op.interior_frac < 1.0), None,
+    def rewrite(region: Region) -> Region:
+        nonlocal moved
+        body = []
+        for ops in region.body:
+            ops = list(ops)
+            ci = next(
+                (i for i, op in enumerate(ops)
+                 if isinstance(op, O.Compute)
+                 and op.interior_frac is not None
+                 and 0.0 < op.interior_frac < 1.0), None,
+            )
+            fi = None
+            if ci is not None:
+                fi = next(
+                    (i for i in range(ci - 1, -1, -1)
+                     if isinstance(ops[i], O.HaloFinish)), None,
                 )
-                fi = None
-                if ci is not None:
-                    fi = next(
-                        (i for i in range(ci - 1, -1, -1)
-                         if isinstance(ops[i], O.HaloFinish)), None,
-                    )
-                if ci is None or fi is None:
-                    body.append(tuple(ops))
-                    continue
-                op = ops[ci]
-                f = op.interior_frac
-                interior = O.Compute(nbytes=op.nbytes * f, flops=op.flops * f)
-                boundary = O.Compute(
-                    nbytes=op.nbytes * (1.0 - f),
-                    flops=op.flops * (1.0 - f),
-                    seconds=(None if op.seconds is None
-                             else op.seconds * (1.0 - f)),
-                    fn=op.fn,
-                )
-                if op.seconds is not None:
-                    interior = dataclasses.replace(
-                        interior, seconds=op.seconds * f
-                    )
-                ops[ci] = boundary
-                ops.insert(fi, interior)
-                moved += 1
+            if ci is None or fi is None:
                 body.append(tuple(ops))
-            return Region(region.name, tuple(body))
+                continue
+            op = ops[ci]
+            f = op.interior_frac
+            interior = O.Compute(nbytes=op.nbytes * f, flops=op.flops * f)
+            boundary = O.Compute(
+                nbytes=op.nbytes * (1.0 - f),
+                flops=op.flops * (1.0 - f),
+                seconds=(None if op.seconds is None
+                         else op.seconds * (1.0 - f)),
+                fn=op.fn,
+            )
+            if op.seconds is not None:
+                interior = dataclasses.replace(
+                    interior, seconds=op.seconds * f
+                )
+            ops[ci] = boundary
+            ops.insert(fi, interior)
+            moved += 1
+            body.append(tuple(ops))
+        return Region(region.name, tuple(body))
 
-        p2 = _map_regions(program, rewrite)
-        if not moved:
-            return program, []
-        return p2, [self._record(
-            program, p2, machine, "pipeline",
-            count=moved,
-            detail=f"{moved} interior-compute slices moved before finish",
-        )]
+    p2 = _map_regions(program, rewrite)
+    if not moved:
+        return None
+    return (p2, "pipeline", moved,
+            f"{moved} interior-compute slices moved before finish")
 
 
-# ---------------------------------------------------------------------------
-# sync-elide
-# ---------------------------------------------------------------------------
-
-
-class SyncElidePass(Pass):
+def sync_elide(program: IRProgram, machine):
     """Drop epoch-opening fences that are provably redundant.
 
     On backends whose caps declare ``fence_epochs`` (one-sided MPI RMA:
@@ -229,98 +172,38 @@ class SyncElidePass(Pass):
     signal-driven epoch-open is already free, so there is nothing to
     elide.
     """
+    from repro.transport.registry import get_backend
 
-    name = "sync-elide"
+    if not get_backend(program.runtime).caps.fence_epochs:
+        return None
+    elided = 0
 
-    def run(self, program, machine):
-        from repro.transport.registry import get_backend
+    def rewrite(region: Region) -> Region:
+        nonlocal elided
+        begins = [
+            op for ops in region.body for op in ops
+            if isinstance(op, O.HaloBegin)
+        ]
+        if not begins or any(op.it == 0 for op in begins):
+            return region
+        elided += len(begins)
+        return Region(region.name, tuple(
+            tuple(op for op in ops if not isinstance(op, O.HaloBegin))
+            for ops in region.body
+        ))
 
-        caps = get_backend(program.runtime).caps
-        if not caps.fence_epochs:
-            return program, []
-        elided = 0
+    p2 = _map_regions(program, rewrite)
+    if not elided:
+        return None
+    return (p2, "fence", elided,
+            f"{elided} redundant epoch-open fences removed")
 
-        def rewrite(region: Region) -> Region:
-            nonlocal elided
-            begins = [
-                op for ops in region.body for op in ops
-                if isinstance(op, O.HaloBegin)
-            ]
-            if not begins or any(op.it == 0 for op in begins):
-                return region
-            elided += len(begins)
-            return Region(region.name, tuple(
-                tuple(op for op in ops if not isinstance(op, O.HaloBegin))
-                for ops in region.body
-            ))
-
-        p2 = _map_regions(program, rewrite)
-        if not elided:
-            return program, []
-        return p2, [self._record(
-            program, p2, machine, "fence",
-            count=elided,
-            detail=f"{elided} redundant epoch-open fences removed",
-        )]
-
-
-# ---------------------------------------------------------------------------
-# auto-backend
-# ---------------------------------------------------------------------------
-
-
-class AutoBackendPass(Pass):
-    """Retarget a program to the cheapest backend on this machine.
-
-    Every registered backend whose cost profile exists on ``machine`` is
-    scored with :func:`program_cost`; the argmin wins.  An incumbent that
-    ties it (or has no profile to win against) is no win, so the
-    pipeline keeps the program where it is.  Both patterns are written
-    once against the transport specs, with no backend-specific branch
-    baked in, so every program may be retargeted.
-    """
-
-    name = "auto-backend"
-
-    def run(self, program, machine):
-        from repro.transport.registry import backend_names, get_backend
-
-        costs = []
-        for name in backend_names():
-            backend = get_backend(name)
-            try:
-                backend.costs(machine)
-            except KeyError:  # no cost profile on this machine
-                continue
-            costs.append((name, program_cost(
-                program, machine, runtime=name
-            )))
-        if not costs:
-            return program, []
-        best_name, best = min(costs, key=lambda c: c[1])
-        return program.with_(runtime=best_name), [Rewrite(
-            pass_name=self.name,
-            kind="retarget",
-            count=1,
-            detail=f"{program.runtime} -> {best_name}",
-            before=dict(costs).get(program.runtime, best),
-            after=best,
-        )]
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-# ---------------------------------------------------------------------------
 
 # The registry, in the one order every pipeline runs its passes.
-# auto-backend precedes sync-elide: sync-elide branches on the *runtime's*
-# declared caps, so eliding after the retarget is what keeps a pipeline
-# idempotent (running it twice equals running it once).
 _PASSES = {
-    "coalesce": CoalescePass,
-    "overlap": OverlapPass,
-    "auto-backend": AutoBackendPass,
-    "sync-elide": SyncElidePass,
+    "coalesce": coalesce,
+    "overlap": overlap,
+    "sync-elide": sync_elide,
 }
 
 DEFAULT_PASSES = ("coalesce", "overlap", "sync-elide")
@@ -333,6 +216,13 @@ class PassPipeline:
     passes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.passes, (str, bytes)) or not isinstance(
+            self.passes, Collection
+        ):
+            raise TypeError(
+                "passes must be a bool, None, a PassPipeline or a collection "
+                f"of pass names, not {self.passes!r}"
+            )
         unknown = [p for p in self.passes if p not in _PASSES]
         if unknown:
             raise ValueError(
@@ -346,29 +236,28 @@ class PassPipeline:
     def enabled(self) -> bool:
         return bool(self.passes)
 
-    def names(self) -> tuple[str, ...]:
-        return self.passes
-
     def fingerprint(self) -> list[str]:
         """What a cache key says of this pipeline: its pass names."""
         return list(self.passes)
 
     def run(self, program: IRProgram, machine):
-        """Apply every pass in order; returns (program, rewrites).
+        """Apply every pass once, in order; returns (program, rewrites).
 
         A rewrite is kept only if it wins by more than 1e-9 of the cost
-        (less is rounding).  The passes repeat until none is kept (a
-        retarget can make an earlier pass win): the result is a fixed point.
+        (less is rounding).  Each pass removes its own precondition, so
+        one ordered pass is a fixed point.
         """
         rewrites: list[Rewrite] = []
-        kept = True
-        while kept:
-            kept = False
-            for name in self.passes:
-                p2, rws = _PASSES[name]().run(program, machine)
-                if any(rw.win > 1e-9 * rw.before for rw in rws):
-                    program, kept = p2, True
-                    rewrites.extend(rws)
+        cost = program_cost(program, machine)
+        for name in self.passes:
+            fired = _PASSES[name](program, machine)
+            if fired is None:
+                continue
+            p2, kind, count, detail = fired
+            after = program_cost(p2, machine)
+            if cost - after > 1e-9 * cost:
+                rewrites.append(Rewrite(name, kind, count, detail, cost, after))
+                program, cost = p2, after
         return program, rewrites
 
 
@@ -382,4 +271,4 @@ def build_pipeline(spec=True) -> PassPipeline:
         return spec
     if spec is None or spec is False:
         return PassPipeline()
-    return PassPipeline(tuple(DEFAULT_PASSES if spec is True else spec))
+    return PassPipeline(DEFAULT_PASSES if spec is True else spec)

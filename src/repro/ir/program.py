@@ -44,7 +44,7 @@ class IRProgram:
             may *replace* it — coalescing n puts of b bytes rewrites
             ``BatchSpec(b)`` to ``BatchSpec(n*b)``.
         nranks: job size.
-        runtime: backend name; the auto-backend pass may replace it.
+        runtime: backend name.
         regions: the timed regions, in order (see module doc).
         setup: per-rank ``setup(ctx, chan, ep, state) -> None`` run before
             the opening barrier (pure python: allocate local arrays, read

@@ -19,7 +19,7 @@ import dataclasses
 
 from repro.machines.base import MachineModel
 from repro.net.loggp import LinkParams
-from repro.net.topology import FabricBlueprint, TopologySpec
+from repro.net.topology import FabricBlueprint, TopologySpec, is_nic
 from repro.util.units import GBps, us
 from repro.util.validation import check_count
 
@@ -40,10 +40,6 @@ FABRICS: dict[str, LinkParams] = {
     "slingshot11": SLINGSHOT11,
     "infiniband-edr": INFINIBAND_EDR,
 }
-
-
-def _is_nic(endpoint: str) -> bool:
-    return endpoint.startswith("nic") or endpoint.startswith("nic-")
 
 
 def make_cluster(
@@ -73,7 +69,7 @@ def make_cluster(
             f"{nnodes} nodes exceed the {fabric.max_nodes} node ports of "
             f"{fabric.describe()}"
         )
-    nics = [ep for ep in node.topology.endpoints if _is_nic(ep)]
+    nics = [ep for ep in node.topology.endpoints if is_nic(ep)]
     if not nics:
         raise ValueError(
             f"node model {node.name!r} has no NIC endpoints to attach to a fabric"

@@ -2,11 +2,14 @@
 
 Endpoints are string-named devices: CPU sockets (``"cpu0"``), GPUs
 (``"gpu3"``), NICs (``"nic0"``), and — at cluster scale — switches and
-routers (``"r0.1"``).  The machine models in ``repro.machines`` build one
-:class:`TopologySpec` each from the paper's Fig. 2 node diagrams; the
-parametric generators here (:func:`dragonfly`, :func:`fat_tree`,
-:func:`torus`) build the datacenter fabrics those nodes plug into via
-:func:`repro.machines.cluster.make_cluster`.
+routers (``"switch"``; the generators' ``"g0r1"``, ``"core0"``,
+``"pod2"`` and torus coordinates ``"t0-1"``).  The machine models in
+``repro.machines`` build one :class:`TopologySpec` each from the paper's
+Fig. 2 node diagrams; the parametric generators here (:func:`dragonfly`,
+:func:`fat_tree`, :func:`torus`) build the datacenter fabrics those nodes
+plug into via :func:`repro.machines.cluster.make_cluster`, which prefixes
+every node-internal endpoint with its node, ``n{i}.`` (``"n3.cpu0"``);
+:func:`node_of` and :func:`is_nic` read that grammar.
 
 Path *selection* lives in :mod:`repro.net.routing`; this module resolves
 static minimum-latency paths (its own bidirectional Dijkstra, cached; ties
@@ -19,6 +22,7 @@ per-path latency/``G``, not the cached minimal pair's.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from collections.abc import Collection, Sequence
 from heapq import heappop, heappush
@@ -34,7 +38,24 @@ __all__ = [
     "dragonfly",
     "fat_tree",
     "torus",
+    "node_of",
+    "is_nic",
 ]
+
+_NODE_PREFIX = re.compile(r"^(n\d+)\.")
+
+
+def node_of(endpoint: str) -> str:
+    """The ``n{i}`` node a cluster endpoint belongs to (``"n3.cpu0"`` ->
+    ``"n3"``); an endpoint without the prefix is its own node."""
+    m = _NODE_PREFIX.match(endpoint)
+    return endpoint if m is None else m.group(1)
+
+
+def is_nic(endpoint: str) -> bool:
+    """Whether ``endpoint`` is a NIC (``"nic0"``, ``"n3.nic1"``)."""
+    m = _NODE_PREFIX.match(endpoint)
+    return endpoint.startswith("nic", 0 if m is None else m.end())
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,15 +314,16 @@ class TopologySpec:
         """Endpoints a Valiant detour may pass through (cached, sorted).
 
         Switch/router endpoints only: multi-degree, not a node-internal
-        device (cluster convention prefixes those with "n{i}."), and not an
-        injecting compute endpoint.  Detouring *through* another node's NIC
+        device (:func:`node_of` names a node), and not an injecting compute
+        endpoint.  Detouring *through* another node's NIC
         or socket is not a thing real fabrics do.
         """
         if self._transit_cache is None:
             self._transit_cache = sorted(
                 n
                 for n in self._adj
-                if len(self.neighbors(n)) >= 2 and "." not in n and n not in self.injection
+                if len(self.neighbors(n)) >= 2 and node_of(n) == n
+                and n not in self.injection
             )
         return self._transit_cache
 

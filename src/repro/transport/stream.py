@@ -12,7 +12,7 @@ collective and IR program runs on this backend on every machine with
 zero per-workload code.
 
 The endpoints are shmem's, the halo one included: a stream-ordered
-epoch-open runs no fence, so ``SyncElidePass`` has nothing to drop here.
+epoch-open runs no fence, so the sync-elide pass has nothing to drop here.
 """
 
 from __future__ import annotations

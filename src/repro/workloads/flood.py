@@ -16,9 +16,9 @@ the op sequence (see docs/TRANSPORT.md):
 
 Because the program is IR, the ambient pass pipeline (off by default —
 see docs/IR.md) can rewrite it: coalesce turns the batch of n small
-messages into one ``n * nbytes`` message per sync, and auto-backend may
-retarget the whole program.  With passes off the lowering is
-byte-identical to the pre-IR hand-written generator.
+messages into one ``n * nbytes`` message per sync where that wins.  With
+passes off the lowering is byte-identical to the pre-IR hand-written
+generator.
 
 There is also an atomic-CAS flood for the Fig. 4 compare-and-swap series:
 one back-to-back ``cas_stream`` from rank 0, a plain rank program (no pass

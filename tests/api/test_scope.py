@@ -151,7 +151,7 @@ class TestScope:
                 with scope.entered(shipped):
                     assert scope.carried() == shipped
                     assert not perf.enabled()
-                    assert ir.current_pipeline().names() == ("overlap",)
+                    assert ir.current_pipeline().passes == ("overlap",)
                     assert obs.current() is None
                 assert scope.carried() == {}
             finally:  # hand the with-statement back what it will pop

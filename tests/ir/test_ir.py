@@ -110,7 +110,7 @@ class TestPipeline:
     def test_build_pipeline_bool_forms(self):
         assert not ir.build_pipeline(False).enabled
         assert not ir.build_pipeline(None).enabled
-        assert ir.build_pipeline(True).names() == ir.DEFAULT_PASSES
+        assert ir.build_pipeline(True).passes == ir.DEFAULT_PASSES
 
     def test_pipeline_is_a_set(self, tmp_path):
         """Names in any order (or repeated) are one pipeline, run in the one
@@ -119,10 +119,10 @@ class TestPipeline:
 
         a = ir.build_pipeline(["overlap", "coalesce"])
         b = ir.build_pipeline(["coalesce", "overlap", "coalesce"])
-        assert a == b and a.names() == ("coalesce", "overlap")
+        assert a == b and a.passes == ("coalesce", "overlap")
         assert a.fingerprint() == b.fingerprint() == ["coalesce", "overlap"]
-        assert ir.build_pipeline(["sync-elide", "auto-backend"]) == ir.build_pipeline(
-            ["auto-backend", "sync-elide"]
+        assert ir.build_pipeline(["sync-elide", "coalesce"]) == ir.build_pipeline(
+            ["coalesce", "sync-elide"]
         )
         spec = SweepSpec(
             name="pipeline-set", runner=_sweep_point, points=[{"x": 1}, {"x": 2}]
@@ -208,19 +208,14 @@ class TestPipeline:
                 base.time_total
             )
 
-    def test_auto_backend_retargets_every_program(self):
-        """Both patterns are written once against the transport specs, so
-        auto-backend may retarget any program to the cheapest backend."""
-        grid = ProcessGrid.square_ish(4)
-        pipe = ir.build_pipeline(["auto-backend"])
-        for p in (
-            build_flood_program("one_sided", 65536, 64, iters=1),
-            build_stencil_program("two_sided", StencilConfig(nx=64, ny=64), grid, 4),
-        ):
-            rewritten, (rewrite,) = pipe.run(p, M)
-            assert rewrite.kind == "retarget"
-            assert rewritten.runtime != p.runtime
-            assert program_cost(rewritten, M) < program_cost(p, M)
+    def test_no_pass_retargets_the_backend(self):
+        """The runtime is the program's own: the catalog is three pattern
+        rewrites, and a backend-retargeting name is an unknown pass."""
+        with pytest.raises(ValueError) as err:
+            ir.build_pipeline(["auto-backend"])
+        assert str(err.value) == (
+            "unknown IR pass 'auto-backend'; valid: coalesce, overlap, sync-elide"
+        )
 
 
 # Every registered backend on a machine that hosts it.
@@ -305,7 +300,7 @@ class TestScopes:
         with ir.passes(["coalesce"]):
             with ir.passes(False):
                 assert not ir.current_pipeline().enabled
-            assert ir.current_pipeline().names() == ("coalesce",)
+            assert ir.current_pipeline().passes == ("coalesce",)
 
     def test_default_is_empty(self):
         assert not ir.current_pipeline().enabled

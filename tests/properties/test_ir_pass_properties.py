@@ -4,15 +4,15 @@ Two invariants, checked over randomly drawn (workload-program, machine,
 backend) triples:
 
 * **monotone** — no pass ever *increases* a program's modeled cost: the
-  passes only merge messages, hide compute behind transfers, drop
-  provably redundant fences, or retarget to a cheaper backend, and each
-  is conservative (it fires only when the cost model says the rewrite is
-  safe or free).
+  passes only merge messages, hide compute behind transfers or drop
+  provably redundant fences, and the pipeline keeps a rewrite only where
+  the cost model says it wins.
 * **idempotent** — running a pipeline on its own output fires zero
   further rewrites and leaves the program unchanged: every rewrite
   removes its own precondition (a coalesced batch has n=1, split compute
-  has no ``interior_frac``, an elided region has no fences, a retargeted
-  program keeps the incumbent on the second scoring).
+  has no ``interior_frac``, an elided region has no fences).  So one
+  ordered pass over the names, which is all ``PassPipeline.run`` makes,
+  is a fixed point.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.workloads.stencil.runner import StencilConfig, build_stencil_program
 
 MACHINES = ("perlmutter-cpu", "perlmutter-gpu", "summit-cpu", "frontier-gpu")
 
-PASS_NAMES = ("coalesce", "overlap", "sync-elide", "auto-backend")
+PASS_NAMES = ("coalesce", "overlap", "sync-elide")
 
 
 def _backends_for(machine):
@@ -77,7 +77,7 @@ def test_no_pass_increases_modeled_cost(prog_machine, pass_name):
 @settings(max_examples=60, deadline=None)
 @given(
     programs(),
-    st.lists(st.sampled_from(PASS_NAMES), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from(PASS_NAMES), min_size=1, max_size=3, unique=True),
 )
 def test_pipelines_are_idempotent(prog_machine, names):
     program, machine = prog_machine

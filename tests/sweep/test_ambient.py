@@ -39,7 +39,7 @@ def _ambient_seen(params, seed):
         "jobs": sweep.current_execution().jobs,
         "observed": obs.current() is not None,
         "collecting": repro.scope.ambient()["repro.ir.collect"] is not None,
-        "passes": list(ir.current_pipeline().names()),
+        "passes": list(ir.current_pipeline().passes),
         "loss": None if plan is None else plan.default.loss,
         "bulk": perf.enabled(),
     }

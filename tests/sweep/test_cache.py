@@ -266,15 +266,12 @@ class TestUncacheable:
     fingerprint, and a pass pipeline is a set of built-in names."""
 
     def test_custom_pass_has_no_key(self, tmp_path):
-        """A pass instance never reaches a key: a pipeline holds built-in
-        names only, so not even the built-in class's own instance enters."""
+        """A pass object never reaches a key: a pipeline holds built-in
+        names only, so not even a built-in pass function enters."""
         from repro import ir
-        from repro.ir.pipeline import CoalescePass, Pass
+        from repro.ir.pipeline import _PASSES
 
-        class Noop(Pass):
-            name = "noop"
-
-        for custom in (Noop(), CoalescePass(), type("Mine", (CoalescePass,), {})()):
+        for custom in (object(), _PASSES["coalesce"], lambda program, machine: None):
             with pytest.raises(ValueError, match="unknown IR pass"):
                 ir.passes([custom])
 
@@ -284,7 +281,7 @@ class TestUncacheable:
         c = ResultCache(tmp_path)
         spellings = (
             (), (True,), (False,), (None,), ([],), (["coalesce"],),
-            (("sync-elide", "auto-backend", "sync-elide"),), ({"overlap"},),
+            (("sync-elide", "coalesce", "sync-elide"),), ({"overlap"},),
             (ir.PassPipeline(("overlap", "coalesce")),), (ir.build_pipeline(True),),
         )
         keys = set()
@@ -294,7 +291,7 @@ class TestUncacheable:
             assert isinstance(key, str) and len(key) == 64
             keys.add(key)
         # bare (False / None / []), default (() / True / build_pipeline(True)),
-        # coalesce, auto-backend + sync-elide, overlap, coalesce + overlap
+        # coalesce, coalesce + sync-elide, overlap, coalesce + overlap
         assert len(keys) == 6
 
     def test_counter_absent_when_everything_has_a_key(self, tmp_path):

@@ -636,3 +636,8 @@ class TestIrExplain:
         out = capsys.readouterr().out
         assert out.startswith("== fig03 ==\n")
         assert "coalesce" in out
+
+    def test_a_retargeting_pass_is_a_bad_passes(self, capsys):
+        assert main(["ir", "explain", "fig03", "--passes", "auto-backend"]) == 2
+        err = capsys.readouterr().err
+        assert "bad --passes: unknown IR pass 'auto-backend'" in err

@@ -14,6 +14,7 @@ import signal
 
 import pytest
 
+from repro import Session, ir
 from repro.cluster import Cluster, RecoveryConfig, run_recoverable_training
 from repro.cluster.scheduler import place_ranks
 from repro.collectives import CollectiveError
@@ -73,6 +74,7 @@ def _sptrsv(nranks):
 
 ROOF = MessageRoofline(LogGPParams(L=1e-6, o=2e-7, g=2e-8, G=4e-11, o_sync=5e-7))
 V, C = ValueError, CollectiveError
+PASSES = r"passes must be a bool, None, a PassPipeline or a collection of pass names, not "
 
 
 CASES = {
@@ -336,6 +338,19 @@ CASES = {
     "simulator-max_events-nan": (
         lambda: Simulator().run(max_events=NAN),
         SimulationError, r"max_events must be an integer >= 1, got nan",
+    ),
+    # A bare name was read letter by letter (``unknown IR pass 'c'``); an
+    # int was ``'int' object is not iterable``.
+    "ir_passes-str": (lambda: ir.passes("coalesce"), TypeError, PASSES + "'coalesce'"),
+    "session-passes-str": (
+        lambda: Session(passes="coalesce"), TypeError, PASSES + "'coalesce'",
+    ),
+    "build_pipeline-str": (
+        lambda: ir.build_pipeline("coalesce"), TypeError, PASSES + "'coalesce'",
+    ),
+    "build_pipeline-int": (lambda: ir.build_pipeline(1), TypeError, PASSES + "1$"),
+    "pass_pipeline-str": (
+        lambda: ir.PassPipeline("coalesce"), TypeError, PASSES + "'coalesce'",
     ),
 }
 
