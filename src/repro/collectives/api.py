@@ -39,7 +39,7 @@ class CollectiveResult:
     nbytes: float  # payload bytes (the plan-module size convention)
     stripes: int
     iters: int
-    time: float  # seconds per collective (barrier-corrected)
+    time: float  # seconds per collective
     time_total: float  # whole measured window
     alg_bandwidth: float  # payload bytes / time
     bus_bandwidth: float  # per-rank wire bytes / time (NCCL busbw)
@@ -106,8 +106,7 @@ def run_collective(
     with job.spans.span(span_name):
         res = job.run(_program, comm, iters, values, op, root)
     elapsed = max(r[0] for r in res.results)
-    net = max(elapsed - job._barrier_delay, 1e-12)
-    per_iter = net / iters
+    per_iter = max(elapsed, 1e-12) / iters
     payload = plan.nbytes
     wire_per_rank = comm.stats.bytes_moved / iters / nranks
     if job.metrics is not None:

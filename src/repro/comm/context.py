@@ -372,27 +372,24 @@ class RankContext:
     # ------------------------------------------------------------------
 
     def barrier(self) -> Generator:
-        """Dissemination barrier across all ranks of the job."""
-        self.counter.syncs += 1
-        self.counter.operations += 1
-        release, delay = self.job._barrier_arrive()
-        yield release
-        if delay > 0:
-            yield delay
+        """Dissemination barrier across all ranks of the job: the allreduce
+        of nothing."""
+        return self.allreduce_sum(0.0)
 
     def allreduce_sum(self, value: float) -> Generator:
         """Sum a scalar across ranks (recursive-doubling cost model).
 
         Values are combined centrally for correctness; each rank is charged
-        ``ceil(log2 P)`` rounds of small-message exchange.
+        ``ceil(log2 P)`` rounds of small-message exchange after the last
+        arrival.
         """
         self.counter.syncs += 1
         self.counter.operations += 1
-        release, delay, total = self.job._allreduce_arrive(self.rank, value)
+        release = self.job._arrive(value)
         yield release
-        if delay > 0:
-            yield delay
-        return total.value
+        if self.job._barrier_delay > 0:
+            yield self.job._barrier_delay
+        return release.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RankContext rank={self.rank}/{self.size} on {self.endpoint}>"

@@ -154,15 +154,11 @@ class Job:
             ctx_cls(self, r) for r in range(nranks)
         ]
         self.windows: list[Window] = []
-        # Barrier state.
-        self._barrier_gen = 0
-        self._barrier_count = 0
-        self._barrier_event: Event | None = None
+        # Rendezvous state: a barrier is the allreduce of nothing.
         self._barrier_delay = barrier_delay(machine, self.costs, self.endpoints)
-        # Allreduce state.
-        self._allreduce_count = 0
-        self._allreduce_event: Event | None = None
-        self._allreduce_acc = 0.0
+        self._rendezvous: Event | None = None
+        self._arrived = 0
+        self._sum = 0.0
 
     # ------------------------------------------------------------------
     # topology helpers
@@ -182,30 +178,20 @@ class Job:
     # collectives (rendezvous machinery used by the contexts)
     # ------------------------------------------------------------------
 
-    def _barrier_arrive(self) -> tuple[Event, float]:
-        if self._barrier_event is None:
-            self._barrier_event = self.sim.event()
-        ev = self._barrier_event
-        self._barrier_count += 1
-        if self._barrier_count == self.nranks:
-            ev.succeed(self._barrier_gen)
-            self._barrier_gen += 1
-            self._barrier_count = 0
-            self._barrier_event = None
-        return ev, self._barrier_delay
-
-    def _allreduce_arrive(self, rank: int, value: float):
-        if self._allreduce_event is None:
-            self._allreduce_event = self.sim.event()
-            self._allreduce_acc = 0.0
-        ev = self._allreduce_event
-        self._allreduce_acc += value
-        self._allreduce_count += 1
-        if self._allreduce_count == self.nranks:
-            ev.succeed(self._allreduce_acc)
-            self._allreduce_count = 0
-            self._allreduce_event = None
-        return ev, self._barrier_delay, ev
+    def _arrive(self, value: float) -> Event:
+        """Join the current rendezvous with ``value``; the returned event
+        fires with the sum when the last rank arrives."""
+        if self._rendezvous is None:
+            self._rendezvous = self.sim.event()
+            self._sum = 0.0
+        ev = self._rendezvous
+        self._sum += value
+        self._arrived += 1
+        if self._arrived == self.nranks:
+            ev.succeed(self._sum)
+            self._arrived = 0
+            self._rendezvous = None
+        return ev
 
     # ------------------------------------------------------------------
     # windows

@@ -17,12 +17,13 @@ signal waits (``wait_wakeup = 0`` in the derived profile) and there is no
 per-iteration kernel-launch latency.
 
 Costs are *derived*, not calibrated: :func:`derive_stream_costs` builds
-a :class:`~repro.machines.base.CommCosts` profile for any machine from
-its existing host-driven profiles — the cheapest per-message issue cost
-the hardware has demonstrated, plus a small device-initiation term
+a :class:`~repro.machines.base.CommCosts` profile from a machine's
+existing host-driven profiles — the cheapest per-message issue cost the
+hardware has demonstrated, plus a small device-initiation term
 (:data:`STREAM_DEVICE_INITIATION`), with every host-side overhead field
-zeroed.  By construction the stream profile's per-message cost never
-exceeds the host-driven one-sided cost on the same machine.
+zeroed.  The per-message cost is therefore the initiation term above the
+cheapest host issue path, which may be one-sided's own put (perlmutter:
+0.40 us against 0.35 us); the backend runs only on machines with a GPU.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Evaluation-platform models: Perlmutter, Frontier, Summit (Table I)."""
 
-from repro.machines.base import CommCosts, GpuSpec, MachineModel
+from repro.machines.base import CommCosts, GpuSpec, MachineModel, UnhostedRuntimeError
 from repro.machines.cluster import FABRICS, INFINIBAND_EDR, SLINGSHOT11, make_cluster
 from repro.machines.frontier import frontier_cpu, frontier_gpu_projection
 from repro.machines.perlmutter import perlmutter_cpu, perlmutter_gpu
@@ -18,6 +18,7 @@ __all__ = [
     "CommCosts",
     "GpuSpec",
     "MachineModel",
+    "UnhostedRuntimeError",
     "frontier_cpu",
     "frontier_gpu_projection",
     "perlmutter_cpu",

@@ -21,7 +21,21 @@ from dataclasses import dataclass, field
 from repro.net.topology import TopologySpec
 from repro.util.validation import check_count, check_non_negative, check_positive
 
-__all__ = ["CommCosts", "GpuSpec", "MachineModel", "Placement"]
+__all__ = ["CommCosts", "GpuSpec", "MachineModel", "Placement", "UnhostedRuntimeError"]
+
+
+class UnhostedRuntimeError(KeyError):
+    """A runtime the machine has no cost profile for, naming the machine,
+    the runtime and the runtimes the machine does host."""
+
+    def __init__(self, machine: str, runtime: str, hosted) -> None:
+        super().__init__(
+            f"machine {machine!r} has no runtime {runtime!r}; "
+            f"available: {sorted(hosted)}"
+        )
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -193,10 +207,7 @@ class MachineModel:
         try:
             return self.runtimes[kind]
         except KeyError:
-            raise KeyError(
-                f"machine {self.name!r} has no runtime {kind!r}; "
-                f"available: {sorted(self.runtimes)}"
-            ) from None
+            raise UnhostedRuntimeError(self.name, kind, self.runtimes) from None
 
     # -- rank placement --------------------------------------------------------
 

@@ -15,13 +15,12 @@ from repro.roofline.bounds import (
     bound_workload,
 )
 from repro.roofline.fit import FitResult, FloodSample, fit_loggp
-from repro.roofline.model import MessageRoofline, RooflineSeries
+from repro.roofline.model import MessageRoofline
 from repro.roofline.render import Series, ascii_loglog
 from repro.roofline.split import SplitModel
 
 __all__ = [
     "MessageRoofline",
-    "RooflineSeries",
     "FitResult",
     "FloodSample",
     "fit_loggp",

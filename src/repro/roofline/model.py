@@ -32,13 +32,12 @@ latency is overlapped but the gap and overhead are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.net.loggp import LogGPParams
 
-__all__ = ["MessageRoofline", "RooflineSeries"]
+__all__ = ["MessageRoofline"]
 
 
 def _checked(nbytes, msgs_per_sync=1, *, positive: bool = False):
@@ -60,16 +59,6 @@ def _checked(nbytes, msgs_per_sync=1, *, positive: bool = False):
 
 
 @dataclass(frozen=True)
-class RooflineSeries:
-    """One plotted curve: bandwidth vs message size at fixed msg/sync."""
-
-    label: str
-    msgs_per_sync: int
-    sizes: np.ndarray  # bytes
-    bandwidth: np.ndarray  # bytes/s
-
-
-@dataclass(frozen=True)
 class MessageRoofline:
     """Analytic Message Roofline for one (machine, runtime, path) triple."""
 
@@ -78,14 +67,19 @@ class MessageRoofline:
 
     # -- core model ------------------------------------------------------------
 
+    def _spacing(self, nbytes) -> np.ndarray:
+        """The gap between consecutive messages of a batch, ``max(o, g, B*G)``:
+        sender overhead, injection gap or transmission time, whichever
+        dominates."""
+        p = self.params
+        return np.maximum(max(p.o, p.g), np.asarray(nbytes, dtype=float) * p.G)
+
     def time(self, nbytes, msgs_per_sync=1, *, sharp: bool = False) -> np.ndarray:
         """Time to complete one synchronization batch; ``nbytes`` and
         ``msgs_per_sync`` are scalars or arrays that broadcast together."""
         B, n = _checked(nbytes, msgs_per_sync)
         p = self.params
-        spacing = np.maximum.reduce(
-            [np.full_like(B, p.o), np.full_like(B, p.g), B * p.G]
-        )
+        spacing = self._spacing(B)
         if sharp:
             return np.maximum(n * spacing, p.L + p.o_sync)
         return p.o + (n - 1) * spacing + B * p.G + p.L + p.o_sync
@@ -112,10 +106,7 @@ class MessageRoofline:
         concurrency buys; the gap/overhead term is the part that can never
         be overlapped."""
         B, _ = _checked(nbytes)
-        p = self.params
-        return B / np.maximum.reduce(
-            [np.full_like(B, p.o), np.full_like(B, p.g), B * p.G]
-        )
+        return B / self._spacing(B)
 
     def knee_size(self, msgs_per_sync: int = 1) -> float:
         """Message size where the diagonal (latency) ceiling of the sharp
@@ -154,7 +145,7 @@ class MessageRoofline:
             return 1
         # T(n) = n*spacing + C with C the fixed terms, so n solves directly.
         p = self.params
-        spacing = max(p.o, p.g, nbytes * p.G)
+        spacing = float(self._spacing(nbytes))
         fixed = p.o - spacing + nbytes * p.G + p.L + p.o_sync
         # n*B/ (n*spacing + fixed) >= target
         denom = nbytes - target * spacing
@@ -167,34 +158,7 @@ class MessageRoofline:
         """The ``n -> inf`` limit of :meth:`overlap_gain`."""
         B, _ = _checked(nbytes)
         p = self.params
-        t1 = p.o + B * p.G + p.L + p.o_sync
-        tinf = np.maximum.reduce(
-            [np.full_like(B, p.o), np.full_like(B, p.g), B * p.G]
-        )
-        return t1 / tinf
-
-    # -- plot data ----------------------------------------------------------------
-
-    def series(
-        self,
-        sizes: Sequence[float],
-        msgs_per_sync: Sequence[int] = (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000),
-        *,
-        sharp: bool = False,
-    ) -> list[RooflineSeries]:
-        """Bandwidth-vs-size curves, one per msg/sync value (Fig. 1 family)."""
-        sizes_arr = np.asarray(list(sizes), dtype=float)
-        out = []
-        for n in msgs_per_sync:
-            out.append(
-                RooflineSeries(
-                    label=f"{n} msg/sync",
-                    msgs_per_sync=int(n),
-                    sizes=sizes_arr,
-                    bandwidth=self.bandwidth(sizes_arr, int(n), sharp=sharp),
-                )
-            )
-        return out
+        return (p.o + B * p.G + p.L + p.o_sync) / self._spacing(B)
 
     def bound(self, nbytes: float, msgs_per_sync: int = 1) -> dict[str, float]:
         """Point query used by the Fig. 6 workload-bound plots."""

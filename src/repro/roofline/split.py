@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.transport import SHMEM
+from repro.transport import SHMEM, get_backend
+from repro.transport.registry import op_seconds
 from repro.util.validation import check_count, check_non_negative, check_positive
 
 __all__ = ["SplitModel"]
@@ -62,22 +63,15 @@ class SplitModel:
         check_count("channels", self.channels)
 
     @classmethod
-    def from_machine(cls, machine, src: str, dst: str, runtime: str = SHMEM) -> "SplitModel":
-        """Build from a machine's topology and runtime profile."""
-        from repro.transport.registry import get_backend
-
+    def from_machine(cls, machine, src: str, dst: str) -> "SplitModel":
+        """Build from a machine's topology and its NVSHMEM profile: ``o`` is
+        the declared per-message op of a shmem batch (``put_signal``)."""
         link = machine.topology.link_params(src, dst)
         inj = machine.topology.injection.get(src)
-        backend = get_backend(runtime)
+        backend = get_backend(SHMEM)
         costs = backend.costs(machine)
-        # Capability branch, not a name check: fused single-op runtimes
-        # (put-with-signal families) issue via put_signal, two-sided and
-        # 4-op one-sided emulations via isend.
-        caps = backend.caps
-        fused = caps.gpu_initiated or caps.ops_per_message == 1
-        o = costs.put_signal if fused else costs.isend
         return cls(
-            o=o,
+            o=op_seconds(costs, backend.ops("batch")[0]),
             L=link.latency,
             channel_bandwidth=link.channel_bandwidth,
             injection_bandwidth=inj.bandwidth if inj else float("inf"),

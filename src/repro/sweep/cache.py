@@ -7,8 +7,9 @@ result:
 * the sweep name and :attr:`~repro.sweep.spec.SweepSpec.version`;
 * the runner's module-qualified name;
 * the canonical JSON of the point parameters;
-* a fingerprint of every referenced machine model's LogGP/topology
-  parameters (:func:`repro.machines.registry.machine_fingerprint`) — so
+* when the point's ``machine`` parameter is a registry name, that
+  machine model's LogGP/topology fingerprint
+  (:func:`repro.machines.registry.machine_fingerprint`) — so
   recalibrating a machine invalidates exactly its points;
 * every *carried* ambient scope that left its default
   (:func:`repro.scope.carried`: fault plan, pass pipeline, bulk switch),
@@ -57,16 +58,18 @@ class ResultCache:
 
     def key_for(self, spec: SweepSpec, point: SweepPoint) -> str:
         """The point's key under the current ambient state."""
+        params = point.params_dict
+        machine = params.get("machine")
         payload = {
             "repro": __version__,
             "sweep": spec.name,
             "sweep_version": spec.version,
             "runner": point.runner_id,
-            "params": point.params_dict,
-            "machines": {
-                name: machine_fingerprint(name)
-                for name in sorted(set(spec.machine_names(point)))
-            },
+            "params": params,
+            "machines": (
+                {machine: machine_fingerprint(machine)}
+                if isinstance(machine, str) else {}
+            ),
         }
         ambient = {
             name: value.fingerprint() if hasattr(value, "fingerprint") else value

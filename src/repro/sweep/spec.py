@@ -101,10 +101,6 @@ class SweepSpec:
             along with the flood grid).
         common: parameters merged into every point (e.g. ``iters``); an
             axis or explicit point may override a common key.
-        machine_params: names of parameters whose values are machine
-            registry names.  The result cache fingerprints these machines'
-            LogGP/topology parameters so edits to a machine model
-            invalidate its cached points.
         version: bump to invalidate every cached result of this sweep
             (e.g. after changing the runner's semantics without changing
             its signature).
@@ -115,7 +111,6 @@ class SweepSpec:
     axes: Mapping[str, Sequence[Any]] | None = None
     points: Sequence[Mapping[str, Any]] | None = None
     common: Mapping[str, Any] = field(default_factory=dict)
-    machine_params: tuple[str, ...] = ("machine",)
     version: int = 1
 
     def iter_points(self) -> list[SweepPoint]:
@@ -140,12 +135,3 @@ class SweepSpec:
                 )
             )
         return out
-
-    def machine_names(self, point: SweepPoint) -> list[str]:
-        """Registry names referenced by ``point`` (for cache fingerprints)."""
-        params = point.params_dict
-        return [
-            params[k]
-            for k in self.machine_params
-            if isinstance(params.get(k), str)
-        ]

@@ -40,7 +40,7 @@ class KvTransferResult:
     decode_tokens: int
     algorithm: str  # resolved broadcast algorithm
     kv_bytes: float  # cache size moved to each replica
-    time: float  # whole pipeline, barrier-corrected
+    time: float  # whole pipeline
     prefill_time: float
     transfer_time: float  # broadcast completion past prefill
     decode_time: float  # slowest replica's decode phase
@@ -101,9 +101,8 @@ def run_kv_transfer(
     t_decode_step = machine.compute_time(kv_bytes, flops_decode)
     with job.spans.span("ml:kv_transfer"):
         res = job.run(_program, comm, t_prefill, t_decode_step, decode_tokens)
-    barrier = job._barrier_delay
-    elapsed = max(r[0] for r in res.results) - barrier
-    handoff = max(r[1] for r in res.results) - barrier
+    elapsed = max(r[0] for r in res.results)
+    handoff = max(r[1] for r in res.results)
     transfer = max(handoff - t_prefill, 1e-12)
     decode = decode_tokens * t_decode_step
     if job.metrics is not None:

@@ -96,8 +96,7 @@ def run_moe_dispatch(
     with job.spans.span("ml:moe_dispatch"):
         res = job.run(_program, comm, iters, t_expert)
     elapsed = max(res.results)
-    net = max(elapsed - job._barrier_delay, 1e-12)
-    per_layer = net / iters
+    per_layer = max(elapsed, 1e-12) / iters
     comm_time = max(per_layer - t_expert, 0.0)
     if job.metrics is not None:
         job.metrics.counter("ml.moe.layers").inc(iters)

@@ -140,8 +140,7 @@ def run_training_step(
     with job.spans.span("ml:training_step"):
         res = job.run(_program, comm, iters, buckets, t_fwd, t_bwd)
     elapsed = max(res.results)
-    net = max(elapsed - job._barrier_delay, 1e-12)
-    per_step = net / iters
+    per_step = max(elapsed, 1e-12) / iters
     compute = t_fwd + t_bwd
     comm_time = max(per_step - compute, 0.0)
     if job.metrics is not None:

@@ -2,28 +2,22 @@
 
 from repro.workloads.stencil.decomposition import DIRECTIONS, ProcessGrid
 from repro.workloads.stencil.kernels import (
-    heat_reference,
-    heat_step,
     initial_grid,
     jacobi_reference,
     jacobi_step,
     stencil_bytes,
     stencil_flops,
-    total_heat,
 )
 from repro.workloads.stencil.runner import StencilConfig, run_stencil
 
 __all__ = [
     "DIRECTIONS",
     "ProcessGrid",
-    "heat_reference",
-    "heat_step",
     "initial_grid",
     "jacobi_reference",
     "jacobi_step",
     "stencil_bytes",
     "stencil_flops",
-    "total_heat",
     "StencilConfig",
     "run_stencil",
 ]

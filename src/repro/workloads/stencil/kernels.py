@@ -63,65 +63,6 @@ def jacobi_reference(u0: np.ndarray, iters: int) -> np.ndarray:
     return u
 
 
-def heat_step(
-    u: np.ndarray,
-    out: np.ndarray | None = None,
-    *,
-    sources: list[tuple[int, int]] | None = None,
-    energy: float = 0.0,
-) -> np.ndarray:
-    """One explicit heat-equation step with energy injection.
-
-    This is the paper's actual tutorial stencil (the SC16 MPI course code
-    its artifact cites): ``u' = u/2 + (N+S+E+W)/8`` on the interior, then
-    ``energy`` added at each source cell.  Unlike the Laplace/Jacobi
-    variant, total heat is conserved up to the injected energy and the
-    (zero) boundary outflux — the invariant the tests check.
-
-    ``sources`` are (row, col) positions in the same (halo-inclusive)
-    coordinates as ``u``.
-    """
-    if u.ndim != 2 or u.shape[0] < 3 or u.shape[1] < 3:
-        raise ValueError(f"heat_step needs a 2D array >= 3x3, got {u.shape}")
-    if out is None:
-        out = u.copy()
-    else:
-        out[:] = u
-    out[1:-1, 1:-1] = u[1:-1, 1:-1] / 2.0 + (
-        u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-    ) / 8.0
-    if sources:
-        for r, c in sources:
-            if not (1 <= r < u.shape[0] - 1 and 1 <= c < u.shape[1] - 1):
-                raise ValueError(f"source ({r}, {c}) outside the interior")
-            out[r, c] += energy
-    return out
-
-
-def heat_reference(
-    nx: int,
-    ny: int,
-    iters: int,
-    *,
-    sources: list[tuple[int, int]],
-    energy: float = 1.0,
-) -> np.ndarray:
-    """Serial reference for the heat/energy stencil on a zero field with
-    zero (cold) boundaries."""
-    check_count("iters", iters, 0)
-    u = np.zeros((ny, nx), dtype=np.float64)
-    scratch = u.copy()
-    for _ in range(iters):
-        scratch = heat_step(u, scratch, sources=sources, energy=energy)
-        u, scratch = scratch, u
-    return u
-
-
-def total_heat(u: np.ndarray) -> float:
-    """Total energy in the field (interior; boundaries are sinks)."""
-    return float(u[1:-1, 1:-1].sum())
-
-
 def stencil_flops(cells: int) -> float:
     """FLOPs per sweep: 3 adds + 1 multiply per interior cell."""
     return 4.0 * cells

@@ -17,7 +17,6 @@ compute time, so timings are comparable across modes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +31,6 @@ from repro.util.validation import check_count
 from repro.workloads.base import WorkloadResult
 from repro.workloads.stencil.decomposition import DIRECTIONS, ProcessGrid
 from repro.workloads.stencil.kernels import (
-    heat_step,
     initial_grid,
     jacobi_step,
     stencil_bytes,
@@ -54,32 +52,12 @@ class StencilConfig:
     ny: int = 16384
     iters: int = 10
     mode: str = "simulate"  # "simulate" | "execute"
-    # "jacobi": Laplace relaxation with a hot edge (default, simplest to
-    # verify).  "heat": the paper's tutorial stencil — explicit heat
-    # diffusion with ``nsources`` point sources injecting ``energy`` per
-    # iteration into a cold field (its CLI: grid, energy, iters, px, py).
-    variant: str = "jacobi"
-    energy: float = 1.0
-    nsources: int = 3
 
     def __post_init__(self) -> None:
-        for name, low in (("nx", 3), ("ny", 3), ("iters", 1), ("nsources", 0)):
+        for name, low in (("nx", 3), ("ny", 3), ("iters", 1)):
             check_count(f"stencil {name}", getattr(self, name), low)
-        if not math.isfinite(self.energy):
-            raise ValueError(f"stencil energy must be finite, got {self.energy}")
         if self.mode not in ("simulate", "execute"):
             raise ValueError(f"mode must be simulate|execute, got {self.mode!r}")
-        if self.variant not in ("jacobi", "heat"):
-            raise ValueError(f"variant must be jacobi|heat, got {self.variant!r}")
-
-    def source_positions(self) -> list[tuple[int, int]]:
-        """Deterministic global (row, col) source positions, interior-only."""
-        out = []
-        for i in range(self.nsources):
-            r = min(max(self.ny * (i + 1) // (self.nsources + 1), 1), self.ny - 2)
-            c = min(max(self.nx * (i + 1) // (self.nsources + 1), 1), self.nx - 2)
-            out.append((r, c))
-        return out
 
 
 class _Side(NamedTuple):
@@ -149,12 +127,9 @@ def _layout(grid: ProcessGrid, nx: int, ny: int) -> tuple[list[_RankPlan], HaloS
 
 
 def _local_state(plan: _RankPlan, cfg: StencilConfig) -> dict:
-    """Execute mode's initial block (with halo ring), its sweep scratch, the
-    owned global-boundary lines to pin and the heat sources, all local."""
-    if cfg.variant == "heat":
-        u0 = np.zeros((cfg.ny, cfg.nx), dtype=np.float64)
-    else:
-        u0 = initial_grid(cfg.nx, cfg.ny)
+    """Execute mode's initial block (with halo ring), its sweep scratch and
+    the owned global-boundary lines to pin, all local."""
+    u0 = initial_grid(cfg.nx, cfg.ny)
     rows, cols = plan.rows, plan.cols
     local = np.zeros((plan.by + 2, plan.bx + 2), dtype=np.float64)
     local[1:-1, 1:-1] = u0[rows, cols]
@@ -169,33 +144,18 @@ def _local_state(plan: _RankPlan, cfg: StencilConfig) -> dict:
         "local": local,
         "scratch": local.copy(),
         "pinned": [(e, local[e].copy()) for e in edges],
-        "sources": [
-            (r - rows.start + 1, c - cols.start + 1)
-            for r, c in cfg.source_positions()
-            if rows.start <= r < rows.stop and cols.start <= c < cols.stop
-        ],
     }
 
 
-def _sweep_fn(cfg: StencilConfig):
+def _sweep(state: dict) -> None:
     """The real numpy sweep (execute mode), run where the hand-written
     runner ran it: after the halos land, before the modelled compute."""
-
-    def fn(state: dict) -> None:
-        local, scratch = state["local"], state["scratch"]
-        if cfg.variant == "heat":
-            scratch = heat_step(
-                local, scratch, sources=state["sources"], energy=cfg.energy
-            )
-        else:
-            scratch = jacobi_step(local, scratch)
-        local, scratch = scratch, local
-        # Re-apply the Dirichlet values on owned global-boundary lines.
-        for index, values in state["pinned"]:
-            local[index] = values
-        state["local"], state["scratch"] = local, scratch
-
-    return fn
+    old = state["local"]
+    local = jacobi_step(old, state["scratch"])
+    # Re-apply the Dirichlet values on owned global-boundary lines.
+    for index, values in state["pinned"]:
+        local[index] = values
+    state["local"], state["scratch"] = local, old
 
 
 def _write_halos(state: dict, received: dict) -> None:
@@ -217,7 +177,7 @@ def build_stencil_program(
     """
     execute = cfg.mode == "execute"
     plans, spec = _layout(grid, cfg.nx, cfg.ny)
-    sweep = _sweep_fn(cfg) if execute else None
+    sweep = _sweep if execute else None
 
     def setup(ctx, chan, ep, state):
         state["local"] = None
@@ -288,9 +248,7 @@ def run_stencil(
         "iters": cfg.iters,
     }
     if cfg.mode == "execute":
-        field_out = np.zeros((cfg.ny, cfg.nx), dtype=np.float64)
-        if cfg.variant != "heat":
-            field_out[:] = initial_grid(cfg.nx, cfg.ny)  # fixed boundary ring
+        field_out = initial_grid(cfg.nx, cfg.ny)  # fixed boundary ring
         for rank in range(nranks):
             rows, cols = grid.block(rank, cfg.nx, cfg.ny)
             field_out[rows, cols] = result.results[rank]["block"]

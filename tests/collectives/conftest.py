@@ -2,24 +2,25 @@
 
 The parity tests need one machine that carries *every* runtime cost
 table so the same schedule can run on every backend.  No measured
-machine does (perlmutter-cpu has the MPI pair, the GPU machines have
-shmem); the fixture equips perlmutter-cpu with synthetic ``shmem`` and
-``one_sided_hw`` entries cloned from its one-sided costs — the
-:class:`~repro.collectives.core.CollectiveStats` accounting under test
-is backend-independent, so the cost numbers themselves are irrelevant,
-they only have to exist for the job to build.  ``stream_triggered``
-needs no entry at all: its backend derives the profile from the
-calibrated ones (see :func:`repro.comm.stream.derive_stream_costs`).
+machine does (the CPU machines have the MPI pair, the GPU machines
+two-sided and shmem); the fixture is summit-gpu (six GPUs, room for every
+case's P) with summit-cpu's calibrated one-sided emulation, as
+``host_involvement`` equips perlmutter-gpu, plus the put-with-signal
+ablation's ``one_sided_hw`` entry — the :class:`~repro.collectives.core.CollectiveStats` accounting under
+test is backend-independent, so the cost numbers themselves are
+irrelevant, they only have to exist for the job to build.
+``stream_triggered`` needs no entry: its backend derives the profile
+from the calibrated ones on any machine with a GPU (see
+:func:`repro.comm.stream.derive_stream_costs`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.machines import perlmutter_cpu
+from repro.experiments.ablations import _with_hw_put_signal
+from repro.machines import summit_cpu, summit_gpu
 from repro.transport import (
     ONE_SIDED,
     ONE_SIDED_HW,
@@ -32,20 +33,11 @@ ALL_RUNTIMES = (TWO_SIDED, ONE_SIDED, SHMEM, ONE_SIDED_HW, STREAM_TRIGGERED)
 
 
 @pytest.fixture
-def cpu_all_runtimes():
-    """perlmutter-cpu with every registered backend runnable on it."""
-    m = perlmutter_cpu()
-    one = m.runtimes[ONE_SIDED]
-    signal = dataclasses.replace(
-        one,
-        put_signal=one.put,
-        wait_wakeup=1.0e-6,
-        poll_slot=0.0,
-        wait_poll=2.0e-7,
-    )
-    m.runtimes[SHMEM] = signal
-    m.runtimes[ONE_SIDED_HW] = signal
-    return m
+def gpu_all_runtimes():
+    """summit-gpu with every registered backend runnable on it."""
+    m = summit_gpu()
+    m.runtimes[ONE_SIDED] = summit_cpu().runtimes[ONE_SIDED]
+    return _with_hw_put_signal(m)
 
 
 @pytest.fixture

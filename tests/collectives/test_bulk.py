@@ -65,9 +65,9 @@ def test_shmem_bulk_is_value_exact():
         np.testing.assert_array_equal(out, np.sum(vals, axis=0))
 
 
-def test_hw_put_signal_bulk_is_exact(cpu_all_runtimes):
+def test_hw_put_signal_bulk_is_exact(gpu_all_runtimes):
     scalar, bulk = _both(
-        cpu_all_runtimes, ONE_SIDED_HW, coll="allreduce", nranks=4,
+        gpu_all_runtimes, ONE_SIDED_HW, coll="allreduce", nranks=4,
         nelems=2048, algorithm="ring", stripes=4,
     )
     _assert_equal(scalar, bulk)
@@ -83,10 +83,10 @@ def test_summit_dumbbell_stays_scalar_and_exact():
 
 
 @pytest.mark.parametrize("rt", [ONE_SIDED, TWO_SIDED])
-def test_non_signal_backends_unaffected_by_toggle(cpu_all_runtimes, rt):
+def test_non_signal_backends_unaffected_by_toggle(gpu_all_runtimes, rt):
     """rma and two-sided take the scalar path under either setting."""
     scalar, bulk = _both(
-        cpu_all_runtimes, rt, coll="allreduce", nranks=4, nelems=2048,
+        gpu_all_runtimes, rt, coll="allreduce", nranks=4, nelems=2048,
         algorithm="ring", stripes=4,
     )
     _assert_equal(scalar, bulk)

@@ -268,3 +268,10 @@ def test_execute_mode_requires_values_except_nonroot_broadcast():
 def test_auto_needs_machine_context():
     with pytest.raises(CollectiveError, match="auto"):
         plan_collective("allreduce", nranks=4, nelems=8)
+
+
+def test_time_is_the_whole_window_after_the_opening_barrier():
+    """The timed window opens at the barrier's release, so it holds no
+    barrier to subtract: one iteration takes the whole window."""
+    r = run_collective(perlmutter_gpu(), SHMEM, "allreduce", nranks=4, nbytes=8)
+    assert r.time == r.time_total > 0

@@ -58,7 +58,7 @@ def _vals(coll, P, n):
 @pytest.mark.parametrize(("coll", "algorithm", "P", "n", "stripes"),
                          CASES, ids=IDS)
 def test_stats_and_values_identical_across_backends(
-    cpu_all_runtimes, coll, algorithm, P, n, stripes
+    gpu_all_runtimes, coll, algorithm, P, n, stripes
 ):
     vals = _vals(coll, P, n)
     if coll == "broadcast":
@@ -67,7 +67,7 @@ def test_stats_and_values_identical_across_backends(
     for rt in ALL_RUNTIMES:
         kwargs = {} if coll == "barrier" else {"nelems": n, "values": vals}
         results[rt] = run_collective(
-            cpu_all_runtimes, rt, coll, nranks=P, algorithm=algorithm,
+            gpu_all_runtimes, rt, coll, nranks=P, algorithm=algorithm,
             stripes=stripes, **kwargs,
         )
     ref = results[TWO_SIDED]
@@ -80,12 +80,12 @@ def test_stats_and_values_identical_across_backends(
             np.testing.assert_array_equal(got, want, err_msg=rt)
 
 
-def test_ring_allreduce_accounting_closed_form(cpu_all_runtimes):
+def test_ring_allreduce_accounting_closed_form(gpu_all_runtimes):
     """P=4, n=8 ring allreduce: 2(P-1) rounds of n/P words per rank."""
     P, n, stripes = 4, 8, 2
     # Every backend on the synthetic machine, then each measured machine's
     # native pair (the GPU's NVLink mesh is where shmem rounds go bulk).
-    cells = [(cpu_all_runtimes, rt) for rt in ALL_RUNTIMES]
+    cells = [(gpu_all_runtimes, rt) for rt in ALL_RUNTIMES]
     cells += [(perlmutter_gpu(), rt) for rt in (SHMEM, TWO_SIDED)]
     cells += [(perlmutter_cpu(), rt) for rt in (ONE_SIDED, TWO_SIDED)]
     for machine, rt in cells:
@@ -117,10 +117,10 @@ def test_stats_bytes_are_the_bytes_on_the_wire():
     assert res.counters.bytes_sent == comm.stats.bytes_moved == 50_688.0
 
 
-def test_bus_bandwidth_is_wire_bytes_over_time(cpu_all_runtimes):
+def test_bus_bandwidth_is_wire_bytes_over_time(gpu_all_runtimes):
     """bus_bandwidth re-derives from the stats on every backend."""
     for rt in ALL_RUNTIMES:
-        r = run_collective(cpu_all_runtimes, rt, "allreduce", nranks=4,
+        r = run_collective(gpu_all_runtimes, rt, "allreduce", nranks=4,
                            nelems=1024, algorithm="ring", iters=2)
         wire_per_rank = r.stats.bytes_moved / r.iters / r.nranks
         assert r.bus_bandwidth == pytest.approx(wire_per_rank / r.time)
@@ -128,12 +128,12 @@ def test_bus_bandwidth_is_wire_bytes_over_time(cpu_all_runtimes):
         assert wire_per_rank == pytest.approx(2 * 3 / 4 * r.nbytes)
 
 
-def test_timings_differ_but_order_is_sane(cpu_all_runtimes):
+def test_timings_differ_but_order_is_sane(gpu_all_runtimes):
     """Parity is accounting, not timing: the cost tables still differ
     (and the synthetic hw put+signal is never slower than the 4-op
     one-sided emulation on the same machine)."""
     t = {
-        rt: run_collective(cpu_all_runtimes, rt, "allreduce", nranks=4,
+        rt: run_collective(gpu_all_runtimes, rt, "allreduce", nranks=4,
                            nelems=4096, algorithm="ring").time
         for rt in ALL_RUNTIMES
     }

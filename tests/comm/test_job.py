@@ -103,6 +103,32 @@ class TestCollectives:
         res = Job(pm_cpu, 4, "two_sided").run(program)
         assert res.results == [10.0] * 4
 
+    def test_barrier_costs_its_delay_after_the_last_arrival(self, pm_cpu):
+        """Every rank leaves a barrier exactly ``_barrier_delay`` after the
+        last one arrives, also after an allreduce on the same rendezvous —
+        the flood's window subtracts ``_barrier_delay`` per iteration on
+        that."""
+        job = Job(pm_cpu, 4, "two_sided")
+
+        def program(ctx):
+            spans = []
+            for skew in (ctx.rank, 3 - ctx.rank):
+                yield from ctx.compute(seconds=skew * 1e-6)
+                arrived = ctx.sim.now
+                yield from ctx.barrier()
+                spans.append((arrived, ctx.sim.now))
+                total = yield from ctx.allreduce_sum(float(ctx.rank))
+            return spans, total
+
+        res = job.run(program)
+        assert job._barrier_delay > 0
+        for k in range(2):
+            last = max(spans[k][0] for spans, _ in res.results)
+            assert {spans[k][1] for spans, _ in res.results} == {
+                last + job._barrier_delay
+            }
+        assert [total for _, total in res.results] == [6.0] * 4
+
     def test_single_rank_barrier_free(self, pm_cpu):
         def program(ctx):
             t0 = ctx.sim.now

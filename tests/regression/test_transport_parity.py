@@ -2,8 +2,8 @@
 
 The transport layer is a pure refactor seam — routing every workload
 through Channel/Endpoint verbs must not move a single simulated
-nanosecond.  These tests re-run Table 2 plus one figure per workload
-(stencil, flood, SpTRSV, hashtable) and diff the report against the
+nanosecond.  These tests re-run Table 2, one figure per workload
+(stencil, flood, SpTRSV, hashtable) and the training step and diff the report against the
 goldens committed under ``goldens/``.
 
 If a diff appears and the model change was intentional, regenerate with:
@@ -22,8 +22,9 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 # table2 = op-count characterization; the figures cover one workload each:
-# fig03 stencil, fig05 flood, fig08 SpTRSV, fig09 hashtable.
-EXPERIMENTS = ["table2", "fig03", "fig05", "fig08", "fig09"]
+# fig03 stencil, fig05 flood, fig08 SpTRSV, fig09 hashtable; ml_training
+# the collectives' timed window (what cluster_step's digest also reads).
+EXPERIMENTS = ["table2", "fig03", "fig05", "fig08", "fig09", "ml_training"]
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

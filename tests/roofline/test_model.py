@@ -97,12 +97,6 @@ class TestMsgSyncAxis:
 
 
 class TestSeriesAndBounds:
-    def test_series_one_per_n(self, roofline):
-        series = roofline.series([64, 1024], msgs_per_sync=(1, 10, 100))
-        assert len(series) == 3
-        assert series[0].label == "1 msg/sync"
-        assert series[2].bandwidth.shape == (2,)
-
     def test_bound_query_fields(self, roofline):
         b = roofline.bound(1024, 10)
         assert b["bound_bandwidth"] < roofline.peak_bandwidth

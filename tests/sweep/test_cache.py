@@ -48,7 +48,7 @@ class TestKeys:
         assert _one_key(c, spec) != before
 
     def test_key_ignores_unreferenced_machines(self, tmp_path):
-        # Only machine_params values enter the key; other params are data.
+        # Only the `machine` value is fingerprinted; other params are data.
         c = ResultCache(tmp_path)
         a = _spec(points=[{"machine": "perlmutter-cpu", "x": 1}])
         b = _spec(points=[{"machine": "summit-cpu", "x": 1}])

@@ -59,14 +59,21 @@ class TestGridExpansion:
     def test_empty_spec_yields_no_points(self):
         assert SweepSpec(name="t", runner=_runner).iter_points() == []
 
-    def test_machine_names_only_string_params(self):
+    def test_machine_names_only_string_params(self, monkeypatch, tmp_path):
+        # The cache key fingerprints a point's ``machine`` only when it is
+        # a registry name; any other value keys on the parameter alone.
+        from repro.sweep import cache
+
+        seen = []
+        monkeypatch.setattr(cache, "machine_fingerprint",
+                            lambda name: seen.append(name) or name)
         spec = SweepSpec(
             name="t", runner=_runner,
-            points=[{"machine": "perlmutter-cpu"}, {"machine": None}],
+            points=[{"machine": "perlmutter-cpu"}, {"machine": None}, {"a": 1}],
         )
-        pts = spec.iter_points()
-        assert spec.machine_names(pts[0]) == ["perlmutter-cpu"]
-        assert spec.machine_names(pts[1]) == []
+        for pt in spec.iter_points():
+            cache.ResultCache(tmp_path).key_for(spec, pt)
+        assert seen == ["perlmutter-cpu"]
 
 
 class TestPointIdentity:

@@ -9,7 +9,7 @@ batch} and held to that declaration twice:
 (i)  the ``operations`` the two ranks count are the declared ones;
 (ii) the makespan is ``MessageRoofline(backend.loggp(...)).time(B, n)``
      plus a residual written out below — zero where the simulator *is* the
-     closed form today (``stream_triggered``, on every machine);
+     closed form today (``stream_triggered``, on every machine with a GPU);
      ``docs/MODEL.md`` §3 carries the table.
 
 Dropping any one op from any declared tuple must break (i) or (ii).

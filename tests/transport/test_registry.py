@@ -166,20 +166,20 @@ class TestJobIntegration:
 
             registry._REGISTRY.pop("fused-nic-test", None)
 
-    def test_stream_costs_follow_an_edited_profile(self, pm_cpu):
+    def test_stream_costs_follow_an_edited_profile(self, pm_gpu):
         """The derived profile is derived per job, not remembered: after a
         host profile changes, the next stream-triggered job charges the
         fresh derivation."""
         import dataclasses
 
         from repro.comm.stream import STREAM_DEVICE_INITIATION
-        from repro.transport import STREAM_TRIGGERED
+        from repro.transport import SHMEM, STREAM_TRIGGERED
 
-        assert Job(pm_cpu, 2, STREAM_TRIGGERED).costs.put == pytest.approx(4e-7)
-        pm_cpu.runtimes[ONE_SIDED] = dataclasses.replace(
-            pm_cpu.runtimes[ONE_SIDED], put=1e-8
+        assert Job(pm_gpu, 2, STREAM_TRIGGERED).costs.put == pytest.approx(5e-7)
+        pm_gpu.runtimes[SHMEM] = dataclasses.replace(
+            pm_gpu.runtimes[SHMEM], put_signal=1e-8
         )
-        assert Job(pm_cpu, 2, STREAM_TRIGGERED).costs.put == pytest.approx(
+        assert Job(pm_gpu, 2, STREAM_TRIGGERED).costs.put == pytest.approx(
             1e-8 + STREAM_DEVICE_INITIATION
         )
 

@@ -20,7 +20,13 @@ from repro.cluster.scheduler import place_ranks
 from repro.collectives import CollectiveError
 from repro.comm.job import Job
 from repro.faults import FaultPlan, RetransmitPolicy
-from repro.machines import get_machine, make_cluster, perlmutter_cpu, perlmutter_gpu
+from repro.machines import (
+    UnhostedRuntimeError,
+    get_machine,
+    make_cluster,
+    perlmutter_cpu,
+    perlmutter_gpu,
+)
 from repro.net import CongestionConfig, FailoverRouting
 from repro.net.loggp import LogGPParams
 from repro.obs.sinks import RingBufferSink
@@ -75,6 +81,9 @@ def _sptrsv(nranks):
 ROOF = MessageRoofline(LogGPParams(L=1e-6, o=2e-7, g=2e-8, G=4e-11, o_sync=5e-7))
 V, C = ValueError, CollectiveError
 PASSES = r"passes must be a bool, None, a PassPipeline or a collection of pass names, not "
+NOT_HOSTED = (
+    r"machine 'perlmutter-cpu' has no runtime '{}'; available: \['one_sided', 'two_sided'\]$"
+)
 
 
 CASES = {
@@ -351,6 +360,16 @@ CASES = {
     "build_pipeline-int": (lambda: ir.build_pipeline(1), TypeError, PASSES + "1$"),
     "pass_pipeline-str": (
         lambda: ir.PassPipeline("coalesce"), TypeError, PASSES + "'coalesce'",
+    ),
+    # A runtime the machine has no profile for was a bare ``KeyError``, and
+    # a stream-triggered job on a CPU-only node ran with a device stream it
+    # does not have; both are one typed refusal, still a ``KeyError``.
+    "runtime-not-hosted": (
+        lambda: Job(CPU(), 2, "shmem"), UnhostedRuntimeError, NOT_HOSTED.format("shmem"),
+    ),
+    "stream-without-gpu": (
+        lambda: run_flood(CPU(), "stream_triggered", 64, 16),
+        UnhostedRuntimeError, NOT_HOSTED.format("stream_triggered"),
     ),
 }
 

@@ -7,7 +7,6 @@ from repro.machines import perlmutter_cpu, perlmutter_gpu, summit_gpu
 from repro.workloads.stencil import (
     ProcessGrid,
     StencilConfig,
-    heat_reference,
     initial_grid,
     jacobi_reference,
     jacobi_step,
@@ -77,14 +76,13 @@ class TestDistributedCorrectness:
         assert np.allclose(res.extras["field"], ref, atol=1e-12)
 
 
-# (runtime, machine, variant): every backend, plus the heat stencil.
+# (runtime, machine): every backend.
 _UNEVEN_ROWS = [
-    ("two_sided", perlmutter_cpu, "jacobi"),
-    ("one_sided", perlmutter_cpu, "jacobi"),
-    ("shmem", summit_gpu, "jacobi"),
-    ("stream_triggered", summit_gpu, "jacobi"),
-    ("one_sided_hw", _hw_machine, "jacobi"),
-    ("one_sided", perlmutter_cpu, "heat"),
+    ("two_sided", perlmutter_cpu),
+    ("one_sided", perlmutter_cpu),
+    ("shmem", summit_gpu),
+    ("stream_triggered", summit_gpu),
+    ("one_sided_hw", _hw_machine),
 ]
 
 
@@ -92,18 +90,13 @@ class TestDistributedBehaviour:
     def test_uneven_decomposition_correct(self):
         # 33x35 over 3x2: blocks differ by one row/column, so a strip lands
         # at an offset of the receiver's layout, not the sender's.
-        for runtime, machine_factory, variant in _UNEVEN_ROWS:
-            cfg = StencilConfig(nx=33, ny=35, iters=4, mode="execute",
-                                variant=variant)
-            if variant == "heat":
-                ref = heat_reference(33, 35, 4, sources=cfg.source_positions(),
-                                     energy=cfg.energy)
-            else:
-                ref = jacobi_reference(initial_grid(33, 35), 4)
+        cfg = StencilConfig(nx=33, ny=35, iters=4, mode="execute")
+        ref = jacobi_reference(initial_grid(33, 35), 4)
+        for runtime, machine_factory in _UNEVEN_ROWS:
             res = run_stencil(
                 machine_factory(), runtime, cfg, 6, grid=ProcessGrid(3, 2)
             )
-            assert np.allclose(res.extras["field"], ref, atol=1e-12), (runtime, variant)
+            assert np.allclose(res.extras["field"], ref, atol=1e-12), runtime
 
     def test_single_rank_needs_no_comm(self):
         cfg = StencilConfig(nx=16, ny=16, iters=3, mode="execute")
@@ -160,20 +153,16 @@ class TestDistributedBehaviour:
         [
             ("iters", float("nan")),
             ("iters", 2.5),
-            ("nsources", float("nan")),
             ("nx", float("nan")),
             ("nx", float("inf")),
             ("nx", 4096.5),
             ("ny", 24.5),
-            ("energy", float("nan")),
-            ("energy", float("inf")),
         ],
     )
     def test_config_rejects_non_integral_and_non_finite(self, field, value):
         # Each of these reached the run at the previous revision: a
-        # TypeError from range(), the fabric's nbytes check, a returned row
-        # or an all-nan heat field.
-        kwargs = {"nx": 24, "ny": 24, "iters": 2, "variant": "heat", field: value}
+        # TypeError from range(), the fabric's nbytes check or a returned row.
+        kwargs = {"nx": 24, "ny": 24, "iters": 2, field: value}
         with pytest.raises(ValueError, match=f"stencil {field} must be"):
             StencilConfig(**kwargs)
 
