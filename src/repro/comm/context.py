@@ -250,7 +250,6 @@ class RankContext:
         """
         self.counter.operations += 1
         self.counter.syncs += 1
-        poll_cost = self.costs.wait_poll
         while True:
             msg = self.engine.take(source, tag)
             if msg is not None:
@@ -269,9 +268,7 @@ class RankContext:
                     msg.payload,
                     Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes),
                 )
-            yield self.engine.on_arrival()
-            if poll_cost > 0:
-                yield poll_cost
+            yield self.engine.on_arrival(), self.costs.wait_poll
 
     # ------------------------------------------------------------------
     # completion
@@ -348,23 +345,22 @@ class RankContext:
         received: list[int] = []
         self.counter.syncs += 1
         self.counter.operations += 1
+        sig = signal_win.buffers[self.rank]
+        hit = True
         while len(received) < expected:
             scan_cost = self.costs.poll_slot * max(len(remaining), 1)
-            if scan_cost > 0:
-                yield scan_cost
-            sig = signal_win.buffers[self.rank]
-            hit = [s for s in remaining if sig[s] >= value]
-            if hit:
-                for s in hit:
-                    remaining.remove(s)
-                    received.append(s)
-                continue
-            if len(received) < expected:
-                # Nothing new this pass: next scan is triggered by the next
+            if not hit:
+                # Nothing new last pass: this scan is triggered by the next
                 # write landing in the window (busy-poll without progress is
                 # pure spin; modelling it as a wake keeps the event count
                 # bounded while still charging the scan work per arrival).
-                yield signal_win.on_write(self.rank)
+                yield signal_win.on_write(self.rank), scan_cost
+            elif scan_cost > 0:
+                yield scan_cost
+            hit = [s for s in remaining if sig[s] >= value]
+            for s in hit:
+                remaining.remove(s)
+                received.append(s)
         return received
 
     # ------------------------------------------------------------------
@@ -385,11 +381,7 @@ class RankContext:
         """
         self.counter.syncs += 1
         self.counter.operations += 1
-        release = self.job._arrive(value)
-        yield release
-        if self.job._barrier_delay > 0:
-            yield self.job._barrier_delay
-        return release.value
+        return (yield self.job._arrive(value))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RankContext rank={self.rank}/{self.size} on {self.endpoint}>"

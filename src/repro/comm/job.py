@@ -180,7 +180,7 @@ class Job:
 
     def _arrive(self, value: float) -> Event:
         """Join the current rendezvous with ``value``; the returned event
-        fires with the sum when the last rank arrives."""
+        fires with the sum a barrier's charge after the last rank arrives."""
         if self._rendezvous is None:
             self._rendezvous = self.sim.event()
             self._sum = 0.0
@@ -188,7 +188,7 @@ class Job:
         self._sum += value
         self._arrived += 1
         if self._arrived == self.nranks:
-            ev.succeed(self._sum)
+            ev.succeed(self._sum, delay=self._barrier_delay)
             self._arrived = 0
             self._rendezvous = None
         return ev

@@ -262,7 +262,6 @@ class ShmemContext(RankContext):
             return  # vacuously satisfied (e.g. a rank with no neighbors)
         rank = self.rank
         sig = signal_win.buffers[rank]
-        recheck = self.costs.poll_slot * len(idxs)
         blocked = False
         while True:
             for i in idxs:
@@ -271,9 +270,7 @@ class ShmemContext(RankContext):
             else:
                 break
             blocked = True
-            yield signal_win.on_write(rank)
-            if recheck > 0:
-                yield recheck
+            yield signal_win.on_write(rank), self.costs.poll_slot * len(idxs)
         if blocked and self.costs.wait_wakeup > 0:
             yield self.costs.wait_wakeup
 
@@ -304,14 +301,12 @@ class ShmemContext(RankContext):
         self.counter.syncs += 1
         self.counter.operations += 1
         sig = signal_win.buffers[self.rank]
+        recheck = self.costs.wait_poll + self.costs.poll_slot * len(idxs)
         while True:
             hit = [i for i in idxs if sig[i] >= value]
             if hit:
                 break
-            yield signal_win.on_write(self.rank)
-            recheck = self.costs.wait_poll + self.costs.poll_slot * len(idxs)
-            if recheck > 0:
-                yield recheck
+            yield signal_win.on_write(self.rank), recheck
         idx = hit[0]
         if consume:
             signal_win.buffers[self.rank][idx] = 0

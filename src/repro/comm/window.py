@@ -108,6 +108,8 @@ class _AtomicOp(WaitList, InFlight):
             ctx.fabric.send(ctx.job.endpoints[target], ctx.endpoint, 8.0, self)
         else:  # the response landed, or a leg was lost
             flush = win.ledgers[handle.rank].landed(target, self.error)
+            if self.error is not None:  # the origin raises it at once
+                self[0]._after = 0.0
             self.wake()
             if flush is not None:  # another process of the origin rank
                 flush.wake()
@@ -415,11 +417,9 @@ class WindowHandle:
             ctx.counter.syncs += 1
             ctx.counter.operations += 1
             wake = ctx.costs.sync_enter + ctx.costs.wait_per_req
-        yield op
+        yield op, wake
         if op.error is not None:
             raise op.error
-        if wake > 0:
-            yield wake
         return op.old
 
     def cas_stream(self, target: int, offset: int, ops, *, wait: bool) -> Generator:

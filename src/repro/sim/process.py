@@ -1,11 +1,12 @@
 """Generator-based simulation processes.
 
-A *process* is a Python generator that yields one of three things: an
+A *process* is a Python generator that yields one of four things: an
 :class:`~repro.sim.event.Event` (``value = yield ev`` resumes it with the
 event's value once it fires), a ``float`` delay ``d`` (it sleeps ``d``
-simulated seconds) or a :class:`WaitList` (it parks until the list's owner
-wakes it).  An MPI rank, a GPU thread block, and a NIC injector are all
-processes.
+simulated seconds), a :class:`WaitList` (it parks until the list's owner
+wakes it) or ``(wait_list, d)`` (``yield wl; yield d`` in one heap entry:
+the wake pushes ``now + d``).  An MPI rank, a GPU thread block, and a NIC
+injector are all processes.
 
 A sleep or a wake allocates nothing: the heap entry is the process itself,
 pushed where a ``Timeout(sim, d)`` — or the woken event's ``succeed()`` —
@@ -46,7 +47,8 @@ class InFlight:
 class WaitList(list):
     """Processes parked on one occurrence nobody else observes: ``yield wl``
     parks one; the owner's :meth:`wake` pushes them, in order, at the current
-    instant and empties the list.  ``what`` names it in a DeadlockError."""
+    instant (+ ``d`` for ``yield (wl, d)``) and empties the list.  ``what``
+    names it in a DeadlockError."""
 
     __slots__ = ("what",)
 
@@ -57,7 +59,7 @@ class WaitList(list):
         """Resume the parked processes; an event callback as it stands."""
         for process in self:
             sim = process.sim
-            heappush(sim._heap, (sim._now, sim._seq, process))
+            heappush(sim._heap, (sim._now + process._after, sim._seq, process))
             sim._seq += 1
         self.clear()
 
@@ -72,7 +74,7 @@ class Process(Event):
     created.
     """
 
-    __slots__ = ("generator", "name", "_target")
+    __slots__ = ("generator", "name", "_target", "_after")
 
     def __init__(
         self, sim: "Simulator", generator: Generator, name: str | None = None
@@ -117,15 +119,25 @@ class Process(Event):
             else:
                 event._defused = True
                 target = generator.throw(event._value)
-            while isinstance(target, float):
-                if 0.0 <= target < inf:
-                    sim = self.sim
-                    heappush(sim._heap, (sim._now + target, sim._seq, self))
-                    sim._seq += 1
-                    return
+            while True:
+                if isinstance(target, float):
+                    if 0.0 <= target < inf:
+                        sim = self.sim
+                        heappush(sim._heap, (sim._now + target, sim._seq, self))
+                        sim._seq += 1
+                        return
+                    delay = target
+                elif (type(target) is tuple and len(target) == 2 and isinstance(target[0], WaitList)
+                      and isinstance(delay := target[1], float)):
+                    if 0.0 <= delay < inf:
+                        target, after = target
+                        break
+                else:
+                    after = 0.0
+                    break
                 # Raised at the yield, as Timeout's own check is.
                 target = generator.throw(
-                    ValueError(f"sleep delay must be finite and >= 0, got {target}")
+                    ValueError(f"sleep delay must be finite and >= 0, got {delay}")
                 )
         except StopIteration as stop:
             self._retire()
@@ -137,6 +149,7 @@ class Process(Event):
             return
         self._target = target
         if isinstance(target, WaitList):
+            self._after = after
             target.append(self)
             return
         if not isinstance(target, Event) or target.sim is not self.sim:
@@ -170,7 +183,7 @@ class Process(Event):
         self.fail(
             SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "
-                "yield an Event, a WaitList or a float delay"
+                "yield an Event, a WaitList, (WaitList, delay) or a float delay"
             )
         )
 

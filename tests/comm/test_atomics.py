@@ -182,10 +182,11 @@ class TestEventBudget:
     )
     def test_one_sided_blocking_atomic_costs_six_events(self, pm_cpu, issue):
         """``fetch_op`` charge, request leg, the atomic unit's apply,
-        response leg, the completion that resumes the origin, and the
-        wait's ``sync_enter`` wake-up."""
+        response leg, and the completion, which resumes the origin one
+        ``sync_enter`` wake-up later: five events (six while the wake-up
+        was a sleep of its own, hence the name)."""
         events = lambda n: self.events(pm_cpu, "one_sided", n, issue)
-        assert events(40) - events(8) == 6 * 32
+        assert events(40) - events(8) == 5 * 32
 
     def test_shmem_compare_swap_costs_five_events(self, pm_gpu):
         """The fused AMO resumes on the response: no wake-up charge."""

@@ -129,6 +129,31 @@ class TestCollectives:
             }
         assert [total for _, total in res.results] == [6.0] * 4
 
+    def test_a_barrier_is_one_heap_entry(self, pm_cpu):
+        """The last arrival pushes the rendezvous once, ``_barrier_delay``
+        later, and every rank resumes from that one entry with the sum."""
+        job = Job(pm_cpu, 5, "two_sided")
+        arrivals = []
+        real = job._arrive
+
+        def arrive(value):
+            release = real(value)
+            arrivals.append((job.sim.now, job.sim.event_count, list(job.sim._heap)))
+            return release
+
+        job._arrive = arrive
+
+        def program(ctx):
+            yield from ctx.compute(seconds=(ctx.rank % 3) * 1e-6)
+            total = yield from ctx.allreduce_sum(float(ctx.rank))
+            return total, ctx.sim.now, ctx.sim.event_count
+
+        res = job.run(program)
+        last, count, heap = arrivals[-1]
+        assert job._barrier_delay > 0 and last == 2e-6
+        assert [when for when, _, _ in heap] == [last + job._barrier_delay]
+        assert set(res.results) == {(10.0, last + job._barrier_delay, count + 1)}
+
     def test_single_rank_barrier_free(self, pm_cpu):
         def program(ctx):
             t0 = ctx.sim.now

@@ -5,11 +5,12 @@ tie on simulated time can swap their ``(time, seq)`` heap order without
 moving a rendered table — until a later change makes one of them matter.
 Symmetric ring rounds tie constantly, so the engine's resume order is
 hashed here directly: every time any process is resumed, ``(sim.now,
-process name)`` goes into a SHA-256.  The expected digests were generated
-at the commit *before* the flat engine step / fused resume / completion
-flags landed (PR 16's head) and must stay green through any change to
-``repro.sim``, ``repro.ir.lower`` or the ``repro.comm`` completion paths.
-A hash that moves means a live event was merged, dropped or re-timed.
+process name)`` goes into a SHA-256.  The digests must stay green through
+any change to ``repro.sim``, ``repro.ir.lower`` or the ``repro.comm``
+completion paths.  A hash that moves means a live event was merged,
+dropped or re-timed; ``resume_projection.py`` tells a merge of a wake and
+its fixed charge (which may drop that resume and nothing else) from a
+reordering.
 
 The instrument wraps the generator handed to ``Simulator.process`` — it
 reads nothing of the engine's internals, so it measures the same thing
@@ -172,74 +173,68 @@ def _striped_round():
     )
 
 
-# (resumes, sha256) of the resume sequence, generated at PR 16's head — the
-# two hashtable epochs at PR 19's, before a blocking atomic became one frame.
-# The next three: before a single waiter parked itself on a wait list; the
-# last three: before a comm delivery became its op record on the heap.
+# (resumes, sha256) of the resume sequence, generated with this instrument
+# once a wake's fixed charge rode on the wake (``yield (wait_list, d)``):
+# each is the earlier digest's log with only its woken-then-slept resumes
+# removed, in the same order — ``resume_projection.py`` in this directory
+# re-checks that against any base commit.
 EXPECTED = {
     "shmem_ring_allreduce": (
-        936, "4eb4fad471a3da08bf9e9f96a33f2bac0bfbfa48ac43981a8ca703ec8b4878ef"
+        704, "c05408318e1a348dc71c4abd7ea54cb0ca6bed97d2c245d7941fc181626621d7"
     ),
     "one_sided_flood": (
-        66, "75f3034aeec6280d8a5395f03905cb09194f04812ee4e3af8cae91c8d3001e7f"
+        58, "a3ecad24e047e05edfc729906e4d0a1ab7444d71687a99ffd0b3be4e73d81a3e"
     ),
     "two_sided_flood": (
-        84, "f82be6e905e3ddef0fba56568100aff5a86c819086ce2df164c6622d0f4418bb"
+        78, "789128dd53690e213f7052cb3c432e65d57b76cc1ba9d50f7c35adee47d70653"
     ),
     "shmem_halo": (
-        108, "c4c7939ce95905e5007cfa3d2783be1e53ced8fb2d49d04f0ce82ec1ad2badbf"
+        88, "7f905fb81427880080b127d722b2e06c51b9cf2b4765c7d8dd497357a025390b"
     ),
     "one_sided_hashtable": (
-        2421, "ed9bbd2c44aa1b6aa347380480ddd105f60cf196e0c0a708af3c67c6004088c2"
+        1727, "dbc85c05374c799792ff092a5e0bc6e55cf6dd624cf87ab0cbe1821f9406b153"
     ),
     "shmem_hashtable": (
-        1813, "01c61a43e1f5d375646278142a0acf5da5864d6421efd1e95fdce1d8f86c5c30"
+        1797, "eeac6f1267aaedc123868a57a21cfa5bb4557bc12a520e83dc1497a5dcff64c3"
     ),
     "two_sided_hashtable": (
-        2564, "a70e6d1ef192f43a28d2702233937730d394eacf31ef3768f936b036d8c061bc"
+        1843, "18bcb4879dc8fc438e6223432ead1e3dba410e401982b9fc2e5d7883ce3a2303"
     ),
     "one_sided_sptrsv": (
-        956, "5af019e657b075dc9b8c9bc789cfd9da10a90ae3191c2838bbdc4865611149af"
+        948, "0b3b2b609da0a525ea37e55f98e0e1bf0a9ca01a8cdbf8d9868189d86b9e1025"
     ),
     "shmem_sptrsv": (
-        275, "3d9687890bf03d5abce8ae57bf35d357df087aed02bc24ec1641ec50d8b00a12"
+        238, "2a25222a47ab8b811316b267026d64aed53fccdc52aae214bc4f29f0bfa92f69"
     ),
-    # Generated before SpTRSV sent on the round verb: its messages' tag
-    # became the receive slot and their payload the bare values.
     "two_sided_sptrsv": (
-        486, "1251240b8ef655733b2e423c83c6d3518019ae462e0bac8823b0c8ecd9a0f027"
+        478, "03f7321d3a919ccb736866fff758ac875cedd044d5fa5933e05d049159cabef9"
     ),
     "copy_engine_put_flood": (
-        62, "9272200704454eb2ab3cf572fca9d2d6fc55baa3032e621ad329c10e07a171c8"
+        54, "adc9584a59c9a524ce7c3db61f07617dd4e9187c56113e34d8effbb8152b4a45"
     ),
     "rendezvous_flood": (
-        54, "9e244eece437706775d530371a924647c4c2cac2cba37549c7a3f933cfa5beab"
+        48, "1a4bd378ea36554a8ab9c8774efcbdab1415713da5233dc6a1bf5bb9d04c9900"
     ),
     "lossy_one_sided_hashtable": (
-        2421, "ec17e2f70bb1ff42d391adb2cb36aec4516131743986afa503b2571e2691aad0"
+        1727, "f276ace55926cd401decc66adc42f1deab30b89ec671bf626e3b4563c509c1c4"
     ),
-    # Generated before the halo exchange was derived from the stencil's
-    # offsets; ``striped_round`` was recorded with the bulk engine off,
-    # before a striped round stopped being a batch.
     "two_sided_uneven_stencil": (
-        156, "b356cf1676842920e74f30feeaa359dd3126cbdc2dca347c8ed9cf4775d8c95f"
+        150, "fb8453e8869cf07bdd7d2256b4d08ee2962b6af028aa7e0bf49a314928c11f14"
     ),
     "one_sided_uneven_stencil": (
-        204, "00231f1116df2bd7cbc11b00dfa9e209c564faa15e3d712e2c3f69a0b55dfef6"
+        162, "7cab023f0b67b377e518c95f8b5b9f3146a9ae51f788ac1739e2759bc8226d18"
     ),
     "shmem_uneven_stencil": (
-        152, "f03de7bed1e3ee91956085609101b9524d6c3f654358d914195a4eeff5e308d8"
+        118, "3c7fdda12801b3bf5836208a1639294ebf5ea0c58599cd109ce67f9f57c31f6a"
     ),
     "striped_round": (
-        328, "8adcbfcafeb7125e94d06c86982514b858ecdc14049f8bb1673be44b83b1ce7c"
+        228, "6f51c3a97a642c1233d4194446f8c5c7f86a7d3b2661911b2766ab569948bea2"
     ),
-    # Generated before the CAS flood became a rank program (it was an IR
-    # program with one AtomicStream op).
     "one_sided_cas_flood": (
-        54, "ec5aa7c1a044b8b8175302326d1fa8516137846998491cc3868cd083e31d6111"
+        36, "3f5e8679c34f8efb039848b55f2b17c2de47a0c5d527d9381fb63c2f0883c18d"
     ),
     "shmem_cas_flood": (
-        38, "e5b71c962a0c87293bb086ae3b1d90ee8b30a5174ad25f8382a06af53699ba90"
+        36, "e2a2902bf84cf15a3a6881930e7df1673822e5043d63db4a4ee0da375e86e5c1"
     ),
 }
 SCENARIOS = {

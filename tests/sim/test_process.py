@@ -482,6 +482,119 @@ class TestWaitList:
         assert "Process" not in msg
 
 
+class TestDelayedWake:
+    """``yield (wl, d)`` parks on the list as ``yield wl`` does; the wake
+    pushes the process ``d`` later: ``yield wl; yield d`` in one entry."""
+
+    def test_resumes_where_a_wake_then_a_sleep_would(self):
+        def run(folded):
+            sim = Simulator()
+            wl, log = WaitList("a test occurrence"), []
+
+            def parked():
+                if folded:
+                    yield wl, 0.7
+                else:
+                    yield wl
+                    yield 0.7
+                log.append(sim.now)
+
+            def waker():
+                yield 0.1
+                yield 0.2  # now is 0.30000000000000004: a sum, not a literal
+                wl.wake()
+
+            sim.process(parked())
+            sim.process(waker())
+            sim.run()
+            return log, sim.event_count
+
+        (folded, events), (unfolded, unfolded_events) = run(True), run(False)
+        assert folded == unfolded == [(0.1 + 0.2) + 0.7]
+        assert events == unfolded_events - 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_bad_delay_raises_at_the_yield_and_parks_nothing(self, sim, bad):
+        wl = WaitList("a test occurrence")
+
+        def prog():
+            try:
+                yield wl, bad
+            except ValueError as exc:
+                return str(exc), list(wl), sim.peek()
+
+        p = sim.process(prog())
+        sim.run()
+        message, parked, next_entry = p.value
+        assert "finite and >= 0" in message
+        assert parked == [] and next_entry == float("inf")
+
+    def test_uncaught_bad_delay_fails_the_process(self, sim):
+        wl = WaitList("a test occurrence")
+
+        def prog():
+            yield wl, float("nan")
+
+        p = sim.process(prog())
+        p.defuse()
+        sim.run()
+        assert isinstance(p.value, ValueError)
+        assert not wl and sim.now == 0.0
+
+    @pytest.mark.parametrize(
+        "shape", ["event", "one", "three", "int delay"]
+    )
+    def test_other_tuples_are_bad_yields(self, sim, shape):
+        wl = WaitList("a test occurrence")
+        bad = {
+            "event": (sim.event(), 1.0),
+            "one": (wl,),
+            "three": (wl, 1.0, 1.0),
+            "int delay": (wl, 1),
+        }[shape]
+
+        def prog():
+            yield bad
+
+        p = sim.process(prog())
+        p.defuse()
+        sim.run()
+        assert isinstance(p.value, SimulationError)
+        assert "(WaitList, delay)" in str(p.value)
+        assert not wl
+
+    def test_a_later_plain_park_resumes_at_the_wake(self, sim):
+        wl, log = WaitList("a test occurrence"), []
+
+        def parked():
+            yield wl, 0.5
+            log.append(sim.now)
+            yield wl
+            log.append(sim.now)
+
+        def waker():
+            yield 1.0
+            wl.wake()
+            yield 1.0
+            wl.wake()
+
+        sim.process(parked())
+        sim.process(waker())
+        sim.run()
+        assert log == [1.5, 2.0]
+
+    def test_a_deadlock_names_the_list(self, sim):
+        never, wl = sim.event(), WaitList("a write nobody makes")
+
+        def prog():
+            yield wl, 1.0
+
+        sim.process(prog(), name="rank0")
+        with pytest.raises(DeadlockError) as err:
+            sim.run(until=never)
+        assert "'rank0' is parked on <WaitList: a write nobody makes>" in str(err.value)
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Every ``Timeout`` / ``Delivery`` / ``_AtomicOp`` constructed, by class."""
@@ -503,9 +616,9 @@ def built(monkeypatch):
 
 class TestNoTimeoutForARoundMessage:
     """A 4-rank shmem ring allreduce: the sender's issue charge and the
-    receiver's recheck and wake-up are sleeps, and each delivery is the
-    put's own record on the heap — while the event count stays what it was
-    when each of those was a ``Timeout`` (133)."""
+    receiver's wake-up are sleeps, the recheck rides on the receiver's wake
+    and each delivery is the put's own record on the heap: 109 events, 133
+    when each of those was a ``Timeout`` or a sleep of its own."""
 
     def test_a_round_message_builds_no_timeout_and_no_delivery(self, built):
         from repro.collectives.core import CollectiveComm
@@ -525,12 +638,13 @@ class TestNoTimeoutForARoundMessage:
         res = job.run(prog, comm)
         assert comm.stats.messages == job.fabric.total_messages == 24
         assert built == {"Timeout": 0, "Delivery": 0, "_AtomicOp": 0}
-        assert job.sim.event_count == res.events_processed == 133
+        assert job.sim.event_count == res.events_processed == 109
 
-    @pytest.mark.parametrize(("runtime", "events"), [("one_sided", 6), ("shmem", 5)])
+    @pytest.mark.parametrize(("runtime", "events"), [("one_sided", 5), ("shmem", 5)])
     def test_a_blocking_cas_is_one_record(self, built, runtime, events):
         """Request leg, the atomic unit's turn and the response leg are three
-        pushes of one ``_AtomicOp``; the events are the protocol's 6 / 5."""
+        pushes of one ``_AtomicOp``; with the issue charge and the origin's
+        wake (which carries MPI's wait charge) the events are 5."""
         import numpy as np
 
         from repro.comm.job import Job
