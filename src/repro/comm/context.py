@@ -120,6 +120,10 @@ class RankContext:
         self._sent: dict[int, int] = {}  # dest -> next seq to stamp
         self._next: dict[int, int] = {}  # source -> next seq to match
         self._held: dict[tuple[int, int], Message] = {}  # (source, seq) -> early msg
+        # Path choices that move simulated time, counted on the branch
+        # taken (Job exports them as comm.<runtime>.rendezvous / .held).
+        self.rendezvous = 0  # sends above the eager threshold
+        self.held = 0  # arrivals that overtook an earlier message of the pair
         # Receiver-side copy engine: serialises the runtime's per-byte copy
         # work (Spectrum MPI's extra copy caps achieved X-Bus bandwidth near
         # 25 GB/s in the paper's Fig. 3c).  Zero-cost when copy_per_byte=0.
@@ -197,6 +201,7 @@ class RankContext:
             send_done.settle()
         else:
             # RTS/CTS protocol: data moves only after the receive is posted.
+            self.rendezvous += 1
             msg.on_match = _Rendezvous(self, dst_ctx, msg, payload, send_done).matched
             msg.payload = None  # envelope only; data moves in the CTS phase
             self.fabric.send(self.endpoint, dst_ctx.endpoint, 0.0, _Arrival(dst_ctx, msg))
@@ -209,6 +214,7 @@ class RankContext:
         src = msg.src
         if msg.seq != self._next.get(src, 0):
             self._held[src, msg.seq] = msg
+            self.held += 1
             return
         while msg is not None:
             self._next[src] = msg.seq + 1

@@ -266,7 +266,8 @@ class Job:
 
     def _collect_comm_metrics(self) -> dict[str, float]:
         """Snapshot-time per-runtime op counters (fed by the comm layers'
-        :class:`OpCounter` bookkeeping; sum-merged across jobs)."""
+        :class:`OpCounter` bookkeeping and the ranks' path-choice counts;
+        sum-merged across jobs)."""
         merged = reduce(
             OpCounter.merge, (ctx.counter for ctx in self.contexts), OpCounter()
         )
@@ -280,4 +281,6 @@ class Job:
             f"{prefix}.atomics": float(merged.atomics),
             f"{prefix}.recv_messages": float(merged.recv_messages),
             f"{prefix}.bytes_received": merged.bytes_received,
+            f"{prefix}.rendezvous": float(sum(ctx.rendezvous for ctx in self.contexts)),
+            f"{prefix}.held": float(sum(ctx.held for ctx in self.contexts)),
         }

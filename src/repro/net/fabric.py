@@ -14,8 +14,9 @@ visible end to end — this is what produces the Summit 42-CPU SpTRSV
 contention collapse and the cross-socket hashtable penalty in the paper.
 
 That recurrence lives here once.  :meth:`Fabric.send` is a single
-attempt loop over the route's ports — loss/jitter/hard-down draws and
-retransmission are per-hop steps taken only under a fault plan — and
+attempt loop over the transfer's ports, and that loop is the port
+reservation; outage stalls, degradation, loss/jitter/hard-down draws and
+retransmission are per-hop steps taken only under a fault plan.
 :class:`TransferPlan` (from :meth:`Fabric.plan`) replays the same walk for a
 homogeneous batch on a fabric that is :attr:`Fabric.replayable`.  Both, and
 UGAL scoring in :mod:`repro.net.routing`, walk a route's ports as resolved
@@ -130,10 +131,8 @@ class Fabric:
             ep: Channel(sim, params) for ep, params in topology.injection.items()
         }
         # Without a routing policy a pair's route never changes, so a
-        # transfer reads (route, walk, injection port) in one lookup.
-        self._pairs: dict[
-            tuple[str, str], tuple[Route, tuple[tuple[Channel, Link], ...], Channel | None]
-        ] = {}
+        # transfer reads its route and ports (_ports_from) in one lookup.
+        self._pairs: dict[tuple[str, str], tuple[Route, tuple]] = {}
         self._loopback_next_free: dict[str, float] = {}
         self.total_messages = 0
         self.total_bytes = 0.0
@@ -214,16 +213,25 @@ class Fabric:
             walk = self._walks[route.hops] = tuple(ports[hop] for hop in route.hops)
         return walk
 
+    def _ports_from(self, src: str, route: Route) -> tuple:
+        """What a transfer from ``src`` walks: the source's injection port
+        (as ``(Channel, None)``) if it has one — the endpoint's copy/DMA
+        engine, which serialises all its outgoing traffic — then ``route``'s
+        walk."""
+        walk = self._walk(route)
+        inj = self._injection.get(src)
+        return walk if inj is None else ((inj, None),) + walk
+
     def _install_faults(self, injector: "FaultInjector") -> None:
         """Attach per-link fault parameters; links the plan leaves clean
-        keep ``faults=None`` and stay on the pristine reserve() path."""
+        keep ``faults=None``: the walk's stall and degrade skip them."""
         from repro.faults.hard import resolve_hard_faults
 
         plan = injector.plan
         for link in self._links.values():
             lf = plan.for_link(link.a, link.b)
             if not lf.clean:
-                link.set_faults(lf, stall_recorder=injector.record_down_stall)
+                link.set_faults(lf)
                 self._trace_windows("net.link.down", link, lf.down)
         # Hard (fail-stop) element faults: a dead router/node/NIC takes
         # every resolved link down atomically for its windows.
@@ -305,22 +313,24 @@ class Fabric:
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         sim = self.sim
         clock = sim._now  # constant for the whole call: nothing steps the engine
-        now = clock if earliest is None else max(earliest, clock)
+        if earliest is None:
+            now = clock
+        elif -inf < earliest < inf:
+            now = max(earliest, clock)  # a past earliest means now
+        else:
+            raise ValueError(f"earliest must be finite, got {earliest}")
         routing = self.routing
         if routing is None:
             pair = self._pairs.get((src, dst))
             if pair is None:
                 route = self.topology.route(src, dst)
-                pair = self._pairs[src, dst] = (
-                    route, self._walk(route), self._injection.get(src)
-                )
-            route, walk, inj = pair
+                pair = self._pairs[src, dst] = (route, self._ports_from(src, route))
+            route, ports = pair
         else:
             # One routing decision per transfer: adaptive policies may pick
             # a different (freshly costed) path for the same pair over time.
             route = routing.route(self, src, dst, nbytes, now)
-            walk = self._walk(route)
-            inj = self._injection.get(src)
+            ports = self._ports_from(src, route)
         faults = self.faults
         attempts = 1
         error: Exception | None = None
@@ -334,6 +344,7 @@ class Fabric:
             arrival = start + route.latency + nbytes * route.G
         else:
             cc = self.cc
+            metrics = self.metrics
             tid = self.total_messages  # stable per-transfer id for fault draws
             t_ready = now
             if cc is not None:
@@ -345,42 +356,69 @@ class Fabric:
             while True:
                 t = t_ready
                 sent = None  # when this attempt began injecting
-                if inj is not None:
-                    # The endpoint's copy/DMA engine serialises all outgoing
-                    # traffic; concurrent messages to different peers stagger here.
-                    sent, t = inj.reserve(nbytes, t_ready, atomic=atomic)
-                    if cc is not None and sent - t_ready > max_wait:
-                        max_wait = sent - t_ready
                 tail_G = route.G
                 lost: str | None = None
-                for channel, link in walk:
-                    hop_start, head_out = channel.reserve(nbytes, t, atomic=atomic)
-                    if cc is not None and hop_start - t > max_wait:
-                        max_wait = hop_start - t
-                    if sent is None:
-                        sent = hop_start
+                for channel, link in ports:
+                    # The port reservation: the head claims the earliest-free
+                    # sub-channel (lowest index on ties; only NVLink port
+                    # groups have several) for max(gap, nbytes * G).
+                    nf = channel._next_free
+                    if len(nf) == 1:
+                        k = 0
+                    else:
+                        k = min(range(len(nf)), key=nf.__getitem__)
+                    free = nf[k]
+                    begin = t if t >= free else free  # max(t, free)
+                    per_byte = channel._G
                     if faults is not None:
-                        if channel.hard_down_at(hop_start):
+                        lf = channel.faults
+                        if lf is not None:
+                            # Transient outages: the head stalls at the port
+                            # until the window closes (windows are sorted, so
+                            # one forward pass handles back-to-back outages).
+                            for a, b in lf.down:
+                                if a <= begin < b:
+                                    channel.down_stall_seconds += b - begin
+                                    faults.record_down_stall(b - begin)
+                                    begin = b
+                            per_byte *= lf.degrade
+                    occupancy = nbytes * per_byte
+                    gap = channel._atomic_gap if atomic else channel._gap
+                    if not occupancy > gap:  # max(gap, nbytes * per_byte)
+                        occupancy = gap
+                    nf[k] = begin + occupancy
+                    channel.bytes_carried += nbytes
+                    channel.messages_carried += 1
+                    if metrics is not None:
+                        if channel.wait_hist is not None:
+                            channel.wait_hist.observe(begin - t)
+                        if channel.util_timeline is not None:
+                            channel.util_timeline.observe(begin, occupancy)
+                    if cc is not None and begin - t > max_wait:
+                        max_wait = begin - t
+                    if sent is None:
+                        sent = begin
+                    # Cut-through: the head reaches the next port this port's
+                    # latency after it began; injection there cannot begin earlier.
+                    t = begin + channel._latency
+                    if faults is not None:
+                        if channel.hard is not None and channel.hard_down_at(begin):
                             # The element behind this link is dead: the head
                             # reaches a port that no longer exists.  Upstream
                             # capacity was spent; nothing propagates further.
                             lost = link.name
                             faults.record_hard_drop(lost)
                             break
-                        lf = channel.faults
                         if lf is not None:
                             name = link.name
-                            head_out += faults.jitter(lf, name, tid, attempts - 1)
-                            tail_G = max(tail_G, channel.effective_G)
+                            t += faults.jitter(lf, name, tid, attempts - 1)
+                            tail_G = max(tail_G, per_byte)
                             if faults.lost(lf, name, tid, attempts - 1):
                                 # Dropped on this hop: upstream capacity was
                                 # spent, downstream hops never see the message.
                                 lost = name
                                 faults.record_drop(lost)
                                 break
-                    # The head of the message reaches the next hop's port after
-                    # this hop's latency; injection there cannot begin earlier.
-                    t = head_out
                 assert sent is not None
                 if start is None:
                     start = sent
@@ -452,7 +490,7 @@ class Fabric:
                         error = err
                         arrival = t_ready
                         break
-                    walk = self._walk(route)
+                    ports = self._ports_from(src, route)
                 attempts += 1
         delay = arrival - clock
         if not 0 <= delay < inf:  # a past, nan or endless heap key
@@ -515,7 +553,7 @@ class TransferPlan:
     """:meth:`Fabric.transfer` for one (path, size, atomic?) combination
     with all constants hoisted, minus the event machinery.
 
-    ``time``/``times`` replicate :meth:`Fabric.transfer` on a replayable
+    ``time``/``times`` replicate :meth:`Fabric.send`'s walk on a replayable
     fabric — reservations, counters, metrics — and return the simulated
     time at which the delivery event would have been *processed*: the
     scalar path schedules it via ``succeed(delay=arrival - now)``, so the

@@ -1,20 +1,21 @@
 """The simulated physical link.
 
 A :class:`Link` is full duplex: each direction is an independent
-:class:`_Channel` with its own injection port.  Injection is serialised —
+:class:`Channel` with its own injection port.  Injection is serialised —
 a channel accepts the next message only ``max(gap, nbytes * G)`` after the
 previous one started, which is exactly the LogGP statement that the gap
 ``g`` *cannot* be overlapped by issuing more messages.  Contention between
 concurrent senders sharing a link therefore appears as queueing delay at the
 injection port.
 
-Delivery time for a message accepted at ``start`` is
-``start + latency + nbytes * G`` (cut-through; bytes stream behind the head).
+A channel is the port's state; the reservation itself is a step of the
+hop walk, :meth:`repro.net.fabric.Fabric.send`.  Delivery time for a message
+accepted at ``start`` is ``start + latency + nbytes * G`` (cut-through; bytes
+stream behind the head).
 """
 
 from __future__ import annotations
 
-from math import inf
 from typing import TYPE_CHECKING
 
 from repro.net.loggp import LinkParams
@@ -49,7 +50,6 @@ class Channel:
         "faults",
         "hard",
         "down_stall_seconds",
-        "stall_recorder",
     )
 
     def __init__(self, sim: "Simulator", params: LinkParams):
@@ -71,10 +71,10 @@ class Channel:
         # Optional utilization timeline (repro.obs.metrics.Timeline): each
         # reservation adds its occupancy seconds to the bin it starts in.
         self.util_timeline = None
-        # Optional fault parameters (repro.faults.LinkFaults).  None — the
-        # overwhelmingly common case — keeps reserve() on the exact
-        # arithmetic it has always used; a fault plan only ever sets this
-        # for links whose parameters are not clean.
+        # Optional fault parameters (repro.faults.LinkFaults): transient
+        # ``down`` windows stall the head here, ``degrade`` scales G.  A
+        # fault plan only ever sets this for links whose parameters are not
+        # clean, and the walk reads it only on a fabric with a plan.
         self.faults = None
         # Hard (fail-stop) outage windows resolved from element faults
         # (sorted, merged ``[fail_at, recover_at)`` tuples).  Unlike the
@@ -83,62 +83,6 @@ class Channel:
         # the fabric (the element is dead, not busy).
         self.hard: tuple | None = None
         self.down_stall_seconds: float = 0.0
-        # Callable fed each stall duration (the fault injector's
-        # record_down_stall), so scope/metrics totals see outage time.
-        self.stall_recorder = None
-
-    def reserve(
-        self, nbytes: float, earliest: float, *, atomic: bool = False
-    ) -> tuple[float, float]:
-        """Claim one sub-channel for one message.
-
-        Args:
-            nbytes: message size in bytes.
-            earliest: the earliest time the head of the message can be at
-                this port (sender ready time, or upstream hop time).
-            atomic: remote-atomic traffic uses the (usually much larger)
-                ``atomic_gap`` spacing.
-
-        Returns:
-            ``(start, head_out)``: when injection begins, and when the head
-            of the message leaves the far end of this channel
-            (``start + latency``).  The tail arrives ``nbytes * G`` later
-            (sub-channel per-byte time); multi-hop routes take the max
-            per-byte time across hops.
-        """
-        if not 0 <= nbytes < inf:
-            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
-        # Earliest-free sub-channel; ties resolve to the lowest index so the
-        # schedule is deterministic.  Only NVLink port groups have several.
-        nf = self._next_free
-        idx = 0 if len(nf) == 1 else min(range(len(nf)), key=nf.__getitem__)
-        free = nf[idx]
-        start = earliest if earliest >= free else free  # max(earliest, free)
-        per_byte = self._G
-        faults = self.faults
-        if faults is not None:
-            # Transient outages: the head stalls at the port until the
-            # window closes (windows are sorted, so one forward pass
-            # handles back-to-back outages).
-            for a, b in faults.down:
-                if a <= start < b:
-                    self.down_stall_seconds += b - start
-                    if self.stall_recorder is not None:
-                        self.stall_recorder(b - start)
-                    start = b
-            per_byte *= faults.degrade
-        gap = self._atomic_gap if atomic else self._gap
-        occupancy = nbytes * per_byte
-        if not occupancy > gap:  # max(gap, nbytes * per_byte)
-            occupancy = gap
-        nf[idx] = start + occupancy
-        self.bytes_carried += nbytes
-        self.messages_carried += 1
-        if self.wait_hist is not None:
-            self.wait_hist.observe(start - earliest)
-        if self.util_timeline is not None:
-            self.util_timeline.observe(start, occupancy)
-        return start, start + self._latency
 
     def hard_down_at(self, t: float) -> bool:
         """Is this channel inside a hard (element-failure) outage at ``t``?"""
@@ -150,13 +94,6 @@ class Channel:
             if t < a:
                 break
         return False
-
-    @property
-    def effective_G(self) -> float:
-        """Per-byte time including any permanent degradation factor."""
-        if self.faults is not None:
-            return self._G * self.faults.degrade
-        return self._G
 
     @property
     def utilization_until(self) -> float:
@@ -198,13 +135,11 @@ class Link:
         self._fwd.util_timeline = timeline
         self._rev.util_timeline = timeline
 
-    def set_faults(self, faults, stall_recorder=None) -> None:
+    def set_faults(self, faults) -> None:
         """Install :class:`repro.faults.LinkFaults` on both directions
         (``None`` restores the pristine fast path)."""
         self._fwd.faults = faults
         self._rev.faults = faults
-        self._fwd.stall_recorder = stall_recorder
-        self._rev.stall_recorder = stall_recorder
 
     def set_hard(self, windows) -> None:
         """Install merged hard-outage windows on both directions (a dead

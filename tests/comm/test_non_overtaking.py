@@ -8,6 +8,7 @@ jitter.  Each case reordered the receives before sends were sequenced.
 """
 
 import repro
+from repro import obs
 from repro.comm.job import Job
 from repro.faults import FaultPlan, inject
 
@@ -50,3 +51,13 @@ def test_a_jittered_flood_is_received_in_send_order():
     with inject(FaultPlan.uniform(jitter=8e-6, seed=3)):
         got = _received(machine, [64] * 32)
     assert got == list(range(32))
+
+
+def test_a_held_arrival_is_counted():
+    """The hold changes when a message matches, so it leaves a count."""
+    with obs.observe(obs.Obs()) as session:
+        with inject(FaultPlan.uniform(jitter=8e-6, seed=3)):
+            _received(repro.get_machine("perlmutter-cpu"), [64] * 32)
+    snap = session.snapshot()
+    assert snap["comm.two_sided.held"] > 0
+    assert snap["comm.two_sided.rendezvous"] == 0  # 64 B is eager

@@ -55,6 +55,23 @@ class TestSingleHop:
         with pytest.raises(ValueError):
             _fabric(sim).transfer("a", "b", -1)
 
+    @pytest.mark.parametrize("earliest", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_earliest_rejected_before_any_port(self, sim, earliest):
+        f = _fabric(sim, injection_bw=20e9)
+        ports = [f._injection["a"], f.link("a", "b").channel("a", "b")]
+        with pytest.raises(ValueError, match="earliest"):
+            f.transfer("a", "b", 1000, earliest=earliest)
+        assert [ch._next_free for ch in ports] == [[0.0], [0.0]]
+        assert [ch.messages_carried for ch in ports] == [0, 0]
+        assert f.total_messages == 0
+        assert f.transfer("a", "b", 1000).start == 0.0
+
+    @pytest.mark.parametrize("earliest", [-1.0, 0.0])
+    def test_past_earliest_means_now(self, sim, earliest):
+        f = _fabric(sim)
+        sim.run(until=f.transfer("a", "b", 10000).event)  # now = 2 us
+        assert f.transfer("a", "b", 10000, earliest=earliest).start == sim.now
+
 
 class TestMultiHop:
     def test_latencies_accumulate(self, sim):

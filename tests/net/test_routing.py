@@ -19,6 +19,17 @@ def _df_fabric(sim, routing=None):
     return Fabric(sim, dragonfly(4, 2, 1).topology, routing=routing)
 
 
+def _queue(fabric, hops, nbytes, count):
+    """Queue ``count`` ``nbytes`` messages issued at t=0 on each port of
+    ``hops``: each claims the earliest-free sub-channel for max(g, B*G)."""
+    for u, v in hops:
+        ch = fabric.link(u, v).channel(u, v)
+        nf = ch._next_free
+        for _ in range(count):
+            k = nf.index(min(nf))
+            nf[k] += max(ch._gap, nbytes * ch._G)
+
+
 def _arrivals(schedule):
     _fabric, deliveries = schedule
     return [d.arrival for d in deliveries]
@@ -101,10 +112,7 @@ class TestAdaptive:
         enough for some transfer to leave its minimal path."""
         f = _df_fabric(sim, routing=AdaptiveRouting(candidates=4))
         minimal = f.topology.route("g0r0", "g1r0")
-        for u, v in minimal.hops:
-            ch = f.link(u, v).channel(u, v)
-            for _ in range(50):
-                ch.reserve(262144, 0.0)  # ~10.5 us occupancy each
+        _queue(f, minimal.hops, 262144, 50)  # ~10.5 us occupancy each
         chosen = f.routing.route(f, "g0r0", "g1r0", 4096, 0.0)
         assert chosen.hops != minimal.hops
         assert chosen.nhops > minimal.nhops  # a real detour, freshly costed
@@ -120,10 +128,7 @@ class TestAdaptive:
     def test_detour_reports_per_path_parameters(self, sim):
         f = _df_fabric(sim, routing=AdaptiveRouting(candidates=4))
         minimal = f.topology.route("g0r0", "g1r0")
-        for u, v in minimal.hops:
-            ch = f.link(u, v).channel(u, v)
-            for _ in range(50):
-                ch.reserve(262144, 0.0)
+        _queue(f, minimal.hops, 262144, 50)
         chosen = f.routing.route(f, "g0r0", "g1r0", 4096, 0.0)
         # The fresh costing must equal route_via of the same hop sequence.
         path = [chosen.src] + [v for _u, v in chosen.hops]
@@ -149,10 +154,7 @@ class TestAdaptive:
         policy.route(first, "g0r0", "g1r0", 4096, 0.0)
         second = Fabric(Simulator(), fat_tree(4).topology, routing=policy)
         minimal = second.topology.route("pod0", "pod1")
-        for u, v in minimal.hops:
-            ch = second.link(u, v).channel(u, v)
-            for _ in range(50):
-                ch.reserve(262144, 0.0)
+        _queue(second, minimal.hops, 262144, 50)
         detours = [
             policy.route(second, "pod0", "pod1", 4096, 0.0).hops != minimal.hops
             for _ in range(8)  # the candidate draw varies per decision

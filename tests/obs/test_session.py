@@ -37,6 +37,18 @@ class TestAmbientPickup:
         # Tracing off by default even inside a session.
         assert isinstance(job.tracer, NullTracer)
 
+    def test_rendezvous_sends_are_counted(self, pm_cpu):
+        """Each send above the eager threshold takes the RTS/CTS path once;
+        an in-order flood holds no arrival."""
+        with obs.observe(obs.Obs()) as session:
+            job = Job(pm_cpu, 2, "two_sided", placement="spread")
+            nbytes = 4 * job.costs.eager_threshold
+            job.run(lambda ctx: _flood(ctx, nbytes=nbytes))
+        snap = session.snapshot()
+        assert snap["comm.two_sided.messages"] == 8
+        assert snap["comm.two_sided.rendezvous"] == 8
+        assert snap["comm.two_sided.held"] == 0
+
     def test_session_is_stacked_and_popped(self, pm_cpu):
         assert obs.current() is None
         with obs.observe() as outer:

@@ -9,8 +9,10 @@ next-free times per directed port and recomputes every term from
 fabric tells it only *which* path each transfer took (path selection is
 the routing tests' subject), and must then agree on ``(start, arrival)``
 bit for bit — across generator topologies, every routing policy, zero-byte
-and atomic messages, interleaved pairs and a node whose link has several
-sub-channels behind an injection port.
+and atomic messages, interleaved pairs, a node whose link has several
+sub-channels behind an injection port, and fault plans whose links have
+transient ``down`` windows and ``degrade`` factors (no loss, jitter or hard
+faults, so the walk stays deterministic).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan, LinkFaults
 from repro.net import AdaptiveRouting, Fabric, LinkParams, dragonfly, fat_tree, torus
 from repro.sim import Simulator
 
@@ -30,6 +33,8 @@ _LANES = LinkParams(
     latency=2e-7, bandwidth=12e9, gap=4e-8, channels=3, atomic_gap=2.5e-7, name="lanes"
 )
 _DMA = LinkParams(latency=1e-7, bandwidth=20e9, gap=3e-8, name="dma")
+# Outage windows a link may carry; overlapping ones chain (one forward pass).
+_WINDOWS = ((0.0, 2e-6), (1e-6, 5e-6), (4e-6, 3e-5), (2e-5, 6e-5))
 
 
 def _topology(kind: str):
@@ -43,10 +48,11 @@ def _topology(kind: str):
     return topo
 
 
-def _reference(topo, free, path, nbytes, atomic, now):
+def _reference(topo, free, path, nbytes, atomic, now, faulty=None):
     """``(start, arrival)`` of one message along ``path``, from link
     parameters alone; ``free`` maps a directed port to its sub-channels'
-    next-free times and is updated in place."""
+    next-free times and is updated in place, ``faulty`` maps an unordered
+    link to its ``(down windows, degrade)``."""
     if len(path) == 1:  # loopback: the endpoint's local copy engine
         p = topo.loopback
         per_byte = 1.0 / (p.bandwidth / p.channels)
@@ -58,17 +64,26 @@ def _reference(topo, free, path, nbytes, atomic, now):
     ports = list(links)
     if path[0] in topo.injection:
         ports.insert(0, (("inject", path[0]), topo.injection[path[0]]))
+    # The tail trails the head by one transmission on the slowest lane.
+    tail = 1.0 / min(p.bandwidth / p.channels for _, p in links)
     t, start = now, None
     for key, p in ports:
         lanes = free.setdefault(key, [0.0] * p.channels)
         k = lanes.index(min(lanes))  # earliest free; lowest index on ties
         begin = max(t, lanes[k])
+        per_byte = p.channels / p.bandwidth
+        down, degrade = (faulty or {}).get(frozenset(key), ((), None))
+        for a, b in sorted(down):  # the head waits out an outage, in order
+            if a <= begin < b:
+                begin = b
+        if degrade is not None:  # a degraded lane is slower for the tail too
+            per_byte *= degrade
+            tail = max(tail, per_byte)
         gap = p.atomic_gap if atomic and p.atomic_gap is not None else p.gap
-        lanes[k] = begin + max(gap, nbytes * (p.channels / p.bandwidth))
+        lanes[k] = begin + max(gap, nbytes * per_byte)
         start = begin if start is None else start
         t = begin + p.latency  # cut-through: the head moves on after L
-    # The tail trails the head by one transmission on the slowest lane.
-    return start, t + nbytes * (1.0 / min(p.bandwidth / p.channels for _, p in links))
+    return start, t + nbytes * tail
 
 
 @st.composite
@@ -91,22 +106,41 @@ def scenarios(draw):
             min_size=1, max_size=40,
         )
     )
-    return kind, routing, pairs, messages
+    faults = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 63),  # a link, modulo the topology's
+                st.lists(st.sampled_from(_WINDOWS), max_size=3, unique=True),
+                st.sampled_from((1.0, 1.5, 2.0, 3.0)),  # degrade
+            ),
+            max_size=6,
+        )
+    )
+    return kind, routing, pairs, messages, faults
 
 
 @settings(max_examples=120, deadline=None)
 @given(scenarios())
 def test_transfer_equals_reference_walk(scenario):
-    kind, routing, pairs, messages = scenario
+    kind, routing, pairs, messages, faults = scenario
     topo = _topology(kind)
-    fabric = Fabric(Simulator(), topo, routing=routing)
+    links = sorted(tuple(sorted(key)) for key in topo.links)
+    faulty = {}  # a later draw for a link replaces an earlier one
+    for i, down, degrade in faults:
+        if down or degrade != 1.0:
+            faulty[frozenset(links[i % len(links)])] = (tuple(down), degrade)
+    plan = FaultPlan(
+        links={tuple(key): LinkFaults(down=down, degrade=d) for key, (down, d) in faulty.items()}
+    )
+    injector = FaultInjector(plan) if faulty else None
+    fabric = Fabric(Simulator(), topo, routing=routing, faults=injector)
     free: dict = {}
     for pair, nbytes, atomic, earliest in messages:
         src, dst = pairs[pair]
         d = fabric.transfer(src, dst, nbytes, atomic=atomic, earliest=earliest)
         path = [d.route.src] + [v for _u, v in d.route.hops]
         assert (path[0], path[-1]) == (src, dst)
-        expect = _reference(topo, free, path, nbytes, atomic, earliest or 0.0)
+        expect = _reference(topo, free, path, nbytes, atomic, earliest or 0.0, faulty)
         assert (d.start, d.arrival) == expect
 
 

@@ -57,6 +57,15 @@ def _score(fabric, route, nbytes, now):
     return t + nbytes * (1.0 / route.message_bandwidth)
 
 
+def _occupy(fabric, u, v, nbytes, now):
+    """One ``nbytes`` message reaches port ``u -> v`` at ``now``: it claims
+    the earliest-free sub-channel for max(g, B*G)."""
+    channel = fabric.link(u, v).channel(u, v)
+    nf = channel._next_free
+    k = nf.index(min(nf))
+    nf[k] = max(now, nf[k]) + max(channel._gap, nbytes * channel._G)
+
+
 def _decide(fabric, seq, src, dst, nbytes, now, candidates, counts):
     """Decision number ``seq`` of ``fabric``; adds to ``counts``."""
     topo = fabric.topology
@@ -117,7 +126,7 @@ def _check(policy, kind, loads, down, dead, decisions):
     for i, forward, nbytes, count in loads:
         u, v = links[i % len(links)][:: 1 if forward else -1]
         for _ in range(count):
-            fabric.link(u, v).channel(u, v).reserve(nbytes, 0.0)
+            _occupy(fabric, u, v, nbytes, 0.0)
     expected = dict.fromkeys(fabric.routing_counts, 0)
     for seq, (s, d, nbytes, now) in enumerate(decisions, start=1):
         src, dst = routers[s % len(routers)], routers[d % len(routers)]
@@ -125,7 +134,7 @@ def _check(policy, kind, loads, down, dead, decisions):
         got = policy.route(fabric, src, dst, nbytes, now)
         assert got is want, (seq, src, dst)
         for u, v in got.hops:  # the message goes where it was sent
-            fabric.link(u, v).channel(u, v).reserve(nbytes, now)
+            _occupy(fabric, u, v, nbytes, now)
     assert fabric.routing_counts == expected
     return expected
 
