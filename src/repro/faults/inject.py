@@ -72,7 +72,7 @@ class FaultInjector:
         "hard_drops",
         "hard_drops_by_link",
         "attempts_hist",
-        "_seed_bytes",
+        "_keyed",
     )
 
     def __init__(self, plan: FaultPlan, semantics: FaultSemantics | None = None):
@@ -88,18 +88,16 @@ class FaultInjector:
         self.hard_drops = 0
         self.hard_drops_by_link: dict[str, int] = {}
         self.attempts_hist = None
-        self._seed_bytes = str(plan.seed).encode()
+        # The seed-keyed hash state, built once: a draw copies it.
+        self._keyed = hashlib.blake2b(digest_size=8, key=str(plan.seed).encode())
 
     # -- deterministic sampling ----------------------------------------
 
     def unit(self, link: str, tid: int, attempt: int, purpose: str) -> float:
         """A uniform draw in [0, 1): pure function of the arguments + seed."""
-        h = hashlib.blake2b(
-            f"{link}|{tid}|{attempt}|{purpose}".encode(),
-            digest_size=8,
-            key=self._seed_bytes,
-        ).digest()
-        return int.from_bytes(h, "little") / _TWO_64
+        h = self._keyed.copy()
+        h.update(f"{link}|{tid}|{attempt}|{purpose}".encode())
+        return int.from_bytes(h.digest(), "little") / _TWO_64
 
     def lost(self, lf, link: str, tid: int, attempt: int) -> bool:
         """Does traversal ``attempt`` of transfer ``tid`` drop on ``link``?"""

@@ -112,7 +112,7 @@ class Fabric:
         self.routing = get_routing(routing)
         self.cc = CongestionControl(congestion) if congestion is not None else None
         self._links: dict[frozenset[str], Link] = {
-            key: Link(sim, *sorted(key), params=params)
+            key: Link(*sorted(key), params=params)
             for key, params in topology.links.items()
         }
         # The one directed-hop table: every walker (transfer, the batch
@@ -123,15 +123,16 @@ class Fabric:
             for link in self._links.values()
             for u, v in ((link.a, link.b), (link.b, link.a))
         }
-        # route.hops -> that route's ports, resolved on first use.  Routes
-        # are memoised by the topology, so the key is almost always the
-        # identical tuple and a transfer pays one lookup, not one per hop.
-        self._walks: dict[tuple, tuple[tuple[Channel, Link], ...]] = {}
+        # route.hops -> (walk, ports) of that route (see _walk), resolved on
+        # first use.  Routes are memoised by the topology, so the key is
+        # almost always the identical tuple and a transfer or a UGAL score
+        # pays one lookup, not one per hop.
+        self._walks: dict[tuple, tuple[tuple, tuple]] = {}
         self._injection: dict[str, Channel] = {
-            ep: Channel(sim, params) for ep, params in topology.injection.items()
+            ep: Channel(params) for ep, params in topology.injection.items()
         }
         # Without a routing policy a pair's route never changes, so a
-        # transfer reads its route and ports (_ports_from) in one lookup.
+        # transfer reads its route and ports in one lookup.
         self._pairs: dict[tuple[str, str], tuple[Route, tuple]] = {}
         self._loopback_next_free: dict[str, float] = {}
         self.total_messages = 0
@@ -142,6 +143,10 @@ class Fabric:
         self.routing_counts = dict.fromkeys(
             ("decisions", "detours", "candidates_scored", "candidates_pruned"), 0
         )
+        # A pair's hash-key prefix -> blake2b state that has absorbed it: a
+        # candidate draw copies it and hashes only the decision number.
+        # Kept here, beside the counts, not in the topology's shared memo.
+        self._draws: dict = {}
         self.faults = faults
         # Failure-aware policies (FailoverRouting) ask for a fresh routing
         # decision per retry attempt and are told about every detected
@@ -205,22 +210,20 @@ class Fabric:
         except KeyError:
             raise KeyError(f"no link {a!r}<->{b!r} in fabric") from None
 
-    def _walk(self, route: Route) -> tuple[tuple[Channel, Link], ...]:
-        """The compiled walk of ``route``: its ``(Channel, Link)`` ports."""
-        walk = self._walks.get(route.hops)
-        if walk is None:
-            ports = self._ports
-            walk = self._walks[route.hops] = tuple(ports[hop] for hop in route.hops)
-        return walk
-
-    def _ports_from(self, src: str, route: Route) -> tuple:
-        """What a transfer from ``src`` walks: the source's injection port
-        (as ``(Channel, None)``) if it has one — the endpoint's copy/DMA
-        engine, which serialises all its outgoing traffic — then ``route``'s
-        walk."""
-        walk = self._walk(route)
-        inj = self._injection.get(src)
-        return walk if inj is None else ((inj, None),) + walk
+    def _walk(self, route: Route) -> tuple[tuple, tuple]:
+        """The compiled ``(walk, ports)`` of ``route``: its ``(Channel,
+        Link)`` hops, which UGAL scores, and what a transfer reserves — the
+        source's injection port (as ``(Channel, None)``) if it has one, the
+        endpoint's copy/DMA engine that serialises all its outgoing traffic,
+        then the walk."""
+        hops = route.hops
+        entry = self._walks.get(hops)
+        if entry is None:
+            walk = tuple(map(self._ports.__getitem__, hops))
+            inj = self._injection.get(hops[0][0]) if hops else None
+            ports = walk if inj is None else ((inj, None),) + walk
+            entry = self._walks[hops] = (walk, ports)
+        return entry
 
     def _install_faults(self, injector: "FaultInjector") -> None:
         """Attach per-link fault parameters; links the plan leaves clean
@@ -324,13 +327,14 @@ class Fabric:
             pair = self._pairs.get((src, dst))
             if pair is None:
                 route = self.topology.route(src, dst)
-                pair = self._pairs[src, dst] = (route, self._ports_from(src, route))
+                pair = self._pairs[src, dst] = (route, self._walk(route)[1])
             route, ports = pair
         else:
             # One routing decision per transfer: adaptive policies may pick
             # a different (freshly costed) path for the same pair over time.
+            # A route UGAL scored is compiled already: one lookup.
             route = routing.route(self, src, dst, nbytes, now)
-            ports = self._ports_from(src, route)
+            ports = (self._walks.get(route.hops) or self._walk(route))[1]
         faults = self.faults
         attempts = 1
         error: Exception | None = None
@@ -366,7 +370,7 @@ class Fabric:
                     if len(nf) == 1:
                         k = 0
                     else:
-                        k = min(range(len(nf)), key=nf.__getitem__)
+                        k = nf.index(min(nf))
                     free = nf[k]
                     begin = t if t >= free else free  # max(t, free)
                     per_byte = channel._G
@@ -490,7 +494,7 @@ class Fabric:
                         error = err
                         arrival = t_ready
                         break
-                    ports = self._ports_from(src, route)
+                    ports = self._walk(route)[1]
                 attempts += 1
         delay = arrival - clock
         if not 0 <= delay < inf:  # a past, nan or endless heap key
@@ -581,10 +585,7 @@ class TransferPlan:
         # Loopback (no ports): the device's local copy engine.
         self.occ = max(route.gap, nbytes * route.G)
         self.lat = route.latency
-        channels = [ch for ch, _link in fabric._walk(route)]
-        inj = fabric._injection.get(src)
-        if channels and inj is not None:
-            channels.insert(0, inj)
+        channels = [ch for ch, _link in fabric._walk(route)[1]]
         self.ports = [
             (
                 ch._next_free,
@@ -613,7 +614,7 @@ class TransferPlan:
                     start = t if t >= f else f  # max(earliest, next_free)
                     nf[0] = start + occ
                 else:
-                    idx = min(range(len(nf)), key=nf.__getitem__)
+                    idx = nf.index(min(nf))
                     f = nf[idx]
                     start = t if t >= f else f
                     nf[idx] = start + occ

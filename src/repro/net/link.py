@@ -16,12 +16,7 @@ stream behind the head).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.net.loggp import LinkParams
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
 
 __all__ = ["Link", "Channel"]
 
@@ -36,7 +31,6 @@ class Channel:
     """
 
     __slots__ = (
-        "sim",
         "params",
         "_G",
         "_gap",
@@ -52,8 +46,7 @@ class Channel:
         "down_stall_seconds",
     )
 
-    def __init__(self, sim: "Simulator", params: LinkParams):
-        self.sim = sim
+    def __init__(self, params: LinkParams):
         self.params = params
         # LinkParams is frozen: its LogGP constants are read once here, not
         # through two attribute hops and a property per reservation.
@@ -104,17 +97,19 @@ class Channel:
 class Link:
     """A bidirectional connection between two topology endpoints."""
 
-    __slots__ = ("sim", "a", "b", "params", "_fwd", "_rev")
+    __slots__ = ("a", "b", "name", "params", "_fwd", "_rev")
 
-    def __init__(self, sim: "Simulator", a: str, b: str, params: LinkParams):
+    def __init__(self, a: str, b: str, params: LinkParams):
         if a == b:
             raise ValueError(f"link endpoints must differ, got {a!r} twice")
-        self.sim = sim
         self.a = a
         self.b = b
+        lo, hi = sorted((a, b))
+        #: Canonical (sorted) link name used in fault draws and metrics.
+        self.name = f"{lo}<->{hi}"
         self.params = params
-        self._fwd = Channel(sim, params)
-        self._rev = Channel(sim, params)
+        self._fwd = Channel(params)
+        self._rev = Channel(params)
 
     def channel(self, src: str, dst: str) -> Channel:
         """The directional channel carrying traffic ``src -> dst``."""
@@ -151,12 +146,6 @@ class Link:
     def hard(self):
         """The link's hard-outage windows (both directions share them)."""
         return self._fwd.hard
-
-    @property
-    def name(self) -> str:
-        """Canonical (sorted) link name used in fault draws and metrics."""
-        lo, hi = sorted((self.a, self.b))
-        return f"{lo}<->{hi}"
 
     def stats(self) -> dict[str, float]:
         """Cumulative per-direction traffic counters."""

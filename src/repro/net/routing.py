@@ -95,14 +95,27 @@ class AdaptiveRouting:
         minimal, pool, prefix = entry
         counts = fabric.routing_counts
         seq = counts["decisions"] = counts["decisions"] + 1
-        if minimal.nhops == 0:
+        if minimal.nhops == 0 or not pool:
             return minimal
+        # The fabric's compiled walks; scoring a route compiles it, so the
+        # transfer that takes it finds its ports in the same table.
+        walks = fabric._walks
+        score_of = self._score
         best = minimal
-        best_score = self._score(fabric, minimal, nbytes, now)
+        walk = (walks.get(minimal.hops) or fabric._walk(minimal))[0]
+        best_score = score_of(walk, nbytes * minimal.G, now)
+        # The pair's prefix is hashed once per fabric; a draw hashes only
+        # "seq|i" on a copy (the same digest as hashing prefix + "seq|i").
+        draw = fabric._draws.get(prefix)
+        if draw is None:
+            draw = fabric._draws[prefix] = blake2b(prefix, digest_size=8)
+        npool = len(pool)
         picked: list[str] = []
-        for i in range(min(self.candidates, len(pool))):
-            h = blake2b(prefix + b"%d|%d" % (seq, i), digest_size=8).digest()
-            mid = pool[int.from_bytes(h, "big") % len(pool)]
+        scored = pruned = 0
+        for i in range(self.candidates if self.candidates < npool else npool):
+            h = draw.copy()
+            h.update(b"%d|%d" % (seq, i))
+            mid = pool[int.from_bytes(h.digest(), "big") % npool]
             if mid in picked:
                 continue
             picked.append(mid)
@@ -112,12 +125,15 @@ class AdaptiveRouting:
                 detour = memo[src, mid, dst] = self._detour(topo, src, mid, dst)
             if detour is None:
                 continue
-            counts["candidates_scored"] += 1
-            score = self._score(fabric, detour, nbytes, now, best_score)
+            scored += 1
+            walk = (walks.get(detour.hops) or fabric._walk(detour))[0]
+            score = score_of(walk, nbytes * detour.G, now, best_score)
             if score < best_score:
                 best, best_score = detour, score
             elif score == inf:  # the walk was abandoned: it could not win
-                counts["candidates_pruned"] += 1
+                pruned += 1
+        counts["candidates_scored"] += scored
+        counts["candidates_pruned"] += pruned
         if best is not minimal:
             counts["detours"] += 1
         return best
@@ -143,10 +159,10 @@ class AdaptiveRouting:
         return topo.route_via(path) if len(set(path)) == len(path) else None
 
     @staticmethod
-    def _score(
-        fabric: "Fabric", route: Route, nbytes: float, now: float, bound: float = inf
-    ) -> float:
-        """Estimated tail-arrival time of ``nbytes`` along ``route``.
+    def _score(walk: tuple, tail: float, now: float, bound: float = inf) -> float:
+        """Estimated tail-arrival time along a route's compiled ``walk``
+        (:meth:`Fabric._walk`) of a message whose tail serialisation
+        ``nbytes * route.G`` is ``tail``.
 
         The estimate walks the hops the same way a reservation would:
         a head arriving inside a transient ``down`` window waits it out,
@@ -161,9 +177,7 @@ class AdaptiveRouting:
         ``>= t + tail >= bound`` too.
         """
         t = now
-        tail = nbytes * route.G
-        walk = fabric._walks.get(route.hops) or fabric._walk(route)
-        for channel, _link in walk:  # the ports transfer() walks
+        for channel, _link in walk:  # the hops transfer() walks
             nf = channel._next_free
             free = nf[0] if len(nf) == 1 else min(nf)
             if free > t:

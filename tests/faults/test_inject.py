@@ -1,5 +1,7 @@
 """FaultInjector sampling determinism + the ambient inject() scope."""
 
+import hashlib
+
 import pytest
 
 from repro import faults
@@ -29,6 +31,22 @@ class TestSampling:
         draws_a = [a.unit("x<->y", t, 0, "loss") for t in range(50)]
         draws_b = [b.unit("x<->y", t, 0, "loss") for t in range(50)]
         assert draws_a != draws_b
+
+    @pytest.mark.parametrize("seed", [0, 7, 20230])
+    def test_unit_is_the_keyed_one_shot_hash(self, seed):
+        """A draw is blake2b-8 of "link|tid|attempt|purpose" keyed by the
+        seed's decimal string, little-endian over 2**64 — however the
+        injector arrives at that digest."""
+        inj = _inj(seed)
+        key = str(seed).encode()
+        for link in ("a<->b", "g0r0<->g1r1", "n3.gpu0<->n3.sw"):
+            for tid in (0, 1, 9, 10, 99, 123456):
+                for attempt in range(4):
+                    for purpose in ("loss", "jitter"):
+                        data = f"{link}|{tid}|{attempt}|{purpose}".encode()
+                        h = hashlib.blake2b(data, digest_size=8, key=key).digest()
+                        want = int.from_bytes(h, "little") / float(2**64)
+                        assert inj.unit(link, tid, attempt, purpose) == want
 
     def test_draws_independent_of_link_and_purpose(self):
         inj = _inj()

@@ -93,14 +93,14 @@ class TestLink:
         start = f.transfer("b", "a", 1000).start
         assert start == 0.0
 
-    def test_unknown_direction_rejected(self, sim):
-        link = Link(sim, "a", "b", LinkParams(latency=0.0, bandwidth=1e9))
+    def test_unknown_direction_rejected(self):
+        link = Link("a", "b", LinkParams(latency=0.0, bandwidth=1e9))
         with pytest.raises(KeyError):
             link.channel("a", "c")
 
-    def test_self_link_rejected(self, sim):
+    def test_self_link_rejected(self):
         with pytest.raises(ValueError):
-            Link(sim, "a", "a", LinkParams(latency=0.0, bandwidth=1e9))
+            Link("a", "a", LinkParams(latency=0.0, bandwidth=1e9))
 
     def test_stats_per_direction(self, sim):
         f, _ch = _one_link(sim, latency=0.0, bandwidth=1e9)

@@ -1,5 +1,8 @@
 """Routing policies: minimal byte-identity, adaptive detours, determinism."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net import (
@@ -101,7 +104,7 @@ class TestAdaptive:
         for src, dst in [("g0r0", "g0r1"), ("g0r0", "g1r1"), ("g3r1", "g1r0")]:
             f = _df_fabric(Simulator(), routing="adaptive")
             route = f.topology.route(src, dst)
-            score = f.routing._score(f, route, nbytes, 0.0)
+            score = f.routing._score(f._walk(route)[0], nbytes * route.G, 0.0)
             delivery = f.transfer(src, dst, nbytes)
             assert delivery.route is route
             assert score == delivery.arrival
@@ -207,6 +210,27 @@ class TestAdaptive:
         assert failover.dead and memo["g0r0", "g1r1"] is kept
         topo.invalidate_routes()
         assert pool() == kept[1] and memo["g0r0", "g1r1"] == kept
+
+    def test_decision_memo_is_plain_data(self):
+        """After an adaptive run the topology pickles and deep-copies (a
+        sweep worker may be handed it), and each memo entry is exactly what
+        a rebuild computes: the per-fabric draw state is not in it."""
+        topo = dragonfly(3, 2, 1).topology
+        fabric = Fabric(Simulator(), topo, routing=AdaptiveRouting(candidates=4))
+        routers = topo.endpoints
+        for i in range(300):
+            src, dst = routers[i % len(routers)], routers[(5 * i + 1) % len(routers)]
+            fabric.transfer(src, dst, (64, 4096, 1 << 20)[i % 3])
+        memo = topo._decision_memo
+        assert fabric.routing_counts["candidates_scored"] > 0
+        assert any(len(key) == 3 for key in memo)
+        for key, entry in memo.items():
+            if len(key) == 2:
+                assert entry == AdaptiveRouting._pair(topo, *key)
+            else:
+                assert entry == AdaptiveRouting._detour(topo, *key)
+        for clone in (pickle.loads(pickle.dumps(topo)), copy.deepcopy(topo)):
+            assert clone._decision_memo == memo
 
     def test_deterministic_replay(self, loaded_schedule):
         """Same transfer sequence, fresh fabrics: bit-identical schedules."""
@@ -315,8 +339,9 @@ class TestAdaptiveWithDownWindows:
     def test_score_waits_out_downtime(self):
         f = self._down_fabric(AdaptiveRouting(candidates=4), ((0.0, 50e-6),))
         route = f.topology.route("g0r0", "g1r0")
-        inside = f.routing._score(f, route, 4096, 1e-6)
-        outside = f.routing._score(f, route, 4096, 60e-6)
+        walk, tail = f._walk(route)[0], 4096 * route.G
+        inside = f.routing._score(walk, tail, 1e-6)
+        outside = f.routing._score(walk, tail, 60e-6)
         assert inside >= 50e-6  # the head cannot leave before the window ends
         assert outside - 60e-6 < inside - 1e-6  # less residual cost after it
 

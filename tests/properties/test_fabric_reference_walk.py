@@ -160,7 +160,7 @@ def test_ugal_score_is_the_arrival_on_an_idle_fabric(kind, data, nbytes):
     dst = data.draw(st.sampled_from([e for e in topo.endpoints if e != src]))
     fabric = Fabric(Simulator(), topo, routing="adaptive")
     route = topo.route(src, dst)
-    score = AdaptiveRouting._score(fabric, route, nbytes, 0.0)
+    score = AdaptiveRouting._score(fabric._walk(route)[0], nbytes * route.G, 0.0)
     delivery = fabric.transfer(src, dst, nbytes)
     assert delivery.route is route  # idle: minimal wins every tie
     assert score == delivery.arrival == _reference(

@@ -199,9 +199,9 @@ def _mutant(gives_up):
 
     class Mutant(AdaptiveRouting):
         @staticmethod
-        def _score(fabric, route, nbytes, now, bound=inf):
-            t, tail = now, nbytes * route.G
-            for channel, _link in fabric._walk(route):
+        def _score(walk, tail, now, bound=inf):
+            t = now
+            for channel, _link in walk:
                 t = max(t, channel.utilization_until) + channel._latency
                 if gives_up(t, tail, bound):
                     return inf
