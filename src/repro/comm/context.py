@@ -157,10 +157,11 @@ class RankContext:
         copy = nbytes * self.costs.copy_per_byte
         if copy <= 0:
             return 0.0
-        start = max(self.sim.now, self._copy_next_free)
-        finish = start + copy
+        now = self.sim.now
+        free = self._copy_next_free
+        finish = (free if free > now else now) + copy  # max(now, free) + copy
         self._copy_next_free = finish
-        return finish - self.sim.now
+        return finish - now
 
     def _recv_delay(self, msg: Message) -> float:
         return self.costs.recv_match + self.charge_copy(msg.nbytes)

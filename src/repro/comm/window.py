@@ -95,7 +95,8 @@ class _AtomicOp(WaitList, InFlight):
         if stage == 0 and self.error is None:
             # Atomics serialise at the target's atomic unit.
             now = ctx.sim._now
-            finish = max(now, win._atomic_next_free[target]) + ctx.costs.atomic_apply
+            free = win._atomic_next_free[target]
+            finish = (free if free > now else now) + ctx.costs.atomic_apply
             win._atomic_next_free[target] = finish
             self.stage = 1
             ctx.sim._schedule(self, finish - now)

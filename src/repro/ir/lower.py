@@ -114,22 +114,25 @@ def run_program(machine, program: IRProgram, *, placement: str = "spread") -> IR
     ``program``.
 
     A non-clean ambient fault plan forces the empty pipeline regardless
-    (noted in the report): loss/jitter draws are per-message, so rewrites
-    that change message counts would change the fault stream (the same
-    reason a fabric under faults is not ``Fabric.replayable``).
+    (noted in the report, counted as ``ir.pipeline.forced_empty``):
+    loss/jitter draws are per-message, so rewrites that change message
+    counts would change the fault stream (the same reason a fabric under
+    faults is not ``Fabric.replayable``).
     """
     from repro import obs
     from repro.faults.inject import current_plan
     from repro.ir.cost import program_cost
 
+    session = obs.current()
     pipe = current_pipeline()
     notes: list[str] = []
     plan = current_plan()
     if pipe.enabled and plan is not None and not plan.clean:
         notes.append("faults active: scalar/no-elide pipeline forced")
         pipe = PassPipeline()
+        if session is not None:
+            session.metrics.counter("ir.pipeline.forced_empty").inc()
 
-    session = obs.current()
     rewrites = ()
     before = after = None
     if pipe.enabled:

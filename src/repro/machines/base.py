@@ -267,12 +267,14 @@ class MachineModel:
             bw = self.gpu.mem_bandwidth
             rate = self.gpu.flop_rate
         else:
-            bw = min(
-                self.mem_bandwidth_per_core,
-                self.mem_bandwidth_per_endpoint / sharing,
-            )
+            bw = self.mem_bandwidth_per_core
+            shared = self.mem_bandwidth_per_endpoint / sharing
+            if shared < bw:  # min(per core, per endpoint / sharing)
+                bw = shared
             rate = self.flop_rate_per_core
-        return max(nbytes / bw, flops / rate if rate > 0 else 0.0)
+        memory = nbytes / bw
+        arithmetic = flops / rate if rate > 0 else 0.0
+        return arithmetic if arithmetic > memory else memory  # max(memory, arithmetic)
 
     def describe(self) -> str:
         """Multi-line description used by the Table I bench."""

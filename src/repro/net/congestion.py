@@ -99,9 +99,11 @@ class CongestionControl:
             self.marks += 1
             if self.m_marks is not None:
                 self.m_marks.inc()
-            self._rate[src] = max(cfg.min_rate, r * cfg.decrease)
+            r *= cfg.decrease
+            self._rate[src] = r if r > cfg.min_rate else cfg.min_rate  # max(min_rate, r)
         elif r < 1.0:
-            self._rate[src] = min(1.0, r + cfg.recover)
+            r += cfg.recover
+            self._rate[src] = r if r < 1.0 else 1.0  # min(1.0, r)
         return marked
 
     def stats(self) -> dict[str, float]:

@@ -125,8 +125,8 @@ class Fabric:
         }
         # route.hops -> (walk, ports) of that route (see _walk), resolved on
         # first use.  Routes are memoised by the topology, so the key is
-        # almost always the identical tuple and a transfer or a UGAL score
-        # pays one lookup, not one per hop.
+        # almost always the identical tuple and a walker pays one lookup,
+        # not one per hop.
         self._walks: dict[tuple, tuple[tuple, tuple]] = {}
         self._injection: dict[str, Channel] = {
             ep: Channel(params) for ep, params in topology.injection.items()
@@ -143,16 +143,20 @@ class Fabric:
         self.routing_counts = dict.fromkeys(
             ("decisions", "detours", "candidates_scored", "candidates_pruned"), 0
         )
-        # A pair's hash-key prefix -> blake2b state that has absorbed it: a
-        # candidate draw copies it and hashes only the decision number.
-        # Kept here, beside the counts, not in the topology's shared memo.
-        self._draws: dict = {}
+        # (src, dst) -> an adaptive policy's decision entry for the pair
+        # (AdaptiveRouting._entry): compiled walks and ports, the candidate
+        # pool and the prepared draw state.  Kept here, beside the counts,
+        # not in the topology's shared memo.
+        self._decisions: dict[tuple[str, str], tuple] = {}
         self.faults = faults
         # Failure-aware policies (FailoverRouting) ask for a fresh routing
         # decision per retry attempt and are told about every detected
         # drop; static policies keep the fixed-route retry loop.
         self._reroutes: bool = getattr(self.routing, "reroutes", False)
         self._on_drop = getattr(self.routing, "on_drop", None)
+        # A policy that hands back the winner's ports with its route
+        # (AdaptiveRouting.decide) spares the transfer its walk lookup.
+        self._decide = getattr(self.routing, "decide", None)
         #: Why homogeneous batches may not be replayed through :meth:`plan`
         #: (None: they may).  Replay needs every transfer to be a pure
         #: function of port state: fault draws are per message, congestion
@@ -215,7 +219,7 @@ class Fabric:
         Link)`` hops, which UGAL scores, and what a transfer reserves — the
         source's injection port (as ``(Channel, None)``) if it has one, the
         endpoint's copy/DMA engine that serialises all its outgoing traffic,
-        then the walk."""
+        then the walk.  One walk-table lookup; a miss compiles and stores."""
         hops = route.hops
         entry = self._walks.get(hops)
         if entry is None:
@@ -319,7 +323,7 @@ class Fabric:
         if earliest is None:
             now = clock
         elif -inf < earliest < inf:
-            now = max(earliest, clock)  # a past earliest means now
+            now = clock if clock > earliest else earliest  # a past earliest means now
         else:
             raise ValueError(f"earliest must be finite, got {earliest}")
         routing = self.routing
@@ -329,12 +333,14 @@ class Fabric:
                 route = self.topology.route(src, dst)
                 pair = self._pairs[src, dst] = (route, self._walk(route)[1])
             route, ports = pair
-        else:
+        elif self._decide is not None:
             # One routing decision per transfer: adaptive policies may pick
-            # a different (freshly costed) path for the same pair over time.
-            # A route UGAL scored is compiled already: one lookup.
+            # a different (freshly costed) path for the same pair over time,
+            # and hand back the winner's ports with it.
+            route, ports = self._decide(self, src, dst, nbytes, now)
+        else:
             route = routing.route(self, src, dst, nbytes, now)
-            ports = (self._walks.get(route.hops) or self._walk(route))[1]
+            ports = self._walk(route)[1]
         faults = self.faults
         attempts = 1
         error: Exception | None = None
@@ -342,8 +348,10 @@ class Fabric:
             # Loopback: serialised on the device's local copy engine.
             # Never traverses a link, so fault plans do not apply.
             free = self._loopback_next_free.get(src, 0.0)
-            start = max(now, free)
-            occupancy = max(route.gap, nbytes * route.G)
+            start = free if free > now else now  # max(now, free)
+            occupancy = nbytes * route.G
+            if not occupancy > route.gap:  # max(gap, nbytes * G)
+                occupancy = route.gap
             self._loopback_next_free[src] = start + occupancy
             arrival = start + route.latency + nbytes * route.G
         else:
@@ -416,7 +424,8 @@ class Fabric:
                         if lf is not None:
                             name = link.name
                             t += faults.jitter(lf, name, tid, attempts - 1)
-                            tail_G = max(tail_G, per_byte)
+                            if per_byte > tail_G:  # max(tail_G, per_byte)
+                                tail_G = per_byte
                             if faults.lost(lf, name, tid, attempts - 1):
                                 # Dropped on this hop: upstream capacity was
                                 # spent, downstream hops never see the message.

@@ -12,7 +12,8 @@ for the same (src, dst) pair over time:
   candidates, estimating each path's head-arrival time from the current
   per-channel queue state, and take the cheapest (minimal wins ties).  The
   decision is a pure function of the simulation clock and link state, so
-  same-seed runs replay bit-identically.
+  same-seed runs replay bit-identically.  The fabric calls its
+  :meth:`~AdaptiveRouting.decide`, which hands back the route's ports too.
 
 Each non-minimal path is costed by :meth:`TopologySpec.route_via`
 (memoised per path) — bottleneck latency/``G`` come from the hops actually
@@ -85,34 +86,33 @@ class AdaptiveRouting:
     def route(
         self, fabric: "Fabric", src: str, dst: str, nbytes: float, now: float
     ) -> Route:
-        # What depends only on the pair, or on (pair, intermediate), comes
-        # from the topology's memo; the message pays for draws and scores.
-        topo = fabric.topology
-        memo = topo._decision_memo
-        entry = memo.get((src, dst))
+        return self.decide(fabric, src, dst, nbytes, now)[0]
+
+    def decide(
+        self, fabric: "Fabric", src: str, dst: str, nbytes: float, now: float
+    ) -> tuple[Route, tuple]:
+        """:meth:`route`'s decision with the winner's compiled ports (what
+        :meth:`Fabric.send` reserves), read from the fabric's pair entry."""
+        # What depends only on the pair, or on (pair, intermediate), is
+        # resolved once per fabric (see _entry); the message pays for draws
+        # and scores.
+        decisions = fabric._decisions
+        entry = decisions.get((src, dst))
         if entry is None:  # an unknown endpoint raises here, before any count
-            entry = memo[src, dst] = self._pair(topo, src, dst)
-        minimal, pool, prefix = entry
+            entry = decisions[src, dst] = self._entry(fabric, src, dst)
+        minimal, walk, ports, pool, npool, draw, mids = entry
         counts = fabric.routing_counts
         seq = counts["decisions"] = counts["decisions"] + 1
-        if minimal.nhops == 0 or not pool:
-            return minimal
-        # The fabric's compiled walks; scoring a route compiles it, so the
-        # transfer that takes it finds its ports in the same table.
-        walks = fabric._walks
+        if not npool:
+            return minimal, ports
         score_of = self._score
-        best = minimal
-        walk = (walks.get(minimal.hops) or fabric._walk(minimal))[0]
+        best, best_ports = minimal, ports
         best_score = score_of(walk, nbytes * minimal.G, now)
-        # The pair's prefix is hashed once per fabric; a draw hashes only
-        # "seq|i" on a copy (the same digest as hashing prefix + "seq|i").
-        draw = fabric._draws.get(prefix)
-        if draw is None:
-            draw = fabric._draws[prefix] = blake2b(prefix, digest_size=8)
-        npool = len(pool)
         picked: list[str] = []
         scored = pruned = 0
         for i in range(self.candidates if self.candidates < npool else npool):
+            # A copy of the pair's prepared state hashes only "seq|i": the
+            # digest of hashing prefix + "seq|i" in one go.
             h = draw.copy()
             h.update(b"%d|%d" % (seq, i))
             mid = pool[int.from_bytes(h.digest(), "big") % npool]
@@ -120,23 +120,52 @@ class AdaptiveRouting:
                 continue
             picked.append(mid)
             try:
-                detour = memo[src, mid, dst]
+                via = mids[mid]
             except KeyError:
-                detour = memo[src, mid, dst] = self._detour(topo, src, mid, dst)
-            if detour is None:
+                via = mids[mid] = self._via(fabric, src, mid, dst)
+            if via is None:
                 continue
+            detour, detour_walk, detour_ports = via
             scored += 1
-            walk = (walks.get(detour.hops) or fabric._walk(detour))[0]
-            score = score_of(walk, nbytes * detour.G, now, best_score)
+            score = score_of(detour_walk, nbytes * detour.G, now, best_score)
             if score < best_score:
-                best, best_score = detour, score
+                best, best_ports, best_score = detour, detour_ports, score
             elif score == inf:  # the walk was abandoned: it could not win
                 pruned += 1
         counts["candidates_scored"] += scored
         counts["candidates_pruned"] += pruned
         if best is not minimal:
             counts["detours"] += 1
-        return best
+        return best, best_ports
+
+    def _entry(self, fabric: "Fabric", src: str, dst: str) -> tuple:
+        """A pair's decision entry on ``fabric``: ``(minimal, walk, ports,
+        pool, npool, draw, mids)`` — the minimal route compiled, the
+        candidate pool and its length (0 when there is nothing to decide:
+        loopback or no intermediate), the ``blake2b`` state that has
+        absorbed the pair's hash-key prefix, and the table ``mid -> (detour,
+        walk, ports)`` (``None``: no usable detour) that :meth:`_via` fills."""
+        memo = fabric.topology._decision_memo
+        pair = memo.get((src, dst))
+        if pair is None:
+            pair = memo[src, dst] = self._pair(fabric.topology, src, dst)
+        minimal, pool, prefix = pair
+        npool = len(pool) if minimal.nhops else 0
+        draw = blake2b(prefix, digest_size=8) if npool else None
+        walk, ports = fabric._walk(minimal)
+        return minimal, walk, ports, pool, npool, draw, {}
+
+    def _via(self, fabric: "Fabric", src: str, mid: str, dst: str) -> tuple | None:
+        """``(detour, walk, ports)`` of the Valiant path through ``mid``,
+        costed once per topology (its memo) and compiled once per fabric."""
+        memo = fabric.topology._decision_memo
+        try:
+            detour = memo[src, mid, dst]
+        except KeyError:
+            detour = memo[src, mid, dst] = self._detour(fabric.topology, src, mid, dst)
+        if detour is None:
+            return None
+        return (detour, *fabric._walk(detour))
 
     @staticmethod
     def _pair(topo, src: str, dst: str) -> tuple[Route, list[str], bytes]:

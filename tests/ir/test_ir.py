@@ -327,6 +327,20 @@ class TestObsIntegration:
         assert any(k.startswith("ir.ops.") and k != "ir.ops.lowered"
                    for k in snap)
 
+    def test_a_fault_plan_forcing_the_empty_pipeline_is_counted(self):
+        """The path choice a fault plan makes for the IR leaves a count, not
+        only a report note; a clean flood under the same session leaves none."""
+        from repro import Session
+        from repro.faults import FaultPlan
+
+        with Session(obs=True, passes=True,
+                     faults=FaultPlan.uniform(loss=0.01, seed=1)) as s:
+            run_flood(M, "one_sided", 4096, 64, iters=2)
+        assert s.obs.snapshot()["ir.pipeline.forced_empty"] >= 1
+        with Session(obs=True, passes=True) as s:
+            run_flood(M, "one_sided", 4096, 64, iters=2)
+        assert s.obs.snapshot().get("ir.pipeline.forced_empty", 0) == 0
+
     @pytest.mark.parametrize("run, expected", [
         (
             lambda rt: run_sptrsv(

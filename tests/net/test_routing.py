@@ -1,7 +1,10 @@
 """Routing policies: minimal byte-identity, adaptive detours, determinism."""
 
 import copy
+import gc
 import pickle
+import sys
+from collections import Counter
 
 import pytest
 
@@ -273,7 +276,10 @@ class TestAdaptive:
             f = _df_fabric(Simulator(), routing=policy)
             out = []
             for _ in range(n):
-                f.topology._decision_memo.clear()  # every pick is looked up anew
+                # Every pick is looked up anew: in the topology's memo and in
+                # the fabric's per-pair entry that caches what it found there.
+                f.topology._decision_memo.clear()
+                f._decisions.clear()
                 del drawn[:]
                 policy.route(f, "g0r0", "g1r0", 4096, 0.0)
                 out.append(list(drawn))
@@ -303,6 +309,89 @@ class TestAdaptive:
         first = run(p)
         assert run(p) == first
         assert run(AdaptiveRouting(2)) == first
+
+
+def _calls(fn):
+    """Python and C calls made under ``fn()``, by function name, as
+    ``sys.setprofile`` reports them (the same on CPython 3.11 and 3.12)."""
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen[frame.f_code.co_name] += 1
+        elif event == "c_call" and arg is not sys.setprofile:
+            seen[arg.__name__] += 1
+
+    gc.disable()  # no collection, and no finaliser, inside the count
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    del seen[fn.__name__]
+    return seen
+
+
+class TestCallBudget:
+    """What a steady-state adaptive decision and a routed transfer cost, in
+    calls: every pair entry and detour of the fabric is built, so a decision
+    is one pair-entry lookup, its draws (``copy`` / ``update`` / ``digest``
+    / ``from_bytes``) and its scores, and a transfer takes the winner's
+    ports from the decision, with no walk-table lookup.  The counts repeat
+    exactly; a change that moves them moves this budget on purpose."""
+
+    def _warm(self):
+        f = Fabric(
+            Simulator(), dragonfly(4, 2, 1).topology,
+            routing=AdaptiveRouting(2), congestion=CongestionConfig(),
+        )
+        routers = f.topology.endpoints
+        traffic = [
+            (routers[i % len(routers)], routers[(3 * i + 1) % len(routers)],
+             (64, 4096, 65536)[i % 3])
+            for i in range(24)
+        ]
+        for _ in range(20):  # builds every pair entry and detour it meets
+            for src, dst, nbytes in traffic:
+                f.transfer(src, dst, nbytes)
+        return f, traffic
+
+    def test_a_decision(self):
+        f, traffic = self._warm()
+
+        def decisions():
+            for src, dst, nbytes in traffic:
+                f.routing.route(f, src, dst, nbytes, 0.0)
+
+        assert _calls(decisions) == {
+            "route": 24, "decide": 24,
+            "get": 24,  # the pair entry; a detour is a subscript of its table
+            "copy": 48, "update": 48, "digest": 48, "from_bytes": 48,  # 2 draws
+            "append": 44,  # intermediates picked
+            "_score": 34, "len": 58,  # scores, hops walked by them
+        }
+        assert f.routing_counts == {
+            "decisions": 504, "detours": 13,
+            "candidates_scored": 264, "candidates_pruned": 249,
+        }
+
+    def test_a_routed_transfer(self):
+        f, traffic = self._warm()
+
+        def transfers():
+            for src, dst, nbytes in traffic:
+                f.transfer(src, dst, nbytes)
+
+        assert _calls(transfers) == {
+            "transfer": 24, "__new__": 24, "send": 24, "__init__": 24,
+            "decide": 24,  # route and ports in one call
+            "get": 72,  # the pair entry, and the source's rate twice (cc)
+            "copy": 48, "update": 48, "digest": 48, "from_bytes": 48,
+            "append": 44, "_score": 34,
+            "len": 90,  # hops scored, and ports reserved
+            "injection_delay": 24, "observe": 24, "heappush": 24,
+        }
 
 
 class TestAdaptiveWithDownWindows:

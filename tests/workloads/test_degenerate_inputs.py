@@ -17,7 +17,7 @@ import pytest
 from repro import Session, ir
 from repro.cluster import Cluster, RecoveryConfig, run_recoverable_training
 from repro.cluster.scheduler import place_ranks
-from repro.collectives import CollectiveError
+from repro.collectives import CollectiveError, run_collective
 from repro.comm.job import Job
 from repro.faults import FaultPlan, RetransmitPolicy
 from repro.machines import (
@@ -335,6 +335,44 @@ CASES = {
     "ring-capacity-fraction": (
         lambda: RingBufferSink(2.5), V, r"ring capacity must be an integer >= 1, got 2\.5",
     ),
+    # P = 0: every runner that takes a rank count refuses an empty job by
+    # name before building anything.
+    "flood-nranks-zero": (
+        lambda: run_flood(CPU(), "one_sided", 64, 4, nranks=0),
+        V, r"flood nranks must be an integer >= 2, got 0",
+    ),
+    "cas-nranks-zero": (
+        lambda: run_cas_flood(CPU(), "one_sided", nranks=0),
+        V, r"cas flood nranks must be an integer >= 2, got 0",
+    ),
+    "hashtable-nranks-zero": (
+        lambda: run_hashtable(CPU(), "one_sided", HashTableConfig(total_inserts=64), 0),
+        V, r"nranks must be an integer >= 1, got 0",
+    ),
+    "stencil-nranks-zero": (
+        lambda: run_stencil(CPU(), "one_sided", StencilConfig(nx=16, ny=16), 0),
+        V, r"stencil nranks must be an integer >= 1, got 0",
+    ),
+    "training-nranks-zero": (
+        lambda: run_training_step(GPU(), "shmem", nranks=0, grad_bytes=1024.0),
+        C, r"nranks must be an integer >= 1, got 0",
+    ),
+    "collective-nranks-zero": (
+        lambda: run_collective(GPU(), "shmem", "allreduce", nranks=0, nelems=64),
+        C, r"nranks must be an integer >= 1, got 0",
+    ),
+    "moe-nranks-zero": (
+        lambda: run_moe_dispatch(GPU(), "shmem", nranks=0),
+        C, r"moe nranks must be an integer >= 1, got 0",
+    ),
+    "kv-nranks-zero": (
+        lambda: run_kv_transfer(GPU(), "shmem", nranks=0),
+        C, r"kv_transfer nranks \(a prefill rank and >= 1 replica\) must be an "
+        r"integer >= 2, got 0",
+    ),
+    "job-nranks-zero": (
+        lambda: Job(CPU(), 0, "two_sided"), V, r"nranks must be an integer >= 1, got 0",
+    ),
     # A slice-index TypeError, or (nan) a budget no event count reaches.
     "place_ranks-nranks-nan": (
         lambda: place_ranks(get_machine(DRAGONFLY), NAN, "packed"),
@@ -390,3 +428,11 @@ def test_degenerate_count_names_the_argument(case):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert type(raised.value) is error
+
+
+def test_a_one_rank_allreduce_moves_no_message():
+    """P = 1, the reference row beside the P = 0 refusals: a correct answer,
+    not an error, and nothing on the wire."""
+    result = run_collective(GPU(), "shmem", "allreduce", nranks=1, nelems=64)
+    assert result.nranks == 1
+    assert result.stats.messages == 0 and result.stats.bytes_moved == 0.0
