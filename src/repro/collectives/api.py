@@ -88,6 +88,7 @@ def run_collective(
     per-rank mapping (``values[rank]`` or a callable) of local inputs,
     returned reduced/gathered in ``result.results``.
     """
+    check_count("collective nranks", nranks, 1, CollectiveError)
     nelems = _words(coll, nelems, nbytes)
     iters = check_count("iters", iters, 1, CollectiveError)
     plan, selection = plan_collective(

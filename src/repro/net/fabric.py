@@ -19,8 +19,8 @@ reservation; outage stalls, degradation, loss/jitter/hard-down draws and
 retransmission are per-hop steps taken only under a fault plan.
 :class:`TransferPlan` (from :meth:`Fabric.plan`) replays the same walk for a
 homogeneous batch on a fabric that is :attr:`Fabric.replayable`.  Both, and
-UGAL scoring in :mod:`repro.net.routing`, walk a route's ports as resolved
-once per distinct path by :meth:`Fabric._walk`.
+UGAL scoring in :mod:`repro.net.routing`, walk a route's ports as compiled
+by :meth:`Fabric._walk` into the fabric's one entry per ``(src, dst)`` pair.
 """
 
 from __future__ import annotations
@@ -123,17 +123,13 @@ class Fabric:
             for link in self._links.values()
             for u, v in ((link.a, link.b), (link.b, link.a))
         }
-        # route.hops -> (walk, ports) of that route (see _walk), resolved on
-        # first use.  Routes are memoised by the topology, so the key is
-        # almost always the identical tuple and a walker pays one lookup,
-        # not one per hop.
-        self._walks: dict[tuple, tuple[tuple, tuple]] = {}
         self._injection: dict[str, Channel] = {
             ep: Channel(params) for ep, params in topology.injection.items()
         }
-        # Without a routing policy a pair's route never changes, so a
-        # transfer reads its route and ports in one lookup.
-        self._pairs: dict[tuple[str, str], tuple[Route, tuple]] = {}
+        # (src, dst) -> what a transfer of the pair reads in one lookup:
+        # (route, ports) without a routing policy (the route never changes),
+        # an adaptive policy's decision entry (AdaptiveRouting._entry).
+        self._pairs: dict[tuple[str, str], tuple] = {}
         self._loopback_next_free: dict[str, float] = {}
         self.total_messages = 0
         self.total_bytes = 0.0
@@ -143,11 +139,6 @@ class Fabric:
         self.routing_counts = dict.fromkeys(
             ("decisions", "detours", "candidates_scored", "candidates_pruned"), 0
         )
-        # (src, dst) -> an adaptive policy's decision entry for the pair
-        # (AdaptiveRouting._entry): compiled walks and ports, the candidate
-        # pool and the prepared draw state.  Kept here, beside the counts,
-        # not in the topology's shared memo.
-        self._decisions: dict[tuple[str, str], tuple] = {}
         self.faults = faults
         # Failure-aware policies (FailoverRouting) ask for a fresh routing
         # decision per retry attempt and are told about every detected
@@ -219,15 +210,11 @@ class Fabric:
         Link)`` hops, which UGAL scores, and what a transfer reserves — the
         source's injection port (as ``(Channel, None)``) if it has one, the
         endpoint's copy/DMA engine that serialises all its outgoing traffic,
-        then the walk.  One walk-table lookup; a miss compiles and stores."""
+        then the walk.  A pair entry holds what it compiles."""
         hops = route.hops
-        entry = self._walks.get(hops)
-        if entry is None:
-            walk = tuple(map(self._ports.__getitem__, hops))
-            inj = self._injection.get(hops[0][0]) if hops else None
-            ports = walk if inj is None else ((inj, None),) + walk
-            entry = self._walks[hops] = (walk, ports)
-        return entry
+        walk = tuple(map(self._ports.__getitem__, hops))
+        inj = self._injection.get(hops[0][0]) if hops else None
+        return walk, (walk if inj is None else ((inj, None),) + walk)
 
     def _install_faults(self, injector: "FaultInjector") -> None:
         """Attach per-link fault parameters; links the plan leaves clean
@@ -533,13 +520,13 @@ class Fabric:
     def _collect(self) -> dict[str, float]:
         """Snapshot-time export (sum-merged across fabrics feeding the same
         registry): the per-link totals the channels already count, the
-        adaptive-routing counts, and the sizes of the three route caches
+        adaptive-routing counts, and the sizes of the three route tables
         this fabric's speed is bought with."""
         out = {f"net.link.{k}": float(v) for k, v in self.link_stats().items()}
         out.update((f"net.routing.{k}", float(v)) for k, v in self.routing_counts.items())
-        out["net.fabric.compiled_routes"] = float(len(self._walks))
+        out["net.fabric.compiled_routes"] = float(len(self._pairs))
         out["net.topology.route_memo"] = float(len(self.topology._via_cache))
-        out["net.routing.decision_memo"] = float(len(self.topology._decision_memo))
+        out["net.routing.decision_memo"] = float(len(self.topology._detour_cache))
         return out
 
     def link_stats(self) -> dict[str, float]:

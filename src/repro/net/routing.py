@@ -17,7 +17,9 @@ for the same (src, dst) pair over time:
 
 Each non-minimal path is costed by :meth:`TopologySpec.route_via`
 (memoised per path) — bottleneck latency/``G`` come from the hops actually
-taken, never from the cached minimal pair.
+taken, never from the cached minimal pair.  The topology memoises each
+detour per ``(src, intermediate, dst)``; all else a decision reads of a
+pair is the fabric's pair entry (``Fabric._pairs``).
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ class AdaptiveRouting:
         # What depends only on the pair, or on (pair, intermediate), is
         # resolved once per fabric (see _entry); the message pays for draws
         # and scores.
-        decisions = fabric._decisions
-        entry = decisions.get((src, dst))
+        pairs = fabric._pairs
+        entry = pairs.get((src, dst))
         if entry is None:  # an unknown endpoint raises here, before any count
-            entry = decisions[src, dst] = self._entry(fabric, src, dst)
+            entry = pairs[src, dst] = self._entry(fabric, src, dst)
         minimal, walk, ports, pool, npool, draw, mids = entry
         counts = fabric.routing_counts
         seq = counts["decisions"] = counts["decisions"] + 1
@@ -141,40 +143,30 @@ class AdaptiveRouting:
     def _entry(self, fabric: "Fabric", src: str, dst: str) -> tuple:
         """A pair's decision entry on ``fabric``: ``(minimal, walk, ports,
         pool, npool, draw, mids)`` — the minimal route compiled, the
-        candidate pool and its length (0 when there is nothing to decide:
-        loopback or no intermediate), the ``blake2b`` state that has
-        absorbed the pair's hash-key prefix, and the table ``mid -> (detour,
-        walk, ports)`` (``None``: no usable detour) that :meth:`_via` fills."""
-        memo = fabric.topology._decision_memo
-        pair = memo.get((src, dst))
-        if pair is None:
-            pair = memo[src, dst] = self._pair(fabric.topology, src, dst)
-        minimal, pool, prefix = pair
-        npool = len(pool) if minimal.nhops else 0
-        draw = blake2b(prefix, digest_size=8) if npool else None
-        walk, ports = fabric._walk(minimal)
-        return minimal, walk, ports, pool, npool, draw, {}
-
-    def _via(self, fabric: "Fabric", src: str, mid: str, dst: str) -> tuple | None:
-        """``(detour, walk, ports)`` of the Valiant path through ``mid``,
-        costed once per topology (its memo) and compiled once per fabric."""
-        memo = fabric.topology._decision_memo
-        try:
-            detour = memo[src, mid, dst]
-        except KeyError:
-            detour = memo[src, mid, dst] = self._detour(fabric.topology, src, mid, dst)
-        if detour is None:
-            return None
-        return (detour, *fabric._walk(detour))
-
-    @staticmethod
-    def _pair(topo, src: str, dst: str) -> tuple[Route, list[str], bytes]:
-        """Memo entry of a pair: its minimal route, the transit endpoints
-        off that route (the candidate pool) and the hash-key prefix."""
+        candidate pool (the transit endpoints off that route) and its length
+        (0 when there is nothing to decide: loopback or no intermediate),
+        the ``blake2b`` state that has absorbed the pair's hash-key prefix,
+        and the table ``mid -> (detour, walk, ports)`` (``None``: no usable
+        detour) that :meth:`_via` fills."""
+        topo = fabric.topology
         minimal = topo.route(src, dst)
         on_minimal = {src, dst}.union(v for _u, v in minimal.hops)
         pool = [m for m in topo._transit_endpoints() if m not in on_minimal]
-        return minimal, pool, f"{src}|{dst}|".encode()
+        npool = len(pool) if minimal.nhops else 0
+        draw = blake2b(f"{src}|{dst}|".encode(), digest_size=8) if npool else None
+        return minimal, *fabric._walk(minimal), pool, npool, draw, {}
+
+    def _via(self, fabric: "Fabric", src: str, mid: str, dst: str) -> tuple | None:
+        """``(detour, walk, ports)`` of the Valiant path through ``mid``,
+        costed once per topology (its detour memo) and compiled per fabric."""
+        topo = fabric.topology
+        try:
+            detour = topo._detour_cache[src, mid, dst]
+        except KeyError:
+            detour = topo._detour_cache[src, mid, dst] = self._detour(topo, src, mid, dst)
+        if detour is None:
+            return None
+        return (detour, *fabric._walk(detour))
 
     @staticmethod
     def _detour(topo, src: str, mid: str, dst: str) -> Route | None:

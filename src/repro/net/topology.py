@@ -84,8 +84,8 @@ class TopologySpec:
     """Declarative description of a node/system fabric.
 
     Build with :meth:`add_link`; query with :meth:`route`.  Loopback routes
-    (``src == dst``) are legal and resolve to a zero-hop route whose
-    parameters come from ``loopback`` (an on-device memcpy model).
+    (``src == dst``, an endpoint) are legal and resolve to a zero-hop route
+    whose parameters come from ``loopback`` (an on-device memcpy model).
     """
 
     name: str
@@ -97,10 +97,9 @@ class TopologySpec:
     # {endpoint: {neighbour: latency}} in insertion order, which breaks route ties.
     _adj: dict[str, dict[str, float]] = field(default_factory=dict)
     _route_cache: dict[tuple[str, str], Route] = field(default_factory=dict)
-    _path_cache: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     _via_cache: dict[tuple[str, ...], Route] = field(default_factory=dict)
-    # AdaptiveRouting's per-pair and per-(pair, intermediate) entries.
-    _decision_memo: dict[tuple[str, ...], object] = field(default_factory=dict)
+    # (src, intermediate, dst) -> AdaptiveRouting's Valiant detour, or None.
+    _detour_cache: dict[tuple[str, str, str], Route | None] = field(default_factory=dict)
     _transit_cache: list[str] | None = None
     _hop_cache: dict[tuple[str, str], tuple[str, str]] = field(default_factory=dict)
 
@@ -126,7 +125,7 @@ class TopologySpec:
         """
         self.injection[endpoint] = params
         self._transit_cache = None
-        self._decision_memo.clear()  # candidate pools exclude injecting endpoints
+        self._detour_cache.clear()  # an injecting endpoint is no intermediate
 
     @property
     def endpoints(self) -> list[str]:
@@ -158,13 +157,17 @@ class TopologySpec:
         (src, dst) pair always resolves to the same hops, so the cached
         bottleneck fields equal a fresh :meth:`route_via` of that path.
         Policies that pick *different* hops per decision (adaptive routing)
-        must cost each chosen path with :meth:`route_via` instead.
+        must cost each chosen path with :meth:`route_via` instead.  An
+        endpoint the topology does not have is a ``KeyError``, loopback too.
         """
         key = (src, dst)
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        if src == dst:
+        path = self._min_latency_path(src, dst)
+        if len(path) > 1:
+            route = self.route_via(path)
+        else:
             route = Route(
                 src=src,
                 dst=dst,
@@ -174,8 +177,6 @@ class TopologySpec:
                 message_bandwidth=self.loopback.channel_bandwidth,
                 gap=self.loopback.gap,
             )
-        else:
-            route = self.route_via(self.shortest_path(src, dst))
         self._route_cache[key] = route
         return route
 
@@ -224,17 +225,9 @@ class TopologySpec:
         return route
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
-        """Minimum-latency endpoint sequence ``src -> ... -> dst``.
-
-        Cached per pair (minimal paths are static; adaptive routing calls
-        this once per Valiant candidate per decision) and returned as a
-        fresh list so callers may concatenate freely.
-        """
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = self._path_cache[key] = self._min_latency_path(src, dst)
-        return list(cached)
+        """Minimum-latency endpoint sequence ``src -> ... -> dst``: the
+        endpoints of :meth:`route`, as a fresh list."""
+        return [src, *(v for _u, v in self.route(src, dst).hops)]
 
     def _min_latency_path(
         self, src: str, dst: str, dead: Collection[frozenset[str]] = ()
@@ -297,7 +290,7 @@ class TopologySpec:
         )
 
     def invalidate_routes(self) -> None:
-        """Drop every cached route and path (:meth:`add_link` does).
+        """Drop every cached route and detour (:meth:`add_link` does).
 
         Every entry is a pure function of the static graph, so only a graph
         edit invalidates it.  Liveness is not part of the graph: a
@@ -305,9 +298,8 @@ class TopologySpec:
         keeps its dead-aware routes in its own cache.
         """
         self._route_cache.clear()
-        self._path_cache.clear()
         self._via_cache.clear()
-        self._decision_memo.clear()
+        self._detour_cache.clear()
         self._transit_cache = None
 
     def _transit_endpoints(self) -> list[str]:

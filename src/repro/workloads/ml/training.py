@@ -110,7 +110,8 @@ def run_training_step(
     if not _WORD <= grad_bytes < float("inf"):
         raise CollectiveError(f"grad_bytes must be finite and >= {_WORD}, got {grad_bytes}")
     for name, value in (
-        ("buckets", buckets), ("tokens_per_rank", tokens_per_rank), ("iters", iters),
+        ("nranks", nranks), ("buckets", buckets), ("tokens_per_rank", tokens_per_rank),
+        ("iters", iters),
     ):
         check_count(f"training {name}", value, 1, CollectiveError)
     params = grad_bytes / 4.0  # fp32 parameters

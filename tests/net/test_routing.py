@@ -177,24 +177,28 @@ class TestAdaptive:
         assert after == sorted(after)
 
     def test_decision_memo_follows_topology_edits(self):
-        """What a decision remembers per pair (minimal route, candidate
-        pool, detours) is dropped by every call that can change it — on a
-        topology that fabrics and policies share — and by nothing else."""
+        """The detours a decision remembers per (src, intermediate, dst)
+        are dropped by every call that can change them or the candidate
+        pool they are drawn from — on a topology that fabrics and policies
+        share — and by nothing else."""
         topo = dragonfly(3, 2, 1).topology
         attach = dragonfly(3, 2, 1).attach_link
         policy = AdaptiveRouting(candidates=4)
-        memo = topo._decision_memo
+        memo = topo._detour_cache
 
         def pool(src="g0r0", dst="g1r1"):
-            # A fabric per decision: the memo is the topology's, not theirs.
+            # A fabric per decision: the memo is the topology's, not theirs;
+            # the candidate pool is the fabric's pair entry.
             fabric = Fabric(Simulator(), topo, routing=policy)
             assert policy.route(fabric, src, dst, 4096, 0.0) is topo.route(src, dst)
-            minimal, candidates, _prefix = memo[src, dst]
-            assert minimal is topo.route(src, dst)
-            assert any(key[::2] == (src, dst) for key in memo if len(key) == 3)
-            return candidates
+            assert any(key[::2] == (src, dst) for key in memo)
+            return fabric._pairs[src, dst][3]
 
-        assert pool() is pool()  # remembered, not rebuilt
+        first = pool()
+        kept = dict(memo)
+        assert pool() == first  # the detours are remembered, not rebuilt
+        assert memo.keys() == kept.keys()
+        assert all(memo[key] is detour for key, detour in kept.items())
         # add_link: a new transit router joins the pool of a known pair.
         topo.add_link("g2r0", "extra", attach)
         topo.add_link("extra", "g2r1", attach)
@@ -206,34 +210,34 @@ class TestAdaptive:
         assert "extra" not in pool()
         # A FailoverRouting detection is no topology edit: the memo stays,
         # equal to what a rebuild computes.
-        kept = memo["g0r0", "g1r1"]
+        kept = dict(memo)
         failover = FailoverRouting(suspect_after=1)
         fabric = Fabric(Simulator(), topo, routing=failover)
         failover.on_drop(fabric, frozenset(("g2r0", "g2r1")), 0.0)
-        assert failover.dead and memo["g0r0", "g1r1"] is kept
+        assert failover.dead and all(memo[key] is d for key, d in kept.items())
         topo.invalidate_routes()
-        assert pool() == kept[1] and memo["g0r0", "g1r1"] == kept
+        assert not memo
+        pool()
+        assert memo == kept
 
     def test_decision_memo_is_plain_data(self):
         """After an adaptive run the topology pickles and deep-copies (a
-        sweep worker may be handed it), and each memo entry is exactly what
-        a rebuild computes: the per-fabric draw state is not in it."""
+        sweep worker may be handed it), and each detour memo entry is
+        exactly what a rebuild computes: the per-fabric pair entries, draw
+        state included, are not in it."""
         topo = dragonfly(3, 2, 1).topology
         fabric = Fabric(Simulator(), topo, routing=AdaptiveRouting(candidates=4))
         routers = topo.endpoints
         for i in range(300):
             src, dst = routers[i % len(routers)], routers[(5 * i + 1) % len(routers)]
             fabric.transfer(src, dst, (64, 4096, 1 << 20)[i % 3])
-        memo = topo._decision_memo
+        memo = topo._detour_cache
         assert fabric.routing_counts["candidates_scored"] > 0
-        assert any(len(key) == 3 for key in memo)
-        for key, entry in memo.items():
-            if len(key) == 2:
-                assert entry == AdaptiveRouting._pair(topo, *key)
-            else:
-                assert entry == AdaptiveRouting._detour(topo, *key)
+        assert any(detour is not None for detour in memo.values())
+        for key, detour in memo.items():
+            assert detour == AdaptiveRouting._detour(topo, *key)
         for clone in (pickle.loads(pickle.dumps(topo)), copy.deepcopy(topo)):
-            assert clone._decision_memo == memo
+            assert clone._detour_cache == memo
 
     def test_deterministic_replay(self, loaded_schedule):
         """Same transfer sequence, fresh fabrics: bit-identical schedules."""
@@ -276,10 +280,10 @@ class TestAdaptive:
             f = _df_fabric(Simulator(), routing=policy)
             out = []
             for _ in range(n):
-                # Every pick is looked up anew: in the topology's memo and in
-                # the fabric's per-pair entry that caches what it found there.
-                f.topology._decision_memo.clear()
-                f._decisions.clear()
+                # Every pick is looked up anew: in the topology's detour memo
+                # and in the fabric's pair entry that compiled what it found.
+                f.topology._detour_cache.clear()
+                f._pairs.clear()
                 del drawn[:]
                 policy.route(f, "g0r0", "g1r0", 4096, 0.0)
                 out.append(list(drawn))
@@ -392,6 +396,25 @@ class TestCallBudget:
             "len": 90,  # hops scored, and ports reserved
             "injection_delay": 24, "observe": 24, "heappush": 24,
         }
+
+    @pytest.mark.parametrize(
+        "dst, nhops", [("g0r1", 1), ("g1r1", 2), ("g0r0", 0)],
+        ids=["single-hop", "multi-hop", "loopback"],
+    )
+    def test_a_policy_free_transfer(self, dst, nhops):
+        """``fabric_clean``'s per-message path: one pair-table lookup (the
+        loopback reads its copy engine's free time too), one ``len`` per
+        port reserved, and no routing call."""
+        f = Fabric(Simulator(), dragonfly(4, 2, 1).topology)
+        f.transfer("g0r0", dst, 64)  # builds the pair's entry
+        assert f.topology.route("g0r0", dst).nhops == nhops
+
+        def one_transfer():
+            f.transfer("g0r0", dst, 4096)
+
+        budget = {"transfer": 1, "__new__": 1, "send": 1, "__init__": 1, "heappush": 1}
+        budget.update({"get": 2} if nhops == 0 else {"get": 1, "len": nhops})
+        assert _calls(one_transfer) == budget
 
 
 class TestAdaptiveWithDownWindows:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net import LinkParams, TopologySpec
+from repro.net import Fabric, LinkParams, TopologySpec
+from repro.sim import Simulator
 
 
 def _topo():
@@ -76,6 +77,33 @@ class TestRouting:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(KeyError):
             _topo().route("a", "zzz")
+
+    @pytest.mark.parametrize("src, dst", [("a", "zzz"), ("zzz", "a"), ("zzz", "zzz")])
+    def test_unknown_endpoint_has_no_route_or_path(self, src, dst):
+        """A loopback to an endpoint the topology does not have is no route
+        either (it used to cost a zero-hop one)."""
+        t = _topo()
+        for query in (t.route, t.shortest_path):
+            with pytest.raises(KeyError, match="'zzz' not in topology 'test'"):
+                query(src, dst)
+
+    @pytest.mark.parametrize("routing", [None, "adaptive"])
+    @pytest.mark.parametrize("src, dst", [("a", "zzz"), ("zzz", "zzz")])
+    def test_transfer_to_an_unknown_endpoint_raises(self, routing, src, dst):
+        fabric = Fabric(Simulator(), _topo(), routing=routing)
+        with pytest.raises(KeyError, match="'zzz' not in topology 'test'"):
+            fabric.transfer(src, dst, 64)
+        assert fabric.total_messages == 0 and not fabric._pairs
+        assert fabric.routing_counts["decisions"] == 0
+
+    def test_shortest_path_is_the_routes_endpoints(self):
+        t = _topo()
+        assert t.shortest_path("a", "c") == ["a", "b", "c"]
+        assert t.shortest_path("c", "a") == ["c", "b", "a"]
+        assert t.shortest_path("b", "b") == ["b"]
+        path = t.shortest_path("a", "c")
+        path.append("d")  # a fresh list: the caller may extend it
+        assert t.shortest_path("a", "c") == ["a", "b", "c"]
 
     def test_disconnected_raises(self):
         t = _topo()

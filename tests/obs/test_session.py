@@ -72,20 +72,21 @@ class TestAmbientPickup:
         assert link_bytes == job.fabric.total_bytes == snap["net.fabric.bytes"]
 
     def test_route_cache_sizes_are_exported(self, pm_cpu):
-        """What the fabric trades for speed is visible: one compiled walk
-        and one memoised costing per distinct path the run touched."""
+        """What the fabric trades for speed is visible: one compiled pair
+        entry per pair and one memoised costing per distinct path the run
+        touched."""
         with obs.observe(obs.Obs()) as session:
             job = Job(pm_cpu, 2, "two_sided", placement="spread")
             job.run(_flood)
         snap = session.snapshot()
-        assert snap["net.fabric.compiled_routes"] == len(job.fabric._walks) >= 1
+        assert snap["net.fabric.compiled_routes"] == len(job.fabric._pairs) >= 1
         assert snap["net.topology.route_memo"] == len(job.fabric.topology._via_cache)
         assert snap["net.topology.route_memo"] >= snap["net.fabric.compiled_routes"]
 
     def test_routing_decisions_are_exported(self):
         """What adaptive routing did, per fabric, summed over the session:
         decisions, the ones that left the minimal path, candidates scored
-        and abandoned, and the size of the topology's decision memo."""
+        and abandoned, and the size of the topology's detour memo."""
         from repro.net import AdaptiveRouting, Fabric, dragonfly
         from repro.sim import Simulator
 
@@ -109,7 +110,7 @@ class TestAmbientPickup:
         assert 0 < one["candidates_pruned"] < one["candidates_scored"] <= 2 * 80
         for key, value in one.items():
             assert snap[f"net.routing.{key}"] == 2 * value  # the third fabric adds 0
-        assert snap["net.routing.decision_memo"] == 3 * len(topo._decision_memo) > 0
+        assert snap["net.routing.decision_memo"] == 3 * len(topo._detour_cache) > 0
 
     def test_bulk_verdict_is_counted_once_per_batch(self, pm_cpu):
         """Which engine a batch took, and why not the bulk one."""

@@ -355,11 +355,11 @@ CASES = {
     ),
     "training-nranks-zero": (
         lambda: run_training_step(GPU(), "shmem", nranks=0, grad_bytes=1024.0),
-        C, r"nranks must be an integer >= 1, got 0",
+        C, r"^training nranks must be an integer >= 1, got 0$",
     ),
     "collective-nranks-zero": (
         lambda: run_collective(GPU(), "shmem", "allreduce", nranks=0, nelems=64),
-        C, r"nranks must be an integer >= 1, got 0",
+        C, r"^collective nranks must be an integer >= 1, got 0$",
     ),
     "moe-nranks-zero": (
         lambda: run_moe_dispatch(GPU(), "shmem", nranks=0),
