@@ -90,7 +90,8 @@ def run_collective(
     """
     check_count("collective nranks", nranks, 1, CollectiveError)
     nelems = _words(coll, nelems, nbytes)
-    iters = check_count("iters", iters, 1, CollectiveError)
+    iters = check_count("collective iters", iters, 1, CollectiveError)
+    check_count("collective stripes", stripes, 1, CollectiveError)
     plan, selection = plan_collective(
         coll,
         nranks=nranks,

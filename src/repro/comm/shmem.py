@@ -29,7 +29,7 @@ from repro.comm.base import CommError
 from repro.comm.context import RankContext
 from repro.comm.ledger import Ledger, _complete
 from repro.comm.window import Window, _cas, _faa
-from repro.perf.engine import drain_wait_until_all, issue_times
+from repro.perf.engine import delivery_times, drain_wait_until_all, issue_times
 from repro.sim.event import Event
 from repro.sim.process import InFlight, WaitList
 from repro.util.validation import check_count
@@ -185,9 +185,9 @@ class ShmemContext(RankContext):
         issue = issue_times(
             self.counter, self.sim.now, self.costs.put_signal, nbytes, n
         )
-        deliver = self.fabric.plan(
-            self.endpoint, self.job.endpoints[target], nbytes
-        ).times(issue)
+        deliver = delivery_times(
+            self.fabric, self.endpoint, self.job.endpoints[target], nbytes, issue
+        )
 
         def landed(_ev: Event) -> None:
             data_win._apply_write(target, offset, None)

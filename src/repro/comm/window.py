@@ -29,7 +29,7 @@ from repro import perf
 from repro.comm.base import CommError, Request
 from repro.comm.ledger import Ledger, _complete
 from repro.perf.atomics import bulk_cas_stream
-from repro.perf.engine import bulk_visible_last, issue_times
+from repro.perf.engine import bulk_visible_last, delivery_times, issue_times
 from repro.sim.event import Event
 from repro.sim.process import InFlight, WaitList
 from repro.util.validation import check_count
@@ -321,9 +321,9 @@ class WindowHandle:
             return
         nbytes = nelems * win.dtype.itemsize
         issue = issue_times(ctx.counter, ctx.sim.now, ctx.costs.put, nbytes, n)
-        deliver = ctx.fabric.plan(
-            ctx.endpoint, ctx.job.endpoints[target], nbytes
-        ).times(issue)
+        deliver = delivery_times(
+            ctx.fabric, ctx.endpoint, ctx.job.endpoints[target], nbytes, issue
+        )
         last = bulk_visible_last(ctx.job.contexts[target], nbytes, deliver)
 
         def visible(_ev: Event) -> None:

@@ -4,7 +4,7 @@
 edge and exposes a single operation, :meth:`Fabric.send`, which moves
 ``nbytes`` from one endpoint to another and pushes the caller's record on the
 heap for delivery (tail arrival at the destination); :meth:`Fabric.transfer`
-sends an event.
+sends an event, and a batch replayed by :mod:`repro.perf` sends no record.
 
 Multi-hop routes use cut-through (wormhole) forwarding: the head of the
 message reserves each hop's injection port in order; per-hop latencies
@@ -15,12 +15,13 @@ contention collapse and the cross-socket hashtable penalty in the paper.
 
 That recurrence lives here once.  :meth:`Fabric.send` is a single
 attempt loop over the transfer's ports, and that loop is the port
-reservation; outage stalls, degradation, loss/jitter/hard-down draws and
-retransmission are per-hop steps taken only under a fault plan.
-:class:`TransferPlan` (from :meth:`Fabric.plan`) replays the same walk for a
-homogeneous batch on a fabric that is :attr:`Fabric.replayable`.  Both, and
-UGAL scoring in :mod:`repro.net.routing`, walk a route's ports as compiled
-by :meth:`Fabric._walk` into the fabric's one entry per ``(src, dst)`` pair.
+reservation: it is the only code that writes port state.  Outage stalls,
+degradation, loss/jitter/hard-down draws and retransmission are per-hop
+steps taken only under a fault plan.  A homogeneous batch on a fabric that
+is :attr:`Fabric.replayable` reserves through the same call, one message at
+a time.  The walk, and UGAL scoring in :mod:`repro.net.routing`, read a
+route's ports as compiled by :meth:`Fabric._walk` into the fabric's one
+entry per ``(src, dst)`` pair.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.process import InFlight
 
-__all__ = ["Fabric", "Delivery", "TransferPlan"]
+__all__ = ["Fabric", "Delivery"]
 
 # Queueing-wait histogram edges (seconds): the zero bucket counts
 # contention-free reservations; the rest are decades up to 10 ms.
@@ -115,8 +116,8 @@ class Fabric:
             key: Link(*sorted(key), params=params)
             for key, params in topology.links.items()
         }
-        # The one directed-hop table: every walker (transfer, the batch
-        # plan, UGAL scoring) resolves a route hop to its port here, so the
+        # The one directed-hop table: every walker (the transfer, UGAL
+        # scoring) resolves a route hop to its port here, so the
         # unordered-key + direction lookup is paid once per link direction.
         self._ports: dict[tuple[str, str], tuple[Channel, Link]] = {
             (u, v): (link.channel(u, v), link)
@@ -148,7 +149,7 @@ class Fabric:
         # A policy that hands back the winner's ports with its route
         # (AdaptiveRouting.decide) spares the transfer its walk lookup.
         self._decide = getattr(self.routing, "decide", None)
-        #: Why homogeneous batches may not be replayed through :meth:`plan`
+        #: Why homogeneous batches may not be replayed by :mod:`repro.perf`
         #: (None: they may).  Replay needs every transfer to be a pure
         #: function of port state: fault draws are per message, congestion
         #: control feeds each transfer's wait back into the next one's
@@ -279,13 +280,16 @@ class Fabric:
         return Delivery(event, start, arrival, nbytes, route, attempts, not ok)
 
     def send(
-        self, src: str, dst: str, nbytes: float, record: "InFlight | _Landing", *,
-        earliest: float | None = None, atomic: bool = False,
+        self, src: str, dst: str, nbytes: float, record: "InFlight | _Landing | None",
+        *, earliest: float | None = None, atomic: bool = False,
     ) -> tuple[float, float, Route, int]:
         """The hop walk: move ``nbytes`` from ``src`` to ``dst``, set
         ``record.error`` (None, or the :class:`FaultError` below) and push
         ``record`` on the heap at the arrival time.  Returns the walk's
-        ``(start, arrival, route, attempts)``.
+        ``(start, arrival, route, attempts)``.  With ``record=None`` the
+        walk reserves and counts the same and nothing is pushed: the
+        caller (a replayed batch) times the delivery itself, and a
+        :class:`FaultError` it could not carry is raised.
 
         One attempt reserves the injection port and every hop of the route.
         Without a fault plan that first attempt is the whole transfer.  With
@@ -510,11 +514,12 @@ class Fabric:
                 # Clean-fabric records keep their historical keys.
                 detail["attempts"] = attempts
             self.tracer.emit(sim.now, "net.transfer", -1, **detail)
-        if error is not None and faults.semantics.mode == "abort":
+        if error is not None and (record is None or faults.semantics.mode == "abort"):
             raise error
-        record.error = error
-        heappush(sim._heap, (clock + delay, sim._seq, record))
-        sim._seq += 1
+        if record is not None:
+            record.error = error
+            heappush(sim._heap, (clock + delay, sim._seq, record))
+            sim._seq += 1
         return start, arrival, route, attempts
 
     def _collect(self) -> dict[str, float]:
@@ -534,151 +539,4 @@ class Fabric:
         out: dict[str, float] = {}
         for link in self._links.values():
             out.update(link.stats())
-        return out
-
-    def plan(
-        self, src: str, dst: str, nbytes: float, *, atomic: bool = False
-    ) -> "TransferPlan":
-        """Freeze the ``src -> dst`` walk for one homogeneous message size.
-
-        Only meaningful on a :attr:`replayable` fabric, which the batch
-        verbs of :mod:`repro.comm` check before they plan.
-        """
-        if not 0 <= nbytes < inf:
-            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
-        return TransferPlan(self, src, dst, nbytes, atomic)
-
-
-class TransferPlan:
-    """:meth:`Fabric.transfer` for one (path, size, atomic?) combination
-    with all constants hoisted, minus the event machinery.
-
-    ``time``/``times`` replicate :meth:`Fabric.send`'s walk on a replayable
-    fabric — reservations, counters, metrics — and return the simulated
-    time at which the delivery event would have been *processed*: the
-    scalar path schedules it via ``succeed(delay=arrival - now)``, so the
-    heap time is ``now + (arrival - now)``, which can differ from
-    ``arrival`` by one ulp.  Everything downstream of a delivery (copy
-    engines, atomic units, signal waits) keys off that heap time, so that
-    is what we return.
-
-    Per-sub-channel occupancy ``max(gap, nbytes * G)``, hop latency and
-    the tail time ``nbytes * route.G`` are pure functions of frozen
-    parameters, so computing them once per batch instead of once per
-    message yields the identical floats.  Mutable state — ``_next_free``,
-    byte counters, histograms — is updated message-by-message in issue
-    order, exactly as :meth:`Fabric.transfer` would.
-    """
-
-    __slots__ = ("fabric", "src", "nbytes", "ports", "occ", "lat", "tail")
-
-    def __init__(self, fabric: Fabric, src: str, dst: str, nbytes: float, atomic: bool):
-        route = fabric.topology.route(src, dst)
-        self.fabric = fabric
-        self.src = src
-        self.nbytes = nbytes
-        self.tail = nbytes * route.G
-        # Loopback (no ports): the device's local copy engine.
-        self.occ = max(route.gap, nbytes * route.G)
-        self.lat = route.latency
-        channels = [ch for ch, _link in fabric._walk(route)[1]]
-        self.ports = [
-            (
-                ch._next_free,
-                max(ch._atomic_gap if atomic else ch._gap, nbytes * ch._G),
-                ch._latency,
-                ch,
-            )
-            for ch in channels
-        ]
-
-    def time(self, now: float) -> float:
-        """One message: full per-message replication (state + counters)."""
-        fabric = self.fabric
-        nbytes = self.nbytes
-        if not self.ports:
-            lnf = fabric._loopback_next_free
-            free = lnf.get(self.src, 0.0)
-            start = now if now >= free else free  # max(now, free)
-            lnf[self.src] = start + self.occ
-            arrival = start + self.lat + self.tail
-        else:
-            t = now
-            for nf, occ, lat, ch in self.ports:
-                if len(nf) == 1:
-                    f = nf[0]
-                    start = t if t >= f else f  # max(earliest, next_free)
-                    nf[0] = start + occ
-                else:
-                    idx = nf.index(min(nf))
-                    f = nf[idx]
-                    start = t if t >= f else f
-                    nf[idx] = start + occ
-                ch.bytes_carried += nbytes
-                ch.messages_carried += 1
-                wh = ch.wait_hist
-                if wh is not None:
-                    wh.observe(start - t)
-                t = start + lat
-            arrival = t + self.tail
-        fabric.total_messages += 1
-        fabric.total_bytes += nbytes
-        if fabric._m_bytes is not None:
-            fabric._m_messages.inc()
-            fabric._m_bytes.inc(nbytes)
-            fabric._m_timeline.observe(arrival, nbytes)
-        return now + (arrival - now)
-
-    def times(self, issue: list[float]) -> list[float]:
-        """Delivery heap times for the whole batch, in issue order.
-
-        A loopback or single-port single-sub-channel path with no metrics or
-        wait histogram attached runs the reservation recurrence in a tight
-        loop and advances the float accumulators (``bytes_carried``,
-        ``total_bytes``) afterwards by the same per-message ``+=`` sequence
-        — each accumulator sees the identical ordered additions either way,
-        so the totals are bit-exact.  Everything else (multi-port paths,
-        parallel sub-channels, an active obs session) is :meth:`time` per
-        message.
-        """
-        fabric = self.fabric
-        ports = self.ports
-        observed = fabric._m_bytes is not None or any(
-            ch.wait_hist is not None for *_rest, ch in ports
-        )
-        if observed or len(ports) > 1 or (ports and len(ports[0][0]) > 1):
-            return [self.time(t) for t in issue]
-        nbytes = self.nbytes
-        n = len(issue)
-        out = [0.0] * n
-        tail = self.tail
-        if ports:
-            # Single hop, single sub-channel: the flood fast path.
-            nf, occ, lat, ch = ports[0]
-            free = nf[0]
-        else:
-            lnf = fabric._loopback_next_free
-            free = lnf.get(self.src, 0.0)
-            occ = self.occ
-            lat = self.lat
-        for k in range(n):
-            now = issue[k]
-            start = now if now >= free else free
-            free = start + occ
-            arrival = start + lat + tail
-            out[k] = now + (arrival - now)
-        if ports:
-            nf[0] = free
-            bc = ch.bytes_carried
-            for _ in range(n):
-                bc += nbytes
-            ch.bytes_carried = bc
-            ch.messages_carried += n
-        else:
-            lnf[self.src] = free
-        fabric.total_messages += n
-        tb = fabric.total_bytes
-        for _ in range(n):
-            tb += nbytes
-        fabric.total_bytes = tb
         return out

@@ -71,11 +71,8 @@ def bulk_cas_stream(
     atomic_apply = costs.atomic_apply
     wake = costs.sync_enter + costs.wait_per_req
     c = ctx.counter
-    target_ep = ctx.job.endpoints[target]
-    # Pre-built plans: the stream alternates a 16 B atomic-spaced request
-    # with an 8 B response, so both transfer shapes are constant.
-    fwd_time = ctx.fabric.plan(ctx.endpoint, target_ep, 16.0, atomic=True).time
-    rev_time = ctx.fabric.plan(target_ep, ctx.endpoint, 8.0).time
+    origin_ep, target_ep = ctx.endpoint, ctx.job.endpoints[target]
+    send = ctx.fabric.send
     anf = win._atomic_next_free[target]
     buf = win.buffers[target]
     t = sim.now
@@ -84,7 +81,9 @@ def bulk_cas_stream(
         c.operations += 1
         c.atomics += 1
         t = t + fetch_op
-        h_req = fwd_time(t)
+        # Both legs are record-less sends, timed as engine.delivery_times does.
+        a = send(origin_ep, target_ep, 16.0, None, earliest=t, atomic=True)[1]
+        h_req = t + (a - t)
         start = anf if anf > h_req else h_req  # max(now, atomic_next_free)
         finish = start + atomic_apply
         anf = finish
@@ -93,7 +92,8 @@ def bulk_cas_stream(
         if old == compare:
             buf[offset] = value
         old_values.append(old)
-        h_resp = rev_time(u)
+        a = send(target_ep, origin_ep, 8.0, None, earliest=u)[1]
+        h_resp = u + (a - u)
         if count_wait:
             c.syncs += 1
             c.operations += 1

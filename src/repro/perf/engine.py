@@ -43,11 +43,12 @@ call sites):
 Under that contract the bulk path is not an approximation — every float
 written into port state, every counter, every metrics observation is the
 one the scalar path would have written.  The per-message hop walk itself
-is not here: it is :class:`repro.net.fabric.TransferPlan`, the fabric's own
-replay of :meth:`~repro.net.fabric.Fabric.transfer`, and the hand-off of a
-signalled batch's arrival schedule to its waiter lives beside the two verbs
-that share it (:mod:`repro.comm.shmem`); this module holds the float
-recurrences around them (issue clocks, copy engines, signal waits).
+is not here: every message of a batch reserves through
+:meth:`repro.net.fabric.Fabric.send` with no record (:func:`delivery_times`),
+the only code that writes port state, and the hand-off of a signalled
+batch's arrival schedule to its waiter lives beside the two verbs that
+share it (:mod:`repro.comm.shmem`); this module holds the float recurrences
+around them (issue clocks, copy engines, signal waits).
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
+    from repro.net.fabric import Fabric
 
-__all__ = ["issue_times", "bulk_visible_last", "drain_wait_until_all"]
+__all__ = ["issue_times", "delivery_times", "bulk_visible_last", "drain_wait_until_all"]
 
 
 def issue_times(counter, now: float, cost: float, nbytes: float, n: int) -> list[float]:
@@ -81,6 +83,26 @@ def issue_times(counter, now: float, cost: float, nbytes: float, n: int) -> list
         issue[k] = t
     counter.bytes_sent = bs
     return issue
+
+
+def delivery_times(
+    fabric: "Fabric", src: str, dst: str, nbytes: float, issue: list[float]
+) -> list[float]:
+    """Delivery heap times of a batch, in issue order.
+
+    Each message is a record-less :meth:`~repro.net.fabric.Fabric.send`
+    injected at its issue time ``t``.  The scalar path pushes its record
+    ``arrival - t`` after ``t``, and ``t + (arrival - t)`` can differ from
+    ``arrival`` by one ulp; everything downstream of a delivery (copy
+    engines, signal waits) keys off that heap time, so that is what is
+    returned.
+    """
+    send = fabric.send
+    out = [0.0] * len(issue)
+    for k, t in enumerate(issue):
+        arrival = send(src, dst, nbytes, None, earliest=t)[1]
+        out[k] = t + (arrival - t)
+    return out
 
 
 def bulk_visible_last(target_ctx: "RankContext", nbytes: float, deliver: list[float]) -> float:

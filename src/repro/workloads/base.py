@@ -17,12 +17,11 @@ __all__ = ["WorkloadResult"]
 
 @dataclass
 class WorkloadResult:
-    """Outcome of one workload run on one machine/runtime/variant."""
+    """Outcome of one workload run on one machine and runtime."""
 
     workload: str
     machine: str
-    runtime: str
-    variant: str  # a transport backend name (repro.transport.backend_names())
+    runtime: str  # a transport backend name (repro.transport.backend_names())
     nranks: int
     time: float  # virtual seconds for the measured region
     counters: OpCounter  # merged across ranks

@@ -256,7 +256,6 @@ def run_hashtable(
         workload="hashtable",
         machine=machine.name,
         runtime=job.runtime_name,
-        variant=job.runtime_name,
         nranks=nranks,
         time=elapsed,
         counters=result.counters,

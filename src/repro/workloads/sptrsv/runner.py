@@ -285,7 +285,6 @@ def run_sptrsv(
         workload="sptrsv",
         machine=machine.name,
         runtime=job.runtime_name,
-        variant=job.runtime_name,
         nranks=nranks,
         time=max(times),
         counters=result.counters,

@@ -257,7 +257,6 @@ def run_stencil(
         workload="stencil",
         machine=machine.name,
         runtime=job.runtime_name,
-        variant=job.runtime_name,
         nranks=nranks,
         time=max(times),
         counters=result.counters,

@@ -1,5 +1,6 @@
 """Fabric.transfer edge cases: zero-byte messages, self-routes, and
-single-link topologies — with and without an active fault plan."""
+single-link topologies — with and without an active fault plan — and the
+record-less Fabric.send a replayed batch reserves through."""
 
 import math
 import random
@@ -76,7 +77,7 @@ class TestSingleLink:
         with pytest.raises(ValueError):
             f.transfer("a", dst, nbytes)
         with pytest.raises(ValueError):
-            f.plan("a", dst, nbytes)
+            f.send("a", dst, nbytes, None)
         assert f.total_messages == 0 and sim.peek() == math.inf
         assert f.transfer("a", "b", 10000).arrival == pytest.approx(2e-6)
 
@@ -92,6 +93,48 @@ class TestSingleLink:
             for i in range(10)
         ]
         assert payloads == list(range(10))
+
+
+def _port_state(fabric):
+    """Everything the walk writes: every port's sub-channel next-free
+    times and traffic counters, the loopback engines and the totals."""
+    channels = [ch for ch, _link in fabric._ports.values()]
+    channels += fabric._injection.values()
+    return (
+        [(list(ch._next_free), ch.bytes_carried, ch.messages_carried) for ch in channels],
+        dict(fabric._loopback_next_free),
+        fabric.total_messages,
+        fabric.total_bytes,
+    )
+
+
+class TestRecordlessSend:
+    """``Fabric.send(..., None, earliest=t)`` is what a replayed batch sends
+    per message: the walk of a transfer issued at ``t``, nothing pushed."""
+
+    @pytest.mark.parametrize(
+        ("pair", "atomic"),
+        [("loopback", False), ("routed", False), ("routed", True)],
+        ids=["loopback", "routed", "routed-atomic"],
+    )
+    def test_reserves_like_a_transfer_at_issue_time(self, pair, atomic):
+        topology = dragonfly(4, 2, 2).topology
+        endpoints = sorted(topology.endpoints)
+        src = endpoints[0]
+        dst = src if pair == "loopback" else next(
+            e for e in endpoints if topology.route(src, e).nhops > 1
+        )
+        topology.set_injection(src, LinkParams(latency=1e-7, bandwidth=25e9))
+        sim, twin_sim = Simulator(), Simulator()
+        fabric, twin = Fabric(sim, topology), Fabric(twin_sim, topology)
+        for t in (0.0, 0.0, 1e-7, 5e-6, 5e-6):  # contended, then idle ports
+            twin_sim.run(until=t)
+            expected = twin.transfer(src, dst, 4096, atomic=atomic).arrival
+            got = fabric.send(src, dst, 4096, None, earliest=t, atomic=atomic)
+            assert got[1] == expected
+        assert sim.peek() == math.inf
+        assert twin.total_messages == 5
+        assert _port_state(fabric) == _port_state(twin)
 
 
 class TestDormantFaultPlan:

@@ -167,6 +167,14 @@ CASES = {
         lambda: run_training_step(GPU(), "shmem", nranks=2, grad_bytes=1024.0, iters=2.5),
         C, r"training iters must be an integer >= 1, got 2\.5",
     ),
+    "collective-iters-zero": (
+        lambda: run_collective(GPU(), "shmem", "allreduce", nranks=2, nelems=64, iters=0),
+        C, r"^collective iters must be an integer >= 1, got 0$",
+    ),
+    "collective-stripes-zero": (
+        lambda: run_collective(GPU(), "shmem", "allreduce", nranks=2, nelems=64, stripes=0),
+        C, r"^collective stripes must be an integer >= 1, got 0$",
+    ),
     "moe-iters-zero": (
         lambda: run_moe_dispatch(GPU(), "shmem", nranks=2, iters=0),
         C, r"moe iters must be an integer >= 1, got 0",
